@@ -2,8 +2,9 @@
 
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
 — frame codec round-trip, partition-key sorting, streaming run merge,
-incremental hash update, their columnar *batch* counterparts and the
-chained-job partition cache — and guards them two ways:
+incremental hash update, their columnar *batch* counterparts, the
+chained-job partition cache and the map-side collect path — and guards
+them two ways:
 
 * **Ratio guard** — each timing is normalised by a fixed pure-Python
   calibration loop run on the same machine.  The resulting *scores* are
@@ -59,8 +60,13 @@ BATCH_BEATS = {
 #: and scheduler state, and the min-of-N ratio is stable to well under 2%.
 #: reprosan only instruments once installed — with the sanitizer merely
 #: importable/constructed, executor dispatch must cost the same.
+#: The same mechanism gates a *scaling* bound: the map-side collect loop
+#: checks its shared byte budget after every pair, which must be O(1) —
+#: the same block with 64 reducers may cost at most 1.3x the 4-reducer
+#: run (a per-pair sum over all partitions' tables reads about 3x).
 PAIRED_OVERHEAD = {
     "san_overhead": ("exec_dispatch", 1.02),
+    "map_collect_p64": ("map_collect", 1.3),
 }
 
 #: kernel -> pipeline phase it exercises.  When the gate fails, scores are
@@ -72,6 +78,8 @@ KERNEL_PHASES = {
     "batch_partition_sort": "sort",
     "merge_streams": "merge",
     "batch_merge_streams": "merge",
+    "map_collect": "map",
+    "map_collect_p64": "map",
     "incremental_update": "reduce",
     "batch_hash_update": "reduce",
     "partition_cache_roundtrip": "cache",
@@ -262,6 +270,50 @@ def kernel_batch_hash_update() -> None:
     assert table.resident_keys == 2_000
 
 
+def _collect_block() -> list[bytes]:
+    """One ``pagefreq``-shaped input block: 20k clicks over 2000 URLs."""
+    from repro.io.serialization import BinaryCodec
+
+    rng = random.Random(1313)
+    clicks = [
+        (i * 0.5, rng.randrange(5_000), f"/page/{rng.randrange(2_000)}")
+        for i in range(20_000)
+    ]
+    return [BinaryCodec().encode(clicks)]
+
+
+def _map_collect(num_reducers: int) -> None:
+    from repro.core.engine import OnePassConfig
+    from repro.exec.base import get_kernel
+    from repro.exec.kernels import OnePassMapSpec
+    from repro.io.serialization import BinaryCodec
+    from repro.workloads.page_frequency import page_frequency_onepass_job
+
+    job = page_frequency_onepass_job(
+        "in", "out", config=OnePassConfig(num_reducers=num_reducers, map_side_combine=True)
+    )
+    (block,) = _dataset("collect_block", _collect_block)
+    result = get_kernel("onepass_map")(
+        {"job": job, "codec": BinaryCodec()}, OnePassMapSpec(0, "n0", block)
+    )
+    assert result.counters["map.output.records"] == 20_000
+    assert result.counters["combine.output.records"] == 2_000
+
+
+def kernel_map_collect() -> None:
+    """The map-side collect path end to end: one block through the
+    ``onepass_map`` kernel — decode, map fn, partition, combine into the
+    per-partition hash tables under the shared byte budget, final flush.
+    """
+    _map_collect(4)
+
+
+def kernel_map_collect_p64() -> None:
+    """``map_collect`` with 64 reducers: the numerator of the scaling gate
+    (see :data:`PAIRED_OVERHEAD`)."""
+    _map_collect(64)
+
+
 def kernel_partition_cache_roundtrip() -> None:
     """Chained-job cache hot loop: store every intermediate block, spill
     FIFO past the byte budget, then serve every block back (memory hits
@@ -425,6 +477,8 @@ KERNELS = {
     "batch_partition_sort": (kernel_batch_partition_sort, 120_000),
     "merge_streams": (kernel_merge_streams, 120_000),
     "batch_merge_streams": (kernel_batch_merge_streams, 120_000),
+    "map_collect": (kernel_map_collect, 20_000),
+    "map_collect_p64": (kernel_map_collect_p64, 20_000),
     "incremental_update": (kernel_incremental_update, 100_000),
     "batch_hash_update": (kernel_batch_hash_update, 100_000),
     "partition_cache_roundtrip": (kernel_partition_cache_roundtrip, 1_024),

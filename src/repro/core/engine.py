@@ -57,6 +57,7 @@ from repro.mapreduce.recovery import (
 )
 from repro.mapreduce.runtime import JobResult, LocalCluster
 from repro.mapreduce.scheduler import WaveScheduler
+from repro.mapreduce.sortmerge import map_slices
 from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
@@ -85,9 +86,10 @@ class OnePassConfig:
     hotset_capacity: int = 1024
     spill_partitions: int = 8
     map_side_combine: bool = True
-    #: Batch kernel path: map output and pushed chunks are folded through
-    #: the hoisted ``add_batch``/``update_batch`` loops (see
-    #: docs/PERFORMANCE.md).  Byte-identical output; CPU cost only.
+    #: Batch kernel path: pushed chunks are folded reduce-side through the
+    #: hoisted ``add_batch``/``update_batch`` loops (the map side collects
+    #: block-at-a-time either way; see docs/PERFORMANCE.md).  Byte-identical
+    #: output; CPU cost only.
     batch: bool = False
 
     def __post_init__(self) -> None:
@@ -361,12 +363,9 @@ def execute_onepass_map(
     only effect is the ordered stream of chunks pushed through ``sink``.
     Returns the task's counters for the coordinator to merge.
     """
-    from repro.exec.kernels import timed_decode
-
     cfg = job.config
     task_counters = Counters()
     task_counters.inc(C.MAP_TASKS)
-    records = timed_decode(codec, data, task_counters)
     task_counters.inc(C.MAP_INPUT_BYTES, len(data))
 
     if job.is_aggregate and cfg.map_side_combine:
@@ -385,34 +384,22 @@ def execute_onepass_map(
             counters=task_counters,
         )
 
-    map_fn = job.map_fn
     perf = time.perf_counter
-    t_map_fn = 0.0
     t_hash = 0.0
     n_in = 0
-    use_batch = cfg.batch
     with tracer.span(
         "map", "map", node=node, task=f"map:{task_id:05d}"
     ) as map_span:
-        for record in records:
-            n_in += 1
+        for pairs, ends in map_slices(codec.decode(data), job.map_fn, task_counters):
+            n_in += len(ends)
             t0 = perf()
-            emitted = list(map_fn(record))
-            t1 = perf()
-            if use_batch:
-                buffer.add_batch(emitted)
-            else:
-                for key, value in emitted:
-                    buffer.add(key, value)
-            t_hash += perf() - t1
-            t_map_fn += t1 - t0
+            buffer.add_block(pairs)
+            t_hash += perf() - t0
         t0 = perf()
         buffer.finish()
         t_hash += perf() - t0
         map_span.set_cost(max(1, n_in))
         map_span.set(records=n_in, bytes=len(data))
-    task_counters.inc(C.MAP_INPUT_RECORDS, n_in)
-    task_counters.inc(C.T_MAP_FN, t_map_fn)
     task_counters.inc(C.T_HASH, t_hash)
     return task_counters
 

@@ -16,7 +16,7 @@ bucket hashed with the same function would not split further).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.aggregates import AggregateState, Aggregator
 from repro.io.serialization import estimate_size
@@ -25,6 +25,7 @@ from repro.mapreduce.partition import stable_hash
 __all__ = ["HashFamily", "AccountedStateTable"]
 
 _MERSENNE_PRIME = (1 << 61) - 1
+_SLOT_BYTES = 104  # dict slot overhead per entry, amortised
 
 
 class HashFamily:
@@ -70,17 +71,17 @@ class AccountedStateTable:
     ``update`` folds one value into the key's state, creating it on first
     touch.  State growth is re-measured on every update for linear states
     (collect/session) and skipped for ``__slots__`` constant-size states by
-    trusting their ``size_bytes``; either way :attr:`used_bytes` tracks the
-    table's footprint closely enough to enforce a budget.
+    trusting their ``size_bytes``; either way :attr:`used_bytes` — a plain
+    field moved by each update's delta, so a budget check is one attribute
+    read — tracks the table's footprint closely enough to enforce a budget.
     """
 
-    __slots__ = ("aggregator", "_states", "_key_bytes", "_state_bytes", "probes")
+    __slots__ = ("aggregator", "_states", "used_bytes", "probes")
 
     def __init__(self, aggregator: Aggregator) -> None:
         self.aggregator = aggregator
         self._states: dict[Any, AggregateState] = {}
-        self._key_bytes = 0
-        self._state_bytes = 0
+        self.used_bytes = 0
         self.probes = 0
 
     def __len__(self) -> int:
@@ -89,11 +90,6 @@ class AccountedStateTable:
     def __contains__(self, key: Any) -> bool:
         return key in self._states
 
-    @property
-    def used_bytes(self) -> int:
-        # dict slot overhead ~104 bytes/entry amortised
-        return self._key_bytes + self._state_bytes + 104 * len(self._states)
-
     def update(self, key: Any, value: Any) -> AggregateState:
         """Fold ``value`` into ``key``'s state; returns the state."""
         self.probes += 1
@@ -101,43 +97,13 @@ class AccountedStateTable:
         if state is None:
             state = self.aggregator.initial()
             self._states[key] = state
-            self._key_bytes += estimate_size(key)
+            self.used_bytes += estimate_size(key) + _SLOT_BYTES
             before = 0
         else:
             before = state.size_bytes()
         state.update(value)
-        self._state_bytes += state.size_bytes() - before
+        self.used_bytes += state.size_bytes() - before
         return state
-
-    def update_batch(self, pairs: Iterable[tuple[Any, Any]]) -> None:
-        """Fold many raw values; totals identical to per-pair :meth:`update`.
-
-        The hot loop hoists every attribute lookup and defers the byte and
-        probe accounting to batch totals — the per-pair state math is
-        unchanged, so ``used_bytes`` and ``probes`` end at exactly the
-        values the per-pair path produces.
-        """
-        states = self._states
-        initial = self.aggregator.initial
-        estimate = estimate_size
-        key_bytes = 0
-        state_bytes = 0
-        n = 0
-        for key, value in pairs:
-            n += 1
-            state = states.get(key)
-            if state is None:
-                state = initial()
-                states[key] = state
-                key_bytes += estimate(key)
-                before = 0
-            else:
-                before = state.size_bytes()
-            state.update(value)
-            state_bytes += state.size_bytes() - before
-        self._key_bytes += key_bytes
-        self._state_bytes += state_bytes
-        self.probes += n
 
     def merge_state(self, key: Any, other: AggregateState) -> AggregateState:
         """Fold a partial state for ``key`` into the table."""
@@ -146,12 +112,12 @@ class AccountedStateTable:
         if state is None:
             state = self.aggregator.initial()
             self._states[key] = state
-            self._key_bytes += estimate_size(key)
+            self.used_bytes += estimate_size(key) + _SLOT_BYTES
             before = 0
         else:
             before = state.size_bytes()
         state.merge(other)
-        self._state_bytes += state.size_bytes() - before
+        self.used_bytes += state.size_bytes() - before
         return state
 
     def get(self, key: Any) -> AggregateState | None:
@@ -160,8 +126,7 @@ class AccountedStateTable:
     def pop(self, key: Any) -> AggregateState:
         """Remove and return ``key``'s state, releasing its budget."""
         state = self._states.pop(key)
-        self._key_bytes -= estimate_size(key)
-        self._state_bytes -= state.size_bytes()
+        self.used_bytes -= estimate_size(key) + state.size_bytes() + _SLOT_BYTES
         return state
 
     def items(self) -> Iterator[tuple[Any, AggregateState]]:
@@ -174,5 +139,4 @@ class AccountedStateTable:
 
     def clear(self) -> None:
         self._states.clear()
-        self._key_bytes = 0
-        self._state_bytes = 0
+        self.used_bytes = 0

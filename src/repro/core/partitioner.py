@@ -19,7 +19,7 @@ in Table II's "Sorting" row simply does not exist on this path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.aggregates import Aggregator
 from repro.core.hash_tables import AccountedStateTable
@@ -61,39 +61,30 @@ class ScanPartitionBuffer:
         self._bytes = [0] * num_partitions
 
     def add(self, key: Any, value: Any) -> None:
-        partition = self.partitioner(key, self.num_partitions)
-        self._buffers[partition].append((key, value))
-        self._bytes[partition] += (
-            estimate_size(key) + estimate_size(value) + _PAIR_OVERHEAD
-        )
-        self.counters.inc(C.MAP_OUTPUT_RECORDS)
-        if self._bytes[partition] >= self.buffer_bytes:
-            self._flush(partition)
+        self.add_block(((key, value),))
 
-    def add_batch(self, pairs: list[tuple[Any, Any]]) -> None:
-        """Partition many pairs; identical chunks to per-pair :meth:`add`.
+    def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+        """The collect loop: partition ``pairs``, flushing each full buffer.
 
-        The flush threshold is still checked after every pair, so chunk
-        boundaries (and hence pushed-chunk contents) match the tuple path
-        exactly — only the per-pair attribute lookups are hoisted.
+        The flush threshold is checked after every pair, so chunk
+        boundaries do not depend on how the stream is cut into blocks;
+        lookups are hoisted and the counter moves once per block.
         """
         partitioner = self.partitioner
         num_partitions = self.num_partitions
         buffers = self._buffers
         sizes = self._bytes
         budget = self.buffer_bytes
-        flush = self._flush
-        n = 0
+        estimate = estimate_size
         for key, value in pairs:
-            n += 1
             partition = partitioner(key, num_partitions)
             buffers[partition].append((key, value))
-            sizes[partition] += (
-                estimate_size(key) + estimate_size(value) + _PAIR_OVERHEAD
-            )
+            sizes[partition] += estimate(key) + estimate(value) + _PAIR_OVERHEAD
             if sizes[partition] >= budget:
-                flush(partition)
-        self.counters.inc(C.MAP_OUTPUT_RECORDS, n)
+                self._flush(partition)
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
+
+    add_batch = add_block  # the name the benchmark's probes call
 
     def _flush(self, partition: int) -> None:
         pairs = self._buffers[partition]
@@ -138,37 +129,38 @@ class MapSideHashCombiner:
         self.partitioner = partitioner
         self.counters = counters if counters is not None else Counters()
         self._tables = [AccountedStateTable(aggregator) for _ in range(num_partitions)]
+        #: Running total of every table's ``used_bytes``; zero after a flush.
+        self.used_bytes = 0
         self.flushes = 0
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(t.used_bytes for t in self._tables)
-
     def add(self, key: Any, value: Any) -> None:
-        partition = self.partitioner(key, self.num_partitions)
-        self._tables[partition].update(key, value)
-        self.counters.inc(C.MAP_OUTPUT_RECORDS)
-        if self.used_bytes >= self.memory_bytes:
-            self.flush()
+        self.add_block(((key, value),))
 
-    def add_batch(self, pairs: list[tuple[Any, Any]]) -> None:
-        """Aggregate many pairs; identical flushes to per-pair :meth:`add`.
+    def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+        """The collect loop: aggregate ``pairs``, flushing at the budget.
 
-        The shared-budget check still runs after every pair (a flush must
-        trigger at the same pair as the tuple path); the win is hoisting
-        the partitioner and table lookups out of the dispatch.
+        The shared-budget check runs after every pair, against a running
+        total moved by each table update's delta — O(1) per pair, not a
+        sum over all partitions' tables.
         """
         partitioner = self.partitioner
         num_partitions = self.num_partitions
         tables = self._tables
         memory = self.memory_bytes
-        n = 0
+        used = self.used_bytes
         for key, value in pairs:
-            n += 1
-            tables[partitioner(key, num_partitions)].update(key, value)
-            if self.used_bytes >= memory:
+            table = tables[partitioner(key, num_partitions)]
+            used -= table.used_bytes
+            table.update(key, value)
+            used += table.used_bytes
+            if used >= memory:
+                self.used_bytes = used
                 self.flush()
-        self.counters.inc(C.MAP_OUTPUT_RECORDS, n)
+                used = 0
+        self.used_bytes = used
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
+
+    add_batch = add_block  # the name the benchmark's probes call
 
     def flush(self) -> None:
         """Emit every partition's partial states downstream and reset."""
@@ -184,6 +176,7 @@ class MapSideHashCombiner:
             self.sink(partition, pairs, nbytes)
             self.counters.inc(C.COMBINE_OUTPUT_RECORDS, len(pairs))
             any_emitted = True
+        self.used_bytes = 0
         if any_emitted:
             self.flushes += 1
 

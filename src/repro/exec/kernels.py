@@ -19,15 +19,14 @@ files, byte counts and op accounting match in-place execution exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.exec.base import register_kernel
 from repro.io.device import DeviceProfile
 from repro.io.disk import DiskExport, LocalDisk
 from repro.io.runio import stream_run, write_run
-from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.sortmerge import (
     MapOutput,
     SortMergeMapTask,
@@ -36,7 +35,6 @@ from repro.mapreduce.sortmerge import (
 from repro.obs.tracer import task_tracer
 
 __all__ = [
-    "timed_decode",
     "HadoopMapSpec",
     "HadoopMapResult",
     "HadoopReduceSpec",
@@ -46,21 +44,6 @@ __all__ = [
     "OnePassMapSpec",
     "OnePassMapResult",
 ]
-
-
-def timed_decode(codec: Any, data: bytes, counters: Counters) -> Iterator[Any]:
-    """Decode ``data`` lazily, charging per-record parse time to ``counters``."""
-    perf = time.perf_counter
-    it = codec.decode(data)
-    while True:
-        t0 = perf()
-        try:
-            record = next(it)
-        except StopIteration:
-            counters.inc(C.T_PARSE, perf() - t0)
-            return
-        counters.inc(C.T_PARSE, perf() - t0)
-        yield record
 
 
 # -- Hadoop map ---------------------------------------------------------------
@@ -91,8 +74,7 @@ def hadoop_map_kernel(ctx: dict[str, Any], spec: HadoopMapSpec) -> HadoopMapResu
     disk = LocalDisk(spec.profile, name=spec.disk_name)
     tracer = task_tracer(bool(ctx.get("trace")))
     task = SortMergeMapTask(job, spec.task_id, spec.node, disk, tracer=tracer)
-    records = timed_decode(ctx["codec"], spec.data, task.counters)
-    output = task.run(records, input_bytes=len(spec.data))
+    output = task.run(ctx["codec"].decode(spec.data), input_bytes=len(spec.data))
     return HadoopMapResult(output, task.counters, disk.export_state(), tracer.export())
 
 

@@ -55,6 +55,7 @@ from repro.mapreduce.recovery import (
 )
 from repro.mapreduce.runtime import JobResult, LocalCluster
 from repro.mapreduce.scheduler import WaveScheduler
+from repro.mapreduce.sortmerge import map_slices
 from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER, byte_cost
 from repro.hdfs.filesystem import InputSplit
@@ -261,6 +262,15 @@ class _PipelinedMapTask:
         self.counters = Counters()
         self.tracer = tracer
         self._task = f"map:{task_id:05d}"
+        self.num_partitions = job.config.num_reducers
+        #: Pairs collected since the last emit: a flat ``(partition, key,
+        #: value)`` chunk on the tuple path, per-partition buckets on the
+        #: batch path (fan-out at append time, per-bucket sorts per chunk).
+        self._chunk: list[tuple[int, Any, Any]] = []
+        self._buckets: list[list[tuple[Any, Any]]] | None = None
+        if job.config.batch:
+            self._buckets = [[] for _ in range(self.num_partitions)]
+        self._pending = 0
 
     def run(self, records: Iterable[Any], *, input_bytes: int = 0) -> None:
         counters = self.counters
@@ -269,74 +279,56 @@ class _PipelinedMapTask:
         with self.tracer.span(
             "map", "map", node=self.node, task=self._task
         ) as map_span:
-            if self.job.config.batch:
-                n_in, t_map = self._run_batch(records)
-            else:
-                n_in, t_map = self._run_tuple(records)
-            counters.inc(C.MAP_INPUT_RECORDS, n_in)
-            counters.inc(C.T_MAP_FN, t_map)
+            n_in = 0
+            for pairs, ends in map_slices(records, self.job.map_fn, counters):
+                n_in += len(ends)
+                self.add_block(pairs, ends)
+            self._emit_pending()
             map_span.set_cost(max(1, n_in))
             map_span.set(records=n_in, bytes=input_bytes)
 
-    def _run_tuple(self, records: Iterable[Any]) -> tuple[int, float]:
-        counters = self.counters
-        chunk: list[tuple[int, Any, Any]] = []
-        map_fn = self.job.map_fn
-        perf = time.perf_counter
-        t_map = 0.0
-        n_in = 0
-        num_partitions = self.job.config.num_reducers
-        for record in records:
-            n_in += 1
-            t0 = perf()
-            emitted = list(map_fn(record))
-            t_map += perf() - t0
-            for key, value in emitted:
-                chunk.append((self.partitioner(key, num_partitions), key, value))
-                counters.inc(C.MAP_OUTPUT_RECORDS)
-            if len(chunk) >= self.hop.granularity_records:
-                self._emit_chunk(chunk)
-                chunk = []
-        if chunk:
-            self._emit_chunk(chunk)
-        return n_in, t_map
+    def add_block(self, pairs: list[tuple[Any, Any]], ends: list[int]) -> None:
+        """The collect loop: one slice of map output into mini-chunks.
 
-    def _run_batch(self, records: Iterable[Any]) -> tuple[int, float]:
-        """Batch path: fan out at append time, per-bucket sorts per chunk.
-
-        Chunk boundaries match the tuple path exactly — the granularity
-        check runs after each input record, on the same pending-pair
-        count — so spill/emit points and combiner group boundaries are
-        identical.
+        ``ends`` holds each input record's end offset in ``pairs``.  A
+        chunk is emitted at the first input-record boundary where the
+        pending pairs reach the granularity, so chunk boundaries do not
+        depend on how the input is cut into slices.
         """
-        counters = self.counters
-        map_fn = self.job.map_fn
-        partitioner = self.partitioner
-        perf = time.perf_counter
-        t_map = 0.0
-        n_in = 0
-        num_partitions = self.job.config.num_reducers
-        buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
-        appends = [b.append for b in buckets]
-        pending = 0
         granularity = self.hop.granularity_records
-        for record in records:
-            n_in += 1
-            t0 = perf()
-            emitted = list(map_fn(record))
-            t_map += perf() - t0
-            for key, value in emitted:
-                appends[partitioner(key, num_partitions)]((key, value))
-                counters.inc(C.MAP_OUTPUT_RECORDS)
-                pending += 1
-            if pending >= granularity:
-                self._emit_buckets(buckets, pending)
-                buckets = [[] for _ in range(num_partitions)]
-                appends = [b.append for b in buckets]
-                pending = 0
-        if pending:
-            self._emit_buckets(buckets, pending)
-        return n_in, t_map
+        start = 0
+        for end in ends:
+            if self._pending + end - start >= granularity:
+                self._collect(pairs[start:end])
+                self._emit_pending()
+                start = end
+        self._collect(pairs[start:])
+        self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
+
+    def _collect(self, pairs: list[tuple[Any, Any]]) -> None:
+        partitioner = self.partitioner
+        num_partitions = self.num_partitions
+        buckets = self._buckets
+        if buckets is None:
+            self._chunk += [
+                (partitioner(key, num_partitions), key, value) for key, value in pairs
+            ]
+        else:
+            for key, value in pairs:
+                buckets[partitioner(key, num_partitions)].append((key, value))
+        self._pending += len(pairs)
+
+    def _emit_pending(self) -> None:
+        if not self._pending:
+            return
+        if self._buckets is None:
+            chunk, self._chunk = self._chunk, []
+            self._emit_chunk(chunk)
+        else:
+            buckets = self._buckets
+            self._buckets = [[] for _ in range(self.num_partitions)]
+            self._emit_buckets(buckets, self._pending)
+        self._pending = 0
 
     def _emit_chunk(self, chunk: list[tuple[int, Any, Any]]) -> None:
         """Sort one mini-chunk and emit its partition pieces in order."""

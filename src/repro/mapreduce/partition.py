@@ -23,19 +23,28 @@ def stable_hash(key: Any) -> int:
     elif isinstance(key, bytes):
         data = key
     elif isinstance(key, int):
-        data = key.to_bytes(16, "little", signed=True)
+        try:
+            data = key.to_bytes(16, "little", signed=True)
+        except OverflowError:  # beyond signed 128 bits (e.g. ``uuid4().int``)
+            data = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
     else:
         data = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
     return zlib.crc32(data)
 
 
 class HashPartitioner:
-    """``partition(key) = stable_hash(key) mod num_partitions``."""
+    """``partition(key) = stable_hash(key) mod num_partitions``.
+
+    Called once per map-output pair, so it does not re-validate
+    ``num_partitions``: whoever owns the count (the job configs, the
+    one-pass buffers) checks it once, where it is set.
+    """
 
     def __call__(self, key: Any, num_partitions: int) -> int:
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        return stable_hash(key) % num_partitions
+        try:
+            return stable_hash(key) % num_partitions
+        except ZeroDivisionError:
+            raise ValueError("num_partitions must be positive") from None
 
 
 hash_partitioner = HashPartitioner()

@@ -3,11 +3,16 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregates import COUNT, SUM
+from repro.core.aggregates import COLLECT, COUNT, SUM
+from repro.core.hash_tables import AccountedStateTable
 from repro.core.hybrid_hash import SpilledState
 from repro.core.partitioner import MapSideHashCombiner, ScanPartitionBuffer
+from repro.io.serialization import estimate_size
 from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.partition import hash_partitioner
 
 
 class Sink:
@@ -129,3 +134,114 @@ class TestMapSideHashCombiner:
             MapSideHashCombiner(0, COUNT, Sink())
         with pytest.raises(ValueError):
             MapSideHashCombiner(1, COUNT, Sink(), memory_bytes=0)
+
+
+# -- collect equivalence: add_block against a per-pair reference ---------------
+
+pair_streams = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 40), st.text("abcdef", max_size=6)),
+        st.one_of(st.integers(-5, 5), st.text("xyz", max_size=12)),
+    ),
+    max_size=120,
+)
+block_cuts = st.lists(st.integers(0, 120), max_size=8)
+
+
+def blocks(pairs, cuts):
+    """``pairs`` cut into consecutive blocks at the (sorted, clamped) ``cuts``."""
+    edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
+    return [pairs[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def reference_scan(pairs, num_partitions, budget):
+    """The per-pair scan collect, kept here as the reference."""
+    buffers = [[] for _ in range(num_partitions)]
+    sizes = [0] * num_partitions
+    chunks = []
+    for key, value in pairs:
+        p = hash_partitioner(key, num_partitions)
+        buffers[p].append((key, value))
+        sizes[p] += estimate_size(key) + estimate_size(value) + 32
+        if sizes[p] >= budget:
+            chunks.append((p, buffers[p], sizes[p]))
+            buffers[p], sizes[p] = [], 0
+    chunks += [(p, buffers[p], sizes[p]) for p in range(num_partitions) if buffers[p]]
+    return chunks
+
+
+def reference_combine(pairs, num_partitions, aggregator, budget):
+    """The per-pair combine collect (budget = sum over all tables), the reference."""
+    tables = [AccountedStateTable(aggregator) for _ in range(num_partitions)]
+    chunks = []
+
+    def flush():
+        for p, table in enumerate(tables):
+            if len(table):
+                chunks.append((p, list(table.results()), table.used_bytes))
+                table.clear()
+
+    for key, value in pairs:
+        tables[hash_partitioner(key, num_partitions)].update(key, value)
+        if sum(t.used_bytes for t in tables) >= budget:
+            flush()
+    flush()
+    return chunks
+
+
+def results(sink):
+    """A combiner sink's chunks with the pushed states unwrapped."""
+    return [
+        (p, [(k, v.state.result()) for k, v in chunk], nbytes)
+        for p, chunk, nbytes in sink.chunks
+    ]
+
+
+class CheckedCombiner(MapSideHashCombiner):
+    """Asserts the running total against the tables at every flush."""
+
+    def flush(self):
+        assert self.used_bytes == sum(t.used_bytes for t in self._tables)
+        super().flush()
+        assert self.used_bytes == 0
+
+
+class TestCollectEquivalence:
+    @given(pair_streams, block_cuts, st.integers(1, 16), st.integers(1, 2000))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_add_block_matches_per_pair_reference(self, pairs, cuts, n, budget):
+        sink = Sink()
+        counters = Counters()
+        buf = ScanPartitionBuffer(n, sink, buffer_bytes=budget, counters=counters)
+        for block in blocks(pairs, cuts):
+            buf.add_block(block)
+        buf.finish()
+        assert sink.chunks == reference_scan(pairs, n, budget)
+        assert counters[C.MAP_OUTPUT_RECORDS] == len(pairs)
+
+    @given(pair_streams, block_cuts, st.integers(1, 16), st.integers(1, 4000))
+    @settings(max_examples=150, deadline=None)
+    def test_combiner_add_block_matches_per_pair_reference(self, pairs, cuts, n, budget):
+        sink = Sink()
+        counters = Counters()
+        comb = CheckedCombiner(n, COLLECT, sink, memory_bytes=budget, counters=counters)
+        for block in blocks(pairs, cuts):
+            comb.add_block(block)
+            assert comb.used_bytes == sum(t.used_bytes for t in comb._tables)
+        comb.finish()
+        assert results(sink) == reference_combine(pairs, n, COLLECT, budget)
+        assert counters[C.MAP_OUTPUT_RECORDS] == len(pairs)
+        assert counters[C.COMBINE_OUTPUT_RECORDS] == len(sink.all_pairs())
+
+    def test_add_is_a_one_pair_block(self):
+        pairs = [(f"k{i % 7}", i) for i in range(200)]
+        per_pair, blocked = Sink(), Sink()
+        a = CheckedCombiner(3, SUM, per_pair, memory_bytes=600)
+        for key, value in pairs:
+            a.add(key, value)
+        a.finish()
+        b = CheckedCombiner(3, SUM, blocked, memory_bytes=600)
+        b.add_batch(pairs)
+        b.finish()
+        assert results(per_pair) == results(blocked)
+        assert a.flushes == b.flushes > 1

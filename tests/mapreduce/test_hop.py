@@ -34,6 +34,18 @@ class TestHOPEngine:
         HOPEngine(cluster).run(page_frequency_job("clicks", "out"))
         assert dict(cluster.hdfs.read_records("out")) == reference_page_counts(clicks)
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_parse_time_is_charged(self, cluster, clicks, batch):
+        # All three map kernels decode through the same front-end, so HOP's
+        # map-function CPU (Table II split) includes its input parse too.
+        cluster.hdfs.write_records("clicks", clicks)
+        job = page_frequency_job("clicks", "out")
+        job.config.batch = batch
+        result = HOPEngine(cluster).run(job)
+        assert result.counters[C.T_PARSE] > 0
+        assert result.counters[C.T_MAP_FN] > 0
+        assert result.counters[C.MAP_INPUT_RECORDS] == len(clicks)
+
     def test_snapshots_produced_at_fractions(self, cluster, clicks):
         cluster.hdfs.write_records("clicks", clicks)
         engine = HOPEngine(

@@ -1,11 +1,13 @@
-"""MapReduce Online internals: the pipelined reduce task in isolation."""
+"""MapReduce Online internals: the pipelined map and reduce tasks in isolation."""
 
 import pytest
 
 from repro.io.disk import LocalDisk
+from repro.mapreduce import sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
-from repro.mapreduce.hop import HOPConfig, PipelinedReduceTask
+from repro.mapreduce.hop import HOPConfig, PipelinedReduceTask, _PipelinedMapTask
+from repro.mapreduce.partition import hash_partitioner
 
 
 def sum_reduce(key, values):
@@ -83,3 +85,52 @@ class TestPipelinedReduceTask:
         task.run()
         assert task.counters[C.REDUCE_INPUT_GROUPS] == 3
         assert task.counters[C.REDUCE_TASKS] == 1
+
+
+class TestPipelinedMapTask:
+    """Chunks are cut on input-record boundaries, whatever the slice size."""
+
+    def emitted(self, batch, records, granularity):
+        job = MapReduceJob(
+            "wc",
+            lambda r: [(w, 1) for w in r.split()],
+            sum_reduce,
+            config=JobConfig(num_reducers=2, batch=batch),
+        )
+        chunks = []
+        task = _PipelinedMapTask(
+            job, 0, "n0", LocalDisk(), HOPConfig(granularity_records=granularity),
+            lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
+        )
+        task.run(iter(records))
+        return chunks, task.counters
+
+    def reference(self, records, granularity):
+        """Per-record chunking: emit once the pending pairs reach the granularity."""
+        chunks, pending = [], []
+        for record in records:
+            pending += [(w, 1) for w in record.split()]
+            if len(pending) >= granularity:
+                chunks.append(pending)
+                pending = []
+        return chunks + ([pending] if pending else [])
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("slice_records", [1, 3, 256])
+    @pytest.mark.parametrize("granularity", [1, 5, 1000])
+    def test_chunks_match_per_record_reference(
+        self, monkeypatch, batch, slice_records, granularity
+    ):
+        monkeypatch.setattr(sortmerge, "MAP_SLICE_RECORDS", slice_records)
+        records = ["a b c", "", "d", "e f g h i j k", "", "l m"] * 4
+        chunks, counters = self.emitted(batch, records, granularity)
+        # each chunk is emitted as its partitions' key-sorted pieces, in partition order
+        expected = []
+        for chunk in self.reference(records, granularity):
+            for partition in (0, 1):
+                piece = sorted(p for p in chunk if hash_partitioner(p[0], 2) == partition)
+                if piece:
+                    expected.append((partition, piece, 48 * len(piece) + 64))
+        assert chunks == expected
+        assert counters[C.SORT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS] == 52
+        assert counters[C.MAP_INPUT_RECORDS] == len(records)

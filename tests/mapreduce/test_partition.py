@@ -1,7 +1,10 @@
 """Stable hashing and partitioning — includes determinism properties."""
 
+import pickle
 import subprocess
 import sys
+import uuid
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,21 @@ class TestStableHash:
         ).stdout.split()
         assert int(out[0]) == stable_hash("user-42")
         assert int(out[1]) == stable_hash(1234567)
+
+    @pytest.mark.parametrize("key", [2**127, -(2**127) - 1, 2**200, uuid.UUID(int=2**128 - 1).int])
+    def test_ints_beyond_128_bits_take_the_pickle_fallback(self, key):
+        assert stable_hash(key) == zlib.crc32(pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL))
+        assert 0 <= hash_partitioner(key, 7) < 7
+
+    @pytest.mark.parametrize("key", [0, 1, -1, 1234567, 2**64, 2**127 - 1, -(2**127), True])
+    def test_in_range_ints_keep_their_fixed_width_encoding(self, key):
+        assert stable_hash(key) == zlib.crc32(int(key).to_bytes(16, "little", signed=True))
+
+    def test_pinned_values(self):
+        # Partition assignments are part of every committed digest.
+        assert stable_hash(1234567) == 679962222
+        assert stable_hash(2**127 - 1) == 3523953978
+        assert stable_hash("user-42") == 2097592435
 
     def test_distinct_types_hash_differently_enough(self):
         # Not a strict requirement, but catches degenerate implementations.

@@ -1,11 +1,15 @@
 """Sort-merge map and reduce task behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.io.disk import LocalDisk
 from repro.io.runio import read_run
+from repro.mapreduce import sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
-from repro.mapreduce.counters import C
+from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.partition import hash_partitioner
 from repro.mapreduce.sortmerge import SortMergeMapTask, SortMergeReduceTask
 
 
@@ -97,6 +101,77 @@ class TestMapTask:
         job = make_job()
         out = SortMergeMapTask(job, 0, "n0", LocalDisk()).run([])
         assert out.segments == {}
+
+
+def disk_files(disk):
+    return {path: disk.peek(path) for path in disk.list_files()}
+
+
+class TestCollect:
+    """``add_block`` against the one-pair ``add``; slices against whole blocks."""
+
+    @pytest.mark.parametrize(
+        "buffer_cls", [sortmerge._SortSpillBuffer, sortmerge._BatchSortSpillBuffer]
+    )
+    @given(
+        pairs=st.lists(
+            st.tuples(st.text("abcde", max_size=4), st.integers(0, 9)), max_size=150
+        ),
+        cuts=st.lists(st.integers(0, 150), max_size=6),
+        budget=st.integers(1, 3000),
+        combine=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spill_files_identical_for_add_and_add_block(
+        self, buffer_cls, pairs, cuts, budget, combine
+    ):
+        job = make_job(
+            num_reducers=3, map_buffer_bytes=budget, combine=sum_combine if combine else None
+        )
+        outcomes = []
+        for blocked in (False, True):
+            disk, counters = LocalDisk(), Counters()
+            buffer = buffer_cls(job, disk, 0, counters, hash_partitioner)
+            if blocked:
+                edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
+                for a, b in zip(edges, edges[1:]):
+                    buffer.add_block(pairs[a:b])
+            else:
+                for key, value in pairs:
+                    buffer.add(key, value)
+            segments = buffer.finish()
+            counts = {
+                k: v for k, v in counters.as_dict().items() if v and not k.startswith("time.")
+            }
+            outcomes.append((disk_files(disk), segments, counts, disk.stats.snapshot()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("slice_records", [1, 7, 10_000])
+    def test_map_task_output_independent_of_slice_size(
+        self, monkeypatch, batch, slice_records
+    ):
+        records = [f"w{i % 13} w{i % 5} w{i}" for i in range(300)]
+        job = make_job(num_reducers=3, map_buffer_bytes=2048, combine=sum_combine, batch=batch)
+
+        def run():
+            disk = LocalDisk()
+            task = SortMergeMapTask(job, 0, "n0", disk)
+            out = task.run(iter(records))
+            return disk_files(disk), out, task.counters[C.MAP_SPILLS]
+
+        expected = run()
+        monkeypatch.setattr(sortmerge, "MAP_SLICE_RECORDS", slice_records)
+        assert run() == expected and expected[2] > 1
+
+    def test_front_end_charges_parse_and_map_fn_per_slice(self, monkeypatch):
+        monkeypatch.setattr(sortmerge, "MAP_SLICE_RECORDS", 4)
+        counters = Counters()
+        slices = list(sortmerge.map_slices(iter(["a b", "", "c"] * 3), word_map, counters))
+        assert [len(ends) for _, ends in slices] == [4, 4, 1]
+        assert slices[0] == ([("a", 1), ("b", 1), ("c", 1), ("a", 1), ("b", 1)], [2, 2, 3, 5])
+        assert counters[C.MAP_INPUT_RECORDS] == 9
+        assert counters[C.T_PARSE] > 0 and counters[C.T_MAP_FN] > 0
 
 
 class TestReduceTask:
