@@ -79,17 +79,15 @@ def _time_map_wave(records, executor_names):
     """
     from repro.exec import resolve_executor
     from repro.exec.kernels import HadoopMapSpec
-    from repro.mapreduce.runtime import HadoopEngine
     from repro.workloads.sessionization import sessionization_job
 
     cluster = _cluster(records)
     job = sessionization_job("in", "out", gap=5.0)
     codec = cluster.hdfs.codec(cluster.hdfs.namenode.file_info("in").codec_name)
-    engine = HadoopEngine(cluster)
     specs = []
     for task_id, split in enumerate(cluster.hdfs.input_splits("in")):
         node = split.preferred_nodes[0]
-        data, _ = engine._read_block(split, node)
+        data = cluster.hdfs.read_block_bytes(split.block_id, from_node=node)
         disk = cluster.nodes[node].intermediate_disk
         specs.append(HadoopMapSpec(task_id, node, data, disk.profile, disk.name))
     context = {"job": job, "codec": codec}

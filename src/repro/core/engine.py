@@ -30,35 +30,15 @@ from repro.core.hotset import ApproximateResult, HotSetIncrementalHash
 from repro.core.hybrid_hash import HybridHashGrouper
 from repro.core.incremental import EmitPolicy, IncrementalHash
 from repro.core.partitioner import MapSideHashCombiner, ScanPartitionBuffer
-from repro.exec import resolve_executor
-from repro.hdfs.filesystem import InputSplit
 from repro.io.disk import LocalDisk
 from repro.mapreduce.api import ReduceFn
 from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.driver import JobRun, PushShuffleDriver
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.journal import (
-    K_CHECKPOINT,
-    K_JOB_SPEC,
-    K_MAP_COMMIT,
-    K_OUTPUT_COMMIT,
-    K_REDUCE_COMMIT,
-    K_SHUFFLE_COMMIT,
-    K_TASK_GRANT,
-    NULL_JOURNAL,
-    emit_committed_output,
-    job_fingerprint,
-    output_digest,
-)
-from repro.mapreduce.recovery import (
-    CheckpointStore,
-    PartitionLog,
-    RecoveryManager,
-    SpeculationPolicy,
-)
-from repro.mapreduce.runtime import JobResult, LocalCluster
-from repro.mapreduce.scheduler import WaveScheduler
+from repro.mapreduce.journal import K_CHECKPOINT
+from repro.mapreduce.recovery import CheckpointStore, SpeculationPolicy
+from repro.mapreduce.runtime import LocalCluster
 from repro.mapreduce.sortmerge import map_slices
-from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = [
@@ -167,7 +147,7 @@ class OnePassReduceTask:
         self.tracer = tracer
         self._task = f"reduce:{partition:03d}"
         #: Chunks 1..restored_through are already covered by a restored
-        #: journal checkpoint; :meth:`accept` drops them on re-delivery.
+        #: journal checkpoint; :meth:`accept_chunk` drops them on re-delivery.
         self.restored_through = 0
         self._chunks_seen = 0
         cfg = job.config
@@ -205,7 +185,7 @@ class OnePassReduceTask:
 
     # -- ingestion (push target) ----------------------------------------------
 
-    def accept(self, pairs: list[tuple[Any, Any]], nbytes: int) -> bool:
+    def accept_chunk(self, pairs: list[tuple[Any, Any]], nbytes: int) -> bool:
         """Absorb one pushed chunk; False when a restored checkpoint covers it."""
         self._chunks_seen += 1
         if self._chunks_seen <= self.restored_through:
@@ -404,30 +384,31 @@ def execute_onepass_map(
     return task_counters
 
 
-class OnePassEngine:
+class OnePassEngine(PushShuffleDriver):
     """Runs :class:`OnePassJob` programs over a :class:`LocalCluster`.
+
+    On Table III's axes: hash group-by, *push* shuffle, incremental (or
+    hybrid-hash blocking) reduce.  The lifecycle and the replicated
+    delivery logs are :class:`~repro.mapreduce.driver.PushShuffleDriver`'s.
 
     With a ``fault_plan``, map output is *staged* per task and delivered to
     reducers only when the task completes; a killed attempt's staged chunks
     are discarded and the task re-runs on another node.  This is the
     fault-tolerance overhead the paper alludes to when it excludes infinite
     streams: push-based pipelining and recoverability pull in opposite
-    directions, and recovery costs one task's worth of buffering latency.
+    directions, and recovery costs one task's worth of buffering latency
+    plus the delivery-log I/O ``bench_fault_overhead`` measures.
 
-    Because pushed output never stays at the mappers, reduce-side recovery
-    needs its own durability: with a fault plan, every delivered chunk is
-    also appended to a 2-way replicated :class:`PartitionLog` (real,
-    accounted disk I/O — the overhead ``bench_fault_overhead`` measures).
-    A lost reduce task — killed attempt or node crash — is rebuilt by
-    replaying its partition's log in delivery order, which reproduces the
-    exact pre-failure state (and output byte-for-byte).  With
-    ``checkpoint_interval > 0`` the incremental-hash state is additionally
-    snapshotted into a :class:`CheckpointStore` every that-many chunks, so
-    recovery restores the newest checkpoint and replays only the log
-    suffix past it.
+    With ``checkpoint_interval > 0`` the incremental-hash state is
+    additionally snapshotted into a :class:`CheckpointStore` (and the
+    journal) every that-many chunks, so recovery restores the newest
+    checkpoint and replays only the log suffix past it — early emissions
+    included.
     """
 
     name = "onepass"
+    map_kernel = "onepass_map"
+    reduce_namespace = "onepass"
 
     def __init__(
         self,
@@ -443,96 +424,103 @@ class OnePassEngine:
     ) -> None:
         if checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
-        self.cluster = cluster
-        self.scheduler = WaveScheduler(cluster.compute_node_names, map_slots=map_slots)
-        self.fault_plan = fault_plan
+        super().__init__(
+            cluster,
+            map_slots=map_slots,
+            fault_plan=fault_plan,
+            speculation=speculation,
+            executor=executor,
+            tracer=tracer,
+            journal=journal,
+        )
         self.checkpoint_interval = checkpoint_interval
-        self.speculation = speculation
-        self.executor = resolve_executor(executor)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.journal = journal if journal is not None else NULL_JOURNAL
 
-    def _read_block(self, split: InputSplit, node: str) -> tuple[bytes, bool]:
-        hdfs = self.cluster.hdfs
-        local = node in split.preferred_nodes
-        data = hdfs.read_block_bytes(split.block_id, from_node=node if local else None)
-        return data, local
+    def _new_extras(self, job: OnePassJob) -> dict[str, Any]:
+        return {"early_emitted": [], "approximate_results": [], "mode": job.config.mode}
 
-    def _run_map_with_retries(
-        self,
-        job: OnePassJob,
-        recovery: RecoveryManager,
-        session: Any,
-        assignment: Any,
-        live: list[str],
-        deliver: Any,
-        counters: Counters,
-    ) -> int:
-        """Run one map task under a fault plan, staging output until success.
+    def _open(self, run: JobRun) -> None:
+        super()._open(run)
+        run.checkpoint_stores = {
+            p: CheckpointStore(p, log.replicas, run.counters) for p, log in run.logs.items()
+        }
+        run.chunks_since_checkpoint = dict.fromkeys(run.logs, 0)
+        #: partition -> the surviving reduce attempt's approximate results.
+        run.approx = {}
+        for partition in sorted(run.checkpoints):
+            # Restore journaled reduce state so only the post-checkpoint
+            # suffix of re-delivered chunks is absorbed.  Only the
+            # incremental backend is checkpointable; committed partitions
+            # never run at all.
+            rtask = run.reduce_tasks[partition]
+            if partition in run.committed or rtask.checkpoint_payload() is None:
+                continue
+            seq, payload = run.checkpoints[partition]
+            rtask.restore_payload(payload)
+            rtask.restored_through = seq
+            self._note_restore(run, rtask, seq)
 
-        Attempt semantics live in the shared
-        :class:`~repro.mapreduce.recovery.RecoveryManager` loop — the same
-        one the Hadoop engine uses — so who is charged, where retries land
-        and when the job aborts cannot drift between engines.
-        """
+    def _note_restore(self, run: JobRun, rtask: OnePassReduceTask, seq: int) -> None:
+        run.counters.inc(C.CHECKPOINT_RESTORES)
+        self.tracer.event(
+            "checkpoint.restored",
+            "recovery",
+            node=rtask.node,
+            task=f"reduce:{rtask.partition:03d}",
+            seq=seq,
+        )
+
+    # -- map side: in-memory scan/combine, pushed on completion -----------------
+
+    def _map_spec(self, run: JobRun, task_id: int, node: str, data: bytes) -> Any:
         from repro.exec.kernels import OnePassMapSpec
 
-        network_bytes = 0
-        self.journal.append(
-            K_TASK_GRANT, task=assignment.task_id, node=assignment.node
-        )
+        return OnePassMapSpec(task_id, node, data)
 
-        def attempt(node: str) -> list[tuple[int, list, int]]:
-            nonlocal network_bytes
-            data, local = self._read_block(assignment.split, node)
-            if not local:
-                network_bytes += len(data)
-            res = session.run_one(
-                "onepass_map", OnePassMapSpec(assignment.task_id, node, data)
-            )
-            counters.merge(res.counters)
-            self.tracer.absorb(res.trace)
-            return res.staged
+    def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
+        for partition, pairs, nbytes in res.staged:
+            if self.fault_plan is not None:
+                run.counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
+            self._deliver(run, partition, pairs, nbytes, task_id)
+        return sum(nbytes for _, _, nbytes in res.staged)
 
-        def discard(_node: str, staged: list[tuple[int, list, int]]) -> None:
-            # A dead or losing attempt's staged output is simply dropped —
-            # nothing reached the reducers.
-            staged.clear()
+    def _deliver(
+        self,
+        run: JobRun,
+        partition: int,
+        pairs: list[tuple[Any, Any]],
+        nbytes: int,
+        map_task: int,
+    ) -> None:
+        """Push one chunk to its reducer: log it, absorb it, maybe checkpoint."""
+        if partition in run.committed:
+            return  # journaled output; the reducer never runs
+        run.network_bytes += nbytes
+        rtask = run.reduce_tasks[partition]
+        log = run.logs.get(partition)
+        self.tracer.metrics.histogram("push.chunk.bytes").observe(nbytes)
+        with self.tracer.span(
+            "push",
+            "shuffle",
+            node=rtask.node,
+            task=f"reduce:{partition:03d}",
+            cost=byte_cost(nbytes),
+            bytes=nbytes,
+            records=len(pairs),
+            map_task=map_task,
+        ):
+            if log is not None:
+                log.append(pairs, nbytes)
+            absorbed = rtask.accept_chunk(pairs, nbytes)
+        if absorbed and self.checkpoint_interval and log is not None:
+            run.chunks_since_checkpoint[partition] += 1
+            if run.chunks_since_checkpoint[partition] >= self.checkpoint_interval:
+                if self._save_checkpoint(rtask, log, run.checkpoint_stores[partition]):
+                    run.chunks_since_checkpoint[partition] = 0
 
-        node, staged = recovery.run_map_task(
-            assignment.task_id,
-            assignment.node,
-            live,
-            assignment.split.nbytes,
-            attempt,
-            discard,
-        )
-        for partition, pairs, nbytes in staged:
-            counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
-            deliver(partition, pairs, nbytes, assignment.task_id)
-        self.journal.append(
-            K_MAP_COMMIT,
-            task=assignment.task_id,
-            node=node,
-            nbytes=sum(nbytes for _, _, nbytes in staged),
-        )
-        return network_bytes
-
-    # -- reduce-side durability -----------------------------------------------
-
-    def _log_replicas(self, node: str) -> list[tuple[str, LocalDisk]]:
-        """Replica disks for a reducer's log: its own node plus the next."""
-        names = self.cluster.compute_node_names
-        chosen = [node]
-        if len(names) > 1:
-            chosen.append(names[(names.index(node) + 1) % len(names)])
-        return [(n, self.cluster.nodes[n].intermediate_disk) for n in chosen]
+    # -- reduce side: hash state, checkpointed ------------------------------------
 
     def _save_checkpoint(
-        self,
-        rtask: OnePassReduceTask,
-        log: PartitionLog,
-        store: CheckpointStore,
+        self, rtask: OnePassReduceTask, log: Any, store: CheckpointStore
     ) -> bool:
         payload = rtask.checkpoint_payload()
         if payload is None:
@@ -551,424 +539,32 @@ class OnePassEngine:
         )
         return True
 
-    def _rebuild_reduce_task(
-        self,
-        job: OnePassJob,
-        partition: int,
-        node: str,
-        log: PartitionLog,
-        store: CheckpointStore,
-        counters: Counters,
-    ) -> OnePassReduceTask:
-        """Reconstruct a lost reduce task on ``node``.
+    def _new_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
+        disk = self._disk(node)
+        return OnePassReduceTask(run.job, partition, node, disk, tracer=self.tracer)
 
-        Restores the newest surviving checkpoint (if any) and replays the
-        delivery log past it, in sequence order — which reproduces the
-        exact pre-failure state, early emissions included.  Without a
-        checkpoint the whole log replays.
-        """
-        disk = self.cluster.nodes[node].intermediate_disk
-        disk.delete_prefix(f"onepass/{partition:03d}")
-        rtask = OnePassReduceTask(job, partition, node, disk, tracer=self.tracer)
-        after_seq = 0
-        checkpoint = store.latest()
-        if checkpoint is not None:
-            after_seq, payload = checkpoint
-            rtask.restore_payload(payload)
-            counters.inc(C.CHECKPOINT_RESTORES)
-            self.tracer.event(
-                "checkpoint.restored",
-                "recovery",
-                node=node,
-                task=f"reduce:{partition:03d}",
-                seq=after_seq,
-            )
-        replayed = 0
-        nbytes_replayed = 0
-        with self.tracer.span(
-            "replay", "recovery", node=node, task=f"reduce:{partition:03d}"
-        ) as replay_span:
-            for _seq, pairs, nbytes in log.replay(after_seq):
-                rtask.accept(pairs, nbytes)
-                replayed += len(pairs)
-                nbytes_replayed += nbytes
-                counters.inc(C.REPLAYED_RECORDS, len(pairs))
-                counters.inc(C.BYTES_RESHUFFLED, nbytes)
-            replay_span.set_cost(max(1, byte_cost(nbytes_replayed)))
-            replay_span.set(records=replayed, bytes=nbytes_replayed)
-        return rtask
+    def _stores(self, run: JobRun, partition: int) -> list[Any]:
+        return [run.logs[partition], run.checkpoint_stores[partition]]
 
-    def _handle_node_crash(
-        self,
-        crashed: str,
-        *,
-        job: OnePassJob,
-        live: list[str],
-        reducer_nodes: dict[int, str],
-        reduce_tasks: dict[int, OnePassReduceTask],
-        logs: dict[int, PartitionLog],
-        checkpoints: dict[int, CheckpointStore],
-        counters: Counters,
-    ) -> None:
-        """React to losing a whole node mid-job.
+    def _restore_reduce_state(self, run: JobRun, rtask: OnePassReduceTask) -> int:
+        """Restore the newest surviving checkpoint; the log replays past it."""
+        checkpoint = run.checkpoint_stores[rtask.partition].latest()
+        if checkpoint is None:
+            return 0
+        seq, payload = checkpoint
+        rtask.restore_payload(payload)
+        self._note_restore(run, rtask, seq)
+        return seq
 
-        Completed map output was already delivered and logged, so no map
-        re-executes; the node's reduce tasks rebuild on survivors from
-        checkpoint + log replay, and its log/checkpoint replicas re-home.
-        """
-        counters.inc(C.NODE_CRASHES)
-        self.tracer.event("node.crash", "recovery", node=crashed)
-        live.remove(crashed)
-        if not live:
-            raise RuntimeError(f"node crash of {crashed} left no live compute nodes")
-        self.cluster.wipe_node(crashed)
-        report = self.cluster.hdfs.handle_node_loss(crashed)
-        if report.blocks_rereplicated:
-            counters.inc(C.BLOCKS_REREPLICATED, report.blocks_rereplicated)
-            counters.inc(C.BYTES_REREPLICATED, report.bytes_rereplicated)
+    def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
+        rtask = run.reduce_tasks[partition]
+        # Read before finish() drains the hot set; a killed attempt's
+        # entry is overwritten by its retry.
+        run.approx[partition] = rtask.approximate_results()
+        return rtask.finish()
 
-        for partition in sorted(logs):
-            for store in (logs[partition], checkpoints[partition]):
-                holders = [n for n, _ in store.replicas]
-                if crashed not in holders:
-                    continue
-                candidates = [n for n in live if n not in holders]
-                if candidates:
-                    new_node = candidates[0]
-                    store.replace_replica(
-                        crashed, new_node, self.cluster.nodes[new_node].intermediate_disk
-                    )
-
-        for partition in sorted(reducer_nodes):
-            if reducer_nodes[partition] != crashed:
-                continue
-            dead = reduce_tasks[partition]
-            counters.merge(dead.counters)  # its work still happened
-            counters.inc(C.TASKS_RERUN)
-            new_node = live[partition % len(live)]
-            reducer_nodes[partition] = new_node
-            reduce_tasks[partition] = self._rebuild_reduce_task(
-                job, partition, new_node, logs[partition], checkpoints[partition], counters
-            )
-
-    def run(self, job: OnePassJob) -> JobResult:
-        from repro.exec.kernels import OnePassMapSpec
-
-        if not job.input_path or not job.output_path:
-            raise ValueError("job must set input_path and output_path")
-        cluster = self.cluster
-        hdfs = cluster.hdfs
-        cfg = job.config
-        counters = Counters()
-        t_start = time.perf_counter()
-
-        splits = hdfs.input_splits(job.input_path)
-        assignments, sched_stats = self.scheduler.schedule(splits)
-        reducer_nodes = self.scheduler.assign_reducers(cfg.num_reducers)
-
-        # ---- journal resume protocol ----
-        journal = self.journal
-        appends0, jbytes0 = journal.appends, journal.bytes_written
-        committed: dict[int, tuple[Any, ...]] = {}
-        journal_checkpoints: dict[int, tuple[int, bytes]] = {}
-        if journal.enabled:
-            state = journal.resume_state()
-            fingerprint = job_fingerprint(job, self.name)
-            state.check_spec(fingerprint)
-            if state.truncated_bytes:
-                self.tracer.event(
-                    "journal.truncated", "journal", bytes=state.truncated_bytes
-                )
-            done_commits = state.output_commits > 0
-            if done_commits or state.complete(cfg.num_reducers):
-                if not done_commits:
-                    journal.append(
-                        K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-                    )
-                output_records = emit_committed_output(
-                    hdfs, job, reducer_nodes, state, counters, self.tracer
-                )
-                if not done_commits:
-                    journal.append(
-                        K_OUTPUT_COMMIT,
-                        path=job.output_path,
-                        records=output_records,
-                        digest=output_digest(hdfs, job.output_path),
-                    )
-                journal.finalize()
-                counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-                counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-                return JobResult(
-                    job_name=job.name,
-                    engine=self.name,
-                    output_path=job.output_path,
-                    counters=counters,
-                    wall_time=time.perf_counter() - t_start,
-                    phase_times={"map": 0.0, "reduce": 0.0},
-                    schedule=sched_stats,
-                    network_bytes=0,
-                    output_records=output_records,
-                    extras={
-                        "early_emitted": [],
-                        "approximate_results": [],
-                        "mode": cfg.mode,
-                    },
-                    trace=self.tracer if self.tracer.enabled else None,
-                )
-            journal.append(
-                K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-            )
-            committed = dict(state.reduce_commits)
-            journal_checkpoints = dict(state.checkpoints)
-            if committed or journal_checkpoints:
-                counters.inc(C.JOURNAL_REPLAYED_COMMITS, len(committed))
-                self.tracer.event(
-                    "journal.resume",
-                    "journal",
-                    commits=len(committed),
-                    checkpoints=len(journal_checkpoints),
-                )
-
-        reduce_tasks = {
-            p: OnePassReduceTask(
-                job,
-                p,
-                node,
-                cluster.nodes[node].intermediate_disk,
-                tracer=self.tracer,
-            )
-            for p, node in reducer_nodes.items()
-        }
-        for partition in sorted(journal_checkpoints):
-            # Restore journaled reduce state so only the post-checkpoint
-            # suffix of re-delivered chunks is absorbed.  Only the
-            # incremental backend is checkpointable; committed partitions
-            # never run at all.
-            if partition in committed:
-                continue
-            rtask = reduce_tasks[partition]
-            if rtask.checkpoint_payload() is None:
-                continue
-            seq, payload = journal_checkpoints[partition]
-            rtask.restore_payload(payload)
-            rtask.restored_through = seq
-            counters.inc(C.CHECKPOINT_RESTORES)
-            self.tracer.event(
-                "checkpoint.restored",
-                "recovery",
-                node=rtask.node,
-                task=f"reduce:{partition:03d}",
-                seq=seq,
-            )
-        live = list(cluster.compute_node_names)
-        recovery = RecoveryManager(
-            self.fault_plan, counters, speculation=self.speculation, tracer=self.tracer
-        )
-        logs: dict[int, PartitionLog] = {}
-        checkpoints: dict[int, CheckpointStore] = {}
-        chunks_since_checkpoint: dict[int, int] = {}
-        if self.fault_plan is not None:
-            for p, node in reducer_nodes.items():
-                replicas = self._log_replicas(node)
-                logs[p] = PartitionLog(p, replicas, counters)
-                checkpoints[p] = CheckpointStore(p, replicas, counters)
-                chunks_since_checkpoint[p] = 0
-            if self.fault_plan.has_disk_faults:
-                for name in sorted(cluster.compute_node_names):
-                    cluster.nodes[name].intermediate_disk.fault_injector = (
-                        self.fault_plan
-                    )
-        network_bytes = 0
-
-        def sink(
-            partition: int,
-            pairs: list[tuple[Any, Any]],
-            nbytes: int,
-            map_task: int,
-        ) -> None:
-            nonlocal network_bytes
-            if partition in committed:
-                return  # journaled output; the reducer never runs
-            network_bytes += nbytes
-            rtask = reduce_tasks[partition]
-            self.tracer.metrics.histogram("push.chunk.bytes").observe(nbytes)
-            with self.tracer.span(
-                "push",
-                "shuffle",
-                node=rtask.node,
-                task=f"reduce:{partition:03d}",
-                cost=byte_cost(nbytes),
-                bytes=nbytes,
-                records=len(pairs),
-                map_task=map_task,
-            ):
-                if partition in logs:
-                    logs[partition].append(pairs, nbytes)
-                absorbed = rtask.accept(pairs, nbytes)
-            if absorbed and self.checkpoint_interval and partition in checkpoints:
-                chunks_since_checkpoint[partition] += 1
-                if chunks_since_checkpoint[partition] >= self.checkpoint_interval:
-                    if self._save_checkpoint(
-                        reduce_tasks[partition], logs[partition], checkpoints[partition]
-                    ):
-                        chunks_since_checkpoint[partition] = 0
-
-        codec = hdfs.codec(hdfs.namenode.file_info(job.input_path).codec_name)
-        c_map0 = self.tracer.clock
-        t_map_start = time.perf_counter()
-        context = {"job": job, "codec": codec, "trace": self.tracer.enabled}
-        with self.executor.session(context) as session:
-            if self.fault_plan is None:
-                idx = 0
-                while idx < len(assignments):
-                    batch = assignments[idx : idx + session.max_batch]
-                    idx += len(batch)
-                    specs = []
-                    for a in batch:
-                        journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                        data, local = self._read_block(a.split, a.node)
-                        if not local:
-                            network_bytes += len(data)
-                        specs.append(OnePassMapSpec(a.task_id, a.node, data))
-                    for a, res in zip(batch, session.run_batch("onepass_map", specs)):
-                        counters.merge(res.counters)
-                        self.tracer.absorb(res.trace)
-                        for partition, pairs, nbytes in res.staged:
-                            sink(partition, pairs, nbytes, a.task_id)
-                        journal.append(
-                            K_MAP_COMMIT,
-                            task=a.task_id,
-                            node=a.node,
-                            nbytes=sum(n for _, _, n in res.staged),
-                        )
-            else:
-                completed_maps = 0
-                for assignment in assignments:
-                    network_bytes += self._run_map_with_retries(
-                        job, recovery, session, assignment, live, sink, counters
-                    )
-                    completed_maps += 1
-                    for crashed in self.fault_plan.crashes_due(completed_maps):
-                        with counters.timer(C.T_RECOVERY):
-                            self._handle_node_crash(
-                                crashed,
-                                job=job,
-                                live=live,
-                                reducer_nodes=reducer_nodes,
-                                reduce_tasks=reduce_tasks,
-                                logs=logs,
-                                checkpoints=checkpoints,
-                                counters=counters,
-                            )
-        t_map = time.perf_counter() - t_map_start
-        self.tracer.add_span(
-            "map-phase", "phase", c_map0, self.tracer.clock, wall_s=t_map
-        )
-        get_logger("onepass").info(
-            "map.phase.done", tasks=len(assignments), wall_ms=t_map * 1e3
-        )
-        for partition in sorted(reduce_tasks):
-            if partition not in committed:
-                journal.append(K_SHUFFLE_COMMIT, partition=partition)
-
-        c_reduce0 = self.tracer.clock
-        t_reduce_start = time.perf_counter()
-        hdfs.namenode.create_file(job.output_path, codec_name="binary")
-        output_records = 0
-        early: list[tuple[Any, Any]] = []
-        approx: list[ApproximateResult] = []
-        for partition in sorted(reduce_tasks):
-            if partition in committed:
-                output = list(committed[partition])
-                output_records += len(output)
-                if output:
-                    hdfs.append_block(
-                        job.output_path, output, writer_node=reducer_nodes[partition]
-                    )
-                continue
-
-            def attempt(
-                attempt_idx: int, partition: int = partition
-            ) -> tuple[list[ApproximateResult], list[Any], list[tuple[Any, Any]]]:
-                if attempt_idx > 0:
-                    # The previous attempt died mid-finish: rebuild its
-                    # state from checkpoint + log replay on the next node.
-                    dead = reduce_tasks[partition]
-                    counters.merge(dead.counters)  # its work still happened
-                    counters.inc(C.TASKS_RERUN)
-                    new_node = live[(partition + attempt_idx) % len(live)]
-                    reducer_nodes[partition] = new_node
-                    with counters.timer(C.T_RECOVERY):
-                        reduce_tasks[partition] = self._rebuild_reduce_task(
-                            job,
-                            partition,
-                            new_node,
-                            logs[partition],
-                            checkpoints[partition],
-                            counters,
-                        )
-                rtask = reduce_tasks[partition]
-                task_approx = rtask.approximate_results()
-                task_output = rtask.finish()
-                return task_approx, task_output, list(rtask.early_emitted)
-
-            approx_p, output, early_p = recovery.run_reduce_task(partition, attempt)
-            journal.append(K_REDUCE_COMMIT, partition=partition, records=tuple(output))
-            if journal.enabled:
-                self.tracer.event(
-                    "journal.commit",
-                    "journal",
-                    task=f"reduce:{partition:03d}",
-                    records=len(output),
-                )
-            approx.extend(approx_p)
-            early.extend(early_p)
-            output_records += len(output)
-            if output:
-                hdfs.append_block(
-                    job.output_path, output, writer_node=reducer_nodes[partition]
-                )
-            counters.merge(reduce_tasks[partition].counters)
-        t_reduce = time.perf_counter() - t_reduce_start
-        self.tracer.add_span(
-            "reduce-phase", "phase", c_reduce0, self.tracer.clock, wall_s=t_reduce
-        )
-        get_logger("onepass").info(
-            "reduce.phase.done",
-            partitions=len(reduce_tasks),
-            records=output_records,
-            wall_ms=t_reduce * 1e3,
-        )
-
-        for partition in sorted(logs):
-            logs[partition].cleanup()
-            checkpoints[partition].cleanup()
-
-        counters.inc(C.OUTPUT_BYTES, hdfs.file_bytes(job.output_path))
-        if journal.enabled:
-            journal.append(
-                K_OUTPUT_COMMIT,
-                path=job.output_path,
-                records=output_records,
-                digest=output_digest(hdfs, job.output_path),
-            )
-            journal.finalize()
-            counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-            counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-        return JobResult(
-            job_name=job.name,
-            engine=self.name,
-            output_path=job.output_path,
-            counters=counters,
-            wall_time=time.perf_counter() - t_start,
-            phase_times={"map": t_map, "reduce": t_reduce},
-            schedule=sched_stats,
-            network_bytes=network_bytes,
-            output_records=output_records,
-            extras={
-                "early_emitted": early,
-                "approximate_results": approx,
-                "mode": cfg.mode,
-            },
-            trace=self.tracer if self.tracer.enabled else None,
-        )
+    def _close(self, run: JobRun) -> None:
+        super()._close(run)
+        for partition in sorted(run.reduce_tasks):
+            run.extras["approximate_results"].extend(run.approx.get(partition, ()))
+            run.extras["early_emitted"].extend(run.reduce_tasks[partition].early_emitted)

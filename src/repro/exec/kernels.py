@@ -216,6 +216,9 @@ class OnePassMapResult:
     staged: list[tuple[int, list[tuple[Any, Any]], int]]
     counters: Counters
     trace: Any = None
+    #: Always ``None``: the one-pass map side does no disk I/O.  Present so
+    #: the driver absorbs every map result the same way.
+    disk: DiskExport | None = None
 
 
 def onepass_map_kernel(ctx: dict[str, Any], spec: OnePassMapSpec) -> OnePassMapResult:

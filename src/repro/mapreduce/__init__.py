@@ -6,7 +6,9 @@
   pipelining and periodic snapshots layered over the same sort-merge core.
 
 Both execute real :class:`~repro.mapreduce.api.MapReduceJob` programs over
-the in-process cluster, with full byte/time accounting.
+the in-process cluster, with full byte/time accounting.  The job lifecycle
+they (and the one-pass engine) share lives once, in
+:class:`~repro.mapreduce.driver.JobDriver`.
 """
 
 from repro.mapreduce.api import CombineFn, JobConfig, MapFn, MapReduceJob, ReduceFn

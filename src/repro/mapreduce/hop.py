@@ -23,42 +23,23 @@ and its multi-pass I/O remain — the paper's central observation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.exec import resolve_executor
 from repro.io.batch import merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
 from repro.io.runio import stream_run, write_run
 from repro.mapreduce.api import MapReduceJob
 from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.driver import JobRun, PushShuffleDriver
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.journal import (
-    K_JOB_SPEC,
-    K_MAP_COMMIT,
-    K_OUTPUT_COMMIT,
-    K_REDUCE_COMMIT,
-    K_SHUFFLE_COMMIT,
-    K_TASK_GRANT,
-    NULL_JOURNAL,
-    emit_committed_output,
-    job_fingerprint,
-    output_digest,
-)
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted
 from repro.mapreduce.partition import Partitioner, hash_partitioner
-from repro.mapreduce.recovery import (
-    PartitionLog,
-    RecoveryManager,
-    SpeculationPolicy,
-)
-from repro.mapreduce.runtime import JobResult, LocalCluster
-from repro.mapreduce.scheduler import WaveScheduler
+from repro.mapreduce.recovery import SpeculationPolicy
+from repro.mapreduce.runtime import LocalCluster
 from repro.mapreduce.sortmerge import map_slices
-from repro.obs.log import get_logger
 from repro.obs.tracer import NULL_TRACER, byte_cost
-from repro.hdfs.filesystem import InputSplit
 
 __all__ = ["HOPConfig", "Snapshot", "PipelinedReduceTask", "HOPEngine"]
 
@@ -504,20 +485,24 @@ class _FrozenStageRouter:
         self._staged.clear()
 
 
-class HOPEngine:
+class HOPEngine(PushShuffleDriver):
     """MapReduce Online: pipelined sort-merge with periodic snapshots.
 
+    On Table III's axes: sort-merge group-by, *push* shuffle (sorted
+    mini-segments go to the reducers as maps complete, staged on the
+    mapper's disk under backpressure), blocking reduce — plus snapshots
+    that re-merge everything received so far.
+
     With a ``fault_plan``, pushes are buffered per map attempt and, on
-    success, appended to a 2-way replicated
-    :class:`~repro.mapreduce.recovery.PartitionLog` before delivery — the
-    durability a push architecture needs because map output never stays at
-    the mappers.  Killed map/reduce attempts retry through the shared
-    :class:`~repro.mapreduce.recovery.RecoveryManager` loop; a lost reduce
-    task (killed attempt or node crash) is rebuilt by replaying its
-    partition's log in delivery order.
+    success, appended to the replicated delivery log (see
+    :class:`~repro.mapreduce.driver.PushShuffleDriver`) before delivery —
+    the durability a push architecture needs because map output never
+    stays at the mappers.
     """
 
     name = "hop"
+    map_kernel = "hop_map"
+    reduce_namespace = "hop-reduce"
 
     def __init__(
         self,
@@ -531,38 +516,57 @@ class HOPEngine:
         tracer: Any = None,
         journal: Any = None,
     ) -> None:
-        self.cluster = cluster
+        super().__init__(
+            cluster,
+            map_slots=map_slots,
+            fault_plan=fault_plan,
+            speculation=speculation,
+            executor=executor,
+            tracer=tracer,
+            journal=journal,
+        )
         self.hop = hop_config or HOPConfig()
-        self.scheduler = WaveScheduler(cluster.compute_node_names, map_slots=map_slots)
-        self.fault_plan = fault_plan
-        self.speculation = speculation
-        self.executor = resolve_executor(executor)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.journal = journal if journal is not None else NULL_JOURNAL
 
-    def _read_block(self, split: InputSplit, node: str) -> tuple[bytes, bool]:
-        hdfs = self.cluster.hdfs
-        local = node in split.preferred_nodes
-        data = hdfs.read_block_bytes(split.block_id, from_node=node if local else None)
-        return data, local
+    def _kernel_context(self) -> dict[str, Any]:
+        return {"hop": self.hop}
 
-    # -- fault tolerance ------------------------------------------------------
+    def _open(self, run: JobRun) -> None:
+        super()._open(run)
+        run.next_snapshot = 0
 
-    def _log_replicas(self, node: str) -> list[tuple[str, LocalDisk]]:
-        """Replica disks for a reducer's log: its own node plus the next."""
-        names = self.cluster.compute_node_names
-        chosen = [node]
-        if len(names) > 1:
-            chosen.append(names[(names.index(node) + 1) % len(names)])
-        return [(n, self.cluster.nodes[n].intermediate_disk) for n in chosen]
+    # -- map side: push now (clean) or buffer until the attempt survives --------
+
+    def _map_spec(self, run: JobRun, task_id: int, node: str, data: bytes) -> Any:
+        from repro.exec.kernels import HopMapSpec
+
+        disk = self._disk(node)
+        frozen = None
+        if self.fault_plan is not None:
+            frozen = {p: rt.backlog_bytes for p, rt in run.reduce_tasks.items()}
+        return HopMapSpec(task_id, node, data, disk.profile, disk.name, frozen)
+
+    def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
+        if res.by_partition is None:
+            chunks = [c for c in res.chunks if c[0] not in run.committed]
+            self._deliver_live(run, task_id, node, chunks)
+            return sum(c[2] for c in chunks)
+        delivered_bytes = 0
+        for partition in sorted(res.by_partition):
+            if partition in run.committed:
+                continue  # journaled output; the reducer never runs
+            for pairs, nbytes in res.by_partition[partition]:
+                run.counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
+                run.logs[partition].append(pairs, nbytes)
+                run.reduce_tasks[partition].accept_chunk(pairs, nbytes)
+                delivered_bytes += nbytes
+        return delivered_bytes
 
     def _deliver_live(
         self,
+        run: JobRun,
         task_id: int,
         node: str,
         chunks: list[tuple[int, list[tuple[Any, Any]], int]],
-        reduce_tasks: dict[int, PipelinedReduceTask],
-        counters: Counters,
     ) -> None:
         """Replay one live map task's emissions against real reducer state.
 
@@ -571,7 +575,8 @@ class HOPEngine:
         so the decision — and the staging I/O on the mapper's real disk —
         happens here, in deterministic task order.
         """
-        disk = self.cluster.nodes[node].intermediate_disk
+        disk = self._disk(node)
+        reduce_tasks = run.reduce_tasks
         chunk_hist = self.tracer.metrics.histogram("push.chunk.bytes")
         with self.tracer.span(
             "push",
@@ -590,7 +595,7 @@ class HOPEngine:
                     path = f"hop-stage/{task_id:05d}/c{seq:05d}-p{partition:03d}"
                     seq += 1
                     written = write_run(disk, path, pairs)
-                    counters.inc(C.MAP_SPILL_BYTES, written)
+                    run.counters.inc(C.MAP_SPILL_BYTES, written)
                     staged.append((partition, path, written))
                 else:
                     pushed_bytes += nbytes
@@ -606,428 +611,29 @@ class HOPEngine:
             push_span.set_cost(byte_cost(pushed_bytes + staged_bytes))
             push_span.set(bytes_pushed=pushed_bytes, bytes_staged=staged_bytes)
 
-    def _run_map_with_recovery(
-        self,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        assignment: Any,
-        live: list[str],
-        reduce_tasks: dict[int, PipelinedReduceTask],
-        logs: dict[int, PartitionLog],
-        counters: Counters,
-        committed: frozenset[int] = frozenset(),
-    ) -> int:
-        """Run one map task under a fault plan, buffering pushes until success."""
-        from repro.exec.kernels import HopMapSpec
+    def _after_map_commit(self, run: JobRun, completed: int, last: bool) -> None:
+        """Take every snapshot whose map-completion fraction is now reached."""
+        fractions = self.hop.snapshot_fractions
+        fraction = completed / len(run.splits)
+        while run.next_snapshot < len(fractions) and fraction >= fractions[run.next_snapshot]:
+            target = fractions[run.next_snapshot]
+            merged: list[Any] = []
+            for rtask in run.reduce_tasks.values():
+                merged.extend(rtask.snapshot(target).records)
+            run.snapshots.append(Snapshot(fraction=target, records=tuple(merged)))
+            run.next_snapshot += 1
 
-        cluster = self.cluster
-        network_bytes = 0
-        self.journal.append(
-            K_TASK_GRANT, task=assignment.task_id, node=assignment.node
+    # -- reduce side: blocking final merge ---------------------------------------
+
+    def _new_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
+        disk = self._disk(node)
+        return PipelinedReduceTask(
+            run.job, partition, node, disk, self.hop, tracer=self.tracer
         )
 
-        def attempt(node: str) -> dict[int, list[tuple[list[tuple[Any, Any]], int]]]:
-            nonlocal network_bytes
-            data, local = self._read_block(assignment.split, node)
-            if not local:
-                network_bytes += len(data)
-            disk = cluster.nodes[node].intermediate_disk
-            spec = HopMapSpec(
-                assignment.task_id,
-                node,
-                data,
-                disk.profile,
-                disk.name,
-                frozen_backlogs={
-                    p: rt.backlog_bytes for p, rt in reduce_tasks.items()
-                },
-            )
-            res = session.run_one("hop_map", spec)
-            disk.absorb(res.disk)
-            counters.merge(res.counters)
-            self.tracer.absorb(res.trace)
-            return res.by_partition
+    def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
+        return run.reduce_tasks[partition].run()
 
-        def discard(
-            _node: str, by_partition: dict[int, list[tuple[list[tuple[Any, Any]], int]]]
-        ) -> None:
-            # A dead or losing attempt's buffered chunks never reached the
-            # reducers; dropping them is the whole cleanup.
-            for chunks in by_partition.values():
-                chunks.clear()
-
-        node, by_partition = recovery.run_map_task(
-            assignment.task_id,
-            assignment.node,
-            live,
-            assignment.split.nbytes,
-            attempt,
-            discard,
-        )
-        delivered_bytes = 0
-        for partition in sorted(by_partition):
-            if partition in committed:
-                continue  # journaled output; the reducer never runs
-            for pairs, nbytes in by_partition[partition]:
-                counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
-                logs[partition].append(pairs, nbytes)
-                reduce_tasks[partition].accept_chunk(pairs, nbytes)
-                delivered_bytes += nbytes
-        self.journal.append(
-            K_MAP_COMMIT, task=assignment.task_id, node=node, nbytes=delivered_bytes
-        )
-        return network_bytes
-
-    def _rebuild_reduce_task(
-        self,
-        job: MapReduceJob,
-        partition: int,
-        node: str,
-        log: PartitionLog,
-        counters: Counters,
-    ) -> PipelinedReduceTask:
-        """Reconstruct a lost reduce task by replaying its delivery log."""
-        disk = self.cluster.nodes[node].intermediate_disk
-        disk.delete_prefix(f"hop-reduce/{partition:03d}")
-        rtask = PipelinedReduceTask(
-            job, partition, node, disk, self.hop, tracer=self.tracer
-        )
-        replayed = 0
-        nbytes_replayed = 0
-        with self.tracer.span(
-            "replay", "recovery", node=node, task=f"reduce:{partition:03d}"
-        ) as replay_span:
-            for _seq, pairs, nbytes in log.replay():
-                rtask.accept_chunk(pairs, nbytes)
-                replayed += len(pairs)
-                nbytes_replayed += nbytes
-                counters.inc(C.REPLAYED_RECORDS, len(pairs))
-                counters.inc(C.BYTES_RESHUFFLED, nbytes)
-            replay_span.set_cost(max(1, byte_cost(nbytes_replayed)))
-            replay_span.set(records=replayed, bytes=nbytes_replayed)
-        return rtask
-
-    def _handle_node_crash(
-        self,
-        crashed: str,
-        *,
-        job: MapReduceJob,
-        live: list[str],
-        reducer_nodes: dict[int, str],
-        reduce_tasks: dict[int, PipelinedReduceTask],
-        logs: dict[int, PartitionLog],
-        counters: Counters,
-    ) -> None:
-        """React to losing a whole node: re-replicate, rebuild its reducers."""
-        counters.inc(C.NODE_CRASHES)
-        self.tracer.event("node.crash", "recovery", node=crashed)
-        live.remove(crashed)
-        if not live:
-            raise RuntimeError(f"node crash of {crashed} left no live compute nodes")
-        self.cluster.wipe_node(crashed)
-        report = self.cluster.hdfs.handle_node_loss(crashed)
-        if report.blocks_rereplicated:
-            counters.inc(C.BLOCKS_REREPLICATED, report.blocks_rereplicated)
-            counters.inc(C.BYTES_REREPLICATED, report.bytes_rereplicated)
-
-        for partition in sorted(logs):
-            log = logs[partition]
-            holders = [n for n, _ in log.replicas]
-            if crashed in holders:
-                candidates = [n for n in live if n not in holders]
-                if candidates:
-                    new_node = candidates[0]
-                    log.replace_replica(
-                        crashed, new_node, self.cluster.nodes[new_node].intermediate_disk
-                    )
-
-        for partition in sorted(reducer_nodes):
-            if reducer_nodes[partition] != crashed:
-                continue
-            dead = reduce_tasks[partition]
-            counters.merge(dead.counters)  # its work still happened
-            counters.inc(C.TASKS_RERUN)
-            new_node = live[partition % len(live)]
-            reducer_nodes[partition] = new_node
-            reduce_tasks[partition] = self._rebuild_reduce_task(
-                job, partition, new_node, logs[partition], counters
-            )
-
-    def run(self, job: MapReduceJob) -> JobResult:
-        from repro.exec.kernels import HopMapSpec
-
-        if not job.input_path or not job.output_path:
-            raise ValueError("job must set input_path and output_path")
-        cluster = self.cluster
-        hdfs = cluster.hdfs
-        counters = Counters()
-        t_start = time.perf_counter()
-
-        splits = hdfs.input_splits(job.input_path)
-        assignments, sched_stats = self.scheduler.schedule(splits)
-        reducer_nodes = self.scheduler.assign_reducers(job.config.num_reducers)
-
-        # ---- journal resume protocol ----
-        journal = self.journal
-        appends0, jbytes0 = journal.appends, journal.bytes_written
-        committed: dict[int, tuple[Any, ...]] = {}
-        if journal.enabled:
-            state = journal.resume_state()
-            fingerprint = job_fingerprint(job, self.name)
-            state.check_spec(fingerprint)
-            if state.truncated_bytes:
-                self.tracer.event(
-                    "journal.truncated", "journal", bytes=state.truncated_bytes
-                )
-            done_commits = state.output_commits > 0
-            if done_commits or state.complete(job.config.num_reducers):
-                if not done_commits:
-                    journal.append(
-                        K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-                    )
-                output_records = emit_committed_output(
-                    hdfs, job, reducer_nodes, state, counters, self.tracer
-                )
-                if not done_commits:
-                    journal.append(
-                        K_OUTPUT_COMMIT,
-                        path=job.output_path,
-                        records=output_records,
-                        digest=output_digest(hdfs, job.output_path),
-                    )
-                journal.finalize()
-                counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-                counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-                return JobResult(
-                    job_name=job.name,
-                    engine=self.name,
-                    output_path=job.output_path,
-                    counters=counters,
-                    wall_time=time.perf_counter() - t_start,
-                    phase_times={"map": 0.0, "reduce": 0.0},
-                    schedule=sched_stats,
-                    network_bytes=0,
-                    output_records=output_records,
-                    trace=self.tracer if self.tracer.enabled else None,
-                )
-            journal.append(
-                K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-            )
-            committed = dict(state.reduce_commits)
-            if committed:
-                counters.inc(C.JOURNAL_REPLAYED_COMMITS, len(committed))
-                self.tracer.event(
-                    "journal.resume",
-                    "journal",
-                    commits=len(committed),
-                    checkpoints=len(state.checkpoints),
-                )
-
-        reduce_tasks = {
-            p: PipelinedReduceTask(
-                job,
-                p,
-                node,
-                cluster.nodes[node].intermediate_disk,
-                self.hop,
-                tracer=self.tracer,
-            )
-            for p, node in reducer_nodes.items()
-        }
-        live = list(cluster.compute_node_names)
-        recovery = RecoveryManager(
-            self.fault_plan, counters, speculation=self.speculation, tracer=self.tracer
-        )
-        logs: dict[int, PartitionLog] = {}
-        if self.fault_plan is not None:
-            for p, node in reducer_nodes.items():
-                logs[p] = PartitionLog(p, self._log_replicas(node), counters)
-            if self.fault_plan.has_disk_faults:
-                for name in sorted(cluster.compute_node_names):
-                    cluster.nodes[name].intermediate_disk.fault_injector = (
-                        self.fault_plan
-                    )
-
-        network_bytes = 0
-        snapshots: list[Snapshot] = []
-        total_maps = len(assignments)
-        next_snapshot = 0
-
-        def maybe_snapshot(done: int) -> None:
-            nonlocal next_snapshot
-            fraction = done / total_maps
-            while (
-                next_snapshot < len(self.hop.snapshot_fractions)
-                and fraction >= self.hop.snapshot_fractions[next_snapshot]
-            ):
-                target = self.hop.snapshot_fractions[next_snapshot]
-                merged: list[Any] = []
-                for rtask in reduce_tasks.values():
-                    merged.extend(rtask.snapshot(target).records)
-                snapshots.append(Snapshot(fraction=target, records=tuple(merged)))
-                next_snapshot += 1
-
-        codec = hdfs.codec(hdfs.namenode.file_info(job.input_path).codec_name)
-        context = {
-            "job": job,
-            "hop": self.hop,
-            "codec": codec,
-            "trace": self.tracer.enabled,
-        }
-        c_map0 = self.tracer.clock
-        t_map_start = time.perf_counter()
-        with self.executor.session(context) as session:
-            if self.fault_plan is None:
-                done = 0
-                idx = 0
-                while idx < len(assignments):
-                    batch = assignments[idx : idx + session.max_batch]
-                    idx += len(batch)
-                    specs = []
-                    for a in batch:
-                        journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                        data, local = self._read_block(a.split, a.node)
-                        if not local:
-                            network_bytes += len(data)
-                        disk = cluster.nodes[a.node].intermediate_disk
-                        specs.append(
-                            HopMapSpec(a.task_id, a.node, data, disk.profile, disk.name)
-                        )
-                    for a, res in zip(batch, session.run_batch("hop_map", specs)):
-                        counters.merge(res.counters)
-                        self.tracer.absorb(res.trace)
-                        chunks = [c for c in res.chunks if c[0] not in committed]
-                        self._deliver_live(
-                            a.task_id, a.node, chunks, reduce_tasks, counters
-                        )
-                        journal.append(
-                            K_MAP_COMMIT,
-                            task=a.task_id,
-                            node=a.node,
-                            nbytes=sum(c[2] for c in chunks),
-                        )
-                        done += 1
-                        maybe_snapshot(done)
-            else:
-                for done, assignment in enumerate(assignments, start=1):
-                    network_bytes += self._run_map_with_recovery(
-                        job,
-                        recovery,
-                        session,
-                        assignment,
-                        live,
-                        reduce_tasks,
-                        logs,
-                        counters,
-                        frozenset(committed),
-                    )
-                    for crashed in self.fault_plan.crashes_due(done):
-                        with counters.timer(C.T_RECOVERY):
-                            self._handle_node_crash(
-                                crashed,
-                                job=job,
-                                live=live,
-                                reducer_nodes=reducer_nodes,
-                                reduce_tasks=reduce_tasks,
-                                logs=logs,
-                                counters=counters,
-                            )
-                    maybe_snapshot(done)
-        t_map = time.perf_counter() - t_map_start
-        self.tracer.add_span(
-            "map-phase", "phase", c_map0, self.tracer.clock, wall_s=t_map
-        )
-        get_logger("hop").info(
-            "map.phase.done",
-            tasks=total_maps,
-            snapshots=len(snapshots),
-            wall_ms=t_map * 1e3,
-        )
-        for partition in sorted(reduce_tasks):
-            if partition not in committed:
-                journal.append(K_SHUFFLE_COMMIT, partition=partition)
-
-        c_reduce0 = self.tracer.clock
-        t_reduce_start = time.perf_counter()
-        hdfs.namenode.create_file(job.output_path, codec_name="binary")
-        output_records = 0
-        for partition in sorted(reduce_tasks):
-            if partition in committed:
-                output = list(committed[partition])
-                output_records += len(output)
-                if output:
-                    hdfs.append_block(
-                        job.output_path, output, writer_node=reducer_nodes[partition]
-                    )
-                continue
-
-            def attempt(attempt_idx: int, partition: int = partition) -> list[Any]:
-                if attempt_idx > 0:
-                    # The previous attempt died mid-reduce: rebuild its
-                    # state on the next live node by replaying the log.
-                    dead = reduce_tasks[partition]
-                    counters.merge(dead.counters)  # its work still happened
-                    counters.inc(C.TASKS_RERUN)
-                    new_node = live[(partition + attempt_idx) % len(live)]
-                    reducer_nodes[partition] = new_node
-                    with counters.timer(C.T_RECOVERY):
-                        reduce_tasks[partition] = self._rebuild_reduce_task(
-                            job, partition, new_node, logs[partition], counters
-                        )
-                return reduce_tasks[partition].run()
-
-            output = recovery.run_reduce_task(partition, attempt)
-            counters.merge(reduce_tasks[partition].counters)
-            journal.append(K_REDUCE_COMMIT, partition=partition, records=tuple(output))
-            if journal.enabled:
-                self.tracer.event(
-                    "journal.commit",
-                    "journal",
-                    task=f"reduce:{partition:03d}",
-                    records=len(output),
-                )
-            output_records += len(output)
-            if output:
-                hdfs.append_block(
-                    job.output_path, output, writer_node=reducer_nodes[partition]
-                )
-        t_reduce = time.perf_counter() - t_reduce_start
-        self.tracer.add_span(
-            "reduce-phase", "phase", c_reduce0, self.tracer.clock, wall_s=t_reduce
-        )
-        get_logger("hop").info(
-            "reduce.phase.done",
-            partitions=len(reduce_tasks),
-            records=output_records,
-            wall_ms=t_reduce * 1e3,
-        )
-
-        for partition in sorted(logs):
-            logs[partition].cleanup()
-
-        counters.inc(C.OUTPUT_BYTES, hdfs.file_bytes(job.output_path))
-        if journal.enabled:
-            journal.append(
-                K_OUTPUT_COMMIT,
-                path=job.output_path,
-                records=output_records,
-                digest=output_digest(hdfs, job.output_path),
-            )
-            journal.finalize()
-            counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-            counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-        network_bytes += int(counters[C.SHUFFLE_BYTES])
-        return JobResult(
-            job_name=job.name,
-            engine=self.name,
-            output_path=job.output_path,
-            counters=counters,
-            wall_time=time.perf_counter() - t_start,
-            phase_times={"map": t_map, "reduce": t_reduce},
-            schedule=sched_stats,
-            network_bytes=network_bytes,
-            output_records=output_records,
-            snapshots=list(snapshots),
-            trace=self.tracer if self.tracer.enabled else None,
-        )
+    def _close(self, run: JobRun) -> None:
+        super()._close(run)
+        run.network_bytes += int(run.counters[C.SHUFFLE_BYTES])

@@ -15,42 +15,21 @@ merged and reduced, and every byte is accounted on the node disks.
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.exec import resolve_executor
 from repro.hdfs.datanode import DataNode
-from repro.hdfs.filesystem import HDFS, InputSplit
+from repro.hdfs.filesystem import HDFS
 from repro.io.device import HDD_7200RPM, SSD_SATA, DeviceProfile
 from repro.io.disk import DiskStats, LocalDisk
-from repro.mapreduce.api import MapReduceJob
-from repro.mapreduce.counters import C, Counters
+from repro.mapreduce.counters import C
+from repro.mapreduce.driver import JobDriver, JobResult, JobRun
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.journal import (
-    K_JOB_SPEC,
-    K_MAP_COMMIT,
-    K_OUTPUT_COMMIT,
-    K_REDUCE_COMMIT,
-    K_SHUFFLE_COMMIT,
-    K_TASK_GRANT,
-    NULL_JOURNAL,
-    emit_committed_output,
-    job_fingerprint,
-    output_digest,
-)
-from repro.mapreduce.recovery import (
-    FetchRetryPolicy,
-    RecoveryManager,
-    SpeculationPolicy,
-    TaskLineage,
-)
-from repro.mapreduce.scheduler import ScheduleStats, TaskAssignment, WaveScheduler
+from repro.mapreduce.recovery import FetchRetryPolicy, SpeculationPolicy, TaskLineage
+from repro.mapreduce.scheduler import TaskAssignment, WaveScheduler
 from repro.mapreduce.shuffle import FetchFailedError, ShuffleService
-from repro.mapreduce.sortmerge import MapOutput, SortMergeReduceTask
-from repro.obs.log import get_logger
-from repro.obs.tracer import NULL_TRACER, byte_cost
+from repro.mapreduce.sortmerge import SortMergeReduceTask
+from repro.obs.tracer import byte_cost
 
 __all__ = ["ClusterNode", "LocalCluster", "JobResult", "HadoopEngine"]
 
@@ -180,42 +159,14 @@ class LocalCluster:
                 total.busy_time += s.busy_time
         return total
 
-
-@dataclass(slots=True)
-class JobResult:
-    """Outcome of one engine run: counters, timings and output location."""
-
-    job_name: str
-    engine: str
-    output_path: str
-    counters: Counters
-    wall_time: float
-    phase_times: dict[str, float] = field(default_factory=dict)
-    schedule: ScheduleStats | None = None
-    network_bytes: int = 0
-    output_records: int = 0
-    snapshots: list[Any] = field(default_factory=list)
-    extras: dict[str, Any] = field(default_factory=dict)
-    #: The run's merged :class:`~repro.obs.tracer.Tracer` when tracing was
-    #: on, else ``None``.
-    trace: Any = None
-
-    def summary(self) -> dict[str, float]:
-        """The headline numbers for reports."""
-        c = self.counters
-        return {
-            "wall_time": self.wall_time,
-            "map_input_bytes": c[C.MAP_INPUT_BYTES],
-            "map_output_bytes": c[C.MAP_OUTPUT_BYTES],
-            "reduce_spill_bytes": c[C.REDUCE_SPILL_BYTES],
-            "merge_read_bytes": c[C.MERGE_READ_BYTES],
-            "output_records": self.output_records,
-            "network_bytes": self.network_bytes,
-        }
-
-
-class HadoopEngine:
+class HadoopEngine(JobDriver):
     """The sort-merge baseline: stock Hadoop's execution model.
+
+    On Table III's axes: sort-merge group-by, *pull* shuffle (map output
+    is written synchronously to the mapper's disk and registered; reducers
+    fetch it every ``fetch_interval`` map completions — Hadoop's poll
+    period), blocking reduce.  The lifecycle around them is
+    :class:`~repro.mapreduce.driver.JobDriver`'s.
 
     ``fault_plan`` injects deterministic failures, all recovered the way
     Hadoop's JobTracker recovers them — and all charged to the job's
@@ -235,12 +186,12 @@ class HadoopEngine:
 
     The synchronous map-output write is what makes this recovery
     possible — the fault-tolerance rationale the paper cites for that
-    write.  ``fetch_interval`` sets how many map completions pass between
-    reducer pulls (Hadoop's poll period); larger values leave segments
-    unfetched longer, which matters when a node dies in between.
+    write.  Larger ``fetch_interval`` values leave segments unfetched
+    longer, which matters when a node dies in between.
     """
 
     name = "hadoop"
+    map_kernel = "hadoop_map"
 
     def __init__(
         self,
@@ -257,144 +208,69 @@ class HadoopEngine:
     ) -> None:
         if fetch_interval < 1:
             raise ValueError("fetch_interval must be >= 1")
-        self.cluster = cluster
-        self.scheduler = WaveScheduler(
-            cluster.compute_node_names, map_slots=map_slots
+        super().__init__(
+            cluster,
+            map_slots=map_slots,
+            fault_plan=fault_plan,
+            speculation=speculation,
+            executor=executor,
+            tracer=tracer,
+            journal=journal,
         )
-        self.fault_plan = fault_plan
         self.fetch_interval = fetch_interval
         self.retry_policy = retry_policy
-        self.speculation = speculation
-        self.executor = resolve_executor(executor)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.journal = journal if journal is not None else NULL_JOURNAL
 
-    # -- input ------------------------------------------------------------
+    def _open(self, run: JobRun) -> None:
+        run.shuffle = ShuffleService(
+            self.cluster.intermediate_disks(),
+            fault_plan=self.fault_plan,
+            retry_policy=self.retry_policy,
+        )
+        run.lineage = TaskLineage()
+        run.since_drain = 0
+        #: partition -> kernel-side reduce result awaiting its commit.
+        run.reduced = {}
 
-    def _read_block(self, split: InputSplit, node: str) -> tuple[bytes, bool]:
-        """Read a split's raw bytes, preferring the local replica."""
-        hdfs = self.cluster.hdfs
-        local = node in split.preferred_nodes
-        data = hdfs.read_block_bytes(split.block_id, from_node=node if local else None)
-        return data, local
+    # -- map side: sort-spill output, registered for pull -----------------------
 
-    # -- execution -----------------------------------------------------------
-
-    def _execute_map(
-        self,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        task_id: int,
-        split: InputSplit,
-        preferred: str,
-        live: list[str],
-        counters: Counters,
-    ) -> tuple[str, MapOutput, int]:
-        """Run one map task through the shared recovery loop.
-
-        Returns ``(winning node, output, network bytes)``.  Every attempt
-        — killed, speculative loser or winner — charges its read, map,
-        sort and spill work to the job.
-        """
+    def _map_spec(self, run: JobRun, task_id: int, node: str, data: bytes) -> Any:
         from repro.exec.kernels import HadoopMapSpec
 
-        cluster = self.cluster
-        network_bytes = 0
+        disk = self._disk(node)
+        return HadoopMapSpec(task_id, node, data, disk.profile, disk.name)
 
-        def attempt(node: str) -> MapOutput:
-            nonlocal network_bytes
-            data, local = self._read_block(split, node)
-            if not local:
-                network_bytes += len(data)
-            disk = cluster.nodes[node].intermediate_disk
-            res = session.run_one(
-                "hadoop_map", HadoopMapSpec(task_id, node, data, disk.profile, disk.name)
-            )
-            disk.absorb(res.disk)
-            counters.merge(res.counters)
-            self.tracer.absorb(res.trace)
-            return res.output
+    def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
+        run.shuffle.register(res.output)
+        run.lineage.record(task_id, node, res.output.total_bytes)
+        return res.output.total_bytes
 
-        def discard(node: str, _output: MapOutput) -> None:
-            # The attempt died (or lost the speculative race) before its
-            # completion report: its output files are gone.
-            disk = cluster.nodes[node].intermediate_disk
-            disk.delete_prefix(f"mapout/{task_id:05d}")
-            disk.delete_prefix(f"mapspill/{task_id:05d}")
+    def _discard_map(self, run: JobRun, task_id: int, node: str) -> None:
+        # The attempt died (or lost the speculative race) before its
+        # completion report: its output files are gone.
+        disk = self._disk(node)
+        disk.delete_prefix(f"mapout/{task_id:05d}")
+        disk.delete_prefix(f"mapspill/{task_id:05d}")
 
-        node, output = recovery.run_map_task(
-            task_id, preferred, live, split.nbytes, attempt, discard
-        )
-        return node, output, network_bytes
+    def _after_map_commit(self, run: JobRun, completed: int, last: bool) -> None:
+        run.since_drain += 1
+        if run.since_drain >= self.fetch_interval or last:
+            for partition in sorted(run.reduce_tasks):
+                if partition not in run.committed:  # journaled output: nothing to pull
+                    self._pull_partition(run, partition)
+            run.since_drain = 0
 
-    def _rerun_lost_map(
-        self,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        shuffle: ShuffleService,
-        lineage: TaskLineage,
-        task_id: int,
-        live: list[str],
-        splits_by_task: dict[int, InputSplit],
-        counters: Counters,
-    ) -> int:
-        """Re-execute a map whose output is lost; re-register fresh output.
-
-        Already-delivered segments stay valid at their reducers (the
-        shuffle keeps fetch marks across ``invalidate``), so only the
-        still-missing segments are served from the new output.
-        """
-        old_node = lineage.node_of(task_id)
-        if old_node is not None:
-            disk = self.cluster.nodes[old_node].intermediate_disk
-            disk.delete_prefix(f"mapout/{task_id:05d}")
-            disk.delete_prefix(f"mapspill/{task_id:05d}")
-        shuffle.invalidate(task_id)
-        lineage.forget(task_id)
-        counters.inc(C.TASKS_RERUN)
-        self.tracer.event(
-            "map.rerun", "recovery", node=old_node or "", task=f"map:{task_id:05d}"
-        )
-        split = splits_by_task[task_id]
-        rescheduler = WaveScheduler(live, map_slots=self.scheduler.map_slots)
-        preferred = rescheduler.schedule([split])[0][0].node
-        self.journal.append(K_TASK_GRANT, task=task_id, node=preferred)
-        node, output, network_bytes = self._execute_map(
-            job, recovery, session, task_id, split, preferred, live, counters
-        )
-        shuffle.register(output)
-        lineage.record(task_id, node, output.total_bytes)
-        self.journal.append(
-            K_MAP_COMMIT, task=task_id, node=node, nbytes=output.total_bytes
-        )
-        return network_bytes
-
-    def _pull_partition(
-        self,
-        partition: int,
-        rtask: SortMergeReduceTask,
-        job: MapReduceJob,
-        recovery: RecoveryManager,
-        session: Any,
-        shuffle: ShuffleService,
-        lineage: TaskLineage,
-        live: list[str],
-        splits_by_task: dict[int, InputSplit],
-        counters: Counters,
-    ) -> int:
-        """Fetch every pending segment for ``partition`` into ``rtask``.
+    def _pull_partition(self, run: JobRun, partition: int) -> None:
+        """Fetch every pending segment for ``partition`` into its reduce task.
 
         A segment that exhausts its fetch retries ("too many fetch
         failures") re-executes its map task; the loop then pulls from the
-        fresh output.  Returns the network bytes spent on re-executions.
+        fresh output.
         """
-        network_bytes = 0
+        shuffle, rtask = run.shuffle, run.reduce_tasks[partition]
         while True:
             pending = shuffle.pending_fetches(partition)
             if not pending:
-                return network_bytes
+                return
             for task_id in pending:
                 try:
                     seg = shuffle.fetch(task_id, partition)
@@ -406,18 +282,8 @@ class HadoopEngine:
                         task=f"reduce:{partition:03d}",
                         map_task=task_id,
                     )
-                    with counters.timer(C.T_RECOVERY):
-                        network_bytes += self._rerun_lost_map(
-                            job,
-                            recovery,
-                            session,
-                            shuffle,
-                            lineage,
-                            task_id,
-                            live,
-                            splits_by_task,
-                            counters,
-                        )
+                    with run.counters.timer(C.T_RECOVERY):
+                        self._rerun_lost_map(run, task_id)
                     continue
                 self.tracer.metrics.histogram("shuffle.segment.bytes").observe(
                     seg.nbytes
@@ -433,437 +299,94 @@ class HadoopEngine:
                 ):
                     rtask.accept_segment(list(seg.pairs), seg.nbytes)
 
-    def _handle_node_crash(
-        self,
-        crashed: str,
-        *,
-        job: MapReduceJob,
-        shuffle: ShuffleService,
-        lineage: TaskLineage,
-        reduce_tasks: dict[int, SortMergeReduceTask],
-        reducer_nodes: dict[int, str],
-        queue: deque[TaskAssignment],
-        splits_by_task: dict[int, InputSplit],
-        live: list[str],
-        counters: Counters,
-    ) -> None:
-        """JobTracker reaction to losing a whole node mid-job.
+    def _rerun_lost_map(self, run: JobRun, task_id: int) -> None:
+        """Re-execute a map whose output is lost; re-register fresh output.
 
-        The node's HDFS replicas re-replicate, its completed map tasks
-        re-execute on survivors (rescheduled with locality), and its
-        reduce tasks restart on survivors — their partitions re-pulled in
-        full on the next drain.
+        Already-delivered segments stay valid at their reducers (the
+        shuffle keeps fetch marks across ``invalidate``), so only the
+        still-missing segments are served from the new output.
         """
-        counters.inc(C.NODE_CRASHES)
-        self.tracer.event("node.crash", "recovery", node=crashed)
-        live.remove(crashed)
-        if not live:
-            raise RuntimeError(f"node crash of {crashed} left no live compute nodes")
-        self.cluster.wipe_node(crashed)
-        report = self.cluster.hdfs.handle_node_loss(crashed)
-        if report.blocks_rereplicated:
-            counters.inc(C.BLOCKS_REREPLICATED, report.blocks_rereplicated)
-            counters.inc(C.BYTES_REREPLICATED, report.bytes_rereplicated)
+        old_node = run.lineage.node_of(task_id)
+        if old_node is not None:
+            self._discard_map(run, task_id, old_node)
+        run.shuffle.invalidate(task_id)
+        run.lineage.forget(task_id)
+        run.counters.inc(C.TASKS_RERUN)
+        self.tracer.event(
+            "map.rerun", "recovery", node=old_node or "", task=f"map:{task_id:05d}"
+        )
+        split = run.splits[task_id]
+        rescheduler = WaveScheduler(run.live, map_slots=self.scheduler.map_slots)
+        self._execute_map(run, task_id, split, rescheduler.schedule([split])[0][0].node)
 
-        # Completed map output on the node died with it.
-        lost = lineage.tasks_on(crashed)
+    def _on_node_lost(self, run: JobRun, crashed: str) -> None:
+        # Completed map output on the node died with it: the lost maps
+        # re-execute on survivors, rescheduled with locality.
+        lost = run.lineage.tasks_on(crashed)
         for task_id in lost:
-            shuffle.invalidate(task_id)
-            lineage.forget(task_id)
+            run.shuffle.invalidate(task_id)
+            run.lineage.forget(task_id)
         if lost:
-            counters.inc(C.TASKS_RERUN, len(lost))
-            rescheduler = WaveScheduler(live, map_slots=self.scheduler.map_slots)
-            reassigned, _ = rescheduler.schedule([splits_by_task[t] for t in lost])
+            run.counters.inc(C.TASKS_RERUN, len(lost))
+            rescheduler = WaveScheduler(run.live, map_slots=self.scheduler.map_slots)
+            reassigned, _ = rescheduler.schedule([run.splits[t] for t in lost])
             for a in reassigned:
-                queue.append(
+                run.queue.append(
                     TaskAssignment(lost[a.task_id], a.split, a.node, a.wave, a.data_local)
                 )
 
-        # Reduce tasks resident on the node lost everything they fetched.
-        for partition in sorted(reducer_nodes):
-            if reducer_nodes[partition] != crashed:
-                continue
-            new_node = live[partition % len(live)]
-            reducer_nodes[partition] = new_node
-            dead = reduce_tasks[partition]
-            counters.merge(dead.counters)  # its work still happened
-            counters.inc(C.TASKS_RERUN)
-            reduce_tasks[partition] = SortMergeReduceTask(
-                job,
-                partition,
-                new_node,
-                self.cluster.nodes[new_node].intermediate_disk,
-                tracer=self.tracer,
-            )
-            shuffle.reset_partition(partition)
+    # -- reduce side: blocking merge + reduce -----------------------------------
 
-    def run(self, job: MapReduceJob) -> JobResult:
-        """Execute ``job``; returns the merged counters and output path."""
-        from repro.exec.kernels import HadoopMapSpec, HadoopReduceSpec
+    def _new_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
+        disk = self._disk(node)
+        return SortMergeReduceTask(run.job, partition, node, disk, tracer=self.tracer)
 
-        if not job.input_path or not job.output_path:
-            raise ValueError("job must set input_path and output_path")
-        cluster = self.cluster
-        hdfs = cluster.hdfs
-        counters = Counters()
-        recovery = RecoveryManager(
-            self.fault_plan, counters, speculation=self.speculation, tracer=self.tracer
-        )
-        t_start = time.perf_counter()
+    def _rebuild_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
+        # Everything the lost task fetched is gone: a fresh task re-pulls
+        # the whole partition from the mapper disks.
+        run.shuffle.reset_partition(partition)
+        return self._new_reduce_task(run, partition, node)
 
-        splits = hdfs.input_splits(job.input_path)
-        assignments, sched_stats = self.scheduler.schedule(splits)
-        reducer_nodes = self.scheduler.assign_reducers(job.config.num_reducers)
-        splits_by_task = {a.task_id: a.split for a in assignments}
-        live = list(cluster.compute_node_names)
+    def _reduce_wave(self, run: JobRun, pending: list[int]) -> None:
+        """Independent partitions: ship each reduce task's ingested state
+        (in-memory segments + on-disk runs) to the ``hadoop_reduce`` kernel."""
+        from repro.exec.kernels import HadoopReduceSpec
 
-        # ---- journal resume protocol ----
-        journal = self.journal
-        appends0, jbytes0 = journal.appends, journal.bytes_written
-        committed: dict[int, tuple[Any, ...]] = {}
-        if journal.enabled:
-            state = journal.resume_state()
-            fingerprint = job_fingerprint(job, self.name)
-            state.check_spec(fingerprint)
-            if state.truncated_bytes:
-                self.tracer.event(
-                    "journal.truncated", "journal", bytes=state.truncated_bytes
-                )
-            done = state.output_commits > 0
-            if done or state.complete(job.config.num_reducers):
-                # Every partition's output is journaled: rebuild the output
-                # file from commits alone, no recompute.  A journal that
-                # already holds the output commit gets zero new appends, so
-                # replaying it again is byte-identical (idempotent).
-                if not done:
-                    journal.append(
-                        K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-                    )
-                output_records = emit_committed_output(
-                    hdfs, job, reducer_nodes, state, counters, self.tracer
-                )
-                if not done:
-                    journal.append(
-                        K_OUTPUT_COMMIT,
-                        path=job.output_path,
-                        records=output_records,
-                        digest=output_digest(hdfs, job.output_path),
-                    )
-                journal.finalize()
-                counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-                counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-                return JobResult(
-                    job_name=job.name,
-                    engine=self.name,
-                    output_path=job.output_path,
-                    counters=counters,
-                    wall_time=time.perf_counter() - t_start,
-                    phase_times={"map": 0.0, "reduce": 0.0},
-                    schedule=sched_stats,
-                    network_bytes=0,
-                    output_records=output_records,
-                    trace=self.tracer if self.tracer.enabled else None,
-                )
-            journal.append(
-                K_JOB_SPEC, spec=fingerprint, engine=self.name, job=job.name
-            )
-            committed = dict(state.reduce_commits)
-            if committed:
-                counters.inc(C.JOURNAL_REPLAYED_COMMITS, len(committed))
-                self.tracer.event(
-                    "journal.resume",
-                    "journal",
-                    commits=len(committed),
-                    checkpoints=len(state.checkpoints),
-                )
-
-        shuffle = ShuffleService(
-            cluster.intermediate_disks(),
-            fault_plan=self.fault_plan,
-            retry_policy=self.retry_policy,
-        )
-        reduce_tasks = {
-            p: SortMergeReduceTask(
-                job, p, node, cluster.nodes[node].intermediate_disk, tracer=self.tracer
-            )
-            for p, node in reducer_nodes.items()
-        }
-        lineage = TaskLineage()
-        network_bytes = 0
-        codec = hdfs.codec(hdfs.namenode.file_info(job.input_path).codec_name)
-        session = self.executor.session(
-            {"job": job, "codec": codec, "trace": self.tracer.enabled}
-        )
-
-        def drain() -> int:
-            net = 0
-            for partition in sorted(reduce_tasks):
-                if partition in committed:
-                    continue  # journaled output; nothing to pull
-                net += self._pull_partition(
+        specs = []
+        for partition in pending:
+            node = run.reducer_nodes[partition]
+            disk = self._disk(node)
+            memory, memory_bytes, (runs, seq) = run.reduce_tasks[partition].export_ingested()
+            specs.append(
+                HadoopReduceSpec(
                     partition,
-                    reduce_tasks[partition],
-                    job,
-                    recovery,
-                    session,
-                    shuffle,
-                    lineage,
-                    live,
-                    splits_by_task,
-                    counters,
+                    node,
+                    disk.profile,
+                    disk.name,
+                    memory,
+                    memory_bytes,
+                    runs,
+                    seq,
+                    {path: disk.peek(path) for path, _ in runs},
                 )
-            return net
-
-        with session:
-            # ---- map phase (reducers pull every ``fetch_interval`` completions) ----
-            c_map0 = self.tracer.clock
-            t_map_start = time.perf_counter()
-            queue: deque[TaskAssignment] = deque(assignments)
-            completed_maps = 0
-            since_drain = 0
-            if self.fault_plan is None:
-                while queue:
-                    batch = [
-                        queue.popleft()
-                        for _ in range(min(len(queue), session.max_batch))
-                    ]
-                    specs = []
-                    for a in batch:
-                        journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                        data, local = self._read_block(a.split, a.node)
-                        if not local:
-                            network_bytes += len(data)
-                        disk = cluster.nodes[a.node].intermediate_disk
-                        specs.append(
-                            HadoopMapSpec(
-                                a.task_id, a.node, data, disk.profile, disk.name
-                            )
-                        )
-                    for a, res in zip(batch, session.run_batch("hadoop_map", specs)):
-                        cluster.nodes[a.node].intermediate_disk.absorb(res.disk)
-                        counters.merge(res.counters)
-                        self.tracer.absorb(res.trace)
-                        shuffle.register(res.output)
-                        lineage.record(a.task_id, a.node, res.output.total_bytes)
-                        journal.append(
-                            K_MAP_COMMIT,
-                            task=a.task_id,
-                            node=a.node,
-                            nbytes=res.output.total_bytes,
-                        )
-                        completed_maps += 1
-                        since_drain += 1
-                        if since_drain >= self.fetch_interval:
-                            network_bytes += drain()
-                            since_drain = 0
-                if since_drain > 0:
-                    network_bytes += drain()
-            else:
-                while queue:
-                    a = queue.popleft()
-                    journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                    node, output, extra_net = self._execute_map(
-                        job, recovery, session, a.task_id, a.split, a.node, live, counters
-                    )
-                    network_bytes += extra_net
-                    shuffle.register(output)
-                    lineage.record(a.task_id, node, output.total_bytes)
-                    journal.append(
-                        K_MAP_COMMIT, task=a.task_id, node=node, nbytes=output.total_bytes
-                    )
-                    completed_maps += 1
-                    since_drain += 1
-                    for crashed in self.fault_plan.crashes_due(completed_maps):
-                        with counters.timer(C.T_RECOVERY):
-                            self._handle_node_crash(
-                                crashed,
-                                job=job,
-                                shuffle=shuffle,
-                                lineage=lineage,
-                                reduce_tasks=reduce_tasks,
-                                reducer_nodes=reducer_nodes,
-                                queue=queue,
-                                splits_by_task=splits_by_task,
-                                live=live,
-                                counters=counters,
-                            )
-                    if since_drain >= self.fetch_interval or not queue:
-                        network_bytes += drain()
-                        since_drain = 0
-            t_map = time.perf_counter() - t_map_start
-            self.tracer.add_span(
-                "map-phase", "phase", c_map0, self.tracer.clock, wall_s=t_map
             )
-            get_logger("hadoop").info(
-                "map.phase.done", tasks=completed_maps, wall_ms=t_map * 1e3
-            )
-            for partition in sorted(reduce_tasks):
-                if partition not in committed:
-                    journal.append(K_SHUFFLE_COMMIT, partition=partition)
+        run.reduced = dict(zip(pending, run.session.run_batch("hadoop_reduce", specs)))
 
-            # ---- reduce phase (blocking merge + reduce + output write) ----
-            c_reduce0 = self.tracer.clock
-            t_reduce_start = time.perf_counter()
-            hdfs.namenode.create_file(job.output_path, codec_name="binary")
-            output_records = 0
-            if self.fault_plan is None:
-                # Independent partitions: ship each reduce task's ingested
-                # state (in-memory segments + on-disk runs) to the kernel
-                # and absorb the shadow disk's merge/output I/O back.
-                order = sorted(reduce_tasks)
-                pending = [p for p in order if p not in committed]
-                outputs: dict[int, list[Any]] = {
-                    p: list(committed[p]) for p in committed
-                }
-                specs = []
-                for partition in pending:
-                    rtask = reduce_tasks[partition]
-                    disk = cluster.nodes[reducer_nodes[partition]].intermediate_disk
-                    memory, memory_bytes, (runs, seq) = rtask.export_ingested()
-                    specs.append(
-                        HadoopReduceSpec(
-                            partition,
-                            reducer_nodes[partition],
-                            disk.profile,
-                            disk.name,
-                            memory,
-                            memory_bytes,
-                            runs,
-                            seq,
-                            {path: disk.peek(path) for path, _ in runs},
-                        )
-                    )
-                for partition, res in zip(
-                    pending, session.run_batch("hadoop_reduce", specs)
-                ):
-                    disk = cluster.nodes[reducer_nodes[partition]].intermediate_disk
-                    disk.absorb(res.disk)
-                    counters.merge(reduce_tasks[partition].counters)
-                    counters.merge(res.counters)
-                    self.tracer.absorb(res.trace)
-                    journal.append(
-                        K_REDUCE_COMMIT, partition=partition, records=tuple(res.output)
-                    )
-                    if journal.enabled:
-                        self.tracer.event(
-                            "journal.commit",
-                            "journal",
-                            task=f"reduce:{partition:03d}",
-                            records=len(res.output),
-                        )
-                    outputs[partition] = list(res.output)
-                for partition in order:
-                    output = outputs[partition]
-                    output_records += len(output)
-                    if output:
-                        hdfs.append_block(
-                            job.output_path,
-                            output,
-                            writer_node=reducer_nodes[partition],
-                        )
-            else:
-                for partition in sorted(reduce_tasks):
-                    if partition in committed:
-                        output = list(committed[partition])
-                        output_records += len(output)
-                        if output:
-                            hdfs.append_block(
-                                job.output_path,
-                                output,
-                                writer_node=reducer_nodes[partition],
-                            )
-                        continue
+    def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
+        rtask = run.reduce_tasks[partition]
+        res = run.reduced.pop(partition, None)
+        if res is not None:
+            # Absorb the shadow disk's merge I/O and fold the run-phase
+            # counters into the task's ingestion-phase ones.
+            self._disk(rtask.node).absorb(res.disk)
+            rtask.counters.merge(res.counters)
+            self.tracer.absorb(res.trace)
+            return res.output
+        self._pull_partition(run, partition)  # a rebuilt task's whole partition
+        output, _groups = rtask.run()
+        return output
 
-                    def attempt(
-                        attempt_idx: int, partition: int = partition
-                    ) -> list[Any]:
-                        nonlocal network_bytes
-                        if attempt_idx > 0:
-                            # The previous attempt died mid-reduce: its fetched
-                            # segments, merge runs and partial output are gone.  A
-                            # fresh task on the next live node re-pulls the whole
-                            # partition from the mapper disks.
-                            dead = reduce_tasks[partition]
-                            counters.merge(dead.counters)  # its work still happened
-                            counters.inc(C.TASKS_RERUN)
-                            new_node = live[(partition + attempt_idx) % len(live)]
-                            reducer_nodes[partition] = new_node
-                            rtask = SortMergeReduceTask(
-                                job,
-                                partition,
-                                new_node,
-                                cluster.nodes[new_node].intermediate_disk,
-                                tracer=self.tracer,
-                            )
-                            reduce_tasks[partition] = rtask
-                            shuffle.reset_partition(partition)
-                            network_bytes += self._pull_partition(
-                                partition,
-                                rtask,
-                                job,
-                                recovery,
-                                session,
-                                shuffle,
-                                lineage,
-                                live,
-                                splits_by_task,
-                                counters,
-                            )
-                        output, _groups = reduce_tasks[partition].run()
-                        return output
-
-                    output = recovery.run_reduce_task(partition, attempt)
-                    counters.merge(reduce_tasks[partition].counters)
-                    journal.append(
-                        K_REDUCE_COMMIT, partition=partition, records=tuple(output)
-                    )
-                    if journal.enabled:
-                        self.tracer.event(
-                            "journal.commit",
-                            "journal",
-                            task=f"reduce:{partition:03d}",
-                            records=len(output),
-                        )
-                    output_records += len(output)
-                    if output:
-                        hdfs.append_block(
-                            job.output_path, output, writer_node=reducer_nodes[partition]
-                        )
-            t_reduce = time.perf_counter() - t_reduce_start
-            self.tracer.add_span(
-                "reduce-phase", "phase", c_reduce0, self.tracer.clock, wall_s=t_reduce
-            )
-            get_logger("hadoop").info(
-                "reduce.phase.done",
-                partitions=len(reduce_tasks),
-                records=output_records,
-                wall_ms=t_reduce * 1e3,
-            )
-
-        shuffle.cleanup()
-        shuffle.merge_stats(counters)
-        network_bytes += shuffle.network_bytes
-        counters.inc(C.OUTPUT_BYTES, hdfs.file_bytes(job.output_path))
-        if journal.enabled:
-            journal.append(
-                K_OUTPUT_COMMIT,
-                path=job.output_path,
-                records=output_records,
-                digest=output_digest(hdfs, job.output_path),
-            )
-            journal.finalize()
-            counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
-            counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
-        wall = time.perf_counter() - t_start
-        return JobResult(
-            job_name=job.name,
-            engine=self.name,
-            output_path=job.output_path,
-            counters=counters,
-            wall_time=wall,
-            phase_times={"map": t_map, "reduce": t_reduce},
-            schedule=sched_stats,
-            network_bytes=network_bytes,
-            output_records=output_records,
-            trace=self.tracer if self.tracer.enabled else None,
-        )
+    def _close(self, run: JobRun) -> None:
+        run.shuffle.cleanup()
+        run.shuffle.merge_stats(run.counters)
+        run.network_bytes += run.shuffle.network_bytes

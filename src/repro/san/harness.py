@@ -631,24 +631,21 @@ class Sanitizer:
     # -- engines -------------------------------------------------------
 
     def _patch_engines(self) -> None:
-        from repro.core.engine import OnePassEngine
-        from repro.mapreduce.hop import HOPEngine
-        from repro.mapreduce.runtime import HadoopEngine
+        # One lifecycle under all three engines: patching the driver's
+        # ``run`` puts every engine inside the engine scope.
+        from repro.mapreduce.driver import JobDriver
 
         san = self
-        for cls in (HadoopEngine, HOPEngine, OnePassEngine):
-            if "run" not in cls.__dict__:  # pragma: no cover - defensive
-                continue
 
-            def wrap_run(orig):
-                def run(engine, job):
-                    san._track_engine_shared(engine)
-                    with san.engine_scope():
-                        return orig(engine, job)
+        def wrap_run(orig):
+            def run(engine, job):
+                san._track_engine_shared(engine)
+                with san.engine_scope():
+                    return orig(engine, job)
 
-                return run
+            return run
 
-            self._patch(cls, "run", wrap_run)
+        self._patch(JobDriver, "run", wrap_run)
 
     def _track_engine_shared(self, engine: Any) -> None:
         """Auto-register the partition cache (chained jobs) so kernel

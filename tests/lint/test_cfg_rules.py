@@ -416,6 +416,29 @@ class TestREP204:
         assert lint(src, select=("REP204",)) == []
 
 
+    def test_real_tree_the_drivers_emission_site_is_what_the_rule_checks(self):
+        # One lifecycle means one function for REP204 to reason about:
+        # ``JobDriver._reduce_phase``.  The shipped driver is clean, and a
+        # one-token mutation that demotes its reduce-commit append makes
+        # the rule fire there — so it is the real emission site under
+        # check, not a fixture.
+        from pathlib import Path
+
+        from repro.lint.config import repo_root
+
+        modpath = "repro/mapreduce/driver.py"
+        source = (Path(repo_root()) / "src" / modpath).read_text()
+        assert source.count("append_block(") == 1
+        assert lint(source, modpath=modpath, select=("REP204",)) == []
+        mutated = source.replace(
+            "journal.append(K_REDUCE_COMMIT,", "journal.append(K_SHUFFLE_COMMIT,"
+        )
+        assert mutated != source
+        findings = lint(mutated, modpath=modpath, select=("REP204",))
+        assert rules_of(findings) == ["REP204"]
+        assert "JobDriver._reduce_phase" in findings[0].message
+
+
 # -- REP205: path-sensitive resource release ----------------------------------
 
 

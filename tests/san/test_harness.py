@@ -15,20 +15,16 @@ pytestmark = pytest.mark.no_reprosan  # these tests install their own sanitizers
 
 def _patch_points():
     """(owner, attr) pairs the sanitizer patches; captured for restore checks."""
-    from repro.core.engine import OnePassEngine
     from repro.exec import base as exec_base
-    from repro.mapreduce.hop import HOPEngine
+    from repro.mapreduce.driver import JobDriver
     from repro.mapreduce.journal import JobJournal
-    from repro.mapreduce.runtime import HadoopEngine
     from repro.obs.tracer import Tracer
 
     points = [
         (exec_base, "get_kernel"),
         (JobJournal, "append"),
         (Tracer, "absorb"),
-        (HadoopEngine, "run"),
-        (HOPEngine, "run"),
-        (OnePassEngine, "run"),
+        (JobDriver, "run"),
     ]
     return points
 
@@ -81,6 +77,42 @@ class TestLifecycle:
 
         with Sanitizer() as san:
             time.time()  # outside engine scope: not a violation
+        assert san.report.clean
+
+
+class TestEngineScope:
+    @pytest.mark.parametrize("engine", ["hadoop", "hop", "onepass"])
+    def test_every_engine_runs_inside_engine_scope(self, engine):
+        """``JobDriver.run`` is the one patch point: an engine whose run
+        slipped past it would silently lose SAN001/SAN103/SAN205."""
+        from repro.core.engine import OnePassConfig, OnePassEngine, OnePassJob
+        from repro.mapreduce import HadoopEngine, HOPEngine, LocalCluster, MapReduceJob
+        from repro.san import harness
+
+        depths = []
+
+        def map_fn(record):
+            depths.append(harness._ENGINE_DEPTH)
+            return [(record % 3, 1)]
+
+        def reduce_fn(key, values):
+            return [(key, sum(values))]
+
+        cluster = LocalCluster(num_nodes=2, block_size=256)
+        cluster.hdfs.write_records("in", list(range(60)))
+        if engine == "onepass":
+            job = OnePassJob(
+                "count", map_fn, reduce_fn=reduce_fn, config=OnePassConfig(mode="hybrid"),
+                input_path="in", output_path="out",
+            )  # fmt: skip
+            runner = OnePassEngine(cluster)
+        else:
+            job = MapReduceJob("count", map_fn, reduce_fn, input_path="in", output_path="out")
+            runner = (HadoopEngine if engine == "hadoop" else HOPEngine)(cluster)
+        with Sanitizer() as san:
+            runner.run(job)
+        assert depths and min(depths) >= 1
+        assert harness._ENGINE_DEPTH == 0
         assert san.report.clean
 
 
