@@ -2,8 +2,9 @@
 
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
 — frame codec round-trip, partition-key sorting, streaming run merge,
-incremental hash update, their columnar *batch* counterparts, the
-chained-job partition cache and the map-side collect path — and guards
+the multi-pass merger, incremental hash update, their columnar *batch*
+counterparts, the chained-job partition cache and the map-side collect
+path — and guards
 them two ways:
 
 * **Ratio guard** — each timing is normalised by a fixed pure-Python
@@ -64,9 +65,15 @@ BATCH_BEATS = {
 #: checks its shared byte budget after every pair, which must be O(1) —
 #: the same block with 64 reducers may cost at most 1.3x the 4-reducer
 #: run (a per-pair sum over all partitions' tables reads about 3x).
+#: And a *no re-pickling* bound: a merge pass only moves records, so the
+#: merger (one background pass + the final merge) must stay under 0.9x
+#: what unpickling *and re-pickling* every record it reads costs — it
+#: reads 0.77-0.82 with frames carried through the pass and 1.13-1.15
+#: when the pass re-encodes its output, as it did before PR 15.
 PAIRED_OVERHEAD = {
     "san_overhead": ("exec_dispatch", 1.02),
     "map_collect_p64": ("map_collect", 1.3),
+    "merge_pass": ("merge_pass_recode", 0.9),
 }
 
 #: kernel -> pipeline phase it exercises.  When the gate fails, scores are
@@ -78,6 +85,8 @@ KERNEL_PHASES = {
     "batch_partition_sort": "sort",
     "merge_streams": "merge",
     "batch_merge_streams": "merge",
+    "merge_pass": "merge",
+    "merge_pass_recode": "merge",
     "map_collect": "map",
     "map_collect_p64": "map",
     "incremental_update": "reduce",
@@ -234,6 +243,71 @@ def kernel_batch_merge_streams() -> None:
 
     merged = merge_segments(_merge_input())
     assert len(merged) == 8 * 15_000
+
+
+_MERGE_PASS_RECORDS = 45_500
+
+
+def _merge_pass_runs() -> list:
+    """Seven sessionize-shaped sorted runs as they sit on a reducer's disk.
+
+    ``[merger state, run files, the buffers the merger reads]``: a
+    factor-4 merger holding 7 runs merges the 4 smallest in one pass,
+    then streams the final merge over the 4 runs left.
+    """
+    from operator import itemgetter
+
+    from repro.io.disk import LocalDisk
+    from repro.io.runio import write_run
+
+    def build() -> list:
+        rng = random.Random(1729)
+        disk = LocalDisk(name="mergebench")
+        state = []
+        for i in range(7):
+            run = sorted(
+                (
+                    f"user{rng.randrange(2_000):04d}",
+                    (rng.random() * 3600.0, f"/page/{rng.randrange(200)}"),
+                )
+                for _ in range(5_000 + 500 * i)
+            )
+            path = f"bench/run-{i:05d}.in"
+            state.append((path, write_run(disk, path, run)))
+        files = {path: disk.peek(path) for path, _ in state}
+        smallest = sorted(state, key=itemgetter(1))[:4]
+        read = [files[path] for path, _ in smallest] + list(files.values())
+        return [state, files, read]
+
+    return _dataset("merge_pass_runs", build)
+
+
+def kernel_merge_pass() -> None:
+    """One background merge pass plus the final merge of a factor-4
+    ``MultiPassMerger`` over 7 runs: the reduce side's multi-pass merge.
+    The pass moves frames (decode for the key, write the bytes as they
+    are); only the final merge hands decoded pairs on.
+    """
+    from repro.io.disk import LocalDisk
+    from repro.mapreduce.merge import MultiPassMerger
+
+    state, files, _ = _merge_pass_runs()
+    disk = LocalDisk(name="mergebench")
+    disk.preload(files)
+    merger = MultiPassMerger(disk, "bench", factor=4)
+    merger.adopt_state((state, len(state)))
+    assert sum(1 for _ in merger.final_merge()) == _MERGE_PASS_RECORDS
+    assert merger.counters["merge.passes"] == 1
+
+
+def kernel_merge_pass_recode() -> None:
+    """The denominator of the no-re-pickling gate (:data:`PAIRED_OVERHEAD`):
+    every record ``merge_pass`` reads — the pass's four runs, then all
+    seven in the final merge — unpickled and pickled again."""
+    from repro.io.serialization import encode_frames, iter_frames
+
+    for data in _merge_pass_runs()[2]:
+        assert len(encode_frames(list(iter_frames(data)))) == len(data)
 
 
 def _hash_pairs() -> list[tuple[str, int]]:
@@ -477,6 +551,8 @@ KERNELS = {
     "batch_partition_sort": (kernel_batch_partition_sort, 120_000),
     "merge_streams": (kernel_merge_streams, 120_000),
     "batch_merge_streams": (kernel_batch_merge_streams, 120_000),
+    "merge_pass": (kernel_merge_pass, _MERGE_PASS_RECORDS),
+    "merge_pass_recode": (kernel_merge_pass_recode, _MERGE_PASS_RECORDS),
     "map_collect": (kernel_map_collect, 20_000),
     "map_collect_p64": (kernel_map_collect_p64, 20_000),
     "incremental_update": (kernel_incremental_update, 100_000),

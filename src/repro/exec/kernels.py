@@ -87,6 +87,10 @@ class HadoopReduceSpec:
     node: str
     profile: DeviceProfile
     disk_name: str
+    #: In-memory segments: lists of pairs.  A fetched segment is a
+    #: :class:`~repro.io.runio.FramedPairs`, which pickles as its frame
+    #: bytes alone — a segment crosses the pipe as pairs or as frames,
+    #: never both — and still spills without re-pickling on the worker.
     memory: list[list[tuple[Any, Any]]]
     memory_bytes: int
     merger_runs: list[tuple[str, int]]

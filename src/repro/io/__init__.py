@@ -6,7 +6,7 @@ simulated device busy-time.  Those counters feed the Table I / §V
 reproductions directly.
 """
 
-from repro.io.batch import RecordBatch, fanout_pairs, merge_segments, sort_bucket
+from repro.io.batch import RecordBatch, merge_segments, sort_bucket
 from repro.io.device import HDD_7200RPM, RAMDISK, SSD_SATA, DeviceProfile, transfer_time
 from repro.io.disk import DiskFullError, DiskStats, LocalDisk
 from repro.io.runio import RunWriter, read_run, stream_run, write_run
@@ -46,7 +46,6 @@ __all__ = [
     "frame_count",
     "estimate_size",
     "RecordBatch",
-    "fanout_pairs",
     "sort_bucket",
     "merge_segments",
 ]

@@ -18,12 +18,12 @@ This module provides the columnar alternative:
   column as standard frames.  :meth:`RecordBatch.decode` reads the key
   column and only *scans* the value frame headers — the payload bytes
   stay in the encoded buffer, sliced lazily.
-* Plain-list helpers (:func:`fanout_pairs`, :func:`sort_bucket`,
-  :func:`merge_segments`) implement the per-batch partition fanout and
-  the concat-and-stable-sort merge the batch engine paths use on decoded
-  pairs.  Their orderings are proven equivalent to the tuple path's
-  global ``(partition, key)`` sort and ``heapq.merge`` (see the
-  docstrings), which is what keeps batch output byte-identical.
+* Plain-list helpers (:func:`sort_bucket`, :func:`merge_segments`)
+  implement the per-bucket stable sort and the concat-and-stable-sort
+  merge the batch engine paths use on decoded pairs.  Their orderings are
+  proven equivalent to the tuple path's global ``(partition, key)`` sort
+  and ``heapq.merge`` (see the docstrings), which is what keeps batch
+  output byte-identical.
 
 The module lives in ``repro.io`` beside the framing it extends
 (``serialization.py``); it stays import-light so the kernel-transitive
@@ -43,9 +43,10 @@ from array import array
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.io.serialization import iter_frames
+
 __all__ = [
     "RecordBatch",
-    "fanout_pairs",
     "sort_bucket",
     "merge_segments",
 ]
@@ -63,6 +64,11 @@ class RecordBatch:
     payload.  Row-reordering operations share the buffer between the
     source and result batches — a fanout of a 64 KB batch into 8
     partitions allocates 8 small offset arrays and zero value bytes.
+
+    No engine path reads or writes the columnar wire format, on purpose:
+    run files, spills and shuffle segments keep the pair framing, and
+    switching them would change every accounted byte.  The class stays
+    importable for the ``benchmarks/e2e`` probes, which time it.
     """
 
     # __weakref__ lets the reprosan lifetime tracker observe batch
@@ -120,7 +126,7 @@ class RecordBatch:
         body = view[_LEN.size :]
         if key_len > len(body):
             raise ValueError("truncated batch key section")
-        keys = list(_iter_frames_view(body[:key_len]))
+        keys = list(iter_frames(body[:key_len]))
         values = body[key_len:]
         offsets = array("Q")
         lengths = array("I")
@@ -238,60 +244,11 @@ class RecordBatch:
             out += values[offset : offset + length]
         return bytes(out)
 
-    def encode_pairs(self) -> bytes:
-        """Serialize as the PR 2 *pair* framing (one frame per pair).
-
-        Byte-identical to ``encode_frames(self.to_pairs())`` — the format
-        spill files, runs and shuffle segments use — so a batch can feed
-        :func:`repro.io.runio.write_run` paths without disturbing the
-        determinism contract.
-        """
-        from repro.io.serialization import encode_frames
-
-        return encode_frames(self.iter_pairs())
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RecordBatch(n={len(self.keys)}, value_bytes={self.value_bytes})"
 
 
-def _iter_frames_view(view: memoryview) -> Iterator[Any]:
-    """``iter_frames`` over a memoryview slice (same framing, no copy)."""
-    loads = pickle.loads
-    unpack_from = _LEN.unpack_from
-    header = _LEN.size
-    offset = 0
-    end = len(view)
-    while offset < end:
-        if offset + header > end:
-            raise ValueError("truncated frame header")
-        (length,) = unpack_from(view, offset)
-        offset += header
-        if offset + length > end:
-            raise ValueError("truncated frame payload")
-        yield loads(view[offset : offset + length])
-        offset += length
-
-
 # -- plain-list batch helpers (the engine batch paths) -------------------------
-
-
-def fanout_pairs(
-    pairs: Iterable[tuple[Any, Any]],
-    partitioner: Callable[[Any, int], int],
-    num_partitions: int,
-) -> list[list[tuple[Any, Any]]]:
-    """Fan pairs out into one bucket per partition, preserving order.
-
-    Bucket *p* holds exactly the pairs the tuple path would tag with
-    partition *p*, in arrival order — so a stable per-bucket key sort
-    reproduces the tuple path's global stable ``(partition, key)`` sort
-    partition by partition.
-    """
-    buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(num_partitions)]
-    appends = [b.append for b in buckets]
-    for pair in pairs:
-        appends[partitioner(pair[0], num_partitions)](pair)
-    return buckets
 
 
 def sort_bucket(bucket: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:

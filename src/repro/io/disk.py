@@ -118,6 +118,7 @@ class LocalDisk:
         self.name = name
         self.stats = DiskStats()
         self._files: dict[str, _FileEntry] = {}
+        self._used = 0  # running total of stored bytes: the capacity check is O(1)
         self._last_file: str | None = None
         # Optional fault injector (a FaultPlan with torn_writes/short_reads);
         # when attached, writes and reads pass through its filters so seeded
@@ -134,7 +135,7 @@ class LocalDisk:
 
     def used(self) -> int:
         """Total bytes currently stored on the device."""
-        return sum(len(e.data) for e in self._files.values())
+        return self._used
 
     def list_files(self, prefix: str = "") -> list[str]:
         return sorted(p for p in self._files if p.startswith(prefix))
@@ -144,6 +145,18 @@ class LocalDisk:
             return self._files[path]
         except KeyError:
             raise FileNotFoundError(path) from None
+
+    def _install(self, path: str, data: bytes = b"") -> _FileEntry:
+        """Make ``data`` the contents of ``path``, replacing any old file."""
+        old = self._files.get(path)
+        if old is not None:
+            self._used -= len(old.data)
+        entry = self._files[path] = _FileEntry(bytearray(data))
+        self._used += len(data)
+        return entry
+
+    def _remove(self, path: str) -> None:
+        self._used -= len(self._files.pop(path).data)
 
     # -- accounting helpers ------------------------------------------------
 
@@ -168,26 +181,27 @@ class LocalDisk:
         """Create an empty file at ``path``."""
         if path in self._files and not overwrite:
             raise FileExistsError(path)
-        self._files[path] = _FileEntry()
+        self._install(path)
 
     def append(self, path: str, data: bytes) -> None:
         """Append ``data`` to ``path``, creating the file if needed."""
         if self.fault_injector is not None:
             data = self.fault_injector.filter_write(path, data)
-        entry = self._files.setdefault(path, _FileEntry())
-        if self.used() + len(data) > self.profile.capacity:
+        entry = self._files.get(path) or self._install(path)
+        if self._used + len(data) > self.profile.capacity:
             raise DiskFullError(
                 f"{self.name}: write of {len(data)} bytes exceeds capacity "
                 f"{self.profile.capacity}"
             )
         entry.data.extend(data)
+        self._used += len(data)
         self._account(path, len(data), write=True)
 
     def write(self, path: str, data: bytes, *, overwrite: bool = True) -> None:
         """Write ``data`` as the full contents of ``path``."""
         if path in self._files and not overwrite:
             raise FileExistsError(path)
-        self._files[path] = _FileEntry()
+        self._install(path)
         self.append(path, data)
 
     def read(self, path: str) -> bytes:
@@ -236,7 +250,7 @@ class LocalDisk:
     def delete(self, path: str) -> None:
         """Remove ``path``; missing files raise :class:`FileNotFoundError`."""
         self._entry(path)
-        del self._files[path]
+        self._remove(path)
         self.stats.deletes += 1
         if self._last_file == path:
             self._last_file = None
@@ -257,7 +271,7 @@ class LocalDisk:
         worker's shadow disk models shared storage, not new I/O.
         """
         for path, data in files.items():
-            self._files[path] = _FileEntry(bytearray(data))
+            self._install(path, data)
 
     def export_state(self, *, preloaded: Iterable[str] = ()) -> DiskExport:
         """Capture files, accounting and head position for :meth:`absorb`."""
@@ -289,9 +303,10 @@ class LocalDisk:
         s.busy_time += e.busy_time
         if install:
             for path, data in export.files.items():
-                self._files[path] = _FileEntry(bytearray(data))
+                self._install(path, data)
             for path in export.removed:
-                self._files.pop(path, None)
+                if path in self._files:
+                    self._remove(path)
             self._last_file = export.last_file
 
     def rename(self, src: str, dst: str) -> None:

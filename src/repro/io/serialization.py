@@ -24,7 +24,9 @@ from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 __all__ = [
     "encode_frames",
     "iter_frames",
+    "frame_bounds",
     "frame_count",
+    "FRAME_HEADER",
     "RecordCodec",
     "TextLineCodec",
     "RawLineCodec",
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 _LEN = struct.Struct("<I")
+#: Bytes of the length prefix that opens every frame.
+FRAME_HEADER = _LEN.size
 
 
 def encode_frames(items: Iterable[Any]) -> bytes:
@@ -76,18 +80,32 @@ def iter_frames(data: bytes) -> Iterator[Any]:
         offset += length
 
 
+def frame_bounds(data: bytes) -> list[int]:
+    """Offsets of the frame boundaries in ``data``, by header scan alone.
+
+    ``[0, end of frame 1, end of frame 2, ...]``: consecutive entries
+    delimit one whole frame (header included).  A trailing partial frame
+    is left out, so ``bounds[-1]`` is where the complete frames end.
+    """
+    unpack_from = _LEN.unpack_from
+    header = _LEN.size
+    bounds = [0]
+    end = len(data)
+    offset = 0
+    while offset + header <= end:
+        offset += header + unpack_from(data, offset)[0]
+        if offset > end:
+            break
+        bounds.append(offset)
+    return bounds
+
+
 def frame_count(data: bytes) -> int:
     """Count frames without deserialising payloads."""
-    offset = 0
-    end = len(data)
-    n = 0
-    while offset < end:
-        (length,) = _LEN.unpack_from(data, offset)
-        offset += _LEN.size + length
-        n += 1
-    if offset != end:
+    bounds = frame_bounds(data)
+    if bounds[-1] != len(data):
         raise ValueError("trailing bytes after last frame")
-    return n
+    return len(bounds) - 1
 
 
 class RecordCodec(Protocol):

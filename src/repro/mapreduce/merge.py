@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.io.disk import LocalDisk
-from repro.io.runio import stream_run, write_run
+from repro.io.runio import Framed, stream_frames, stream_run, write_run
 from repro.mapreduce.counters import C, Counters
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
@@ -172,8 +172,11 @@ class MultiPassMerger:
         self._seq += 1
         return path
 
-    def add_run(self, pairs: Iterable[tuple[Any, Any]]) -> None:
+    def add_run(self, pairs: Iterable[tuple[Any, Any]] | Framed) -> None:
         """Write one sorted run to disk and trigger background merges.
+
+        ``pairs`` are pickled; a :class:`~repro.io.runio.Framed` stream of
+        records that already carry their frames is written as it is.
 
         Merging the F smallest runs whenever the pool reaches ``2F - 1``
         (Hadoop's actual policy) leaves F - 1 runs behind and, crucially,
@@ -203,8 +206,9 @@ class MultiPassMerger:
         with self.tracer.span(
             "merge", "merge", node=self.node, task=self.task, fan_in=fan_in
         ) as merge_span:
-            merged = merge_sorted(
-                [stream_run(self.disk, path) for path, _ in victims]
+            # A pass only moves records: order them by key, keep their frames.
+            merged = Framed(
+                merge_sorted([stream_frames(self.disk, path) for path, _ in victims])
             )
             out_path = self._new_path("merged")
             out_bytes = write_run(self.disk, out_path, merged)

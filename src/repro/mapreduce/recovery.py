@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.io.disk import LocalDisk
-from repro.io.runio import stream_run, write_run
+from repro.io.runio import run_chunks, stream_run, write_chunks
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.faults import FaultPlan, TaskFailure
 from repro.obs.log import get_logger
@@ -380,9 +380,10 @@ class PartitionLog:
         """Durably log one delivered chunk; returns its sequence number."""
         seq = len(self._entries) + 1
         path = f"faultlog/p{self.partition:03d}/c{seq:06d}"
+        chunks = list(run_chunks(pairs))  # encoded once, written to every replica
         written = 0
         for _node, disk in self.replicas:
-            written = write_run(disk, path, pairs)
+            written = write_chunks(disk, path, chunks)
             self.counters.inc(C.LOG_BYTES, written)
         self._entries.append(_LogEntry(seq, path, written, len(pairs)))
         return seq

@@ -297,7 +297,7 @@ class HadoopEngine(JobDriver):
                     bytes=seg.nbytes,
                     map_task=task_id,
                 ):
-                    rtask.accept_segment(list(seg.pairs), seg.nbytes)
+                    rtask.accept_segment(seg.pairs, seg.nbytes)
 
     def _rerun_lost_map(self, run: JobRun, task_id: int) -> None:
         """Re-execute a map whose output is lost; re-register fresh output.

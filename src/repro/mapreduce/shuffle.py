@@ -25,11 +25,9 @@ partition's fetch marks so a fresh task can re-pull everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.io.disk import LocalDisk
-from repro.io.runio import read_run
-from repro.io.serialization import iter_frames
+from repro.io.runio import FramedPairs, decode_run, read_run
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.recovery import FetchRetryPolicy
@@ -55,7 +53,9 @@ class FetchedSegment:
 
     map_task: int
     partition: int
-    pairs: tuple[tuple[Any, Any], ...]
+    #: The decoded pairs, still holding the segment's bytes: a reducer that
+    #: spills them unchanged reuses the frames instead of pickling again.
+    pairs: FramedPairs
     nbytes: int
 
 
@@ -171,9 +171,9 @@ class ShuffleService:
         if use_cache:
             # Fresh output is still in the mapper's page cache; no disk read,
             # but the bytes still cross the network.
-            pairs = tuple(iter_frames(disk.peek(segment.path)))
+            pairs = decode_run(disk.peek(segment.path))
         else:
-            pairs = tuple(read_run(disk, segment.path))
+            pairs = read_run(disk, segment.path)
         self._fetched.add(key)
         self._fetch_counts[key] = self._fetch_counts.get(key, 0) + 1
         self.network_bytes += segment.nbytes

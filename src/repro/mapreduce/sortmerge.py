@@ -23,7 +23,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.io.batch import merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
-from repro.io.runio import stream_run, write_run
+from repro.io.runio import Framed, frame_records, stream_frames, stream_run, write_run
 from repro.io.serialization import estimate_size
 from repro.mapreduce.api import MapFn, MapReduceJob
 from repro.mapreduce.counters import C, Counters
@@ -48,6 +48,9 @@ MAP_SLICE_RECORDS = 256
 # Sorting on the compound (partition, key) is the map side's hot loop; a
 # C-level itemgetter key beats a per-record lambda by ~2x on large buffers.
 _PARTITION_KEY = itemgetter(0, 1)
+_KEY = itemgetter(0)
+
+_SpillSegment = tuple[str, int, int, list[Any] | None]
 
 
 def map_slices(
@@ -134,8 +137,11 @@ class _SortSpillBuffer:
         self._entries: list[tuple[int, Any, Any]] = []
         self._bytes = 0
         self._spill_seq = 0
-        # spill_segments[s][p] -> (path, nbytes, records)
-        self.spill_segments: list[dict[int, tuple[str, int, int]]] = []
+        self._combining = job.has_combiner and job.config.combine_on_spill
+        # spill_segments[s][p] -> (path, nbytes, records, sorted keys); the
+        # keys stay for the life of the task so that the multi-spill merge
+        # orders frames without unpickling them (None when it combines).
+        self.spill_segments: list[dict[int, _SpillSegment]] = []
 
     def add(self, key: Any, value: Any) -> None:
         self.add_block(((key, value),))
@@ -179,10 +185,10 @@ class _SortSpillBuffer:
                 entries.sort(key=_PARTITION_KEY)
         self.counters.inc(C.SORT_RECORDS, len(entries))
 
-        if self.job.has_combiner and self.job.config.combine_on_spill:
+        if self._combining:
             entries = self._combine_sorted(entries)
 
-        segments: dict[int, tuple[str, int, int]] = {}
+        segments: dict[int, _SpillSegment] = {}
         spill_bytes = 0
         with self.tracer.span(
             "spill", "spill", node=self.node, task=self._task
@@ -194,18 +200,25 @@ class _SortSpillBuffer:
                 end = start
                 while end < n and entries[end][0] == partition:
                     end += 1
-                path = f"mapspill/{self.task_id:05d}/s{self._spill_seq:03d}-p{partition:03d}"
                 pairs = [(k, v) for _, k, v in entries[start:end]]
-                nbytes = write_run(self.disk, path, pairs)
-                segments[partition] = (path, nbytes, len(pairs))
-                self.counters.inc(C.MAP_SPILL_BYTES, nbytes)
-                spill_bytes += nbytes
+                spill_bytes += self._write_segment(segments, partition, pairs)
                 start = end
             spill_span.set(bytes=spill_bytes, segments=len(segments))
             spill_span.set_cost(byte_cost(spill_bytes))
         self.spill_segments.append(segments)
         self.counters.inc(C.MAP_SPILLS)
         self._spill_seq += 1
+
+    def _write_segment(
+        self, segments: dict[int, _SpillSegment], partition: int, pairs: list[tuple[Any, Any]]
+    ) -> int:
+        """Write one partition's sorted pairs of this spill; return the bytes."""
+        path = f"mapspill/{self.task_id:05d}/s{self._spill_seq:03d}-p{partition:03d}"
+        nbytes = write_run(self.disk, path, pairs)
+        keys = None if self._combining else list(map(_KEY, pairs))
+        segments[partition] = (path, nbytes, len(pairs), keys)
+        self.counters.inc(C.MAP_SPILL_BYTES, nbytes)
+        return nbytes
 
     def _combine_sorted(
         self, entries: list[tuple[int, Any, Any]]
@@ -247,7 +260,7 @@ class _SortSpillBuffer:
             return {}
         if len(self.spill_segments) == 1:
             final: dict[int, MapOutputSegment] = {}
-            for partition, (path, nbytes, records) in self.spill_segments[0].items():
+            for partition, (path, nbytes, records, _) in self.spill_segments[0].items():
                 out_path = f"mapout/{self.task_id:05d}/p{partition:03d}"
                 self.disk.rename(path, out_path)
                 final[partition] = MapOutputSegment(out_path, nbytes, records)
@@ -265,22 +278,27 @@ class _SortSpillBuffer:
                 sources = [
                     seg[partition] for seg in self.spill_segments if partition in seg
                 ]
-                streams = [stream_run(self.disk, path) for path, _, _ in sources]
-                read_bytes = sum(nbytes for _, nbytes, _ in sources)
+                read_bytes = sum(nbytes for _, nbytes, _, _ in sources)
                 self.counters.inc(C.MERGE_READ_BYTES, read_bytes)
                 read_total += read_bytes
                 out_path = f"mapout/{self.task_id:05d}/p{partition:03d}"
-                records = sum(r for _, _, r in sources)
-                merged: Iterable[tuple[Any, Any]] = merge_sorted(streams)
-                if self.job.has_combiner and self.job.config.combine_on_spill:
-                    merged = self._combine_stream(merged)
-                    nbytes = write_run(self.disk, out_path, merged)
-                    records = -1  # recomputed below from the written run
+                if self._combining:
+                    # New pairs: decode, combine, encode; every pair the
+                    # combiner emits meanwhile is a record of this segment.
+                    streams = [stream_run(self.disk, path) for path, _, _, _ in sources]
+                    emitted = self.counters[C.COMBINE_OUTPUT_RECORDS]
+                    nbytes = write_run(
+                        self.disk, out_path, self._combine_stream(merge_sorted(streams))
+                    )
+                    records = int(self.counters[C.COMBINE_OUTPUT_RECORDS] - emitted)
                 else:
-                    nbytes = write_run(self.disk, out_path, merged)
-                if records < 0:
-                    records = sum(1 for _ in stream_run(self.disk, out_path))
-                for path, _, _ in sources:
+                    # Unchanged records: their frames move, ordered by the kept keys.
+                    streams = [
+                        stream_frames(self.disk, path, keys) for path, _, _, keys in sources
+                    ]
+                    nbytes = write_run(self.disk, out_path, Framed(merge_sorted(streams)))
+                    records = sum(r for _, _, r, _ in sources)
+                for path, _, _, _ in sources:
                     self.disk.delete(path)
                 final[partition] = MapOutputSegment(out_path, nbytes, records)
                 self.counters.inc(C.MAP_OUTPUT_BYTES, nbytes)
@@ -361,22 +379,17 @@ class _BatchSortSpillBuffer(_SortSpillBuffer):
                         sort_bucket(bucket)
         self.counters.inc(C.SORT_RECORDS, total)
 
-        if self.job.has_combiner and self.job.config.combine_on_spill:
+        if self._combining:
             buckets = self._combine_buckets(buckets, total)
 
-        segments: dict[int, tuple[str, int, int]] = {}
+        segments: dict[int, _SpillSegment] = {}
         spill_bytes = 0
         with self.tracer.span(
             "spill", "spill", node=self.node, task=self._task
         ) as spill_span:
             for partition, pairs in enumerate(buckets):
-                if not pairs:
-                    continue
-                path = f"mapspill/{self.task_id:05d}/s{self._spill_seq:03d}-p{partition:03d}"
-                nbytes = write_run(self.disk, path, pairs)
-                segments[partition] = (path, nbytes, len(pairs))
-                self.counters.inc(C.MAP_SPILL_BYTES, nbytes)
-                spill_bytes += nbytes
+                if pairs:
+                    spill_bytes += self._write_segment(segments, partition, pairs)
             spill_span.set(bytes=spill_bytes, segments=len(segments))
             spill_span.set_cost(byte_cost(spill_bytes))
         self.spill_segments.append(segments)
@@ -527,14 +540,21 @@ class SortMergeReduceTask:
             bytes=nbytes,
             segments=len(segments),
         ):
+            combining = self.job.has_combiner and self.job.config.combine_on_spill
+            if not combining:
+                # The spill only moves the records: merge them by key as
+                # (key, frame), reusing the frames the fetch carried along.
+                segments = [frame_records(s) for s in segments]
             if self.job.config.batch:
                 # Concat-in-stream-order + stable key sort: same sequence
                 # as the heap merge (both stable w.r.t. stream order).
-                merged: Iterable[tuple[Any, Any]] = merge_segments(segments)
+                merged: Any = merge_segments(segments)
             else:
                 merged = merge_sorted([iter(s) for s in segments])
-            if self.job.has_combiner and self.job.config.combine_on_spill:
+            if combining:
                 merged = _combine_sorted_stream(self.job, merged, self.counters)
+            else:
+                merged = Framed(merged)
             self._merger.add_run(merged)
 
     # -- state transfer (parallel execution) -------------------------------------

@@ -10,9 +10,8 @@ import pickle
 
 import pytest
 
-from repro.io.batch import RecordBatch, fanout_pairs, merge_segments, sort_bucket
+from repro.io.batch import RecordBatch, merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
-from repro.io.serialization import encode_frames
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.partition import hash_partitioner
 
@@ -41,10 +40,6 @@ class TestDegenerateBatches:
     def test_roundtrip_preserves_order_and_values(self):
         batch = RecordBatch.from_pairs(PAIRS)
         assert RecordBatch.decode(batch.encode()).to_pairs() == PAIRS
-
-    def test_encode_pairs_matches_pr2_framing(self):
-        batch = RecordBatch.from_pairs(PAIRS)
-        assert batch.encode_pairs() == encode_frames(PAIRS)
 
 
 class TestZeroCopy:
@@ -126,24 +121,15 @@ class TestMemoryviewLifetime:
 
 
 class TestPlainListHelpers:
-    def test_fanout_matches_tuple_path_partitioning(self):
-        pairs = [(f"k{i % 7}", i) for i in range(100)]
-        buckets = fanout_pairs(pairs, hash_partitioner, 4)
-        assert sum(len(b) for b in buckets) == len(pairs)
-        for p, bucket in enumerate(buckets):
-            assert all(hash_partitioner(k, 4) == p for k, _ in bucket)
-        # Arrival order is preserved within each bucket.
-        for bucket in buckets:
-            order = [v for _k, v in bucket]
-            assert order == sorted(order)
-
     def test_sorted_buckets_concatenate_to_global_sort(self):
         pairs = [(f"k{(i * 13) % 7}", i) for i in range(100)]
         tagged = sorted(
             ((hash_partitioner(k, 4), k, v) for k, v in pairs),
             key=lambda r: (r[0], r[1]),
         )
-        buckets = fanout_pairs(pairs, hash_partitioner, 4)
+        buckets = [[] for _ in range(4)]
+        for pair in pairs:  # fan out in arrival order, as the map-side buffers do
+            buckets[hash_partitioner(pair[0], 4)].append(pair)
         flat = [
             (p, k, v)
             for p, bucket in enumerate(buckets)

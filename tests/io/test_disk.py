@@ -170,3 +170,63 @@ class TestCapacity:
         d = LocalDisk(HDD_7200RPM)
         d.write("a", b"x" * 1_000_000)
         assert d.used() == 1_000_000
+
+
+class TestRunningTotal:
+    """``used()`` is a running total (O(1) capacity check), not a scan."""
+
+    @staticmethod
+    def _recomputed(d: LocalDisk) -> int:
+        return sum(d.size(path) for path in d.list_files())
+
+    def test_used_matches_recomputed_sum_after_random_ops(self):
+        import random
+
+        rng = random.Random(15)
+        d = LocalDisk()
+        names = [f"d{i % 3}/f{i}" for i in range(9)]
+        for step in range(600):
+            op = rng.choice(
+                ["append", "write", "create", "delete", "prefix", "rename", "preload", "absorb"]
+            )
+            path = rng.choice(names)
+            payload = bytes(rng.randrange(1, 40))
+            if op == "append":
+                d.append(path, payload)
+            elif op == "write":
+                d.write(path, payload)
+            elif op == "create":
+                d.create(path, overwrite=True)
+            elif op == "delete" and d.exists(path):
+                d.delete(path)
+            elif op == "prefix":
+                d.delete_prefix(path.split("/")[0] + "/f" + path[-1])
+            elif op == "rename" and d.exists(path) and not d.exists(path + ".r"):
+                d.rename(path, path + ".r")
+                d.rename(path + ".r", path)
+            elif op == "preload":
+                d.preload({path: payload, rng.choice(names): b""})
+            elif op == "absorb":
+                shadow = LocalDisk()
+                kept, gone = rng.sample(names, 2)
+                shadow.preload({kept: b"old", gone: b"old"})
+                shadow.append(kept, payload)
+                shadow.delete(gone)
+                d.absorb(shadow.export_state(preloaded=[kept, gone]))
+            assert d.used() == self._recomputed(d), (step, op)
+        d.delete_prefix("")
+        assert d.used() == 0
+
+    def test_disk_full_fires_at_the_same_append(self):
+        profile = DeviceProfile("tiny", seq_bandwidth=1e6, seek_time=0, capacity=100)
+        d = LocalDisk(profile)
+        d.write("a", b"x" * 40)
+        d.write("a", b"x" * 30)  # overwrite frees the first 40
+        d.append("b", b"y" * 70)  # exactly full
+        with pytest.raises(DiskFullError):
+            d.append("c", b"z")
+        assert d.used() == 100 and d.size("c") == 0  # the refused file is left empty
+        d.delete("b")
+        d.append("c", b"z" * 70)
+        with pytest.raises(DiskFullError):
+            d.append("a", b"!")

@@ -4,8 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pickle
+
 from repro.io.disk import LocalDisk
-from repro.io.runio import RunWriter, read_run, stream_run, write_run
+from repro.io.runio import (
+    Framed,
+    FramedPairs,
+    RunWriter,
+    decode_run,
+    frame_records,
+    read_run,
+    stream_frames,
+    stream_run,
+    write_run,
+)
+from repro.io.serialization import encode_frames
 
 pairs = st.lists(
     st.tuples(st.integers(-1000, 1000), st.text(max_size=20)), max_size=200
@@ -72,3 +85,99 @@ class TestRunWriter:
         disk.write("r", data[: len(data) - 3], overwrite=True)
         with pytest.raises(ValueError):
             list(stream_run(disk, "r"))
+
+
+class TestChunkedReader:
+    """``stream_run`` decodes a chunk at a time; frames may straddle chunks."""
+
+    ITEMS = [("k", i, "v" * (i % 9)) for i in range(40)] + [("big", "x" * 300)]
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 64])
+    def test_frames_straddle_the_chunk_boundary_at_every_offset(self, disk, chunk_size):
+        # A pad frame of every length 0..chunk_size+8 shifts all later frame
+        # boundaries through every position relative to the chunk boundary.
+        for pad in range(chunk_size + 9):
+            items = [b"p" * pad, *self.ITEMS]
+            write_run(disk, "r", items)
+            before = disk.stats.read_ops
+            assert list(stream_run(disk, "r", chunk_size=chunk_size)) == items
+            size = disk.size("r")
+            assert disk.stats.read_ops - before == -(-size // chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, 64])
+    def test_truncated_header_and_payload_both_raise(self, disk, chunk_size):
+        data = encode_frames(self.ITEMS)
+        last = len(encode_frames(self.ITEMS[-1:]))
+        for cut in (len(data) - last + 2, len(data) - 3):  # mid-header, mid-payload
+            disk.write("r", data[:cut], overwrite=True)
+            with pytest.raises(ValueError, match="truncated trailing frame in r"):
+                list(stream_run(disk, "r", chunk_size=chunk_size))
+            with pytest.raises(ValueError, match="truncated trailing frame in r"):
+                list(stream_frames(disk, "r", chunk_size=chunk_size))
+
+
+class TestCarriedFrames:
+    PAIRS = [(f"k{i:03d}", (i, "v" * (i % 5))) for i in range(50)]
+
+    def test_decode_run_is_a_list_of_pairs_that_keeps_its_bytes(self):
+        data = encode_frames(self.PAIRS)
+        seg = decode_run(data)
+        assert seg == self.PAIRS and isinstance(seg, list)
+        assert seg.data is data
+        assert list(seg) == self.PAIRS and type(list(seg)) is list  # frames dropped
+
+    def test_framed_pairs_cross_a_pickle_boundary_as_frames_only(self):
+        seg = decode_run(encode_frames(self.PAIRS))
+        blob = pickle.dumps(seg, protocol=pickle.HIGHEST_PROTOCOL)
+        clone = pickle.loads(blob)
+        assert type(clone) is FramedPairs and clone == seg and clone.data == seg.data
+        assert len(blob) < len(seg.data) + 200  # the pairs did not travel as well
+
+    def test_frame_records_reuses_or_encodes(self):
+        data = encode_frames(self.PAIRS)
+        carried = frame_records(decode_run(data))
+        fresh = frame_records(list(self.PAIRS))
+        assert carried == fresh
+        assert [k for k, _ in carried] == [k for k, _ in self.PAIRS]
+        assert b"".join(f for _, f in carried) == data
+
+    def test_frame_records_rejects_a_mutated_segment(self):
+        seg = decode_run(encode_frames(self.PAIRS))
+        seg.append(("extra", 1))
+        with pytest.raises(ValueError):
+            frame_records(seg)
+
+    def test_framed_stream_is_written_as_it_is(self, disk):
+        data = encode_frames(self.PAIRS)
+        write_run(disk, "plain", self.PAIRS)
+        nbytes = write_run(disk, "framed", Framed(iter(frame_records(decode_run(data)))))
+        assert nbytes == len(data)
+        assert disk.peek("framed") == disk.peek("plain") == data
+
+    @pytest.mark.parametrize("chunk_size", [7, 1 << 20])
+    def test_stream_frames_decodes_keys_or_takes_them(self, disk, chunk_size):
+        write_run(disk, "r", self.PAIRS)
+        expected = frame_records(list(self.PAIRS))
+        assert list(stream_frames(disk, "r", chunk_size=chunk_size)) == expected
+        keys = [k for k, _ in self.PAIRS]
+        calls = []
+        orig = pickle.loads
+        try:
+            pickle.loads = lambda *a, **k: calls.append(1) or orig(*a, **k)
+            assert list(stream_frames(disk, "r", keys, chunk_size)) == expected
+        finally:
+            pickle.loads = orig
+        assert not calls  # held keys: nothing is unpickled
+
+    def test_stream_frames_checks_the_count_against_the_keys(self, disk):
+        write_run(disk, "r", self.PAIRS)
+        for keys in (["k"] * 49, ["k"] * 51):
+            with pytest.raises(ValueError, match="r holds 50 frames"):
+                list(stream_frames(disk, "r", keys))
+
+    def test_write_run_appends_one_chunk_per_65536_records(self, disk):
+        for n, appends in ((0, 0), (1, 1), (65536, 1), (65537, 2)):
+            before = disk.stats.write_ops
+            write_run(disk, "r", iter(range(n)))
+            assert disk.stats.write_ops - before == appends
+            assert disk.exists("r")
