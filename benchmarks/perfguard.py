@@ -3,8 +3,8 @@
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
 — frame codec round-trip, partition-key sorting, streaming run merge,
 the multi-pass merger, incremental hash update, their columnar *batch*
-counterparts, the chained-job partition cache and the map-side collect
-path — and guards
+counterparts, the chained-job partition cache, the map-side collect
+path and the byte-budget size estimator — and guards
 them two ways:
 
 * **Ratio guard** — each timing is normalised by a fixed pure-Python
@@ -70,10 +70,16 @@ BATCH_BEATS = {
 #: what unpickling *and re-pickling* every record it reads costs — it
 #: reads 0.77-0.82 with frames carried through the pass and 1.13-1.15
 #: when the pass re-encodes its output, as it did before PR 15.
+#: And a *route and size a key once* bound: a collect loop hashes and
+#: sizes a key on first sight and answers every repeat from its per-task
+#: memo, so a block over 100 distinct keys must cost at most 0.7x the same
+#: block over 10 000 — it reads 0.25 with the memo and 1.0 when a
+#: repeat costs what a first sight does, as it did before PR 16.
 PAIRED_OVERHEAD = {
     "san_overhead": ("exec_dispatch", 1.02),
     "map_collect_p64": ("map_collect", 1.3),
     "merge_pass": ("merge_pass_recode", 0.9),
+    "map_collect_repeat": ("map_collect_distinct", 0.7),
 }
 
 #: kernel -> pipeline phase it exercises.  When the gate fails, scores are
@@ -89,6 +95,9 @@ KERNEL_PHASES = {
     "merge_pass_recode": "merge",
     "map_collect": "map",
     "map_collect_p64": "map",
+    "map_collect_repeat": "map",
+    "map_collect_distinct": "map",
+    "estimate_size": "map",
     "incremental_update": "reduce",
     "batch_hash_update": "reduce",
     "partition_cache_roundtrip": "cache",
@@ -388,6 +397,64 @@ def kernel_map_collect_p64() -> None:
     _map_collect(64)
 
 
+_SCAN_BLOCK_PAIRS = 10_000
+
+
+def _scan_collect(distinct_keys: int) -> None:
+    """One block of pairs over ``distinct_keys`` equally long ``str`` keys
+    through ``ScanPartitionBuffer.add_block``: partition, size, append,
+    flush at the byte budget."""
+    from repro.core.partitioner import ScanPartitionBuffer
+
+    pairs = _dataset(
+        f"scan_block_{distinct_keys}",
+        lambda: [(f"/page/{i % distinct_keys:05d}", 1) for i in range(_SCAN_BLOCK_PAIRS)],
+    )
+    flushed: list[int] = []
+    buffer = ScanPartitionBuffer(
+        4, lambda partition, chunk, nbytes: flushed.append(len(chunk)), buffer_bytes=64 * 1024
+    )
+    buffer.add_block(pairs)
+    buffer.finish()
+    assert sum(flushed) == _SCAN_BLOCK_PAIRS
+
+
+def kernel_map_collect_repeat() -> None:
+    """The scan collect loop over 100 distinct keys: the numerator of the
+    route-and-size-once gate (see :data:`PAIRED_OVERHEAD`)."""
+    _scan_collect(100)
+
+
+def kernel_map_collect_distinct() -> None:
+    """The same block with every key distinct — each pair a first sight —
+    the gate's reference."""
+    _scan_collect(_SCAN_BLOCK_PAIRS)
+
+
+def _map_output_shapes() -> list:
+    """5000 map-output pairs of each benchmark workload's shape."""
+    rng = random.Random(1616)
+    n = 5_000
+    return [
+        *((rng.randrange(4_000), (rng.random() * 3600.0, f"/page/{rng.randrange(2_000)}")) for _ in range(n)),
+        *((f"/page/{rng.randrange(2_000)}", 1) for _ in range(n)),
+        *((rng.randrange(15_000), 1) for _ in range(n)),
+        *((f"w{rng.randrange(5_000):05d}", (rng.randrange(500), rng.randrange(300))) for _ in range(n)),
+    ]  # fmt: skip
+
+
+def kernel_estimate_size() -> None:
+    """The byte-budget estimator over the four workloads' map-output shapes
+    (``sessionize``, ``pagefreq``, ``userskew``, ``invindex``): one key and
+    one value estimate per pair, as a sort buffer without a memo pays."""
+    from repro.io.serialization import estimate_size
+
+    total = 0
+    for key, value in _dataset("map_output_shapes", _map_output_shapes):
+        total += estimate_size(key) + estimate_size(value)
+    assert total == 2_379_273
+
+
 def kernel_partition_cache_roundtrip() -> None:
     """Chained-job cache hot loop: store every intermediate block, spill
     FIFO past the byte budget, then serve every block back (memory hits
@@ -555,6 +622,9 @@ KERNELS = {
     "merge_pass_recode": (kernel_merge_pass_recode, _MERGE_PASS_RECORDS),
     "map_collect": (kernel_map_collect, 20_000),
     "map_collect_p64": (kernel_map_collect_p64, 20_000),
+    "map_collect_repeat": (kernel_map_collect_repeat, _SCAN_BLOCK_PAIRS),
+    "map_collect_distinct": (kernel_map_collect_distinct, _SCAN_BLOCK_PAIRS),
+    "estimate_size": (kernel_estimate_size, 20_000),
     "incremental_update": (kernel_incremental_update, 100_000),
     "batch_hash_update": (kernel_batch_hash_update, 100_000),
     "partition_cache_roundtrip": (kernel_partition_cache_roundtrip, 1_024),

@@ -57,12 +57,13 @@ T = TypeVar("T")
 class AggregateState(Protocol):
     """One key's running aggregate."""
 
-    def update(self, value: Any) -> None:
-        """Fold one new value into the state."""
+    def update(self, value: Any) -> int:
+        """Fold one new value in; return the bytes ``size_bytes()`` grew by
+        (exactly, so a table keeps a running total without re-measuring)."""
         ...
 
-    def merge(self, other: "AggregateState") -> None:
-        """Fold another state for the same key into this one."""
+    def merge(self, other: "AggregateState") -> int:
+        """Fold another state for the same key in; return the bytes grown."""
         ...
 
     def result(self) -> Any:
@@ -96,11 +97,13 @@ class CountState:
     def __init__(self) -> None:
         self.n = 0
 
-    def update(self, value: Any) -> None:
+    def update(self, value: Any) -> int:
         self.n += 1
+        return 0
 
-    def merge(self, other: "CountState") -> None:
+    def merge(self, other: "CountState") -> int:
         self.n += other.n
+        return 0
 
     def result(self) -> int:
         return self.n
@@ -122,11 +125,13 @@ class SumState:
     def __init__(self) -> None:
         self.total = 0
 
-    def update(self, value: Any) -> None:
+    def update(self, value: Any) -> int:
         self.total += value
+        return 0
 
-    def merge(self, other: "SumState") -> None:
+    def merge(self, other: "SumState") -> int:
         self.total += other.total
+        return 0
 
     def result(self) -> Any:
         return self.total
@@ -144,13 +149,15 @@ class SumCountState:
         self.total = 0
         self.n = 0
 
-    def update(self, value: Any) -> None:
+    def update(self, value: Any) -> int:
         self.total += value
         self.n += 1
+        return 0
 
-    def merge(self, other: "SumCountState") -> None:
+    def merge(self, other: "SumCountState") -> int:
         self.total += other.total
         self.n += other.n
+        return 0
 
     def result(self) -> tuple[Any, int]:
         return (self.total, self.n)
@@ -170,6 +177,11 @@ class AvgState(SumCountState):
         return self.total / self.n
 
 
+def _best_bytes(best: Any) -> int:
+    """What a MIN/MAX state is charged for its extremum (``None`` = unset)."""
+    return estimate_size(best) if best is not None else 0
+
+
 class MinState:
     """MIN(value)."""
 
@@ -178,13 +190,15 @@ class MinState:
     def __init__(self) -> None:
         self.best: Any = None
 
-    def update(self, value: Any) -> None:
-        if self.best is None or value < self.best:
+    def update(self, value: Any) -> int:
+        best = self.best
+        if best is None or value < best:
             self.best = value
+            return _best_bytes(value) - _best_bytes(best)
+        return 0
 
-    def merge(self, other: "MinState") -> None:
-        if other.best is not None:
-            self.update(other.best)
+    def merge(self, other: "MinState") -> int:
+        return self.update(other.best) if other.best is not None else 0
 
     def result(self) -> Any:
         if self.best is None:
@@ -192,7 +206,7 @@ class MinState:
         return self.best
 
     def size_bytes(self) -> int:
-        return 64 + (estimate_size(self.best) if self.best is not None else 0)
+        return 64 + _best_bytes(self.best)
 
 
 class MaxState:
@@ -203,13 +217,15 @@ class MaxState:
     def __init__(self) -> None:
         self.best: Any = None
 
-    def update(self, value: Any) -> None:
-        if self.best is None or value > self.best:
+    def update(self, value: Any) -> int:
+        best = self.best
+        if best is None or value > best:
             self.best = value
+            return _best_bytes(value) - _best_bytes(best)
+        return 0
 
-    def merge(self, other: "MaxState") -> None:
-        if other.best is not None:
-            self.update(other.best)
+    def merge(self, other: "MaxState") -> int:
+        return self.update(other.best) if other.best is not None else 0
 
     def result(self) -> Any:
         if self.best is None:
@@ -217,7 +233,7 @@ class MaxState:
         return self.best
 
     def size_bytes(self) -> int:
-        return 64 + (estimate_size(self.best) if self.best is not None else 0)
+        return 64 + _best_bytes(self.best)
 
 
 class TopKState:
@@ -233,15 +249,16 @@ class TopKState:
         self.k = k
         self._heap: list[Any] = []
 
-    def update(self, value: Any) -> None:
+    def update(self, value: Any) -> int:
         if len(self._heap) < self.k:
             heapq.heappush(self._heap, value)
-        elif value > self._heap[0]:
+            return 32
+        if value > self._heap[0]:
             heapq.heapreplace(self._heap, value)
+        return 0
 
-    def merge(self, other: "TopKState") -> None:
-        for value in other._heap:
-            self.update(value)
+    def merge(self, other: "TopKState") -> int:
+        return sum([self.update(value) for value in other._heap])
 
     def result(self) -> list[Any]:
         return sorted(self._heap, reverse=True)
@@ -269,20 +286,20 @@ class TopByCountState:
         self.counts: dict[Any, int] = {}
         self._bytes = 64
 
-    def update(self, value: Any) -> None:
-        if value not in self.counts:
-            self._bytes += estimate_size(value) + 64
-            self.counts[value] = 1
-        else:
-            self.counts[value] += 1
+    def update(self, value: Any) -> int:
+        return self._add(value, 1)
 
-    def merge(self, other: "TopByCountState") -> None:
-        for value, count in other.counts.items():
-            if value not in self.counts:
-                self._bytes += estimate_size(value) + 64
-                self.counts[value] = count
-            else:
-                self.counts[value] += count
+    def merge(self, other: "TopByCountState") -> int:
+        return sum([self._add(value, count) for value, count in other.counts.items()])
+
+    def _add(self, value: Any, count: int) -> int:
+        if value in self.counts:
+            self.counts[value] += count
+            return 0
+        self.counts[value] = count
+        grown = estimate_size(value) + 64
+        self._bytes += grown
+        return grown
 
     def result(self) -> list[tuple[Any, int]]:
         ranked = sorted(self.counts.items(), key=lambda vc: (-vc[1], repr(vc[0])))
@@ -306,13 +323,17 @@ class CollectState:
         self.values: list[Any] = []
         self._bytes = 64
 
-    def update(self, value: Any) -> None:
+    def update(self, value: Any) -> int:
         self.values.append(value)
-        self._bytes += estimate_size(value) + 8
+        grown = estimate_size(value) + 8
+        self._bytes += grown
+        return grown
 
-    def merge(self, other: "CollectState") -> None:
+    def merge(self, other: "CollectState") -> int:
         self.values.extend(other.values)
-        self._bytes += other._bytes - 64
+        grown = other._bytes - 64
+        self._bytes += grown
+        return grown
 
     def result(self) -> list[Any]:
         return list(self.values)

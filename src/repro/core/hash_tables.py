@@ -69,74 +69,71 @@ class AccountedStateTable:
     """``key -> AggregateState`` with running byte accounting.
 
     ``update`` folds one value into the key's state, creating it on first
-    touch.  State growth is re-measured on every update for linear states
-    (collect/session) and skipped for ``__slots__`` constant-size states by
-    trusting their ``size_bytes``; either way :attr:`used_bytes` — a plain
-    field moved by each update's delta, so a budget check is one attribute
-    read — tracks the table's footprint closely enough to enforce a budget.
+    touch.  Nothing is re-measured per fold: a new key is charged its
+    estimate, a dict slot and its fresh state once, and every fold adds
+    the growth the state itself reports (``AggregateState.update`` /
+    ``merge`` return it).  So :attr:`used_bytes` is a plain field — a
+    budget check is one attribute read — that always equals
+    ``sum(estimate_size(key) + 104 + state.size_bytes())`` over the table.
+
+    :attr:`states` is the backing dict, public so that hoisted loops can
+    test residency without a call; only this class mutates it.
     """
 
-    __slots__ = ("aggregator", "_states", "used_bytes", "probes")
+    __slots__ = ("aggregator", "states", "used_bytes", "probes")
 
     def __init__(self, aggregator: Aggregator) -> None:
         self.aggregator = aggregator
-        self._states: dict[Any, AggregateState] = {}
+        self.states: dict[Any, AggregateState] = {}
         self.used_bytes = 0
         self.probes = 0
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self.states)
 
     def __contains__(self, key: Any) -> bool:
-        return key in self._states
+        return key in self.states
 
     def update(self, key: Any, value: Any) -> AggregateState:
         """Fold ``value`` into ``key``'s state; returns the state."""
         self.probes += 1
-        state = self._states.get(key)
+        state = self.states.get(key)
         if state is None:
-            state = self.aggregator.initial()
-            self._states[key] = state
-            self.used_bytes += estimate_size(key) + _SLOT_BYTES
-            before = 0
-        else:
-            before = state.size_bytes()
-        state.update(value)
-        self.used_bytes += state.size_bytes() - before
+            state = self._admit(key)
+        self.used_bytes += state.update(value)
         return state
 
     def merge_state(self, key: Any, other: AggregateState) -> AggregateState:
         """Fold a partial state for ``key`` into the table."""
         self.probes += 1
-        state = self._states.get(key)
+        state = self.states.get(key)
         if state is None:
-            state = self.aggregator.initial()
-            self._states[key] = state
-            self.used_bytes += estimate_size(key) + _SLOT_BYTES
-            before = 0
-        else:
-            before = state.size_bytes()
-        state.merge(other)
-        self.used_bytes += state.size_bytes() - before
+            state = self._admit(key)
+        self.used_bytes += state.merge(other)
+        return state
+
+    def _admit(self, key: Any) -> AggregateState:
+        state = self.states[key] = self.aggregator.initial()
+        self.used_bytes += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
         return state
 
     def get(self, key: Any) -> AggregateState | None:
-        return self._states.get(key)
+        return self.states.get(key)
 
     def pop(self, key: Any) -> AggregateState:
         """Remove and return ``key``'s state, releasing its budget."""
-        state = self._states.pop(key)
+        state = self.states.pop(key)
         self.used_bytes -= estimate_size(key) + state.size_bytes() + _SLOT_BYTES
         return state
 
     def items(self) -> Iterator[tuple[Any, AggregateState]]:
-        return iter(self._states.items())
+        return iter(self.states.items())
 
     def results(self) -> Iterator[tuple[Any, Any]]:
         """``(key, state.result())`` for every key (unspecified order)."""
-        for key, state in self._states.items():
+        for key, state in self.states.items():
             yield key, state.result()
 
     def clear(self) -> None:
-        self._states.clear()
+        self.states.clear()
         self.used_bytes = 0

@@ -21,7 +21,7 @@ Properties the benchmarks verify:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.aggregates import COLLECT, Aggregator
 from repro.core.hash_tables import AccountedStateTable, HashFamily
@@ -124,63 +124,52 @@ class HybridHashGrouper:
         """
         if self._finished:
             raise RuntimeError("grouper already finished")
-        if not self._frozen:
-            self._absorb(key, value)
-            if self._table.used_bytes > self.memory_bytes:
-                self._frozen = True
-                self.counters.set_max(C.HASH_STATE_BYTES_PEAK, self._table.used_bytes)
+        table = self._table
+        if self._frozen and key not in table.states:
+            self._spill(key, value)
             return
-        if key in self._table:
-            # Resident keys continue to aggregate in memory for free.
-            self._absorb(key, value)
+        # Resident keys continue to aggregate in memory for free.
+        if isinstance(value, SpilledState):
+            table.merge_state(key, value.state)
+        else:
+            table.update(key, value)
+        if not self._frozen:
+            if table.used_bytes > self.memory_bytes:
+                self._frozen = True
+                self.counters.set_max(C.HASH_STATE_BYTES_PEAK, table.used_bytes)
+        elif table.used_bytes > 2 * self.memory_bytes:
             # Linear states (collect/session) can outgrow the budget even
             # with a frozen key set; shed the largest states to disk.
-            if self._table.used_bytes > 2 * self.memory_bytes:
-                self._evict_largest()
-            return
-        self._spill(key, value)
+            self._evict_largest()
 
-    def add_batch(self, pairs: list[tuple[Any, Any]]) -> None:
-        """Route many pairs; identical end state to per-pair :meth:`add`.
+    def add_batch(self, pairs: Iterable[tuple[Any, Any]]) -> None:
+        """:meth:`add` for a stream of pairs, lookups hoisted out of the loop.
 
-        The hoisted loop runs only while the table is unfrozen, with the
-        budget check after every pair so the freeze lands on exactly the
-        same pair as the tuple path; frozen-path pairs (disk routing,
-        evictions) fall back to per-pair :meth:`add`.
+        The budget is still checked after every pair, so the freeze and
+        every shed land on the same pair however the stream is cut.
         """
         if self._finished:
             raise RuntimeError("grouper already finished")
-        i = 0
-        n = len(pairs)
-        if not self._frozen:
-            table = self._table
-            update = table.update
-            merge = table.merge_state
-            budget = self.memory_bytes
-            while i < n:
-                key, value = pairs[i]
-                i += 1
-                if isinstance(value, SpilledState):
-                    merge(key, value.state)
-                else:
-                    update(key, value)
+        table = self._table
+        resident = table.states
+        update = table.update
+        merge = table.merge_state
+        budget = self.memory_bytes
+        frozen = self._frozen
+        for key, value in pairs:
+            if frozen and key not in resident:
+                self._spill(key, value)
+                continue
+            if isinstance(value, SpilledState):
+                merge(key, value.state)
+            else:
+                update(key, value)
+            if not frozen:
                 if table.used_bytes > budget:
-                    self._frozen = True
-                    self.counters.set_max(
-                        C.HASH_STATE_BYTES_PEAK, table.used_bytes
-                    )
-                    break
-        add = self.add
-        while i < n:
-            key, value = pairs[i]
-            add(key, value)
-            i += 1
-
-    def _absorb(self, key: Any, value: Any) -> None:
-        if isinstance(value, SpilledState):
-            self._table.merge_state(key, value.state)
-        else:
-            self._table.update(key, value)
+                    frozen = self._frozen = True
+                    self.counters.set_max(C.HASH_STATE_BYTES_PEAK, table.used_bytes)
+            elif table.used_bytes > 2 * budget:
+                self._evict_largest()
 
     def _evict_largest(self) -> None:
         """Spill the biggest resident states until back under budget."""
@@ -252,7 +241,6 @@ class HybridHashGrouper:
             max_levels=self.max_levels,
             counters=self.counters,
         )
-        for key, value in pairs:
-            child.add(key, value)
+        child.add_batch(pairs)
         self.disk.delete(path)
         yield from child.finish()

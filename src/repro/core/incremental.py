@@ -23,7 +23,7 @@ paper calls out, both implemented here:
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.aggregates import AggregateState, Aggregator
 from repro.core.hash_tables import AccountedStateTable
@@ -137,52 +137,54 @@ class IncrementalHash:
         if self._finished:
             raise RuntimeError("incremental hash already finished")
         self.updates += 1
-        if self._overflow is not None and key not in self._table:
+        table = self._table
+        if self._overflow is not None and key not in table.states:
             self._overflow.add(key, value)
             return
-        state = (
-            self._table.merge_state(key, value.state)
-            if isinstance(value, SpilledState)
-            else self._table.update(key, value)
-        )
-        self._maybe_emit(key, state)
-        if (
-            self.memory_bytes is not None
-            and self._overflow is None
-            and self._table.used_bytes > self.memory_bytes
-        ):
+        if isinstance(value, SpilledState):
+            state = table.merge_state(key, value.state)
+        else:
+            state = table.update(key, value)
+        if self.emit_policy is not None:
+            self._maybe_emit(key, state)
+        budget = self.memory_bytes
+        if self._overflow is None and budget is not None and table.used_bytes > budget:
             self._freeze()
 
-    def update_batch(self, pairs: list[tuple[Any, Any]]) -> None:
-        """Fold many pairs; identical end state to per-pair :meth:`update`.
+    def update_batch(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+        """:meth:`update` for a stream of pairs, lookups hoisted out of the loop.
 
-        The hoisted fast loop applies only when no per-pair side effects
-        can fire — unbounded memory, no emit policy, no overflow.  With
-        any of those active the batch falls back to per-pair updates so
-        freeze points and early emissions land on exactly the same pair.
+        The budget is still checked after every pair, so the freeze lands
+        on the same pair however the stream is cut.  Once frozen the
+        resident key set never changes and the overflow grouper shares
+        nothing with it, so a batch's cold pairs reach it in one call.
         """
         if self._finished:
             raise RuntimeError("incremental hash already finished")
-        if (
-            self.memory_bytes is None
-            and self.emit_policy is None
-            and self._overflow is None
-        ):
-            table = self._table
-            update = table.update
-            merge = table.merge_state
-            n = 0
-            for key, value in pairs:
-                n += 1
-                if isinstance(value, SpilledState):
-                    merge(key, value.state)
-                else:
-                    update(key, value)
-            self.updates += n
-            return
-        update_one = self.update
+        table = self._table
+        resident = table.states
+        update = table.update
+        merge = table.merge_state
+        budget = self.memory_bytes
+        emits = self.emit_policy is not None
+        frozen = self._overflow is not None
+        cold: list[tuple[Any, Any]] = []
         for key, value in pairs:
-            update_one(key, value)
+            if frozen and key not in resident:
+                cold.append((key, value))
+                continue
+            if isinstance(value, SpilledState):
+                state = merge(key, value.state)
+            else:
+                state = update(key, value)
+            if emits:
+                self._maybe_emit(key, state)
+            if not frozen and budget is not None and table.used_bytes > budget:
+                self._freeze()
+                frozen = True
+        self.updates += len(pairs)
+        if self._overflow is not None:
+            self._overflow.add_batch(cold)
 
     def merge_state(self, key: Any, state: AggregateState) -> None:
         """Fold a partial state (e.g. a pushed combiner output)."""

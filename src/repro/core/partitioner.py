@@ -26,7 +26,7 @@ from repro.core.hash_tables import AccountedStateTable
 from repro.core.hybrid_hash import SpilledState
 from repro.io.serialization import estimate_size
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.partition import Partitioner, hash_partitioner
+from repro.mapreduce.partition import KeyFacts, KeyPartitions, Partitioner, hash_partitioner
 
 __all__ = ["ScanPartitionBuffer", "MapSideHashCombiner"]
 
@@ -59,6 +59,7 @@ class ScanPartitionBuffer:
             [] for _ in range(num_partitions)
         ]
         self._bytes = [0] * num_partitions
+        self._facts = KeyFacts(partitioner, num_partitions, _PAIR_OVERHEAD)
 
     def add(self, key: Any, value: Any) -> None:
         self.add_block(((key, value),))
@@ -68,18 +69,19 @@ class ScanPartitionBuffer:
 
         The flush threshold is checked after every pair, so chunk
         boundaries do not depend on how the stream is cut into blocks;
-        lookups are hoisted and the counter moves once per block.
+        a key is routed and sized once per task (:class:`KeyFacts`) and
+        the counter moves once per block.
         """
-        partitioner = self.partitioner
-        num_partitions = self.num_partitions
+        facts = self._facts
         buffers = self._buffers
         sizes = self._bytes
         budget = self.buffer_bytes
         estimate = estimate_size
         for key, value in pairs:
-            partition = partitioner(key, num_partitions)
+            t = type(key)
+            partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
             buffers[partition].append((key, value))
-            sizes[partition] += estimate(key) + estimate(value) + _PAIR_OVERHEAD
+            sizes[partition] += key_bytes + estimate(value)
             if sizes[partition] >= budget:
                 self._flush(partition)
         self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
@@ -132,6 +134,7 @@ class MapSideHashCombiner:
         #: Running total of every table's ``used_bytes``; zero after a flush.
         self.used_bytes = 0
         self.flushes = 0
+        self._partitions = KeyPartitions(partitioner, num_partitions)
 
     def add(self, key: Any, value: Any) -> None:
         self.add_block(((key, value),))
@@ -145,11 +148,13 @@ class MapSideHashCombiner:
         """
         partitioner = self.partitioner
         num_partitions = self.num_partitions
+        memo = self._partitions
         tables = self._tables
         memory = self.memory_bytes
         used = self.used_bytes
         for key, value in pairs:
-            table = tables[partitioner(key, num_partitions)]
+            t = type(key)
+            table = tables[memo[key] if t is str or t is int else partitioner(key, num_partitions)]
             used -= table.used_bytes
             table.update(key, value)
             used += table.used_bytes

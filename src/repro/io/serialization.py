@@ -19,6 +19,7 @@ from __future__ import annotations
 import pickle
 import struct
 import sys
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 __all__ = [
@@ -219,12 +220,7 @@ class BinaryCodec:
         return iter_frames(data)
 
 
-_BASE_SIZES: dict[type, int] = {
-    int: 28,
-    float: 24,
-    bool: 28,
-    type(None): 16,
-}
+_NONE = type(None)
 
 
 def estimate_size(obj: Any, _depth: int = 0) -> int:
@@ -232,33 +228,43 @@ def estimate_size(obj: Any, _depth: int = 0) -> int:
 
     Used for buffer and state-size accounting (map output buffers, the
     incremental hash table's memory budget).  Deliberately cheap and
-    approximate: containers are traversed to depth 3, beyond which elements
-    are charged a flat pointer cost.
+    approximate: containers are traversed to depth 3, beyond which they
+    are charged their own ``getsizeof`` alone.
+
+    Every spill, flush and freeze point compares a sum of these values,
+    so they are exact by contract (``tests/io/test_serialization.py``).
+    Dispatch is on type identity — subclasses of the built-ins get bare
+    ``sys.getsizeof`` — and a container's elements are sized in one
+    inlined loop; only nested containers and other types recurse.
     """
     t = type(obj)
-    base = _BASE_SIZES.get(t)
-    if base is not None:
-        return base
     if t is str:
         return 49 + len(obj)
-    if t is bytes or t is bytearray:
+    if t is int or t is bool:
+        return 28
+    if t is float:
+        return 24
+    if t is tuple or t is list or t is set or t is frozenset:
+        elements: Iterable[Any] = obj
+    elif t is dict:
+        elements = chain(obj, obj.values())
+    elif t is _NONE:
+        return 16
+    elif t is bytes or t is bytearray:
         return 33 + len(obj)
-    if t in (tuple, list):
-        size = sys.getsizeof(obj)
-        if _depth >= 3:
-            return size
-        return size + sum(estimate_size(x, _depth + 1) for x in obj)
-    if t is dict:
-        size = sys.getsizeof(obj)
-        if _depth >= 3:
-            return size
-        return size + sum(
-            estimate_size(k, _depth + 1) + estimate_size(v, _depth + 1)
-            for k, v in obj.items()
-        )
-    if t is set or t is frozenset:
-        size = sys.getsizeof(obj)
-        if _depth >= 3:
-            return size
-        return size + sum(estimate_size(x, _depth + 1) for x in obj)
-    return sys.getsizeof(obj)
+    else:
+        return sys.getsizeof(obj)
+    size = sys.getsizeof(obj)
+    if _depth >= 3:
+        return size
+    for x in elements:
+        t = type(x)
+        if t is str:
+            size += 49 + len(x)
+        elif t is int or t is bool:
+            size += 28
+        elif t is float:
+            size += 24
+        else:
+            size += estimate_size(x, _depth + 1)
+    return size

@@ -35,7 +35,7 @@ from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.driver import JobRun, PushShuffleDriver
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted
-from repro.mapreduce.partition import Partitioner, hash_partitioner
+from repro.mapreduce.partition import KeyPartitions, Partitioner, hash_partitioner
 from repro.mapreduce.recovery import SpeculationPolicy
 from repro.mapreduce.runtime import LocalCluster
 from repro.mapreduce.sortmerge import map_slices
@@ -244,6 +244,7 @@ class _PipelinedMapTask:
         self.tracer = tracer
         self._task = f"map:{task_id:05d}"
         self.num_partitions = job.config.num_reducers
+        self._partitions = KeyPartitions(partitioner, self.num_partitions)
         #: Pairs collected since the last emit: a flat ``(partition, key,
         #: value)`` chunk on the tuple path, per-partition buckets on the
         #: batch path (fan-out at append time, per-bucket sorts per chunk).
@@ -289,14 +290,19 @@ class _PipelinedMapTask:
     def _collect(self, pairs: list[tuple[Any, Any]]) -> None:
         partitioner = self.partitioner
         num_partitions = self.num_partitions
+        memo = self._partitions
         buckets = self._buckets
         if buckets is None:
-            self._chunk += [
-                (partitioner(key, num_partitions), key, value) for key, value in pairs
-            ]
+            append = self._chunk.append
+            for key, value in pairs:
+                t = type(key)
+                p = memo[key] if t is str or t is int else partitioner(key, num_partitions)
+                append((p, key, value))
         else:
             for key, value in pairs:
-                buckets[partitioner(key, num_partitions)].append((key, value))
+                t = type(key)
+                p = memo[key] if t is str or t is int else partitioner(key, num_partitions)
+                buckets[p].append((key, value))
         self._pending += len(pairs)
 
     def _emit_pending(self) -> None:

@@ -11,23 +11,36 @@ import pickle
 import zlib
 from typing import Any, Callable
 
-__all__ = ["stable_hash", "HashPartitioner", "Partitioner"]
+from repro.io.serialization import estimate_size
+
+__all__ = ["stable_hash", "HashPartitioner", "Partitioner", "KeyPartitions", "KeyFacts"]
 
 Partitioner = Callable[[Any, int], int]
 
 
 def stable_hash(key: Any) -> int:
-    """A deterministic, well-mixed 32-bit hash of any picklable key."""
+    """A deterministic, well-mixed 32-bit hash of any picklable key.
+
+    Keys that compare equal must hash equal, or a group-by would depend on
+    the reducer count: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0``, so
+    an integral float is hashed as the ``int`` it equals (NaN, the
+    infinities and non-integral floats equal no ``int`` and are pickled).
+    Known limitation: a *tuple* key is hashed by its pickle, so
+    ``(1, "a")`` and ``(1.0, "a")`` still part ways; changing the tuple
+    hash would re-partition every tuple-keyed job.
+    """
     if isinstance(key, str):
         data = key.encode("utf-8")
     elif isinstance(key, bytes):
         data = key
-    elif isinstance(key, int):
-        try:
-            data = key.to_bytes(16, "little", signed=True)
-        except OverflowError:  # beyond signed 128 bits (e.g. ``uuid4().int``)
-            data = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
     else:
+        if isinstance(key, float) and key.is_integer():
+            key = int(key)
+        if isinstance(key, int):
+            try:
+                return zlib.crc32(key.to_bytes(16, "little", signed=True))
+            except OverflowError:  # beyond signed 128 bits (e.g. ``uuid4().int``)
+                pass
         data = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
     return zlib.crc32(data)
 
@@ -48,3 +61,52 @@ class HashPartitioner:
 
 
 hash_partitioner = HashPartitioner()
+
+
+class KeyPartitions(dict[Any, int]):
+    """One map task's memo of ``key -> partition``.
+
+    A collect loop routes a key once per task, not once per record:
+    ``memo[key]`` runs the partitioner on first sight and is one C-level
+    dict probe on every repeat.  Only keys of exact type ``str`` or ``int``
+    may be looked up — ``1``, ``1.0`` and ``True`` share a dict slot but
+    neither a pickle nor a size — so every loop tests ``type(key)`` first
+    and serves any other key per record.  The memo dies with its task's
+    buffer and memoises whichever partitioner that buffer was given
+    (deterministic in ``(key, n)`` by contract).
+    """
+
+    __slots__ = ("partitioner", "num_partitions")
+
+    def __init__(self, partitioner: Partitioner, num_partitions: int) -> None:
+        self.partitioner = partitioner
+        self.num_partitions = num_partitions
+
+    def __missing__(self, key: Any) -> int:
+        partition = self[key] = self.partitioner(key, self.num_partitions)
+        return partition
+
+
+class KeyFacts(dict[Any, tuple[int, int]]):
+    """:class:`KeyPartitions` for a buffer that also sizes its keys:
+    ``key -> (partition, estimate_size(key) + overhead)``, ``overhead``
+    being what the buffer charges per pair beside key and value::
+
+        t = type(key)
+        partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
+    """
+
+    __slots__ = ("partitioner", "num_partitions", "overhead")
+
+    def __init__(self, partitioner: Partitioner, num_partitions: int, overhead: int) -> None:
+        self.partitioner = partitioner
+        self.num_partitions = num_partitions
+        self.overhead = overhead
+
+    def of(self, key: Any) -> tuple[int, int]:
+        """The facts of ``key``, computed and not remembered (any key type)."""
+        return self.partitioner(key, self.num_partitions), estimate_size(key) + self.overhead
+
+    def __missing__(self, key: Any) -> tuple[int, int]:
+        facts = self[key] = self.of(key)
+        return facts

@@ -28,7 +28,7 @@ from repro.io.serialization import estimate_size
 from repro.mapreduce.api import MapFn, MapReduceJob
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted
-from repro.mapreduce.partition import Partitioner, hash_partitioner
+from repro.mapreduce.partition import KeyFacts, Partitioner, hash_partitioner
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = [
@@ -134,6 +134,7 @@ class _SortSpillBuffer:
         self._task = f"map:{task_id:05d}"
         self.num_partitions = job.config.num_reducers
         self.buffer_bytes = job.config.map_buffer_bytes
+        self._facts = KeyFacts(partitioner, self.num_partitions, _RECORD_OVERHEAD)
         self._entries: list[tuple[int, Any, Any]] = []
         self._bytes = 0
         self._spill_seq = 0
@@ -152,15 +153,16 @@ class _SortSpillBuffer:
         The budget is checked after every pair, so spill points do not
         depend on how the stream is cut into blocks.
         """
-        partitioner = self.partitioner
-        num_partitions = self.num_partitions
+        facts = self._facts
         budget = self.buffer_bytes
         estimate = estimate_size
         append = self._entries.append
         used = self._bytes
         for key, value in pairs:
-            append((partitioner(key, num_partitions), key, value))
-            used += estimate(key) + estimate(value) + _RECORD_OVERHEAD
+            t = type(key)
+            partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
+            append((partition, key, value))
+            used += key_bytes + estimate(value)
             if used >= budget:
                 self.spill()
                 append = self._entries.append
@@ -344,15 +346,16 @@ class _BatchSortSpillBuffer(_SortSpillBuffer):
 
     def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
         """The tuple buffer's collect loop, fanning out into the buckets."""
-        partitioner = self.partitioner
-        num_partitions = self.num_partitions
+        facts = self._facts
         budget = self.buffer_bytes
         estimate = estimate_size
         buckets = self._buckets
         used = self._bytes
         for key, value in pairs:
-            buckets[partitioner(key, num_partitions)].append((key, value))
-            used += estimate(key) + estimate(value) + _RECORD_OVERHEAD
+            t = type(key)
+            partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
+            buckets[partition].append((key, value))
+            used += key_bytes + estimate(value)
             if used >= budget:
                 self.spill()
                 buckets = self._buckets

@@ -4,8 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregates import COLLECT, COUNT, SUM, CountState
+from repro.core.aggregates import (
+    AVG,
+    COLLECT,
+    COUNT,
+    MAX,
+    MIN,
+    SUM,
+    Aggregator,
+    CountState,
+    SumCountState,
+    sessionize,
+    top_by_count,
+    top_k,
+)
 from repro.core.hash_tables import AccountedStateTable, HashFamily
+from repro.io.serialization import estimate_size
 
 
 class TestHashFamily:
@@ -109,3 +123,99 @@ class TestAccountedStateTable:
         for i in range(7):
             t.update(i % 3, None)
         assert t.probes == 7
+
+
+# -- the running total: used_bytes against a full re-measurement ---------------
+
+_ints = st.integers(-50, 50)
+#: MIN/MAX change size when ``best`` does: strings of varying length.
+_words = st.text("abc", max_size=9)
+_clicks = st.tuples(st.floats(0, 100), st.text("xy", max_size=6))
+_anything = st.one_of(_ints, _words, _clicks, st.none())
+
+#: Every aggregator with values its state accepts.
+AGGREGATORS = {
+    "count": (COUNT, _anything),
+    "sum": (SUM, _ints),
+    "sumcount": (Aggregator("sumcount", SumCountState), _ints),
+    "avg": (AVG, _ints),
+    "min": (MIN, _words),
+    "max": (MAX, _words),
+    "top_k": (top_k(3), _ints),
+    "top_by_count": (top_by_count(2), st.one_of(_ints, _words)),
+    "collect": (COLLECT, _anything),
+    "sessionize": (sessionize(5.0), _clicks),
+}
+_keys = st.one_of(st.integers(0, 6), st.sampled_from(["a", "bb", 1.0, True, (1, "a"), None]))
+
+
+def _ops(values):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("update"), _keys, values),
+            st.tuples(st.just("merge"), _keys, st.lists(values, max_size=4)),
+            st.tuples(st.just("pop"), st.integers(0, 10), st.none()),
+            st.tuples(st.just("clear"), st.none(), st.none()),
+        ),
+        max_size=40,
+    )
+
+
+def remeasured(table):
+    return sum(estimate_size(k) + 104 + state.size_bytes() for k, state in table.items())
+
+
+class TestRunningTotal:
+    """States report their own growth; the table never re-measures them."""
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATORS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_used_bytes_equals_a_full_remeasurement(self, name, data):
+        aggregator, values = AGGREGATORS[name]
+        table = AccountedStateTable(aggregator)
+        probes = 0
+        for op, key, arg in data.draw(_ops(values)):
+            if op == "update":
+                table.update(key, arg)
+                probes += 1
+            elif op == "merge":
+                other = aggregator.initial()
+                for value in arg:
+                    other.update(value)
+                table.merge_state(key, other)
+                probes += 1
+            elif op == "pop":
+                # By a key the table holds (as eviction does): ``1`` and
+                # ``1.0`` share a slot but not a size estimate.
+                resident = [k for k, _ in table.items()]
+                if resident:
+                    table.pop(resident[key % len(resident)])
+            else:
+                table.clear()
+            assert table.used_bytes == remeasured(table)
+        assert table.probes == probes
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATORS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_update_and_merge_return_the_growth(self, name, data):
+        aggregator, values = AGGREGATORS[name]
+        state = aggregator.initial()
+        for value in data.draw(st.lists(values, max_size=12)):
+            before = state.size_bytes()
+            assert state.update(value) == state.size_bytes() - before
+        other = aggregator.initial()
+        for value in data.draw(st.lists(values, max_size=12)):
+            other.update(value)
+        before = state.size_bytes()
+        assert state.merge(other) == state.size_bytes() - before
+
+    def test_a_state_that_reports_no_growth_fails_on_its_first_fold(self):
+        class Legacy(CountState):
+            def update(self, value):
+                self.n += 1  # the pre-growth protocol: returns None
+
+        table = AccountedStateTable(Aggregator("legacy", Legacy))
+        with pytest.raises(TypeError):
+            table.update("k", 1)

@@ -118,6 +118,85 @@ class TestOverflow:
         assert results == expected
 
 
+class RecordingGrouper(HybridHashGrouper):
+    """Remembers which states every shed evicted, in order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sheds = []
+
+    def _evict_largest(self):
+        before = [k for k, _ in self._table.items()]
+        super()._evict_largest()
+        after = {k for k, _ in self._table.items()}
+        self.sheds.append([k for k in before if k not in after])
+
+
+def observe(grouper, disk, counters):
+    """Everything a caller could tell two groupers apart by, then the output."""
+    state = (
+        grouper.frozen,
+        [k for k, _ in grouper._table.items()],
+        grouper._table.used_bytes,
+        grouper._table.probes,
+        list(grouper._spilled_pairs),
+        grouper.sheds,
+    )
+    output = list(grouper.finish())
+    counts = {k: v for k, v in counters.as_dict().items() if not k.startswith("time.")}
+    return state, output, counts, disk.stats.snapshot()
+
+
+def run_grouper(pairs, cuts, memory, aggregator):
+    disk, counters = LocalDisk(), Counters()
+    g = RecordingGrouper(disk, "hh", memory, aggregator=aggregator, counters=counters)
+    if cuts is None:
+        for key, value in pairs:
+            g.add(key, value)
+    else:
+        edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
+        for a, b in zip(edges, edges[1:]):
+            g.add_batch(pairs[a:b])
+    return g, observe(g, disk, counters)
+
+
+class TestBatchEquivalence:
+    """``add_batch`` is per-pair ``add`` with the lookups hoisted."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 25), st.text("xyz", max_size=80)), max_size=200),
+        st.lists(st.integers(0, 200), max_size=5),
+        st.sampled_from([300, 1500, 6000, 1 << 20]),
+        st.sampled_from([COLLECT, COUNT]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_spills_sheds_and_output_however_the_stream_is_cut(
+        self, pairs, cuts, memory, aggregator
+    ):
+        _, per_pair = run_grouper(pairs, None, memory, aggregator)
+        _, batched = run_grouper(pairs, cuts, memory, aggregator)
+        assert per_pair == batched
+
+    def test_freeze_and_shed_in_the_middle_of_one_batch(self):
+        # 30 keys freeze a 2 KiB table; the resident "k0" then outgrows
+        # 2 x budget twice while cold keys spill around it.
+        pairs = [(f"k{i}", "v" * 20) for i in range(30)]
+        pairs += [("k0" if i % 3 else f"cold{i}", "w" * 90) for i in range(120)]
+        per_pair_g, per_pair = run_grouper(pairs, None, 2048, COLLECT)
+        batched_g, batched = run_grouper(pairs, [], 2048, COLLECT)
+        assert per_pair == batched
+        assert batched_g.sheds and any("k0" in victims for victims in batched_g.sheds)
+        assert sum(batched_g._spilled_pairs) > 40
+
+    def test_spilled_states_merge_in_a_batch(self):
+        inner = COUNT.initial()
+        for _ in range(5):
+            inner.update(None)
+        g = HybridHashGrouper(LocalDisk(), "hh", 1 << 20, aggregator=COUNT)
+        g.add_batch([("a", None), ("a", SpilledState(inner)), ("b", SpilledState(inner))])
+        assert dict(g.finish()) == {"a": 6, "b": 5}
+
+
 class TestValidation:
     def test_bad_memory(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.aggregates import COUNT, SUM
 from repro.core.incremental import IncrementalHash, count_threshold_policy
 from repro.io.disk import LocalDisk
-from repro.mapreduce.counters import C
+from repro.mapreduce.counters import C, Counters
 
 
 class TestInMemory:
@@ -139,3 +139,58 @@ class TestOverflow:
             ih.update(i, 1)
         list(ih.results())
         assert ih.counters[C.HASH_STATE_BYTES_PEAK] > 0
+
+
+def run_incremental(pairs, cuts, memory, policy):
+    """Per-pair ``update`` (``cuts is None``) or ``update_batch`` over the cut stream."""
+    disk, counters = LocalDisk(), Counters()
+    ih = IncrementalHash(
+        COUNT, memory_bytes=memory, disk=disk, emit_policy=policy, counters=counters
+    )
+    if cuts is None:
+        for key, value in pairs:
+            ih.update(key, value)
+    else:
+        edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
+        for a, b in zip(edges, edges[1:]):
+            ih.update_batch(pairs[a:b])
+    state = (
+        ih.updates,
+        ih.overflowed,
+        ih.used_bytes,
+        ih.spilled_records,
+        list(ih.early_emitted),
+        list(ih.snapshot_results()),
+    )
+    output = list(ih.results())
+    counts = {k: v for k, v in counters.as_dict().items() if not k.startswith("time.")}
+    return state, output, counts, disk.stats.snapshot()
+
+
+class TestBatchEquivalence:
+    """``update_batch`` is per-pair ``update`` with the lookups hoisted."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.just(1)), max_size=250),
+        st.lists(st.integers(0, 250), max_size=5),
+        st.sampled_from([None, 400, 1500, 1 << 20]),
+        st.sampled_from([None, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_freeze_emissions_and_output_however_the_stream_is_cut(
+        self, pairs, cuts, memory, threshold
+    ):
+        policy = count_threshold_policy(threshold) if threshold else None
+        assert run_incremental(pairs, None, memory, policy) == run_incremental(
+            pairs, cuts, memory, policy
+        )
+
+    def test_a_budgeted_batch_does_not_enter_update_per_pair(self, monkeypatch):
+        def fail(self, key, value):
+            raise AssertionError("update_batch fell back to per-pair update")
+
+        monkeypatch.setattr(IncrementalHash, "update", fail)
+        ih = IncrementalHash(COUNT, memory_bytes=600, disk=LocalDisk())
+        ih.update_batch([(f"k{i % 40}", 1) for i in range(400)])
+        assert ih.overflowed and ih.updates == 400
+        assert dict(ih.results()) == {f"k{i}": 10 for i in range(40)}

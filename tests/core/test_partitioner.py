@@ -138,9 +138,15 @@ class TestMapSideHashCombiner:
 
 # -- collect equivalence: add_block against a per-pair reference ---------------
 
+#: Keys that share a dict slot but not a size estimate or (for the tuples) a
+#: partition: only exact ``str``/``int`` keys may go through the key-facts memo.
+tricky_keys = st.sampled_from(
+    [1, 1.0, True, 0, 0.0, -0.0, False, "1", b"1", (1,), (1.0,), None, 2.5, 2**70]
+)
+
 pair_streams = st.lists(
     st.tuples(
-        st.one_of(st.integers(0, 40), st.text("abcdef", max_size=6)),
+        st.one_of(st.integers(0, 40), st.text("abcdef", max_size=6), tricky_keys),
         st.one_of(st.integers(-5, 5), st.text("xyz", max_size=12)),
     ),
     max_size=120,
@@ -232,6 +238,20 @@ class TestCollectEquivalence:
         assert results(sink) == reference_combine(pairs, n, COLLECT, budget)
         assert counters[C.MAP_OUTPUT_RECORDS] == len(pairs)
         assert counters[C.COMBINE_OUTPUT_RECORDS] == len(sink.all_pairs())
+
+    @given(pair_streams, st.integers(1, 16), st.integers(1, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_flush_points_do_not_depend_on_what_the_memo_holds(self, pairs, n, budget):
+        cold, warm = Sink(), Sink()
+        for sink in (cold, warm):
+            buf = ScanPartitionBuffer(n, sink, buffer_bytes=budget)
+            if sink is warm:
+                for key, _ in pairs:
+                    if type(key) in (str, int):
+                        buf._facts[key]
+            buf.add_block(pairs)
+            buf.finish()
+        assert cold.chunks == warm.chunks
 
     def test_add_is_a_one_pair_block(self):
         pairs = [(f"k{i % 7}", i) for i in range(200)]

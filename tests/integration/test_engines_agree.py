@@ -79,6 +79,55 @@ class TestFourWorkloadsThreeEngines:
             assert dict(cluster.hdfs.read_records(out)) == ref
 
 
+def _count_map(record):
+    yield record, 1
+
+
+def _sum_reduce(key, values):
+    yield key, sum(values)
+
+
+class TestEqualKeysMeet:
+    """``1 == 1.0 == True``: the group-by must not depend on the reducer count."""
+
+    KEYS = [1, 1.0, True, 0, 0.0, -0.0, 2, 2.0, 1.5] * 3
+
+    @pytest.mark.parametrize("reducers", range(1, 9))
+    def test_three_engines_equal_a_dict_group_by(self, reducers):
+        from repro.core.aggregates import SUM
+        from repro.core.engine import OnePassJob
+        from repro.mapreduce.api import MapReduceJob
+
+        ref = {}
+        for key in self.KEYS:
+            ref[key] = ref.get(key, 0) + 1
+        assert len(ref) == 4
+        cluster = LocalCluster(num_nodes=3, block_size=256)
+        cluster.hdfs.write_records("in", self.KEYS, records_per_chunk=4)
+
+        def mr_job(out):
+            return MapReduceJob(
+                "count", _count_map, _sum_reduce, input_path="in", output_path=out,
+                config=JobConfig(num_reducers=reducers),
+            )
+
+        HadoopEngine(cluster).run(mr_job("o1"))
+        HOPEngine(cluster).run(mr_job("o2"))
+        for out, shape in (("o3", {"aggregator": SUM}), ("o4", {"reduce_fn": _sum_reduce})):
+            cfg = OnePassConfig(
+                mode="hybrid", num_reducers=reducers, map_side_combine="aggregator" in shape
+            )
+            OnePassEngine(cluster).run(
+                OnePassJob(
+                    "count", _count_map, input_path="in", output_path=out, config=cfg, **shape
+                )
+            )
+        for out in ("o1", "o2", "o3", "o4"):
+            records = list(cluster.hdfs.read_records(out))
+            assert len(records) == len(ref), (out, records)
+            assert dict(records) == ref, out
+
+
 class TestConfigurationInvariance:
     """Answers must not depend on tuning knobs, only on the data."""
 

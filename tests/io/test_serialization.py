@@ -1,5 +1,9 @@
 """Framing, codecs and size estimation — including property tests."""
 
+import collections
+import enum
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,7 +106,188 @@ class TestBinaryCodec:
         )
 
 
+# -- estimate_size: the oracle -------------------------------------------------
+# The body ``estimate_size`` had before it was rewritten as a loop-free
+# dispatch, kept verbatim: every spill, flush and freeze point and every
+# byte-valued model figure is a sum of these integers, so the rewrite must
+# return the same value for every object.
+
+_OLD_BASE_SIZES = {int: 28, float: 24, bool: 28, type(None): 16}
+
+
+def _old_estimate_size(obj, _depth=0):
+    t = type(obj)
+    base = _OLD_BASE_SIZES.get(t)
+    if base is not None:
+        return base
+    if t is str:
+        return 49 + len(obj)
+    if t is bytes or t is bytearray:
+        return 33 + len(obj)
+    if t in (tuple, list):
+        size = sys.getsizeof(obj)
+        if _depth >= 3:
+            return size
+        return size + sum(_old_estimate_size(x, _depth + 1) for x in obj)
+    if t is dict:
+        size = sys.getsizeof(obj)
+        if _depth >= 3:
+            return size
+        return size + sum(
+            _old_estimate_size(k, _depth + 1) + _old_estimate_size(v, _depth + 1)
+            for k, v in obj.items()
+        )
+    if t is set or t is frozenset:
+        size = sys.getsizeof(obj)
+        if _depth >= 3:
+            return size
+        return size + sum(_old_estimate_size(x, _depth + 1) for x in obj)
+    return sys.getsizeof(obj)
+
+
+_Point = collections.namedtuple("_Point", "x y")
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Tag(str):
+    pass
+
+
+class _Slotted:
+    __slots__ = ("a", "b")
+
+    def __init__(self):
+        self.a, self.b = 1, "x"
+
+    def __hash__(self):
+        return 7
+
+    def __eq__(self, other):
+        return isinstance(other, _Slotted)
+
+
+_leaves = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.binary(max_size=12).map(bytearray),
+    st.sampled_from(
+        [
+            _Point(1, "a"),
+            collections.OrderedDict(a=1),
+            _Colour.RED,
+            _Tag("tagged"),
+            _Slotted(),
+        ]
+    ),
+)
+_hashable_leaves = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.sampled_from([_Point(1, "a"), _Colour.RED, _Tag("tagged"), _Slotted()]),
+)
+_hashable = st.recursive(
+    _hashable_leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner), st.tuples(inner, inner), st.frozensets(inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+#: Nests to depth 5 and beyond, so the depth-3 cut is crossed.
+_objects = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner),
+        st.tuples(inner, inner, inner),
+        st.lists(inner, max_size=3),
+        st.dictionaries(_hashable, inner, max_size=3),
+        st.sets(_hashable, max_size=3),
+        st.frozensets(_hashable, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+def _nest(obj, wrap, depth):
+    for _ in range(depth):
+        obj = wrap(obj)
+    return obj
+
+
 class TestEstimateSize:
+    def test_literal_table(self):
+        """The exact values (64-bit CPython 3.11/3.12) the models hang on."""
+        table = [
+            (0, 28),
+            (2**70, 28),
+            (-1, 28),
+            (1.5, 24),
+            (True, 28),
+            (None, 16),
+            ("", 49),
+            ("abc", 52),
+            ("\xe9\xe9\xe9", 52),
+            (b"xy", 35),
+            (bytearray(b"xyz"), 36),
+            ((), 40),
+            ((1,), 48 + 28),
+            # the four workloads' map-output values and keys
+            (1, 28),
+            ("/page/1234", 59),
+            ((1.5, "/url/7"), 56 + 24 + 55),
+            (("w", (3, 4)), 56 + 50 + 56 + 28 + 28),
+            (((((1, 2),),),), 48 + 48 + 48 + 56),  # depth 3: getsizeof alone
+            ([], 56),
+            ({}, 64),
+            (set(), 216),
+            (frozenset(), 216),
+        ]
+        for obj, expected in table:
+            assert estimate_size(obj) == expected, obj
+
+    def test_containers_count_their_elements(self):
+        for obj, elements in [
+            ([1, 2.5, "ab"], 28 + 24 + 51),
+            ({"a": 1, 2: None}, 50 + 28 + 28 + 16),
+            ({1, "a"}, 28 + 50),
+            (frozenset([1.5]), 24),
+            ([[1], (2.0,)], sys.getsizeof([1]) + 28 + 48 + 24),
+        ]:
+            assert estimate_size(obj) == sys.getsizeof(obj) + elements, obj
+
+    def test_subclasses_are_charged_getsizeof_alone(self):
+        for obj in (
+            _Point(1, "a"),
+            collections.OrderedDict(a=1),
+            _Colour.RED,
+            _Tag("tagged"),
+            _Slotted(),
+        ):
+            assert estimate_size(obj) == sys.getsizeof(obj)
+
+    @pytest.mark.parametrize(
+        "wrap", [lambda x: (x,), lambda x: [x], lambda x: {"k": x}, lambda x: frozenset([x])]
+    )
+    def test_depth_cut(self, wrap):
+        for depth in range(1, 7):
+            obj = _nest(("leaf", 1, 2.0), wrap, depth)
+            assert estimate_size(obj) == _old_estimate_size(obj)
+
+    @given(_objects)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_old_implementation(self, obj):
+        assert estimate_size(obj) == _old_estimate_size(obj)
+
     def test_scalars_positive(self):
         for obj in (0, 1.5, True, None, "abc", b"xyz"):
             assert estimate_size(obj) > 0

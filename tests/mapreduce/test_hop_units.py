@@ -134,3 +134,26 @@ class TestPipelinedMapTask:
         assert chunks == expected
         assert counters[C.SORT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS] == 52
         assert counters[C.MAP_INPUT_RECORDS] == len(records)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_keys_sharing_a_dict_slot_are_routed_per_record(self, batch):
+        # Only exact str/int keys go through the partition memo; 1.0 and True
+        # equal 1 but must not be answered from its slot by a custom partitioner.
+        keys = [1, 1.0, True, 0, 0.0, -0.0, 2.5, 1, 1.0, True, 7, 7]
+        job = MapReduceJob(
+            "wc", lambda r: [(r, 1)], sum_reduce, config=JobConfig(num_reducers=3, batch=batch)
+        )
+
+        def by_type(key, n):
+            return (int, float, bool).index(type(key))
+
+        chunks = []
+        task = _PipelinedMapTask(
+            job, 0, "n0", LocalDisk(), HOPConfig(granularity_records=1000),
+            lambda partition, pairs, nbytes: chunks.append((partition, [k for k, _ in pairs])),
+            partitioner=by_type,
+        )  # fmt: skip
+        task.run(iter(keys))
+        assert [(p, [type(k) for k in ks]) for p, ks in chunks] == [
+            (0, [int] * 5), (1, [float] * 5), (2, [bool] * 2)
+        ]  # fmt: skip

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapreduce.partition import HashPartitioner, hash_partitioner, stable_hash
+from repro.io.serialization import estimate_size
+from repro.mapreduce.partition import (
+    HashPartitioner,
+    KeyFacts,
+    KeyPartitions,
+    hash_partitioner,
+    stable_hash,
+)
 
 keys = st.one_of(
     st.text(max_size=30),
@@ -60,6 +67,20 @@ class TestStableHash:
         assert stable_hash(2**127 - 1) == 3523953978
         assert stable_hash("user-42") == 2097592435
 
+    @pytest.mark.parametrize(
+        "equal_keys",
+        [(1, 1.0, True), (0, 0.0, -0.0, False), (-7, -7.0), (2**80, float(2**80)), (int(1e300), 1e300)],
+    )
+    def test_equal_keys_hash_equal(self, equal_keys):
+        # A group-by must not depend on the reducer count: keys that meet in
+        # one reducer's dict (or one sorted run) must meet in one partition.
+        assert len(set(equal_keys)) == 1
+        assert len({stable_hash(k) for k in equal_keys}) == 1
+
+    @pytest.mark.parametrize("key", [1.5, -0.25, float("inf"), float("-inf"), float("nan")])
+    def test_other_floats_keep_the_pickle_path(self, key):
+        assert stable_hash(key) == zlib.crc32(pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL))
+
     def test_distinct_types_hash_differently_enough(self):
         # Not a strict requirement, but catches degenerate implementations.
         values = ["a", "b", "c", 1, 2, 3, ("a", 1), b"a"]
@@ -88,3 +109,66 @@ class TestHashPartitioner:
     def test_callable_class(self):
         p = HashPartitioner()
         assert p("abc", 10) == hash_partitioner("abc", 10)
+
+
+def _collect(facts, key):
+    """The lookup protocol every collect loop inlines."""
+    t = type(key)
+    return facts[key] if t is str or t is int else facts.of(key)
+
+
+class TestKeyFacts:
+    #: ``1 == 1.0 == True`` and ``0.0 == -0.0`` share a dict slot but not a
+    #: size estimate (28 vs 24); the list is unhashable.
+    TRICKY = [1, 1.0, True, "1", b"1", (1,), 0.0, -0.0, [1], 1, "1", 1.0, True, 2**70, None]
+
+    @pytest.mark.parametrize("num_partitions", [1, 4, 7])
+    @pytest.mark.parametrize("overhead", [0, 32])
+    def test_every_record_gets_the_unmemoised_answer(self, num_partitions, overhead):
+        facts = KeyFacts(hash_partitioner, num_partitions, overhead)
+        for key in self.TRICKY * 2:
+            assert _collect(facts, key) == (
+                hash_partitioner(key, num_partitions),
+                estimate_size(key) + overhead,
+            ), key
+
+    def test_only_exact_str_and_int_keys_are_remembered(self):
+        facts = KeyFacts(hash_partitioner, 4, 32)
+        for key in self.TRICKY:
+            _collect(facts, key)
+        assert sorted(map(repr, facts)) == sorted(map(repr, [1, "1", 2**70]))
+        assert all(type(k) in (str, int) for k in facts)
+
+    def test_partitioner_and_estimator_run_once_per_distinct_key(self):
+        calls = []
+
+        def partitioner(key, n):
+            calls.append(key)
+            return len(calls) % n
+
+        facts = KeyFacts(partitioner, 3, 8)
+        first = [_collect(facts, k) for k in ("a", "b", 5, "a", 5, "b")]
+        assert calls == ["a", "b", 5]
+        assert first[3] == first[0] and first[4] == first[2] and first[5] == first[1]
+
+    def test_key_partitions_is_the_partition_half(self):
+        calls = []
+
+        def partitioner(key, n):
+            calls.append(key)
+            return hash_partitioner(key, n)
+
+        memo = KeyPartitions(partitioner, 4)
+        for key in ("k", 7, "k", 7, 2**70, "k"):
+            assert memo[key] == hash_partitioner(key, 4)
+        assert calls == ["k", 7, 2**70]
+
+    def test_memoises_the_partitioner_it_was_given(self):
+        facts = KeyFacts(lambda key, n: n - 1, 5, 0)
+        assert _collect(facts, "k")[0] == 4 and _collect(facts, ("k",))[0] == 4
+
+    def test_zero_partitions_rejected_on_first_key(self):
+        with pytest.raises(ValueError):
+            _collect(KeyFacts(hash_partitioner, 0, 32), "k")
+        with pytest.raises(ValueError):
+            KeyPartitions(hash_partitioner, 0)["k"]

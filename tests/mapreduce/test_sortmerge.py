@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.io.disk import LocalDisk
+from repro.io.serialization import estimate_size
 from repro.io.runio import read_run
 from repro.mapreduce import sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
@@ -145,6 +146,45 @@ class TestCollect:
             }
             outcomes.append((disk_files(disk), segments, counts, disk.stats.snapshot()))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "buffer_cls", [sortmerge._SortSpillBuffer, sortmerge._BatchSortSpillBuffer]
+    )
+    def test_every_record_is_routed_and_charged_as_without_the_memo(self, buffer_cls):
+        # ``1 == 1.0 == True`` share a dict slot but not a size estimate; the
+        # list key is unhashable (the sort-merge path accepts it).
+        keys = [1, 1.0, True, "1", b"1", (1,), 0.0, -0.0, [1], 1, "1", True, 2**70, None]
+        buffer = buffer_cls(make_job(num_reducers=5), LocalDisk(), 0, Counters(), hash_partitioner)
+        routed = []
+        for key in keys * 2:
+            before = buffer._bytes
+            buffer.add(key, ("v", 1))
+            assert buffer._bytes - before == estimate_size(key) + estimate_size(("v", 1)) + 32
+            routed.append(hash_partitioner(key, 5))
+        if buffer_cls is sortmerge._SortSpillBuffer:
+            assert [p for p, _, _ in buffer._entries] == routed
+        else:
+            assert [len(b) for b in buffer._buckets] == [routed.count(p) for p in range(5)]
+
+    @pytest.mark.parametrize(
+        "buffer_cls", [sortmerge._SortSpillBuffer, sortmerge._BatchSortSpillBuffer]
+    )
+    @pytest.mark.parametrize("make_key", [lambda i: f"w{i % 17}", lambda i: i % 11])
+    def test_spill_points_do_not_depend_on_what_the_memo_holds(self, buffer_cls, make_key):
+        pairs = [(make_key(i), i) for i in range(400)]
+        outcomes = []
+        for warm in (False, True):
+            disk, counters = LocalDisk(), Counters()
+            buffer = buffer_cls(
+                make_job(num_reducers=3, map_buffer_bytes=1500), disk, 0, counters, hash_partitioner
+            )
+            if warm:
+                for key, _ in pairs:
+                    buffer._facts[key]
+            buffer.add_block(pairs)
+            segments = buffer.finish()
+            outcomes.append((disk_files(disk), segments, counters[C.MAP_SPILLS]))
+        assert outcomes[0] == outcomes[1] and outcomes[0][2] > 3
 
     @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("slice_records", [1, 7, 10_000])
