@@ -1,11 +1,11 @@
 """Perf-regression guard for the serial hot-path kernels.
 
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
-— frame codec round-trip, partition-key sorting, streaming run merge,
-the multi-pass merger, incremental hash update, their columnar *batch*
-counterparts, the chained-job partition cache, the map-side collect
-path and the byte-budget size estimator — and guards
-them two ways:
+— frame codec round-trip, per-bucket partition sorting, the streaming
+(disk-run) and in-memory segment merges, the multi-pass merger,
+incremental hash update per pair and per chunk, the chained-job
+partition cache, the map-side collect path and the byte-budget size
+estimator — and guards them two ways:
 
 * **Ratio guard** — each timing is normalised by a fixed pure-Python
   calibration loop run on the same machine.  The resulting *scores* are
@@ -16,11 +16,6 @@ them two ways:
   records-per-second floor (recorded at baseline time divided by a 4x
   headroom factor).  Ratios catch *relative* drift; floors catch the
   case where the calibration loop and the kernel degrade together.
-
-The batch kernels must additionally *beat* their tuple twins: CI fails
-if ``batch_partition_sort`` or ``batch_merge_streams`` stops being at
-least 25% faster than ``partition_sort`` / ``merge_streams`` — that
-improvement is the point of the batch path.
 
 Usage::
 
@@ -48,17 +43,11 @@ TOLERANCE = 0.25  # fail when a kernel's score regresses by more than this
 FLOOR_HEADROOM = 4.0  # floor = baseline records/sec divided by this
 REPEATS = 7  # best-of-N to shave scheduler noise
 
-#: batch kernel -> (tuple twin, max allowed score ratio batch/tuple)
-BATCH_BEATS = {
-    "batch_partition_sort": ("partition_sort", 0.75),
-    "batch_merge_streams": ("merge_streams", 0.75),
-}
-
-#: overhead kernel -> (reference kernel, max wall ratio).  Unlike the
-#: BATCH_BEATS bounds (25%+ margins), a 2% differential sits below the
-#: noise floor of independently scored kernels, so these pairs are timed
-#: interleaved (``paired_ratio``): both sides face the same heap, cache
-#: and scheduler state, and the min-of-N ratio is stable to well under 2%.
+#: overhead kernel -> (reference kernel, max wall ratio).  A 2%
+#: differential sits below the noise floor of independently scored
+#: kernels, so these pairs are timed interleaved (``paired_ratio``): both
+#: sides face the same heap, cache and scheduler state, and the min-of-N
+#: ratio is stable to well under 2%.
 #: reprosan only instruments once installed — with the sanitizer merely
 #: importable/constructed, executor dispatch must cost the same.
 #: The same mechanism gates a *scaling* bound: the map-side collect loop
@@ -87,7 +76,6 @@ PAIRED_OVERHEAD = {
 #: names *which phase* regressed, not just which micro-kernel.
 KERNEL_PHASES = {
     "frames_roundtrip": "shuffle",
-    "partition_sort": "sort",
     "batch_partition_sort": "sort",
     "merge_streams": "merge",
     "batch_merge_streams": "merge",
@@ -155,7 +143,7 @@ def _dataset(name: str, build) -> list:
 
     Synthetic-data generation (rng draws plus f-string keys) used to be
     timed inside several kernels and dominated them, which both diluted
-    the tuple-vs-batch comparisons and added run-to-run noise; the guards
+    the kernel-to-kernel comparisons and added run-to-run noise; the guards
     should measure the kernel, not the generator.
     """
     data = _DATASETS.get(name)
@@ -197,20 +185,11 @@ def _partition_rows() -> list[tuple[int, str, float]]:
     return _dataset("partition_rows", build)
 
 
-def kernel_partition_sort() -> None:
-    from repro.mapreduce.sortmerge import _PARTITION_KEY
-
-    rows = list(_partition_rows())
-    rows.sort(key=_PARTITION_KEY)
-    assert rows[0][0] == 0
-
-
 def kernel_batch_partition_sort() -> None:
-    """The batch path's equivalent of ``partition_sort``: same 120k rows
-    (seed 4104, 8 partitions), fanned out at add time and sorted per
-    bucket with the stable single-key sort — the fanout-at-add plus
-    ``sort_bucket`` shape the engines' ``--batch`` paths run.  Must beat
-    the global compound-key sort by 25% (see :data:`BATCH_BEATS`).
+    """The map-side sort: 120k rows (seed 4104, 8 partitions) fanned out
+    at add time and sorted per bucket with the stable single-key sort —
+    the fanout-at-add plus ``sort_bucket`` shape both sort-merge map
+    sides run.
     """
     from repro.io.batch import sort_bucket
 
@@ -226,8 +205,8 @@ def kernel_batch_partition_sort() -> None:
 
 
 def _merge_input() -> list[list[tuple[str, int]]]:
-    """Eight key-sorted 15k-record segments (tuple path pops them off a
-    heap record by record; the batch path concatenates and galloping-sorts)."""
+    """Eight key-sorted 15k-record segments (runs streamed from disk pop off
+    a heap record by record; in-memory segments concatenate and galloping-sort)."""
 
     def build() -> list[list[tuple[str, int]]]:
         rng = random.Random(2718)
@@ -340,7 +319,7 @@ def kernel_incremental_update() -> None:
 
 def kernel_batch_hash_update() -> None:
     """Folding map-output chunks through ``IncrementalHash.update_batch``
-    (the fast path the one-pass engine's ``--batch`` mode takes), in
+    (how the one-pass reduce task absorbs a pushed chunk), in
     granularity-sized chunks as the engine produces them.
     """
     from repro.core.aggregates import SUM
@@ -598,7 +577,7 @@ def kernel_san_overhead() -> None:
 
     reprosan instruments by patching at ``install()`` time, so merely
     shipping it must leave the dispatch hot path untouched: the
-    BATCH_BEATS pairing gates this kernel to within 2% of
+    :data:`PAIRED_OVERHEAD` pairing gates this kernel to within 2% of
     ``exec_dispatch``.  If an always-on hook ever creeps into the
     executor (an ``active_sanitizer()`` probe per batch, an import-time
     wrapper), this ratio blows past its bound and CI fails.
@@ -614,7 +593,6 @@ def kernel_san_overhead() -> None:
 #: count turns the wall time into the records/sec figure the floors guard.
 KERNELS = {
     "frames_roundtrip": (kernel_frames_roundtrip, 20_000),
-    "partition_sort": (kernel_partition_sort, 120_000),
     "batch_partition_sort": (kernel_batch_partition_sort, 120_000),
     "merge_streams": (kernel_merge_streams, 120_000),
     "batch_merge_streams": (kernel_batch_merge_streams, 120_000),
@@ -724,9 +702,6 @@ def cmd_write(path: Path) -> int:
             f"  {name:26s} score {m['score']:8.4f}   "
             f"{m['records_per_sec']:12,.0f} rec/s"
         )
-    for batch, (twin, bound) in sorted(BATCH_BEATS.items()):
-        ratio = measured[batch]["score"] / measured[twin]["score"]
-        print(f"  {batch} / {twin} = {ratio:.3f} (required <= {bound})")
     for name, (ref, bound) in sorted(PAIRED_OVERHEAD.items()):
         ratio = paired_ratio(KERNELS[name][0], KERNELS[ref][0])
         print(f"  {name} / {ref} = {ratio:.3f} interleaved (required <= {bound})")
@@ -812,17 +787,6 @@ def cmd_check(path: Path) -> int:
             f"{name:26s} {base:10.4f} {m['score']:10.4f} {ratio:7.2f}x "
             f"{m['records_per_sec']:14,.0f} {floor:12,.0f}  "
             f"{'ok' if ok else 'FAIL'}"
-        )
-    for batch, (twin, bound) in sorted(BATCH_BEATS.items()):
-        if batch not in measured or twin not in measured:
-            continue
-        ratio = measured[batch]["score"] / measured[twin]["score"]
-        ok = ratio <= bound
-        if not ok:
-            failed = True
-        print(
-            f"{batch:26s} vs {twin}: {ratio:.3f} "
-            f"(required <= {bound})  {'ok' if ok else 'FAIL'}"
         )
     for name, (ref, bound) in sorted(PAIRED_OVERHEAD.items()):
         ratio = paired_ratio(KERNELS[name][0], KERNELS[ref][0])

@@ -102,10 +102,7 @@ def _run_real(
     executor: str | None = None,
     tracer: Any = None,
     journal: Any = None,
-    batch: bool = False,
 ) -> Any:
-    import dataclasses
-
     from repro.core.engine import OnePassEngine
     from repro.mapreduce.hop import HOPEngine
     from repro.mapreduce.runtime import HadoopEngine, LocalCluster
@@ -114,21 +111,13 @@ def _run_real(
     cluster = LocalCluster(num_nodes=nodes, block_size=256 * 1024)
     cluster.hdfs.write_records("in", records_fn(records))
     if engine in ("hadoop", "hop"):
-        job = sm_job("in", "out")
-        if batch:
-            job = job.with_config(batch=True)
         engine_cls = HadoopEngine if engine == "hadoop" else HOPEngine
         return engine_cls(
             cluster, executor=executor, tracer=tracer, journal=journal
-        ).run(job)
-    op = op_job("in", "out")
-    if batch:
-        op = dataclasses.replace(
-            op, config=dataclasses.replace(op.config, batch=True)
-        )
+        ).run(sm_job("in", "out"))
     return OnePassEngine(
         cluster, executor=executor, tracer=tracer, journal=journal
-    ).run(op)
+    ).run(op_job("in", "out"))
 
 
 def _apply_log_level(args: argparse.Namespace) -> None:
@@ -213,7 +202,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.executor,
         tracer,
         journal,
-        batch=args.batch,
     )
     _print_counters(
         result, f"{args.workload} on {args.engine} ({args.records} records)"
@@ -573,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write a crash-consistent job journal to DIR (resumable with "
         "'repro resume DIR')",
-    )
-    p_run.add_argument(
-        "--batch",
-        action="store_true",
-        help="use the columnar batch kernel path (byte-identical output; "
-        "see docs/PERFORMANCE.md)",
     )
     add_trace_flags(p_run)
     p_run.set_defaults(fn=cmd_run)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from repro.core.aggregates import COLLECT, Aggregator
 from repro.core.hotset import ApproximateResult, HotSetIncrementalHash
@@ -66,10 +66,9 @@ class OnePassConfig:
     hotset_capacity: int = 1024
     spill_partitions: int = 8
     map_side_combine: bool = True
-    #: Batch kernel path: pushed chunks are folded reduce-side through the
-    #: hoisted ``add_batch``/``update_batch`` loops (the map side collects
-    #: block-at-a-time either way; see docs/PERFORMANCE.md).  Byte-identical
-    #: output; CPU cost only.
+    #: Inert: read by nothing in ``src/``.  Kept, with its default, because
+    #: ``benchmarks/e2e`` sets it and ``job_fingerprint`` hashes every field;
+    #: the benchmark-only PR that retires the ``*.tuple.wall_s`` names drops it.
     batch: bool = False
 
     def __post_init__(self) -> None:
@@ -152,11 +151,13 @@ class OnePassReduceTask:
         self._chunks_seen = 0
         cfg = job.config
         namespace = f"onepass/{partition:03d}"
-        self._incremental: IncrementalHash | None = None
-        self._hotset: HotSetIncrementalHash | None = None
-        self._grouper: HybridHashGrouper | None = None
+        #: The one hash backend.  ``_fold`` absorbs a pushed chunk into it
+        #: and ``_drain`` yields its ``(key, result)`` groups; both are
+        #: picked here, once (hot-set admission stays per pair, inside
+        #: :meth:`HotSetIncrementalHash.update_batch`).
+        backend: IncrementalHash | HotSetIncrementalHash | HybridHashGrouper
         if job.is_aggregate and cfg.mode == "incremental":
-            self._incremental = IncrementalHash(
+            backend = IncrementalHash(
                 job.aggregator,
                 memory_bytes=cfg.reduce_memory_bytes,
                 disk=disk,
@@ -164,8 +165,9 @@ class OnePassReduceTask:
                 emit_policy=job.emit_policy,
                 counters=self.counters,
             )
+            self._fold, self._drain = backend.update_batch, backend.results
         elif job.is_aggregate and cfg.mode == "hotset":
-            self._hotset = HotSetIncrementalHash(
+            backend = HotSetIncrementalHash(
                 job.aggregator,
                 disk,
                 namespace,
@@ -173,8 +175,9 @@ class OnePassReduceTask:
                 spill_partitions=cfg.spill_partitions,
                 counters=self.counters,
             )
+            self._fold, self._drain = backend.update_batch, backend.results
         else:
-            self._grouper = HybridHashGrouper(
+            backend = HybridHashGrouper(
                 disk,
                 namespace,
                 cfg.reduce_memory_bytes,
@@ -182,6 +185,8 @@ class OnePassReduceTask:
                 spill_partitions=cfg.spill_partitions,
                 counters=self.counters,
             )
+            self._fold, self._drain = backend.add_batch, backend.finish
+        self._backend = backend
 
     # -- ingestion (push target) ----------------------------------------------
 
@@ -194,32 +199,11 @@ class OnePassReduceTask:
         counters.inc(C.SHUFFLE_BYTES, nbytes)
         counters.inc(C.REDUCE_INPUT_RECORDS, len(pairs))
         trc = self.tracer
-        backend = self._incremental or self._hotset or self._grouper
+        backend = self._backend
         spill0 = backend.spilled_records if trc.enabled else 0
         perf = time.perf_counter
         t0 = perf()
-        batch = self.job.config.batch
-        if self._incremental is not None:
-            if batch:
-                self._incremental.update_batch(pairs)
-            else:
-                update = self._incremental.update
-                for key, value in pairs:
-                    update(key, value)
-        elif self._hotset is not None:
-            # Tuple fallback: hot-set cache admission/eviction decisions are
-            # inherently per-pair, so there is no batch variant to take.
-            update = self._hotset.update
-            for key, value in pairs:
-                update(key, value)
-        else:
-            assert self._grouper is not None
-            if batch:
-                self._grouper.add_batch(pairs)
-            else:
-                add = self._grouper.add
-                for key, value in pairs:
-                    add(key, value)
+        self._fold(pairs)
         counters.inc(C.T_HASH, perf() - t0)
         if trc.enabled:
             # Spill bytes settle only when writers close, so the live
@@ -248,13 +232,13 @@ class OnePassReduceTask:
 
     @property
     def early_emitted(self) -> list[tuple[Any, Any]]:
-        if self._incremental is not None:
-            return self._incremental.early_emitted
-        return []
+        backend = self._backend
+        return backend.early_emitted if isinstance(backend, IncrementalHash) else []
 
     def approximate_results(self) -> list[ApproximateResult]:
-        if self._hotset is not None:
-            return list(self._hotset.approximate_results())
+        backend = self._backend
+        if isinstance(backend, HotSetIncrementalHash):
+            return list(backend.approximate_results())
         return []
 
     # -- finish ---------------------------------------------------------------------
@@ -266,8 +250,8 @@ class OnePassReduceTask:
         job = self.job
         output: list[Any] = []
         groups = 0
-        backend = self._incremental or self._hotset
-        if backend is not None:
+        backend = self._backend
+        if not isinstance(backend, HybridHashGrouper):
             self.tracer.metrics.gauge("hash.resident.keys").record(
                 self.tracer.clock, backend.resident_keys
             )
@@ -276,14 +260,14 @@ class OnePassReduceTask:
         ) as reduce_span:
             if job.is_aggregate:
                 finalize = job.finalize or _default_finalize
-                for key, result in self._aggregate_results():
+                for key, result in self._drain():
                     groups += 1
                     output.extend(finalize(key, result))
             else:
-                assert self._grouper is not None and job.reduce_fn is not None
+                assert job.reduce_fn is not None
                 perf = time.perf_counter
                 t_reduce = 0.0
-                for key, values in self._grouper.finish():
+                for key, values in self._drain():
                     groups += 1
                     t0 = perf()
                     output.extend(job.reduce_fn(key, iter(values)))
@@ -295,14 +279,6 @@ class OnePassReduceTask:
         counters.inc(C.REDUCE_OUTPUT_RECORDS, len(output))
         return output
 
-    def _aggregate_results(self) -> Iterator[tuple[Any, Any]]:
-        if self._incremental is not None:
-            return self._incremental.results()
-        if self._hotset is not None:
-            return self._hotset.results()
-        assert self._grouper is not None
-        return self._grouper.finish()
-
     # -- checkpointing --------------------------------------------------------------
 
     def checkpoint_payload(self) -> bytes | None:
@@ -312,14 +288,15 @@ class OnePassReduceTask:
         one in-memory table); hotset and hybrid-hash backends return
         ``None`` and recover by full log replay instead.
         """
-        if self._incremental is None:
-            return None
-        return self._incremental.checkpoint_payload()
+        backend = self._backend
+        if isinstance(backend, IncrementalHash):
+            return backend.checkpoint_payload()
+        return None
 
     def restore_payload(self, payload: bytes) -> None:
         """Load a checkpoint produced by :meth:`checkpoint_payload`."""
-        assert self._incremental is not None
-        self._incremental.restore_payload(payload)
+        assert isinstance(self._backend, IncrementalHash)
+        self._backend.restore_payload(payload)
 
 
 def _default_finalize(key: Any, result: Any) -> Iterable[Any]:

@@ -28,7 +28,7 @@ write-everything-then-merge behaviour — the paper's headline §V claim.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.aggregates import Aggregator
 from repro.core.frequent import SpaceSaving, TrackedKey
@@ -126,6 +126,12 @@ class HotSetIncrementalHash:
         self._since_refresh += 1
         if self._since_refresh >= self.refresh_interval:
             self._refresh()
+
+    def update_batch(self, pairs: Iterable[tuple[Any, Any]]) -> None:
+        """:meth:`update` for each pair: admission and eviction are per-pair decisions."""
+        update = self.update
+        for key, value in pairs:
+            update(key, value)
 
     def _spill_pair(self, key: Any, value: Any) -> None:
         bucket = self._hash(key) % self.spill_partitions

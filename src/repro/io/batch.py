@@ -1,8 +1,8 @@
-"""Columnar record batches for the batch kernel path.
+"""Columnar record batches and the plain-list bucket kernels.
 
-The tuple path moves map output through Python as one ``(key, value)``
-tuple per record; every sort, fanout and merge pays per-tuple dispatch.
-This module provides the columnar alternative:
+Moving map output through Python as one ``(key, value)`` tuple per
+record makes every sort, fanout and merge pay per-tuple dispatch.  This
+module provides the alternatives:
 
 * :class:`RecordBatch` stores *n* pairs column-wise — keys as a decoded
   list (they drive partitioning, sorting and grouping), values as
@@ -20,10 +20,9 @@ This module provides the columnar alternative:
   stay in the encoded buffer, sliced lazily.
 * Plain-list helpers (:func:`sort_bucket`, :func:`merge_segments`)
   implement the per-bucket stable sort and the concat-and-stable-sort
-  merge the batch engine paths use on decoded pairs.  Their orderings are
-  proven equivalent to the tuple path's global ``(partition, key)`` sort
-  and ``heapq.merge`` (see the docstrings), which is what keeps batch
-  output byte-identical.
+  merge the sort-merge engines use on decoded pairs.  Their orderings
+  equal a global stable ``(partition, key)`` sort and ``heapq.merge``
+  (see the docstrings; the tests keep that sort as their oracle).
 
 The module lives in ``repro.io`` beside the framing it extends
 (``serialization.py``); it stays import-light so the kernel-transitive
@@ -248,16 +247,15 @@ class RecordBatch:
         return f"RecordBatch(n={len(self.keys)}, value_bytes={self.value_bytes})"
 
 
-# -- plain-list batch helpers (the engine batch paths) -------------------------
+# -- plain-list helpers (the sort-merge engines' kernels) ----------------------
 
 
 def sort_bucket(bucket: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
     """Stable in-place key sort of one fanout bucket; returns the bucket.
 
-    Equal keys keep arrival order, matching the stable global sort of the
-    tuple path (``list.sort`` is stable), so the concatenation of sorted
-    buckets in ascending partition order is byte-identical to the tuple
-    path's sorted ``(partition, key, value)`` run.
+    Equal keys keep arrival order (``list.sort`` is stable), so the
+    concatenation of sorted buckets in ascending partition order is the
+    record sequence of one stable sort on the compound ``(partition, key)``.
     """
     bucket.sort(key=_FIRST)
     return bucket
@@ -273,7 +271,7 @@ def merge_segments(
     yields the earlier stream's records first, and here the earlier
     stream's records precede the later's in the concatenation, which a
     stable sort preserves.  Unlike the heap this is a single Timsort over
-    already-sorted runs (galloping), which is what the batch path buys.
+    already-sorted runs (galloping).
     """
     out: list[tuple[Any, Any]] = []
     for seg in segments:

@@ -22,10 +22,8 @@ and its multi-pass I/O remain — the paper's central observation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from repro.io.batch import merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
@@ -34,11 +32,11 @@ from repro.mapreduce.api import MapReduceJob
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.driver import JobRun, PushShuffleDriver
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted
+from repro.mapreduce.merge import group_sorted
 from repro.mapreduce.partition import KeyPartitions, Partitioner, hash_partitioner
 from repro.mapreduce.recovery import SpeculationPolicy
 from repro.mapreduce.runtime import LocalCluster
-from repro.mapreduce.sortmerge import map_slices
+from repro.mapreduce.sortmerge import SortMergeReduceTask, _combine_buckets, map_slices
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = ["HOPConfig", "Snapshot", "PipelinedReduceTask", "HOPEngine"]
@@ -70,69 +68,27 @@ class Snapshot:
     records: tuple[Any, ...]
 
 
-class PipelinedReduceTask:
-    """Reduce task that accepts eagerly pushed mini-segments."""
+class PipelinedReduceTask(SortMergeReduceTask):
+    """The sort-merge reduce task, fed by eagerly pushed mini-segments.
 
-    def __init__(
-        self,
-        job: MapReduceJob,
-        partition: int,
-        node: str,
-        disk: LocalDisk,
-        hop: HOPConfig,
-        *,
-        tracer: Any = NULL_TRACER,
-    ) -> None:
-        self.job = job
-        self.partition = partition
-        self.node = node
-        self.disk = disk
-        self.hop = hop
-        self.counters = Counters()
-        self.tracer = tracer
-        self._task = f"reduce:{partition:03d}"
-        self._merger = MultiPassMerger(
-            disk,
-            f"hop-reduce/{partition:03d}",
-            factor=job.config.merge_factor,
-            counters=self.counters,
-            tracer=tracer,
-            node=node,
-            task=self._task,
-        )
-        self._memory: list[list[tuple[Any, Any]]] = []
-        self._memory_bytes = 0
+    HOP keeps Hadoop's reducer — in-memory merge, multi-pass merger,
+    blocking final merge — and adds what Table III says it adds: a push
+    target with a visible backlog, and snapshots.
+    """
+
+    run_namespace = "hop-reduce"
 
     @property
     def backlog_bytes(self) -> int:
         return self._memory_bytes
 
-    def accept_chunk(self, pairs: list[tuple[Any, Any]], nbytes: int) -> None:
-        """Receive one pushed, sorted mini-segment."""
-        self._memory.append(pairs)
-        self._memory_bytes += nbytes
-        self.counters.inc(C.SHUFFLE_BYTES, nbytes)
-        if self._memory_bytes >= self.job.config.reduce_buffer_bytes:
-            self._spill_memory()
+    #: Receive one pushed, sorted mini-segment.
+    accept_chunk = SortMergeReduceTask.accept_segment
 
-    def _spill_memory(self) -> None:
-        if not self._memory:
-            return
-        segments, self._memory = self._memory, []
-        nbytes, self._memory_bytes = self._memory_bytes, 0
-        with self.tracer.span(
-            "spill",
-            "spill",
-            node=self.node,
-            task=self._task,
-            cost=byte_cost(nbytes),
-            bytes=nbytes,
-            segments=len(segments),
-        ):
-            if self.job.config.batch:
-                self._merger.add_run(merge_segments(segments))
-            else:
-                self._merger.add_run(merge_sorted([iter(s) for s in segments]))
+    def _spill_run(self, segments: list[list[tuple[Any, Any]]]) -> Any:
+        # HOP never runs the combiner reduce-side, and pushed chunks carry
+        # no frames to reuse: the merged pairs are pickled by the writer.
+        return merge_segments(segments)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -147,22 +103,12 @@ class PipelinedReduceTask:
         with self.tracer.span(
             "snapshot", "snapshot", node=self.node, task=self._task, fraction=fraction
         ) as snap_span:
-            if self.job.config.batch:
-                segments: list[Iterable[tuple[Any, Any]]] = list(self._memory)
-                for path, nbytes in self._merger.run_paths:
-                    segments.append(list(stream_run(self.disk, path)))
-                    self.counters.inc(C.MERGE_READ_BYTES, nbytes)
-                with self.counters.timer(C.T_MERGE):
-                    merged = merge_segments(segments)
-            else:
-                streams: list[Iterator[tuple[Any, Any]]] = [
-                    iter(seg) for seg in self._memory
-                ]
-                for path, nbytes in self._merger.run_paths:
-                    streams.append(stream_run(self.disk, path))
-                    self.counters.inc(C.MERGE_READ_BYTES, nbytes)
-                with self.counters.timer(C.T_MERGE):
-                    merged = list(merge_sorted(streams))
+            segments: list[Iterable[tuple[Any, Any]]] = list(self._memory)
+            for path, nbytes in self._merger.run_paths:
+                segments.append(list(stream_run(self.disk, path)))
+                self.counters.inc(C.MERGE_READ_BYTES, nbytes)
+            with self.counters.timer(C.T_MERGE):
+                merged = merge_segments(segments)
             output: list[Any] = []
             with self.counters.timer(C.T_REDUCE_FN):
                 for key, values in group_sorted(iter(merged)):
@@ -170,45 +116,6 @@ class PipelinedReduceTask:
             snap_span.set_cost(max(1, len(merged)))
             snap_span.set(records=len(merged), out_records=len(output))
         return Snapshot(fraction=fraction, records=tuple(output))
-
-    # -- final reduce ------------------------------------------------------------
-
-    def run(self) -> list[Any]:
-        self.counters.inc(C.REDUCE_TASKS)
-        with self.tracer.span(
-            "reduce", "reduce", node=self.node, task=self._task
-        ) as reduce_span:
-            if self._merger.run_count == 0:
-                if self.job.config.batch:
-                    stream: Iterable[tuple[Any, Any]] = merge_segments(self._memory)
-                else:
-                    stream = merge_sorted([iter(s) for s in self._memory])
-            else:
-                self._spill_memory()
-                stream = self._merger.final_merge()
-            output: list[Any] = []
-            groups = 0
-            n_in = 0
-            perf = time.perf_counter
-            t_reduce = 0.0
-            for key, values in group_sorted(stream):
-                groups += 1
-                vals = list(values)
-                n_in += len(vals)
-                self.counters.inc(C.REDUCE_INPUT_RECORDS, len(vals))
-                t0 = perf()
-                output.extend(self.job.reduce_fn(key, iter(vals)))
-                t_reduce += perf() - t0
-            self.counters.inc(C.T_REDUCE_FN, t_reduce)
-            self.counters.inc(C.REDUCE_INPUT_GROUPS, groups)
-            self.counters.inc(C.REDUCE_OUTPUT_RECORDS, len(output))
-            reduce_span.set_cost(max(1, n_in))
-            reduce_span.set(records=n_in, groups=groups, out_records=len(output))
-        self._merger.cleanup()
-        return output
-
-
-_PARTITION_KEY = itemgetter(0, 1)
 
 
 class _PipelinedMapTask:
@@ -245,13 +152,11 @@ class _PipelinedMapTask:
         self._task = f"map:{task_id:05d}"
         self.num_partitions = job.config.num_reducers
         self._partitions = KeyPartitions(partitioner, self.num_partitions)
-        #: Pairs collected since the last emit: a flat ``(partition, key,
-        #: value)`` chunk on the tuple path, per-partition buckets on the
-        #: batch path (fan-out at append time, per-bucket sorts per chunk).
-        self._chunk: list[tuple[int, Any, Any]] = []
-        self._buckets: list[list[tuple[Any, Any]]] | None = None
-        if job.config.batch:
-            self._buckets = [[] for _ in range(self.num_partitions)]
+        #: Pairs collected since the last emit, fanned out into one bucket
+        #: per partition at append time; ``_pending`` counts them.
+        self._buckets: list[list[tuple[Any, Any]]] = [
+            [] for _ in range(self.num_partitions)
+        ]
         self._pending = 0
 
     def run(self, records: Iterable[Any], *, input_bytes: int = 0) -> None:
@@ -292,104 +197,27 @@ class _PipelinedMapTask:
         num_partitions = self.num_partitions
         memo = self._partitions
         buckets = self._buckets
-        if buckets is None:
-            append = self._chunk.append
-            for key, value in pairs:
-                t = type(key)
-                p = memo[key] if t is str or t is int else partitioner(key, num_partitions)
-                append((p, key, value))
-        else:
-            for key, value in pairs:
-                t = type(key)
-                p = memo[key] if t is str or t is int else partitioner(key, num_partitions)
-                buckets[p].append((key, value))
+        for key, value in pairs:
+            t = type(key)
+            p = memo[key] if t is str or t is int else partitioner(key, num_partitions)
+            buckets[p].append((key, value))
         self._pending += len(pairs)
 
     def _emit_pending(self) -> None:
-        if not self._pending:
-            return
-        if self._buckets is None:
-            chunk, self._chunk = self._chunk, []
-            self._emit_chunk(chunk)
-        else:
-            buckets = self._buckets
-            self._buckets = [[] for _ in range(self.num_partitions)]
-            self._emit_buckets(buckets, self._pending)
-        self._pending = 0
+        """Sort the pending mini-chunk and emit its partition pieces in order.
 
-    def _emit_chunk(self, chunk: list[tuple[int, Any, Any]]) -> None:
-        """Sort one mini-chunk and emit its partition pieces in order."""
-        with self.tracer.span(
-            "sort",
-            "sort",
-            node=self.node,
-            task=self._task,
-            cost=max(1, len(chunk)),
-            records=len(chunk),
-        ):
-            with self.counters.timer(C.T_SORT):
-                chunk.sort(key=_PARTITION_KEY)
-        self.counters.inc(C.SORT_RECORDS, len(chunk))
-
-        if self.job.has_combiner and self.job.config.combine_on_spill:
-            chunk = self._combine(chunk)
-
-        start = 0
-        n = len(chunk)
-        while start < n:
-            partition = chunk[start][0]
-            end = start
-            while end < n and chunk[end][0] == partition:
-                end += 1
-            pairs = [(k, v) for _, k, v in chunk[start:end]]
-            nbytes = 48 * len(pairs) + 64  # framed-size proxy for transport
-            self.emit(partition, pairs, nbytes)
-            start = end
-
-    def _combine(self, chunk: list[tuple[int, Any, Any]]) -> list[tuple[int, Any, Any]]:
-        combine_fn = self.job.combine_fn
-        assert combine_fn is not None
-        out: list[tuple[int, Any, Any]] = []
-        with self.tracer.span(
-            "combine",
-            "combine",
-            node=self.node,
-            task=self._task,
-            cost=max(1, len(chunk)),
-        ) as comb_span:
-            with self.counters.timer(C.T_COMBINE):
-                i = 0
-                n = len(chunk)
-                while i < n:
-                    partition, key = chunk[i][0], chunk[i][1]
-                    values = []
-                    while i < n and chunk[i][0] == partition and chunk[i][1] == key:
-                        values.append(chunk[i][2])
-                        i += 1
-                    self.counters.inc(C.COMBINE_INPUT_RECORDS, len(values))
-                    for k, v in combine_fn(key, iter(values)):
-                        out.append((partition, k, v))
-                        self.counters.inc(C.COMBINE_OUTPUT_RECORDS)
-            comb_span.set(records_in=len(chunk), records_out=len(out))
-        return out
-
-    def _emit_buckets(
-        self, buckets: list[list[tuple[Any, Any]]], total: int
-    ) -> None:
-        """Batch twin of :meth:`_emit_chunk`: per-bucket sorts, same spans.
-
-        One "sort" span covers all bucket sorts (cost and record count
-        equal the tuple path's single chunk sort); emission walks buckets
-        in ascending partition order, which is the order the tuple path's
-        ``(partition, key)``-sorted chunk yields its partition slices.
+        One "sort" span covers the per-bucket key sorts; walking the
+        buckets in ascending partition order yields the pieces a stable
+        ``(partition, key)`` sort of the whole chunk would.
         """
+        total = self._pending
+        if not total:
+            return
+        buckets = self._buckets
+        self._buckets = [[] for _ in range(self.num_partitions)]
+        self._pending = 0
         with self.tracer.span(
-            "sort",
-            "sort",
-            node=self.node,
-            task=self._task,
-            cost=max(1, total),
-            records=total,
+            "sort", "sort", node=self.node, task=self._task, cost=total, records=total
         ):
             with self.counters.timer(C.T_SORT):
                 for bucket in buckets:
@@ -398,47 +226,15 @@ class _PipelinedMapTask:
         self.counters.inc(C.SORT_RECORDS, total)
 
         if self.job.has_combiner and self.job.config.combine_on_spill:
-            buckets = self._combine_buckets(buckets, total)
+            buckets = _combine_buckets(
+                self.job, buckets, total, self.counters, self.tracer, self.node, self._task
+            )
 
         for partition, pairs in enumerate(buckets):
-            if not pairs:
-                continue
-            nbytes = 48 * len(pairs) + 64  # framed-size proxy for transport
-            self.emit(partition, pairs, nbytes)
+            if pairs:
+                nbytes = 48 * len(pairs) + 64  # framed-size proxy for transport
+                self.emit(partition, pairs, nbytes)
 
-    def _combine_buckets(
-        self, buckets: list[list[tuple[Any, Any]]], total: int
-    ) -> list[list[tuple[Any, Any]]]:
-        combine_fn = self.job.combine_fn
-        assert combine_fn is not None
-        out_buckets: list[list[tuple[Any, Any]]] = []
-        total_out = 0
-        with self.tracer.span(
-            "combine",
-            "combine",
-            node=self.node,
-            task=self._task,
-            cost=max(1, total),
-        ) as comb_span:
-            with self.counters.timer(C.T_COMBINE):
-                for bucket in buckets:
-                    out: list[tuple[Any, Any]] = []
-                    i = 0
-                    n = len(bucket)
-                    while i < n:
-                        key = bucket[i][0]
-                        values = []
-                        while i < n and bucket[i][0] == key:
-                            values.append(bucket[i][1])
-                            i += 1
-                        self.counters.inc(C.COMBINE_INPUT_RECORDS, len(values))
-                        for k, v in combine_fn(key, iter(values)):
-                            out.append((k, v))
-                            self.counters.inc(C.COMBINE_OUTPUT_RECORDS)
-                    out_buckets.append(out)
-                    total_out += len(out)
-            comb_span.set(records_in=total, records_out=total_out)
-        return out_buckets
 
 class _FrozenStageRouter:
     """Fault-path emit router: buffer everything, stage by frozen backlogs.
@@ -633,12 +429,11 @@ class HOPEngine(PushShuffleDriver):
 
     def _new_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
         disk = self._disk(node)
-        return PipelinedReduceTask(
-            run.job, partition, node, disk, self.hop, tracer=self.tracer
-        )
+        return PipelinedReduceTask(run.job, partition, node, disk, tracer=self.tracer)
 
     def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
-        return run.reduce_tasks[partition].run()
+        output, _groups = run.reduce_tasks[partition].run()
+        return output
 
     def _close(self, run: JobRun) -> None:
         super()._close(run)

@@ -45,9 +45,6 @@ _RECORD_OVERHEAD = 32
 #: transient pair list while amortising the timer reads and counter bumps.
 MAP_SLICE_RECORDS = 256
 
-# Sorting on the compound (partition, key) is the map side's hot loop; a
-# C-level itemgetter key beats a per-record lambda by ~2x on large buffers.
-_PARTITION_KEY = itemgetter(0, 1)
 _KEY = itemgetter(0)
 
 _SpillSegment = tuple[str, int, int, list[Any] | None]
@@ -110,8 +107,56 @@ class MapOutput:
         return sum(s.records for s in self.segments.values())
 
 
+def _combine_buckets(
+    job: MapReduceJob,
+    buckets: list[list[tuple[Any, Any]]],
+    total: int,
+    counters: Counters,
+    tracer: Any,
+    node: str,
+    task: str,
+) -> list[list[tuple[Any, Any]]]:
+    """Run the combiner over equal-key runs of each sorted bucket; one span."""
+    combine_fn = job.combine_fn
+    assert combine_fn is not None
+    out_buckets: list[list[tuple[Any, Any]]] = []
+    total_out = 0
+    with tracer.span(
+        "combine", "combine", node=node, task=task, cost=total
+    ) as combine_span, counters.timer(C.T_COMBINE):
+        for pairs in buckets:
+            out: list[tuple[Any, Any]] = []
+            i = 0
+            n = len(pairs)
+            while i < n:
+                # Pre-extract the group key once and slice the group out,
+                # instead of re-indexing each pair in an inner loop.
+                key = pairs[i][0]
+                j = i + 1
+                while j < n and pairs[j][0] == key:
+                    j += 1
+                values = [p[1] for p in pairs[i:j]]
+                i = j
+                counters.inc(C.COMBINE_INPUT_RECORDS, len(values))
+                for out_pair in combine_fn(key, iter(values)):
+                    out.append(out_pair)
+                    counters.inc(C.COMBINE_OUTPUT_RECORDS)
+            out_buckets.append(out)
+            total_out += len(out)
+        combine_span.set(records_in=total, records_out=total_out)
+    return out_buckets
+
+
 class _SortSpillBuffer:
-    """Map-side output buffer with Hadoop's sort-and-spill behaviour."""
+    """Map-side output buffer with Hadoop's sort-and-spill behaviour.
+
+    Pairs fan out into one bucket per partition *at add time* — the
+    partition never rides along as a tuple element or is compared during
+    sorting.  A spill stably sorts each bucket by key alone
+    (:func:`repro.io.batch.sort_bucket`); the sorted buckets in ascending
+    partition order are the record sequence a stable sort on the compound
+    ``(partition, key)`` yields, which is Hadoop's map-output order.
+    """
 
     def __init__(
         self,
@@ -135,7 +180,9 @@ class _SortSpillBuffer:
         self.num_partitions = job.config.num_reducers
         self.buffer_bytes = job.config.map_buffer_bytes
         self._facts = KeyFacts(partitioner, self.num_partitions, _RECORD_OVERHEAD)
-        self._entries: list[tuple[int, Any, Any]] = []
+        self._buckets: list[list[tuple[Any, Any]]] = [
+            [] for _ in range(self.num_partitions)
+        ]
         self._bytes = 0
         self._spill_seq = 0
         self._combining = job.has_combiner and job.config.combine_on_spill
@@ -148,7 +195,7 @@ class _SortSpillBuffer:
         self.add_block(((key, value),))
 
     def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
-        """The collect loop: buffer ``pairs``, spilling at the byte budget.
+        """The collect loop: bucket ``pairs``, spilling at the byte budget.
 
         The budget is checked after every pair, so spill points do not
         depend on how the stream is cut into blocks.
@@ -156,55 +203,52 @@ class _SortSpillBuffer:
         facts = self._facts
         budget = self.buffer_bytes
         estimate = estimate_size
-        append = self._entries.append
+        buckets = self._buckets
         used = self._bytes
         for key, value in pairs:
             t = type(key)
             partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
-            append((partition, key, value))
+            buckets[partition].append((key, value))
             used += key_bytes + estimate(value)
             if used >= budget:
                 self.spill()
-                append = self._entries.append
+                buckets = self._buckets
                 used = 0
         self._bytes = used
         self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
 
     def spill(self) -> None:
-        """Sort the buffer on (partition, key), combine, write one spill."""
-        if not self._entries:
+        """Sort each bucket by key, combine, write one spill."""
+        total = sum(len(bucket) for bucket in self._buckets)
+        if not total:
             return
-        entries = self._entries
-        self._entries = []
+        buckets = self._buckets
+        self._buckets = [[] for _ in range(self.num_partitions)]
         self._bytes = 0
 
-        self.tracer.metrics.histogram("map.sort.records").observe(len(entries))
+        self.tracer.metrics.histogram("map.sort.records").observe(total)
         with self.tracer.span(
-            "sort", "sort", node=self.node, task=self._task, cost=len(entries)
-        ) as sort_span:
-            sort_span.set(records=len(entries))
+            "sort", "sort", node=self.node, task=self._task, cost=total, records=total
+        ):
             with self.counters.timer(C.T_SORT):
-                entries.sort(key=_PARTITION_KEY)
-        self.counters.inc(C.SORT_RECORDS, len(entries))
+                for bucket in buckets:
+                    if bucket:
+                        sort_bucket(bucket)
+        self.counters.inc(C.SORT_RECORDS, total)
 
         if self._combining:
-            entries = self._combine_sorted(entries)
+            buckets = _combine_buckets(
+                self.job, buckets, total, self.counters, self.tracer, self.node, self._task
+            )
 
         segments: dict[int, _SpillSegment] = {}
         spill_bytes = 0
         with self.tracer.span(
             "spill", "spill", node=self.node, task=self._task
         ) as spill_span:
-            start = 0
-            n = len(entries)
-            while start < n:
-                partition = entries[start][0]
-                end = start
-                while end < n and entries[end][0] == partition:
-                    end += 1
-                pairs = [(k, v) for _, k, v in entries[start:end]]
-                spill_bytes += self._write_segment(segments, partition, pairs)
-                start = end
+            for partition, pairs in enumerate(buckets):
+                if pairs:
+                    spill_bytes += self._write_segment(segments, partition, pairs)
             spill_span.set(bytes=spill_bytes, segments=len(segments))
             spill_span.set_cost(byte_cost(spill_bytes))
         self.spill_segments.append(segments)
@@ -221,34 +265,6 @@ class _SortSpillBuffer:
         segments[partition] = (path, nbytes, len(pairs), keys)
         self.counters.inc(C.MAP_SPILL_BYTES, nbytes)
         return nbytes
-
-    def _combine_sorted(
-        self, entries: list[tuple[int, Any, Any]]
-    ) -> list[tuple[int, Any, Any]]:
-        """Run the combiner over consecutive equal (partition, key) groups."""
-        combine_fn = self.job.combine_fn
-        assert combine_fn is not None
-        out: list[tuple[int, Any, Any]] = []
-        with self.tracer.span(
-            "combine", "combine", node=self.node, task=self._task, cost=len(entries)
-        ) as combine_span, self.counters.timer(C.T_COMBINE):
-            i = 0
-            n = len(entries)
-            while i < n:
-                # Pre-extract the group key once and slice the group out,
-                # instead of re-indexing each entry in an inner loop.
-                partition, key, _ = entries[i]
-                j = i + 1
-                while j < n and entries[j][0] == partition and entries[j][1] == key:
-                    j += 1
-                values = [e[2] for e in entries[i:j]]
-                i = j
-                self.counters.inc(C.COMBINE_INPUT_RECORDS, len(values))
-                for out_key, out_value in combine_fn(key, iter(values)):
-                    out.append((partition, out_key, out_value))
-                    self.counters.inc(C.COMBINE_OUTPUT_RECORDS)
-            combine_span.set(records_in=len(entries), records_out=len(out))
-        return out
 
     def finish(self) -> dict[int, MapOutputSegment]:
         """Flush the last buffer and merge spills into final segments.
@@ -325,112 +341,6 @@ class _SortSpillBuffer:
                 yield out
 
 
-class _BatchSortSpillBuffer(_SortSpillBuffer):
-    """The columnar batch path of the map-side buffer (``config.batch``).
-
-    Pairs fan out into one bucket per partition *at add time* — the
-    partition never needs to ride along as a tuple element or be compared
-    during sorting.  A spill stably sorts each bucket by key alone
-    (:func:`repro.io.batch.sort_bucket`); because the tuple path's
-    global ``(partition, key)`` sort is also stable, the concatenation of
-    sorted buckets in ascending partition order is the *same record
-    sequence*, so the spill files, counters and spans below are
-    byte-identical to the tuple path's.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._buckets: list[list[tuple[Any, Any]]] = [
-            [] for _ in range(self.num_partitions)
-        ]
-
-    def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
-        """The tuple buffer's collect loop, fanning out into the buckets."""
-        facts = self._facts
-        budget = self.buffer_bytes
-        estimate = estimate_size
-        buckets = self._buckets
-        used = self._bytes
-        for key, value in pairs:
-            t = type(key)
-            partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
-            buckets[partition].append((key, value))
-            used += key_bytes + estimate(value)
-            if used >= budget:
-                self.spill()
-                buckets = self._buckets
-                used = 0
-        self._bytes = used
-        self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
-
-    def spill(self) -> None:
-        """Per-bucket sort + combine + write; one spill, same observables."""
-        total = sum(len(bucket) for bucket in self._buckets)
-        if not total:
-            return
-        buckets = self._buckets
-        self._buckets = [[] for _ in range(self.num_partitions)]
-        self._bytes = 0
-
-        with self.tracer.span(
-            "sort", "sort", node=self.node, task=self._task, cost=total
-        ) as sort_span:
-            sort_span.set(records=total)
-            with self.counters.timer(C.T_SORT):
-                for bucket in buckets:
-                    if bucket:
-                        sort_bucket(bucket)
-        self.counters.inc(C.SORT_RECORDS, total)
-
-        if self._combining:
-            buckets = self._combine_buckets(buckets, total)
-
-        segments: dict[int, _SpillSegment] = {}
-        spill_bytes = 0
-        with self.tracer.span(
-            "spill", "spill", node=self.node, task=self._task
-        ) as spill_span:
-            for partition, pairs in enumerate(buckets):
-                if pairs:
-                    spill_bytes += self._write_segment(segments, partition, pairs)
-            spill_span.set(bytes=spill_bytes, segments=len(segments))
-            spill_span.set_cost(byte_cost(spill_bytes))
-        self.spill_segments.append(segments)
-        self.counters.inc(C.MAP_SPILLS)
-        self._spill_seq += 1
-
-    def _combine_buckets(
-        self, buckets: list[list[tuple[Any, Any]]], total: int
-    ) -> list[list[tuple[Any, Any]]]:
-        """Combine each sorted bucket; one span over all, like the tuple path."""
-        combine_fn = self.job.combine_fn
-        assert combine_fn is not None
-        out_buckets: list[list[tuple[Any, Any]]] = []
-        total_out = 0
-        with self.tracer.span(
-            "combine", "combine", node=self.node, task=self._task, cost=total
-        ) as combine_span, self.counters.timer(C.T_COMBINE):
-            for pairs in buckets:
-                out: list[tuple[Any, Any]] = []
-                i = 0
-                n = len(pairs)
-                while i < n:
-                    key = pairs[i][0]
-                    j = i + 1
-                    while j < n and pairs[j][0] == key:
-                        j += 1
-                    values = [p[1] for p in pairs[i:j]]
-                    i = j
-                    self.counters.inc(C.COMBINE_INPUT_RECORDS, len(values))
-                    for out_pair in combine_fn(key, iter(values)):
-                        out.append(out_pair)
-                        self.counters.inc(C.COMBINE_OUTPUT_RECORDS)
-                out_buckets.append(out)
-                total_out += len(out)
-            combine_span.set(records_in=total, records_out=total_out)
-        return out_buckets
-
-
 class SortMergeMapTask:
     """Executes one map task over one input split (one HDFS block)."""
 
@@ -457,10 +367,7 @@ class SortMergeMapTask:
         counters = self.counters
         counters.inc(C.MAP_TASKS)
         counters.inc(C.MAP_INPUT_BYTES, input_bytes)
-        buffer_cls = (
-            _BatchSortSpillBuffer if self.job.config.batch else _SortSpillBuffer
-        )
-        buffer = buffer_cls(
+        buffer = _SortSpillBuffer(
             self.job,
             self.disk,
             self.task_id,
@@ -485,6 +392,9 @@ class SortMergeMapTask:
 class SortMergeReduceTask:
     """Executes one reduce task: multi-pass merge, then grouped reduce."""
 
+    #: Disk namespace of this task's merge runs.
+    run_namespace = "reduce"
+
     def __init__(
         self,
         job: MapReduceJob,
@@ -503,7 +413,7 @@ class SortMergeReduceTask:
         self._task = f"reduce:{partition:03d}"
         self._merger = MultiPassMerger(
             disk,
-            f"reduce/{partition:03d}",
+            f"{self.run_namespace}/{partition:03d}",
             factor=job.config.merge_factor,
             counters=self.counters,
             tracer=tracer,
@@ -543,22 +453,19 @@ class SortMergeReduceTask:
             bytes=nbytes,
             segments=len(segments),
         ):
-            combining = self.job.has_combiner and self.job.config.combine_on_spill
-            if not combining:
-                # The spill only moves the records: merge them by key as
-                # (key, frame), reusing the frames the fetch carried along.
-                segments = [frame_records(s) for s in segments]
-            if self.job.config.batch:
-                # Concat-in-stream-order + stable key sort: same sequence
-                # as the heap merge (both stable w.r.t. stream order).
-                merged: Any = merge_segments(segments)
-            else:
-                merged = merge_sorted([iter(s) for s in segments])
-            if combining:
-                merged = _combine_sorted_stream(self.job, merged, self.counters)
-            else:
-                merged = Framed(merged)
-            self._merger.add_run(merged)
+            self._merger.add_run(self._spill_run(segments))
+
+    def _spill_run(self, segments: list[list[tuple[Any, Any]]]) -> Any:
+        """The sorted run one in-memory merge spills: combined, or framed.
+
+        Concatenating in arrival order and stably sorting by key gives the
+        sequence a heap merge with a stream-order tie-break would.
+        """
+        if self.job.has_combiner and self.job.config.combine_on_spill:
+            return _combine_sorted_stream(self.job, merge_segments(segments), self.counters)
+        # The spill only moves the records: merge them by key as
+        # (key, frame), reusing the frames the fetch carried along.
+        return Framed(merge_segments([frame_records(s) for s in segments]))
 
     # -- state transfer (parallel execution) -------------------------------------
 
@@ -594,10 +501,7 @@ class SortMergeReduceTask:
         ) as reduce_span:
             if self._merger.run_count == 0:
                 # Everything fits in memory: final merge happens purely in RAM.
-                if self.job.config.batch:
-                    stream: Iterable[tuple[Any, Any]] = merge_segments(self._memory)
-                else:
-                    stream = merge_sorted([iter(s) for s in self._memory])
+                stream: Iterable[tuple[Any, Any]] = merge_segments(self._memory)
             else:
                 self._spill_memory()
                 stream = self._merger.final_merge()

@@ -1,9 +1,9 @@
 """Trace-diff with per-phase regression attribution.
 
-Comparing two runs — tuple vs batch, clean vs faulty, sort-merge vs
-one-pass, current vs committed perfguard baseline — reduces to the same
-primitive: two ``{key: value}`` maps and their deltas, sorted so the
-biggest regression leads.  :func:`delta_rows` is that primitive;
+Comparing two runs — clean vs faulty, sort-merge vs one-pass, current
+vs committed perfguard baseline — reduces to the same primitive: two
+``{key: value}`` maps and their deltas, sorted so the biggest
+regression leads.  :func:`delta_rows` is that primitive;
 :func:`diff_reports` applies it to two analyzer reports phase by phase,
 and ``benchmarks/perfguard.py`` applies it to per-phase kernel scores so
 a gate failure names *which phase* regressed instead of a bare ratio.

@@ -1,14 +1,17 @@
-"""Tuple-vs-batch byte identity: the batch kernel path's contract.
+"""The inert ``batch`` field really is inert.
 
-``--batch`` switches the hot kernels (partition fanout, sorting,
-combining, merging, hash aggregation) to the columnar batch-at-a-time
-implementations in :mod:`repro.io.batch` and the ``add_batch`` /
-``update_batch`` fast paths.  The contract is *byte identity*: every
-observable of a run — output records in order, HDFS file bytes, all
-counters except wall-clock timers — must be exactly what the tuple path
-produces, on every engine, under every executor, and under injected
-faults with a journal resume in the middle.  Anything less and the
-batch path would not be an optimisation but a different engine.
+``JobConfig.batch`` / ``OnePassConfig.batch`` once chose between two
+implementations of every sort-merge kernel; one kernel path is left and
+nothing in ``src/`` reads the field.  It survives because the end-to-end
+benchmark (``benchmarks/e2e``) still builds a ``*.tuple`` and a ``*.batch``
+cell from it, and this module pins what that relies on: setting it changes
+no observable of a run — output records in order, HDFS file bytes, all
+counters except wall-clock timers — on any engine, under any executor,
+under injected faults or across a journal resume.  It is deleted together
+with the two fields by the benchmark-only PR that retires the
+``*.tuple.wall_s`` names; the coverage that is not about the field
+(spill-pressure configs, the seeded fault plan, the journal sweep) already
+lives in ``test_engines_agree.py`` and ``test_chaos.py``.
 """
 
 import dataclasses
@@ -56,7 +59,7 @@ def _job_for(engine, workload, batch, config=None):
 
 
 class TestFourWorkloadsThreeEngines:
-    """The full matrix: every workload on every engine, tuple vs batch."""
+    """The full matrix: every workload on every engine, field set vs unset."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
@@ -74,9 +77,7 @@ class TestFourWorkloadsThreeEngines:
 
 
 class TestSpillPressure:
-    """Identity must survive the memory-pressure paths — spills, multipass
-    merges, hash freezes — where the batch code's trigger checks have to
-    fire on exactly the pair the tuple path fires on."""
+    """The memory-pressure configs: spills, multipass merges, hash freezes."""
 
     @pytest.mark.parametrize("engine", ["hadoop", "hop"])
     def test_sortmerge_spilling_config(self, clicks, engine):
@@ -116,8 +117,8 @@ class TestSpillPressure:
 
 
 class TestExecutors:
-    """Batch output must not depend on the executor either — and it must
-    equal the *serial tuple* run, closing the square."""
+    """Set under any executor, the field changes nothing from the serial
+    run with it unset."""
 
     @pytest.mark.slow
     @pytest.mark.parametrize("executor", [None, "threads:2", "processes:2"])
@@ -137,8 +138,7 @@ class TestUnderFaults:
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
     def test_batch_under_seeded_fault_plan(self, clicks, engine):
-        """A seeded FaultPlan injects the same failures into both runs;
-        recovery reruns and reshuffles must not perturb batch output."""
+        """A seeded FaultPlan injects the same failures into both runs."""
         from repro.mapreduce.faults import FaultPlan
 
         def cluster():
@@ -171,9 +171,9 @@ class TestUnderFaults:
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
     def test_batch_survives_journal_resume(self, engine, tmp_path):
-        """Crash the coordinator mid-run and resume from the journal with
-        ``batch`` on: the sweep harness itself verifies the resumed run's
-        output is byte-identical to an uncrashed reference."""
+        """Crash the coordinator mid-run and resume from the journal with the
+        field set (it is part of the job fingerprint): the sweep harness
+        verifies the resumed run's output against an uncrashed reference."""
         from repro.testing import ChaosTarget, run_crashpoint_sweep
         from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import OnePassConfig, OnePassEngine
 from repro.mapreduce.api import JobConfig
+from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPConfig, HOPEngine
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.workloads.inverted_index import (
@@ -373,6 +374,40 @@ class TestExecutorDeterminism:
         reference = run(None)
         for executor in self.EXECUTORS:
             assert run(executor) == reference, (engine, executor)
+
+
+class TestSpillPressure:
+    """The memory-pressure cells of ``test_batch_determinism`` against the
+    reference answer: reduce-side spills and merges, hash freezes and sheds."""
+
+    @pytest.mark.parametrize("engine", ["hadoop", "hop"])
+    def test_sortmerge_spilling_config(self, clicks, engine):
+        config = JobConfig(reduce_buffer_bytes=8 * 1024, merge_factor=2)
+        kwargs = {"hop_config": HOPConfig(granularity_records=100)} if engine == "hop" else {}
+        cluster = fresh_cluster(clicks)
+        engine_cls = HadoopEngine if engine == "hadoop" else HOPEngine
+        result = engine_cls(cluster, **kwargs).run(per_user_count_job("in", "out", config=config))
+        assert dict(cluster.hdfs.read_records("out")) == reference_user_counts(clicks)
+        assert result.counters[C.REDUCE_SPILLS] > 3
+
+    @pytest.mark.parametrize("mode", ["incremental", "hybrid", "hotset"])
+    def test_onepass_constrained_memory(self, clicks, mode):
+        config = OnePassConfig(
+            mode=mode,
+            map_memory_bytes=16 * 1024,
+            reduce_memory_bytes=32 * 1024,
+            map_side_combine=False,
+            hotset_capacity=64,  # 400 users fit the default hot set: nothing would be evicted
+        )
+        cluster = fresh_cluster(clicks)
+        result = OnePassEngine(cluster).run(per_user_count_onepass_job("in", "out", config=config))
+        assert dict(cluster.hdfs.read_records("out")) == reference_user_counts(clicks)
+        counters = result.counters
+        if mode == "incremental":  # the table crossed its budget, so the task froze it
+            assert counters[C.HASH_STATE_BYTES_PEAK] > config.reduce_memory_bytes
+        else:
+            assert counters[C.REDUCE_SPILLS] > 0
+            assert mode == "hybrid" or counters[C.HOT_EVICTIONS] > 0
 
 
 @pytest.mark.slow

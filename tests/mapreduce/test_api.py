@@ -1,5 +1,7 @@
 """MapReduceJob / JobConfig validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.mapreduce.api import JobConfig, MapReduceJob
@@ -71,5 +73,26 @@ class TestMapReduceJob:
 
     def test_with_config_unknown_field(self):
         job = MapReduceJob("j", identity_map, sum_reduce)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="bogus"):
             job.with_config(bogus=1)
+
+    def test_with_config_carries_fields_it_has_never_heard_of(self):
+        @dataclasses.dataclass(slots=True)
+        class WiderConfig(JobConfig):
+            seventh: int = 0
+
+        job = MapReduceJob(
+            "j", identity_map, sum_reduce, combine_fn=sum_reduce,
+            config=WiderConfig(merge_factor=4, seventh=7),
+        )  # fmt: skip
+        job2 = job.with_config(num_reducers=5)
+        assert dataclasses.asdict(job2.config) == {
+            **dataclasses.asdict(job.config), "num_reducers": 5
+        }  # fmt: skip
+        assert job2.config.seventh == 7 and job2.combine_fn is sum_reduce
+        assert job.config.num_reducers == 2  # the original is untouched
+
+    def test_with_config_validates_the_new_values(self):
+        job = MapReduceJob("j", identity_map, sum_reduce)
+        with pytest.raises(ValueError):
+            job.with_config(num_reducers=0)

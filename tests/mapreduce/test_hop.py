@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.io.disk import LocalDisk
+from repro.mapreduce.api import JobConfig
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPConfig, HOPEngine
-from repro.mapreduce.runtime import LocalCluster
+from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.workloads.page_frequency import page_frequency_job, reference_page_counts
 from repro.workloads.sessionization import reference_sessions, sessionization_job
 
@@ -45,6 +47,38 @@ class TestHOPEngine:
         assert result.counters[C.T_PARSE] > 0
         assert result.counters[C.T_MAP_FN] > 0
         assert result.counters[C.MAP_INPUT_RECORDS] == len(clicks)
+
+    def test_reducer_never_combines_and_keeps_its_own_namespace(
+        self, cluster, clicks, monkeypatch
+    ):
+        # HOP's reducer is Hadoop's in all but two observable ways: it never
+        # runs the combiner on a reduce-side spill, and its runs live under
+        # ``hop-reduce/``.
+        cluster.hdfs.write_records("clicks", clicks)
+        created = []
+        create = LocalDisk.create
+
+        def recording_create(disk, path, **kwargs):
+            created.append(path)
+            create(disk, path, **kwargs)
+
+        monkeypatch.setattr(LocalDisk, "create", recording_create)
+        config = JobConfig(reduce_buffer_bytes=2048, merge_factor=2)
+        hop = HOPEngine(cluster, hop_config=HOPConfig(granularity_records=200)).run(
+            page_frequency_job("clicks", "out", config=config)
+        )
+        runs = [path for path in created if "/run-" in path]
+        assert hop.counters[C.REDUCE_SPILLS] > 0 and hop.counters[C.MERGE_PASSES] > 0
+        assert runs and all(path.startswith("hop-reduce/") for path in runs)
+        # every pair the combiner saw, it saw on the map side
+        assert hop.counters[C.COMBINE_INPUT_RECORDS] == hop.counters[C.MAP_OUTPUT_RECORDS]
+        assert dict(cluster.hdfs.read_records("out")) == reference_page_counts(clicks)
+
+        del created[:]
+        hadoop = HadoopEngine(cluster).run(page_frequency_job("clicks", "out2", config=config))
+        runs = [path for path in created if "/run-" in path]
+        assert runs and all(path.startswith("reduce/") for path in runs)
+        assert hadoop.counters[C.COMBINE_INPUT_RECORDS] > hadoop.counters[C.MAP_OUTPUT_RECORDS]
 
     def test_snapshots_produced_at_fractions(self, cluster, clicks):
         cluster.hdfs.write_records("clicks", clicks)

@@ -1,6 +1,8 @@
 """MapReduce Online internals: the pipelined map and reduce tasks in isolation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.io.disk import LocalDisk
 from repro.mapreduce import sortmerge
@@ -8,6 +10,8 @@ from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPConfig, PipelinedReduceTask, _PipelinedMapTask
 from repro.mapreduce.partition import hash_partitioner
+
+from tests.mapreduce.test_sortmerge import UNORDERABLE, concat_combine, reference_spill
 
 
 def sum_reduce(key, values):
@@ -21,20 +25,27 @@ def make_task(**cfg):
         sum_reduce,
         config=JobConfig(num_reducers=1, **cfg),
     )
-    return PipelinedReduceTask(job, 0, "n0", LocalDisk(), HOPConfig())
+    return PipelinedReduceTask(job, 0, "n0", LocalDisk())
 
 
 class TestPipelinedReduceTask:
     def chunk(self, pairs):
         return sorted(pairs, key=lambda p: p[0]), 48 * len(pairs)
 
+    def test_is_hadoops_reduce_task_plus_push_and_snapshots(self):
+        # One sort-merge reduce task: HOP adds a push target, snapshots, its
+        # run namespace and a combiner-free spill — no loop of its own.
+        assert issubclass(PipelinedReduceTask, sortmerge.SortMergeReduceTask)
+        own = {name for name in vars(PipelinedReduceTask) if not name.startswith("__")}
+        assert own == {"run_namespace", "backlog_bytes", "accept_chunk", "_spill_run", "snapshot"}
+
     def test_accepts_chunks_and_reduces(self):
         task = make_task()
         for pairs in ([("a", 1), ("b", 1)], [("a", 2)]):
             chunk, nbytes = self.chunk(pairs)
             task.accept_chunk(chunk, nbytes)
-        output = task.run()
-        assert sorted(output) == [("a", 3), ("b", 1)]
+        output, groups = task.run()
+        assert sorted(output) == [("a", 3), ("b", 1)] and groups == 2
 
     def test_backlog_tracks_memory(self):
         task = make_task()
@@ -48,7 +59,7 @@ class TestPipelinedReduceTask:
             chunk, nbytes = self.chunk([(f"k{j}", 1) for j in range(10)])
             task.accept_chunk(chunk, nbytes)
         assert task.counters[C.REDUCE_SPILL_BYTES] > 0
-        output = task.run()
+        output, _ = task.run()
         assert dict(output) == {f"k{j}": 20 for j in range(10)}
 
     def test_snapshot_is_nondestructive(self):
@@ -60,7 +71,7 @@ class TestPipelinedReduceTask:
         snap2 = dict(task.snapshot(0.75).records)
         assert snap1 == snap2 == {"a": 10, "b": 10}
         # Final run still sees everything.
-        assert dict(task.run()) == {"a": 10, "b": 10}
+        assert dict(task.run()[0]) == {"a": 10, "b": 10}
 
     def test_snapshot_reads_disk_runs(self):
         task = make_task(reduce_buffer_bytes=128)
@@ -87,15 +98,23 @@ class TestPipelinedReduceTask:
         assert task.counters[C.REDUCE_TASKS] == 1
 
 
-class TestPipelinedMapTask:
-    """Chunks are cut on input-record boundaries, whatever the slice size."""
+def word_pairs(record):
+    return [(w, 1) for w in record.split()]
 
-    def emitted(self, batch, records, granularity):
+
+class TestPipelinedMapTask:
+    """Chunks are cut on input-record boundaries, whatever the slice size,
+    and each is the stable ``(partition, key)`` sort of its pairs."""
+
+    def emitted(
+        self, batch, records, granularity, *, map_fn=word_pairs, combine_fn=None, num_reducers=2
+    ):
         job = MapReduceJob(
             "wc",
-            lambda r: [(w, 1) for w in r.split()],
+            map_fn,
             sum_reduce,
-            config=JobConfig(num_reducers=2, batch=batch),
+            combine_fn=combine_fn,
+            config=JobConfig(num_reducers=num_reducers, batch=batch),
         )
         chunks = []
         task = _PipelinedMapTask(
@@ -105,11 +124,11 @@ class TestPipelinedMapTask:
         task.run(iter(records))
         return chunks, task.counters
 
-    def reference(self, records, granularity):
+    def reference(self, records, granularity, map_fn=word_pairs):
         """Per-record chunking: emit once the pending pairs reach the granularity."""
         chunks, pending = [], []
         for record in records:
-            pending += [(w, 1) for w in record.split()]
+            pending += map_fn(record)
             if len(pending) >= granularity:
                 chunks.append(pending)
                 pending = []
@@ -134,6 +153,34 @@ class TestPipelinedMapTask:
         assert chunks == expected
         assert counters[C.SORT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS] == 52
         assert counters[C.MAP_INPUT_RECORDS] == len(records)
+
+    @given(
+        outputs=st.lists(
+            st.lists(st.tuples(st.text("abc", max_size=2), UNORDERABLE), max_size=6), max_size=30
+        ),
+        granularity=st.integers(1, 40),
+        combine=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_emissions_equal_the_stable_partition_key_sort(self, outputs, granularity, combine):
+        # unorderable values: ties on the key must keep arrival order, never compare
+        combine_fn = concat_combine if combine else None
+        records = range(len(outputs))
+        chunks, counters = self.emitted(
+            False, records, granularity,
+            map_fn=outputs.__getitem__, combine_fn=combine_fn, num_reducers=3,
+        )  # fmt: skip
+        expected = []
+        for chunk in self.reference(records, granularity, outputs.__getitem__):
+            pieces = reference_spill(chunk, 3, combine_fn)
+            expected += [(p, pairs, 48 * len(pairs) + 64) for p, pairs in sorted(pieces.items())]
+        assert chunks == expected
+        n = sum(map(len, outputs))
+        assert counters[C.SORT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS] == n
+        assert counters[C.COMBINE_INPUT_RECORDS] == (n if combine else 0)
+        assert counters[C.COMBINE_OUTPUT_RECORDS] == (
+            sum(len(pairs) for _, pairs, _ in expected) if combine else 0
+        )
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_keys_sharing_a_dict_slot_are_routed_per_record(self, batch):

@@ -5,6 +5,7 @@ import pytest
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.obs.tracer import Tracer
 from repro.workloads.page_frequency import page_frequency_job, reference_page_counts
 from repro.workloads.per_user_count import per_user_count_job, reference_user_counts
 from repro.workloads.clickstream import click_text_codec
@@ -97,3 +98,20 @@ class TestHadoopEngine:
         assert result.schedule.locality_rate == 0.0
         assert result.network_bytes > 0
         assert dict(c.hdfs.read_records("out")) == reference_page_counts(clicks[:2000])
+
+
+class TestSortHistogram:
+    @pytest.mark.parametrize("executor", [None, "processes:2"])
+    def test_one_observation_per_map_spill(self, cluster, clicks, executor):
+        # ``map.sort.records`` is recorded worker-side, once per buffer sort,
+        # and absorbed by the coordinator with the rest of the task's trace.
+        cluster.hdfs.write_records("clicks", clicks[:3000])
+        job = per_user_count_job(
+            "clicks", "out", config=JobConfig(map_buffer_bytes=16 * 1024)
+        )
+        tracer = Tracer()
+        result = HadoopEngine(cluster, executor=executor, tracer=tracer).run(job)
+        sort_sizes = tracer.metrics.as_report()["map.sort.records"]
+        assert sort_sizes["count"] == result.counters[C.MAP_SPILLS]
+        assert sort_sizes["count"] > result.counters[C.MAP_TASKS]
+        assert sort_sizes["total"] == result.counters[C.SORT_RECORDS]

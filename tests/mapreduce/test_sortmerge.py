@@ -1,11 +1,14 @@
 """Sort-merge map and reduce task behaviour."""
 
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.io.disk import LocalDisk
-from repro.io.serialization import estimate_size
+from repro.io.serialization import encode_frames, estimate_size
 from repro.io.runio import read_run
 from repro.mapreduce import sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
@@ -108,12 +111,64 @@ def disk_files(disk):
     return {path: disk.peek(path) for path in disk.list_files()}
 
 
-class TestCollect:
-    """``add_block`` against the one-pair ``add``; slices against whole blocks."""
+def concat_combine(key, values):
+    yield (key, sum(values, ()))  # order-sensitive: a reordered tie changes the answer
 
-    @pytest.mark.parametrize(
-        "buffer_cls", [sortmerge._SortSpillBuffer, sortmerge._BatchSortSpillBuffer]
+
+#: Values no sort may compare: equal keys must keep their arrival order.
+UNORDERABLE = st.sampled_from([(1j,), (None,), ("s",), (0,), (2j, None)])
+
+
+def reference_spill(pairs, num_partitions, combine_fn=None):
+    """The deleted tuple kernel, kept as the oracle: one stable sort on the
+    compound (partition, key), cut by partition, the combiner over equal
+    (partition, key) runs.  Returns ``{partition: sorted pairs}``."""
+    rows = [(hash_partitioner(k, num_partitions), k, v) for k, v in pairs]
+    rows.sort(key=itemgetter(0, 1))
+    segments = {}
+    for (partition, key), run in groupby(rows, key=itemgetter(0, 1)):
+        values = [v for _, _, v in run]
+        out = combine_fn(key, iter(values)) if combine_fn else [(key, v) for v in values]
+        segments.setdefault(partition, []).extend(out)
+    return segments
+
+
+class TestCollect:
+    """The bucket buffer against the stable ``(partition, key)`` sort it
+    replaced; ``add_block`` against the one-pair ``add``; slices against
+    whole blocks."""
+
+    @given(
+        blocks=st.lists(
+            st.lists(st.tuples(st.text("abc", max_size=2), UNORDERABLE), min_size=1, max_size=40),
+            max_size=4,
+        ),
+        combine=st.booleans(),
     )
+    @settings(max_examples=80, deadline=None)
+    def test_spills_equal_the_stable_partition_key_sort(self, blocks, combine):
+        combine_fn = concat_combine if combine else None
+        disk, counters = LocalDisk(), Counters()
+        buffer = sortmerge._SortSpillBuffer(
+            make_job(num_reducers=3, combine=combine_fn), disk, 0, counters, hash_partitioner
+        )
+        expected_files, written = {}, 0
+        for i, block in enumerate(blocks):
+            buffer.add_block(block)
+            buffer.spill()
+            expected = reference_spill(block, 3, combine_fn)
+            for partition, pairs in expected.items():
+                expected_files[f"mapspill/00000/s{i:03d}-p{partition:03d}"] = encode_frames(pairs)
+            records = {p: seg[2] for p, seg in buffer.spill_segments[i].items()}
+            assert records == {p: len(pairs) for p, pairs in expected.items()}
+            written += sum(records.values())
+        assert disk_files(disk) == expected_files
+        n = sum(map(len, blocks))
+        assert counters[C.SORT_RECORDS] == n and counters[C.MAP_SPILLS] == len(blocks)
+        assert counters[C.COMBINE_INPUT_RECORDS] == (n if combine else 0)
+        assert counters[C.COMBINE_OUTPUT_RECORDS] == (written if combine else 0)
+
+    @pytest.mark.parametrize("buffer_cls", [sortmerge._SortSpillBuffer])
     @given(
         pairs=st.lists(
             st.tuples(st.text("abcde", max_size=4), st.integers(0, 9)), max_size=150
@@ -147,9 +202,7 @@ class TestCollect:
             outcomes.append((disk_files(disk), segments, counts, disk.stats.snapshot()))
         assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize(
-        "buffer_cls", [sortmerge._SortSpillBuffer, sortmerge._BatchSortSpillBuffer]
-    )
+    @pytest.mark.parametrize("buffer_cls", [sortmerge._SortSpillBuffer])
     def test_every_record_is_routed_and_charged_as_without_the_memo(self, buffer_cls):
         # ``1 == 1.0 == True`` share a dict slot but not a size estimate; the
         # list key is unhashable (the sort-merge path accepts it).
@@ -161,14 +214,9 @@ class TestCollect:
             buffer.add(key, ("v", 1))
             assert buffer._bytes - before == estimate_size(key) + estimate_size(("v", 1)) + 32
             routed.append(hash_partitioner(key, 5))
-        if buffer_cls is sortmerge._SortSpillBuffer:
-            assert [p for p, _, _ in buffer._entries] == routed
-        else:
-            assert [len(b) for b in buffer._buckets] == [routed.count(p) for p in range(5)]
+        assert [len(b) for b in buffer._buckets] == [routed.count(p) for p in range(5)]
 
-    @pytest.mark.parametrize(
-        "buffer_cls", [sortmerge._SortSpillBuffer, sortmerge._BatchSortSpillBuffer]
-    )
+    @pytest.mark.parametrize("buffer_cls", [sortmerge._SortSpillBuffer])
     @pytest.mark.parametrize("make_key", [lambda i: f"w{i % 17}", lambda i: i % 11])
     def test_spill_points_do_not_depend_on_what_the_memo_holds(self, buffer_cls, make_key):
         pairs = [(make_key(i), i) for i in range(400)]

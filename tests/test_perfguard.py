@@ -2,7 +2,7 @@
 
 Timing the kernels for real is what CI's perf job does; here ``measure``
 is stubbed with synthetic scores derived from the committed baseline, so
-the gate logic (tolerance ratios, throughput floors, batch-beats bounds)
+the gate logic (tolerance ratios, throughput floors, paired-overhead bounds)
 and the regression explanation are tested deterministically.
 """
 
@@ -43,9 +43,9 @@ def _synthetic_measure(scale_phase=None, factor=1.0):
 class TestPhaseScores:
     def test_aggregates_by_kernel_phase(self):
         scores = perfguard.phase_scores(
-            {"partition_sort": 1.5, "batch_partition_sort": 0.5, "frames_roundtrip": 2.0}
+            {"merge_streams": 1.5, "batch_merge_streams": 0.5, "frames_roundtrip": 2.0}
         )
-        assert scores == {"sort": 2.0, "shuffle": 2.0}
+        assert scores == {"merge": 2.0, "shuffle": 2.0}
 
     def test_unknown_kernels_bucket_as_other(self):
         assert perfguard.phase_scores({"mystery": 1.0}) == {"other": 1.0}
@@ -95,9 +95,9 @@ class TestCheckGate:
 
 class TestExplainRegression:
     def test_delta_table_and_attribution(self, capsys):
-        base = {"partition_sort": 1.0, "incremental_update": 2.0}
+        base = {"batch_partition_sort": 1.0, "incremental_update": 2.0}
         measured = {
-            "partition_sort": {"score": 3.0, "records_per_sec": 1.0},
+            "batch_partition_sort": {"score": 3.0, "records_per_sec": 1.0},
             "incremental_update": {"score": 2.0, "records_per_sec": 1.0},
         }
         perfguard.explain_regression(base, measured)
@@ -106,7 +106,7 @@ class TestExplainRegression:
         assert "3.00x" in err
 
     def test_silent_when_nothing_grew(self, capsys):
-        base = {"partition_sort": 2.0}
-        measured = {"partition_sort": {"score": 1.0, "records_per_sec": 1.0}}
+        base = {"batch_partition_sort": 2.0}
+        measured = {"batch_partition_sort": {"score": 1.0, "records_per_sec": 1.0}}
         perfguard.explain_regression(base, measured)
         assert "regressed phase" not in capsys.readouterr().err
