@@ -511,34 +511,31 @@ def kernel_journal_append() -> None:
         shutil.rmtree(root, ignore_errors=True)
 
 
-_LINT_STATE: dict = {}
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _lint_scope_files() -> int:
+    """Files in ``repro lint``'s default scope: the records of one run."""
+    from repro.lint.cli import default_lint_paths
+    from repro.lint.core import iter_py_files
+
+    return sum(1 for _ in iter_py_files(Path(p) for p in default_lint_paths(_ROOT)))
 
 
 def kernel_lint_warm_run() -> None:
-    """Warm full-tree lint: all three layers (AST, dataflow, CFG rules)
-    over the default scope with the summary store hot.
+    """Full-tree lint: every rule over the default scope, in-process.
 
-    The first call pays the cold pass into a scratch cache; the scored
-    repeats measure the steady state a pre-commit hook or cache-hit CI
-    run pays.  If a new rule (the CFG layer is the marginal cost here)
-    quietly makes lint slow, this score blows its baseline.  Records are
-    linted files, so the floor reads as files/sec.
+    There is no summary store to warm: every run parses, indexes and
+    lints each file once.  The first call also builds the whole-program
+    view, which the process then keeps (``_PROGRAM_MEMO``), so the scored
+    repeats measure what each later run in one process pays.  If a new
+    rule quietly makes lint slow, this score blows its baseline.  Records
+    are linted files, so the floor reads as files/sec.
     """
-    import tempfile
-
     from repro.lint import LintConfig, lint_paths
     from repro.lint.cli import default_lint_paths
 
-    if not _LINT_STATE:
-        root = Path(__file__).resolve().parents[1]
-        scratch = Path(tempfile.mkdtemp(prefix="perfguard-lint-"))
-        config = LintConfig(
-            root=root, cache_path=str(scratch / "summaries.json")
-        )
-        paths = default_lint_paths(root)
-        lint_paths(paths, config)  # cold pass: populate the summary store
-        _LINT_STATE.update(config=config, paths=paths)
-    findings = lint_paths(_LINT_STATE["paths"], _LINT_STATE["config"])
+    findings = lint_paths(default_lint_paths(_ROOT), LintConfig(root=_ROOT))
     assert findings == [], findings
 
 
@@ -589,8 +586,9 @@ def kernel_san_overhead() -> None:
     _dispatch_loop()
 
 
-#: kernel name -> (callable, records processed per invocation).  The record
-#: count turns the wall time into the records/sec figure the floors guard.
+#: kernel name -> (callable, records processed per invocation, or a
+#: callable counting them).  The record count turns the wall time into
+#: the records/sec figure the floors guard.
 KERNELS = {
     "frames_roundtrip": (kernel_frames_roundtrip, 20_000),
     "batch_partition_sort": (kernel_batch_partition_sort, 120_000),
@@ -608,7 +606,7 @@ KERNELS = {
     "partition_cache_roundtrip": (kernel_partition_cache_roundtrip, 1_024),
     "tracer_noop": (kernel_tracer_noop, 300_000),
     "journal_append": (kernel_journal_append, 4_000),
-    "lint_warm_run": (kernel_lint_warm_run, 136),
+    "lint_warm_run": (kernel_lint_warm_run, _lint_scope_files),
     "exec_dispatch": (kernel_exec_dispatch, 100_000),
     "san_overhead": (kernel_san_overhead, 100_000),
 }
@@ -638,6 +636,8 @@ def measure() -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     for name, (fn, records) in KERNELS.items():
         score, wall = _score(fn, KERNEL_REPEATS.get(name, REPEATS))
+        if callable(records):
+            records = records()
         out[name] = {"score": score, "records_per_sec": records / wall}
     return out
 

@@ -5,11 +5,15 @@ not know about — byte-identical output across executors, pure picklable
 kernels, registered counter and span names.  This package machine-checks
 those contracts at lint time with an AST-based rule framework:
 
-* :mod:`repro.lint.core` — the driver: module model, suppression
-  comments, baseline matching;
-* :mod:`repro.lint.rules` — the REP001..REP007 checkers;
-* :mod:`repro.lint.config` — scoping (which modules each rule covers);
-* :mod:`repro.lint.report` — text/JSON reporters;
+* :mod:`repro.lint.core` — the driver: the module model and its
+  one-traversal index, suppression comments, run-wide registries;
+* :mod:`repro.lint.rules` — the per-file and whole-program checkers
+  (REP002..REP105), over the :mod:`repro.lint.dataflow` summaries;
+* :mod:`repro.lint.cfg` — the path- and context-sensitive checkers
+  (REP201..REP206);
+* :mod:`repro.lint.config` — the root, the rule selection and the test
+  overrides (each rule's vocabulary is a constant beside the rule);
+* :mod:`repro.lint.report` — text/JSON/SARIF reporters;
 * :mod:`repro.lint.cli` — the ``repro lint`` subcommand.
 
 See ``docs/STATIC_ANALYSIS.md`` for the contract each rule encodes.

@@ -26,7 +26,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["CFG", "Block", "build_cfg", "function_cfgs", "header_exprs"]
+__all__ = ["CFG", "Block", "build_cfg", "function_cfgs", "header_exprs", "module_defs"]
 
 
 class Block:
@@ -374,19 +374,31 @@ def block_exprs(block: Block) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(cur))
 
 
-def build_cfg(fn: ast.FunctionDef | ast.AsyncFunctionDef, name: str | None = None) -> CFG:
-    return _Builder(name or fn.name, fn.body).build()
+def build_cfg(
+    scope: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module, name: str | None = None
+) -> CFG:
+    """The CFG of one def's body (or, given a name, the module body's)."""
+    return _Builder(name or scope.name, scope.body).build()
+
+
+def module_defs(
+    tree: ast.Module,
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """(qualname, def node) for module-level functions and methods —
+    the granularity the dataflow summaries use for function ids."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, defs):
+                    yield f"{node.name}.{sub.name}", sub
 
 
 def function_cfgs(
     tree: ast.Module,
 ) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef, CFG]]:
     """(qualname, def node, CFG) for every module-level def and method."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node, build_cfg(node, node.name)
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{node.name}.{sub.name}"
-                    yield qual, sub, build_cfg(sub, qual)
+    for qual, fn in module_defs(tree):
+        yield qual, fn, build_cfg(fn, qual)

@@ -27,12 +27,15 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Mapping
 
+from repro.lint.core import registered_kernels
 from repro.lint.dataflow.taint import fid_display
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.dataflow.taint import ProgramFacts
 
 __all__ = [
+    "BLOCKING_CALLS",
+    "COORDINATOR_SCOPES",
     "ExecContexts",
     "blocking_facts",
     "build_contexts",
@@ -44,6 +47,50 @@ __all__ = [
 BlockEntry = tuple[str, tuple[str, ...], int]
 
 _MAX_CHAIN = 8
+
+#: Module-path prefixes whose functions seed the coordinator scope
+#: (everything there not reachable from a worker entry point runs on
+#: the coordinator).  Workloads are deliberately excluded: their
+#: map/reduce closures execute inside kernels.
+COORDINATOR_SCOPES = (
+    "repro/core/",
+    "repro/mapreduce/",
+    "repro/exec/",
+    "repro/hdfs/",
+    "repro/io/",
+    "repro/obs/",
+    "repro/simulator/",
+)
+
+#: Calls that block the calling thread (REP203 forbids them in
+#: coordinator scope).  Exact dotted match after alias/constructor
+#: resolution, so ``q = queue.Queue(); q.get()`` matches
+#: ``queue.Queue.get`` while ``", ".join(...)`` never matches
+#: ``threading.Thread.join``.
+BLOCKING_CALLS = frozenset(
+    {
+        "time.sleep",
+        "subprocess.run",
+        "subprocess.call",
+        "subprocess.check_call",
+        "subprocess.check_output",
+        "os.system",
+        "os.wait",
+        "os.waitpid",
+        "select.select",
+        "socket.create_connection",
+        "socket.socket.accept",
+        "socket.socket.connect",
+        "socket.socket.recv",
+        "socket.socket.sendall",
+        "queue.Queue.get",
+        "queue.Queue.put",
+        "queue.Queue.join",
+        "threading.Thread.join",
+        "threading.Event.wait",
+        "multiprocessing.Process.join",
+    }
+)
 
 
 class ExecContexts:
@@ -76,10 +123,8 @@ def worker_entries(
     executor_modpath: str,
 ) -> frozenset[str]:
     """Function ids that start executing in worker scope."""
-    from repro.lint.rules import _registered_kernels
-
     entries = {
-        f"{kernel_modpath}::{name}" for name in _registered_kernels(kernel_tree)
+        f"{kernel_modpath}::{name}" for name in registered_kernels(kernel_tree)
     }
     if executor_tree is not None:
         for node in ast.walk(executor_tree):
@@ -116,7 +161,6 @@ def build_contexts(
     kernel_modpath: str,
     executor_tree: ast.Module | None,
     executor_modpath: str,
-    coordinator_scopes: tuple[str, ...],
 ) -> ExecContexts:
     worker = _closure(
         facts,
@@ -125,7 +169,7 @@ def build_contexts(
     coordinator_seeds = frozenset(
         fid
         for fid, summary in facts.functions.items()
-        if summary.modpath.startswith(coordinator_scopes) and fid not in worker
+        if summary.modpath.startswith(COORDINATOR_SCOPES) and fid not in worker
     )
     coordinator = _closure(facts, coordinator_seeds)
     return ExecContexts(worker, coordinator)
@@ -134,21 +178,18 @@ def build_contexts(
 # -- REP203: transitive blocking-call facts -----------------------------------
 
 
-def blocking_facts(
-    facts: "ProgramFacts", blocking_calls: tuple[str, ...]
-) -> dict[str, BlockEntry]:
+def blocking_facts(facts: "ProgramFacts") -> dict[str, BlockEntry]:
     """fid -> (blocking target, witness chain, call lineno) fixpoint.
 
-    A function blocks if it calls one of ``blocking_calls`` directly
+    A function blocks if it calls one of ``BLOCKING_CALLS`` directly
     (exact dotted match — summaries already resolve constructor-typed
     receivers like ``queue.Queue.get``) or calls a function that does.
     """
-    blocking = frozenset(blocking_calls)
     table: dict[str, BlockEntry] = {}
     order = sorted(facts.functions)
     for fid in order:
         for dotted, lineno, _col in facts.functions[fid].calls:
-            if dotted in blocking:
+            if dotted in BLOCKING_CALLS:
                 table.setdefault(fid, (dotted, (), lineno))
                 break
     changed = True

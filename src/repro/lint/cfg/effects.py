@@ -4,8 +4,8 @@
 calls and classifies the record kind; ``emit_sites`` finds committed-
 output emissions (``hdfs.append_block(job.output_path, ...)``); both
 feed REP204's commit-then-emit check.  ``releases`` is the per-block
-release predicate REP205's must-analysis evaluates, mirroring REP103's
-ownership semantics (close, ``with``, return/yield, hand-off).  The
+release predicate REP205's must-analysis evaluates: close, ``with``,
+and the ownership transfers (return/yield, store, hand-off).  The
 resource lattice maps fork-unsafe factory calls to the human-readable
 kind REP202 reports.
 """
@@ -16,11 +16,13 @@ import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.cfg.builder import Block, block_exprs
+from repro.lint.core import receiver_named
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.core import LintModule
 
 __all__ = [
+    "EMIT_METHODS",
     "RESOURCE_KINDS",
     "emit_sites",
     "journal_appends",
@@ -34,9 +36,19 @@ __all__ = [
 _REDUCE_COMMIT_NAMES = frozenset({"K_REDUCE_COMMIT"})
 _REDUCE_COMMIT_VALUES = frozenset({"reduce-commit"})
 
-#: Fork-unsafe factory -> the OS-resource kind REP202 names in findings.
-#: Terminal-segment keys ("open") match bare builtins; dotted keys match
-#: the alias-resolved call target exactly.
+#: Receiver names treated as the job journal by REP204 (plus any
+#: ``<expr>.journal`` attribute).
+JOURNAL_RECEIVERS = ("journal",)
+
+#: Output-emission vocabulary for REP204: methods that append committed
+#: output, and the job attributes naming the output target.
+EMIT_METHODS = ("append_block",)
+EMIT_PATH_ATTRS = ("output_path",)
+
+#: Calls that produce fork-unsafe OS resources (REP202 forbids them on
+#: picklable spec fields and in kernel closures) -> the kind REP202
+#: names in findings.  Terminal-segment keys ("open") match bare
+#: builtins; dotted keys match the alias-resolved call target exactly.
 RESOURCE_KINDS: dict[str, str] = {
     "open": "open file handle",
     "tempfile.NamedTemporaryFile": "open file handle",
@@ -53,26 +65,12 @@ RESOURCE_KINDS: dict[str, str] = {
 }
 
 
-def resource_kind(dotted: str, factories: tuple[str, ...]) -> str | None:
+def resource_kind(dotted: str) -> str | None:
     """The REP202 resource kind of a call target, or None."""
-    if dotted not in factories:
-        terminal = dotted.rpartition(".")[2]
-        if not any("." not in f and f == terminal for f in factories):
-            return None
-    return RESOURCE_KINDS.get(
-        dotted, RESOURCE_KINDS.get(dotted.rpartition(".")[2], "OS resource")
-    )
+    return RESOURCE_KINDS.get(dotted) or RESOURCE_KINDS.get(dotted.rpartition(".")[2])
 
 
 # -- REP204: journal commits and output emissions -----------------------------
-
-
-def _is_journal_receiver(node: ast.AST, receivers: tuple[str, ...]) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in receivers
-    if isinstance(node, ast.Attribute):
-        return node.attr in receivers  # self.journal, run.journal, ...
-    return False
 
 
 def _append_kind(call: ast.Call, module: "LintModule") -> str | None:
@@ -94,7 +92,7 @@ def _append_kind(call: ast.Call, module: "LintModule") -> str | None:
 
 
 def journal_appends(
-    block: Block, module: "LintModule", receivers: tuple[str, ...]
+    block: Block, module: "LintModule"
 ) -> Iterator[tuple[str, ast.Call]]:
     """(kind, call) for every journal ``append`` call in the block."""
     for node in block_exprs(block):
@@ -102,31 +100,27 @@ def journal_appends(
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "append"
-            and _is_journal_receiver(node.func.value, receivers)
+            and receiver_named(node.func.value, JOURNAL_RECEIVERS)
         ):
             kind = _append_kind(node, module)
             if kind is not None:
                 yield kind, node
 
 
-def emit_sites(
-    block: Block,
-    emit_methods: tuple[str, ...],
-    path_attrs: tuple[str, ...],
-) -> Iterator[ast.Call]:
+def emit_sites(block: Block) -> Iterator[ast.Call]:
     """Committed-output emissions: an ``append_block``-style call whose
     arguments reference the job's ``output_path``."""
     for node in block_exprs(block):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in emit_methods
+            and node.func.attr in EMIT_METHODS
         ):
             continue
         args = (*node.args, *(kw.value for kw in node.keywords))
         for arg in args:
             if any(
-                isinstance(sub, ast.Attribute) and sub.attr in path_attrs
+                isinstance(sub, ast.Attribute) and sub.attr in EMIT_PATH_ATTRS
                 for sub in ast.walk(arg)
             ):
                 yield node
@@ -139,9 +133,9 @@ def emit_sites(
 def releases(block: Block, name: str) -> bool:
     """Does this block release/transfer ownership of local ``name``?
 
-    Mirrors REP103's ownership semantics: ``name.close()``, a ``with``
-    managing it, returning/yielding it, storing it into longer-lived
-    state, or passing it to another callable.
+    ``name.close()``, a ``with`` managing it, or an ownership transfer:
+    returning/yielding it, storing it into longer-lived state, or
+    passing it to another callable.
     """
     node = block.node
     if node is None:

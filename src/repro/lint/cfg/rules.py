@@ -1,15 +1,9 @@
 """REP201..REP206: concurrency and protocol-ordering rules.
 
 These rules sit on the CFG layer (``cfg/builder.py``) and the
-execution-context model (``cfg/context.py``), on top of the PR 5
+execution-context model (``cfg/context.py``), on top of the
 whole-program summaries.  ``docs/STATIC_ANALYSIS.md`` documents the
 contract behind each.
-
-Import note: this module is wired into ``ALL_RULES`` by a bottom-of-
-module import in :mod:`repro.lint.rules` and imports that module's
-shared AST helpers in return.  Always reach these rules through
-``repro.lint.rules`` (``ALL_RULES`` / ``rule_by_id``); importing this
-module first would trip the cycle.
 """
 
 from __future__ import annotations
@@ -17,45 +11,36 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.cfg.builder import CFG, Block, function_cfgs
-from repro.lint.cfg.context import chain_text
+from repro.lint.cfg.builder import CFG, Block, build_cfg, module_defs
+from repro.lint.cfg.context import BLOCKING_CALLS, COORDINATOR_SCOPES, chain_text
 from repro.lint.cfg.effects import (
+    EMIT_METHODS,
     RESOURCE_KINDS,
     emit_sites,
     journal_appends,
     releases,
     resource_kind,
 )
-from repro.lint.core import Finding, LintContext, LintModule
-from repro.lint.dataflow.summary import MODULE_BODY
-from repro.lint.dataflow.taint import chain_display
-from repro.lint.rules import (
-    InterproceduralResourceLeak,
+from repro.lint.core import (
+    FUNCTION_DEFS,
+    Finding,
+    LintContext,
+    LintModule,
     Rule,
-    _call_dotted,
-    _enclosing_class_name,
-    _local_bindings,
-    _registered_kernels,
-    _scope_walk,
-    _scopes,
-    _terminal_name,
+    call_dotted,
+    enclosing_class_name,
+    local_bindings,
+    registered_kernels,
+    terminal_name,
 )
+from repro.lint.dataflow.summary import (
+    COORDINATOR_SINGLETONS,
+    MODULE_BODY,
+    is_resource_factory,
+)
+from repro.lint.dataflow.taint import chain_display
 
 __all__ = ["CFG_RULES"]
-
-
-def _module_defs(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """(qualname, def node) for module-level functions and methods —
-    the granularity the dataflow summaries use for function ids."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{sub.name}", sub
 
 
 # -- REP201: shared mutable state across execution contexts -------------------
@@ -66,15 +51,14 @@ class SharedStateRace(Rule):
     the coordinator and read from kernel scope) is a data race under the
     thread executor and silently divergent state under the fork
     executor.  State with a real ownership-transfer protocol is exempted
-    via ``ownership_transfer_globals`` or an inline suppression on the
-    write.
+    by an inline suppression on the write.
     """
 
     id = "REP201"
     title = "no shared mutable module state across coordinator/kernel contexts"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        summary, _digest = ctx.module_summary(module)
+        summary = ctx.module_summary(module)
         writers: dict[str, list[tuple[str, int]]] = {}
         for qual, fs in summary.functions.items():
             if qual == MODULE_BODY:
@@ -83,14 +67,10 @@ class SharedStateRace(Rule):
                 writers.setdefault(name, []).append((qual, lineno))
         if not writers:
             return
-        exempt = set(ctx.config.coordinator_singletons) | set(
-            ctx.config.ownership_transfer_globals
-        )
-        facts = ctx.facts_for(module)
-        contexts = ctx.exec_contexts(facts)
-        reads = _global_reads(module.tree, frozenset(writers) - exempt)
+        contexts = ctx.exec_contexts(ctx.facts_for(module))
+        reads = _global_reads(module, frozenset(writers) - set(COORDINATOR_SINGLETONS))
         for name in sorted(writers):
-            if name in exempt:
+            if name in COORDINATOR_SINGLETONS:
                 continue
             classified = [
                 (qual, lineno, contexts.classify(f"{module.modpath}::{qual}"))
@@ -131,15 +111,15 @@ class SharedStateRace(Rule):
 
 
 def _global_reads(
-    tree: ast.Module, names: frozenset[str]
+    module: LintModule, names: frozenset[str]
 ) -> dict[str, list[tuple[str, ast.Name]]]:
     """name -> [(qualname, load site)] for unshadowed global loads."""
     out: dict[str, list[tuple[str, ast.Name]]] = {}
     if not names:
         return out
-    for qual, fn in _module_defs(tree):
-        local = _local_bindings(fn)
-        for node in ast.walk(fn):
+    for qual, fn in module_defs(module.tree):
+        local = local_bindings(module, fn)
+        for node in module.subtree(fn):
             if (
                 isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)
@@ -166,27 +146,61 @@ class ForkUnsafeCapture(Rule):
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         facts = ctx.facts_for(module)
-        factories = ctx.config.fork_unsafe_factories
         spec_names = ctx.spec_class_names
         gen_defs = frozenset(
             qual
-            for qual, fn in _module_defs(module.tree)
+            for qual, fn in module_defs(module.tree)
             if "." not in qual
             and any(
-                isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _scope_walk(fn)
+                isinstance(n, (ast.Yield, ast.YieldFrom))
+                for n in module.scope_nodes[fn]
             )
         )
-        module_resources = self._module_resources(
-            module, facts, factories, gen_defs
-        )
+
+        def value_kind(value: ast.AST) -> tuple[str, str | None] | None:
+            """(resource kind, witness chain) when the expression yields one."""
+            if isinstance(value, ast.GeneratorExp):
+                return "live generator", None
+            if not isinstance(value, ast.Call):
+                return None
+            dotted = call_dotted(module, value)
+            if dotted is None:
+                return None
+            kind = resource_kind(dotted)
+            if kind is not None:
+                return kind, None
+            if dotted in gen_defs:
+                return "live generator", None
+            fid = facts.resolve(
+                module.modpath, dotted, enclosing_class_name(module, value)
+            )
+            entry = facts.resource.get(fid) if fid is not None else None
+            if entry is None:
+                return None
+            return RESOURCE_KINDS.get(entry[0], entry[0]), chain_display(fid, entry)
+
+        def bound_name(node: ast.AST) -> str | None:
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                return node.targets[0].id
+            return None
+
+        module_resources: dict[str, str] = {}
+        for node in module.tree.body:
+            hit = value_kind(node.value) if bound_name(node) else None
+            if hit is not None:
+                module_resources[bound_name(node)] = hit[0]
 
         if module.modpath == ctx.kernel_modpath and module_resources:
-            registered = set(_registered_kernels(module.tree))
-            for qual, fn in _module_defs(module.tree):
+            registered = set(registered_kernels(module.tree))
+            for qual, fn in module_defs(module.tree):
                 if qual not in registered:
                     continue
-                local = _local_bindings(fn)
-                for node in ast.walk(fn):
+                local = local_bindings(module, fn)
+                for node in module.subtree(fn):
                     if (
                         isinstance(node, ast.Name)
                         and isinstance(node.ctx, ast.Load)
@@ -202,40 +216,40 @@ class ForkUnsafeCapture(Rule):
                             "processes",
                         )
 
-        for scope in _scopes(module.tree):
+        for scope in module.scopes:
+            nodes = module.scope_nodes[scope]
             lookup: dict[str, tuple[str, str | None]] = {}
             spec_locals: set[str] = set()
-            for node in _scope_walk(scope):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
+            for node in nodes:
+                name = bound_name(node)
+                if name is None:
+                    continue
+                hit = value_kind(node.value)
+                if hit is not None:
+                    lookup[name] = hit
+                elif (
+                    isinstance(node.value, ast.Call)
+                    and terminal_name(node.value.func) in spec_names
                 ):
-                    name = node.targets[0].id
-                    hit = self._value_kind(
-                        module, facts, node.value, factories, gen_defs
-                    )
-                    if hit is not None:
-                        lookup[name] = hit
-                    elif (
-                        isinstance(node.value, ast.Call)
-                        and _terminal_name(node.value.func) in spec_names
-                    ):
-                        spec_locals.add(name)
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                shadowed = _local_bindings(scope)
+                    spec_locals.add(name)
+            if scope is not module.tree and module_resources:
+                shadowed = local_bindings(module, scope)
                 for gname, kind in module_resources.items():
                     if gname not in shadowed:
                         lookup.setdefault(gname, (kind, None))
-            for node in _scope_walk(scope):
+
+            def arg_kind(value: ast.AST) -> tuple[str, str | None] | None:
+                if isinstance(value, ast.Name) and value.id in lookup:
+                    return lookup[value.id]
+                return value_kind(value)
+
+            for node in nodes:
                 if (
                     isinstance(node, ast.Call)
-                    and _terminal_name(node.func) in spec_names
+                    and terminal_name(node.func) in spec_names
                 ):
                     for arg in (*node.args, *(kw.value for kw in node.keywords)):
-                        hit = self._arg_kind(
-                            module, facts, arg, factories, gen_defs, lookup
-                        )
+                        hit = arg_kind(arg)
                         if hit is not None:
                             yield self._spec_finding(module, arg, hit, "argument")
                 elif (
@@ -245,15 +259,10 @@ class ForkUnsafeCapture(Rule):
                     and isinstance(node.targets[0].value, ast.Name)
                     and node.targets[0].value.id in spec_locals
                 ):
-                    hit = self._arg_kind(
-                        module, facts, node.value, factories, gen_defs, lookup
-                    )
+                    hit = arg_kind(node.value)
                     if hit is not None:
                         yield self._spec_finding(
-                            module,
-                            node,
-                            hit,
-                            f"field {node.targets[0].attr!r}",
+                            module, node, hit, f"field {node.targets[0].attr!r}"
                         )
 
     def _spec_finding(
@@ -272,70 +281,6 @@ class ForkUnsafeCapture(Rule):
             "fork/pickle transport cannot carry OS resources — pass a "
             "path or config value and open it inside the kernel",
         )
-
-    def _module_resources(
-        self,
-        module: LintModule,
-        facts,
-        factories: tuple[str, ...],
-        gen_defs: frozenset[str],
-    ) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for node in module.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                hit = self._value_kind(
-                    module, facts, node.value, factories, gen_defs
-                )
-                if hit is not None:
-                    out[node.targets[0].id] = hit[0]
-        return out
-
-    def _arg_kind(
-        self,
-        module: LintModule,
-        facts,
-        value: ast.AST,
-        factories: tuple[str, ...],
-        gen_defs: frozenset[str],
-        lookup: dict[str, tuple[str, str | None]],
-    ) -> tuple[str, str | None] | None:
-        if isinstance(value, ast.Name) and value.id in lookup:
-            return lookup[value.id]
-        return self._value_kind(module, facts, value, factories, gen_defs)
-
-    def _value_kind(
-        self,
-        module: LintModule,
-        facts,
-        value: ast.AST,
-        factories: tuple[str, ...],
-        gen_defs: frozenset[str],
-    ) -> tuple[str, str | None] | None:
-        """(resource kind, witness chain) when the expression yields one."""
-        if isinstance(value, ast.GeneratorExp):
-            return "live generator", None
-        if not isinstance(value, ast.Call):
-            return None
-        dotted = _call_dotted(module, value)
-        if dotted is None:
-            return None
-        kind = resource_kind(dotted, factories)
-        if kind is not None:
-            return kind, None
-        if "." not in dotted and dotted in gen_defs:
-            return "live generator", None
-        fid = facts.resolve(
-            module.modpath, dotted, _enclosing_class_name(module, value)
-        )
-        entry = facts.resource.get(fid) if fid is not None else None
-        if entry is None:
-            return None
-        detail = entry[0]
-        return RESOURCE_KINDS.get(detail, detail), chain_display(fid, entry)
 
 
 # -- REP203: blocking calls in coordinator scope ------------------------------
@@ -359,11 +304,9 @@ class CoordinatorBlockingCalls(Rule):
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         facts = ctx.facts_for(module)
         contexts = ctx.exec_contexts(facts)
-        blocking = frozenset(ctx.config.blocking_calls)
         index = ctx.blocking_facts(facts)
-        scopes = ctx.config.coordinator_scopes
-        summary, _digest = ctx.module_summary(module)
-        in_coordinator_module = module.modpath.startswith(scopes)
+        summary = ctx.module_summary(module)
+        in_coordinator_module = module.modpath.startswith(COORDINATOR_SCOPES)
         for qual in sorted(summary.functions):
             if qual == MODULE_BODY:
                 continue
@@ -378,7 +321,7 @@ class CoordinatorBlockingCalls(Rule):
             )
             fs = summary.functions[qual]
             for dotted, lineno, col in fs.calls:
-                if dotted in blocking:
+                if dotted in BLOCKING_CALLS:
                     # Outside coordinator modules the call is charged to
                     # the coordinator-side caller (transitively, below).
                     if in_coordinator_module:
@@ -397,7 +340,7 @@ class CoordinatorBlockingCalls(Rule):
                 entry = index.get(target) if target is not None else None
                 if entry is None:
                     continue
-                if target.partition("::")[0].startswith(scopes):
+                if target.partition("::")[0].startswith(COORDINATOR_SCOPES):
                     continue  # reported at the callee's own site
                 yield Finding(
                     self.id,
@@ -425,10 +368,17 @@ class CommitProtocolOrder(Rule):
     title = "reduce-commit journal append must precede output emission"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        receivers = ctx.config.journal_receivers
-        emit_methods = ctx.config.emit_methods
-        path_attrs = ctx.config.emit_path_attrs
-        for qual, _fn, cfg in function_cfgs(module.tree):
+        # Only a def that calls an emit method can hold an emission.
+        emitters = {
+            ancestor
+            for call in module.nodes(ast.Call)
+            if isinstance(call.func, ast.Attribute) and call.func.attr in EMIT_METHODS
+            for ancestor in module.ancestors(call)
+        }
+        for qual, fn in module_defs(module.tree):
+            if fn not in emitters:
+                continue
+            cfg = build_cfg(fn, qual)
             live = cfg.live()
             commits: set[int] = set()
             journal_touched = False
@@ -436,11 +386,11 @@ class CommitProtocolOrder(Rule):
             for block in cfg.blocks:
                 if block.index not in live:
                     continue
-                for kind, _call in journal_appends(block, module, receivers):
+                for kind, _call in journal_appends(block, module):
                     journal_touched = True
                     if kind == "reduce-commit":
                         commits.add(block.index)
-                for call in emit_sites(block, emit_methods, path_attrs):
+                for call in emit_sites(block):
                     emits.append((block.index, call))
             if not emits or not journal_touched:
                 continue
@@ -476,57 +426,113 @@ class CommitProtocolOrder(Rule):
                     )
 
 
-# -- REP205: path-sensitive resource release ----------------------------------
+# -- REP205: resource release on every path -----------------------------------
 
 
-class PathSensitiveResourceRelease(Rule):
-    """REP205: the release of an acquired resource must cover *every*
-    CFG path out of the acquisition — including exception edges.  This
-    upgrades REP103: a ``finally: x.close()`` satisfies REP103 even when
-    statements between the acquisition and the ``try`` can raise and
-    leak the handle; the CFG sees that window.
+def _bare_close(module: LintModule, stmt: ast.AST | None, name: str) -> bool:
+    """Is ``stmt`` a ``name.close()`` statement outside any ``finally``?"""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    if not (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "close"
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == name
+    ):
+        return False
+    child = stmt
+    for parent in module.ancestors(stmt):
+        if isinstance(parent, ast.Try) and child in parent.finalbody:
+            return False
+        child = parent
+    return True
+
+
+class ResourceRelease(Rule):
+    """REP205: a local bound to a freshly acquired resource (open file,
+    run writer, tracer span — possibly acquired through a helper) must
+    be released on *every* CFG path out of the acquisition, exception
+    edges included: context-managed, closed in a ``finally`` that
+    starts right after the acquisition, or handed to another owner.  A
+    bare ``x.close()`` leaks the handle on every exception path between
+    acquisition and close, and so does a ``finally: x.close()`` when
+    statements between the acquisition and the ``try`` can raise.
     """
 
     id = "REP205"
-    title = "resource release must post-dominate acquisition on all paths"
-
-    #: REP103's acquisition/ownership semantics, reused verbatim so the
-    #: two rules can never disagree about what acquires or releases.
-    _rep103 = InterproceduralResourceLeak()
+    title = "acquired resources released on all paths, exception edges included"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         facts = ctx.facts_for(module)
-        for _qual, fn, cfg in function_cfgs(module.tree):
+        # scope -> {acquiring assignment: (detail, witness path)}
+        acquired: dict[ast.AST, dict[ast.AST, tuple[str, str | None]]] = {}
+        for node in module.nodes(ast.Assign):
+            if (
+                len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)
+            ):
+                hit = self._acquires(module, facts, node.value)
+                if hit is not None:
+                    scope = next(
+                        (a for a in module.ancestors(node) if isinstance(a, FUNCTION_DEFS)),
+                        module.tree,
+                    )
+                    acquired.setdefault(scope, {})[node] = hit
+        for scope, hits in acquired.items():
+            cfg = build_cfg(scope, MODULE_BODY if scope is module.tree else None)
             live = cfg.live()
             for block in cfg.blocks:
-                if block.index not in live:
-                    continue
                 node = block.node
-                if not (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)
-                ):
-                    continue
-                hit = self._rep103._acquires(module, ctx, facts, node.value)
+                hit = hits.get(node) if block.index in live else None
                 if hit is None:
                     continue
                 name = node.targets[0].id
-                if self._rep103._disposition(module, fn, name, node) != "safe":
-                    continue  # REP103 already reports the broken cases
-                if not self._released_on_all_paths(cfg, block, name):
-                    detail, path = hit
-                    source = detail + (f" (path: {path})" if path else "")
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"resource {name!r} from {source} escapes on an "
-                        "exception path before its release; the close/with "
-                        "must post-dominate the acquisition (no raising "
-                        "statements between acquire and the protected "
-                        "region)",
+                if self._released_on_all_paths(cfg, block, name):
+                    continue
+                source = hit[0] + (f" (path: {hit[1]})" if hit[1] else "")
+                releasing = [
+                    b for b in cfg.blocks if b.index in live and releases(b, name)
+                ]
+                if not releasing:
+                    why = (
+                        "is never closed in this scope (use `with` or close "
+                        "it in a finally block)"
                     )
+                elif all(_bare_close(module, b.node, name) for b in releasing):
+                    why = (
+                        "is closed outside try/finally; an exception before "
+                        "close() leaks it (use `with` or move close() to a "
+                        "finally block)"
+                    )
+                else:
+                    why = (
+                        "escapes on an exception path before its release; the "
+                        "close/with must post-dominate the acquisition (no "
+                        "raising statements between acquire and the protected "
+                        "region)"
+                    )
+                yield module.finding(
+                    self.id, node, f"resource {name!r} from {source} {why}"
+                )
+
+    @staticmethod
+    def _acquires(
+        module: LintModule, facts, node: ast.Call
+    ) -> tuple[str, str | None] | None:
+        """(detail, witness path) when the call acquires a resource."""
+        dotted = call_dotted(module, node)
+        if dotted is None:
+            return None
+        if is_resource_factory(dotted):
+            return dotted.rpartition(".")[2], None
+        fid = facts.resolve(
+            module.modpath, dotted, enclosing_class_name(module, node)
+        )
+        entry = facts.resource.get(fid) if fid is not None else None
+        if entry is None:
+            return None
+        return entry[0], chain_display(fid, entry)
 
     @staticmethod
     def _released_on_all_paths(cfg: CFG, acquire: Block, name: str) -> bool:
@@ -564,10 +570,11 @@ class LockOrderConsistency(Rule):
     title = "consistent lock acquisition order across the call graph"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        facts = ctx.facts_for(module)
-        edges, cycles = ctx.lock_facts(facts)
-        if not cycles:
+        # Only a function that takes a lock can contribute an order edge.
+        summary = ctx.module_summary(module)
+        if not any(fs.lock_acquires for fs in summary.functions.values()):
             return
+        edges, cycles = ctx.lock_facts(ctx.facts_for(module))
         prefix = f"{module.modpath}::"
         reported: set[tuple[str, str, str, int]] = set()
         for cycle in cycles:
@@ -601,6 +608,6 @@ CFG_RULES: tuple[Rule, ...] = (
     ForkUnsafeCapture(),
     CoordinatorBlockingCalls(),
     CommitProtocolOrder(),
-    PathSensitiveResourceRelease(),
+    ResourceRelease(),
     LockOrderConsistency(),
 )

@@ -1,4 +1,5 @@
-"""The ``repro lint`` subcommand.
+"""The ``repro lint`` subcommand.  Any finding fails the run: there is no
+baseline to grandfather one into.
 
 Examples::
 
@@ -6,8 +7,6 @@ Examples::
     python -m repro lint src/ --format json
     python -m repro lint --format sarif            # code-scanning upload
     python -m repro lint --changed-only            # git-diff-aware
-    python -m repro lint src/ --write-baseline     # grandfather findings
-    python -m repro lint --update-baseline         # regenerate + show drift
     python -m repro lint --stats                   # per-rule wall time
     python -m repro lint --list-rules
 """
@@ -17,18 +16,14 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.config import LintConfig, repo_root
 from repro.lint.core import lint_paths
 from repro.lint.report import format_findings, format_timings
 from repro.lint.rules import ALL_RULES
 
 __all__ = ["add_lint_parser", "changed_py_files", "cmd_lint", "default_lint_paths"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def default_lint_paths(root: Path) -> list[str]:
@@ -95,7 +90,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     config = LintConfig(
         root=root,
         select=tuple(args.select.split(",")) if args.select else (),
-        use_cache=not args.no_cache,
     )
 
     if args.changed_only:
@@ -114,28 +108,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     timings: dict[str, float] | None = {} if args.stats else None
     findings = lint_paths(paths, config, timings=timings)
 
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    if args.write_baseline or args.update_baseline:
-        old = load_baseline(baseline_path)
-        write_baseline(baseline_path, findings)
-        new = Counter(f.fingerprint() for f in findings)
-        added = sum((new - old).values())
-        removed = sum((old - new).values())
-        print(
-            f"wrote {len(findings)} finding(s) to {baseline_path} "
-            f"({added} added, {removed} removed)"
-        )
-        return 0
-
-    baseline = load_baseline(baseline_path) if not args.no_baseline else None
-    grandfathered: list = []
-    if baseline:
-        findings, grandfathered = apply_baseline(findings, baseline)
     sys.stdout.write(format_findings(findings, args.format, timings=timings))
     if args.stats and timings is not None and args.format == "text":
         sys.stdout.write(format_timings(timings))
-    if grandfathered and args.format == "text":
-        print(f"({len(grandfathered)} grandfathered finding(s) in {baseline_path.name})")
     return 1 if findings else 0
 
 
@@ -143,8 +118,8 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "lint",
         help="static-analysis pass for the repo's determinism contracts",
-        description="Check the REP001..REP008, REP101..REP105 and "
-        "REP201..REP206 contracts (see docs/STATIC_ANALYSIS.md).",
+        description="Check the REP002..REP206 contracts (see "
+        "docs/STATIC_ANALYSIS.md); any finding fails the run.",
     )
     p.add_argument(
         "paths",
@@ -153,26 +128,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         "(default: src/ benchmarks/ examples/ tests/conftest.py)",
     )
     p.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true", help="ignore any baseline file"
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the baseline and exit 0",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the baseline deterministically and report the "
-        "added/removed drift vs the old file",
-    )
     p.add_argument(
         "--stats",
         action="store_true",
@@ -195,11 +150,6 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
         default="HEAD",
         metavar="REF",
         help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk dataflow summary cache",
     )
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"

@@ -1,10 +1,11 @@
-"""Lint configuration: which modules each contract covers.
+"""Lint configuration: what one run may vary.
 
-The scopes are dotted-path *prefixes* over the in-repo module path
-(``repro/core/engine.py`` — the part of the file path from the ``repro``
-package root).  Everything here has sensible repo defaults so ``repro
-lint src/`` needs no flags; tests inject overrides to lint fixture
-snippets without touching the real tree.
+The repository's vocabulary — which modules are deterministic scope,
+which calls block, what counts as a resource — is not configuration:
+nothing ever overrides it, so it lives as module constants beside the
+rule that reads it.  What is left here is the root, the rule selection
+and the overrides tests use to lint fixture snippets without touching
+the real tree.
 """
 
 from __future__ import annotations
@@ -26,153 +27,21 @@ def repo_root(start: Path | None = None) -> Path:
 
 @dataclass(slots=True)
 class LintConfig:
-    """Knobs for one lint run.  Defaults describe this repository."""
+    """Knobs for one lint run."""
 
-    #: Repository root; source of the registry files below.
+    #: Repository root; source of the registry files and the program.
     root: Path = field(default_factory=repo_root)
-
-    #: Module-path prefixes whose code feeds job output, counters or
-    #: traces — the determinism scope for REP001/REP006.
-    deterministic_scopes: tuple[str, ...] = (
-        "repro/core/",
-        "repro/mapreduce/",
-        "repro/exec/",
-        "repro/io/",
-        "repro/hdfs/",
-        "repro/obs/",
-        "repro/workloads/",
-        "repro/simulator/",
-    )
-
-    #: Where kernels are registered (REP002/REP003 read this module).
-    kernel_module: str = "src/repro/exec/kernels.py"
-
-    #: Counter registry (REP004 reads ``class C`` from this module).
-    counters_module: str = "src/repro/mapreduce/counters.py"
-
-    #: Span/event/metric name registry (REP005 reads SPAN_NAMES and
-    #: EVENT_NAMES; REP008 reads METRIC_NAMES).
-    names_module: str = "src/repro/obs/names.py"
-
-    #: Doc whose marked list names the hot-path modules (REP007).
-    performance_doc: str = "docs/PERFORMANCE.md"
-
-    #: Receiver names treated as tracers by REP005 (plus any
-    #: ``<expr>.tracer`` attribute).
-    tracer_names: tuple[str, ...] = ("tracer", "trc")
-
-    #: Coordinator-side singletons kernels must never touch (REP002).
-    coordinator_singletons: tuple[str, ...] = ("_FORK_CONTEXT", "_KERNELS")
 
     #: Rule ids to run; empty means all.
     select: tuple[str, ...] = ()
 
-    # -- dataflow layer (REP101..REP105) ----------------------------------
-
-    #: Paths (relative to root) whose modules form the whole-program
-    #: call graph the interprocedural rules resolve against.
-    program_scope: tuple[str, ...] = ("src/repro",)
-
-    #: Calls that acquire a resource needing close/with (REP103); bare
-    #: names match any terminal segment, dotted names match exactly.
-    resource_factories: tuple[str, ...] = ("open", "repro.io.runio.RunWriter")
-
-    #: Dataflow summary store (relative to root); None disables it.
-    cache_path: str | None = ".reprolint-cache.json"
-    use_cache: bool = True
-
-    # -- cfg layer (REP201..REP206) ----------------------------------------
-
-    #: Module-path prefixes whose functions seed the coordinator scope
-    #: (everything there not reachable from a worker entry point runs on
-    #: the coordinator).  Workloads are deliberately excluded: their
-    #: map/reduce closures execute inside kernels.
-    coordinator_scopes: tuple[str, ...] = (
-        "repro/core/",
-        "repro/mapreduce/",
-        "repro/exec/",
-        "repro/hdfs/",
-        "repro/io/",
-        "repro/obs/",
-        "repro/simulator/",
-    )
-
-    #: Where the Executor protocol lives; ``pool.submit(fn, ...)`` sites
-    #: here mark ``fn`` as a worker entry point.
-    executor_module: str = "src/repro/exec/base.py"
-    executor_source_override: str | None = None
-
-    #: Calls that block the calling thread (REP203 forbids them in
-    #: coordinator scope).  Exact dotted match after alias/constructor
-    #: resolution, so ``q = queue.Queue(); q.get()`` matches
-    #: ``queue.Queue.get`` while ``", ".join(...)`` never matches
-    #: ``threading.Thread.join``.
-    blocking_calls: tuple[str, ...] = (
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "os.system",
-        "os.wait",
-        "os.waitpid",
-        "select.select",
-        "socket.create_connection",
-        "socket.socket.accept",
-        "socket.socket.connect",
-        "socket.socket.recv",
-        "socket.socket.sendall",
-        "queue.Queue.get",
-        "queue.Queue.put",
-        "queue.Queue.join",
-        "threading.Thread.join",
-        "threading.Event.wait",
-        "multiprocessing.Process.join",
-    )
-
-    #: Calls that produce fork-unsafe OS resources (REP202 forbids them
-    #: on picklable spec fields and in kernel closures).
-    fork_unsafe_factories: tuple[str, ...] = (
-        "open",
-        "tempfile.NamedTemporaryFile",
-        "tempfile.TemporaryFile",
-        "socket.socket",
-        "socket.create_connection",
-        "subprocess.Popen",
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "threading.Event",
-    )
-
-    #: Lock constructors the REP206 lock-order analysis tracks.
-    lock_factories: tuple[str, ...] = ("threading.Lock", "threading.RLock")
-
-    #: Receiver names treated as the job journal by REP204 (plus any
-    #: ``<expr>.journal`` attribute).
-    journal_receivers: tuple[str, ...] = ("journal",)
-
-    #: Output-emission vocabulary for REP204: methods that append
-    #: committed output, and the job attributes naming the output target.
-    emit_methods: tuple[str, ...] = ("append_block",)
-    emit_path_attrs: tuple[str, ...] = ("output_path",)
-
-    #: Module globals exempt from REP201 beyond ``coordinator_singletons``
-    #: (state with a documented ownership-transfer protocol).
-    ownership_transfer_globals: tuple[str, ...] = ()
-
-    #: Test injection: modpath -> source replacing the on-disk program.
+    # -- test-injection overrides (bypass the on-disk tree) ----------------
+    #: modpath -> source replacing the on-disk whole program.
     program_modules_override: dict[str, str] | None = None
-
-    # -- test-injection overrides (bypass the registry files) -------------
+    kernel_source_override: str | None = None
+    executor_source_override: str | None = None
     counter_names_override: frozenset[str] | None = None
     span_names_override: frozenset[str] | None = None
     event_names_override: frozenset[str] | None = None
     metric_names_override: frozenset[str] | None = None
     hot_path_modules_override: tuple[str, ...] | None = None
-    kernel_source_override: str | None = None
-
-    def in_deterministic_scope(self, modpath: str) -> bool:
-        return modpath.startswith(self.deterministic_scopes)

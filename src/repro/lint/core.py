@@ -1,42 +1,59 @@
 """Lint driver: module model, suppression comments, registries, runner.
 
-A :class:`LintModule` wraps one parsed source file with the derived
-facts every rule needs (parent links, import-alias resolution,
-per-line suppressions).  A :class:`LintContext` carries the run-wide
-registries — declared counter names, registered span/event names, the
-hot-path module list — parsed *statically* from their source files so
-linting never imports repository code.
+A :class:`LintModule` wraps one parsed source file with the facts every
+rule needs, built by *one* traversal: nodes by type, parent links,
+per-scope node lists and import aliases.  Rules iterate that index and
+never walk the tree themselves.  A :class:`LintContext` carries the
+run-wide registries — declared counter names, registered span/event
+names, the hot-path module list — parsed *statically* from their source
+files so linting never imports repository code.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import re
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.lint.config import LintConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.rules import Rule
 
 __all__ = [
     "Finding",
     "LintContext",
     "LintModule",
+    "Rule",
     "dotted_name",
+    "iter_py_files",
     "lint_paths",
     "lint_source",
     "module_path_for",
 ]
 
-#: ``# reprolint: disable=REP001,REP006 -- why this is fine``
+#: ``# reprolint: disable=REP101,REP006 -- why this is fine``
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*disable=(?P<rules>REP\d{3}(?:\s*,\s*REP\d{3})*)"
     r"(?:\s*--\s*(?P<reason>.*))?"
 )
+
+#: Where kernels and the picklable ``*Spec`` classes are registered.
+KERNEL_MODULE = "src/repro/exec/kernels.py"
+#: Where the Executor protocol lives; ``pool.submit(fn, ...)`` sites
+#: here mark ``fn`` as a worker entry point.
+EXECUTOR_MODULE = "src/repro/exec/base.py"
+#: Counter registry (``class C``).
+COUNTERS_MODULE = "src/repro/mapreduce/counters.py"
+#: Span/event/metric name registry (SPAN_NAMES, EVENT_NAMES, METRIC_NAMES).
+NAMES_MODULE = "src/repro/obs/names.py"
+#: Doc whose marked list names the hot-path modules (REP007).
+PERFORMANCE_DOC = "docs/PERFORMANCE.md"
+
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPE_NODES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,10 +65,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Baseline identity: stable across pure line-number drift."""
-        return (self.rule, self.path, self.message)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -68,56 +81,104 @@ def module_path_for(path: Path) -> str:
 
 
 class LintModule:
-    """One parsed source file plus the derived facts rules share."""
+    """One parsed source file plus the index every rule iterates."""
 
-    __slots__ = ("path", "modpath", "source", "tree", "suppressions", "_parents", "_aliases")
+    __slots__ = (
+        "path",
+        "modpath",
+        "source",
+        "digest",
+        "tree",
+        "suppressions",
+        "parents",
+        "by_type",
+        "scope_nodes",
+        "aliases",
+        "summary",
+    )
 
     def __init__(self, source: str, *, path: str, modpath: str | None = None) -> None:
         self.path = path
         self.modpath = modpath if modpath is not None else module_path_for(Path(path))
         self.source = source
+        self.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         self.tree = ast.parse(source, filename=path)
         self.suppressions = _parse_suppressions(source)
-        self._parents: dict[ast.AST, ast.AST] | None = None
-        self._aliases: dict[str, str] | None = None
+        #: Filled by ``LintContext.module_summary`` (at most once).
+        self.summary = None
+        #: child -> parent, for the whole tree.
+        self.parents: dict[ast.AST, ast.AST] = {}
+        #: node type -> nodes, in ``ast.walk`` (breadth-first) order.
+        self.by_type: dict[type, list[ast.AST]] = {}
+        #: scope (module, def or class) -> the nodes it owns: everything
+        #: below it down to, and including, nested def/class nodes.
+        self.scope_nodes: dict[ast.AST, list[ast.AST]] = {}
+        #: Bound name -> canonical dotted path, from the module's imports.
+        self.aliases: dict[str, str] = {}
+        self._index()
 
-    # -- derived facts ------------------------------------------------------
+    def _index(self) -> None:
+        parents, by_type, aliases = self.parents, self.by_type, self.aliases
+        queue: deque[tuple[ast.AST, list[ast.AST] | None]] = deque([(self.tree, None)])
+        while queue:
+            node, owned = queue.popleft()
+            by_type.setdefault(type(node), []).append(node)
+            if owned is not None:
+                owned.append(node)
+            if isinstance(node, _SCOPE_NODES):
+                owned = self.scope_nodes[node] = []
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+                    else:
+                        root = alias.name.partition(".")[0]
+                        aliases.setdefault(root, root)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+                queue.append((child, owned))
+
+    # -- index views --------------------------------------------------------
+
+    def nodes(self, *types: type) -> Iterator[ast.AST]:
+        """Every node of the given exact types."""
+        for t in types:
+            yield from self.by_type.get(t, ())
 
     @property
-    def parents(self) -> dict[ast.AST, ast.AST]:
-        """Child -> parent links for the whole tree (built lazily once)."""
-        if self._parents is None:
-            parents: dict[ast.AST, ast.AST] = {}
-            for node in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(node):
-                    parents[child] = node
-            self._parents = parents
-        return self._parents
+    def functions(self) -> list[ast.AST]:
+        """Every def in the module, at any nesting depth."""
+        return list(self.nodes(*FUNCTION_DEFS))
+
+    @property
+    def scopes(self) -> list[ast.AST]:
+        """The module body and every function body (class bodies apart)."""
+        return [self.tree, *self.functions]
+
+    def subtree(self, root: ast.AST) -> Iterator[ast.AST]:
+        """A scope node (module, def or class) and everything below it,
+        nested scopes included."""
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            yield node
+            owned = self.scope_nodes.get(node)
+            if owned is None:
+                continue
+            for sub in owned:
+                if sub in self.scope_nodes:
+                    stack.append(sub)
+                else:
+                    yield sub
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         parents = self.parents
         while node in parents:
             node = parents[node]
             yield node
-
-    @property
-    def aliases(self) -> dict[str, str]:
-        """Bound name -> canonical dotted path, from the module's imports."""
-        if self._aliases is None:
-            aliases: dict[str, str] = {}
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if alias.asname:
-                            aliases[alias.asname] = alias.name
-                        else:
-                            root = alias.name.partition(".")[0]
-                            aliases.setdefault(root, root)
-                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                    for alias in node.names:
-                        aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-            self._aliases = aliases
-        return self._aliases
 
     def dotted(self, node: ast.AST) -> str | None:
         """Canonical dotted path of a Name/Attribute chain, alias-resolved."""
@@ -148,6 +209,9 @@ def _parse_suppressions(source: str) -> dict[int, frozenset[str]]:
     return out
 
 
+# -- AST helpers shared by the rule layers ------------------------------------
+
+
 def dotted_name(node: ast.AST, aliases: dict[str, str] | None = None) -> str | None:
     """``np.random.default_rng`` -> ``numpy.random.default_rng`` (or None
     when the chain is not a plain Name/Attribute path)."""
@@ -164,6 +228,107 @@ def dotted_name(node: ast.AST, aliases: dict[str, str] | None = None) -> str | N
     return ".".join(reversed(parts))
 
 
+def terminal_name(func: ast.AST) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def attr_root(node: ast.AST) -> ast.AST:
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node
+
+
+def is_set_expr(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Set, ast.SetComp)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def receiver_named(node: ast.AST, names: tuple[str, ...]) -> bool:
+    """``tracer`` / ``self.tracer`` style receivers: a bare name or the
+    last attribute segment is one of ``names``."""
+    return terminal_name(node) in names
+
+
+def module_level_names(tree: ast.Module) -> set[str]:
+    """Names assigned at module level (imports not included)."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def local_bindings(module: LintModule, fn: ast.AST) -> set[str]:
+    """Every name a def binds: its parameters, plus every store, import
+    and def/class name anywhere below it (its own name included)."""
+    a = fn.args
+    params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+    names = {p.arg for p in params if p is not None}
+    for node in module.subtree(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.partition(".")[0])
+        elif isinstance(node, (*FUNCTION_DEFS, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def registered_kernels(tree: ast.Module) -> list[str]:
+    """Function names passed to module-level ``register_kernel(...)``."""
+    out = []
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "register_kernel"
+            and len(node.value.args) >= 2
+            and isinstance(node.value.args[1], ast.Name)
+        ):
+            out.append(node.value.args[1].id)
+    return out
+
+
+def enclosing_class_name(module: LintModule, node: ast.AST) -> str | None:
+    for ancestor in module.ancestors(node):
+        if isinstance(ancestor, ast.ClassDef):
+            return ancestor.name
+    return None
+
+
+def call_dotted(module: LintModule, node: ast.Call) -> str | None:
+    """The symbolic call target a summary would record for this site."""
+    func = node.func
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "self"
+    ):
+        return f"self.{func.attr}"
+    return module.dotted(func)
+
+
+class Rule:
+    """Base class: one checker with a stable id."""
+
+    id = "REP000"
+    title = ""
+
+    def check(self, module: LintModule, ctx: "LintContext") -> Iterator[Finding]:
+        raise NotImplementedError
+
+
 # -- run-wide registries ------------------------------------------------------
 
 
@@ -172,133 +337,87 @@ class LintContext:
 
     __slots__ = (
         "config",
-        "_counter_names",
-        "_counter_values",
-        "_span_names",
-        "_event_names",
-        "_metric_names",
+        "parsed",
+        "_counters",
+        "_names",
         "_hot_modules",
-        "_kernel_source",
+        "_sources",
         "_spec_names",
         "_program",
-        "_summaries",
-        "_executor_source",
-        "_exec_contexts",
-        "_blocking",
-        "_locks",
+        "_derived",
     )
 
     def __init__(self, config: LintConfig | None = None) -> None:
         self.config = config or LintConfig()
-        self._counter_names: frozenset[str] | None = None
-        self._counter_values: list[str] | None = None
-        self._span_names: frozenset[str] | None = None
-        self._event_names: frozenset[str] | None = None
-        self._metric_names: frozenset[str] | None = None
+        #: resolved path -> module already parsed by this run, so the
+        #: program build reuses it instead of parsing the file again.
+        self.parsed: dict[Path, LintModule] = {}
+        self._counters: tuple[frozenset[str], list[str]] | None = None
+        self._names: dict[str, frozenset[str]] | None = None
         self._hot_modules: tuple[str, ...] | None = None
-        self._kernel_source: str | None = None
+        self._sources: dict[str, str] = {}
         self._spec_names: frozenset[str] | None = None
         self._program = None
-        self._summaries: dict[int, tuple] = {}
-        self._executor_source: str | None = None
-        self._exec_contexts: dict[int, object] = {}
-        self._blocking: dict[int, dict] = {}
-        self._locks: dict[int, tuple] = {}
+        self._derived: dict[tuple[str, int], object] = {}
 
     def _read(self, relpath: str) -> str:
         """Registry source, or "" when absent (rules then deactivate)."""
-        try:
-            return (self.config.root / relpath).read_text()
-        except OSError:
-            return ""
+        if relpath not in self._sources:
+            try:
+                self._sources[relpath] = (self.config.root / relpath).read_text()
+            except OSError:
+                self._sources[relpath] = ""
+        return self._sources[relpath]
 
     # -- REP004: counter registry ------------------------------------------
 
-    def _load_counters(self) -> None:
-        names: list[str] = []
-        values: list[str] = []
-        tree = ast.parse(self._read(self.config.counters_module))
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == "C":
-                for stmt in node.body:
-                    if isinstance(stmt, ast.Assign) and isinstance(
-                        stmt.targets[0], ast.Name
-                    ):
-                        names.append(stmt.targets[0].id)
-                        if isinstance(stmt.value, ast.Constant):
-                            values.append(str(stmt.value.value))
-        self._counter_names = frozenset(n for n in names if not n.startswith("__"))
-        self._counter_values = values
+    def _load_counters(self) -> tuple[frozenset[str], list[str]]:
+        if self._counters is None:
+            names: list[str] = []
+            values: list[str] = []
+            for node in ast.parse(self._read(COUNTERS_MODULE)).body:
+                if isinstance(node, ast.ClassDef) and node.name == "C":
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.Assign) and isinstance(
+                            stmt.targets[0], ast.Name
+                        ):
+                            names.append(stmt.targets[0].id)
+                            if isinstance(stmt.value, ast.Constant):
+                                values.append(str(stmt.value.value))
+            self._counters = (
+                frozenset(n for n in names if not n.startswith("__")),
+                values,
+            )
+        return self._counters
 
     @property
     def counter_names(self) -> frozenset[str]:
         if self.config.counter_names_override is not None:
             return self.config.counter_names_override
-        if self._counter_names is None:
-            self._load_counters()
-        assert self._counter_names is not None
-        return self._counter_names
+        return self._load_counters()[0]
 
     @property
     def counter_values(self) -> list[str]:
         """Declared counter string values (for uniqueness checks)."""
-        if self._counter_values is None:
-            self._load_counters()
-        assert self._counter_values is not None
-        return self._counter_values
+        return self._load_counters()[1]
 
-    # -- REP005/REP008: span/event/metric name registries -------------------
+    # -- REP104: span/event/metric name registries --------------------------
 
-    def _load_names(self) -> None:
-        spans: frozenset[str] = frozenset()
-        events: frozenset[str] = frozenset()
-        metrics: frozenset[str] = frozenset()
-        tree = ast.parse(self._read(self.config.names_module))
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                target = node.targets[0].id
-                if target in ("SPAN_NAMES", "EVENT_NAMES", "METRIC_NAMES"):
-                    literals = frozenset(
+    def registry_names(self, kind: str) -> frozenset[str]:
+        """The registered names of one kind: "span", "event" or "metric"."""
+        override = getattr(self.config, f"{kind}_names_override")
+        if override is not None:
+            return override
+        if self._names is None:
+            self._names = {}
+            for node in ast.parse(self._read(NAMES_MODULE)).body:
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    self._names[node.targets[0].id] = frozenset(
                         n.value
                         for n in ast.walk(node.value)
                         if isinstance(n, ast.Constant) and isinstance(n.value, str)
                     )
-                    if target == "SPAN_NAMES":
-                        spans = literals
-                    elif target == "EVENT_NAMES":
-                        events = literals
-                    else:
-                        metrics = literals
-        self._span_names = spans
-        self._event_names = events
-        self._metric_names = metrics
-
-    @property
-    def span_names(self) -> frozenset[str]:
-        if self.config.span_names_override is not None:
-            return self.config.span_names_override
-        if self._span_names is None:
-            self._load_names()
-        assert self._span_names is not None
-        return self._span_names
-
-    @property
-    def event_names(self) -> frozenset[str]:
-        if self.config.event_names_override is not None:
-            return self.config.event_names_override
-        if self._event_names is None:
-            self._load_names()
-        assert self._event_names is not None
-        return self._event_names
-
-    @property
-    def metric_names(self) -> frozenset[str]:
-        if self.config.metric_names_override is not None:
-            return self.config.metric_names_override
-        if self._metric_names is None:
-            self._load_names()
-        assert self._metric_names is not None
-        return self._metric_names
+        return self._names.get(f"{kind.upper()}_NAMES", frozenset())
 
     # -- REP007: hot-path module list --------------------------------------
 
@@ -309,150 +428,129 @@ class LintContext:
         if self.config.hot_path_modules_override is not None:
             return self.config.hot_path_modules_override
         if self._hot_modules is None:
-            try:
-                text = self._read(self.config.performance_doc)
-            except OSError:
-                self._hot_modules = ()
-            else:
-                m = re.search(
-                    r"<!--\s*reprolint:\s*hot-path-modules\s*-->(.*?)<!--\s*/reprolint\s*-->",
-                    text,
-                    re.S,
-                )
-                body = m.group(1) if m else ""
-                self._hot_modules = tuple(
-                    module_path_for(Path(p)) for p in re.findall(r"`([^`]+\.py)`", body)
-                )
+            m = re.search(
+                r"<!--\s*reprolint:\s*hot-path-modules\s*-->(.*?)<!--\s*/reprolint\s*-->",
+                self._read(PERFORMANCE_DOC),
+                re.S,
+            )
+            body = m.group(1) if m else ""
+            self._hot_modules = tuple(
+                module_path_for(Path(p)) for p in re.findall(r"`([^`]+\.py)`", body)
+            )
         return self._hot_modules
 
-    # -- REP002/REP003: kernel module --------------------------------------
+    # -- kernel and executor modules ---------------------------------------
 
     @property
     def kernel_source(self) -> str:
         if self.config.kernel_source_override is not None:
             return self.config.kernel_source_override
-        if self._kernel_source is None:
-            self._kernel_source = self._read(self.config.kernel_module)
-        return self._kernel_source
+        return self._read(KERNEL_MODULE)
 
     @property
     def kernel_modpath(self) -> str:
-        return module_path_for(Path(self.config.kernel_module))
-
-    @property
-    def spec_class_names(self) -> frozenset[str]:
-        """Picklable task-spec classes defined in the kernel module."""
-        if self._spec_names is None:
-            tree = ast.parse(self.kernel_source)
-            self._spec_names = frozenset(
-                n.name
-                for n in ast.walk(tree)
-                if isinstance(n, ast.ClassDef) and n.name.endswith("Spec")
-            )
-        return self._spec_names
-
-    # -- REP101..REP105: whole-program dataflow -----------------------------
-
-    @property
-    def program(self):
-        """The whole-program call-graph view (built lazily once per run)."""
-        if self._program is None:
-            from repro.lint.dataflow import build_program
-
-            self._program = build_program(self.config)
-        return self._program
-
-    def module_summary(self, module: LintModule):
-        """``(summary, digest)`` for one linted module, memoised per module."""
-        from repro.lint.dataflow.cache import content_digest
-        from repro.lint.dataflow.summary import SummaryOptions, summarize_module
-
-        key = id(module)
-        cached = self._summaries.get(key)
-        if cached is None:
-            digest = content_digest(module.source.encode("utf-8"))
-            summary = summarize_module(
-                module, SummaryOptions.from_config(self.config)
-            )
-            # The module itself rides along in the entry: an id() key is
-            # only unique while the object is alive, and lint runs drop
-            # each module after linting it.
-            cached = (module, summary, digest)
-            self._summaries[key] = cached
-        return cached[1], cached[2]
-
-    def facts_for(self, module: LintModule):
-        """Program facts with ``module``'s current source spliced in.
-
-        When the module matches the on-disk program copy this is the
-        shared program facts; fixture sources and seeded-violation tests
-        get a spliced view with their edits visible to the fixpoint.
-        """
-        summary, digest = self.module_summary(module)
-        return self.program.facts_for(summary, digest)
-
-    # -- REP201..REP206: execution contexts and concurrency facts -----------
+        return module_path_for(Path(KERNEL_MODULE))
 
     @property
     def executor_source(self) -> str:
         if self.config.executor_source_override is not None:
             return self.config.executor_source_override
-        if self._executor_source is None:
-            self._executor_source = self._read(self.config.executor_module)
-        return self._executor_source
+        return self._read(EXECUTOR_MODULE)
 
     @property
-    def executor_modpath(self) -> str:
-        return module_path_for(Path(self.config.executor_module))
+    def spec_class_names(self) -> frozenset[str]:
+        """Picklable task-spec classes defined in the kernel module."""
+        if self._spec_names is None:
+            self._spec_names = frozenset(
+                n.name
+                for n in ast.walk(ast.parse(self.kernel_source))
+                if isinstance(n, ast.ClassDef) and n.name.endswith("Spec")
+            )
+        return self._spec_names
+
+    # -- whole-program dataflow ---------------------------------------------
+
+    @property
+    def program(self):
+        """The whole-program call-graph view (built lazily once per run)."""
+        if self._program is None:
+            from repro.lint.dataflow.graph import build_program
+
+            self._program = build_program(self.config, self.parsed)
+        return self._program
+
+    def module_summary(self, module: LintModule):
+        """The module's dataflow summary: the program's own when the
+        source matches the program's copy, else summarised here, once."""
+        if module.summary is None:
+            from repro.lint.dataflow.summary import summarize_module
+
+            program = self.program
+            if program.digests.get(module.modpath) == module.digest:
+                module.summary = program.modules[module.modpath]
+            else:
+                module.summary = summarize_module(module)
+        return module.summary
+
+    def facts_for(self, module: LintModule):
+        """Program facts with ``module``'s current source spliced in.
+
+        When the module shares the program's summary (its source matches
+        the program's copy) this is the shared program facts; fixture
+        sources, seeded-violation tests and files outside the program get
+        a spliced view with their functions visible to the fixpoint.
+        """
+        summary = self.module_summary(module)
+        if summary is self.program.modules.get(module.modpath):
+            return self.program.facts
+        return self.program.facts_for(summary, module.digest)
+
+    # -- execution contexts and concurrency facts ---------------------------
+
+    def _derive(self, kind: str, facts, build):
+        """One derived table per (kind, facts object)."""
+        key = (kind, id(facts))
+        if key not in self._derived:
+            self._derived[key] = build(facts)
+        return self._derived[key]
 
     def exec_contexts(self, facts):
-        """Coordinator/kernel context classification, memoised per facts
-        object (the shared program facts plus any spliced fixture view)."""
-        key = id(facts)
-        cached = self._exec_contexts.get(key)
-        if cached is None:
-            from repro.lint.cfg.context import build_contexts
+        """Coordinator/kernel context classification.  A layered view
+        shares its base's: nothing in the base reaches the module layered
+        on top and that module seeds neither side, so the base's closure
+        sets are still exact (likewise ``blocking_facts``)."""
+        from repro.lint.cfg.context import build_contexts
 
+        def build(facts):
             try:
                 executor_tree = ast.parse(self.executor_source)
             except SyntaxError:
                 executor_tree = None
-            cached = build_contexts(
+            return build_contexts(
                 facts,
                 kernel_tree=ast.parse(self.kernel_source),
                 kernel_modpath=self.kernel_modpath,
                 executor_tree=executor_tree,
-                executor_modpath=self.executor_modpath,
-                coordinator_scopes=self.config.coordinator_scopes,
+                executor_modpath=module_path_for(Path(EXECUTOR_MODULE)),
             )
-            self._exec_contexts[key] = cached
-        return cached
+
+        return self._derive("contexts", facts.base or facts, build)
 
     def blocking_facts(self, facts):
-        key = id(facts)
-        cached = self._blocking.get(key)
-        if cached is None:
-            from repro.lint.cfg.context import blocking_facts
+        from repro.lint.cfg.context import blocking_facts
 
-            cached = blocking_facts(facts, self.config.blocking_calls)
-            self._blocking[key] = cached
-        return cached
+        return self._derive("blocking", facts.base or facts, blocking_facts)
 
     def lock_facts(self, facts):
-        key = id(facts)
-        cached = self._locks.get(key)
-        if cached is None:
-            from repro.lint.cfg.context import lock_facts
+        from repro.lint.cfg.context import lock_facts
 
-            cached = lock_facts(facts)
-            self._locks[key] = cached
-        return cached
+        return self._derive("locks", facts, lock_facts)
 
 
 # -- runner -------------------------------------------------------------------
 
 
-def _active_rules(config: LintConfig) -> list["Rule"]:
+def _active_rules(config: LintConfig) -> list[Rule]:
     from repro.lint.rules import ALL_RULES
 
     if not config.select:
@@ -509,21 +607,24 @@ def lint_paths(
 ) -> list[Finding]:
     """Lint files/directories; findings sorted by (path, line, rule).
 
-    When ``timings`` is a dict, per-rule wall-time accumulates into it
+    Every file is parsed and indexed once, up front, so the program
+    build (triggered by the first whole-program rule) can share those
+    modules; each is dropped as soon as its rules have run.  When
+    ``timings`` is a dict, per-rule wall-time accumulates into it
     (rule id -> seconds across all linted files).
     """
     ctx = LintContext(config)
     findings: list[Finding] = []
     for path in iter_py_files(Path(p) for p in paths):
+        shown = _display_path(path, ctx)
         try:
-            module = LintModule(path.read_text(), path=_display_path(path, ctx))
+            ctx.parsed[path.resolve()] = LintModule(path.read_text(), path=shown)
         except SyntaxError as exc:
             findings.append(
-                Finding("REP000", _display_path(path, ctx), exc.lineno or 1, 1,
-                        f"syntax error: {exc.msg}")
+                Finding("REP000", shown, exc.lineno or 1, 1, f"syntax error: {exc.msg}")
             )
-            continue
-        findings.extend(lint_module(module, ctx, timings))
+    for key in list(ctx.parsed):
+        findings.extend(lint_module(ctx.parsed.pop(key), ctx, timings))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

@@ -1,37 +1,25 @@
 """Whole-program dataflow layer for reprolint.
 
-The per-file rules (REP001..REP007) prove the determinism contracts
-*syntactically, one file at a time*.  This package closes the
-interprocedural gap: it builds per-module :class:`ModuleSummary`
-objects (each function's callees, returned taints, attribute writes,
-opened resources), links them into a project :class:`Program` over all
-of ``src/repro/``, and runs a fixpoint propagator whose resolved
-:class:`ProgramFacts` power the REP101..REP105 rules.
-
-Summaries are cached to disk keyed by file content hash
-(:class:`SummaryCache`), so CI reruns and pre-commit hooks only
-re-analyse modules that actually changed.
+This package builds per-module :class:`ModuleSummary` objects (each
+function's callees, returned taints, attribute writes, opened
+resources), links them into a project :class:`Program` over all of
+``src/repro/``, and runs a fixpoint propagator whose resolved
+:class:`ProgramFacts` the whole-program rules query.
 """
 
-from repro.lint.dataflow.cache import ANALYSIS_VERSION, SummaryCache
 from repro.lint.dataflow.graph import Program, build_program, clear_program_memo
 from repro.lint.dataflow.summary import (
     FunctionSummary,
     ModuleSummary,
-    SummaryOptions,
     summarize_module,
 )
-from repro.lint.dataflow.taint import FactsView, ProgramFacts
+from repro.lint.dataflow.taint import ProgramFacts
 
 __all__ = [
-    "ANALYSIS_VERSION",
-    "FactsView",
     "FunctionSummary",
     "ModuleSummary",
     "Program",
     "ProgramFacts",
-    "SummaryCache",
-    "SummaryOptions",
     "build_program",
     "clear_program_memo",
     "summarize_module",

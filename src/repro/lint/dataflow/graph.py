@@ -1,59 +1,45 @@
-"""The project call graph: scanning, caching and linking summaries.
+"""The project call graph: scanning and linking summaries.
 
-:func:`build_program` walks the configured program scope (by default
-all of ``src/repro/``), summarises every module — through the disk
-cache, so unchanged files are never re-parsed — and returns a
-:class:`Program` whose :class:`~repro.lint.dataflow.taint.ProgramFacts`
-the REP101..REP105 rules query.
+:func:`build_program` walks the program scope (all of ``src/repro/``),
+summarises every module and returns a :class:`Program` whose
+:class:`~repro.lint.dataflow.taint.ProgramFacts` the whole-program rules
+query.  Modules the lint run has already parsed are summarised from that
+parse, so no file is parsed twice.
 
-Programs are memoised in-process per (root, scope, options): a lint run
-over eighty files builds the whole-program view exactly once.
+Programs are memoised in-process per root: ``tests/lint`` lints hundreds
+of fixture snippets against the real program and builds it exactly once.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint.dataflow.cache import SummaryCache, content_digest
-from repro.lint.dataflow.summary import (
-    ModuleSummary,
-    SummaryOptions,
-    summarize_module,
-)
+from repro.lint.core import LintModule, iter_py_files, module_path_for
+from repro.lint.dataflow.summary import ModuleSummary, dotted_module, summarize_module
 from repro.lint.dataflow.taint import ProgramFacts
 
-__all__ = ["Program", "build_program", "clear_program_memo"]
+__all__ = ["PROGRAM_SCOPE", "Program", "build_program", "clear_program_memo"]
 
-_PROGRAM_MEMO: dict[tuple, "Program"] = {}
+#: Paths (relative to the root) whose modules form the whole-program
+#: call graph the interprocedural rules resolve against.
+PROGRAM_SCOPE = ("src/repro",)
+
+_PROGRAM_MEMO: dict[Path, "Program"] = {}
 
 
 class Program:
     """Every module summary in the program scope, plus resolved facts."""
 
-    __slots__ = (
-        "modules",
-        "digests",
-        "parsed_modules",
-        "cached_modules",
-        "_functions",
-        "_facts",
-        "_ext_memo",
-    )
+    __slots__ = ("modules", "digests", "_functions", "_facts", "_targets", "_ext_memo")
 
     def __init__(
-        self,
-        modules: dict[str, ModuleSummary],
-        digests: dict[str, str],
-        *,
-        parsed_modules: int = 0,
-        cached_modules: int = 0,
+        self, modules: dict[str, ModuleSummary], digests: dict[str, str]
     ) -> None:
         self.modules = modules
         self.digests = digests
-        self.parsed_modules = parsed_modules
-        self.cached_modules = cached_modules
         self._functions: dict | None = None
         self._facts: ProgramFacts | None = None
+        self._targets: frozenset[str] | None = None
         self._ext_memo: dict[tuple[str, str], ProgramFacts] = {}
 
     @property
@@ -72,29 +58,44 @@ class Program:
             self._facts = ProgramFacts(self.functions)
         return self._facts
 
+    def _calls_into(self, modpath: str) -> bool:
+        """Does any program function name a target inside ``modpath``?"""
+        if self._targets is None:
+            self._targets = frozenset(
+                call[0] for fn in self.functions.values() for call in fn.calls
+            )
+        stem = dotted_module(modpath) + "."
+        return any(target.startswith(stem) for target in self._targets)
+
     def facts_for(self, summary: ModuleSummary, digest: str) -> ProgramFacts:
         """Facts with ``summary`` spliced in for its module path.
 
-        When the summary matches the program's own copy byte-for-byte
-        (the common ``repro lint src/`` case) this is the shared facts
-        object; otherwise — fixture sources, seeded-violation tests,
-        files outside the program scope — the module's functions replace
-        or extend the program's and the fixpoint reruns.
+        A module in the program's own packages (a fixture, a seeded
+        edit) replaces or extends the program's functions and the
+        fixpoint reruns.  A module outside them that no program function
+        calls into (``benchmarks/``, ``examples/``) cannot change any
+        program function's facts, so it is layered on the shared facts
+        and only its own functions propagate.
         """
-        if self.digests.get(summary.modpath) == digest:
-            return self.facts
         key = (summary.modpath, digest)
         cached = self._ext_memo.get(key)
         if cached is not None:
             return cached
         prefix = f"{summary.modpath}::"
-        combined = {
-            fid: fn for fid, fn in self.functions.items()
-            if not fid.startswith(prefix)
-        }
-        for qual, fn in summary.functions.items():
-            combined[f"{prefix}{qual}"] = fn
-        facts = ProgramFacts(combined)
+        spliced = {f"{prefix}{qual}": fn for qual, fn in summary.functions.items()}
+        package = summary.modpath.partition("/")[0]
+        if all(
+            not mp.startswith(package + "/") for mp in self.modules
+        ) and not self._calls_into(summary.modpath):
+            facts = ProgramFacts(spliced, base=self.facts)
+        else:
+            combined = {
+                fid: fn
+                for fid, fn in self.functions.items()
+                if not fid.startswith(prefix)
+            }
+            combined.update(spliced)
+            facts = ProgramFacts(combined)
         self._ext_memo[key] = facts
         return facts
 
@@ -103,76 +104,38 @@ def clear_program_memo() -> None:
     _PROGRAM_MEMO.clear()
 
 
-def build_program(config, *, use_memo: bool = True) -> Program:
-    """Build (or fetch) the whole-program view for one lint config."""
-    from repro.lint.core import LintModule, module_path_for
+def build_program(config, parsed: dict[Path, LintModule] | None = None) -> Program:
+    """Build (or fetch) the whole-program view for one lint config.
 
-    options = SummaryOptions.from_config(config)
+    ``parsed`` maps resolved paths to modules the caller has already
+    parsed; they are summarised as they are instead of being re-read.
+    """
+    modules: dict[str, ModuleSummary] = {}
+    digests: dict[str, str] = {}
+
+    def add(module: LintModule) -> None:
+        if module.summary is None:
+            module.summary = summarize_module(module)
+        modules[module.modpath] = module.summary
+        digests[module.modpath] = module.digest
 
     if config.program_modules_override is not None:
-        modules: dict[str, ModuleSummary] = {}
-        digests: dict[str, str] = {}
         for modpath, source in sorted(config.program_modules_override.items()):
-            module = LintModule(source, path=modpath, modpath=modpath)
-            modules[modpath] = summarize_module(module, options)
-            digests[modpath] = content_digest(source.encode("utf-8"))
-        return Program(modules, digests, parsed_modules=len(modules))
+            add(LintModule(source, path=modpath, modpath=modpath))
+        return Program(modules, digests)
 
     root = Path(config.root).resolve()
-    memo_key = (root, tuple(config.program_scope), options.fingerprint())
-    if use_memo and memo_key in _PROGRAM_MEMO:
-        return _PROGRAM_MEMO[memo_key]
-
-    cache: SummaryCache | None = None
-    if config.use_cache and config.cache_path:
-        cache = SummaryCache(
-            root / config.cache_path, fingerprint=options.fingerprint()
-        )
-
-    modules = {}
-    digests = {}
-    parsed = cached = 0
-    for scope in config.program_scope:
-        base = root / scope
-        if base.is_file():
-            paths = [base]
-        elif base.is_dir():
-            paths = sorted(
-                p
-                for p in base.rglob("*.py")
-                if "__pycache__" not in p.parts and ".egg-info" not in p.as_posix()
-            )
-        else:
-            continue
-        for path in paths:
+    if root in _PROGRAM_MEMO:
+        return _PROGRAM_MEMO[root]
+    for path in iter_py_files(root / scope for scope in PROGRAM_SCOPE):
+        module = (parsed or {}).get(path)
+        if module is None:
             try:
-                data = path.read_bytes()
-            except OSError:
+                module = LintModule(
+                    path.read_text(), path=str(path), modpath=module_path_for(path)
+                )
+            except (OSError, SyntaxError, UnicodeDecodeError):
                 continue
-            digest = content_digest(data)
-            modpath = module_path_for(path)
-            summary = cache.get(modpath, digest) if cache is not None else None
-            if summary is None:
-                try:
-                    module = LintModule(
-                        data.decode("utf-8"), path=str(path), modpath=modpath
-                    )
-                except (SyntaxError, UnicodeDecodeError):
-                    continue
-                summary = summarize_module(module, options)
-                parsed += 1
-                if cache is not None:
-                    cache.put(modpath, digest, summary)
-            else:
-                cached += 1
-            modules[modpath] = summary
-            digests[modpath] = digest
-
-    if cache is not None:
-        cache.save()
-    program = Program(
-        modules, digests, parsed_modules=parsed, cached_modules=cached
-    )
-    if use_memo:
-        _PROGRAM_MEMO[memo_key] = program
+        add(module)
+    program = _PROGRAM_MEMO[root] = Program(modules, digests)
     return program

@@ -16,16 +16,22 @@ function (and the module body, as the pseudo-function ``<module>``) —
 * ``global_writes`` / ``singleton_reads``: module-global mutations and
   coordinator-singleton reads, for kernel-escape reachability.
 
-Summaries are plain JSON-serialisable data so the disk cache can store
-them; nothing here keeps a reference to the tree.
+Summaries are plain data; nothing here keeps a reference to the tree.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING
 
+from repro.lint.core import (
+    FUNCTION_DEFS,
+    attr_root,
+    is_set_expr,
+    module_level_names,
+    receiver_named,
+)
 from repro.lint.dataflow.sources import (
     BUILTIN_NAMES,
     HASH_ORDER,
@@ -37,9 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.core import LintModule
 
 __all__ = [
+    "COORDINATOR_SINGLETONS",
     "FunctionSummary",
+    "MUTATORS",
     "ModuleSummary",
-    "SummaryOptions",
+    "TRACER_NAMES",
+    "dotted_module",
+    "is_resource_factory",
     "summarize_module",
 ]
 
@@ -50,8 +60,21 @@ MODULE_BODY = "<module>"
 #: (open handle / writer / span), ``call`` (deferred to fixpoint).
 Taint = tuple[str, str, int]
 
-#: Method names that mutate a container in place (module-global escape).
-_MUTATORS = frozenset(
+#: Receiver names treated as tracers (plus any ``<expr>.tracer``).
+TRACER_NAMES = ("tracer", "trc")
+
+#: Coordinator-side singletons kernels must never touch.
+COORDINATOR_SINGLETONS = ("_FORK_CONTEXT", "_KERNELS")
+
+#: Calls that acquire a resource needing close/with; bare names match
+#: any terminal segment, dotted names match exactly.
+RESOURCE_FACTORIES = ("open", "repro.io.runio.RunWriter")
+
+#: Lock constructors the lock-order analysis tracks.
+LOCK_FACTORIES = ("threading.Lock", "threading.RLock")
+
+#: Method names that mutate a container in place.
+MUTATORS = frozenset(
     {
         "append", "add", "update", "setdefault", "pop", "popitem", "clear",
         "extend", "remove", "discard", "insert", "write",
@@ -59,44 +82,22 @@ _MUTATORS = frozenset(
 )
 
 #: Rules whose inline suppression also silences the matching dataflow
-#: source when it is *collected into a summary* (a justified direct
-#: violation must not re-surface at every transitive call site).
+#: source when it is *collected into a summary* (a justified violation
+#: must not re-surface at every transitive call site).
 _SOURCE_SUPPRESSORS = {
-    "nondet": frozenset({"REP001", "REP101"}),
-    "unpicklable": frozenset({"REP003", "REP102"}),
-    "resource": frozenset({"REP005", "REP103"}),
+    "nondet": frozenset({"REP101"}),
+    "unpicklable": frozenset({"REP102"}),
+    "resource": frozenset({"REP005", "REP205"}),
     "state": frozenset({"REP002", "REP105", "REP201"}),
     "lock": frozenset({"REP206"}),
 }
 
 
-@dataclass(slots=True)
-class SummaryOptions:
-    """The config facts summaries depend on (part of the cache key)."""
-
-    tracer_names: tuple[str, ...] = ("tracer", "trc")
-    coordinator_singletons: tuple[str, ...] = ("_FORK_CONTEXT", "_KERNELS")
-    resource_factories: tuple[str, ...] = ("open", "repro.io.runio.RunWriter")
-    lock_factories: tuple[str, ...] = ("threading.Lock", "threading.RLock")
-
-    @classmethod
-    def from_config(cls, config: Any) -> "SummaryOptions":
-        return cls(
-            tracer_names=tuple(config.tracer_names),
-            coordinator_singletons=tuple(config.coordinator_singletons),
-            resource_factories=tuple(config.resource_factories),
-            lock_factories=tuple(config.lock_factories),
-        )
-
-    def fingerprint(self) -> str:
-        return "|".join(
-            (
-                ",".join(self.tracer_names),
-                ",".join(self.coordinator_singletons),
-                ",".join(self.resource_factories),
-                ",".join(self.lock_factories),
-            )
-        )
+def is_resource_factory(dotted: str) -> bool:
+    terminal = dotted.rpartition(".")[2]
+    return any(
+        f == dotted or ("." not in f and f == terminal) for f in RESOURCE_FACTORIES
+    )
 
 
 @dataclass(slots=True)
@@ -127,41 +128,6 @@ class FunctionSummary:
     #: Calls made while holding a lock: (held lock, dotted target, lineno).
     calls_under_lock: list[tuple[str, str, int]] = field(default_factory=list)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "modpath": self.modpath,
-            "lineno": self.lineno,
-            "cls": self.cls,
-            "params": list(self.params),
-            "calls": [list(c) for c in self.calls],
-            "return_taints": [list(t) for t in self.return_taints],
-            "param_attr_writes": [list(w) for w in self.param_attr_writes],
-            "global_writes": [list(g) for g in self.global_writes],
-            "singleton_reads": [list(s) for s in self.singleton_reads],
-            "lock_acquires": [list(a) for a in self.lock_acquires],
-            "lock_orders": [list(o) for o in self.lock_orders],
-            "calls_under_lock": [list(c) for c in self.calls_under_lock],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=data["name"],
-            modpath=data["modpath"],
-            lineno=data["lineno"],
-            cls=data["cls"],
-            params=tuple(data["params"]),
-            calls=[tuple(c) for c in data["calls"]],
-            return_taints=[tuple(t) for t in data["return_taints"]],
-            param_attr_writes=[tuple(w) for w in data["param_attr_writes"]],
-            global_writes=[tuple(g) for g in data["global_writes"]],
-            singleton_reads=[tuple(s) for s in data["singleton_reads"]],
-            lock_acquires=[tuple(a) for a in data["lock_acquires"]],
-            lock_orders=[tuple(o) for o in data["lock_orders"]],
-            calls_under_lock=[tuple(c) for c in data["calls_under_lock"]],
-        )
-
 
 @dataclass(slots=True)
 class ModuleSummary:
@@ -171,85 +137,64 @@ class ModuleSummary:
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "modpath": self.modpath,
-            "classes": list(self.classes),
-            "functions": {n: f.to_json() for n, f in sorted(self.functions.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            modpath=data["modpath"],
-            classes=tuple(data["classes"]),
-            functions={
-                n: FunctionSummary.from_json(f) for n, f in data["functions"].items()
-            },
-        )
-
 
 # -- summarisation ------------------------------------------------------------
 
 
-def summarize_module(
-    module: "LintModule", options: SummaryOptions | None = None
-) -> ModuleSummary:
+def summarize_module(module: "LintModule") -> ModuleSummary:
     """Summarise one parsed module (every def, method and the body)."""
-    opts = options or SummaryOptions()
     out = ModuleSummary(modpath=module.modpath)
-    locks = module_lock_names(module, opts.lock_factories)
+    locks = module_lock_names(module)
     classes: list[str] = []
-    body_stmts: list[ast.stmt] = []
     for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, FUNCTION_DEFS):
             out.functions[node.name] = _summarize_function(
-                module, node, node.name, None, opts, locks
+                module, node, node.name, None, locks
             )
         elif isinstance(node, ast.ClassDef):
             classes.append(node.name)
-            cls_locks = dict(locks)
-            cls_locks.update(_class_lock_attrs(module, node, opts.lock_factories))
+            cls_locks = {**locks, **_class_lock_attrs(module, node)}
             for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(sub, FUNCTION_DEFS):
                     qual = f"{node.name}.{sub.name}"
                     out.functions[qual] = _summarize_function(
-                        module, sub, qual, node.name, opts, cls_locks
+                        module, sub, qual, node.name, cls_locks
                     )
-        else:
-            body_stmts.append(node)
-    out.functions[MODULE_BODY] = _summarize_body(module, body_stmts, opts, locks)
+    # The module body cannot write "its own" globals in the escape sense
+    # (that is just definition), so global-write tracking is off for it.
+    body = FunctionSummary(name=MODULE_BODY, modpath=module.modpath, lineno=1)
+    defs = (*FUNCTION_DEFS, ast.ClassDef)
+    _Analyzer(module, body, (), track_globals=False, locks=locks).run(
+        [n for n in module.tree.body if not isinstance(n, defs)],
+        [
+            n
+            for n in module.scope_nodes[module.tree]
+            if not (isinstance(n, defs) and module.parents[n] is module.tree)
+        ],
+    )
+    out.functions[MODULE_BODY] = body
     out.classes = tuple(classes)
     return out
 
 
-def _dotted_module(modpath: str) -> str:
+def dotted_module(modpath: str) -> str:
     """``repro/exec/base.py`` -> ``repro.exec.base`` (lock name prefix)."""
     stem = modpath[:-3] if modpath.endswith(".py") else modpath
     dotted = stem.replace("/", ".")
     return dotted[: -len(".__init__")] if dotted.endswith(".__init__") else dotted
 
 
-def _is_lock_factory(
-    module: "LintModule", node: ast.expr, lock_factories: tuple[str, ...]
-) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    dotted = module.dotted(node.func)
-    return dotted is not None and dotted in lock_factories
+def _is_lock_factory(module: "LintModule", node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and module.dotted(node.func) in LOCK_FACTORIES
 
 
-def module_lock_names(
-    module: "LintModule", lock_factories: tuple[str, ...]
-) -> dict[str, str]:
+def module_lock_names(module: "LintModule") -> dict[str, str]:
     """Module-level ``NAME = threading.Lock()`` bindings, keyed by the
     local reference form, valued by the program-wide canonical name."""
-    prefix = _dotted_module(module.modpath)
+    prefix = dotted_module(module.modpath)
     out: dict[str, str] = {}
     for node in module.tree.body:
-        if isinstance(node, ast.Assign) and _is_lock_factory(
-            module, node.value, lock_factories
-        ):
+        if isinstance(node, ast.Assign) and _is_lock_factory(module, node.value):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     out[target.id] = f"{prefix}.{target.id}"
@@ -257,24 +202,22 @@ def module_lock_names(
             isinstance(node, ast.AnnAssign)
             and node.value is not None
             and isinstance(node.target, ast.Name)
-            and _is_lock_factory(module, node.value, lock_factories)
+            and _is_lock_factory(module, node.value)
         ):
             out[node.target.id] = f"{prefix}.{node.target.id}"
     return out
 
 
-def _class_lock_attrs(
-    module: "LintModule", cls: ast.ClassDef, lock_factories: tuple[str, ...]
-) -> dict[str, str]:
+def _class_lock_attrs(module: "LintModule", cls: ast.ClassDef) -> dict[str, str]:
     """``self.X = threading.Lock()`` attributes of one class, keyed by
     the in-method reference form ``self.X``.  Instances share one static
     identity per (class, attr) — standard for lock-order analysis."""
-    prefix = f"{_dotted_module(module.modpath)}.{cls.name}"
+    prefix = f"{dotted_module(module.modpath)}.{cls.name}"
     out: dict[str, str] = {}
-    for node in ast.walk(cls):
+    for node in module.subtree(cls):
         if (
             isinstance(node, ast.Assign)
-            and _is_lock_factory(module, node.value, lock_factories)
+            and _is_lock_factory(module, node.value)
             and isinstance(node.targets[0], ast.Attribute)
             and isinstance(node.targets[0].value, ast.Name)
             and node.targets[0].value.id == "self"
@@ -288,49 +231,14 @@ def _summarize_function(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     qualname: str,
     cls: str | None,
-    opts: SummaryOptions,
-    locks: dict[str, str] | None = None,
+    locks: dict[str, str],
 ) -> FunctionSummary:
-    params = tuple(
-        a.arg for a in (*fn.args.posonlyargs, *fn.args.args)
-    )
+    params = tuple(a.arg for a in (*fn.args.posonlyargs, *fn.args.args))
     summary = FunctionSummary(
         name=qualname, modpath=module.modpath, lineno=fn.lineno, cls=cls, params=params
     )
-    _Analyzer(module, summary, params, opts, locks=locks).run(fn.body)
+    _Analyzer(module, summary, params, locks=locks).run(fn.body, module.scope_nodes[fn])
     return summary
-
-
-def _summarize_body(
-    module: "LintModule",
-    stmts: list[ast.stmt],
-    opts: SummaryOptions,
-    locks: dict[str, str] | None = None,
-) -> FunctionSummary:
-    summary = FunctionSummary(name=MODULE_BODY, modpath=module.modpath, lineno=1)
-    # The module body cannot write "its own" globals in the escape sense
-    # (that is just definition), so global-write tracking is disabled by
-    # passing an analyzer with no module-global set.
-    _Analyzer(module, summary, (), opts, track_globals=False, locks=locks).run(stmts)
-    return summary
-
-
-def _module_level_names(tree: ast.Module) -> frozenset[str]:
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return frozenset(names)
-
-
-def _attr_root(node: ast.AST) -> ast.AST:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node
 
 
 class _Analyzer:
@@ -341,7 +249,6 @@ class _Analyzer:
         module: "LintModule",
         summary: FunctionSummary,
         params: tuple[str, ...],
-        opts: SummaryOptions,
         *,
         track_globals: bool = True,
         locks: dict[str, str] | None = None,
@@ -349,14 +256,13 @@ class _Analyzer:
         self.module = module
         self.summary = summary
         self.params = params
-        self.opts = opts
         self.env: dict[str, frozenset[tuple[str, str, int]]] = {}
         self.local_defs: dict[str, str] = {}
         self.ctor_types: dict[str, str] = {}
         self.set_locals: set[str] = set()
         self.locals: set[str] = set(params)
         self.module_names = (
-            _module_level_names(module.tree) if track_globals else frozenset()
+            module_level_names(module.tree) if track_globals else frozenset()
         )
         self.lock_names = locks or {}
         self.held: list[str] = []
@@ -376,8 +282,10 @@ class _Analyzer:
 
     # -- driving ------------------------------------------------------------
 
-    def run(self, body: list[ast.stmt]) -> None:
-        self._collect_bindings(body)
+    def run(self, body: list[ast.stmt], scope_nodes: list[ast.AST]) -> None:
+        """Interpret ``body``; ``scope_nodes`` is the index's node list
+        for the same scope (bindings are collected from it)."""
+        self._collect_bindings(scope_nodes)
         for _ in range(2):  # second pass resolves loop-carried flows
             self.held.clear()  # bare acquire() without release() resets
             for stmt in body:
@@ -391,9 +299,9 @@ class _Analyzer:
         self.summary.lock_orders.sort()
         self.summary.calls_under_lock.sort()
 
-    def _collect_bindings(self, body: list[ast.stmt]) -> None:
-        for node in self._scope_walk(body):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def _collect_bindings(self, scope_nodes: list[ast.AST]) -> None:
+        for node in scope_nodes:
+            if isinstance(node, FUNCTION_DEFS):
                 self.local_defs[node.name] = "function"
                 self.locals.add(node.name)
             elif isinstance(node, ast.ClassDef):
@@ -413,23 +321,13 @@ class _Analyzer:
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and getattr(
                 node, "value", None
             ) is not None:
-                if _is_set_expr(node.value):
+                if is_set_expr(node.value):
                     targets = (
                         node.targets if isinstance(node, ast.Assign) else [node.target]
                     )
                     for target in targets:
                         if isinstance(target, ast.Name):
                             self.set_locals.add(target.id)
-
-    def _scope_walk(self, body: list[ast.stmt]) -> Iterator[ast.AST]:
-        stack: list[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            yield node
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                stack.extend(ast.iter_child_nodes(node))
 
     # -- call-target normalisation ------------------------------------------
 
@@ -540,7 +438,7 @@ class _Analyzer:
             for el in target.elts:
                 self._assign(el, value, taints, lineno)
         elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            root = _attr_root(target)
+            root = attr_root(target)
             if not isinstance(root, ast.Name):
                 return
             if isinstance(target, ast.Attribute) and root.id in self.params:
@@ -613,7 +511,7 @@ class _Analyzer:
                         node.lineno,
                     )
                 )
-            if node.id in self.opts.coordinator_singletons and not self._suppressed(
+            if node.id in COORDINATOR_SINGLETONS and not self._suppressed(
                 "state", node.lineno
             ):
                 self._record(self.summary.singleton_reads, (node.id, node.lineno))
@@ -643,6 +541,10 @@ class _Analyzer:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.expr):
                 out |= self.taints(child)
+        if isinstance(node, ast.Attribute):
+            # ``writer.bytes_written`` is a field of the resource, not
+            # the resource: reading it does not transfer ownership.
+            out = {t for t in out if t[0] != "resource"}
         return frozenset(out)
 
     def _call_taints(self, node: ast.Call) -> frozenset[tuple[str, str, int]]:
@@ -668,8 +570,8 @@ class _Analyzer:
 
         # Mutating a module-level container through a method call is a
         # module-global write (the REP105 escape source).
-        if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
-            root = _attr_root(node.func.value)
+        if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            root = attr_root(node.func.value)
             if (
                 isinstance(root, ast.Name)
                 and root.id in self.module_names
@@ -700,7 +602,7 @@ class _Analyzer:
                     )
                 return frozenset()  # reduced to an order-free scalar/set
 
-            if self._is_resource_factory(node, dotted):
+            if is_resource_factory(dotted):
                 if not self._suppressed("resource", lineno):
                     name = dotted.rpartition(".")[2]
                     return frozenset(arg_taints | {("resource", name, lineno)})
@@ -721,37 +623,13 @@ class _Analyzer:
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "span"
-            and _is_tracer_receiver(node.func.value, self.opts.tracer_names)
+            and receiver_named(node.func.value, TRACER_NAMES)
             and not self._suppressed("resource", lineno)
         ):
             return frozenset(arg_taints | {("resource", "tracer span", lineno)})
         return frozenset(arg_taints)
 
-    def _is_resource_factory(self, node: ast.Call, dotted: str) -> bool:
-        if dotted in self.opts.resource_factories:
-            return True
-        terminal = dotted.rpartition(".")[2]
-        return any(
-            "." not in f and f == terminal for f in self.opts.resource_factories
-        )
-
     def _is_set_like(self, node: ast.expr) -> bool:
-        if _is_set_expr(node):
+        if is_set_expr(node):
             return True
         return isinstance(node, ast.Name) and node.id in self.set_locals
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    return isinstance(node, (ast.Set, ast.SetComp)) or (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
-
-
-def _is_tracer_receiver(node: ast.AST, tracer_names: tuple[str, ...]) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in tracer_names
-    if isinstance(node, ast.Attribute):
-        return node.attr in tracer_names
-    return False

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 
 from repro.lint.dataflow.summary import FunctionSummary
 
-__all__ = ["FactsView", "ProgramFacts", "fid_display"]
+__all__ = ["ProgramFacts", "chain_display", "fid_display"]
 
 #: (detail, witness chain of fids, source lineno)
 Entry = tuple[str, tuple[str, ...], int]
@@ -48,6 +48,7 @@ class ProgramFacts:
 
     __slots__ = (
         "functions",
+        "base",
         "_modpaths",
         "nondet",
         "unpicklable",
@@ -55,16 +56,25 @@ class ProgramFacts:
         "state",
     )
 
-    def __init__(self, functions: Mapping[str, FunctionSummary]) -> None:
-        self.functions = dict(functions)
+    def __init__(
+        self,
+        functions: Mapping[str, FunctionSummary],
+        base: "ProgramFacts | None" = None,
+    ) -> None:
+        """Facts over ``functions``; with ``base``, over the base's
+        functions too, whose facts are taken as settled — the caller
+        guarantees no base function calls into the new ones — so only
+        the new functions propagate."""
+        self.base = base
+        self.functions = {**base.functions, **functions} if base else dict(functions)
         self._modpaths = frozenset(
             fid.partition("::")[0] for fid in self.functions
         )
-        self.nondet: dict[str, Entry] = {}
-        self.unpicklable: dict[str, Entry] = {}
-        self.resource: dict[str, Entry] = {}
-        self.state: dict[str, Entry] = {}
-        self._propagate()
+        self.nondet: dict[str, Entry] = dict(base.nondet) if base else {}
+        self.unpicklable: dict[str, Entry] = dict(base.unpicklable) if base else {}
+        self.resource: dict[str, Entry] = dict(base.resource) if base else {}
+        self.state: dict[str, Entry] = dict(base.state) if base else {}
+        self._propagate(sorted(functions))
 
     # -- resolution ----------------------------------------------------------
 
@@ -100,8 +110,7 @@ class ProgramFacts:
 
     # -- propagation ---------------------------------------------------------
 
-    def _propagate(self) -> None:
-        order = sorted(self.functions)
+    def _propagate(self, order: list[str]) -> None:
         # Seed the direct sources.
         for fid in order:
             s = self.functions[fid]
@@ -176,7 +185,3 @@ class ProgramFacts:
                 if entry is not None:
                     yield tidx, "unpicklable", entry[0], (target, *entry[1]), lineno
 
-
-#: Back-compat alias: rules take whatever facts object the context hands
-#: them; today that is always a ProgramFacts.
-FactsView = ProgramFacts

@@ -1,8 +1,13 @@
-"""The REP001..REP008 rule implementations.
+"""The per-file and whole-program rule implementations.
 
 Each rule encodes one contract the determinism/performance story rests
 on; ``docs/STATIC_ANALYSIS.md`` documents the *why* behind every one.
-Rules are pure AST analyses — linting never imports repository code.
+Rules are pure AST analyses over the :class:`LintModule` index — linting
+never imports repository code.  The whole-program rules (REP101, REP102,
+REP105) also consume the facts built by ``repro.lint.dataflow``: a call
+graph over every module in the program scope, with per-function taint
+summaries propagated to a fixpoint.  Their findings carry the witness
+chain from the call site to the source.
 """
 
 from __future__ import annotations
@@ -10,53 +15,41 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.core import Finding, LintContext, LintModule
-from repro.lint.dataflow.sources import HASH_ORDER, nondet_call
+from repro.lint.cfg.rules import CFG_RULES
+from repro.lint.core import (
+    FUNCTION_DEFS,
+    Finding,
+    LintContext,
+    LintModule,
+    Rule,
+    attr_root,
+    call_dotted,
+    enclosing_class_name,
+    is_set_expr,
+    local_bindings,
+    module_level_names,
+    receiver_named,
+    registered_kernels,
+    terminal_name,
+)
+from repro.lint.dataflow.sources import HASH_ORDER, ORDER_FREE_CALLS, nondet_call
+from repro.lint.dataflow.summary import COORDINATOR_SINGLETONS, MUTATORS, TRACER_NAMES
 from repro.lint.dataflow.taint import chain_display
 
-__all__ = ["ALL_RULES", "Rule", "counter_uses", "rule_by_id"]
+__all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "counter_uses", "rule_by_id"]
 
-
-class Rule:
-    """Base class: one checker with a stable id."""
-
-    id = "REP000"
-    title = ""
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-# -- REP001: wall-clock / nondeterministic calls ------------------------------
-
-
-class NoNondeterministicCalls(Rule):
-    """REP001: engine/kernel/core code may not read wall clocks or OS
-    entropy; randomness must flow through an explicitly seeded generator.
-
-    ``time.perf_counter``/``time.process_time`` stay legal: they feed the
-    advisory ``time.*`` timers that are excluded from determinism
-    comparisons (see ``docs/OBSERVABILITY.md``).
-
-    The source classification lives in ``dataflow/sources.py`` so this
-    rule and the interprocedural REP101 can never drift.
-    """
-
-    id = "REP001"
-    title = "no wall-clock or unseeded-randomness calls in deterministic code"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.config.in_deterministic_scope(module.modpath):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = module.dotted(node.func)
-            if dotted is None:
-                continue
-            classified = nondet_call(dotted, node)
-            if classified is not None:
-                yield module.finding(self.id, node, classified[1])
+#: Module-path prefixes whose code feeds job output, counters or traces
+#: — the determinism scope for REP101/REP006.
+DETERMINISTIC_SCOPES = (
+    "repro/core/",
+    "repro/mapreduce/",
+    "repro/exec/",
+    "repro/io/",
+    "repro/hdfs/",
+    "repro/obs/",
+    "repro/workloads/",
+    "repro/simulator/",
+)
 
 
 # -- REP002: kernel purity ----------------------------------------------------
@@ -81,46 +74,6 @@ _IMPURE_ROOTS = frozenset(
 
 _IMPURE_BUILTINS = frozenset({"open", "print", "input", "exec", "eval", "globals"})
 
-#: Method names that mutate a container in place.
-_MUTATORS = frozenset(
-    {
-        "append",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "extend",
-        "remove",
-        "discard",
-        "insert",
-        "write",
-    }
-)
-
-
-def _attr_root(node: ast.AST) -> ast.AST:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node
-
-
-def _local_bindings(fn: ast.FunctionDef) -> set[str]:
-    names = {a.arg for a in fn.args.args + fn.args.posonlyargs + fn.args.kwonlyargs}
-    for extra in (fn.args.vararg, fn.args.kwarg):
-        if extra is not None:
-            names.add(extra.arg)
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.partition(".")[0])
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-    return names
-
 
 class KernelPurity(Rule):
     """REP002: functions registered as task kernels must be pure.
@@ -138,48 +91,46 @@ class KernelPurity(Rule):
         if module.modpath != ctx.kernel_modpath:
             return
         tree = module.tree
-        defs = {
-            n.name: n
-            for n in tree.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        module_names = _module_level_names(tree)
-        kernels = _registered_kernels(tree)
+        defs = {n.name: n for n in tree.body if isinstance(n, FUNCTION_DEFS)}
+        module_names = module_level_names(tree) | module.aliases.keys()
         # Close over module-local helpers the kernels call.
         reachable: dict[str, ast.FunctionDef] = {}
-        frontier = [name for name in kernels if name in defs]
+        frontier = [name for name in registered_kernels(tree) if name in defs]
         while frontier:
             name = frontier.pop()
             if name in reachable:
                 continue
             reachable[name] = defs[name]
-            for node in ast.walk(defs[name]):
+            for node in module.subtree(defs[name]):
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id in defs
                 ):
                     frontier.append(node.func.id)
-        singletons = frozenset(ctx.config.coordinator_singletons)
         for fn in reachable.values():
-            yield from self._check_function(module, fn, module_names, singletons)
+            yield from self._check_function(module, fn, module_names)
 
     def _check_function(
-        self,
-        module: LintModule,
-        fn: ast.FunctionDef,
-        module_names: set[str],
-        singletons: frozenset[str],
+        self, module: LintModule, fn: ast.FunctionDef, module_names: set[str]
     ) -> Iterator[Finding]:
-        local = _local_bindings(fn)
+        local = local_bindings(module, fn)
         where = f"kernel {fn.name!r}"
-        for node in ast.walk(fn):
+
+        def is_global(root: ast.AST) -> bool:
+            return (
+                isinstance(root, ast.Name)
+                and root.id in module_names
+                and root.id not in local
+            )
+
+        for node in module.subtree(fn):
             if isinstance(node, ast.Global):
                 yield module.finding(
                     self.id, node, f"{where} declares global {', '.join(node.names)}"
                 )
             elif isinstance(node, ast.Name):
-                if node.id in singletons:
+                if node.id in COORDINATOR_SINGLETONS:
                     yield module.finding(
                         self.id,
                         node,
@@ -188,7 +139,7 @@ class KernelPurity(Rule):
             elif isinstance(node, ast.Call):
                 dotted = module.dotted(node.func)
                 if dotted is not None:
-                    root, _, _rest = dotted.partition(".")
+                    root = dotted.partition(".")[0]
                     if root in _IMPURE_ROOTS and root not in local:
                         yield module.finding(
                             self.id, node, f"{where} calls impure API {dotted}()"
@@ -198,16 +149,9 @@ class KernelPurity(Rule):
                             self.id, node, f"{where} calls builtin {dotted}()"
                         )
                 # Mutating a module-level container through a method call.
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATORS
-                ):
-                    root_node = _attr_root(node.func.value)
-                    if (
-                        isinstance(root_node, ast.Name)
-                        and root_node.id in module_names
-                        and root_node.id not in local
-                    ):
+                if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                    root_node = attr_root(node.func.value)
+                    if is_global(root_node):
                         yield module.finding(
                             self.id,
                             node,
@@ -220,124 +164,13 @@ class KernelPurity(Rule):
                 )
                 for target in targets:
                     if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root_node = _attr_root(target)
-                        if (
-                            isinstance(root_node, ast.Name)
-                            and root_node.id in module_names
-                            and root_node.id not in local
-                        ):
+                        root_node = attr_root(target)
+                        if is_global(root_node):
                             yield module.finding(
                                 self.id,
                                 node,
                                 f"{where} writes module global {root_node.id!r}",
                             )
-
-
-def _module_level_names(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.partition(".")[0])
-    return names
-
-
-def _registered_kernels(tree: ast.Module) -> list[str]:
-    """Function names passed to module-level ``register_kernel(...)``."""
-    out = []
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Expr)
-            and isinstance(node.value, ast.Call)
-            and isinstance(node.value.func, ast.Name)
-            and node.value.func.id == "register_kernel"
-            and len(node.value.args) >= 2
-            and isinstance(node.value.args[1], ast.Name)
-        ):
-            out.append(node.value.args[1].id)
-    return out
-
-
-# -- REP003: no unpicklable values on task-spec fields ------------------------
-
-
-class PicklableSpecs(Rule):
-    """REP003: task specs cross process boundaries; lambdas, closures
-    and local classes do not pickle.  Anything callable a kernel needs
-    belongs in the fork-inherited job *context*, not the spec.
-    """
-
-    id = "REP003"
-    title = "no lambdas/closures/local classes on picklable task specs"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        spec_names = ctx.spec_class_names
-        if module.modpath == ctx.kernel_modpath:
-            yield from self._check_spec_defaults(module, spec_names)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _terminal_name(node.func)
-            if name not in spec_names:
-                continue
-            local_defs = _enclosing_local_defs(module, node)
-            for value in [*node.args, *(kw.value for kw in node.keywords)]:
-                if isinstance(value, ast.Lambda):
-                    yield module.finding(
-                        self.id,
-                        value,
-                        f"lambda passed to picklable spec {name}; "
-                        "move the callable into the job context",
-                    )
-                elif isinstance(value, ast.Name) and value.id in local_defs:
-                    yield module.finding(
-                        self.id,
-                        value,
-                        f"local {local_defs[value.id]} {value.id!r} passed to "
-                        f"picklable spec {name}; it will not pickle",
-                    )
-
-    def _check_spec_defaults(
-        self, module: LintModule, spec_names: frozenset[str]
-    ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name in spec_names:
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Lambda):
-                        yield module.finding(
-                            self.id,
-                            sub,
-                            f"lambda default on spec {node.name} will not pickle",
-                        )
-
-
-def _terminal_name(func: ast.AST) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _enclosing_local_defs(module: LintModule, node: ast.AST) -> dict[str, str]:
-    """Names of defs/classes local to the functions enclosing ``node``."""
-    out: dict[str, str] = {}
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for sub in ast.walk(ancestor):
-                if sub is ancestor:
-                    continue
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out.setdefault(sub.name, "function")
-                elif isinstance(sub, ast.ClassDef):
-                    out.setdefault(sub.name, "class")
-    return out
 
 
 # -- REP004: counter names must be declared -----------------------------------
@@ -348,13 +181,12 @@ _COUNTER_CLASS = "repro.mapreduce.counters.C"
 def counter_uses(module: LintModule) -> dict[str, list[ast.Attribute]]:
     """All ``C.<name>`` accesses in a module, alias-resolved."""
     uses: dict[str, list[ast.Attribute]] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Attribute):
-            dotted = module.dotted(node)
-            if dotted and dotted.startswith(_COUNTER_CLASS + "."):
-                attr = dotted[len(_COUNTER_CLASS) + 1 :]
-                if "." not in attr:
-                    uses.setdefault(attr, []).append(node)
+    for node in module.nodes(ast.Attribute):
+        dotted = module.dotted(node)
+        if dotted and dotted.startswith(_COUNTER_CLASS + "."):
+            attr = dotted[len(_COUNTER_CLASS) + 1 :]
+            if "." not in attr:
+                uses.setdefault(attr, []).append(node)
     return uses
 
 
@@ -383,31 +215,23 @@ class DeclaredCounters(Rule):
 
 
 class TracerDiscipline(Rule):
-    """REP005: spans must be context-managed and span/event names must
-    come from the registry (``repro/obs/names.py``).
+    """REP005: spans must be context-managed.
 
     A span handle left unclosed on an exception path corrupts the
-    logical clock for the rest of the trace; an unregistered name breaks
-    every exporter/consumer keyed on the known vocabulary.
+    logical clock for the rest of the trace.  (What a span may be
+    *called* is REP104's contract.)
     """
 
     id = "REP005"
-    title = "spans context-managed; span/event names from the registry"
+    title = "spans must be context-managed"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        tracer_names = frozenset(ctx.config.tracer_names)
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("span", "event", "add_span")
-            ):
-                continue
-            if not _is_tracer_receiver(node.func.value, tracer_names):
-                continue
-            method = node.func.attr
-            if method == "span" and not isinstance(
-                module.parents.get(node), ast.withitem
+        for node in module.nodes(ast.Call):
+            if (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "span"
+                and receiver_named(node.func.value, TRACER_NAMES)
+                and not isinstance(module.parents.get(node), ast.withitem)
             ):
                 yield module.finding(
                     self.id,
@@ -415,38 +239,9 @@ class TracerDiscipline(Rule):
                     "span() outside a with-statement; the handle must be "
                     "closed on all paths (use `with tracer.span(...)`)",
                 )
-            if not node.args:
-                continue
-            name_arg = node.args[0]
-            if not (
-                isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str)
-            ):
-                continue  # non-literal names: REP104 constant-folds them
-            registry = ctx.event_names if method == "event" else ctx.span_names
-            kind = "event" if method == "event" else "span"
-            if name_arg.value not in registry:
-                yield module.finding(
-                    self.id,
-                    name_arg,
-                    f"{kind} name {name_arg.value!r} is not registered in "
-                    "repro/obs/names.py",
-                )
-
-
-def _is_tracer_receiver(node: ast.AST, tracer_names: frozenset[str]) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in tracer_names
-    if isinstance(node, ast.Attribute):
-        return node.attr in tracer_names
-    return False
 
 
 # -- REP006: unordered set iteration ------------------------------------------
-
-#: Wrapping calls for which element order cannot matter.
-_ORDER_FREE_CALLS = frozenset(
-    {"sorted", "set", "frozenset", "sum", "min", "max", "len", "any", "all"}
-)
 
 #: Set methods whose result is itself a set.
 _SET_PRODUCING_METHODS = frozenset(
@@ -466,13 +261,14 @@ class NoUnorderedIteration(Rule):
     title = "no unordered set iteration in deterministic code"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.config.in_deterministic_scope(module.modpath):
+        if not module.modpath.startswith(DETERMINISTIC_SCOPES):
             return
         set_attrs = _class_set_attrs(module)
-        for scope in _scopes(module.tree):
-            set_locals = _scope_set_locals(scope)
-            unordered_dicts = _scope_unordered_dicts(scope, set_locals)
-            for site, iter_expr in _iteration_sites(scope):
+        for scope in module.scopes:
+            nodes = module.scope_nodes[scope]
+            set_locals = _scope_set_locals(nodes)
+            unordered_dicts = _scope_unordered_dicts(nodes, set_locals)
+            for site, iter_expr in _iteration_sites(nodes):
                 if self._is_set_like(module, iter_expr, set_locals, set_attrs):
                     message = (
                         "iteration over a set has hash-seed-dependent order; "
@@ -499,7 +295,7 @@ class NoUnorderedIteration(Rule):
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            fname = _terminal_name(node.func)
+            fname = terminal_name(node.func)
             if isinstance(node.func, ast.Name) and fname in ("set", "frozenset"):
                 return True
             if (
@@ -530,42 +326,16 @@ class NoUnorderedIteration(Rule):
         """True when the iteration's result cannot depend on order."""
         if isinstance(site, ast.SetComp):
             return True
-        node = site
-        for ancestor in module.ancestors(node):
+        for ancestor in module.ancestors(site):
             if isinstance(ancestor, ast.Call):
-                fname = _terminal_name(ancestor.func)
-                if fname in _ORDER_FREE_CALLS or fname in _SET_PRODUCING_METHODS:
+                fname = terminal_name(ancestor.func)
+                if fname in ORDER_FREE_CALLS or fname in _SET_PRODUCING_METHODS:
                     return True
             if isinstance(ancestor, ast.SetComp):
                 return True
             if isinstance(ancestor, ast.stmt):
                 return False
         return False
-
-
-def _scopes(tree: ast.Module) -> Iterator[ast.Module | ast.FunctionDef]:
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a scope without descending into nested function/class scopes."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    return isinstance(node, (ast.Set, ast.SetComp)) or (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
 
 
 def _is_set_annotation(node: ast.AST | None) -> bool:
@@ -580,18 +350,23 @@ def _is_set_annotation(node: ast.AST | None) -> bool:
     return False
 
 
-def _scope_set_locals(scope: ast.AST) -> set[str]:
+def _set_binding(node: ast.AST) -> ast.AST | None:
+    """The single target a set-valued assignment binds, or None."""
+    if isinstance(node, ast.AnnAssign) and (
+        _is_set_annotation(node.annotation)
+        or (node.value is not None and is_set_expr(node.value))
+    ):
+        return node.target
+    return None
+
+
+def _scope_set_locals(nodes: list[ast.AST]) -> set[str]:
     names: set[str] = set()
-    for node in _scope_walk(scope):
-        if isinstance(node, ast.Assign) and _is_set_expr(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            if _is_set_annotation(node.annotation) or (
-                node.value is not None and _is_set_expr(node.value)
-            ):
-                names.add(node.target.id)
+    for node in nodes:
+        if isinstance(node, ast.Assign) and is_set_expr(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(_set_binding(node), ast.Name):
+            names.add(node.target.id)
     return names
 
 
@@ -600,7 +375,7 @@ def _is_dict_from_unordered(node: ast.AST, set_locals: set[str]) -> bool:
     over a set: the dict inherits hash-seed-dependent key order."""
 
     def set_like(n: ast.AST) -> bool:
-        return _is_set_expr(n) or (isinstance(n, ast.Name) and n.id in set_locals)
+        return is_set_expr(n) or (isinstance(n, ast.Name) and n.id in set_locals)
 
     if isinstance(node, ast.Call) and node.args:
         func = node.func
@@ -618,9 +393,9 @@ def _is_dict_from_unordered(node: ast.AST, set_locals: set[str]) -> bool:
     return False
 
 
-def _scope_unordered_dicts(scope: ast.AST, set_locals: set[str]) -> set[str]:
+def _scope_unordered_dicts(nodes: list[ast.AST], set_locals: set[str]) -> set[str]:
     names: set[str] = set()
-    for node in _scope_walk(scope):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -628,9 +403,7 @@ def _scope_unordered_dicts(scope: ast.AST, set_locals: set[str]) -> set[str]:
         else:
             continue
         if _is_dict_from_unordered(value, set_locals):
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
 
 
@@ -647,34 +420,27 @@ def _is_unordered_dict_view(node: ast.AST, unordered_dicts: set[str]) -> bool:
 
 
 def _class_set_attrs(module: LintModule) -> dict[ast.ClassDef, set[str]]:
+    """class -> ``self.<attr>`` names bound to sets anywhere below it."""
     out: dict[ast.ClassDef, set[str]] = {}
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        attrs: set[str] = set()
-        for node in ast.walk(cls):
-            target = None
-            if isinstance(node, ast.Assign) and _is_set_expr(node.value):
-                target = node.targets[0]
-            elif isinstance(node, ast.AnnAssign) and (
-                _is_set_annotation(node.annotation)
-                or (node.value is not None and _is_set_expr(node.value))
-            ):
-                target = node.target
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                attrs.add(target.attr)
-        if attrs:
-            out[cls] = attrs
+    for node in module.nodes(ast.Assign, ast.AnnAssign):
+        if isinstance(node, ast.Assign):
+            target = node.targets[0] if is_set_expr(node.value) else None
+        else:
+            target = _set_binding(node)
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            for ancestor in module.ancestors(node):
+                if isinstance(ancestor, ast.ClassDef):
+                    out.setdefault(ancestor, set()).add(target.attr)
     return out
 
 
-def _iteration_sites(scope: ast.AST) -> Iterator[tuple[ast.AST, ast.AST]]:
+def _iteration_sites(nodes: list[ast.AST]) -> Iterator[tuple[ast.AST, ast.AST]]:
     """(site, iterated-expression) pairs within one scope."""
-    for node in _scope_walk(scope):
+    for node in nodes:
         if isinstance(node, ast.For):
             yield node, node.iter
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -707,8 +473,8 @@ class SlotsOnHotPaths(Rule):
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         if module.modpath not in ctx.hot_path_modules:
             return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and not self._has_slots(node):
+        for node in module.nodes(ast.ClassDef):
+            if not self._has_slots(node):
                 yield module.finding(
                     self.id,
                     node,
@@ -718,13 +484,13 @@ class SlotsOnHotPaths(Rule):
 
     def _has_slots(self, cls: ast.ClassDef) -> bool:
         for base in cls.bases:
-            name = _terminal_name(base)
+            name = terminal_name(base)
             if name in self._EXEMPT_BASES or (
                 name and name.endswith(("Error", "Exception", "Warning"))
             ):
                 return True
         for deco in cls.decorator_list:
-            if isinstance(deco, ast.Call) and _terminal_name(deco.func) == "dataclass":
+            if isinstance(deco, ast.Call) and terminal_name(deco.func) == "dataclass":
                 for kw in deco.keywords:
                     if (
                         kw.arg == "slots"
@@ -746,86 +512,7 @@ class SlotsOnHotPaths(Rule):
         return False
 
 
-# -- REP008: metric discipline ------------------------------------------------
-
-
-class MetricDiscipline(Rule):
-    """REP008: metric names must come from the registry
-    (``METRIC_NAMES`` in ``repro/obs/names.py``).
-
-    Histograms and gauges merge worker -> coordinator by name, so an
-    unregistered or misspelled name silently forks a new series instead
-    of folding into the intended one — and the analyzer's metrics table
-    grows an orphan row no dashboard or test knows about.  ``Metrics``
-    raises on unregistered names at runtime; this catches the same
-    mistake statically, including on paths tests never execute.
-    """
-
-    id = "REP008"
-    title = "metric names from the registry"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("histogram", "gauge")
-                and _is_metrics_receiver(node.func.value)
-            ):
-                continue
-            if not node.args:
-                continue
-            name_arg = node.args[0]
-            if not (
-                isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str)
-            ):
-                continue  # non-literal names surface at runtime (_check_name)
-            if name_arg.value not in ctx.metric_names:
-                yield module.finding(
-                    self.id,
-                    name_arg,
-                    f"metric name {name_arg.value!r} is not registered in "
-                    "repro/obs/names.py",
-                )
-
-
-def _is_metrics_receiver(node: ast.AST) -> bool:
-    """Matches ``metrics.histogram(...)`` and ``<expr>.metrics.gauge(...)``
-    (the ``Tracer.metrics`` / ``NullTracer.metrics`` access paths)."""
-    if isinstance(node, ast.Name):
-        return node.id == "metrics"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "metrics"
-    return False
-
-
-# -- REP101..REP105: interprocedural dataflow rules ---------------------------
-#
-# These consume the whole-program facts built by ``repro.lint.dataflow``:
-# a call graph over every module in the program scope, with per-function
-# taint summaries propagated to a fixpoint.  Each finding carries the
-# witness chain from the call site to the source.
-
-
-def _enclosing_class_name(module: LintModule, node: ast.AST) -> str | None:
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor.name
-    return None
-
-
-def _call_dotted(module: LintModule, node: ast.Call) -> str | None:
-    """The symbolic call target a summary would record for this site."""
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "self"
-    ):
-        return f"self.{func.attr}"
-    return module.dotted(func)
+# -- REP101: nondeterminism, direct or through any number of calls ------------
 
 
 def _order_absorbed(module: LintModule, node: ast.AST) -> bool:
@@ -833,121 +520,183 @@ def _order_absorbed(module: LintModule, node: ast.AST) -> bool:
     (``sorted(...)`` etc.) before reaching any statement."""
     for ancestor in module.ancestors(node):
         if isinstance(ancestor, ast.Call):
-            if _terminal_name(ancestor.func) in _ORDER_FREE_CALLS:
+            if terminal_name(ancestor.func) in ORDER_FREE_CALLS:
                 return True
         if isinstance(ancestor, ast.stmt):
             return False
     return False
 
 
-class TransitiveNondeterminism(Rule):
-    """REP101: a call whose target *transitively* returns a wall-clock,
-    unseeded-RNG or hash-order-dependent value.  REP001 catches the
-    direct read; this rule catches the helper two modules away that
-    launders it through a return value.
+class Nondeterminism(Rule):
+    """REP101: engine/kernel/core code may not read wall clocks or OS
+    entropy — directly, or through a call whose target *transitively*
+    returns a wall-clock, unseeded-RNG or hash-order-dependent value (the
+    helper two modules away that launders it through a return value).
+    Randomness must flow through an explicitly seeded generator.
+
+    ``time.perf_counter``/``time.process_time`` stay legal: they feed the
+    advisory ``time.*`` timers that are excluded from determinism
+    comparisons (see ``docs/OBSERVABILITY.md``).  The source
+    classification lives in ``dataflow/sources.py``, shared with the
+    summaries, so the direct and transitive halves can never drift.
     """
 
     id = "REP101"
-    title = "no calls to transitively nondeterministic functions"
+    title = "no wall-clock or unseeded-randomness reads, direct or transitive"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.config.in_deterministic_scope(module.modpath):
+        if not module.modpath.startswith(DETERMINISTIC_SCOPES):
             return
         facts = ctx.facts_for(module)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _call_dotted(module, node)
+        for node in module.nodes(ast.Call):
+            dotted = call_dotted(module, node)
             if dotted is None:
                 continue
-            if nondet_call(dotted, node) is not None:
-                continue  # the direct source: REP001's finding
-            fid = facts.resolve(
-                module.modpath, dotted, _enclosing_class_name(module, node)
-            )
-            if fid is None:
+            direct = nondet_call(dotted, node)
+            if direct is not None:
+                yield module.finding(self.id, node, direct[1])
                 continue
-            entry = facts.nondet.get(fid)
+            fid = facts.resolve(
+                module.modpath, dotted, enclosing_class_name(module, node)
+            )
+            entry = facts.nondet.get(fid) if fid is not None else None
             if entry is None:
                 continue
-            detail, _chain, _src = entry
-            if detail == HASH_ORDER and _order_absorbed(module, node):
+            if entry[0] == HASH_ORDER and _order_absorbed(module, node):
                 continue
             yield module.finding(
                 self.id,
                 node,
                 f"{dotted}() is transitively nondeterministic "
-                f"({detail}; path: {chain_display(fid, entry)})",
+                f"({entry[0]}; path: {chain_display(fid, entry)})",
             )
 
 
-class PickleReachability(Rule):
-    """REP102: unpicklable values reaching task specs through edges
-    REP003 cannot see — a call that returns a lambda, an attribute
-    assignment onto a constructed spec, or a helper that smuggles a
-    closure onto a caller-supplied spec parameter.
+# -- REP102: unpicklable values on task specs ---------------------------------
+
+
+def _enclosing_local_defs(module: LintModule, node: ast.AST) -> dict[str, str]:
+    """Names of defs/classes local to the functions enclosing ``node``."""
+    enclosing = [a for a in module.ancestors(node) if isinstance(a, FUNCTION_DEFS)]
+    out: dict[str, str] = {}
+    for sub in module.nodes(*FUNCTION_DEFS, ast.ClassDef):
+        if any(a in enclosing for a in module.ancestors(sub)):
+            out.setdefault(sub.name, "class" if isinstance(sub, ast.ClassDef) else "function")
+    return out
+
+
+class PicklableSpecs(Rule):
+    """REP102: task specs cross process boundaries; lambdas, closures
+    and local classes do not pickle — whether passed to a ``*Spec(...)``
+    constructor directly, returned by a factory call that is, assigned
+    onto a constructed spec, or smuggled onto a caller-supplied spec
+    parameter by a helper.  Anything callable a kernel needs belongs in
+    the fork-inherited job *context*, not the spec.
     """
 
     id = "REP102"
-    title = "no unpicklable values reaching task specs transitively"
+    title = "no lambdas/closures/local classes reaching picklable task specs"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         spec_names = ctx.spec_class_names
         if not spec_names:
             return
+        if module.modpath == ctx.kernel_modpath:
+            for cls in module.nodes(ast.ClassDef):
+                if cls.name in spec_names:
+                    for sub in module.subtree(cls):
+                        if isinstance(sub, ast.Lambda):
+                            yield module.finding(
+                                self.id,
+                                sub,
+                                f"lambda default on spec {cls.name} will not pickle",
+                            )
         facts = ctx.facts_for(module)
-        for scope in _scopes(module.tree):
+        for nodes in module.scope_nodes.values():
             spec_locals: dict[str, str] = {}
-            for node in _scope_walk(scope):
+            for node in nodes:
                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                    name = _terminal_name(node.value.func)
+                    name = terminal_name(node.value.func)
                     if name in spec_names:
                         for target in node.targets:
                             if isinstance(target, ast.Name):
                                 spec_locals[target.id] = name
-            for node in _scope_walk(scope):
+            for node in nodes:
                 if isinstance(node, ast.Call):
                     yield from self._check_call(
-                        module, ctx, facts, node, spec_names, spec_locals
+                        module, facts, node, spec_names, spec_locals
                     )
                 elif isinstance(node, ast.Assign):
-                    yield from self._check_attr_assign(
-                        module, facts, node, spec_locals
-                    )
+                    for target in node.targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id in spec_locals
+                        ):
+                            yield from self._check_value(
+                                module,
+                                facts,
+                                node.value,
+                                f"assigned to attribute {target.attr!r} of "
+                                f"picklable spec {spec_locals[target.value.id]}",
+                            )
+
+    def _check_value(
+        self, module: LintModule, facts, value: ast.AST, where: str
+    ) -> Iterator[Finding]:
+        """One value landing on a spec (``where`` says how)."""
+        if isinstance(value, ast.Lambda):
+            yield module.finding(
+                self.id,
+                value,
+                f"lambda {where}; it will not pickle "
+                "(move the callable into the job context)",
+            )
+        elif isinstance(value, ast.Name):
+            local_defs = _enclosing_local_defs(module, value)
+            if value.id in local_defs:
+                yield module.finding(
+                    self.id,
+                    value,
+                    f"local {local_defs[value.id]} {value.id!r} {where}; "
+                    "it will not pickle",
+                )
+        elif isinstance(value, ast.Call):
+            dotted = call_dotted(module, value)
+            fid = dotted and facts.resolve(
+                module.modpath, dotted, enclosing_class_name(module, value)
+            )
+            entry = facts.unpicklable.get(fid) if fid else None
+            if entry is not None:
+                yield module.finding(
+                    self.id,
+                    value,
+                    f"call {where} returns an unpicklable value "
+                    f"({entry[0]}; path: {chain_display(fid, entry)})",
+                )
 
     def _check_call(
         self,
         module: LintModule,
-        ctx: LintContext,
         facts,
         node: ast.Call,
         spec_names: frozenset[str],
         spec_locals: dict[str, str],
     ) -> Iterator[Finding]:
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name in spec_names:
-            # Spec constructor: arguments that are calls returning
-            # unpicklable values (direct lambdas are REP003's findings).
             for value in [*node.args, *(kw.value for kw in node.keywords)]:
-                if not isinstance(value, ast.Call):
-                    continue
-                hit = self._unpicklable_call(module, facts, value)
-                if hit is not None:
-                    detail, path = hit
-                    yield module.finding(
-                        self.id,
-                        value,
-                        f"call passed to picklable spec {name} returns an "
-                        f"unpicklable value ({detail}; path: {path})",
-                    )
+                yield from self._check_value(
+                    module, facts, value, f"passed to picklable spec {name}"
+                )
             return
         # Helper call that writes an unpicklable value onto a spec
         # passed as an argument.
-        dotted = _call_dotted(module, node)
+        dotted = call_dotted(module, node)
         if dotted is None:
             return
         fid = facts.resolve(
-            module.modpath, dotted, _enclosing_class_name(module, node)
+            module.modpath, dotted, enclosing_class_name(module, node)
         )
         if fid is None:
             return
@@ -965,263 +714,80 @@ class PickleReachability(Rule):
                     f"(path: {via})",
                 )
 
-    def _check_attr_assign(
-        self,
-        module: LintModule,
-        facts,
-        node: ast.Assign,
-        spec_locals: dict[str, str],
-    ) -> Iterator[Finding]:
-        for target in node.targets:
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id in spec_locals
-            ):
-                continue
-            spec_cls = spec_locals[target.value.id]
-            value = node.value
-            if isinstance(value, ast.Lambda):
-                yield module.finding(
-                    self.id,
-                    value,
-                    f"lambda assigned to attribute {target.attr!r} of "
-                    f"picklable spec {spec_cls}; it will not pickle",
-                )
-            elif isinstance(value, ast.Name):
-                local_defs = _enclosing_local_defs(module, node)
-                if value.id in local_defs:
-                    yield module.finding(
-                        self.id,
-                        value,
-                        f"local {local_defs[value.id]} {value.id!r} assigned "
-                        f"to attribute {target.attr!r} of picklable spec "
-                        f"{spec_cls}; it will not pickle",
-                    )
-            elif isinstance(value, ast.Call):
-                hit = self._unpicklable_call(module, facts, value)
-                if hit is not None:
-                    detail, path = hit
-                    yield module.finding(
-                        self.id,
-                        value,
-                        f"call assigned to attribute {target.attr!r} of "
-                        f"picklable spec {spec_cls} returns an unpicklable "
-                        f"value ({detail}; path: {path})",
-                    )
 
-    def _unpicklable_call(
-        self, module: LintModule, facts, node: ast.Call
-    ) -> tuple[str, str] | None:
-        dotted = _call_dotted(module, node)
-        if dotted is None:
-            return None
-        fid = facts.resolve(
-            module.modpath, dotted, _enclosing_class_name(module, node)
-        )
-        entry = facts.unpicklable.get(fid) if fid is not None else None
-        if entry is None:
-            return None
-        return entry[0], chain_display(fid, entry)
+# -- REP104: span/event/metric names come from the registry -------------------
 
 
-class InterproceduralResourceLeak(Rule):
-    """REP103: a local bound to a freshly acquired resource (open file,
-    run writer, tracer span — possibly acquired through a helper) must
-    be context-managed, closed in a ``finally``, or handed off.  A bare
-    ``x.close()`` leaks the handle on every exception path between
-    acquisition and close.
-    """
+class RegistryNames(Rule):
+    """REP104: every span/event/metric name must be registered in
+    ``repro/obs/names.py``.  A literal is looked up as it is; a name
+    built from f-strings, concatenation or constant locals is
+    constant-folded first; a name that cannot be folded is rejected
+    outright.
 
-    id = "REP103"
-    title = "acquired resources closed on all paths (with / try-finally)"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        facts = ctx.facts_for(module)
-        for scope in _scopes(module.tree):
-            acquisitions: list[tuple[str, ast.Assign, str, str | None]] = []
-            for node in _scope_walk(scope):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Call)
-                ):
-                    hit = self._acquires(module, ctx, facts, node.value)
-                    if hit is not None:
-                        acquisitions.append(
-                            (node.targets[0].id, node, hit[0], hit[1])
-                        )
-            for name, node, detail, path in acquisitions:
-                disposition = self._disposition(module, scope, name, node)
-                if disposition == "safe":
-                    continue
-                source = f"{detail}" + (f" (path: {path})" if path else "")
-                if disposition == "unsafe-close":
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"resource {name!r} from {source} is closed outside "
-                        "try/finally; an exception before close() leaks it "
-                        "(use `with` or move close() to a finally block)",
-                    )
-                else:
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"resource {name!r} from {source} is never closed "
-                        "in this scope (use `with` or close it in a finally "
-                        "block)",
-                    )
-
-    def _acquires(
-        self, module: LintModule, ctx: LintContext, facts, node: ast.Call
-    ) -> tuple[str, str | None] | None:
-        """(detail, witness path) when the call acquires a resource."""
-        dotted = _call_dotted(module, node)
-        if dotted is None:
-            return None
-        factories = ctx.config.resource_factories
-        terminal = dotted.rpartition(".")[2]
-        if dotted in factories or any(
-            "." not in f and f == terminal for f in factories
-        ):
-            return terminal, None
-        fid = facts.resolve(
-            module.modpath, dotted, _enclosing_class_name(module, node)
-        )
-        entry = facts.resource.get(fid) if fid is not None else None
-        if entry is None:
-            return None
-        return entry[0], chain_display(fid, entry)
-
-    def _disposition(
-        self, module: LintModule, scope: ast.AST, name: str, acquired: ast.Assign
-    ) -> str:
-        """"safe", "unsafe-close" or "leak" for one acquired local."""
-        finally_nodes: set[int] = set()
-        for node in _scope_walk(scope):
-            if isinstance(node, ast.Try):
-                for stmt in node.finalbody:
-                    for sub in ast.walk(stmt):
-                        finally_nodes.add(id(sub))
-        closed_in_finally = closed_elsewhere = False
-        for node in _scope_walk(scope):
-            if isinstance(node, ast.withitem):
-                expr = node.context_expr
-                if isinstance(expr, ast.Name) and expr.id == name:
-                    return "safe"  # `with x:` releases it
-                if (
-                    isinstance(expr, ast.Call)
-                    and any(
-                        isinstance(a, ast.Name) and a.id == name
-                        for a in expr.args
-                    )
-                ):
-                    return "safe"  # contextlib.closing(x) and friends
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and any(
-                    isinstance(n, ast.Name) and n.id == name
-                    for n in ast.walk(value)
-                ):
-                    return "safe"  # ownership transferred to the caller
-            elif isinstance(node, ast.Assign) and node is not acquired:
-                if any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                ) and any(
-                    isinstance(n, ast.Name) and n.id == name
-                    for n in ast.walk(node.value)
-                ):
-                    return "safe"  # stored into longer-lived state
-            elif isinstance(node, ast.Call):
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "close"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == name
-                ):
-                    if id(node) in finally_nodes:
-                        closed_in_finally = True
-                    else:
-                        closed_elsewhere = True
-                elif any(
-                    isinstance(a, ast.Name) and a.id == name
-                    for a in (*node.args, *(kw.value for kw in node.keywords))
-                ):
-                    return "safe"  # handed to another owner
-        if closed_in_finally:
-            return "safe"
-        if closed_elsewhere:
-            return "unsafe-close"
-        return "leak"
-
-
-class RegistryNameFlow(Rule):
-    """REP104: span/event/metric names built from f-strings,
-    concatenation or constant locals are constant-folded and checked
-    against the ``repro/obs/names.py`` registry; names that cannot be
-    folded are rejected outright (every exporter is keyed on the
-    registry).
+    Every exporter, phase table and consumer is keyed on the registry;
+    histograms and gauges merge worker -> coordinator *by name*, so a
+    misspelled one silently forks a new series.  ``Metrics`` raises on
+    unregistered names at runtime; this catches the same mistake
+    statically, including on paths tests never execute.
     """
 
     id = "REP104"
-    title = "computed span/event/metric names must fold to registered constants"
+    title = "span/event/metric names must be (or fold to) registered constants"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        tracer_names = frozenset(ctx.config.tracer_names)
-        for scope in _scopes(module.tree):
-            const_env = _const_str_locals(scope)
-            for node in _scope_walk(scope):
+        for nodes in module.scope_nodes.values():
+            const_env: dict[str, str] | None = None
+            for node in nodes:
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
+                    and node.args
                 ):
                     continue
-                method = node.func.attr
+                method, receiver = node.func.attr, node.func.value
                 if method in ("span", "event", "add_span"):
-                    if not _is_tracer_receiver(node.func.value, tracer_names):
+                    if not receiver_named(receiver, TRACER_NAMES):
                         continue
                     kind = "event" if method == "event" else "span"
-                    registry = (
-                        ctx.event_names if method == "event" else ctx.span_names
-                    )
                 elif method in ("histogram", "gauge"):
-                    if not _is_metrics_receiver(node.func.value):
+                    # ``metrics.histogram(...)`` / ``<expr>.metrics.gauge(...)``
+                    if not receiver_named(receiver, ("metrics",)):
                         continue
                     kind = "metric"
-                    registry = ctx.metric_names
                 else:
-                    continue
-                if not node.args:
                     continue
                 name_arg = node.args[0]
                 if isinstance(name_arg, ast.Constant):
-                    continue  # literal names: REP005/REP008's registry check
-                folded = _fold_constant_str(name_arg, const_env)
-                if folded is None:
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"{method}() name cannot be resolved statically; "
-                        "use a name that folds to a registered constant",
-                    )
-                    continue
-                if folded not in registry:
+                    if not isinstance(name_arg.value, str):
+                        continue
+                    name, how = name_arg.value, ""
+                else:
+                    if const_env is None:
+                        const_env = _const_str_locals(nodes)
+                    name, how = _fold_constant_str(name_arg, const_env), " (constant-folded)"
+                    if name is None:
+                        yield module.finding(
+                            self.id,
+                            node,
+                            f"{method}() name cannot be resolved statically; "
+                            "use a name that folds to a registered constant",
+                        )
+                        continue
+                if name not in ctx.registry_names(kind):
                     yield module.finding(
                         self.id,
                         name_arg,
-                        f"{kind} name {folded!r} (constant-folded) is not "
-                        "registered in repro/obs/names.py",
+                        f"{kind} name {name!r}{how} is not registered in "
+                        "repro/obs/names.py",
                     )
 
 
-def _const_str_locals(scope: ast.AST) -> dict[str, str]:
-    """Locals bound exactly once, to a string literal, in this scope."""
+def _const_str_locals(nodes: list[ast.AST]) -> dict[str, str]:
+    """Locals bound exactly once, to a string literal, in one scope."""
     values: dict[str, str] = {}
     stores: dict[str, int] = {}
-    for node in _scope_walk(scope):
+    for node in nodes:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             stores[node.id] = stores.get(node.id, 0) + 1
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -1263,6 +829,9 @@ def _fold_constant_str(node: ast.AST, env: dict[str, str]) -> str | None:
     return None
 
 
+# -- REP105: kernels must not reach coordinator state through callees ---------
+
+
 class KernelStateEscape(Rule):
     """REP105: a registered kernel transitively reaches coordinator
     state — a module-global write or a coordinator-singleton read —
@@ -1277,7 +846,7 @@ class KernelStateEscape(Rule):
         if module.modpath != ctx.kernel_modpath:
             return
         facts = ctx.facts_for(module)
-        for name in _registered_kernels(module.tree):
+        for name in registered_kernels(module.tree):
             fid = f"{module.modpath}::{name}"
             entry = facts.state.get(fid)
             if entry is None:
@@ -1295,24 +864,15 @@ class KernelStateEscape(Rule):
             )
 
 
-# The CFG-layer rules live in their own package but share this module's
-# AST helpers; the bottom-of-module import (all helper names are defined
-# by now) is the cycle-safe direction.  Reach them through ALL_RULES.
-from repro.lint.cfg.rules import CFG_RULES  # noqa: E402
-
 ALL_RULES: tuple[Rule, ...] = (
-    NoNondeterministicCalls(),
     KernelPurity(),
-    PicklableSpecs(),
     DeclaredCounters(),
     TracerDiscipline(),
     NoUnorderedIteration(),
     SlotsOnHotPaths(),
-    MetricDiscipline(),
-    TransitiveNondeterminism(),
-    PickleReachability(),
-    InterproceduralResourceLeak(),
-    RegistryNameFlow(),
+    Nondeterminism(),
+    PicklableSpecs(),
+    RegistryNames(),
     KernelStateEscape(),
     *CFG_RULES,
 )

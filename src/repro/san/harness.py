@@ -15,12 +15,12 @@ Detector wiring (see docs/SANITIZERS.md for the full matrix):
   are fingerprinted across the batch window and any change is attributed
   and raced against sibling-task accesses (SAN201 / REP201).
 * ``sentinel`` — wall-clock/entropy calls inside engine scope report
-  SAN001 (REP001/REP101) via :mod:`repro.san.sentinels`.
+  SAN001 (REP101) via :mod:`repro.san.sentinels`.
 * ``resource`` — spans, run writers, journal segments and record
   batches are ledgered with acquisition stacks
   (:mod:`repro.san.resources`); still-live resources at the
-  ``output-commit`` journal append report SAN103 (REP103), leaks on an
-  exception unwind report SAN205 (REP205).
+  ``output-commit`` journal append report SAN103 (REP205), leaks on an
+  exception unwind report SAN205 (REP005/REP205).
 * ``pickle`` — every spec entering an executor batch is round-tripped
   and scanned (:mod:`repro.san.pickles`): SAN102 (REP102) / SAN202
   (REP202).

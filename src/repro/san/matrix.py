@@ -2,8 +2,8 @@
 
 Two halves, both runnable from ``repro sanitize``:
 
-* **Synthetic-violation battery** — one seeded fixture per static rule
-  class, each deliberately committing the violation its rule forbids,
+* **Synthetic-violation battery** — at least one seeded fixture per
+  static rule class, each deliberately committing the violation its rule forbids,
   run under an isolated sanitizer.  A detector passes when its fixture
   fires *exactly once* with a non-empty witness.  This is the proof that
   the dynamic layer actually detects what the static layer claims.
@@ -51,15 +51,18 @@ __all__ = [
 ]
 
 #: Static rule -> the dynamic detector that witnesses it at runtime.
+#: One static id maps to one detector, so each battery payload is keyed
+#: on the rule that flags its source line: the unclosed writer is a
+#: REP205 finding witnessed at commit (SAN103), the span entered outside
+#: ``with`` is a REP005 finding witnessed on the unwind (SAN205).
 CROSS_VALIDATION: dict[str, str] = {
-    "REP001": "SAN001",
+    "REP005": "SAN205",
     "REP006": "SAN006",
     "REP101": "SAN001",
     "REP102": "SAN102",
-    "REP103": "SAN103",
     "REP201": "SAN201",
     "REP202": "SAN202",
-    "REP205": "SAN205",
+    "REP205": "SAN103",
 }
 
 BASELINE_SCHEMA = "repro.san-baseline/v1"
@@ -98,17 +101,18 @@ def _register_battery_kernels() -> None:
 
 
 def _entropy_hop() -> str:
-    """One call deep, so the sentinel witnesses REP101's transitive case.
+    """One call deep, so the sentinel witnesses REP101's transitive case
+    (``_fixture_direct_entropy`` is the chain of length 0).
 
     ``os.urandom`` rather than ``uuid.uuid4`` — uuid4 *calls* urandom,
     which would trip two sentinels and break the fire-exactly-once
     contract."""
-    return os.urandom(4).hex()  # reprolint: disable=REP001 -- battery payload
+    return os.urandom(4).hex()  # reprolint: disable=REP101 -- battery payload
 
 
-def _fixture_rep001(san: Sanitizer) -> None:
+def _fixture_direct_entropy(san: Sanitizer) -> None:
     with san.engine_scope():
-        time.time()  # reprolint: disable=REP001 -- battery payload
+        time.time()  # reprolint: disable=REP101 -- battery payload
 
 
 def _fixture_rep101(san: Sanitizer) -> None:
@@ -121,13 +125,13 @@ def _fixture_rep102(san: Sanitizer) -> None:
 
     _register_battery_kernels()
     # Deliberate REP102 violation: a closure rides on the spec.
-    spec = {"part": 0, "fn": lambda x: x}  # reprolint: disable=REP003,REP102 -- battery payload
+    spec = {"part": 0, "fn": lambda x: x}  # reprolint: disable=REP102 -- battery payload
     with san.engine_scope():
         with SerialExecutor().session(context=None) as session:
             session.run_batch("san.battery.noop", [spec])
 
 
-def _fixture_rep103(san: Sanitizer) -> None:
+def _fixture_unclosed_at_commit(san: Sanitizer) -> None:
     from repro.io.disk import LocalDisk
     from repro.io.runio import RunWriter
     from repro.mapreduce.journal import K_OUTPUT_COMMIT, JobJournal
@@ -136,9 +140,9 @@ def _fixture_rep103(san: Sanitizer) -> None:
     try:
         disk = LocalDisk()
         with san.engine_scope():
-            # Deliberate REP103 violation: the writer is never closed,
+            # Deliberate REP205 violation: the writer is never closed,
             # yet the coordinator commits its output.
-            writer = RunWriter(disk, "leak")  # reprolint: disable=REP103 -- battery payload
+            writer = RunWriter(disk, "leak")  # reprolint: disable=REP205 -- battery payload
             writer.write(("k", 1))
             journal = JobJournal(workdir)
             journal.append(K_OUTPUT_COMMIT, digest="battery")
@@ -173,15 +177,15 @@ def _fixture_rep202(san: Sanitizer) -> None:
             session.run_batch("san.battery.noop", [spec])
 
 
-def _fixture_rep205(san: Sanitizer) -> None:
+def _fixture_span_leaked_on_unwind(san: Sanitizer) -> None:
     from repro.obs.tracer import Tracer
 
     tracer = Tracer()
     try:
         with san.engine_scope():
-            # Deliberate REP205 violation: the span is entered but the
-            # exception path never exits it.
-            handle = tracer.span("battery.leaked")  # reprolint: disable=REP005,REP205 -- battery payload
+            # Deliberate REP005 violation: the span is entered outside
+            # ``with``, so the exception path never exits it.
+            handle = tracer.span("battery.leaked")  # reprolint: disable=REP005,REP104 -- battery payload
             handle.__enter__()
             raise RuntimeError("battery: simulated failure")
     except RuntimeError:
@@ -228,14 +232,14 @@ def _run_fixture(fn: Callable[[Sanitizer], None], detectors: tuple[str, ...]) ->
 
 #: (static rule, expected violation id, fixture runner).
 BATTERY: tuple[tuple[str, str, Callable[[], SanReport]], ...] = (
-    ("REP001", "SAN001", lambda: _run_fixture(_fixture_rep001, ("sentinel",))),
+    ("REP101", "SAN001", lambda: _run_fixture(_fixture_direct_entropy, ("sentinel",))),
     ("REP006", "SAN006", _fixture_rep006),
     ("REP101", "SAN001", lambda: _run_fixture(_fixture_rep101, ("sentinel",))),
     ("REP102", "SAN102", lambda: _run_fixture(_fixture_rep102, ("pickle",))),
-    ("REP103", "SAN103", lambda: _run_fixture(_fixture_rep103, ("resource",))),
+    ("REP205", "SAN103", lambda: _run_fixture(_fixture_unclosed_at_commit, ("resource",))),
     ("REP201", "SAN201", lambda: _run_fixture(_fixture_rep201, ("race",))),
     ("REP202", "SAN202", lambda: _run_fixture(_fixture_rep202, ("pickle",))),
-    ("REP205", "SAN205", lambda: _run_fixture(_fixture_rep205, ("resource",))),
+    ("REP005", "SAN205", lambda: _run_fixture(_fixture_span_leaked_on_unwind, ("resource",))),
 )
 
 

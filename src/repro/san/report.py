@@ -42,7 +42,7 @@ DETECTORS: tuple[DetectorInfo, ...] = (
         id="SAN001",
         detector="sentinel",
         title="nondeterministic call observed inside engine scope",
-        static_rules=("REP001", "REP101"),
+        static_rules=("REP101",),
     ),
     DetectorInfo(
         id="SAN006",
@@ -60,7 +60,7 @@ DETECTORS: tuple[DetectorInfo, ...] = (
         id="SAN103",
         detector="resource",
         title="resource still live at coordinator commit",
-        static_rules=("REP103",),
+        static_rules=("REP205",),
     ),
     DetectorInfo(
         id="SAN201",
@@ -78,7 +78,7 @@ DETECTORS: tuple[DetectorInfo, ...] = (
         id="SAN205",
         detector="resource",
         title="resource leaked on an exception path",
-        static_rules=("REP205",),
+        static_rules=("REP005",),
     ),
 )
 

@@ -4,13 +4,13 @@ Tracks span handles, run writers, journal segments and RecordBatch
 memoryview loans as acquire/release pairs.  Two checks consume the
 ledger:
 
-* **commit check** (dynamic REP103): when the coordinator appends
+* **commit check** (dynamic REP205, "never closed"): when the coordinator appends
   ``K_OUTPUT_COMMIT``, every tracked resource except the journal's own
   open segment must already be released — a still-live writer or span at
   commit is exactly the "resource open across a commit point" shape the
   static rule forbids.
 
-* **exception check** (dynamic REP205): when engine scope exits after a
+* **exception check** (dynamic REP205/REP005, the exception path): when engine scope exits after a
   (non-crash-simulated) exception, resources acquired before the
   exception and never released witness a release site that fails to
   post-dominate its acquisition.

@@ -1,6 +1,6 @@
 """Nondeterminism sentinels: scoped patching of wall-clock/entropy APIs.
 
-The static REP001/REP101 rules prove *source text* never calls
+The static REP101 rule proves *source text* never calls
 ``time.time()`` or the unseeded global RNG on an engine path; the
 sentinel detector witnesses the same contract at runtime by replacing
 the exact call targets from the shared lint vocabulary
@@ -33,7 +33,7 @@ __all__ = ["SentinelPatches", "SentinelTrip", "sentinel_targets"]
 _DUMMY_CALL = ast.parse("f()", mode="eval").body
 
 #: Module-global functions on ``random`` that hit the unseeded global
-#: RNG.  random.Random(seed) instances are untouched (REP001's carve-out).
+#: RNG.  random.Random(seed) instances are untouched (REP101's carve-out).
 _GLOBAL_RNG_FUNCS = (
     "random.random",
     "random.randint",

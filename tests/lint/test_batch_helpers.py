@@ -6,8 +6,7 @@ must not blind the analysers: REP002 still closes over module-local batch
 helpers a kernel calls, and REP101's interprocedural taint still follows
 a nondeterministic source through a batch helper in another module.  The
 clean helpers — pure fanout, stable sorts, concat-merge — must produce
-no false positives, or the batch path would need a baseline entry
-(``lint-baseline.json`` stays empty).
+no false positives: any finding fails the lint run.
 """
 
 import textwrap
@@ -56,7 +55,6 @@ BATCH_SRC = textwrap.dedent(
 
 def lint(source, *, modpath=ENGINE_MOD):
     config = LintConfig(
-        use_cache=False,
         program_modules_override={BATCH_MOD: BATCH_SRC},
         kernel_source_override="class FakeSpec:\n    pass\n",
         span_names_override=frozenset({"map", "sort"}),
@@ -111,7 +109,7 @@ class TestREP101ThroughBatchHelpers:
     def test_clean_batch_helpers_produce_no_findings(self):
         """The real batch-path shape: fanout, per-bucket stable sort,
         concat-and-sort merge.  Deterministic end to end — any finding
-        here would force a lint-baseline entry for the batch path."""
+        here would fail the lint run for the batch path."""
         findings = lint(
             """
             from repro.io import batchfix
@@ -132,7 +130,7 @@ class TestREP002ThroughBatchHelpers:
         return lint_source(
             src,
             modpath=KERNEL_MOD,
-            config=LintConfig(use_cache=False, kernel_source_override=src),
+            config=LintConfig(kernel_source_override=src),
         )
 
     def test_impure_module_local_batch_helper_flagged(self):

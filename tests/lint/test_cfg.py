@@ -269,7 +269,6 @@ def context_of(extra_modules=None, **cfg_kw):
     modules = {KERNEL_MOD: KERNEL_SRC, EXEC_MOD: EXEC_SRC}
     modules.update(extra_modules or {})
     config = LintConfig(
-        use_cache=False,
         program_modules_override=modules,
         kernel_source_override=KERNEL_SRC,
         executor_source_override=EXEC_SRC,
@@ -327,7 +326,7 @@ class TestFactTables:
         ctx, facts, _cx = context_of(
             {ENGINE_MOD: engine, "repro/core/util.py": util}
         )
-        table = blocking_facts(facts, ctx.config.blocking_calls)
+        table = blocking_facts(facts)
         direct = table[f"{ENGINE_MOD}::nap"]
         assert direct[0] == "time.sleep" and direct[1] == ()
         via = table[f"{ENGINE_MOD}::outer"]

@@ -43,7 +43,6 @@ def lint(source, *, modpath=ENGINE_MOD, modules=None, kernel_src=None,
     over.update(modules or {})
     over.setdefault(modpath, source)
     config = LintConfig(
-        use_cache=False,
         program_modules_override=over,
         kernel_source_override=kernel_src,
         executor_source_override=exec_src,
@@ -479,14 +478,16 @@ class TestREP205:
         assert lint(src, select=("REP205",)) == []
 
     def test_rep103_owns_plainly_broken_cases(self):
-        # No release at all: REP103's verdict, not a duplicate REP205.
+        # No release at all: what REP103 used to report is one REP205
+        # finding, with REP103's message.
         src = """
         def load(path):
             fh = open(path)
             return 1
         """
-        findings = lint(src, select=("REP103", "REP205"))
-        assert rules_of(findings) == ["REP103"]
+        findings = lint(src, select=("REP205",))
+        assert rules_of(findings) == ["REP205"]
+        assert "never closed" in findings[0].message
 
     def test_suppression(self):
         src = """

@@ -1,26 +1,20 @@
-"""The interprocedural layer: summaries, cache, fixpoint, REP101..REP105.
+"""The interprocedural layer: summaries, splicing, fixpoint, REP101..REP105.
 
 Every REP10x rule is demonstrated with at least one true positive the
 per-file rules cannot catch (multi-hop flows) and at least one
 false-positive guard (seeded RNG, ``sorted(...)``, context managers,
 ownership transfer).  Fixture programs are injected hermetically via
 ``LintConfig.program_modules_override`` so no test depends on the real
-tree's contents.
+tree's contents.  ``TestREP103``'s fixtures assert REP205, the rule
+REP103 was retired into.
 """
 
 import subprocess
 import textwrap
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import LintConfig, lint_paths, lint_source
 from repro.lint.core import LintContext, LintModule
-from repro.lint.dataflow import (
-    SummaryCache,
-    SummaryOptions,
-    build_program,
-    clear_program_memo,
-    summarize_module,
-)
-from repro.lint.dataflow.cache import content_digest
+from repro.lint.dataflow import clear_program_memo, summarize_module
 
 ENGINE_MOD = "repro/core/fixture.py"
 KERNEL_MOD = "repro/exec/kernels.py"
@@ -66,9 +60,7 @@ def lint(source, *, modpath=ENGINE_MOD, modules=None, **cfg_kw):
     cfg_kw.setdefault("kernel_source_override", "class FakeSpec:\n    pass\n")
     cfg_kw.setdefault("span_names_override", frozenset({"map", "reduce"}))
     cfg_kw.setdefault("event_names_override", frozenset({"node.crash"}))
-    config = LintConfig(
-        use_cache=False, program_modules_override=over, **cfg_kw
-    )
+    config = LintConfig(program_modules_override=over, **cfg_kw)
     return lint_source(textwrap.dedent(source), modpath=modpath, config=config)
 
 
@@ -81,7 +73,7 @@ def rules_of(findings):
 
 def summarize(source, modpath=ENGINE_MOD):
     module = LintModule(textwrap.dedent(source), path=modpath, modpath=modpath)
-    return summarize_module(module, SummaryOptions())
+    return summarize_module(module)
 
 
 class TestSummaries:
@@ -122,7 +114,7 @@ class TestSummaries:
             import time
 
             def stamp():
-                return time.time()  # reprolint: disable=REP001 -- test clock
+                return time.time()  # reprolint: disable=REP101 -- test clock
             """
         )
         assert s.functions["stamp"].return_taints == []
@@ -138,14 +130,8 @@ class TestSummaries:
         kinds = {t[0] for t in s.functions["read"].return_taints}
         assert "resource" not in kinds
 
-    def test_roundtrips_through_json(self):
-        s = summarize(HELPER_SRC, modpath=HELPER_MOD)
-        from repro.lint.dataflow.summary import ModuleSummary
 
-        assert ModuleSummary.from_json(s.to_json()) == s
-
-
-# -- the cache: incremental whole-program analysis ----------------------------
+# -- one summary per file per run ----------------------------------------------
 
 
 def _write_tree(root, files):
@@ -156,6 +142,9 @@ def _write_tree(root, files):
 
 
 class TestSummaryCacheIncremental:
+    """What the on-disk summary store used to promise, now promised by
+    the run itself: no file is summarised twice."""
+
     FILES = {
         "src/repro/core/a.py": """
             import time
@@ -171,42 +160,53 @@ class TestSummaryCacheIncremental:
             """,
     }
 
-    def config(self, tmp_path):
-        return LintConfig(root=tmp_path, cache_path=".reprolint-cache.json")
+    @staticmethod
+    def count_summaries(monkeypatch):
+        import repro.lint.dataflow.summary as summary_mod
 
-    def test_warm_run_does_not_reparse_unchanged_modules(self, tmp_path):
+        calls = []
+        real = summary_mod.summarize_module
+
+        def counting(module):
+            calls.append(module.modpath)
+            return real(module)
+
+        monkeypatch.setattr(summary_mod, "summarize_module", counting)
+        monkeypatch.setattr("repro.lint.dataflow.graph.summarize_module", counting)
+        return calls
+
+    def test_warm_run_does_not_reparse_unchanged_modules(self, tmp_path, monkeypatch):
         _write_tree(tmp_path, self.FILES)
         clear_program_memo()
-        cold = build_program(self.config(tmp_path), use_memo=False)
-        assert cold.parsed_modules == 2 and cold.cached_modules == 0
-        warm = build_program(self.config(tmp_path), use_memo=False)
-        assert warm.parsed_modules == 0 and warm.cached_modules == 2
-        assert set(warm.facts.nondet) == set(cold.facts.nondet)
+        calls = self.count_summaries(monkeypatch)
+        config = LintConfig(root=tmp_path)
+        cold = lint_paths([tmp_path / "src"], config)
+        # Linted files share the program's summaries: one each, not two.
+        assert sorted(calls) == ["repro/core/a.py", "repro/core/b.py"]
+        warm = lint_paths([tmp_path / "src"], config)  # in-process memo
+        assert len(calls) == 2
+        assert warm == cold and {f.rule for f in cold} == {"REP101"}
 
-    def test_changed_file_reparsed_alone(self, tmp_path):
+    def test_changed_file_reparsed_alone(self, tmp_path, monkeypatch):
         _write_tree(tmp_path, self.FILES)
         clear_program_memo()
-        build_program(self.config(tmp_path), use_memo=False)
-        (tmp_path / "src/repro/core/b.py").write_text(
-            "from repro.core import a\n\ndef relay():\n    return 1\n"
+        config = LintConfig(root=tmp_path)
+        ctx = LintContext(config)
+        assert "repro/core/b.py::relay" in ctx.program.facts.nondet
+        calls = self.count_summaries(monkeypatch)
+        edited = LintModule(
+            "from repro.core import a\n\ndef relay():\n    return 1\n",
+            path="b.py",
+            modpath="repro/core/b.py",
         )
-        warm = build_program(self.config(tmp_path), use_memo=False)
-        assert warm.parsed_modules == 1 and warm.cached_modules == 1
-        assert "repro/core/b.py::relay" not in warm.facts.nondet
-
-    def test_fingerprint_change_discards_store(self, tmp_path):
-        path = tmp_path / "store.json"
-        cache = SummaryCache(path, fingerprint="opts-v1")
-        summary = summarize("def f():\n    return 1\n")
-        cache.put(ENGINE_MOD, "digest", summary)
-        cache.save()
-        reopened = SummaryCache(path, fingerprint="opts-v2")
-        assert reopened.get(ENGINE_MOD, "digest") is None
+        assert "repro/core/b.py::relay" not in ctx.facts_for(edited).nondet
+        ctx.facts_for(edited)
+        assert calls == ["repro/core/b.py"]
 
     def test_facts_for_shares_program_facts_when_unchanged(self, tmp_path):
         _write_tree(tmp_path, self.FILES)
         clear_program_memo()
-        config = self.config(tmp_path)
+        config = LintConfig(root=tmp_path)
         ctx = LintContext(config)
         source = (tmp_path / "src/repro/core/b.py").read_text()
         module = LintModule(source, path="b.py", modpath="repro/core/b.py")
@@ -215,6 +215,60 @@ class TestSummaryCacheIncremental:
             source + "\n\nX = 1\n", path="b.py", modpath="repro/core/b.py"
         )
         assert ctx.facts_for(edited) is not ctx.program.facts
+
+
+class TestOutOfProgramFiles:
+    """Files outside the program (``benchmarks/``, ``examples/``) are
+    layered on the shared facts: only their own functions propagate."""
+
+    BENCH = textwrap.dedent(
+        """
+        from repro.core import helper
+
+        def tainted(path):
+            return helper.acquire(path)
+
+        def use(path):
+            handle = tainted(path)
+            data = handle.read()
+            return data
+        """
+    )
+
+    def test_tainted_helper_caught_through_program_callee(self):
+        findings = lint(self.BENCH, modpath="benchmarks/bench_fixture.py")
+        assert rules_of(findings) == ["REP205"]
+        assert "never closed" in findings[0].message
+        # the chain runs benchmarks helper -> src/repro callee
+        assert "tainted" in findings[0].message
+        assert "acquire" in findings[0].message
+
+    def test_layered_facts_leave_the_program_facts_alone(self):
+        ctx = LintContext(LintConfig(program_modules_override={HELPER_MOD: HELPER_SRC}))
+        module = LintModule(
+            self.BENCH, path="b.py", modpath="benchmarks/bench_fixture.py"
+        )
+        facts = ctx.facts_for(module)
+        assert facts.base is ctx.program.facts
+        assert "benchmarks/bench_fixture.py::tainted" in facts.resource
+        assert "benchmarks/bench_fixture.py::tainted" not in ctx.program.facts.resource
+
+    def test_module_the_program_calls_into_reruns_the_fixpoint(self):
+        caller = "from benchmarks import bench_fixture\n\ndef run(p):\n    return bench_fixture.tainted(p)\n"
+        ctx = LintContext(
+            LintConfig(
+                program_modules_override={
+                    HELPER_MOD: HELPER_SRC,
+                    "repro/core/caller.py": caller,
+                }
+            )
+        )
+        module = LintModule(
+            self.BENCH, path="b.py", modpath="benchmarks/bench_fixture.py"
+        )
+        facts = ctx.facts_for(module)
+        assert facts.base is None
+        assert "repro/core/caller.py::run" in facts.resource
 
 
 # -- REP101: transitive nondeterminism ----------------------------------------
@@ -243,7 +297,7 @@ class TestREP101:
                 return time.time()
             """
         )
-        assert rules_of(findings) == ["REP001"]
+        assert rules_of(findings) == ["REP101"]
 
     def test_seeded_rng_helper_not_flagged(self):
         findings = lint(
@@ -281,7 +335,7 @@ class TestREP101:
         import time
 
         def now():
-            return time.time()  # reprolint: disable=REP001 -- advisory stamp
+            return time.time()  # reprolint: disable=REP101 -- advisory stamp
         """
         findings = lint(
             """
@@ -407,7 +461,7 @@ class TestREP103:
                 return data
             """
         )
-        assert rules_of(findings) == ["REP103"]
+        assert rules_of(findings) == ["REP205"]
         assert "never closed" in findings[0].message
         assert "acquire" in findings[0].message  # witness chain
 
@@ -421,7 +475,7 @@ class TestREP103:
                 return data
             """
         )
-        assert rules_of(findings) == ["REP103"]
+        assert rules_of(findings) == ["REP205"]
         assert "outside try/finally" in findings[0].message
 
     def test_context_manager_clean(self):
@@ -476,7 +530,7 @@ class TestREP103:
         findings = lint(
             """
             def read(path):
-                f = open(path)  # reprolint: disable=REP103 -- process-lifetime handle
+                f = open(path)  # reprolint: disable=REP205 -- process-lifetime handle
                 return f.read()
             """
         )
@@ -553,7 +607,7 @@ class TestREP104:
                     pass
             """
         )
-        assert rules_of(findings) == ["REP005"]
+        assert rules_of(findings) == ["REP104"]
 
     def test_suppressed(self):
         findings = lint(
@@ -649,47 +703,6 @@ class TestREP105:
             {"repro/core/stateful.py": textwrap.dedent(_STATEFUL_HELPER)},
         )
         assert findings == []
-
-
-# -- suppression x baseline interaction ---------------------------------------
-
-
-class TestSuppressionBaselineInteraction:
-    VIOLATION = """
-    import time
-
-    def stamp():
-        return time.time(){suffix}
-    """
-
-    def run(self, suffix=""):
-        return lint(textwrap.dedent(self.VIOLATION).format(suffix=suffix))
-
-    def test_suppressed_finding_not_double_counted(self, tmp_path):
-        from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-
-        baseline_path = tmp_path / "baseline.json"
-        original = self.run()
-        assert rules_of(original) == ["REP001"]
-        write_baseline(baseline_path, original)
-
-        suppressed = self.run("  # reprolint: disable=REP001 -- bench clock")
-        assert suppressed == []
-        new, old = apply_baseline(suppressed, load_baseline(baseline_path))
-        assert new == [] and old == []  # neither fresh nor grandfathered
-
-    def test_removing_suppression_resurfaces_same_fingerprint(self, tmp_path):
-        from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-
-        baseline_path = tmp_path / "baseline.json"
-        original = self.run()
-        write_baseline(baseline_path, original)
-
-        resurfaced = self.run()  # suppression removed again
-        new, old = apply_baseline(resurfaced, load_baseline(baseline_path))
-        assert new == [] and [f.fingerprint() for f in old] == [
-            f.fingerprint() for f in original
-        ]
 
 
 # -- the git-aware CLI helper -------------------------------------------------

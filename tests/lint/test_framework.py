@@ -1,10 +1,9 @@
-"""Framework behaviour: suppressions, baselines, reporters, the runner."""
+"""Framework behaviour: suppressions, reporters, the runner."""
 
 import json
 import textwrap
 
 from repro.lint import LintConfig, format_findings, lint_paths, lint_source
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.core import Finding, LintModule, dotted_name
 
 
@@ -16,17 +15,17 @@ def findings_for(source, **kw):
 
 
 def test_suppression_is_rule_specific():
-    # A REP006 disable does not hide the REP001 finding on the same line.
+    # A REP101 disable does not hide the REP006 finding on the same line.
     src = """
     import time
 
     def f(keys):
         s = set(keys)
-        for k in s:  # reprolint: disable=REP001 -- wrong rule id
+        for k in s:  # reprolint: disable=REP101 -- wrong rule id
             time.time()
     """
     rules = {f.rule for f in findings_for(src)}
-    assert rules == {"REP001", "REP006"}
+    assert rules == {"REP101", "REP006"}
 
 
 def test_suppression_multiple_rules_one_comment():
@@ -34,7 +33,7 @@ def test_suppression_multiple_rules_one_comment():
     import time
 
     def f(keys):
-        for k in set(keys): time.time()  # reprolint: disable=REP001,REP006 -- both known
+        for k in set(keys): time.time()  # reprolint: disable=REP101,REP006 -- both known
     """
     assert findings_for(src) == []
 
@@ -44,7 +43,7 @@ def test_malformed_suppression_ignored():
     import time
     x = time.time()  # reprolint: disable=everything
     """
-    assert [f.rule for f in findings_for(src)] == ["REP001"]
+    assert [f.rule for f in findings_for(src)] == ["REP101"]
 
 
 # -- import alias resolution --------------------------------------------------
@@ -66,53 +65,8 @@ def test_dotted_name_resolution():
     assert dotted_name(deep, module.aliases) == "repro.mapreduce.counters.C.X"
 
 
-# -- baseline -----------------------------------------------------------------
-
-
-def make_finding(rule="REP001", path="repro/core/a.py", line=3, message="m"):
+def make_finding(rule="REP101", path="repro/core/a.py", line=3, message="m"):
     return Finding(rule, path, line, 1, message)
-
-
-def test_baseline_roundtrip_and_matching(tmp_path):
-    grandfathered = make_finding(message="old violation")
-    fresh = make_finding(line=9, message="new violation")
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [grandfathered])
-
-    baseline = load_baseline(path)
-    new, old = apply_baseline([grandfathered, fresh], baseline)
-    assert new == [fresh]
-    assert old == [grandfathered]
-
-
-def test_baseline_ignores_line_drift(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [make_finding(line=3)])
-    moved = make_finding(line=30)
-    new, old = apply_baseline([moved], load_baseline(path))
-    assert new == [] and old == [moved]
-
-
-def test_baseline_entry_absorbs_only_its_count(tmp_path):
-    path = tmp_path / "baseline.json"
-    write_baseline(path, [make_finding()])
-    dupe = [make_finding(), make_finding(line=8)]
-    new, old = apply_baseline(dupe, load_baseline(path))
-    assert len(new) == 1 and len(old) == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert not load_baseline(tmp_path / "nope.json")
-
-
-def test_baseline_bytes_stable_under_line_drift(tmp_path):
-    """The written file is a pure function of the fingerprint multiset."""
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    findings = [make_finding(line=3, message="x"), make_finding(line=9, message="y")]
-    moved = [make_finding(line=90, message="x"), make_finding(line=2, message="y")]
-    write_baseline(a, findings)
-    write_baseline(b, reversed(moved))
-    assert a.read_text() == b.read_text()
 
 
 # -- reporters ----------------------------------------------------------------
@@ -120,7 +74,7 @@ def test_baseline_bytes_stable_under_line_drift(tmp_path):
 
 def test_text_report_lists_location_and_summary():
     out = format_findings([make_finding(message="bad call")], "text")
-    assert "repro/core/a.py:3:1: REP001 bad call" in out
+    assert "repro/core/a.py:3:1: REP101 bad call" in out
     assert "1 finding(s)" in out
 
 
@@ -131,7 +85,7 @@ def test_text_report_clean():
 def test_json_report_is_machine_readable():
     out = format_findings([make_finding()], "json")
     data = json.loads(out)
-    assert data["findings"][0]["rule"] == "REP001"
+    assert data["findings"][0]["rule"] == "REP101"
     assert data["findings"][0]["line"] == 3
 
 
@@ -152,7 +106,7 @@ def test_lint_paths_sorted_and_scoped(tmp_path):
     (pkg / "a.py").write_text("import time\ny = time.time()\n")
     findings = lint_paths([tmp_path / "src"], LintConfig(root=tmp_path))
     assert [f.path for f in findings] == ["src/repro/core/a.py", "src/repro/core/b.py"]
-    assert {f.rule for f in findings} == {"REP001"}
+    assert {f.rule for f in findings} == {"REP101"}
 
 
 def test_select_limits_rules():

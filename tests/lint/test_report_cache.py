@@ -1,6 +1,5 @@
-"""Reporter and cache-invalidation satellites: SARIF 2.1.0 output, the
-``--update-baseline`` drift report, ``--stats`` timings, and the summary
-store's rule-set fingerprint."""
+"""Reporter satellites: SARIF 2.1.0 output, ``--stats`` timings, the
+``--changed-only`` rename handling and the catalogue shared with reprosan."""
 
 import json
 import subprocess
@@ -9,8 +8,6 @@ from pathlib import Path
 
 import repro.lint.rules as rules_mod
 from repro.lint.core import Finding
-from repro.lint.dataflow.cache import SummaryCache, ruleset_fingerprint
-from repro.lint.dataflow.summary import ModuleSummary
 from repro.lint.report import SARIF_SCHEMA, format_findings, to_sarif
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -71,94 +68,28 @@ class TestSarif:
         bad = tmp_path / "src" / "repro" / "core"
         bad.mkdir(parents=True)
         (bad / "fx.py").write_text("import time\nx = time.time()\n")
-        proc = run_cli(str(bad / "fx.py"), "--format", "sarif", "--no-baseline")
+        proc = run_cli(str(bad / "fx.py"), "--format", "sarif")
         assert proc.returncode == 1, proc.stdout + proc.stderr
         doc = json.loads(proc.stdout)
         results = doc["runs"][0]["results"]
-        assert any(r["ruleId"] == "REP001" for r in results)
-
-
-class TestBaselineUpdate:
-    def test_update_baseline_reports_drift(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "core"
-        bad.mkdir(parents=True)
-        target = bad / "fx.py"
-        target.write_text("import time\nx = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-
-        first = run_cli(str(target), "--update-baseline", "--baseline", str(baseline))
-        assert first.returncode == 0, first.stdout + first.stderr
-        assert "1 finding(s)" in first.stdout
-        assert "(1 added, 0 removed)" in first.stdout
-
-        target.write_text("x = 1\n")
-        second = run_cli(str(target), "--update-baseline", "--baseline", str(baseline))
-        assert second.returncode == 0
-        assert "(0 added, 1 removed)" in second.stdout
-        assert json.loads(baseline.read_text())["findings"] == []
-
-    def test_update_is_deterministic(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "core"
-        bad.mkdir(parents=True)
-        target = bad / "fx.py"
-        target.write_text("import time\na = time.time()\nb = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-        run_cli(str(target), "--update-baseline", "--baseline", str(baseline))
-        once = baseline.read_text()
-        run_cli(str(target), "--update-baseline", "--baseline", str(baseline))
-        assert baseline.read_text() == once
+        assert any(r["ruleId"] == "REP101" for r in results)
 
 
 class TestStats:
     def test_json_timings_key_is_opt_in(self):
         assert "timings" not in json.loads(format_findings([], "json"))
-        payload = json.loads(format_findings([], "json", timings={"REP001": 0.25}))
-        assert payload["timings"] == {"REP001": 0.25}
+        payload = json.loads(format_findings([], "json", timings={"REP101": 0.25}))
+        assert payload["timings"] == {"REP101": 0.25}
 
     def test_cli_stats_lists_every_rule(self, tmp_path):
         mod = tmp_path / "src" / "repro" / "core"
         mod.mkdir(parents=True)
         (mod / "fx.py").write_text("x = 1\n")
-        proc = run_cli(
-            str(mod / "fx.py"), "--stats", "--format", "json", "--no-cache"
-        )
+        proc = run_cli(str(mod / "fx.py"), "--stats", "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         timings = json.loads(proc.stdout)["timings"]
         assert set(timings) == {r.id for r in rules_mod.ALL_RULES}
         assert all(t >= 0 for t in timings.values())
-
-
-class TestCacheFingerprint:
-    def test_rule_change_busts_the_store(self, tmp_path, monkeypatch):
-        store = tmp_path / "cache.json"
-        cache = SummaryCache(store)
-        cache.put("repro/core/x.py", "d" * 64, ModuleSummary("repro/core/x.py"))
-        cache.save()
-        assert store.exists()
-
-        # Same rule set: the entry survives a reload.
-        warm = SummaryCache(store)
-        assert warm.get("repro/core/x.py", "d" * 64) is not None
-
-        class FakeRule:
-            id = "REP998"
-            title = "synthetic rule for fingerprint test"
-
-        before = ruleset_fingerprint()
-        monkeypatch.setattr(
-            rules_mod, "ALL_RULES", (*rules_mod.ALL_RULES, FakeRule())
-        )
-        assert ruleset_fingerprint() != before
-
-        # Changed rule set: the on-disk entries are discarded wholesale.
-        busted = SummaryCache(store)
-        assert busted.get("repro/core/x.py", "d" * 64) is None
-
-    def test_digest_mismatch_is_a_miss(self, tmp_path):
-        cache = SummaryCache(tmp_path / "cache.json")
-        cache.put("repro/core/x.py", "d" * 64, ModuleSummary("repro/core/x.py"))
-        assert cache.get("repro/core/x.py", "e" * 64) is None
-        assert cache.misses == 1
 
 
 class TestChangedOnlyRenames:

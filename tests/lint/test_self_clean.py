@@ -1,54 +1,147 @@
 """The repository must satisfy its own lint pass.
 
-``repro lint src/`` gates CI, so these tests pin the gate's semantics:
-the tree is clean modulo the committed baseline, the baseline stays
-empty-or-justified, and seeding a synthetic violation (a wall-clock
-call in the kernel module) makes the pass fail — which is exactly what
+``repro lint`` gates CI and there is no baseline to grandfather a
+finding into, so these tests pin the gate's semantics: the tree is
+clean, and seeding a synthetic violation — one per merged contract —
+makes the full-tree pass fail with exactly one finding, which is what
 would break the CI ``lint`` job.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.lint import LintConfig, lint_paths, lint_source
-from repro.lint.baseline import apply_baseline, load_baseline
+from repro.lint.dataflow import clear_program_memo
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 
 
 def test_src_is_clean_modulo_baseline():
+    # "Modulo" nothing: the baseline is gone, any finding fails.
     findings = lint_paths([SRC], LintConfig(root=ROOT))
-    baseline = load_baseline(ROOT / "lint-baseline.json")
-    new, _old = apply_baseline(findings, baseline)
-    assert not new, "new lint findings:\n" + "\n".join(map(str, new))
+    assert not findings, "lint findings:\n" + "\n".join(map(str, findings))
 
 
-def test_committed_baseline_is_empty():
-    # The repo's policy: fix violations or justify them inline with
-    # `# reprolint: disable=REPxxx -- reason`; don't grandfather them.
-    baseline = load_baseline(ROOT / "lint-baseline.json")
-    assert not baseline, f"baseline should stay empty, has {sum(baseline.values())}"
+KERNEL_ANCHOR = (
+    "def hadoop_map_kernel(ctx: dict[str, Any], spec: HadoopMapSpec) -> HadoopMapResult:\n"
+    '    """One sort-spill map task over one block, against a shadow disk."""\n'
+)
+
+
+def seed_kernel(source: str, statement: str) -> str:
+    seeded = source.replace(KERNEL_ANCHOR, KERNEL_ANCHOR + f"    {statement}\n")
+    assert seeded != source, "seeding anchor not found in kernels.py"
+    return seeded
 
 
 def test_synthetic_violation_in_kernels_fails_the_pass():
     kernels = ROOT / "src/repro/exec/kernels.py"
-    seeded = kernels.read_text().replace(
-        "def hadoop_map_kernel(ctx: dict[str, Any], spec: HadoopMapSpec) -> HadoopMapResult:\n"
-        '    """One sort-spill map task over one block, against a shadow disk."""\n',
-        "def hadoop_map_kernel(ctx: dict[str, Any], spec: HadoopMapSpec) -> HadoopMapResult:\n"
-        '    """One sort-spill map task over one block, against a shadow disk."""\n'
-        "    started_at = time.time()\n",
-    )
-    assert seeded != kernels.read_text(), "seeding anchor not found in kernels.py"
     findings = lint_source(
-        seeded, modpath="repro/exec/kernels.py", config=LintConfig(root=ROOT)
+        seed_kernel(kernels.read_text(), "started_at = time.time()"),
+        modpath="repro/exec/kernels.py",
+        config=LintConfig(root=ROOT),
     )
-    assert any(
-        f.rule == "REP001" and "time.time" in f.message for f in findings
-    ), findings
+    # A direct read is a REP101 chain of length 0: one finding, one id.
+    assert [f.rule for f in findings] == ["REP101"], findings
+    assert "time.time" in findings[0].message
+
+
+#: One seeded violation per merged contract: name -> ({file: edit}, the
+#: one finding the full-tree pass must report).  An edit is text appended
+#: to the file, or a callable rewriting it; a missing file is created.
+SEEDS = {
+    "two-hop wall-clock read": (
+        {
+            # The clock is read outside deterministic scope, where that is
+            # legal; the kernel reaches it through two calls.
+            "src/repro/analysis/seeded_clock.py": (
+                "import time\n\n\ndef _now():\n    return time.time()\n\n\n"
+                "def two_hop():\n    return _now()\n"
+            ),
+            "src/repro/exec/kernels.py": lambda s: seed_kernel(
+                "from repro.analysis import seeded_clock\n" + s,
+                "started_at = seeded_clock.two_hop()",
+            ),
+        },
+        ("REP101", "src/repro/exec/kernels.py"),
+    ),
+    "factory-returned lambda on a spec": (
+        {
+            "src/repro/mapreduce/runtime.py": (
+                "\n\ndef _seeded_emit():\n    return lambda pair: pair\n\n\n"
+                "def _seeded_spec(block):\n"
+                "    return HadoopMapSpec(block, _seeded_emit())\n"
+            ),
+        },
+        ("REP102", "src/repro/mapreduce/runtime.py"),
+    ),
+    "raising statement between RunWriter(...) and its try/finally": (
+        {
+            "src/repro/core/hybrid_hash.py": (
+                "\n\ndef _seeded_spill(disk, pairs, check):\n"
+                '    writer = RunWriter(disk, "seeded")\n'
+                "    check(pairs)\n"
+                "    try:\n"
+                "        for pair in pairs:\n"
+                "            writer.write(pair)\n"
+                "    finally:\n"
+                "        writer.close()\n"
+            ),
+        },
+        ("REP205", "src/repro/core/hybrid_hash.py"),
+    ),
+    "f-string span name": (
+        {
+            "src/repro/mapreduce/driver.py": (
+                "\n\ndef _seeded_span(tracer, shard):\n"
+                '    with tracer.span(f"shard-{shard}"):\n'
+                "        pass\n"
+            ),
+        },
+        ("REP104", "src/repro/mapreduce/driver.py"),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def tree_copy(tmp_path_factory):
+    """A scratch copy of everything the default pass reads under ``src/``."""
+    root = tmp_path_factory.mktemp("seeded-tree")
+    shutil.copytree(
+        SRC / "repro", root / "src/repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    (root / "docs").mkdir()
+    shutil.copy(ROOT / "docs/PERFORMANCE.md", root / "docs/PERFORMANCE.md")
+    return root
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDS))
+def test_seeded_violation_fails_the_full_tree_pass_once(tree_copy, seed):
+    edits, expected = SEEDS[seed]
+    originals = {}
+    try:
+        for rel, edit in edits.items():
+            path = tree_copy / rel
+            originals[path] = path.read_text() if path.exists() else None
+            before = originals[path] or ""
+            path.write_text(edit(before) if callable(edit) else before + edit)
+        clear_program_memo()
+        findings = lint_paths([tree_copy / "src"], LintConfig(root=tree_copy))
+    finally:
+        for path, text in originals.items():
+            if text is None:
+                path.unlink()
+            else:
+                path.write_text(text)
+        clear_program_memo()
+    # One, not two: the direct/transitive pair no longer double-reports.
+    assert [(f.rule, f.path) for f in findings] == [expected], findings
 
 
 def test_cli_exit_codes_and_json(tmp_path):
@@ -74,7 +167,7 @@ def test_cli_exit_codes_and_json(tmp_path):
         env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
     )
     assert dirty.returncode == 1, dirty.stdout + dirty.stderr
-    assert "REP001" in dirty.stdout
+    assert "REP101" in dirty.stdout
 
 
 def test_list_rules_names_all_layers():
@@ -87,9 +180,8 @@ def test_list_rules_names_all_layers():
     )
     assert out.returncode == 0
     for rule_id in (
-        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-        "REP008",
-        "REP101", "REP102", "REP103", "REP104", "REP105",
+        "REP002", "REP004", "REP005", "REP006", "REP007",
+        "REP101", "REP102", "REP104", "REP105",
         "REP201", "REP202", "REP203", "REP204", "REP205", "REP206",
     ):
         assert rule_id in out.stdout

@@ -65,7 +65,7 @@ class TestSingleLeg:
         ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         # Shared catalogue: dynamic detectors AND every static rule.
         assert {"SAN001", "SAN201", "SAN103", "SAN102"} <= ids
-        assert {"REP001", "REP201", "REP103", "REP102"} <= ids
+        assert {"REP101", "REP201", "REP205", "REP102"} <= ids
         assert run["results"] == []
 
     def test_detector_subset_flag(self):

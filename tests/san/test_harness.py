@@ -158,7 +158,7 @@ class TestReportCanonicalisation:
         assert run["tool"]["driver"]["name"] == "reprosan"
         (result,) = run["results"]
         assert result["ruleId"] == "SAN103"
-        assert result["properties"]["staticRules"] == ["REP103"]
+        assert result["properties"]["staticRules"] == ["REP205"]
         assert result["properties"]["witness"] == {"site": "x.py:3"}
 
     def test_unknown_format_rejected(self):
