@@ -69,7 +69,6 @@ class HotSetIncrementalHash:
         namespace: str,
         *,
         capacity: int,
-        monitor_capacity: int | None = None,
         refresh_interval: int | None = None,
         spill_partitions: int = 8,
         counters: Counters | None = None,
@@ -80,7 +79,7 @@ class HotSetIncrementalHash:
         self.disk = disk
         self.namespace = namespace.rstrip("/")
         self.capacity = capacity
-        self.sketch = SpaceSaving(monitor_capacity or 4 * capacity)
+        self.sketch = SpaceSaving(4 * capacity)
         # Refresh seldom enough that resident-set churn stays a small
         # fraction of the stream; each refresh can evict O(capacity) states.
         self.refresh_interval = refresh_interval or max(2048, 4 * capacity)
@@ -173,7 +172,7 @@ class HotSetIncrementalHash:
 
     # -- exact finalisation --------------------------------------------------------
 
-    def results(self, *, finish_memory_bytes: int | None = None) -> Iterator[tuple[Any, Any]]:
+    def results(self) -> Iterator[tuple[Any, Any]]:
         """Exact answers for all keys: replay cold spills and merge.
 
         Resident states are injected into a hybrid-hash pass over the cold
@@ -184,7 +183,7 @@ class HotSetIncrementalHash:
         self._finished = True
         self.counters.set_max(C.HASH_STATE_BYTES_PEAK, self._table.used_bytes)
         self.counters.inc(C.HASH_PROBES, self._table.probes)
-        budget = finish_memory_bytes or max(self._table.used_bytes, 1 << 16)
+        budget = max(self._table.used_bytes, 1 << 16)
 
         cold_paths: list[str] = []
         for writer in self._writers:
@@ -207,11 +206,11 @@ class HotSetIncrementalHash:
             spill_partitions=self.spill_partitions,
             counters=self.counters,
         )
-        for key, state in self._table.items():
-            grouper.add(key, SpilledState(state))
+        grouper.add_batch(
+            (key, SpilledState(state)) for key, state in self._table.items()
+        )
         self._table.clear()
         for path in cold_paths:
-            for key, value in stream_run(self.disk, path):
-                grouper.add(key, value)
+            grouper.add_batch(stream_run(self.disk, path))
             self.disk.delete(path)
         yield from grouper.finish()

@@ -31,6 +31,10 @@ from repro.mapreduce.counters import C, Counters
 
 __all__ = ["HybridHashGrouper", "SpilledState"]
 
+#: One hash function per recursion level, so a partition that overflowed
+#: under level ``i`` splits again under level ``i + 1``.
+_HASH_FAMILY = HashFamily()
+
 
 class SpilledState:
     """Wrapper marking a spilled partial *state* (vs. a raw value).
@@ -76,7 +80,6 @@ class HybridHashGrouper:
         *,
         aggregator: Aggregator = COLLECT,
         spill_partitions: int = 8,
-        hash_family: HashFamily | None = None,
         level: int = 0,
         max_levels: int = 10,
         counters: Counters | None = None,
@@ -90,11 +93,10 @@ class HybridHashGrouper:
         self.memory_bytes = memory_bytes
         self.aggregator = aggregator
         self.spill_partitions = spill_partitions
-        self.hash_family = hash_family or HashFamily()
         self.level = level
         self.max_levels = max_levels
         self.counters = counters if counters is not None else Counters()
-        self._hash: Callable[[Any], int] = self.hash_family.member(level)
+        self._hash: Callable[[Any], int] = _HASH_FAMILY.member(level)
         self._table = AccountedStateTable(aggregator)
         self._frozen = False
         self._writers: list[RunWriter | None] = [None] * spill_partitions
@@ -236,7 +238,6 @@ class HybridHashGrouper:
             self.memory_bytes,
             aggregator=self.aggregator,
             spill_partitions=self.spill_partitions,
-            hash_family=self.hash_family,
             level=self.level + 1,
             max_levels=self.max_levels,
             counters=self.counters,

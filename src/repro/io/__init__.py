@@ -20,7 +20,6 @@ from repro.io.serialization import (
     frame_count,
     iter_frames,
 )
-from repro.io.spill import SpillFile, SpillManager
 
 __all__ = [
     "DeviceProfile",
@@ -35,8 +34,6 @@ __all__ = [
     "write_run",
     "read_run",
     "stream_run",
-    "SpillFile",
-    "SpillManager",
     "BinaryCodec",
     "TextLineCodec",
     "RawLineCodec",

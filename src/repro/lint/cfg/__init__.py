@@ -2,18 +2,16 @@
 
 This package is the third reprolint layer.  ``builder`` turns each
 function into an intraprocedural CFG (basic blocks with try/except/
-finally, with, loop, early-return and exception edges); ``dominance``
-computes dominator/post-dominator sets and acyclic reachability over
-it; ``effects`` classifies the protocol-relevant effects of each block
-(journal commits, output emissions, resource releases); ``context``
-classifies every function in the whole-program call graph as
-coordinator-scope, kernel/worker-scope or both, and derives the
-blocking-call and lock-order facts the REP201..REP206 rules consume.
+finally, with, loop, early-return and exception edges, plus acyclic
+reachability over them); ``effects`` classifies the protocol-relevant
+effects of each block (journal commits, output emissions, resource
+releases); ``context`` classifies every function in the whole-program
+call graph as coordinator-scope, kernel/worker-scope or both, with the
+entry -> function call chain REP201 prints.
 """
 
 from repro.lint.cfg.builder import CFG, Block, build_cfg, function_cfgs
 from repro.lint.cfg.context import ExecContexts, build_contexts
-from repro.lint.cfg.dominance import dominators, postdominators
 
 __all__ = [
     "CFG",
@@ -21,7 +19,5 @@ __all__ = [
     "ExecContexts",
     "build_cfg",
     "build_contexts",
-    "dominators",
     "function_cfgs",
-    "postdominators",
 ]

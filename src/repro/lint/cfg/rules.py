@@ -1,4 +1,4 @@
-"""REP201..REP206: concurrency and protocol-ordering rules.
+"""REP201, REP202, REP204, REP205: concurrency and protocol-ordering rules.
 
 These rules sit on the CFG layer (``cfg/builder.py``) and the
 execution-context model (``cfg/context.py``), on top of the
@@ -12,7 +12,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.cfg.builder import CFG, Block, build_cfg, module_defs
-from repro.lint.cfg.context import BLOCKING_CALLS, COORDINATOR_SCOPES, chain_text
 from repro.lint.cfg.effects import (
     EMIT_METHODS,
     RESOURCE_KINDS,
@@ -38,75 +37,94 @@ from repro.lint.dataflow.summary import (
     MODULE_BODY,
     is_resource_factory,
 )
-from repro.lint.dataflow.taint import chain_display
+from repro.lint.dataflow.taint import chain_display, fid_display
 
 __all__ = ["CFG_RULES"]
 
 
-# -- REP201: shared mutable state across execution contexts -------------------
+# -- REP201: kernels touch no coordinator or module state ---------------------
 
 
-class SharedStateRace(Rule):
-    """REP201: a module global written from kernel scope (or written on
-    the coordinator and read from kernel scope) is a data race under the
-    thread executor and silently divergent state under the fork
-    executor.  State with a real ownership-transfer protocol is exempted
-    by an inline suppression on the write.
+class KernelStateIsolation(Rule):
+    """REP201: code that runs in kernel scope — a registered kernel, a
+    pool entry point, or anything either reaches through any number of
+    calls in any module — must not write a module global, read one the
+    coordinator writes, or (when reached from a registered kernel) read
+    a coordinator singleton.  Such state races under the thread
+    executor and diverges silently under fork.
+
+    Each violation is reported once, at the write or read itself, with
+    the kernel -> site call chain.  State with a real ownership-transfer
+    protocol is exempted by an inline suppression on the write; the
+    executor's own pool entry points are the sanctioned readers of the
+    singletons.
     """
 
     id = "REP201"
-    title = "no shared mutable module state across coordinator/kernel contexts"
+    title = "kernel scope touches no module-global or coordinator state"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        summary = ctx.module_summary(module)
-        writers: dict[str, list[tuple[str, int]]] = {}
-        for qual, fs in summary.functions.items():
-            if qual == MODULE_BODY:
-                continue
-            for name, lineno in fs.global_writes:
-                writers.setdefault(name, []).append((qual, lineno))
-        if not writers:
+        touching = [
+            fs
+            for fs in ctx.module_summary(module).functions.values()
+            if fs.global_writes or fs.singleton_reads
+        ]
+        if not touching:
             return
         contexts = ctx.exec_contexts(ctx.facts_for(module))
-        reads = _global_reads(module, frozenset(writers) - set(COORDINATOR_SINGLETONS))
-        for name in sorted(writers):
-            if name in COORDINATOR_SINGLETONS:
+        prefix = f"{module.modpath}::"
+
+        def via(qual: str) -> str:
+            chain = contexts.worker_chain(prefix + qual)
+            return " -> ".join(fid_display(fid) for fid in chain)
+
+        kernel_written: set[str] = set()
+        coordinator_writer: dict[str, str] = {}
+        for fs in touching:
+            scope = contexts.classify(prefix + fs.name)
+            if scope == "coordinator":
+                for name, _lineno in fs.global_writes:
+                    coordinator_writer.setdefault(name, fs.name)
+            if scope not in ("kernel", "both"):
                 continue
-            classified = [
-                (qual, lineno, contexts.classify(f"{module.modpath}::{qual}"))
-                for qual, lineno in writers[name]
-            ]
-            kernel_writes = [
-                (q, l) for q, l, c in classified if c in ("kernel", "both")
-            ]
-            for qual, lineno in kernel_writes:
+            for name, lineno in fs.global_writes:
+                kernel_written.add(name)
                 yield Finding(
                     self.id,
                     module.path,
                     lineno,
                     1,
-                    f"module global {name!r} is written in {qual!r}, which "
-                    "runs in kernel scope; concurrent kernel invocations "
-                    "race on it under the thread executor and diverge "
-                    "silently under fork",
+                    f"module global {name!r} is written in {fs.name!r}, which "
+                    f"runs in kernel scope (path: {via(fs.name)}); concurrent "
+                    "kernel invocations race on it under the thread executor "
+                    "and diverge silently under fork",
                 )
-            if kernel_writes:
-                continue  # the write findings already cover this global
-            coord = [(q, l) for q, l, c in classified if c == "coordinator"]
-            if not coord:
-                continue
-            for qual, node in reads.get(name, ()):
-                if contexts.classify(f"{module.modpath}::{qual}") in (
-                    "kernel",
-                    "both",
-                ):
+            if prefix + fs.name in contexts.kernel:
+                for name, lineno in fs.singleton_reads:
+                    yield Finding(
+                        self.id,
+                        module.path,
+                        lineno,
+                        1,
+                        f"coordinator singleton {name} is read in {fs.name!r}, "
+                        f"which a registered kernel reaches (path: "
+                        f"{via(fs.name)}); it holds the coordinator's value in "
+                        "some executors only — pass what the kernel needs "
+                        "through the context or the spec",
+                    )
+        # A kernel-written global is covered by its write findings, and the
+        # singletons are the executor's own hand-off to its pool entries.
+        shared = coordinator_writer.keys() - kernel_written - set(COORDINATOR_SINGLETONS)
+        for name, sites in sorted(_global_reads(module, frozenset(shared)).items()):
+            for qual, node in sites:
+                if contexts.classify(prefix + qual) in ("kernel", "both"):
                     yield module.finding(
                         self.id,
                         node,
                         f"module global {name!r} is written in coordinator "
-                        f"scope ({coord[0][0]!r}) and read here in kernel "
-                        "scope with no ownership transfer; pass it through "
-                        "the task spec instead",
+                        f"scope ({coordinator_writer[name]!r}) and read here in "
+                        f"kernel scope (path: {via(qual)}) with no ownership "
+                        "transfer; pass it through the task spec instead",
                     )
 
 
@@ -281,76 +299,6 @@ class ForkUnsafeCapture(Rule):
             "fork/pickle transport cannot carry OS resources — pass a "
             "path or config value and open it inside the kernel",
         )
-
-
-# -- REP203: blocking calls in coordinator scope ------------------------------
-
-
-class CoordinatorBlockingCalls(Rule):
-    """REP203: the coordinator's scheduling loop must stay nonblocking —
-    ``time.sleep``, synchronous socket I/O, subprocess waits and
-    unbounded queue/thread joins stall every in-flight partition.
-
-    Each root cause is reported exactly once: direct blocking calls are
-    flagged where they appear inside coordinator-scope modules, while
-    blocking reached through helpers *outside* those modules (workload
-    closures, shared utilities) is flagged transitively at the boundary
-    call, with the witness chain.
-    """
-
-    id = "REP203"
-    title = "no blocking calls in coordinator-scope functions"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        facts = ctx.facts_for(module)
-        contexts = ctx.exec_contexts(facts)
-        index = ctx.blocking_facts(facts)
-        summary = ctx.module_summary(module)
-        in_coordinator_module = module.modpath.startswith(COORDINATOR_SCOPES)
-        for qual in sorted(summary.functions):
-            if qual == MODULE_BODY:
-                continue
-            fid = f"{module.modpath}::{qual}"
-            scope = contexts.classify(fid)
-            if scope not in ("coordinator", "both"):
-                continue
-            where = (
-                "coordinator-scope"
-                if scope == "coordinator"
-                else "shared coordinator/kernel"
-            )
-            fs = summary.functions[qual]
-            for dotted, lineno, col in fs.calls:
-                if dotted in BLOCKING_CALLS:
-                    # Outside coordinator modules the call is charged to
-                    # the coordinator-side caller (transitively, below).
-                    if in_coordinator_module:
-                        yield Finding(
-                            self.id,
-                            module.path,
-                            lineno,
-                            col + 1,
-                            f"blocking call {dotted}() in {where} function "
-                            f"{qual!r}; the coordinator event loop must not "
-                            "stall (bound it with a timeout or move it to a "
-                            "worker)",
-                        )
-                    continue
-                target = facts.resolve(fs.modpath, dotted, fs.cls)
-                entry = index.get(target) if target is not None else None
-                if entry is None:
-                    continue
-                if target.partition("::")[0].startswith(COORDINATOR_SCOPES):
-                    continue  # reported at the callee's own site
-                yield Finding(
-                    self.id,
-                    module.path,
-                    lineno,
-                    col + 1,
-                    f"call from {where} function {qual!r} blocks "
-                    f"transitively on {entry[0]}() "
-                    f"(via {chain_text(target, entry[1])})",
-                )
 
 
 # -- REP204: commit-then-emit protocol ordering -------------------------------
@@ -556,58 +504,9 @@ class ResourceRelease(Rule):
         return all(safe[s] for s, kind in acquire.succs if kind != "exc")
 
 
-# -- REP206: lock-ordering consistency ----------------------------------------
-
-
-class LockOrderConsistency(Rule):
-    """REP206: every pair of statically named locks must be acquired in
-    one global order across the whole call graph — a cycle in the
-    lock-order digraph (direct nesting or calls made while holding a
-    lock) is a deadlock waiting for the right interleaving.
-    """
-
-    id = "REP206"
-    title = "consistent lock acquisition order across the call graph"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        # Only a function that takes a lock can contribute an order edge.
-        summary = ctx.module_summary(module)
-        if not any(fs.lock_acquires for fs in summary.functions.values()):
-            return
-        edges, cycles = ctx.lock_facts(ctx.facts_for(module))
-        prefix = f"{module.modpath}::"
-        reported: set[tuple[str, str, str, int]] = set()
-        for cycle in cycles:
-            display = " -> ".join((*cycle, cycle[0]))
-            pairs = [
-                (cycle[i], cycle[(i + 1) % len(cycle)])
-                for i in range(len(cycle))
-            ]
-            for outer, inner in pairs:
-                for fid, lineno in edges.get((outer, inner), ()):
-                    if not fid.startswith(prefix):
-                        continue
-                    key = (outer, inner, fid, lineno)
-                    if key in reported:
-                        continue
-                    reported.add(key)
-                    yield Finding(
-                        self.id,
-                        module.path,
-                        lineno,
-                        1,
-                        f"lock-order cycle {display}: this site acquires "
-                        f"{inner} while holding {outer}, and another path "
-                        "acquires them in the opposite order (deadlock "
-                        "risk); pick one global order",
-                    )
-
-
 CFG_RULES: tuple[Rule, ...] = (
-    SharedStateRace(),
+    KernelStateIsolation(),
     ForkUnsafeCapture(),
-    CoordinatorBlockingCalls(),
     CommitProtocolOrder(),
     ResourceRelease(),
-    LockOrderConsistency(),
 )

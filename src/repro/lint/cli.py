@@ -118,7 +118,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "lint",
         help="static-analysis pass for the repo's determinism contracts",
-        description="Check the REP002..REP206 contracts (see "
+        description="Check the REP002..REP205 contracts (see "
         "docs/STATIC_ANALYSIS.md); any finding fails the run.",
     )
     p.add_argument(

@@ -344,7 +344,7 @@ class LintContext:
         "_sources",
         "_spec_names",
         "_program",
-        "_derived",
+        "_contexts",
     )
 
     def __init__(self, config: LintConfig | None = None) -> None:
@@ -358,7 +358,7 @@ class LintContext:
         self._sources: dict[str, str] = {}
         self._spec_names: frozenset[str] | None = None
         self._program = None
-        self._derived: dict[tuple[str, int], object] = {}
+        self._contexts: dict[int, object] = {}
 
     def _read(self, relpath: str) -> str:
         """Registry source, or "" when absent (rules then deactivate)."""
@@ -505,46 +505,29 @@ class LintContext:
             return self.program.facts
         return self.program.facts_for(summary, module.digest)
 
-    # -- execution contexts and concurrency facts ---------------------------
-
-    def _derive(self, kind: str, facts, build):
-        """One derived table per (kind, facts object)."""
-        key = (kind, id(facts))
-        if key not in self._derived:
-            self._derived[key] = build(facts)
-        return self._derived[key]
+    # -- execution contexts ---------------------------------------------------
 
     def exec_contexts(self, facts):
-        """Coordinator/kernel context classification.  A layered view
-        shares its base's: nothing in the base reaches the module layered
-        on top and that module seeds neither side, so the base's closure
-        sets are still exact (likewise ``blocking_facts``)."""
+        """Coordinator/kernel context classification, built once per
+        facts object.  A layered view shares its base's: nothing in the
+        base reaches the module layered on top and that module seeds
+        neither side, so the base's closure sets are still exact."""
         from repro.lint.cfg.context import build_contexts
 
-        def build(facts):
+        facts = facts.base or facts
+        if id(facts) not in self._contexts:
             try:
                 executor_tree = ast.parse(self.executor_source)
             except SyntaxError:
                 executor_tree = None
-            return build_contexts(
+            self._contexts[id(facts)] = build_contexts(
                 facts,
                 kernel_tree=ast.parse(self.kernel_source),
                 kernel_modpath=self.kernel_modpath,
                 executor_tree=executor_tree,
                 executor_modpath=module_path_for(Path(EXECUTOR_MODULE)),
             )
-
-        return self._derive("contexts", facts.base or facts, build)
-
-    def blocking_facts(self, facts):
-        from repro.lint.cfg.context import blocking_facts
-
-        return self._derive("blocking", facts.base or facts, blocking_facts)
-
-    def lock_facts(self, facts):
-        from repro.lint.cfg.context import lock_facts
-
-        return self._derive("locks", facts, lock_facts)
+        return self._contexts[id(facts)]
 
 
 # -- runner -------------------------------------------------------------------

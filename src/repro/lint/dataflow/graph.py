@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.lint.core import LintModule, iter_py_files, module_path_for
-from repro.lint.dataflow.summary import ModuleSummary, dotted_module, summarize_module
+from repro.lint.dataflow.summary import ModuleSummary, summarize_module
 from repro.lint.dataflow.taint import ProgramFacts
 
 __all__ = ["PROGRAM_SCOPE", "Program", "build_program", "clear_program_memo"]
@@ -25,6 +25,13 @@ __all__ = ["PROGRAM_SCOPE", "Program", "build_program", "clear_program_memo"]
 PROGRAM_SCOPE = ("src/repro",)
 
 _PROGRAM_MEMO: dict[Path, "Program"] = {}
+
+
+def dotted_module(modpath: str) -> str:
+    """``repro/exec/base.py`` -> ``repro.exec.base``."""
+    stem = modpath[:-3] if modpath.endswith(".py") else modpath
+    dotted = stem.replace("/", ".")
+    return dotted[: -len(".__init__")] if dotted.endswith(".__init__") else dotted
 
 
 class Program:

@@ -14,7 +14,8 @@ function (and the module body, as the pseudo-function ``<module>``) —
   that smuggles a lambda onto a caller-supplied spec is visible at the
   call site;
 * ``global_writes`` / ``singleton_reads``: module-global mutations and
-  coordinator-singleton reads, for kernel-escape reachability.
+  coordinator-singleton reads — the sites REP201 reports when the
+  function runs in kernel scope.
 
 Summaries are plain data; nothing here keeps a reference to the tree.
 """
@@ -48,7 +49,6 @@ __all__ = [
     "MUTATORS",
     "ModuleSummary",
     "TRACER_NAMES",
-    "dotted_module",
     "is_resource_factory",
     "summarize_module",
 ]
@@ -70,9 +70,6 @@ COORDINATOR_SINGLETONS = ("_FORK_CONTEXT", "_KERNELS")
 #: any terminal segment, dotted names match exactly.
 RESOURCE_FACTORIES = ("open", "repro.io.runio.RunWriter")
 
-#: Lock constructors the lock-order analysis tracks.
-LOCK_FACTORIES = ("threading.Lock", "threading.RLock")
-
 #: Method names that mutate a container in place.
 MUTATORS = frozenset(
     {
@@ -88,8 +85,7 @@ _SOURCE_SUPPRESSORS = {
     "nondet": frozenset({"REP101"}),
     "unpicklable": frozenset({"REP102"}),
     "resource": frozenset({"REP005", "REP205"}),
-    "state": frozenset({"REP002", "REP105", "REP201"}),
-    "lock": frozenset({"REP206"}),
+    "state": frozenset({"REP201"}),
 }
 
 
@@ -121,12 +117,6 @@ class FunctionSummary:
     global_writes: list[tuple[str, int]] = field(default_factory=list)
     #: Coordinator singleton names this function reads.
     singleton_reads: list[tuple[str, int]] = field(default_factory=list)
-    #: Statically named locks this function acquires: (canonical, lineno).
-    lock_acquires: list[tuple[str, int]] = field(default_factory=list)
-    #: Nested acquisitions: (outer lock, inner lock, inner lineno).
-    lock_orders: list[tuple[str, str, int]] = field(default_factory=list)
-    #: Calls made while holding a lock: (held lock, dotted target, lineno).
-    calls_under_lock: list[tuple[str, str, int]] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -144,27 +134,21 @@ class ModuleSummary:
 def summarize_module(module: "LintModule") -> ModuleSummary:
     """Summarise one parsed module (every def, method and the body)."""
     out = ModuleSummary(modpath=module.modpath)
-    locks = module_lock_names(module)
     classes: list[str] = []
     for node in module.tree.body:
         if isinstance(node, FUNCTION_DEFS):
-            out.functions[node.name] = _summarize_function(
-                module, node, node.name, None, locks
-            )
+            out.functions[node.name] = _summarize_function(module, node, node.name, None)
         elif isinstance(node, ast.ClassDef):
             classes.append(node.name)
-            cls_locks = {**locks, **_class_lock_attrs(module, node)}
             for sub in node.body:
                 if isinstance(sub, FUNCTION_DEFS):
                     qual = f"{node.name}.{sub.name}"
-                    out.functions[qual] = _summarize_function(
-                        module, sub, qual, node.name, cls_locks
-                    )
+                    out.functions[qual] = _summarize_function(module, sub, qual, node.name)
     # The module body cannot write "its own" globals in the escape sense
     # (that is just definition), so global-write tracking is off for it.
     body = FunctionSummary(name=MODULE_BODY, modpath=module.modpath, lineno=1)
     defs = (*FUNCTION_DEFS, ast.ClassDef)
-    _Analyzer(module, body, (), track_globals=False, locks=locks).run(
+    _Analyzer(module, body, (), track_globals=False).run(
         [n for n in module.tree.body if not isinstance(n, defs)],
         [
             n
@@ -177,67 +161,17 @@ def summarize_module(module: "LintModule") -> ModuleSummary:
     return out
 
 
-def dotted_module(modpath: str) -> str:
-    """``repro/exec/base.py`` -> ``repro.exec.base`` (lock name prefix)."""
-    stem = modpath[:-3] if modpath.endswith(".py") else modpath
-    dotted = stem.replace("/", ".")
-    return dotted[: -len(".__init__")] if dotted.endswith(".__init__") else dotted
-
-
-def _is_lock_factory(module: "LintModule", node: ast.expr) -> bool:
-    return isinstance(node, ast.Call) and module.dotted(node.func) in LOCK_FACTORIES
-
-
-def module_lock_names(module: "LintModule") -> dict[str, str]:
-    """Module-level ``NAME = threading.Lock()`` bindings, keyed by the
-    local reference form, valued by the program-wide canonical name."""
-    prefix = dotted_module(module.modpath)
-    out: dict[str, str] = {}
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign) and _is_lock_factory(module, node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = f"{prefix}.{target.id}"
-        elif (
-            isinstance(node, ast.AnnAssign)
-            and node.value is not None
-            and isinstance(node.target, ast.Name)
-            and _is_lock_factory(module, node.value)
-        ):
-            out[node.target.id] = f"{prefix}.{node.target.id}"
-    return out
-
-
-def _class_lock_attrs(module: "LintModule", cls: ast.ClassDef) -> dict[str, str]:
-    """``self.X = threading.Lock()`` attributes of one class, keyed by
-    the in-method reference form ``self.X``.  Instances share one static
-    identity per (class, attr) — standard for lock-order analysis."""
-    prefix = f"{dotted_module(module.modpath)}.{cls.name}"
-    out: dict[str, str] = {}
-    for node in module.subtree(cls):
-        if (
-            isinstance(node, ast.Assign)
-            and _is_lock_factory(module, node.value)
-            and isinstance(node.targets[0], ast.Attribute)
-            and isinstance(node.targets[0].value, ast.Name)
-            and node.targets[0].value.id == "self"
-        ):
-            out[f"self.{node.targets[0].attr}"] = f"{prefix}.{node.targets[0].attr}"
-    return out
-
-
 def _summarize_function(
     module: "LintModule",
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     qualname: str,
     cls: str | None,
-    locks: dict[str, str],
 ) -> FunctionSummary:
     params = tuple(a.arg for a in (*fn.args.posonlyargs, *fn.args.args))
     summary = FunctionSummary(
         name=qualname, modpath=module.modpath, lineno=fn.lineno, cls=cls, params=params
     )
-    _Analyzer(module, summary, params, locks=locks).run(fn.body, module.scope_nodes[fn])
+    _Analyzer(module, summary, params).run(fn.body, module.scope_nodes[fn])
     return summary
 
 
@@ -251,7 +185,6 @@ class _Analyzer:
         params: tuple[str, ...],
         *,
         track_globals: bool = True,
-        locks: dict[str, str] | None = None,
     ) -> None:
         self.module = module
         self.summary = summary
@@ -261,11 +194,21 @@ class _Analyzer:
         self.ctor_types: dict[str, str] = {}
         self.set_locals: set[str] = set()
         self.locals: set[str] = set(params)
-        self.module_names = (
-            module_level_names(module.tree) if track_globals else frozenset()
+        #: Unshadowed name -> the module global it denotes: a module-level
+        #: assignment by its own name, an import (another module's state)
+        #: by its dotted path.
+        self.module_globals: dict[str, str] = (
+            {**module.aliases, **{n: n for n in module_level_names(module.tree)}}
+            if track_globals
+            else {}
         )
-        self.lock_names = locks or {}
-        self.held: list[str] = []
+        #: Names a plain ``import`` binds: ``os.remove(...)`` calls a
+        #: function of that module, it does not mutate a container.
+        self.imported_modules = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in module.nodes(ast.Import)
+            for alias in node.names
+        }
         self._recorded: set[tuple] = set()
 
     # -- suppression-aware recording ----------------------------------------
@@ -287,7 +230,6 @@ class _Analyzer:
         for the same scope (bindings are collected from it)."""
         self._collect_bindings(scope_nodes)
         for _ in range(2):  # second pass resolves loop-carried flows
-            self.held.clear()  # bare acquire() without release() resets
             for stmt in body:
                 self._exec(stmt)
         self.summary.calls.sort()
@@ -295,9 +237,6 @@ class _Analyzer:
         self.summary.param_attr_writes.sort()
         self.summary.global_writes.sort()
         self.summary.singleton_reads.sort()
-        self.summary.lock_acquires.sort()
-        self.summary.lock_orders.sort()
-        self.summary.calls_under_lock.sort()
 
     def _collect_bindings(self, scope_nodes: list[ast.AST]) -> None:
         for node in scope_nodes:
@@ -390,7 +329,6 @@ class _Analyzer:
             for sub in (*stmt.body, *stmt.orelse):
                 self._exec(sub)
         elif isinstance(stmt, ast.With) or isinstance(stmt, ast.AsyncWith):
-            pushed = 0
             for item in stmt.items:
                 taints = self.taints(item.context_expr)
                 if isinstance(item.optional_vars, ast.Name):
@@ -398,13 +336,8 @@ class _Analyzer:
                     self.env[item.optional_vars.id] = frozenset(
                         t for t in taints if t[0] != "resource"
                     )
-                canon = self._lock_canonical(item.context_expr)
-                if canon is not None:
-                    self._acquire_lock(canon, item.context_expr.lineno)
-                    pushed += 1
             for sub in stmt.body:
                 self._exec(sub)
-            del self.held[len(self.held) - pushed :]
         elif isinstance(stmt, ast.Try):
             for sub in (*stmt.body, *stmt.orelse, *stmt.finalbody):
                 self._exec(sub)
@@ -443,9 +376,14 @@ class _Analyzer:
                 return
             if isinstance(target, ast.Attribute) and root.id in self.params:
                 self._param_attr_write(root.id, value, taints, lineno)
-            if root.id in self.module_names and root.id not in self.locals:
-                if not self._suppressed("state", lineno):
-                    self._record(self.summary.global_writes, (root.id, lineno))
+            self._global_write(root, lineno)
+
+    def _global_write(self, root: ast.AST, lineno: int) -> None:
+        if not isinstance(root, ast.Name) or root.id in self.locals:
+            return
+        name = self.module_globals.get(root.id)
+        if name is not None and not self._suppressed("state", lineno):
+            self._record(self.summary.global_writes, (name, lineno))
 
     def _param_attr_write(
         self,
@@ -470,29 +408,6 @@ class _Analyzer:
     def _escape(self, taints: frozenset[tuple[str, str, int]]) -> None:
         for kind, detail, lineno in sorted(taints):
             self._record(self.summary.return_taints, (kind, detail, lineno))
-
-    # -- lock tracking (REP206) ---------------------------------------------
-
-    def _lock_canonical(self, node: ast.expr) -> str | None:
-        """Canonical name when ``node`` references a statically named lock."""
-        if isinstance(node, ast.Name) and node.id not in self.locals:
-            return self.lock_names.get(node.id)
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return self.lock_names.get(f"self.{node.attr}")
-        return None
-
-    def _acquire_lock(self, canon: str, lineno: int) -> None:
-        if self._suppressed("lock", lineno):
-            return
-        self._record(self.summary.lock_acquires, (canon, lineno))
-        for outer in self.held:
-            if outer != canon:
-                self._record(self.summary.lock_orders, (outer, canon, lineno))
-        self.held.append(canon)
 
     # -- expressions ---------------------------------------------------------
 
@@ -554,40 +469,20 @@ class _Analyzer:
         dotted = self.call_target(node.func)
         lineno, col = node.lineno, node.col_offset
 
-        # Explicit lock.acquire() / lock.release() outside a with-block.
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "acquire",
-            "release",
-        ):
-            canon = self._lock_canonical(node.func.value)
-            if canon is not None:
-                if node.func.attr == "acquire":
-                    if canon not in self.held:
-                        self._acquire_lock(canon, lineno)
-                elif canon in self.held:
-                    self.held.remove(canon)
-                return frozenset(arg_taints)
-
         # Mutating a module-level container through a method call is a
-        # module-global write (the REP105 escape source).
+        # module-global write.
         if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
-            root = attr_root(node.func.value)
-            if (
-                isinstance(root, ast.Name)
-                and root.id in self.module_names
-                and root.id not in self.locals
-                and not self._suppressed("state", lineno)
+            receiver = node.func.value
+            if not (
+                isinstance(receiver, ast.Name)
+                and receiver.id in self.imported_modules
             ):
-                self._record(self.summary.global_writes, (root.id, lineno))
+                self._global_write(attr_root(receiver), lineno)
 
         if dotted is not None:
             bare = "." not in dotted
             if not (bare and dotted in BUILTIN_NAMES):
                 self._record(self.summary.calls, (dotted, lineno, col))
-                for held in self.held:
-                    self._record(
-                        self.summary.calls_under_lock, (held, dotted, lineno)
-                    )
 
             classified = nondet_call(dotted, node)
             if classified is not None:

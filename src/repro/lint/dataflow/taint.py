@@ -1,8 +1,8 @@
 """The fixpoint propagator: whole-program facts over module summaries.
 
 :class:`ProgramFacts` resolves every summary's symbolic call targets
-against the project function index and iterates to a fixpoint on four
-properties:
+against the project function index and iterates to a fixpoint on three
+return-flow properties:
 
 * ``nondet``   — the function's return value carries wall-clock,
   unseeded-RNG or hash-order taint (return-flow: a source that never
@@ -11,10 +11,7 @@ properties:
   result of a call that does);
 * ``resource`` — the function returns a freshly acquired resource
   (file handle, run writer, tracer span), making its call sites
-  acquisition sites;
-* ``state``    — the function (or anything it transitively calls)
-  writes a module global or reads a coordinator singleton
-  (reachability, not return-flow: any call suffices to escape).
+  acquisition sites.
 
 Every entry carries a witness chain of function ids so findings can
 print the path from the call site to the source.
@@ -53,7 +50,6 @@ class ProgramFacts:
         "nondet",
         "unpicklable",
         "resource",
-        "state",
     )
 
     def __init__(
@@ -73,7 +69,6 @@ class ProgramFacts:
         self.nondet: dict[str, Entry] = dict(base.nondet) if base else {}
         self.unpicklable: dict[str, Entry] = dict(base.unpicklable) if base else {}
         self.resource: dict[str, Entry] = dict(base.resource) if base else {}
-        self.state: dict[str, Entry] = dict(base.state) if base else {}
         self._propagate(sorted(functions))
 
     # -- resolution ----------------------------------------------------------
@@ -122,16 +117,6 @@ class ProgramFacts:
                 }.get(kind)
                 if table is not None:
                     table.setdefault(fid, (detail, (), lineno))
-            if s.singleton_reads:
-                name, lineno = s.singleton_reads[0]
-                self.state.setdefault(
-                    fid, (f"reads coordinator singleton {name}", (), lineno)
-                )
-            if s.global_writes:
-                name, lineno = s.global_writes[0]
-                self.state.setdefault(
-                    fid, (f"writes module global {name!r}", (), lineno)
-                )
         # Breadth-first sweeps: each sweep extends chains by one hop, so
         # witness chains come out minimal.
         changed = True
@@ -153,15 +138,6 @@ class ProgramFacts:
                             continue
                         table[fid] = (entry[0], (target, *entry[1]), lineno)
                         changed = True
-                if fid not in self.state:
-                    for dotted, lineno, _col in s.calls:
-                        target = self._resolve_for(s, dotted)
-                        entry = self.state.get(target) if target else None
-                        if entry is None or len(entry[1]) >= _MAX_CHAIN:
-                            continue
-                        self.state[fid] = (entry[0], (target, *entry[1]), lineno)
-                        changed = True
-                        break
 
     # -- queries -------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 Each rule encodes one contract the determinism/performance story rests
 on; ``docs/STATIC_ANALYSIS.md`` documents the *why* behind every one.
 Rules are pure AST analyses over the :class:`LintModule` index — linting
-never imports repository code.  The whole-program rules (REP101, REP102,
-REP105) also consume the facts built by ``repro.lint.dataflow``: a call
+never imports repository code.  The whole-program rules (REP101,
+REP102) also consume the facts built by ``repro.lint.dataflow``: a call
 graph over every module in the program scope, with per-function taint
 summaries propagated to a fixpoint.  Their findings carry the witness
 chain from the call site to the source.
@@ -22,18 +22,16 @@ from repro.lint.core import (
     LintContext,
     LintModule,
     Rule,
-    attr_root,
     call_dotted,
     enclosing_class_name,
     is_set_expr,
     local_bindings,
-    module_level_names,
     receiver_named,
     registered_kernels,
     terminal_name,
 )
 from repro.lint.dataflow.sources import HASH_ORDER, ORDER_FREE_CALLS, nondet_call
-from repro.lint.dataflow.summary import COORDINATOR_SINGLETONS, MUTATORS, TRACER_NAMES
+from repro.lint.dataflow.summary import TRACER_NAMES
 from repro.lint.dataflow.taint import chain_display
 
 __all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "counter_uses", "rule_by_id"]
@@ -52,7 +50,7 @@ DETERMINISTIC_SCOPES = (
 )
 
 
-# -- REP002: kernel purity ----------------------------------------------------
+# -- REP002: kernel I/O purity ------------------------------------------------
 
 #: Call roots kernels may never reach: real filesystem, network,
 #: processes, and ambient-state modules.  Task I/O goes through the
@@ -76,23 +74,23 @@ _IMPURE_BUILTINS = frozenset({"open", "print", "input", "exec", "eval", "globals
 
 
 class KernelPurity(Rule):
-    """REP002: functions registered as task kernels must be pure.
+    """REP002: functions registered as task kernels do no I/O of their own.
 
-    A kernel runs in a forked worker; anything it does outside
-    ``(context, spec) -> result`` — touching coordinator singletons,
-    mutating module globals, opening real files or sockets — silently
-    diverges between the Serial/Thread/MP executors.
+    A kernel runs inline, on a thread or in a forked worker; opening
+    real files or sockets, spawning processes or printing happens in
+    some executors and not others.  Task I/O goes through the shadow
+    ``LocalDisk``.  (What *state* a kernel may touch is REP201's
+    contract.)
     """
 
     id = "REP002"
-    title = "task kernels must be pure (shadow-disk I/O only)"
+    title = "task kernels do no I/O outside the shadow disk"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         if module.modpath != ctx.kernel_modpath:
             return
         tree = module.tree
         defs = {n.name: n for n in tree.body if isinstance(n, FUNCTION_DEFS)}
-        module_names = module_level_names(tree) | module.aliases.keys()
         # Close over module-local helpers the kernels call.
         reachable: dict[str, ast.FunctionDef] = {}
         frontier = [name for name in registered_kernels(tree) if name in defs]
@@ -109,68 +107,21 @@ class KernelPurity(Rule):
                 ):
                     frontier.append(node.func.id)
         for fn in reachable.values():
-            yield from self._check_function(module, fn, module_names)
-
-    def _check_function(
-        self, module: LintModule, fn: ast.FunctionDef, module_names: set[str]
-    ) -> Iterator[Finding]:
-        local = local_bindings(module, fn)
-        where = f"kernel {fn.name!r}"
-
-        def is_global(root: ast.AST) -> bool:
-            return (
-                isinstance(root, ast.Name)
-                and root.id in module_names
-                and root.id not in local
-            )
-
-        for node in module.subtree(fn):
-            if isinstance(node, ast.Global):
-                yield module.finding(
-                    self.id, node, f"{where} declares global {', '.join(node.names)}"
-                )
-            elif isinstance(node, ast.Name):
-                if node.id in COORDINATOR_SINGLETONS:
+            local = local_bindings(module, fn)
+            where = f"kernel {fn.name!r}"
+            for node in module.subtree(fn):
+                dotted = module.dotted(node.func) if isinstance(node, ast.Call) else None
+                if dotted is None:
+                    continue
+                root = dotted.partition(".")[0]
+                if root in _IMPURE_ROOTS and root not in local:
                     yield module.finding(
-                        self.id,
-                        node,
-                        f"{where} touches coordinator singleton {node.id}",
+                        self.id, node, f"{where} calls impure API {dotted}()"
                     )
-            elif isinstance(node, ast.Call):
-                dotted = module.dotted(node.func)
-                if dotted is not None:
-                    root = dotted.partition(".")[0]
-                    if root in _IMPURE_ROOTS and root not in local:
-                        yield module.finding(
-                            self.id, node, f"{where} calls impure API {dotted}()"
-                        )
-                    elif dotted in _IMPURE_BUILTINS and dotted not in local:
-                        yield module.finding(
-                            self.id, node, f"{where} calls builtin {dotted}()"
-                        )
-                # Mutating a module-level container through a method call.
-                if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
-                    root_node = attr_root(node.func.value)
-                    if is_global(root_node):
-                        yield module.finding(
-                            self.id,
-                            node,
-                            f"{where} mutates module global {root_node.id!r} "
-                            f"via .{node.func.attr}()",
-                        )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        root_node = attr_root(target)
-                        if is_global(root_node):
-                            yield module.finding(
-                                self.id,
-                                node,
-                                f"{where} writes module global {root_node.id!r}",
-                            )
+                elif dotted in _IMPURE_BUILTINS and dotted not in local:
+                    yield module.finding(
+                        self.id, node, f"{where} calls builtin {dotted}()"
+                    )
 
 
 # -- REP004: counter names must be declared -----------------------------------
@@ -829,41 +780,6 @@ def _fold_constant_str(node: ast.AST, env: dict[str, str]) -> str | None:
     return None
 
 
-# -- REP105: kernels must not reach coordinator state through callees ---------
-
-
-class KernelStateEscape(Rule):
-    """REP105: a registered kernel transitively reaches coordinator
-    state — a module-global write or a coordinator-singleton read —
-    through its callees.  REP002 checks the kernel module itself; this
-    closes the cross-module hole.
-    """
-
-    id = "REP105"
-    title = "kernels must not transitively reach coordinator state"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        if module.modpath != ctx.kernel_modpath:
-            return
-        facts = ctx.facts_for(module)
-        for name in registered_kernels(module.tree):
-            fid = f"{module.modpath}::{name}"
-            entry = facts.state.get(fid)
-            if entry is None:
-                continue
-            detail, chain, lineno = entry
-            if not chain:
-                continue  # direct: REP002 reports it with full context
-            yield Finding(
-                self.id,
-                module.path,
-                lineno,
-                1,
-                f"kernel {name!r} transitively {detail} "
-                f"(path: {chain_display(fid, entry)})",
-            )
-
-
 ALL_RULES: tuple[Rule, ...] = (
     KernelPurity(),
     DeclaredCounters(),
@@ -873,7 +789,6 @@ ALL_RULES: tuple[Rule, ...] = (
     Nondeterminism(),
     PicklableSpecs(),
     RegistryNames(),
-    KernelStateEscape(),
     *CFG_RULES,
 )
 

@@ -10,11 +10,14 @@ baseline, again when reduce-side buffers fill).  A combine function must be
 algebraically safe: commutative and associative over values of the same
 key, emitting ``(key, value)`` pairs of the same value type it consumes.
 
-The same :class:`MapReduceJob` object runs unmodified on every engine in
-this repository — the sort-merge baseline, MapReduce Online, and the
-hash-based one-pass engine — which is exactly the portability argument the
-paper makes for keeping the MapReduce API while replacing its
-implementation.
+The same :class:`MapReduceJob` object runs unmodified on both sort-merge
+engines — the Hadoop baseline and MapReduce Online.  The hash-based
+one-pass engine takes an :class:`~repro.core.engine.OnePassJob`: the same
+map function, with the reduce given either as the same ``reduce_fn`` (a
+grouping job) or as an aggregate's algebra (an aggregate job, which is
+what lets it run incrementally).  Keeping the map/reduce API while
+replacing the implementation under it is the portability argument the
+paper makes.
 """
 
 from __future__ import annotations

@@ -83,7 +83,6 @@ class LocalCluster:
         block_size: int = 1 * 1024 * 1024,
         replication: int = 1,
         hdd_profile: DeviceProfile = HDD_7200RPM,
-        ssd_profile: DeviceProfile = SSD_SATA,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("need at least one node")
@@ -95,7 +94,7 @@ class LocalCluster:
             disks = {"hdd": LocalDisk(hdd_profile, name=f"{name}.hdd")}
             intermediate = "hdd"
             if with_ssd:
-                disks["ssd"] = LocalDisk(ssd_profile, name=f"{name}.ssd")
+                disks["ssd"] = LocalDisk(SSD_SATA, name=f"{name}.ssd")
                 intermediate = "ssd"
             self.nodes[name] = ClusterNode(name=name, disks=disks, intermediate=intermediate)
 
@@ -164,8 +163,7 @@ class HadoopEngine(JobDriver):
 
     On Table III's axes: sort-merge group-by, *pull* shuffle (map output
     is written synchronously to the mapper's disk and registered; reducers
-    fetch it every ``fetch_interval`` map completions — Hadoop's poll
-    period), blocking reduce.  The lifecycle around them is
+    fetch it after every map completion), blocking reduce.  The lifecycle around them is
     :class:`~repro.mapreduce.driver.JobDriver`'s.
 
     ``fault_plan`` injects deterministic failures, all recovered the way
@@ -186,8 +184,7 @@ class HadoopEngine(JobDriver):
 
     The synchronous map-output write is what makes this recovery
     possible — the fault-tolerance rationale the paper cites for that
-    write.  Larger ``fetch_interval`` values leave segments unfetched
-    longer, which matters when a node dies in between.
+    write.
     """
 
     name = "hadoop"
@@ -199,15 +196,12 @@ class HadoopEngine(JobDriver):
         *,
         map_slots: int = 2,
         fault_plan: FaultPlan | None = None,
-        fetch_interval: int = 1,
         retry_policy: FetchRetryPolicy | None = None,
         speculation: SpeculationPolicy | None = None,
         executor: Any = None,
         tracer: Any = None,
         journal: Any = None,
     ) -> None:
-        if fetch_interval < 1:
-            raise ValueError("fetch_interval must be >= 1")
         super().__init__(
             cluster,
             map_slots=map_slots,
@@ -217,7 +211,6 @@ class HadoopEngine(JobDriver):
             tracer=tracer,
             journal=journal,
         )
-        self.fetch_interval = fetch_interval
         self.retry_policy = retry_policy
 
     def _open(self, run: JobRun) -> None:
@@ -227,7 +220,6 @@ class HadoopEngine(JobDriver):
             retry_policy=self.retry_policy,
         )
         run.lineage = TaskLineage()
-        run.since_drain = 0
         #: partition -> kernel-side reduce result awaiting its commit.
         run.reduced = {}
 
@@ -252,12 +244,9 @@ class HadoopEngine(JobDriver):
         disk.delete_prefix(f"mapspill/{task_id:05d}")
 
     def _after_map_commit(self, run: JobRun, completed: int, last: bool) -> None:
-        run.since_drain += 1
-        if run.since_drain >= self.fetch_interval or last:
-            for partition in sorted(run.reduce_tasks):
-                if partition not in run.committed:  # journaled output: nothing to pull
-                    self._pull_partition(run, partition)
-            run.since_drain = 0
+        for partition in sorted(run.reduce_tasks):
+            if partition not in run.committed:  # journaled output: nothing to pull
+                self._pull_partition(run, partition)
 
     def _pull_partition(self, run: JobRun, partition: int) -> None:
         """Fetch every pending segment for ``partition`` into its reduce task.

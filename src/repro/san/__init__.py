@@ -1,6 +1,6 @@
 """reprosan: the runtime determinism/race/leak sanitizer.
 
-Dynamic cross-validation of the static lint layers (REP002..REP206):
+Dynamic cross-validation of the static lint layers (REP002..REP205):
 an opt-in harness (:class:`repro.san.harness.Sanitizer`) instruments
 real engine runs with four detectors — nondeterminism sentinels,
 a vector-clock race detector, resource/lifetime tracking and

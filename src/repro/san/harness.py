@@ -178,13 +178,10 @@ def capture_stack(skip_prefixes: tuple[str, ...] = ()) -> tuple[tuple[str, int, 
 
 @dataclass(frozen=True)
 class SanitizerConfig:
-    """Which detectors run and what extra shared state is tracked."""
+    """Which detectors run (extra shared state is registered with
+    :meth:`Sanitizer.track_shared`)."""
 
     detectors: tuple[str, ...] = ALL_DETECTORS
-    #: Extra (name, object-or-provider) shared-state entries to race-track.
-    shared: tuple[tuple[str, Any], ...] = ()
-    #: Track RecordBatch lifetimes (weakref-based; checked at scope exit).
-    track_batches: bool = True
 
     def __post_init__(self) -> None:
         unknown = set(self.detectors) - set(ALL_DETECTORS)
@@ -213,9 +210,6 @@ class Sanitizer:
         self._task_names: dict[int, str] = {}
         self._kernel_cache: dict[tuple[str, int], Callable] = {}
         self._shared: dict[str, Any] = {}
-        self._span_tokens: dict[int, int] = {}
-        self._writer_tokens: dict[int, int] = {}
-        self._segment_tokens: dict[int, int] = {}
         self._recoverable: tuple[type, ...] = ()
         self._crash_exc: type = ()  # type: ignore[assignment]
 
@@ -247,8 +241,6 @@ class Sanitizer:
         self._crash_exc = CoordinatorCrash
         if "race" in self.config.detectors:
             self._shared["repro.exec.base._KERNELS"] = exec_base._KERNELS
-            for name, obj in self.config.shared:
-                self._shared[name] = obj
         self._patch_executors(exec_base)
         self._patch_engines()
         self._patch_journal()
@@ -681,37 +673,7 @@ class Sanitizer:
 
             return append
 
-        def wrap_ensure(orig):
-            def _ensure_segment(journal):
-                fresh = journal._fh is None
-                fh = orig(journal)
-                if (
-                    fresh
-                    and _ENGINE_DEPTH > 0
-                    and "resource" in san.config.detectors
-                ):
-                    san._segment_tokens[id(journal)] = san.resources.acquire(
-                        "journal.segment",
-                        journal._open_segment_path(),
-                        clock=san._clock,
-                        stack=capture_stack(),
-                    )
-                return fh
-
-            return _ensure_segment
-
-        def wrap_drop(orig):
-            def _drop_handle(journal):
-                token = san._segment_tokens.pop(id(journal), None)
-                if token is not None:
-                    san.resources.release(token)
-                return orig(journal)
-
-            return _drop_handle
-
         self._patch(JobJournal, "append", wrap_append)
-        self._patch(JobJournal, "_ensure_segment", wrap_ensure)
-        self._patch(JobJournal, "_drop_handle", wrap_drop)
 
     # -- tracer / spans ------------------------------------------------
 
@@ -734,65 +696,23 @@ class Sanitizer:
     def _patch_resources(self) -> None:
         from repro.io.batch import RecordBatch
         from repro.io.runio import RunWriter
+        from repro.mapreduce.journal import JobJournal
         from repro.obs.tracer import _SpanHandle
 
+        self._track(_SpanHandle, "__enter__", "__exit__", "span", lambda h: h._span.name)
+        self._track(RunWriter, "__init__", "close", "disk.writer", lambda w: w.path)
+        # ``_ensure_segment`` runs on every append; it opens a segment
+        # only when the journal holds no handle.
+        self._track(
+            JobJournal,
+            "_ensure_segment",
+            "_drop_handle",
+            "journal.segment",
+            JobJournal._open_segment_path,
+            opens=lambda journal: journal._fh is None,
+        )
+
         san = self
-
-        def wrap_span_enter(orig):
-            def __enter__(handle):
-                out = orig(handle)
-                if _ENGINE_DEPTH > 0:
-                    san._span_tokens[id(handle)] = san.resources.acquire(
-                        "span",
-                        handle._span.name,
-                        task=getattr(_TLS, "task", ""),
-                        clock=san._clock,
-                        stack=capture_stack(),
-                    )
-                return out
-
-            return __enter__
-
-        def wrap_span_exit(orig):
-            def __exit__(handle, *exc):
-                token = san._span_tokens.pop(id(handle), None)
-                if token is not None:
-                    san.resources.release(token)
-                return orig(handle, *exc)
-
-            return __exit__
-
-        self._patch(_SpanHandle, "__enter__", wrap_span_enter)
-        self._patch(_SpanHandle, "__exit__", wrap_span_exit)
-
-        def wrap_writer_init(orig):
-            def __init__(writer, disk, path, **kwargs):
-                orig(writer, disk, path, **kwargs)
-                if _ENGINE_DEPTH > 0:
-                    san._writer_tokens[id(writer)] = san.resources.acquire(
-                        "disk.writer",
-                        path,
-                        task=getattr(_TLS, "task", ""),
-                        clock=san._clock,
-                        stack=capture_stack(),
-                    )
-
-            return __init__
-
-        def wrap_writer_close(orig):
-            def close(writer):
-                token = san._writer_tokens.pop(id(writer), None)
-                if token is not None:
-                    san.resources.release(token)
-                return orig(writer)
-
-            return close
-
-        self._patch(RunWriter, "__init__", wrap_writer_init)
-        self._patch(RunWriter, "close", wrap_writer_close)
-
-        if not self.config.track_batches:
-            return
 
         def wrap_batch_ctor(orig):
             def ctor(cls, *args, **kwargs):
@@ -812,3 +732,46 @@ class Sanitizer:
 
         self._patch(RecordBatch, "from_pairs", wrap_batch_ctor)
         self._patch(RecordBatch, "decode", wrap_batch_ctor)
+
+    def _track(
+        self,
+        cls: type,
+        acquire: str,
+        release: str,
+        kind: str,
+        name_of: Callable[[Any], str],
+        opens: Callable[[Any], bool] = lambda obj: True,
+    ) -> None:
+        """Ledger one resource class: a call to ``cls.acquire`` that
+        ``opens`` the object records an acquisition named ``name_of(obj)``
+        (inside engine scope only); ``cls.release`` releases it."""
+        san = self
+        tokens: dict[int, int] = {}
+
+        def wrap_acquire(orig):
+            def acquired(obj, *args, **kwargs):
+                opening = opens(obj)
+                out = orig(obj, *args, **kwargs)
+                if opening and _ENGINE_DEPTH > 0:
+                    tokens[id(obj)] = san.resources.acquire(
+                        kind,
+                        name_of(obj),
+                        task=getattr(_TLS, "task", ""),
+                        clock=san._clock,
+                        stack=capture_stack(),
+                    )
+                return out
+
+            return acquired
+
+        def wrap_release(orig):
+            def released(obj, *args):
+                token = tokens.pop(id(obj), None)
+                if token is not None:
+                    san.resources.release(token)
+                return orig(obj, *args)
+
+            return released
+
+        self._patch(cls, acquire, wrap_acquire)
+        self._patch(cls, release, wrap_release)

@@ -1,22 +1,15 @@
-"""The CFG layer's substrate: builder, dominance, execution contexts.
+"""The CFG layer's substrate: builder and execution contexts.
 
 These tests pin the graph shapes the REP20x rules depend on — exception
 edges, the once-built ``finally`` fan-out, acyclic-forward reachability
-— plus the worker/coordinator closure and the whole-program blocking
-and lock-order fact tables.
+— plus the worker/coordinator closure and its entry -> function chains.
 """
 
 import ast
 import textwrap
 
 from repro.lint import LintConfig
-from repro.lint.cfg import (
-    build_cfg,
-    dominators,
-    function_cfgs,
-    postdominators,
-)
-from repro.lint.cfg.context import blocking_facts, lock_facts
+from repro.lint.cfg import build_cfg, function_cfgs
 from repro.lint.core import LintContext, LintModule
 
 ENGINE_MOD = "repro/core/fixture.py"
@@ -215,28 +208,6 @@ class TestBuilder:
         assert names == ["top", "C.m"]
 
 
-class TestDominance:
-    def test_diamond(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                if x:
-                    a = 1
-                else:
-                    b = 2
-                c = 3
-            """
-        )
-        head = block_for(cfg, lambda n: isinstance(n, ast.If))
-        a = assign_block(cfg, "a")
-        c = assign_block(cfg, "c")
-        dom = dominators(cfg)
-        pdom = postdominators(cfg)
-        assert head.index in dom[c.index]
-        assert a.index not in dom[c.index]
-        assert c.index in pdom[a.index]
-
-
 # -- execution contexts -------------------------------------------------------
 
 KERNEL_SRC = textwrap.dedent(
@@ -300,84 +271,14 @@ class TestExecContexts:
         assert cx.classify(f"{KERNEL_MOD}::shared_tally") == "both"
         assert cx.classify("repro/nowhere.py::ghost") is None
 
-
-class TestFactTables:
-    def test_blocking_facts_chain(self):
-        engine = textwrap.dedent(
-            """
-            import time
-            from repro.core.util import backoff
-
-            def nap():
-                time.sleep(1)
-
-            def outer():
-                backoff()
-            """
+    def test_worker_chain_runs_from_the_entry_to_the_function(self):
+        _ctx, _facts, cx = context_of()
+        kernel = f"{KERNEL_MOD}::wordcount_kernel"
+        assert cx.worker_chain(kernel) == (kernel,)
+        assert cx.worker_chain(f"{KERNEL_MOD}::shared_tally") == (
+            kernel,
+            f"{KERNEL_MOD}::shared_tally",
         )
-        util = textwrap.dedent(
-            """
-            import time
-
-            def backoff():
-                time.sleep(2)
-            """
-        )
-        ctx, facts, _cx = context_of(
-            {ENGINE_MOD: engine, "repro/core/util.py": util}
-        )
-        table = blocking_facts(facts)
-        direct = table[f"{ENGINE_MOD}::nap"]
-        assert direct[0] == "time.sleep" and direct[1] == ()
-        via = table[f"{ENGINE_MOD}::outer"]
-        assert via[0] == "time.sleep"
-        assert via[1] == ("repro/core/util.py::backoff",)
-
-    def test_lock_facts_detects_opposite_order_cycle(self):
-        engine = textwrap.dedent(
-            """
-            import threading
-
-            A = threading.Lock()
-            B = threading.Lock()
-
-            def one():
-                with A:
-                    with B:
-                        pass
-
-            def two():
-                with B:
-                    with A:
-                        pass
-            """
-        )
-        _ctx, facts, _cx = context_of({ENGINE_MOD: engine})
-        edges, cycles = lock_facts(facts)
-        a = "repro.core.fixture.A"
-        b = "repro.core.fixture.B"
-        assert (a, b) in edges and (b, a) in edges
-        assert cycles and set(cycles[0]) == {a, b}
-
-    def test_lock_facts_consistent_order_has_no_cycle(self):
-        engine = textwrap.dedent(
-            """
-            import threading
-
-            A = threading.Lock()
-            B = threading.Lock()
-
-            def one():
-                with A:
-                    with B:
-                        pass
-
-            def two():
-                with A:
-                    with B:
-                        pass
-            """
-        )
-        _ctx, facts, _cx = context_of({ENGINE_MOD: engine})
-        _edges, cycles = lock_facts(facts)
-        assert cycles == []
+        # Pool entry points are worker scope but not kernel-rooted.
+        assert f"{EXEC_MOD}::_invoke" in cx.pool
+        assert f"{EXEC_MOD}::_invoke" not in cx.kernel

@@ -1,4 +1,4 @@
-"""REP201..REP206 fixture suites: one true positive, one clean guard
+"""REP201..REP205 fixture suites: one true positive, one clean guard
 and one suppression per rule, all injected hermetically via
 ``program_modules_override`` (plus kernel/executor source overrides for
 the context model)."""
@@ -156,6 +156,109 @@ class TestREP201:
         assert rules_of(findings) == ["REP201"]
         assert "_LAST_RESULT" in findings[0].message
 
+    def test_write_two_modules_from_the_kernel_reported_at_the_write(self):
+        # kernel -> helper (another module) -> helper -> module-global
+        # write: one finding, in the module that holds the write, with
+        # the whole chain; nothing at the kernel.
+        kernel_src = """
+        from repro.core.tally import note
+
+        class MapSpec:
+            pass
+
+        def tally_kernel(ctx, spec):
+            return note(spec)
+
+        register_kernel("tally", tally_kernel)
+        """
+        tally = textwrap.dedent(
+            """
+            _SEEN = []
+
+            def note(x):
+                return _record(x)
+
+            def _record(x):
+                _SEEN.append(x)
+                return x
+            """
+        )
+        modules = {"repro/core/tally.py": tally}
+        at_write = lint(
+            tally, modpath="repro/core/tally.py", modules=modules,
+            kernel_src=kernel_src, select=("REP201",),
+        )
+        assert [(f.rule, f.line) for f in at_write] == [("REP201", 8)]
+        assert "tally_kernel (repro/exec/kernels.py) -> note" in at_write[0].message
+        assert "-> _record (repro/core/tally.py)" in at_write[0].message
+        assert lint(
+            kernel_src, modpath=KERNEL_MOD, modules=modules, kernel_src=kernel_src
+        ) == []
+
+    def test_singleton_read_from_a_kernel_flagged_pool_entry_exempt(self):
+        # The executor's pool entry reads the fork context by design;
+        # the same read reached from a registered kernel is a violation.
+        exec_src = """
+        _FORK_CONTEXT = None
+
+        def _invoke(spec):
+            return _FORK_CONTEXT, spec
+
+        def current():
+            return _FORK_CONTEXT
+
+        def run(pool, spec):
+            return pool.submit(_invoke, spec)
+        """
+        kernel_src = """
+        from repro.exec.base import current
+
+        class MapSpec:
+            pass
+
+        def peek_kernel(ctx, spec):
+            return current()
+
+        register_kernel("peek", peek_kernel)
+        """
+        findings = lint(
+            exec_src, modpath=EXEC_MOD, exec_src=exec_src,
+            kernel_src=kernel_src, select=("REP201",),
+        )
+        assert [(f.rule, f.line) for f in findings] == [("REP201", 8)]
+        assert "_FORK_CONTEXT" in findings[0].message
+        assert "peek_kernel" in findings[0].message
+
+    def test_write_through_an_import_alias_names_the_other_module(self):
+        # Another module's global written directly from kernel scope —
+        # REP002's state half flagged all three; imports bound inside
+        # the function are locals and stay clean.
+        src = """
+        import repro.core.stateful as st
+        from repro.core.stateful import CACHE
+
+        class MapSpec:
+            pass
+
+        def poke_kernel(ctx, spec):
+            st.COUNT = 1
+            st.SEEN.append(spec)
+            CACHE[spec] = ctx
+            import repro.core.other as local_mod
+            local_mod.COUNT = 2
+            return spec
+
+        register_kernel("poke", poke_kernel)
+        """
+        findings = lint(
+            src, modpath=KERNEL_MOD, kernel_src=src, select=("REP201",)
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("REP201", 9), ("REP201", 10), ("REP201", 11),
+        ]
+        assert "'repro.core.stateful'" in findings[0].message
+        assert "'repro.core.stateful.CACHE'" in findings[2].message
+
 
 # -- REP202: fork-unsafe captures ---------------------------------------------
 
@@ -251,93 +354,6 @@ class TestREP202:
             return MapSpec(fh)  # reprolint: disable=REP202 -- serial-only harness
         """
         assert lint(src, select=("REP202",)) == []
-
-
-# -- REP203: blocking calls in coordinator scope ------------------------------
-
-
-class TestREP203:
-    def test_direct_sleep_in_coordinator_flagged(self):
-        src = """
-        import time
-
-        def poll(engine):
-            time.sleep(0.5)
-            return engine
-        """
-        findings = lint(src, select=("REP203",))
-        assert rules_of(findings) == ["REP203"]
-        assert "time.sleep" in findings[0].message
-        assert "coordinator-scope" in findings[0].message
-
-    def test_transitive_block_reported_with_chain(self):
-        src = """
-        from repro.workloads.backoff import settle
-
-        def drain(engine):
-            settle()
-            return engine
-        """
-        helper = textwrap.dedent(
-            """
-            import time
-
-            def settle():
-                time.sleep(1)
-            """
-        )
-        # repro/workloads/ is outside the coordinator scope, so the
-        # helper has no finding of its own; the caller gets the chain.
-        findings = lint(
-            src,
-            modules={"repro/workloads/backoff.py": helper},
-            select=("REP203",),
-        )
-        assert rules_of(findings) == ["REP203"]
-        assert "transitively" in findings[0].message
-        assert "settle" in findings[0].message
-
-    def test_kernel_scope_sleep_is_clean(self):
-        src = """
-        import time
-
-        class MapSpec:
-            pass
-
-        def throttled_kernel(ctx, spec):
-            time.sleep(0.01)
-            return spec
-
-        register_kernel("throttled", throttled_kernel)
-        """
-        assert lint(
-            src, modpath=KERNEL_MOD, kernel_src=src, select=("REP203",)
-        ) == []
-
-    def test_transitive_not_duplicated_at_coordinator_callers(self):
-        src = """
-        import time
-
-        def nap():
-            time.sleep(1)
-
-        def outer():
-            nap()
-        """
-        findings = lint(src, select=("REP203",))
-        # One finding at nap()'s own sleep; outer is not re-reported.
-        assert rules_of(findings) == ["REP203"]
-        assert "nap" in findings[0].message
-
-    def test_suppression(self):
-        src = """
-        import time
-
-        def poll(engine):
-            time.sleep(0.5)  # reprolint: disable=REP203 -- bounded startup wait
-            return engine
-        """
-        assert lint(src, select=("REP203",)) == []
 
 
 # -- REP204: commit-then-emit ordering ----------------------------------------
@@ -500,91 +516,3 @@ class TestREP205:
                 fh.close()
         """
         assert lint(src, select=("REP205",)) == []
-
-
-# -- REP206: lock-order consistency -------------------------------------------
-
-
-class TestREP206:
-    def test_opposite_nesting_order_flagged(self):
-        src = """
-        import threading
-
-        A = threading.Lock()
-        B = threading.Lock()
-
-        def one():
-            with A:
-                with B:
-                    pass
-
-        def two():
-            with B:
-                with A:
-                    pass
-        """
-        findings = lint(src, select=("REP206",))
-        assert rules_of(findings) == ["REP206", "REP206"]
-        assert "lock-order cycle" in findings[0].message
-
-    def test_cycle_through_a_call_under_lock(self):
-        src = """
-        import threading
-
-        A = threading.Lock()
-        B = threading.Lock()
-
-        def one():
-            with A:
-                grab_b()
-
-        def grab_b():
-            with B:
-                pass
-
-        def two():
-            with B:
-                with A:
-                    pass
-        """
-        findings = lint(src, select=("REP206",))
-        assert findings, "interprocedural cycle must be detected"
-        assert all(f.rule == "REP206" for f in findings)
-
-    def test_consistent_order_is_clean(self):
-        src = """
-        import threading
-
-        A = threading.Lock()
-        B = threading.Lock()
-
-        def one():
-            with A:
-                with B:
-                    pass
-
-        def two():
-            with A:
-                with B:
-                    pass
-        """
-        assert lint(src, select=("REP206",)) == []
-
-    def test_suppression_on_one_site_breaks_the_cycle(self):
-        src = """
-        import threading
-
-        A = threading.Lock()
-        B = threading.Lock()
-
-        def one():
-            with A:
-                with B:
-                    pass
-
-        def two():
-            with B:
-                with A:  # reprolint: disable=REP206 -- shutdown path, workers quiesced
-                    pass
-        """
-        assert lint(src, select=("REP206",)) == []

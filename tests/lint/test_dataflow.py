@@ -1,4 +1,4 @@
-"""The interprocedural layer: summaries, splicing, fixpoint, REP101..REP105.
+"""The interprocedural layer: summaries, splicing, fixpoint, REP101..REP104.
 
 Every REP10x rule is demonstrated with at least one true positive the
 per-file rules cannot catch (multi-hop flows) and at least one
@@ -6,7 +6,7 @@ false-positive guard (seeded RNG, ``sorted(...)``, context managers,
 ownership transfer).  Fixture programs are injected hermetically via
 ``LintConfig.program_modules_override`` so no test depends on the real
 tree's contents.  ``TestREP103``'s fixtures assert REP205, the rule
-REP103 was retired into.
+REP103 was retired into, and ``TestREP105``'s assert REP201.
 """
 
 import subprocess
@@ -620,7 +620,7 @@ class TestREP104:
         assert findings == []
 
 
-# -- REP105: kernel state escape ----------------------------------------------
+# -- REP105 -> REP201: kernel state escape -------------------------------------
 
 _STATEFUL_HELPER = """
 _SEEN = []
@@ -639,13 +639,23 @@ def lookup(name):
 
 
 class TestREP105:
+    """REP105's fixtures, asserted on the rule it was folded into: the
+    kernel -> helper -> state programs are unchanged, and the one REP201
+    finding sits at the write/read in the helper module, not at the
+    kernel — so each fixture program is linted module by module."""
+
     def kernel(self, body, modules):
-        return lint(
-            body,
-            modpath=KERNEL_MOD,
-            modules=modules,
-            kernel_source_override="def k(context, spec): ...",
-        )
+        program = {KERNEL_MOD: textwrap.dedent(body), **modules}
+        return [
+            (modpath, finding)
+            for modpath, source in program.items()
+            for finding in lint(
+                source,
+                modpath=modpath,
+                modules=program,
+                kernel_source_override=program[KERNEL_MOD],
+            )
+        ]
 
     def test_transitive_global_write_flagged(self):
         findings = self.kernel(
@@ -659,9 +669,10 @@ class TestREP105:
             """,
             {"repro/core/stateful.py": textwrap.dedent(_STATEFUL_HELPER)},
         )
-        assert rules_of(findings) == ["REP105"]
-        assert "_SEEN" in findings[0].message
-        assert "bump" in findings[0].message  # witness chain
+        [(where, finding)] = findings
+        assert (where, finding.rule) == ("repro/core/stateful.py", "REP201")
+        assert "_SEEN" in finding.message
+        assert "my_kernel (repro/exec/kernels.py) -> bump" in finding.message
 
     def test_transitive_singleton_read_flagged(self):
         findings = self.kernel(
@@ -675,8 +686,9 @@ class TestREP105:
             """,
             {"repro/core/registry.py": textwrap.dedent(_SINGLETON_HELPER)},
         )
-        assert rules_of(findings) == ["REP105"]
-        assert "_KERNELS" in findings[0].message
+        [(where, finding)] = findings
+        assert (where, finding.rule) == ("repro/core/registry.py", "REP201")
+        assert "_KERNELS" in finding.message
 
     def test_pure_helper_clean(self):
         findings = self.kernel(

@@ -8,8 +8,6 @@ a reader assembles from three test modules.  A rule added without a row
 here fails :func:`test_every_rule_must_fire`.
 """
 
-import textwrap
-
 import pytest
 
 from repro.lint import ALL_RULES, LintConfig, lint_source
@@ -47,16 +45,6 @@ def hot_module(source, rule):
 
 def flow(source, rule):
     return flow_layer.lint(source, select=(rule,))
-
-
-def kernel_over_stateful_helper(source, rule):
-    return flow_layer.lint(
-        source,
-        select=(rule,),
-        modpath=KERNEL_MOD,
-        modules={"repro/core/stateful.py": textwrap.dedent(flow_layer._STATEFUL_HELPER)},
-        kernel_source_override="def k(context, spec): ...",
-    )
 
 
 def cfg(source, rule):
@@ -111,15 +99,6 @@ MUST_FIRE = {
         "def run(tracer, shard):\n    with tracer.span(f'shard-{shard}'):\n        pass\n",
         "def run(tracer):\n    part = 're'\n    with tracer.span(part + 'duce'):\n        pass\n",
     ),
-    "REP105": (
-        kernel_over_stateful_helper,
-        "import repro.core.stateful as st\n\n"
-        "def my_kernel(context, spec):\n    return st.bump(spec)\n\n"
-        "register_kernel('k', my_kernel)\n",
-        "from repro.core import helper\n\n"
-        "def my_kernel(context, spec):\n    return helper.pure(spec)\n\n"
-        "register_kernel('k', my_kernel)\n",
-    ),
     "REP201": (
         cfg_as_kernel_module,
         "TOTAL = 0\n\nclass MapSpec:\n    pass\n\n"
@@ -136,11 +115,6 @@ MUST_FIRE = {
         "from repro.exec.kernels import MapSpec\n\n"
         "def build(path):\n    return MapSpec(path)\n",
     ),
-    "REP203": (
-        cfg,
-        "import time\n\ndef poll(engine):\n    time.sleep(0.5)\n    return engine\n",
-        "def poll(engine):\n    return engine\n",
-    ),
     "REP204": (
         cfg,
         "def flush(journal, hdfs, job, block):\n"
@@ -156,15 +130,6 @@ MUST_FIRE = {
         "    try:\n        return header\n    finally:\n        fh.close()\n",
         "def load(path, parse):\n    fh = open(path)\n"
         "    try:\n        return parse(fh.readline())\n    finally:\n        fh.close()\n",
-    ),
-    "REP206": (
-        cfg,
-        "import threading\n\nA = threading.Lock()\nB = threading.Lock()\n\n"
-        "def one():\n    with A:\n        with B:\n            pass\n\n"
-        "def two():\n    with B:\n        with A:\n            pass\n",
-        "import threading\n\nA = threading.Lock()\nB = threading.Lock()\n\n"
-        "def one():\n    with A:\n        with B:\n            pass\n\n"
-        "def two():\n    with A:\n        with B:\n            pass\n",
     ),
 }
 

@@ -7,6 +7,7 @@ makes the full-tree pass fail with exactly one finding, which is what
 would break the CI ``lint`` job.
 """
 
+import ast
 import json
 import shutil
 import subprocess
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, lint_paths, lint_source
+from repro.lint import ALL_RULES, LintConfig, LintModule, lint_paths, lint_source
+from repro.lint.cfg.context import COORDINATOR_SCOPES
+from repro.lint.core import attr_root, iter_py_files
 from repro.lint.dataflow import clear_program_memo
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -96,6 +99,19 @@ SEEDS = {
         },
         ("REP205", "src/repro/core/hybrid_hash.py"),
     ),
+    "kernel -> helper in another module -> module-global write": (
+        {
+            "src/repro/analysis/seeded_state.py": (
+                "_SEEN = []\n\n\ndef note(x):\n    _SEEN.append(x)\n    return x\n"
+            ),
+            "src/repro/exec/kernels.py": lambda s: seed_kernel(
+                "from repro.analysis import seeded_state\n" + s,
+                "seeded_state.note(spec)",
+            ),
+        },
+        # At the write, with the chain — and nothing at the kernel.
+        ("REP201", "src/repro/analysis/seeded_state.py"),
+    ),
     "f-string span name": (
         {
             "src/repro/mapreduce/driver.py": (
@@ -144,6 +160,61 @@ def test_seeded_violation_fails_the_full_tree_pass_once(tree_copy, seed):
     assert [(f.rule, f.path) for f in findings] == [expected], findings
 
 
+def test_every_rule_has_a_subject_in_this_tree(capsys, monkeypatch):
+    """The audit snippet committed in docs/STATIC_ANALYSIS.md prints the
+    table committed above it: a row per rule, a non-zero subject for each."""
+    doc = (ROOT / "docs/STATIC_ANALYSIS.md").read_text()
+    audit = doc.split("<!-- reprolint: rule-audit -->")[1]
+    snippet = audit.split("```python\n")[1].split("```")[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(snippet, "docs/STATIC_ANALYSIS.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    committed = audit.split("<!-- /reprolint -->")[0].strip().splitlines()[2:]
+    assert printed == committed, "paste the snippet's output between the rule-audit markers"
+    rows = [line.split(" | ") for line in printed]
+    assert [row[0].lstrip("| ") for row in rows] == [rule.id for rule in ALL_RULES]
+    assert all(int(row[2]) > 0 for row in rows), rows
+
+
+#: What REP203 (blocking calls) and REP206 (lock order) policed; both were
+#: retired because coordinator-scope code contains none of it.
+RETIRED_SUBJECTS = (
+    "threading.Lock", "threading.RLock", "threading.Thread", "threading.Event",
+    "multiprocessing.Process", "time.sleep", "subprocess.", "os.system", "os.wait",
+    "queue.", "socket.", "select.",
+)
+
+
+def retired_rule_subjects(root):
+    """Every lock, queue, socket, ``select`` or ``time.sleep`` call in a
+    coordinator-scope (``exec/`` included) module, through an import."""
+    hits = []
+    for path in iter_py_files([Path(root) / "src/repro"]):
+        module = LintModule(path.read_text(), path=str(path))
+        if module.modpath.startswith(COORDINATOR_SCOPES):
+            hits += [
+                (module.modpath, dotted)
+                for call in module.nodes(ast.Call)
+                if (dotted := module.dotted(call.func) or "").startswith(RETIRED_SUBJECTS)
+                and attr_root(call.func).id in module.aliases
+            ]
+    return hits
+
+
+def test_retired_rules_still_have_nothing_to_check(tree_copy):
+    assert not retired_rule_subjects(ROOT), (
+        "coordinator-scope code now blocks or locks: restore REP203/REP206 and their "
+        "facts from commit 41a1615 (lint/cfg/{rules,context}.py, dataflow/summary.py)"
+    )
+    driver = tree_copy / "src/repro/mapreduce/driver.py"
+    original = driver.read_text()
+    try:
+        driver.write_text(original + "\nimport threading\n\n_GUARD = threading.Lock()\n")
+        assert retired_rule_subjects(tree_copy) == [("repro/mapreduce/driver.py", "threading.Lock")]
+    finally:
+        driver.write_text(original)
+
+
 def test_cli_exit_codes_and_json(tmp_path):
     env_src = str(SRC)
     clean = subprocess.run(
@@ -181,7 +252,10 @@ def test_list_rules_names_all_layers():
     assert out.returncode == 0
     for rule_id in (
         "REP002", "REP004", "REP005", "REP006", "REP007",
-        "REP101", "REP102", "REP104", "REP105",
-        "REP201", "REP202", "REP203", "REP204", "REP205", "REP206",
+        "REP101", "REP102", "REP104",
+        "REP201", "REP202", "REP204", "REP205",
     ):
         assert rule_id in out.stdout
+    assert len(out.stdout.splitlines()) == 12
+    for retired in ("REP105", "REP203", "REP206"):
+        assert retired not in out.stdout
