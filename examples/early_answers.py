@@ -1,25 +1,19 @@
 #!/usr/bin/env python3
-"""Online aggregation and incremental answers — the "one-pass" in the title.
+"""Early answers from incremental state — the "one-pass" in the title.
 
-Three progressively stronger forms of early answers over one click stream:
+The paper's two early-answer mechanisms over one click stream:
 
-1. **Online estimates with confidence intervals** — after seeing a random
-   x% of the data, estimate each page's total visits with a CLT interval
-   (the classic online-aggregation interface).
-2. **Incremental threshold query** — "return all the groups where the
+1. **Incremental threshold query** — "return all the groups where the
    count of items exceeds a threshold": the one-pass engine emits each
    group at the exact moment its count crosses, mid-scan.
-3. **Hot-key approximate results** — with memory for only a fraction of
+2. **Hot-key approximate results** — with memory for only a fraction of
    the user states, the frequent-key cache still reports every hot user's
    (lower-bound) count the instant the input ends, before any spill replay.
 
-Run:  python examples/online_aggregation.py
+Run:  python examples/early_answers.py
 """
 
-import numpy as np
-
 from repro.core import (
-    GroupedOnlineAggregator,
     OnePassConfig,
     OnePassEngine,
     count_threshold_policy,
@@ -35,33 +29,9 @@ from repro.workloads import (
 )
 
 
-def part1_online_estimates(clicks) -> None:
+def part1_incremental_threshold(clicks) -> None:
     print("=" * 72)
-    print("1. online aggregation: page-visit estimates from a 10% sample")
-    print("=" * 72)
-    truth = reference_page_counts(clicks)
-    rng = np.random.default_rng(7)
-    order = rng.permutation(len(clicks))
-
-    agg = GroupedOnlineAggregator(population=len(clicks), confidence=0.95)
-    for idx in order[: len(clicks) // 10]:
-        agg.observe(clicks[idx][2])
-
-    print(f"seen {agg.n_seen} of {len(clicks)} clicks; top pages so far:\n")
-    covered = 0
-    for url, est in agg.top_groups(5):
-        hit = est.contains(truth[url])
-        covered += hit
-        print(
-            f"  {url}: {est.value:8.0f} ± {est.half_width:6.0f} "
-            f"(true {truth[url]}) {'✓' if hit else '✗'}"
-        )
-    print(f"\n{covered}/5 intervals cover the truth at 95% confidence\n")
-
-
-def part2_incremental_threshold(clicks) -> None:
-    print("=" * 72)
-    print("2. incremental threshold query: pages crossing 100 visits")
+    print("1. incremental threshold query: pages crossing 100 visits")
     print("=" * 72)
     cluster = LocalCluster(num_nodes=3, block_size=256 * 1024)
     cluster.hdfs.write_records("clicks", clicks)
@@ -86,9 +56,9 @@ def part2_incremental_threshold(clicks) -> None:
     print()
 
 
-def part3_hot_key_answers(clicks) -> None:
+def part2_hot_key_answers(clicks) -> None:
     print("=" * 72)
-    print("3. hot-key cache: approximate per-user counts under tight memory")
+    print("2. hot-key cache: approximate per-user counts under tight memory")
     print("=" * 72)
     cluster = LocalCluster(num_nodes=3, block_size=256 * 1024)
     cluster.hdfs.write_records("clicks", cluster_clicks := clicks)
@@ -124,9 +94,8 @@ def main() -> None:
             )
         )
     )
-    part1_online_estimates(clicks)
-    part2_incremental_threshold(clicks)
-    part3_hot_key_answers(clicks)
+    part1_incremental_threshold(clicks)
+    part2_hot_key_answers(clicks)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ experiments:
 * :mod:`repro.mapreduce` — stock-Hadoop sort-merge baseline and the
   MapReduce Online (HOP) pipelined variant;
 * :mod:`repro.core` — the paper's hash-based one-pass analytics engine
-  (hybrid hash, incremental hash, hot-key cache, online aggregation);
+  (hybrid hash, incremental hash with early emission, hot-key cache);
 * :mod:`repro.hdfs`, :mod:`repro.io` — block storage and accounted disks;
 * :mod:`repro.simulator` — event-driven cluster model reproducing the
   paper's timelines and utilisation figures at 256 GB scale;

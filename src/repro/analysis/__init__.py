@@ -1,45 +1,1 @@
-"""Analysis and reporting: tables, series shapes, engine comparisons."""
-
-from repro.analysis.export import run_to_json, series_csv, timeline_csv, write_run_bundle
-from repro.analysis.compare import (
-    CpuSplit,
-    EngineComparison,
-    attributed_cpu,
-    compare_results,
-    cpu_split,
-    ratio,
-)
-from repro.analysis.report import ExperimentReport, Observation, recovery_summary
-from repro.analysis.series import (
-    find_valley,
-    peak_time,
-    sparkline,
-    valley_depth,
-    window_mean,
-)
-from repro.analysis.tables import format_kv, format_table, human_bytes, human_time
-
-__all__ = [
-    "format_table",
-    "format_kv",
-    "human_bytes",
-    "human_time",
-    "sparkline",
-    "window_mean",
-    "find_valley",
-    "valley_depth",
-    "peak_time",
-    "CpuSplit",
-    "cpu_split",
-    "EngineComparison",
-    "compare_results",
-    "attributed_cpu",
-    "ratio",
-    "ExperimentReport",
-    "Observation",
-    "recovery_summary",
-    "series_csv",
-    "timeline_csv",
-    "run_to_json",
-    "write_run_bundle",
-]
+"""Analysis and reporting: tables, series shapes, CPU split, figure export."""

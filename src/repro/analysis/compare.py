@@ -1,13 +1,12 @@
-"""Engine-to-engine comparison helpers for the §V and Table II claims."""
+"""Map-phase CPU attribution for the Table II claim."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.runtime import JobResult
 
-__all__ = ["CpuSplit", "cpu_split", "EngineComparison", "compare_results", "ratio"]
+__all__ = ["CpuSplit", "cpu_split"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,68 +38,3 @@ def cpu_split(counters: Counters, *, include_parse: bool = True) -> CpuSplit:
     """
     map_fn = counters[C.T_MAP_FN] + (counters[C.T_PARSE] if include_parse else 0.0)
     return CpuSplit(map_fn_seconds=map_fn, sort_seconds=counters[C.T_SORT])
-
-
-def ratio(new: float, baseline: float) -> float:
-    """``new / baseline`` with a defined value for a zero baseline."""
-    if baseline == 0:
-        return float("inf") if new > 0 else 1.0
-    return new / baseline
-
-
-@dataclass(frozen=True, slots=True)
-class EngineComparison:
-    """Headline §V metrics: hash engine vs the sort-merge baseline."""
-
-    baseline: str
-    candidate: str
-    cpu_saving: float          # fraction of attributed CPU seconds saved
-    time_saving: float         # fraction of wall time saved
-    spill_reduction: float     # baseline reduce-spill bytes / candidate's
-
-    def describe(self) -> str:
-        spill = (
-            f"{self.spill_reduction:,.0f}x"
-            if self.spill_reduction != float("inf")
-            else "eliminated entirely"
-        )
-        return (
-            f"{self.candidate} vs {self.baseline}: "
-            f"{self.cpu_saving:.0%} CPU saved, "
-            f"{self.time_saving:.0%} running time saved, "
-            f"reduce-phase spill I/O reduced {spill}"
-        )
-
-
-_CPU_COUNTERS = (
-    C.T_MAP_FN,
-    C.T_PARSE,
-    C.T_SORT,
-    C.T_COMBINE,
-    C.T_MERGE,
-    C.T_REDUCE_FN,
-    C.T_HASH,
-)
-
-
-def attributed_cpu(counters: Counters) -> float:
-    """Total CPU seconds attributed to framework + user functions."""
-    return sum(counters[name] for name in _CPU_COUNTERS)
-
-
-def compare_results(baseline: JobResult, candidate: JobResult) -> EngineComparison:
-    """Compute the §V comparison between two runs of the same workload."""
-    base_cpu = attributed_cpu(baseline.counters)
-    cand_cpu = attributed_cpu(candidate.counters)
-    base_spill = baseline.counters[C.REDUCE_SPILL_BYTES] + baseline.counters[C.MERGE_WRITE_BYTES]
-    cand_spill = candidate.counters[C.REDUCE_SPILL_BYTES]
-    return EngineComparison(
-        baseline=baseline.engine,
-        candidate=candidate.engine,
-        cpu_saving=1.0 - ratio(cand_cpu, base_cpu),
-        time_saving=1.0 - ratio(candidate.wall_time, baseline.wall_time),
-        spill_reduction=(
-            float("inf") if cand_spill == 0 and base_spill > 0
-            else ratio(base_spill, cand_spill) if cand_spill else 1.0
-        ),
-    )

@@ -1,17 +1,23 @@
-"""Time-series inspection: sparklines and shape assertions.
+"""Time-series binning and inspection: overlap binner, sparklines, shape assertions.
 
 The paper's figures are time-series plots; a terminal harness cannot show
 them, so the benchmarks render unicode sparklines and — more importantly —
 *assert their shapes*: the helpers here locate the merge valley, measure
 phase-average utilisation, and find spikes, turning "looks like Fig. 2(b)"
-into checkable predicates.
+into checkable predicates.  :func:`bin_overlap` is the one interval
+binner behind every series: engine spans on the logical clock
+(:mod:`repro.obs.series`) and simulated service intervals and task spans
+(:mod:`repro.simulator.metrics`, :mod:`repro.simulator.timeline`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
+    "bucket_edges",
+    "bin_overlap",
     "sparkline",
     "window_mean",
     "find_valley",
@@ -20,6 +26,42 @@ __all__ = [
 ]
 
 _BARS = "▁▂▃▄▅▆▇█"
+
+
+def bucket_edges(horizon: float, bucket: float) -> np.ndarray:
+    """Edges of the fixed-width buckets covering ``[0, horizon)`` (at least one)."""
+    return np.arange(max(1, int(np.ceil(horizon / bucket))) + 1) * bucket
+
+
+def bin_overlap(
+    edges: np.ndarray,
+    start: ArrayLike,
+    end: ArrayLike,
+    weight: ArrayLike = 1.0,
+) -> np.ndarray:
+    """Per-bin total of ``weight`` x the length of each ``[start, end)`` inside the bin.
+
+    ``start``, ``end`` and ``weight`` hold one entry per interval (scalars
+    broadcast); bin ``i`` is ``[edges[i], edges[i+1])`` and whatever lies
+    outside ``[edges[0], edges[-1])`` is dropped.  Only the bins an interval
+    touches are visited, and each bin accumulates its intervals in input
+    order, so the totals equal a per-interval loop's to the last bit.
+    """
+    edges = np.asarray(edges, dtype=float)
+    start, end, weight = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(start, dtype=float)), end, weight
+    )
+    nbins = len(edges) - 1
+    first = np.maximum(np.searchsorted(edges, start, side="right") - 1, 0)
+    last = np.minimum(np.searchsorted(edges, end, side="left"), nbins) - 1
+    touched = np.maximum(last - first + 1, 0)
+    # One row per (interval, touched bin), interval-major.
+    owner = np.repeat(np.arange(len(touched)), touched)
+    bins = first[owner] + np.arange(len(owner)) - (np.cumsum(touched) - touched)[owner]
+    length = np.minimum(end[owner], edges[bins + 1]) - np.maximum(start[owner], edges[bins])
+    totals = np.zeros(nbins)
+    np.add.at(totals, bins, np.maximum(length, 0.0) * weight[owner])
+    return totals
 
 
 def sparkline(values: np.ndarray | list[float], *, width: int = 72) -> str:

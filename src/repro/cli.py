@@ -41,57 +41,9 @@ from typing import Any, Sequence
 
 from repro.analysis.series import sparkline
 from repro.analysis.tables import format_table, human_bytes, human_time
+from repro.workloads import WORKLOADS, paper_jobs
 
-WORKLOADS = ("sessionization", "page-frequency", "per-user-count", "inverted-index")
 ENGINES = ("hadoop", "hop", "onepass")
-
-
-def _click_records(n: int):
-    from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
-
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=n, num_users=max(10, n // 20), num_urls=max(10, n // 50))
-        )
-    )
-
-
-def _document_records(n: int):
-    from repro.workloads.documents import DocumentConfig, generate_documents
-
-    return list(
-        generate_documents(
-            DocumentConfig(num_docs=max(1, n // 60), vocab_size=5_000, markup_per_word=2.0)
-        )
-    )
-
-
-def _build_jobs(workload: str):
-    """Return (records_fn, sortmerge_job_fn, onepass_job_fn)."""
-    from repro.workloads import (
-        inverted_index_job,
-        inverted_index_onepass_job,
-        page_frequency_job,
-        page_frequency_onepass_job,
-        per_user_count_job,
-        per_user_count_onepass_job,
-        sessionization_job,
-        sessionization_onepass_job,
-    )
-
-    if workload == "sessionization":
-        return (
-            _click_records,
-            lambda i, o: sessionization_job(i, o, gap=5.0),
-            lambda i, o: sessionization_onepass_job(i, o, gap=5.0),
-        )
-    if workload == "page-frequency":
-        return _click_records, page_frequency_job, page_frequency_onepass_job
-    if workload == "per-user-count":
-        return _click_records, per_user_count_job, per_user_count_onepass_job
-    if workload == "inverted-index":
-        return _document_records, inverted_index_job, inverted_index_onepass_job
-    raise SystemExit(f"unknown workload {workload!r}")
 
 
 def _run_real(
@@ -107,7 +59,7 @@ def _run_real(
     from repro.mapreduce.hop import HOPEngine
     from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 
-    records_fn, sm_job, op_job = _build_jobs(workload)
+    records_fn, sm_job, op_job = paper_jobs(workload)
     cluster = LocalCluster(num_nodes=nodes, block_size=256 * 1024)
     cluster.hdfs.write_records("in", records_fn(records))
     if engine in ("hadoop", "hop"):
@@ -245,7 +197,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.mapreduce.runtime import HadoopEngine, LocalCluster
     from repro.testing import ChaosTarget, CrashpointInvariantError, run_crashpoint_sweep
 
-    records_fn, sm_job, op_job = _build_jobs(args.workload)
+    records_fn, sm_job, op_job = paper_jobs(args.workload)
     data = records_fn(args.records)
     job_fn = op_job if args.engine == "onepass" else sm_job
     engine_cls = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}[
@@ -380,7 +332,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     import time
 
-    records_fn, sm_job, op_job = _build_jobs(args.workload)
+    records_fn, sm_job, op_job = paper_jobs(args.workload)
     from repro.core.engine import OnePassEngine
     from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 

@@ -11,9 +11,7 @@ The package layers up exactly as §V's architecture figure does:
   :mod:`~repro.core.frequent` + :mod:`~repro.core.hotset` (hot keys in
   memory when states exceed memory);
 * the engine — :mod:`~repro.core.engine` wires them under the MapReduce
-  programming model with push-based shuffling;
-* online aggregation — :mod:`~repro.core.online_agg` for early
-  approximate answers with confidence intervals.
+  programming model with push-based shuffling.
 """
 
 from repro.core.aggregates import (
@@ -46,17 +44,7 @@ from repro.core.hash_tables import AccountedStateTable, HashFamily
 from repro.core.hotset import ApproximateResult, HotSetIncrementalHash
 from repro.core.hybrid_hash import HybridHashGrouper, SpilledState
 from repro.core.incremental import EmitPolicy, IncrementalHash, count_threshold_policy
-from repro.core.online_agg import (
-    Estimate,
-    GroupedOnlineAggregator,
-    OnlineCount,
-    OnlineMean,
-    OnlineSum,
-    z_for_confidence,
-)
 from repro.core.partitioner import MapSideHashCombiner, ScanPartitionBuffer
-from repro.core.queries import ThresholdQuery, TopKSelector, global_top_k
-from repro.core.streaming import StreamProcessor, TumblingWindowProcessor
 
 __all__ = [
     # aggregates
@@ -102,18 +90,4 @@ __all__ = [
     "OnePassJob",
     "OnePassReduceTask",
     "OnePassEngine",
-    # online aggregation
-    "Estimate",
-    "OnlineSum",
-    "OnlineCount",
-    "OnlineMean",
-    "GroupedOnlineAggregator",
-    "z_for_confidence",
-    # queries
-    "ThresholdQuery",
-    "TopKSelector",
-    "global_top_k",
-    # streaming
-    "StreamProcessor",
-    "TumblingWindowProcessor",
 ]

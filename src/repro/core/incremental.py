@@ -210,22 +210,6 @@ class IncrementalHash:
             self.early_emitted.append((key, state.result()))
             self.counters.inc(C.EARLY_EMITS)
 
-    # -- queries ---------------------------------------------------------------
-
-    def current(self, key: Any) -> Any | None:
-        """The key's running answer right now, or ``None`` if unseen/cold."""
-        state = self._table.get(key)
-        return None if state is None else state.result()
-
-    def snapshot_results(self) -> Iterator[tuple[Any, Any]]:
-        """Running answers for every *resident* key (non-destructive).
-
-        Unlike HOP's snapshots, this costs no re-merging and no extra I/O:
-        the states are already up to date — the paper's "fully incremental"
-        row in Table III.
-        """
-        return self._table.results()
-
     # -- checkpointing -----------------------------------------------------------
 
     def checkpoint_payload(self) -> bytes | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
+from repro.analysis.tables import format_table
 from repro.obs.tracer import Span
 
 __all__ = [
@@ -116,9 +117,6 @@ def render_delta_table(
     unit: str = "ticks",
 ) -> str:
     """Render ``delta_rows`` output as an aligned terminal table."""
-    # Lazy: repro.analysis pulls in the engines (circular through obs).
-    from repro.analysis.tables import format_table
-
     def fmt(v: float) -> str:
         return f"{v:g}"
 

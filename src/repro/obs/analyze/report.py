@@ -24,6 +24,7 @@ import json
 from html import escape
 from typing import Any, Mapping
 
+from repro.analysis.tables import format_kv, format_table
 from repro.obs.analyze.barriers import barrier_report
 from repro.obs.analyze.critical_path import critical_path
 from repro.obs.analyze.model import TraceModel, model_from_tracer
@@ -297,9 +298,6 @@ def _sections(report: Mapping[str, Any]) -> list[tuple[str, Any]]:
 
 def render_text(report: Mapping[str, Any]) -> str:
     """Terminal rendering: aligned tables, one section per analysis."""
-    # Lazy: repro.analysis pulls in the engines (circular through obs).
-    from repro.analysis.tables import format_kv, format_table
-
     head = "performance analysis"
     job = report.get("job") or report.get("engine")
     if job:

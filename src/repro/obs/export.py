@@ -15,6 +15,9 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Sequence
 
+from repro.analysis.series import sparkline
+from repro.obs.series import span_activity
+from repro.obs.timeline import phase_table, recovery_timeline
 from repro.obs.tracer import Span, TraceEvent
 
 __all__ = [
@@ -229,11 +232,6 @@ def summary_text(
     job_name: str = "",
 ) -> str:
     """Human-oriented phase table + activity sparklines + recovery timeline."""
-    from repro.obs.series import span_activity
-    from repro.obs.timeline import phase_table, recovery_timeline
-
-    from repro.analysis.series import sparkline
-
     lines: list[str] = []
     title = f"trace summary: {job_name}" if job_name else "trace summary"
     lines.append(phase_table(spans, title=title))

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.series import bin_overlap
 from repro.obs.tracer import Span
 
 __all__ = ["span_activity", "bytes_rate"]
@@ -50,11 +51,9 @@ def span_activity(
     """
     edges = _bin_edges(spans, bins)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    busy = np.zeros(bins)
     width = edges[1] - edges[0] if bins else 1.0
-    for s in _clip(spans, cat, node):
-        overlap = np.minimum(edges[1:], s.t1) - np.maximum(edges[:-1], s.t0)
-        busy += np.clip(overlap, 0.0, None)
+    kept = _clip(spans, cat, node)
+    busy = bin_overlap(edges, [s.t0 for s in kept], [s.t1 for s in kept])
     return centers, busy / max(width, 1e-12)
 
 
@@ -73,13 +72,12 @@ def bytes_rate(
     """
     edges = _bin_edges(spans, bins)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    rate = np.zeros(bins)
     width = edges[1] - edges[0] if bins else 1.0
-    for s in _clip(spans, cat, node):
-        nbytes = float(s.args.get(key, 0) or 0)
-        if nbytes <= 0:
-            continue
-        duration = max(s.t1 - s.t0, 1)
-        overlap = np.minimum(edges[1:], s.t1) - np.maximum(edges[:-1], s.t0)
-        rate += np.clip(overlap, 0.0, None) * (nbytes / duration)
+    kept = [s for s in _clip(spans, cat, node) if float(s.args.get(key, 0) or 0) > 0]
+    rate = bin_overlap(
+        edges,
+        [s.t0 for s in kept],
+        [s.t1 for s in kept],
+        [float(s.args[key]) / max(s.t1 - s.t0, 1) for s in kept],
+    )
     return centers, rate / max(width, 1e-12)

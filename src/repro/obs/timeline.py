@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
+from repro.analysis.tables import format_table
 from repro.obs.tracer import Span, TraceEvent
 
 __all__ = ["PHASE_ORDER", "phase_totals", "phase_table", "recovery_timeline"]
@@ -59,10 +60,6 @@ def _phase_rank(cat: str) -> tuple[int, str]:
 
 def phase_table(spans: Sequence[Span], *, title: str = "") -> str:
     """Render the per-phase breakdown as an aligned table."""
-    # Imported lazily: ``repro.analysis`` pulls in the engines, which are
-    # themselves traced — a module-level import would be circular.
-    from repro.analysis.tables import format_table
-
     totals = phase_totals(spans)
     grand_ticks = sum(row["ticks"] for row in totals.values()) or 1
     rows = []
@@ -87,8 +84,6 @@ def recovery_timeline(events: Sequence[TraceEvent], *, title: str = "recovery ti
 
     Returns ``""`` when the run had no recovery events (clean run).
     """
-    from repro.analysis.tables import format_table
-
     rows = []
     for event in sorted(
         (e for e in events if e.cat == "recovery"), key=lambda e: e.ts

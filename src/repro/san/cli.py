@@ -156,7 +156,8 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def add_sanitize_parser(sub: argparse._SubParsersAction) -> None:
-    from repro.cli import ENGINES, WORKLOADS
+    from repro.cli import ENGINES
+    from repro.workloads import WORKLOADS
 
     p = sub.add_parser(
         "sanitize",

@@ -296,13 +296,13 @@ def _leg_digest(workload: str, engine: str, executor: str, records: int, nodes: 
     """Run one leg and return the canonical output digest."""
     import hashlib
 
-    from repro.cli import _build_jobs
     from repro.core.engine import OnePassEngine
     from repro.mapreduce.hop import HOPEngine
     from repro.mapreduce.runtime import HadoopEngine, LocalCluster
     from repro.obs.tracer import Tracer
+    from repro.workloads import paper_jobs
 
-    records_fn, sm_job, op_job = _build_jobs(workload)
+    records_fn, sm_job, op_job = paper_jobs(workload)
     cluster = LocalCluster(num_nodes=nodes, block_size=256 * 1024)
     cluster.hdfs.write_records("in", records_fn(records))
     # A real tracer on both legs: sanitized reports order on absorb

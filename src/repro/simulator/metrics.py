@@ -18,22 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.series import bin_overlap, bucket_edges
 from repro.simulator.resources import Interval, ServiceBank
 
 __all__ = ["SeriesBundle", "bin_busy_fraction", "bin_bytes", "node_metrics", "MetricSampler"]
-
-
-def _overlap_into(
-    arr: np.ndarray, start: float, end: float, bucket: float, weight: float
-) -> None:
-    n = len(arr)
-    first = int(start // bucket)
-    last = min(int(end // bucket), n - 1)
-    for b in range(max(first, 0), last + 1):
-        lo = max(start, b * bucket)
-        hi = min(end, (b + 1) * bucket)
-        if hi > lo:
-            arr[b] += (hi - lo) * weight
 
 
 def bin_busy_fraction(
@@ -42,23 +30,23 @@ def bin_busy_fraction(
     """Per-bucket busy fraction of a bank of ``servers`` servers."""
     if bucket <= 0 or horizon <= 0:
         raise ValueError("bucket and horizon must be positive")
-    n = max(1, int(np.ceil(horizon / bucket)))
-    busy = np.zeros(n)
-    for iv in intervals:
-        _overlap_into(busy, iv.start, iv.end, bucket, 1.0)
+    busy = bin_overlap(
+        bucket_edges(horizon, bucket),
+        [iv.start for iv in intervals],
+        [iv.end for iv in intervals],
+    )
     return np.clip(busy / (bucket * servers), 0.0, 1.0)
 
 
 def bin_bytes(intervals: list[Interval], horizon: float, bucket: float) -> np.ndarray:
     """Per-bucket bytes transferred (spread uniformly over each service)."""
-    n = max(1, int(np.ceil(horizon / bucket)))
-    out = np.zeros(n)
-    for iv in intervals:
-        duration = iv.end - iv.start
-        if duration <= 0 or iv.nbytes == 0:
-            continue
-        _overlap_into(out, iv.start, iv.end, bucket, iv.nbytes / duration)
-    return out
+    moved = [iv for iv in intervals if iv.end > iv.start and iv.nbytes != 0]
+    return bin_overlap(
+        bucket_edges(horizon, bucket),
+        [iv.start for iv in moved],
+        [iv.end for iv in moved],
+        [iv.nbytes / (iv.end - iv.start) for iv in moved],
+    )
 
 
 @dataclass(slots=True)
@@ -88,7 +76,7 @@ def node_metrics(
     bucket: float,
 ) -> SeriesBundle:
     """Series for one node."""
-    times = np.arange(max(1, int(np.ceil(horizon / bucket)))) * bucket
+    times = bucket_edges(horizon, bucket)[:-1]
     cpu_util = bin_busy_fraction(cpu.intervals, horizon, bucket, cpu.servers)
     disk_busy = np.zeros_like(cpu_util)
     reads = np.zeros_like(cpu_util)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.series import bin_overlap, bucket_edges
+
 __all__ = ["TaskSpan", "TaskLog", "PHASES"]
 
 PHASES = ("map", "shuffle", "merge", "reduce")
@@ -74,19 +76,10 @@ class TaskLog:
         """
         if bucket <= 0:
             raise ValueError("bucket must be positive")
-        end = self.makespan()
-        n = max(1, int(np.ceil(end / bucket)))
-        times = np.arange(n) * bucket
-        series = {p: np.zeros(n) for p in phases}
-        for span in self.spans:
-            if span.phase not in series:
-                continue
-            arr = series[span.phase]
-            first = int(span.start // bucket)
-            last = min(int(span.end // bucket), n - 1)
-            for b in range(first, last + 1):
-                lo = max(span.start, b * bucket)
-                hi = min(span.end, (b + 1) * bucket)
-                if hi > lo:
-                    arr[b] += (hi - lo) / bucket
-        return times, series
+        edges = bucket_edges(self.makespan(), bucket)
+        series = {}
+        for phase in phases:
+            spans = self.phase_spans(phase)
+            running = bin_overlap(edges, [s.start for s in spans], [s.end for s in spans])
+            series[phase] = running / bucket
+        return edges[:-1], series

@@ -4,8 +4,11 @@ Click-stream analysis (sessionization, page frequency, per-user count)
 and web-document analysis (inverted index), each available in sort-merge
 (:class:`~repro.mapreduce.api.MapReduceJob`) and one-pass
 (:class:`~repro.core.engine.OnePassJob`) form, plus reference
-implementations for correctness checks.
+implementations for correctness checks.  :func:`paper_jobs` is the one
+registry of the four by name, shared by the CLI and the sanitizer matrix.
 """
+
+from typing import Any, Callable
 
 from repro.workloads.clickstream import (
     ClickStreamConfig,
@@ -53,32 +56,53 @@ from repro.workloads.sessionization import (
     sessionization_job,
     sessionization_onepass_job,
 )
-from repro.workloads.graph import (
-    GraphConfig,
-    adjacency_onepass_job,
-    count_triangles,
-    degree_count_job,
-    degree_count_onepass_job,
-    generate_edges,
-    reference_degrees,
-    reference_triangles,
-)
-from repro.workloads.twitter import (
-    TweetConfig,
-    generate_tweets,
-    hashtag_cooccurrence_job,
-    hashtag_cooccurrence_onepass_job,
-    hashtag_count_job,
-    hashtag_count_onepass_job,
-    hashtag_of,
-    reference_cooccurrence,
-    reference_hashtag_counts,
-    reference_user_top_hashtags,
-    user_top_hashtags_onepass_job,
-)
 from repro.workloads.zipf import ZipfSampler, zipf_pmf
 
+WORKLOADS = ("sessionization", "page-frequency", "per-user-count", "inverted-index")
+
+
+def _click_records(n: int) -> list:
+    return list(
+        generate_clicks(
+            ClickStreamConfig(num_clicks=n, num_users=max(10, n // 20), num_urls=max(10, n // 50))
+        )
+    )
+
+
+def _document_records(n: int) -> list:
+    return list(
+        generate_documents(
+            DocumentConfig(num_docs=max(1, n // 60), vocab_size=5_000, markup_per_word=2.0)
+        )
+    )
+
+
+def paper_jobs(
+    workload: str,
+) -> tuple[Callable[[int], list], Callable[..., Any], Callable[..., Any]]:
+    """``(records_fn, sortmerge_job_fn, onepass_job_fn)`` for a name in :data:`WORKLOADS`.
+
+    ``records_fn(n)`` generates an input of about ``n`` records; each job
+    function takes ``(input_path, output_path)``.
+    """
+    if workload == "sessionization":
+        return (
+            _click_records,
+            lambda i, o: sessionization_job(i, o, gap=5.0),
+            lambda i, o: sessionization_onepass_job(i, o, gap=5.0),
+        )
+    if workload == "page-frequency":
+        return _click_records, page_frequency_job, page_frequency_onepass_job
+    if workload == "per-user-count":
+        return _click_records, per_user_count_job, per_user_count_onepass_job
+    if workload == "inverted-index":
+        return _document_records, inverted_index_job, inverted_index_onepass_job
+    raise ValueError(f"unknown workload {workload!r}")
+
+
 __all__ = [
+    "WORKLOADS",
+    "paper_jobs",
     "ZipfSampler",
     "zipf_pmf",
     "ClickStreamConfig",
@@ -113,23 +137,4 @@ __all__ = [
     "index_map",
     "index_reduce",
     "reference_index",
-    "TweetConfig",
-    "generate_tweets",
-    "hashtag_of",
-    "hashtag_count_job",
-    "hashtag_count_onepass_job",
-    "user_top_hashtags_onepass_job",
-    "hashtag_cooccurrence_job",
-    "hashtag_cooccurrence_onepass_job",
-    "reference_hashtag_counts",
-    "reference_user_top_hashtags",
-    "reference_cooccurrence",
-    "GraphConfig",
-    "generate_edges",
-    "degree_count_job",
-    "degree_count_onepass_job",
-    "adjacency_onepass_job",
-    "count_triangles",
-    "reference_degrees",
-    "reference_triangles",
 ]

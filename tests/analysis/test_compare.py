@@ -1,29 +1,10 @@
-"""Engine comparison metrics and CPU-split extraction."""
+"""CPU-split extraction and experiment reports."""
 
 import pytest
 
-from repro.analysis.compare import (
-    attributed_cpu,
-    compare_results,
-    cpu_split,
-    ratio,
-)
+from repro.analysis.compare import cpu_split
 from repro.analysis.report import ExperimentReport
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.runtime import JobResult
-
-
-def result_with(engine, wall, **counter_values):
-    counters = Counters()
-    for name, value in counter_values.items():
-        counters.inc(getattr(C, name), value)
-    return JobResult(
-        job_name="j",
-        engine=engine,
-        output_path="out",
-        counters=counters,
-        wall_time=wall,
-    )
 
 
 class TestCpuSplit:
@@ -46,40 +27,6 @@ class TestCpuSplit:
     def test_empty_counters(self):
         split = cpu_split(Counters())
         assert split.map_fn_share == 0.0
-
-
-class TestRatio:
-    def test_normal(self):
-        assert ratio(2, 4) == 0.5
-
-    def test_zero_baseline(self):
-        assert ratio(0, 0) == 1.0
-        assert ratio(5, 0) == float("inf")
-
-
-class TestCompareResults:
-    def test_savings_computed(self):
-        base = result_with("hadoop", 10.0, T_MAP_FN=4, T_SORT=4, REDUCE_SPILL_BYTES=1000)
-        cand = result_with("onepass", 5.0, T_MAP_FN=4, T_HASH=0.5, REDUCE_SPILL_BYTES=1)
-        cmp = compare_results(base, cand)
-        assert cmp.time_saving == pytest.approx(0.5)
-        assert cmp.cpu_saving == pytest.approx(1 - 4.5 / 8)
-        assert cmp.spill_reduction == pytest.approx(1000.0)
-        assert "onepass vs hadoop" in cmp.describe()
-
-    def test_spill_elimination(self):
-        base = result_with("hadoop", 10.0, REDUCE_SPILL_BYTES=1000)
-        cand = result_with("onepass", 8.0)
-        cmp = compare_results(base, cand)
-        assert cmp.spill_reduction == float("inf")
-        assert "eliminated" in cmp.describe()
-
-    def test_attributed_cpu_sums_timers(self):
-        c = Counters()
-        c.inc(C.T_MAP_FN, 1)
-        c.inc(C.T_SORT, 2)
-        c.inc(C.T_REDUCE_FN, 3)
-        assert attributed_cpu(c) == 6
 
 
 class TestExperimentReport:

@@ -19,24 +19,6 @@ class TestInMemory:
             ih.update(key, 1)
         assert dict(ih.results()) == {"a": 3, "b": 3}
 
-    def test_current_is_queryable_anytime(self):
-        ih = IncrementalHash(SUM)
-        assert ih.current("a") is None
-        ih.update("a", 5)
-        assert ih.current("a") == 5
-        ih.update("a", 2)
-        assert ih.current("a") == 7
-
-    def test_snapshot_results_nondestructive(self):
-        ih = IncrementalHash(COUNT)
-        ih.update("a", 1)
-        snap1 = dict(ih.snapshot_results())
-        ih.update("a", 1)
-        snap2 = dict(ih.snapshot_results())
-        assert snap1 == {"a": 1}
-        assert snap2 == {"a": 2}
-        assert dict(ih.results()) == {"a": 2}
-
     def test_results_twice_raises(self):
         ih = IncrementalHash(COUNT)
         ih.update("a", 1)
@@ -53,7 +35,7 @@ class TestInMemory:
             partial.update(None)
         ih.merge_state("a", partial)
         ih.update("a", 1)
-        assert ih.current("a") == 6
+        assert dict(ih.results()) == {"a": 6}
 
 
 class TestEarlyEmission:
@@ -102,21 +84,16 @@ class TestOverflow:
 
     def test_resident_keys_stay_incremental_after_overflow(self):
         disk = LocalDisk()
-        ih = IncrementalHash(COUNT, memory_bytes=2048, disk=disk)
+        ih = IncrementalHash(
+            COUNT, memory_bytes=2048, disk=disk, emit_policy=count_threshold_policy(2)
+        )
         ih.update("first", 1)
         for i in range(2000):
             ih.update(f"filler{i}", 1)
         assert ih.overflowed
         ih.update("first", 1)
-        assert ih.current("first") == 2  # still live in memory
-
-    def test_cold_keys_not_queryable(self):
-        disk = LocalDisk()
-        ih = IncrementalHash(COUNT, memory_bytes=1024, disk=disk)
-        for i in range(2000):
-            ih.update(f"k{i}", 1)
-        assert ih.overflowed
-        assert ih.current("k1999") is None  # overflowed to disk
+        # Still live in memory: folded and emitted at the crossing update.
+        assert ih.early_emitted == [("first", 2)]
 
     @given(
         st.lists(st.tuples(st.integers(0, 25), st.integers(1, 3)), max_size=300),
@@ -160,7 +137,6 @@ def run_incremental(pairs, cuts, memory, policy):
         ih.used_bytes,
         ih.spilled_records,
         list(ih.early_emitted),
-        list(ih.snapshot_results()),
     )
     output = list(ih.results())
     counts = {k: v for k, v in counters.as_dict().items() if not k.startswith("time.")}

@@ -2,7 +2,6 @@
 
 from repro.core.engine import OnePassConfig, OnePassEngine
 from repro.core.incremental import count_threshold_policy
-from repro.core.queries import ThresholdQuery
 from repro.mapreduce.counters import C
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.workloads.clickstream import click_text_codec
@@ -37,7 +36,6 @@ class TestIncrementalAnswersVsBatch:
         cluster = LocalCluster(num_nodes=2, block_size=48 * 1024)
         cluster.hdfs.write_records("in", clicks)
         threshold = 15
-        query = ThresholdQuery(threshold)
         job = page_frequency_onepass_job(
             "in",
             "out",
@@ -47,7 +45,7 @@ class TestIncrementalAnswersVsBatch:
         result = OnePassEngine(cluster).run(job)
         final = dict(cluster.hdfs.read_records("out"))
         early_keys = {k for k, _ in result.extras["early_emitted"]}
-        final_matching = {k for k, v in query.filter_final(final.items())}
+        final_matching = {k for k, v in final.items() if v >= threshold}
         assert early_keys == final_matching
 
     def test_batch_engine_needs_filter_at_end(self, clicks):

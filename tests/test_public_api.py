@@ -11,33 +11,19 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.io",
-    "repro.hdfs",
-    "repro.mapreduce",
-    "repro.core",
-    "repro.simulator",
-    "repro.workloads",
-    "repro.analysis",
+# __main__ runs the CLI on import; everything else must be importable
+# side-effect-free.
+_FOUND = [
+    info
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not info.name.endswith("__main__")
 ]
-
-
-def iter_all_modules():
-    seen = set(PACKAGES)
-    for pkg_name in PACKAGES:
-        pkg = importlib.import_module(pkg_name)
-        if hasattr(pkg, "__path__"):
-            for info in pkgutil.iter_modules(pkg.__path__, pkg_name + "."):
-                # __main__ runs the CLI on import; everything else must be
-                # importable side-effect-free.
-                if not info.name.endswith("__main__"):
-                    seen.add(info.name)
-    return sorted(seen)
+MODULES = sorted(["repro", *(info.name for info in _FOUND)])
+PACKAGES = sorted(["repro", *(info.name for info in _FOUND if info.ispkg)])
 
 
 class TestImports:
-    @pytest.mark.parametrize("module_name", iter_all_modules())
+    @pytest.mark.parametrize("module_name", MODULES)
     def test_module_imports(self, module_name):
         importlib.import_module(module_name)
 
@@ -59,7 +45,7 @@ class TestImports:
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
 
-    @pytest.mark.parametrize("pkg_name", [m for m in iter_all_modules()])
+    @pytest.mark.parametrize("pkg_name", MODULES)
     def test_every_module_has_docstring(self, pkg_name):
         module = importlib.import_module(pkg_name)
         assert module.__doc__ and module.__doc__.strip(), f"{pkg_name} lacks a docstring"
