@@ -31,11 +31,9 @@ from repro.core.aggregates import (
     SessionState,
     SumCountState,
     SumState,
-    TopByCountState,
     TopKState,
     fold,
     sessionize,
-    top_by_count,
     top_k,
 )
 from repro.core.engine import OnePassConfig, OnePassEngine, OnePassJob, OnePassReduceTask
@@ -57,7 +55,6 @@ __all__ = [
     "MinState",
     "MaxState",
     "TopKState",
-    "TopByCountState",
     "CollectState",
     "SessionState",
     "COUNT",
@@ -67,7 +64,6 @@ __all__ = [
     "MAX",
     "COLLECT",
     "top_k",
-    "top_by_count",
     "sessionize",
     "fold",
     # hash substrates

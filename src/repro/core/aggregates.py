@@ -36,7 +36,6 @@ __all__ = [
     "MinState",
     "MaxState",
     "TopKState",
-    "TopByCountState",
     "CollectState",
     "SessionState",
     "COUNT",
@@ -46,7 +45,6 @@ __all__ = [
     "MAX",
     "COLLECT",
     "top_k",
-    "top_by_count",
     "sessionize",
     "fold",
 ]
@@ -267,48 +265,6 @@ class TopKState:
         return 64 + 32 * len(self._heap)
 
 
-class TopByCountState:
-    """Most-frequent ``k`` values of a key (a nested group-by count).
-
-    This is the combiner the paper's §IV.3 open question asks about for
-    top-k queries: the state is a value→count table, which merges
-    associatively (counter addition), and ``result()`` ranks by count with
-    a deterministic tiebreak.  Memory is linear in the key's *distinct*
-    values, not its occurrences.
-    """
-
-    __slots__ = ("k", "counts", "_bytes")
-
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.counts: dict[Any, int] = {}
-        self._bytes = 64
-
-    def update(self, value: Any) -> int:
-        return self._add(value, 1)
-
-    def merge(self, other: "TopByCountState") -> int:
-        return sum([self._add(value, count) for value, count in other.counts.items()])
-
-    def _add(self, value: Any, count: int) -> int:
-        if value in self.counts:
-            self.counts[value] += count
-            return 0
-        self.counts[value] = count
-        grown = estimate_size(value) + 64
-        self._bytes += grown
-        return grown
-
-    def result(self) -> list[tuple[Any, int]]:
-        ranked = sorted(self.counts.items(), key=lambda vc: (-vc[1], repr(vc[0])))
-        return ranked[: self.k]
-
-    def size_bytes(self) -> int:
-        return self._bytes
-
-
 class CollectState:
     """Collect every value — a linear-size state.
 
@@ -384,11 +340,6 @@ COLLECT: Aggregator[list] = Aggregator("collect", CollectState)
 def top_k(k: int) -> Aggregator[list]:
     """Aggregator producing each key's ``k`` largest values."""
     return Aggregator(f"top{k}", lambda: TopKState(k))
-
-
-def top_by_count(k: int) -> Aggregator[list]:
-    """Aggregator producing each key's ``k`` most frequent values."""
-    return Aggregator(f"topcount{k}", lambda: TopByCountState(k))
 
 
 def sessionize(gap: float = 1800.0) -> Aggregator[list]:

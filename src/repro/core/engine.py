@@ -368,13 +368,14 @@ class OnePassEngine(PushShuffleDriver):
     hybrid-hash blocking) reduce.  The lifecycle and the replicated
     delivery logs are :class:`~repro.mapreduce.driver.PushShuffleDriver`'s.
 
-    With a ``fault_plan``, map output is *staged* per task and delivered to
-    reducers only when the task completes; a killed attempt's staged chunks
-    are discarded and the task re-runs on another node.  This is the
-    fault-tolerance overhead the paper alludes to when it excludes infinite
-    streams: push-based pipelining and recoverability pull in opposite
-    directions, and recovery costs one task's worth of buffering latency
-    plus the delivery-log I/O ``bench_fault_overhead`` measures.
+    A map attempt's output is *staged* per task and delivered to reducers
+    only once the attempt has survived; a killed attempt's chunks are
+    discarded and the task re-runs on another node.  A ``fault_plan`` adds
+    the replicated delivery log each chunk is appended to first.  This is
+    the fault-tolerance overhead the paper alludes to when it excludes
+    infinite streams: push-based pipelining and recoverability pull in
+    opposite directions, and recovery costs one task's worth of buffering
+    latency plus the delivery-log I/O ``bench_fault_overhead`` measures.
 
     With ``checkpoint_interval > 0`` the incremental-hash state is
     additionally snapshotted into a :class:`CheckpointStore` (and the
@@ -454,55 +455,39 @@ class OnePassEngine(PushShuffleDriver):
         return OnePassMapSpec(task_id, node, data)
 
     def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
+        """Push each chunk to its reducer: log it, absorb it, maybe checkpoint."""
         for partition, pairs, nbytes in res.staged:
-            if self.fault_plan is not None:
-                run.counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
-            self._deliver(run, partition, pairs, nbytes, task_id)
+            if partition in run.committed:
+                continue  # journaled output; the reducer never runs
+            run.network_bytes += nbytes
+            rtask = run.reduce_tasks[partition]
+            self.tracer.metrics.histogram("push.chunk.bytes").observe(nbytes)
+            with self.tracer.span(
+                "push",
+                "shuffle",
+                node=rtask.node,
+                task=f"reduce:{partition:03d}",
+                cost=byte_cost(nbytes),
+                bytes=nbytes,
+                records=len(pairs),
+                map_task=task_id,
+            ):
+                absorbed = self._accept_chunk(run, partition, pairs, nbytes)
+            if absorbed and self.checkpoint_interval and partition in run.logs:
+                run.chunks_since_checkpoint[partition] += 1
+                if run.chunks_since_checkpoint[partition] >= self.checkpoint_interval:
+                    if self._save_checkpoint(run, rtask):
+                        run.chunks_since_checkpoint[partition] = 0
         return sum(nbytes for _, _, nbytes in res.staged)
-
-    def _deliver(
-        self,
-        run: JobRun,
-        partition: int,
-        pairs: list[tuple[Any, Any]],
-        nbytes: int,
-        map_task: int,
-    ) -> None:
-        """Push one chunk to its reducer: log it, absorb it, maybe checkpoint."""
-        if partition in run.committed:
-            return  # journaled output; the reducer never runs
-        run.network_bytes += nbytes
-        rtask = run.reduce_tasks[partition]
-        log = run.logs.get(partition)
-        self.tracer.metrics.histogram("push.chunk.bytes").observe(nbytes)
-        with self.tracer.span(
-            "push",
-            "shuffle",
-            node=rtask.node,
-            task=f"reduce:{partition:03d}",
-            cost=byte_cost(nbytes),
-            bytes=nbytes,
-            records=len(pairs),
-            map_task=map_task,
-        ):
-            if log is not None:
-                log.append(pairs, nbytes)
-            absorbed = rtask.accept_chunk(pairs, nbytes)
-        if absorbed and self.checkpoint_interval and log is not None:
-            run.chunks_since_checkpoint[partition] += 1
-            if run.chunks_since_checkpoint[partition] >= self.checkpoint_interval:
-                if self._save_checkpoint(rtask, log, run.checkpoint_stores[partition]):
-                    run.chunks_since_checkpoint[partition] = 0
 
     # -- reduce side: hash state, checkpointed ------------------------------------
 
-    def _save_checkpoint(
-        self, rtask: OnePassReduceTask, log: Any, store: CheckpointStore
-    ) -> bool:
+    def _save_checkpoint(self, run: JobRun, rtask: OnePassReduceTask) -> bool:
         payload = rtask.checkpoint_payload()
         if payload is None:
             return False
-        store.save(log.last_seq, payload)
+        log = run.logs[rtask.partition]
+        run.checkpoint_stores[rtask.partition].save(log.last_seq, payload)
         self.journal.append(
             K_CHECKPOINT, partition=rtask.partition, seq=log.last_seq, payload=payload
         )

@@ -117,9 +117,6 @@ class AccountedStateTable:
         self.used_bytes += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
         return state
 
-    def get(self, key: Any) -> AggregateState | None:
-        return self.states.get(key)
-
     def pop(self, key: Any) -> AggregateState:
         """Remove and return ``key``'s state, releasing its budget."""
         state = self.states.pop(key)

@@ -186,10 +186,6 @@ class IncrementalHash:
         if self._overflow is not None:
             self._overflow.add_batch(cold)
 
-    def merge_state(self, key: Any, state: AggregateState) -> None:
-        """Fold a partial state (e.g. a pushed combiner output)."""
-        self.update(key, SpilledState(state))
-
     def _freeze(self) -> None:
         """Stop admitting new keys; overflow them to hybrid hash on disk."""
         assert self.disk is not None and self.memory_bytes is not None

@@ -10,6 +10,10 @@ kernel invocations run:
 * :class:`MPExecutor`        — a fork-based process pool with batched
   task submission (real multicore execution).
 
+A session has one dispatch method, ``run_batch(kernel, specs)``; a wave
+of one (a retry, or every wave under a fault plan) runs inline in the
+coordinator on every session.
+
 Determinism is preserved by construction: kernels never touch shared
 engine state — all side effects (disk installs, shuffle registration,
 chunk delivery, fault injection, recovery decisions) are replayed by the

@@ -68,17 +68,15 @@ class ExecSession(Protocol):
 
     ``max_batch`` is how many specs the engine should accumulate before a
     ``run_batch`` call (1 for serial execution — the engine then degenerates
-    to today's per-task loop).  ``run_batch`` returns results in spec
-    order; ``run_one`` executes a single spec (the path used under a fault
-    plan, where the coordinator must interleave recovery decisions between
-    attempts).
+    to a per-task loop).  ``run_batch`` returns results in spec order.  A
+    wave of one — a retry, or every wave under a fault plan, where the
+    coordinator interleaves recovery decisions between attempts — runs
+    inline in the coordinator on every session.
     """
 
     max_batch: int
 
     def run_batch(self, kernel: str, specs: Sequence[Any]) -> list[Any]: ...
-
-    def run_one(self, kernel: str, spec: Any) -> Any: ...
 
     def __enter__(self) -> "ExecSession": ...
 
@@ -97,9 +95,6 @@ class _InlineSession:
         fn = get_kernel(kernel)
         ctx = self._context
         return [fn(ctx, spec) for spec in specs]
-
-    def run_one(self, kernel: str, spec: Any) -> Any:
-        return get_kernel(kernel)(self._context, spec)
 
     def __enter__(self) -> "_InlineSession":
         return self
@@ -129,9 +124,6 @@ class _ThreadSession:
         ctx = self._context
         pool = self._ensure_pool()
         return list(pool.map(lambda spec: fn(ctx, spec), specs))
-
-    def run_one(self, kernel: str, spec: Any) -> Any:
-        return get_kernel(kernel)(self._context, spec)
 
     def __enter__(self) -> "_ThreadSession":
         return self
@@ -198,10 +190,6 @@ class _ForkSession:
         for future in futures:
             out.extend(future.result())
         return out
-
-    def run_one(self, kernel: str, spec: Any) -> Any:
-        pool = self._ensure_pool()
-        return pool.submit(_invoke_chunk, kernel, [spec]).result()[0]
 
     def __enter__(self) -> "_ForkSession":
         return self

@@ -12,20 +12,21 @@ Each kernel is a pure function of ``(context, spec)``:
   coordinator replays all effects (disk installs, shuffle registration,
   chunk delivery) in deterministic task order.
 
-Task disk I/O runs against a *shadow* :class:`~repro.io.disk.LocalDisk`
-with the real device's profile; the coordinator absorbs the export, so
-files, byte counts and op accounting match in-place execution exactly.
+The sort-spill kernels' disk I/O runs against a *shadow*
+:class:`~repro.io.disk.LocalDisk` with the real device's profile; the
+coordinator absorbs the export, so files, byte counts and op accounting
+match in-place execution exactly.  The push engines' map kernels touch no
+disk: their one effect is the ordered chunk stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exec.base import register_kernel
 from repro.io.device import DeviceProfile
 from repro.io.disk import DiskExport, LocalDisk
-from repro.io.runio import stream_run, write_run
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.sortmerge import (
     MapOutput,
@@ -144,65 +145,34 @@ class HopMapSpec:
     task_id: int
     node: str
     data: bytes
-    profile: DeviceProfile
-    disk_name: str
-    #: Fault path only: each reducer's backlog at attempt start.  The
-    #: attempt must not observe live reducer state (its pushes are
-    #: buffered until it survives), so backpressure decisions use these
-    #: frozen values — exactly what the buffering proxy exposed before.
-    frozen_backlogs: dict[int, int] | None = None
 
 
 @dataclass(slots=True)
 class HopMapResult:
-    #: Live mode: ordered ``(partition, pairs, nbytes)`` emissions; the
-    #: coordinator replays push-vs-stage against live reducer backlogs.
-    chunks: list[tuple[int, list[tuple[Any, Any]], int]] = field(default_factory=list)
-    #: Fault mode: per-partition delivery lists (pushes first, then
-    #: drained staged chunks), mirroring the old buffered-proxy order.
-    by_partition: dict[int, list[tuple[list[tuple[Any, Any]], int]]] | None = None
-    counters: Counters = field(default_factory=Counters)
-    disk: DiskExport | None = None
+    #: Ordered ``(partition, pairs, nbytes)`` emissions; the coordinator
+    #: replays push-vs-stage against live reducer backlogs once the
+    #: attempt has survived.
+    chunks: list[tuple[int, list[tuple[Any, Any]], int]]
+    counters: Counters
     trace: Any = None
 
 
 def hop_map_kernel(ctx: dict[str, Any], spec: HopMapSpec) -> HopMapResult:
-    """One pipelined map task; staging I/O (fault path) hits a shadow disk."""
-    from repro.mapreduce.hop import _FrozenStageRouter, _PipelinedMapTask
+    """One pipelined map task: no disk I/O, only the ordered chunk stream."""
+    from repro.mapreduce.hop import _PipelinedMapTask
 
-    job = ctx["job"]
-    hop = ctx["hop"]
-    records = ctx["codec"].decode(spec.data)
+    chunks: list[tuple[int, list[tuple[Any, Any]], int]] = []
     tracer = task_tracer(bool(ctx.get("trace")))
-
-    if spec.frozen_backlogs is None:
-        chunks: list[tuple[int, list[tuple[Any, Any]], int]] = []
-        task = _PipelinedMapTask(
-            job,
-            spec.task_id,
-            spec.node,
-            LocalDisk(spec.profile, name=spec.disk_name),
-            hop,
-            lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
-            tracer=tracer,
-        )
-        task.run(records, input_bytes=len(spec.data))
-        return HopMapResult(chunks=chunks, counters=task.counters, trace=tracer.export())
-
-    disk = LocalDisk(spec.profile, name=spec.disk_name)
-    task = _PipelinedMapTask(job, spec.task_id, spec.node, disk, hop, None, tracer=tracer)
-    router = _FrozenStageRouter(
-        spec.task_id, disk, task.counters, hop.backpressure_bytes, spec.frozen_backlogs
+    task = _PipelinedMapTask(
+        ctx["job"],
+        spec.task_id,
+        spec.node,
+        ctx["hop"],
+        lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
+        tracer=tracer,
     )
-    task.emit = router.emit
-    task.run(records, input_bytes=len(spec.data))
-    router.drain()
-    return HopMapResult(
-        by_partition=router.delivered,
-        counters=task.counters,
-        disk=disk.export_state(),
-        trace=tracer.export(),
-    )
+    task.run(ctx["codec"].decode(spec.data), input_bytes=len(spec.data))
+    return HopMapResult(chunks, task.counters, tracer.export())
 
 
 # -- one-pass map -------------------------------------------------------------
@@ -220,9 +190,6 @@ class OnePassMapResult:
     staged: list[tuple[int, list[tuple[Any, Any]], int]]
     counters: Counters
     trace: Any = None
-    #: Always ``None``: the one-pass map side does no disk I/O.  Present so
-    #: the driver absorbs every map result the same way.
-    disk: DiskExport | None = None
 
 
 def onepass_map_kernel(ctx: dict[str, Any], spec: OnePassMapSpec) -> OnePassMapResult:

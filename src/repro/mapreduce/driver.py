@@ -159,6 +159,13 @@ class JobDriver:
         assignments, sched_stats = self.scheduler.schedule(
             self.cluster.hdfs.input_splits(job.input_path)
         )
+        if self.fault_plan is not None:
+            self.fault_plan.check_targets(
+                self.name,
+                self.cluster.compute_node_names,
+                len(assignments),
+                job.config.num_reducers,
+            )
         run = JobRun(
             job=job,
             counters=counters,
@@ -291,41 +298,71 @@ class JobDriver:
     # -- map phase -------------------------------------------------------------
 
     def _map_phase(self, run: JobRun) -> float:
-        journal, tracer, queue, session = self.journal, self.tracer, run.queue, run.session
+        tracer, queue, plan = self.tracer, run.queue, self.fault_plan
         c_map0 = tracer.clock
         t_map_start = time.perf_counter()
+        # A plan's kills, speculation and node crashes are defined between
+        # task completions, so under one a wave is a single task.
+        width = run.session.max_batch if self.fault_plan is None else 1
         completed = 0
-        if self.fault_plan is None:
-            # Clean path: whole waves of independent tasks go to the executor.
-            while queue:
-                batch = [queue.popleft() for _ in range(min(len(queue), session.max_batch))]
-                specs = []
-                for a in batch:
-                    journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
-                    data = self._read_input(run, a.split, a.node)
-                    specs.append(self._map_spec(run, a.task_id, a.node, data))
-                for a, res in zip(batch, session.run_batch(self.map_kernel, specs)):
-                    self._absorb(run, a.node, res)
-                    self._commit_map_task(run, a.task_id, a.node, res)
-                    completed += 1
-                    self._after_map_commit(
-                        run, completed, last=not queue and a is batch[-1]
-                    )
-        else:
-            # Fault path: one task at a time, so recovery decisions (retry,
-            # speculation, node crash) interleave between attempts.
-            while queue:
-                a = queue.popleft()
-                self._execute_map(run, a.task_id, a.split, a.node)
+        while queue:
+            batch = [queue.popleft() for _ in range(min(len(queue), width))]
+            for launched in self._launch_wave(run, batch):
+                self._settle_map(run, *launched)
                 completed += 1
-                for crashed in self.fault_plan.crashes_due(completed):
+                for crashed in plan.crashes_due(completed) if plan else ():
                     with run.counters.timer(C.T_RECOVERY):
                         self._handle_node_crash(run, crashed)
-                self._after_map_commit(run, completed, last=not queue)
+                self._after_map_commit(run, completed)
         t_map = time.perf_counter() - t_map_start
         tracer.add_span("map-phase", "phase", c_map0, tracer.clock, wall_s=t_map)
         get_logger(self.name).info("map.phase.done", tasks=completed, wall_ms=t_map * 1e3)
         return t_map
+
+    def _launch_wave(
+        self, run: JobRun, batch: list[TaskAssignment]
+    ) -> list[tuple[TaskAssignment, list[str], Any]]:
+        """Grant ``batch`` and run each task's first attempt as one kernel wave.
+
+        Returns ``(assignment, candidate nodes, first result)`` per task;
+        the first attempt ran on ``candidates[0]``.
+        """
+        candidates, specs = [], []
+        for a in batch:
+            self.journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
+            nodes = run.recovery.map_candidates(a.task_id, a.node, run.live)
+            candidates.append(nodes)
+            specs.append(self._attempt_spec(run, a, nodes[0]))
+        results = run.session.run_batch(self.map_kernel, specs)
+        return list(zip(batch, candidates, results))
+
+    def _attempt_spec(self, run: JobRun, a: TaskAssignment, node: str) -> Any:
+        return self._map_spec(run, a.task_id, node, self._read_input(run, a.split, node))
+
+    def _settle_map(self, run: JobRun, a: TaskAssignment, nodes: list[str], first: Any) -> None:
+        """Run one launched map task to success, commit its output.
+
+        Attempt semantics live in the shared
+        :class:`~repro.mapreduce.recovery.RecoveryManager` loop, which
+        every task passes through: each attempt — killed, speculative
+        loser or winner — charges its work to the job; only the winner's
+        output is committed.  A retry is a wave of one.
+        """
+
+        def attempt(node: str) -> Any:
+            [res] = run.session.run_batch(self.map_kernel, [self._attempt_spec(run, a, node)])
+            self._absorb(run, node, res)
+            return res
+
+        def discard(node: str, _res: Any) -> None:
+            self._discard_map(run, a.task_id, node)
+
+        self._absorb(run, nodes[0], first)
+        node, res = run.recovery.run_map_task(
+            a.task_id, nodes, a.split.nbytes, first, attempt, discard
+        )
+        nbytes = self._commit_map(run, a.task_id, node, res)
+        self.journal.append(K_MAP_COMMIT, task=a.task_id, node=node, nbytes=nbytes)
 
     def _read_input(self, run: JobRun, split: InputSplit, node: str) -> bytes:
         """A split's raw bytes, preferring the local replica."""
@@ -342,43 +379,9 @@ class JobDriver:
         return self.cluster.nodes[node].intermediate_disk
 
     def _absorb(self, run: JobRun, node: str, res: Any) -> None:
-        """Charge one kernel result (disk I/O, counters, trace) to the job."""
-        if res.disk is not None:
-            self._disk(node).absorb(res.disk)
+        """Charge one kernel result (counters, trace) to the job."""
         run.counters.merge(res.counters)
         self.tracer.absorb(res.trace)
-
-    def _execute_map(
-        self, run: JobRun, task_id: int, split: InputSplit, preferred: str
-    ) -> None:
-        """Grant one map task, run it to success, commit its output.
-
-        Attempt semantics live in the shared
-        :class:`~repro.mapreduce.recovery.RecoveryManager` loop: every
-        attempt — killed, speculative loser or winner — charges its work
-        to the job; only the winner's output is committed.
-        """
-        self.journal.append(K_TASK_GRANT, task=task_id, node=preferred)
-
-        def attempt(node: str) -> Any:
-            data = self._read_input(run, split, node)
-            res = run.session.run_one(
-                self.map_kernel, self._map_spec(run, task_id, node, data)
-            )
-            self._absorb(run, node, res)
-            return res
-
-        def discard(node: str, _res: Any) -> None:
-            self._discard_map(run, task_id, node)
-
-        node, res = run.recovery.run_map_task(
-            task_id, preferred, run.live, split.nbytes, attempt, discard
-        )
-        self._commit_map_task(run, task_id, node, res)
-
-    def _commit_map_task(self, run: JobRun, task_id: int, node: str, res: Any) -> None:
-        nbytes = self._commit_map(run, task_id, node, res)
-        self.journal.append(K_MAP_COMMIT, task=task_id, node=node, nbytes=nbytes)
 
     def _handle_node_crash(self, run: JobRun, crashed: str) -> None:
         """React to losing a whole node mid-job.
@@ -491,7 +494,7 @@ class JobDriver:
     def _discard_map(self, run: JobRun, task_id: int, node: str) -> None:
         """Clean up after a dead or losing map attempt on ``node``."""
 
-    def _after_map_commit(self, run: JobRun, completed: int, last: bool) -> None:
+    def _after_map_commit(self, run: JobRun, completed: int) -> None:
         """What follows each map commit: reducer pulls, snapshots, nothing."""
 
     def _on_node_lost(self, run: JobRun, crashed: str) -> None:
@@ -506,7 +509,8 @@ class JobDriver:
         raise NotImplementedError
 
     def _reduce_wave(self, run: JobRun, pending: list[int]) -> None:
-        """Clean path only: pre-compute ``pending`` partitions as one wave."""
+        """Pre-compute ``pending`` partitions as one kernel wave (without a
+        plan no reduce attempt can die, so they are independent)."""
 
     def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
         """Run one reduce attempt to completion; returns its output records."""
@@ -522,10 +526,12 @@ class PushShuffleDriver(JobDriver):
     Pushed map output never stays at the mappers, so reduce-side recovery
     needs its own durability: with a fault plan, every delivered chunk is
     appended to a 2-way replicated :class:`PartitionLog` (real, accounted
-    disk I/O).  A lost reduce task — killed attempt or node crash — is
-    rebuilt by replaying its partition's log in delivery order, which
-    reproduces the exact pre-failure state.  Reduce tasks take chunks
-    through ``accept_chunk(pairs, nbytes)``.
+    disk I/O) — the one thing a plan adds to a push engine's run; chunks
+    are delivered (:meth:`_accept_chunk`) only after their map attempt
+    survived, plan or no plan.  A lost reduce task — killed attempt or
+    node crash — is rebuilt by replaying its partition's log in delivery
+    order, which reproduces the exact pre-failure state.  Reduce tasks
+    take chunks through ``accept_chunk(pairs, nbytes)``.
     """
 
     replicated_logs = True
@@ -543,6 +549,17 @@ class PushShuffleDriver(JobDriver):
                     chosen.append(names[(names.index(node) + 1) % len(names)])
                 replicas = [(n, self._disk(n)) for n in chosen]
                 run.logs[p] = PartitionLog(p, replicas, run.counters)
+
+    def _accept_chunk(
+        self, run: JobRun, partition: int, pairs: list[tuple[Any, Any]], nbytes: int
+    ) -> bool:
+        """Deliver one chunk of a surviving map attempt: log it first if the
+        partition has a delivery log, then hand it to the reduce task."""
+        log = run.logs.get(partition)
+        if log is not None:
+            run.counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
+            log.append(pairs, nbytes)
+        return run.reduce_tasks[partition].accept_chunk(pairs, nbytes)
 
     def _stores(self, run: JobRun, partition: int) -> list[Any]:
         """The replicated stores guarding ``partition``, log first."""

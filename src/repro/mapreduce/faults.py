@@ -113,6 +113,35 @@ class FaultPlan:
         self._torn_left = dict(self.torn_writes)
         self._short_left = dict(self.short_reads)
 
+    def check_targets(
+        self, engine: str, nodes: list[str], num_map_tasks: int, num_reducers: int
+    ) -> None:
+        """Refuse a plan aimed at a node, map task or partition the job lacks.
+
+        Called by the driver before any work, so a typo in a plan is a
+        ``ValueError`` naming the entry rather than a fault that silently
+        never fires (or a crash that surfaces mid-job).
+        """
+
+        def refuse(entry: str, valid: str) -> None:
+            raise ValueError(f"{engine}: fault plan entry {entry} is out of range: {valid}")
+
+        for name in ("node_crashes", "slow_nodes"):
+            for node in getattr(self, name):
+                if node not in nodes:
+                    refuse(f"{name}[{node!r}]", f"compute nodes are {nodes}")
+        tasks = f"map tasks are 0..{num_map_tasks - 1}"
+        partitions = f"reduce partitions are 0..{num_reducers - 1}"
+        for task_id in self.map_failures:
+            if not 0 <= task_id < num_map_tasks:
+                refuse(f"map_failures[{task_id}]", tasks)
+        for partition in self.reduce_failures:
+            if not 0 <= partition < num_reducers:
+                refuse(f"reduce_failures[{partition}]", partitions)
+        for task_id, partition in self.shuffle_failures:
+            if not (0 <= task_id < num_map_tasks and 0 <= partition < num_reducers):
+                refuse(f"shuffle_failures[{(task_id, partition)}]", f"{tasks}, {partitions}")
+
     # -- map / reduce attempts --------------------------------------------
 
     def start_map_attempt(self, task_id: int) -> int:

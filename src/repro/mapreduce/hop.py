@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.io.batch import merge_segments, sort_bucket
-from repro.io.disk import LocalDisk
 from repro.io.runio import stream_run, write_run
 from repro.mapreduce.api import MapReduceJob
 from repro.mapreduce.counters import C, Counters
@@ -119,14 +118,15 @@ class PipelinedReduceTask(SortMergeReduceTask):
 
 
 class _PipelinedMapTask:
-    """Map task that sorts mini-segments and hands them to an emit router.
+    """Map task that sorts mini-segments and hands them to ``emit``.
 
-    The task itself is a pure function of its input: every sorted partition
-    piece goes to ``emit(partition, pairs, nbytes)``.  Whether a piece is
-    pushed to a live reducer, staged under backpressure, or buffered until a
-    fault-plan attempt survives is the router's business — which is what
-    lets the whole task run on a worker process while the coordinator keeps
-    all scheduling decisions.
+    The task itself is a pure function of its input and touches no disk:
+    every sorted partition piece goes to ``emit(partition, pairs, nbytes)``.
+    Whether a piece is pushed to a live reducer or staged under
+    backpressure is decided by the coordinator, against live reducer
+    state and only once the attempt has survived — which is what lets the
+    whole task run on a worker process while the coordinator keeps all
+    scheduling decisions.
     """
 
     def __init__(
@@ -134,16 +134,14 @@ class _PipelinedMapTask:
         job: MapReduceJob,
         task_id: int,
         node: str,
-        disk: LocalDisk,
         hop: HOPConfig,
-        emit: Callable[[int, list[tuple[Any, Any]], int], None] | None,
+        emit: Callable[[int, list[tuple[Any, Any]], int], None],
         partitioner: Partitioner = hash_partitioner,
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.job = job
         self.task_id = task_id
         self.node = node
-        self.disk = disk
         self.hop = hop
         self.emit = emit
         self.partitioner = partitioner
@@ -236,57 +234,6 @@ class _PipelinedMapTask:
                 self.emit(partition, pairs, nbytes)
 
 
-class _FrozenStageRouter:
-    """Fault-path emit router: buffer everything, stage by frozen backlogs.
-
-    With a fault plan, a map attempt must not push directly: a killed
-    attempt's chunks would be unrecallable, and observing *live* reducer
-    state would leak coordinator state into the worker.  The router makes
-    backpressure decisions against backlog sizes frozen at attempt start,
-    stages over-pressure chunks on the task's (shadow) disk, and exposes
-    everything in :attr:`delivered` — pushes in emit order, then drained
-    staged chunks — for the coordinator to log and deliver after the
-    attempt survives.
-    """
-
-    def __init__(
-        self,
-        task_id: int,
-        disk: LocalDisk,
-        counters: Counters,
-        backpressure_bytes: int,
-        frozen_backlogs: dict[int, int],
-    ) -> None:
-        self.task_id = task_id
-        self.disk = disk
-        self.counters = counters
-        self.backpressure_bytes = backpressure_bytes
-        self.frozen_backlogs = frozen_backlogs
-        self.delivered: dict[int, list[tuple[list[tuple[Any, Any]], int]]] = {
-            p: [] for p in sorted(frozen_backlogs)
-        }
-        self._staged: list[tuple[int, str, int]] = []  # (partition, path, nbytes)
-        self._seq = 0
-
-    def emit(self, partition: int, pairs: list[tuple[Any, Any]], nbytes: int) -> None:
-        if self.frozen_backlogs[partition] >= self.backpressure_bytes:
-            path = f"hop-stage/{self.task_id:05d}/c{self._seq:05d}-p{partition:03d}"
-            self._seq += 1
-            written = write_run(self.disk, path, pairs)
-            self.counters.inc(C.MAP_SPILL_BYTES, written)
-            self._staged.append((partition, path, written))
-        else:
-            self.delivered[partition].append((pairs, nbytes))
-
-    def drain(self) -> None:
-        """Re-read staged chunks (in stage order) into the delivery lists."""
-        for partition, path, nbytes in self._staged:
-            pairs = list(stream_run(self.disk, path))
-            self.delivered[partition].append((pairs, nbytes))
-            self.disk.delete(path)
-        self._staged.clear()
-
-
 class HOPEngine(PushShuffleDriver):
     """MapReduce Online: pipelined sort-merge with periodic snapshots.
 
@@ -295,11 +242,12 @@ class HOPEngine(PushShuffleDriver):
     mapper's disk under backpressure), blocking reduce — plus snapshots
     that re-merge everything received so far.
 
-    With a ``fault_plan``, pushes are buffered per map attempt and, on
-    success, appended to the replicated delivery log (see
-    :class:`~repro.mapreduce.driver.PushShuffleDriver`) before delivery —
+    A map attempt's chunks are delivered only once the attempt has
+    survived, so a killed attempt never reaches a reducer.  With a
+    ``fault_plan`` each chunk is also appended to the replicated delivery
+    log first (see :class:`~repro.mapreduce.driver.PushShuffleDriver`) —
     the durability a push architecture needs because map output never
-    stays at the mappers.
+    stays at the mappers.  The log is all a plan adds.
     """
 
     name = "hop"
@@ -336,47 +284,22 @@ class HOPEngine(PushShuffleDriver):
         super()._open(run)
         run.next_snapshot = 0
 
-    # -- map side: push now (clean) or buffer until the attempt survives --------
+    # -- map side: the surviving attempt's chunks, pushed or staged ---------------
 
     def _map_spec(self, run: JobRun, task_id: int, node: str, data: bytes) -> Any:
         from repro.exec.kernels import HopMapSpec
 
-        disk = self._disk(node)
-        frozen = None
-        if self.fault_plan is not None:
-            frozen = {p: rt.backlog_bytes for p, rt in run.reduce_tasks.items()}
-        return HopMapSpec(task_id, node, data, disk.profile, disk.name, frozen)
+        return HopMapSpec(task_id, node, data)
 
     def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
-        if res.by_partition is None:
-            chunks = [c for c in res.chunks if c[0] not in run.committed]
-            self._deliver_live(run, task_id, node, chunks)
-            return sum(c[2] for c in chunks)
-        delivered_bytes = 0
-        for partition in sorted(res.by_partition):
-            if partition in run.committed:
-                continue  # journaled output; the reducer never runs
-            for pairs, nbytes in res.by_partition[partition]:
-                run.counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
-                run.logs[partition].append(pairs, nbytes)
-                run.reduce_tasks[partition].accept_chunk(pairs, nbytes)
-                delivered_bytes += nbytes
-        return delivered_bytes
-
-    def _deliver_live(
-        self,
-        run: JobRun,
-        task_id: int,
-        node: str,
-        chunks: list[tuple[int, list[tuple[Any, Any]], int]],
-    ) -> None:
-        """Replay one live map task's emissions against real reducer state.
+        """Replay one map task's emissions against real reducer state.
 
         The worker returned the ordered emission stream; pushing versus
         staging depends on live backlogs (which earlier deliveries mutate),
         so the decision — and the staging I/O on the mapper's real disk —
         happens here, in deterministic task order.
         """
+        chunks = [c for c in res.chunks if c[0] not in run.committed]
         disk = self._disk(node)
         reduce_tasks = run.reduce_tasks
         chunk_hist = self.tracer.metrics.histogram("push.chunk.bytes")
@@ -388,32 +311,30 @@ class HOPEngine(PushShuffleDriver):
             partitions=sorted({p for p, _, _ in chunks}),
         ) as push_span:
             staged: list[tuple[int, str, int]] = []
-            seq = 0
             pushed_bytes = 0
             for partition, pairs, nbytes in chunks:
                 chunk_hist.observe(nbytes)
-                reducer = reduce_tasks[partition]
-                if reducer.backlog_bytes >= self.hop.backpressure_bytes:
-                    path = f"hop-stage/{task_id:05d}/c{seq:05d}-p{partition:03d}"
-                    seq += 1
+                if reduce_tasks[partition].backlog_bytes >= self.hop.backpressure_bytes:
+                    path = f"hop-stage/{task_id:05d}/c{len(staged):05d}-p{partition:03d}"
                     written = write_run(disk, path, pairs)
                     run.counters.inc(C.MAP_SPILL_BYTES, written)
                     staged.append((partition, path, written))
                 else:
                     pushed_bytes += nbytes
-                    reducer.accept_chunk(pairs, nbytes)
+                    self._accept_chunk(run, partition, pairs, nbytes)
             # Staged chunks are delivered once the task finishes (reducers
             # caught up), at their on-disk framed size.
             staged_bytes = 0
             for partition, path, written in staged:
                 pairs = list(stream_run(disk, path))
                 staged_bytes += written
-                reduce_tasks[partition].accept_chunk(pairs, written)
+                self._accept_chunk(run, partition, pairs, written)
                 disk.delete(path)
             push_span.set_cost(byte_cost(pushed_bytes + staged_bytes))
             push_span.set(bytes_pushed=pushed_bytes, bytes_staged=staged_bytes)
+        return sum(c[2] for c in chunks)
 
-    def _after_map_commit(self, run: JobRun, completed: int, last: bool) -> None:
+    def _after_map_commit(self, run: JobRun, completed: int) -> None:
         """Take every snapshot whose map-completion fraction is now reached."""
         fractions = self.hop.snapshot_fractions
         fraction = completed / len(run.splits)

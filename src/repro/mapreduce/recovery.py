@@ -166,12 +166,14 @@ DiscardFn = Callable[[str, Any], None]
 class RecoveryManager:
     """Shared attempt loops: map retries + speculation, reduce retries.
 
-    Both the Hadoop and one-pass engines route every task execution
-    through this one loop, so attempt semantics (who is charged, where
-    retries land, when the job aborts) cannot drift between engines.
-    ``attempt_fn(node)`` runs one attempt and returns its result with the
-    work already charged to the job — recovery costs real resources;
-    ``discard_fn(node, result)`` cleans up a dead or losing attempt.
+    The driver routes every task of every engine — with or without a
+    fault plan — through these loops, so attempt semantics (who is
+    charged, where retries land, when the job aborts) cannot drift
+    between engines or between clean and faulty runs; the plan is data
+    the loops consult.  ``attempt_fn(node)`` runs one attempt and returns
+    its result with the work already charged to the job — recovery costs
+    real resources; ``discard_fn(node, result)`` cleans up a dead or
+    losing attempt.
     """
 
     def __init__(
@@ -196,28 +198,34 @@ class RecoveryManager:
         slowdown = self.fault_plan.slowdown(node) if self.fault_plan else 1.0
         return base * slowdown
 
+    def map_candidates(self, task_id: int, preferred_node: str, live_nodes: list[str]) -> list[str]:
+        """Nodes a map task's attempts land on, in order: preferred first."""
+        candidates = [n for n in (preferred_node,) if n in live_nodes]
+        candidates += [n for n in live_nodes if n != preferred_node]
+        if not candidates:
+            raise RuntimeError(f"map task {task_id}: no live nodes to run on")
+        return candidates
+
     def run_map_task(
         self,
         task_id: int,
-        preferred_node: str,
-        live_nodes: list[str],
+        candidates: list[str],
         input_bytes: int,
+        first: Any,
         attempt_fn: AttemptFn,
         discard_fn: DiscardFn,
     ) -> tuple[str, Any]:
         """Run one map task to success; returns ``(winning node, result)``.
 
-        A killed attempt's work is charged before its output is discarded
-        and the task is retried on the next live candidate, as Hadoop's
-        JobTracker does.  With slow nodes in the plan, a successful but
-        straggling attempt races a speculative backup (first finisher
-        wins, the loser's work is counted as waste).
+        ``first`` is the result of the attempt the driver's wave already
+        ran on ``candidates[0]`` (see :meth:`map_candidates`), charged
+        like any other.  A killed attempt's work is charged before its
+        output is discarded and the task is retried on the next live
+        candidate, as Hadoop's JobTracker does.  With slow nodes in the
+        plan, a successful but straggling attempt races a speculative
+        backup (first finisher wins, the loser's work is counted as waste).
         """
         plan = self.fault_plan
-        candidates = [n for n in (preferred_node,) if n in live_nodes]
-        candidates += [n for n in live_nodes if n != preferred_node]
-        if not candidates:
-            raise RuntimeError(f"map task {task_id}: no live nodes to run on")
         attempts = plan.max_attempts if plan is not None else 1
         for attempt_idx in range(attempts):
             node = candidates[attempt_idx % len(candidates)]
@@ -227,7 +235,7 @@ class RecoveryManager:
                     plan.start_map_attempt(task_id)
                 except TaskFailure:
                     dies = True
-            result = attempt_fn(node)
+            result = attempt_fn(node) if attempt_idx else first
             if dies:
                 # The attempt died before its completion report: its output
                 # is gone, but the work it burned stays on the books.
@@ -243,7 +251,7 @@ class RecoveryManager:
                 _log.warn("map.task.killed", task=task_id, node=node, attempt=attempt_idx)
                 continue
             return self._maybe_speculate(
-                task_id, node, live_nodes, input_bytes, attempt_fn, discard_fn, result
+                task_id, node, candidates, input_bytes, attempt_fn, discard_fn, result
             )
         raise RuntimeError(f"map task {task_id} exhausted {attempts} attempts")
 

@@ -15,7 +15,7 @@ merged and reduced, and every byte is accounted on the node disks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.hdfs.datanode import DataNode
@@ -26,7 +26,7 @@ from repro.mapreduce.counters import C
 from repro.mapreduce.driver import JobDriver, JobResult, JobRun
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.recovery import FetchRetryPolicy, SpeculationPolicy, TaskLineage
-from repro.mapreduce.scheduler import TaskAssignment, WaveScheduler
+from repro.mapreduce.scheduler import WaveScheduler
 from repro.mapreduce.shuffle import FetchFailedError, ShuffleService
 from repro.mapreduce.sortmerge import SortMergeReduceTask
 from repro.obs.tracer import byte_cost
@@ -231,6 +231,12 @@ class HadoopEngine(JobDriver):
         disk = self._disk(node)
         return HadoopMapSpec(task_id, node, data, disk.profile, disk.name)
 
+    def _absorb(self, run: JobRun, node: str, res: Any) -> None:
+        # The sort-spill map task is the one kernel that writes: install
+        # its shadow disk's files and charge their I/O to the node.
+        self._disk(node).absorb(res.disk)
+        super()._absorb(run, node, res)
+
     def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
         run.shuffle.register(res.output)
         run.lineage.record(task_id, node, res.output.total_bytes)
@@ -243,7 +249,7 @@ class HadoopEngine(JobDriver):
         disk.delete_prefix(f"mapout/{task_id:05d}")
         disk.delete_prefix(f"mapspill/{task_id:05d}")
 
-    def _after_map_commit(self, run: JobRun, completed: int, last: bool) -> None:
+    def _after_map_commit(self, run: JobRun, completed: int) -> None:
         for partition in sorted(run.reduce_tasks):
             if partition not in run.committed:  # journaled output: nothing to pull
                 self._pull_partition(run, partition)
@@ -304,9 +310,10 @@ class HadoopEngine(JobDriver):
         self.tracer.event(
             "map.rerun", "recovery", node=old_node or "", task=f"map:{task_id:05d}"
         )
-        split = run.splits[task_id]
         rescheduler = WaveScheduler(run.live, map_slots=self.scheduler.map_slots)
-        self._execute_map(run, task_id, split, rescheduler.schedule([split])[0][0].node)
+        [placed] = rescheduler.schedule([run.splits[task_id]])[0]
+        [launched] = self._launch_wave(run, [replace(placed, task_id=task_id)])
+        self._settle_map(run, *launched)
 
     def _on_node_lost(self, run: JobRun, crashed: str) -> None:
         # Completed map output on the node died with it: the lost maps
@@ -319,10 +326,7 @@ class HadoopEngine(JobDriver):
             run.counters.inc(C.TASKS_RERUN, len(lost))
             rescheduler = WaveScheduler(run.live, map_slots=self.scheduler.map_slots)
             reassigned, _ = rescheduler.schedule([run.splits[t] for t in lost])
-            for a in reassigned:
-                run.queue.append(
-                    TaskAssignment(lost[a.task_id], a.split, a.node, a.wave, a.data_local)
-                )
+            run.queue.extend(replace(a, task_id=lost[a.task_id]) for a in reassigned)
 
     # -- reduce side: blocking merge + reduce -----------------------------------
 
@@ -359,21 +363,21 @@ class HadoopEngine(JobDriver):
                     {path: disk.peek(path) for path, _ in runs},
                 )
             )
-        run.reduced = dict(zip(pending, run.session.run_batch("hadoop_reduce", specs)))
+        run.reduced.update(zip(pending, run.session.run_batch("hadoop_reduce", specs)))
 
     def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
-        rtask = run.reduce_tasks[partition]
-        res = run.reduced.pop(partition, None)
-        if res is not None:
-            # Absorb the shadow disk's merge I/O and fold the run-phase
-            # counters into the task's ingestion-phase ones.
-            self._disk(rtask.node).absorb(res.disk)
-            rtask.counters.merge(res.counters)
-            self.tracer.absorb(res.trace)
-            return res.output
-        self._pull_partition(run, partition)  # a rebuilt task's whole partition
-        output, _groups = rtask.run()
-        return output
+        if partition not in run.reduced:
+            # Not pre-computed (a plan, or a rebuilt task's whole
+            # partition): pull what is pending, reduce as a wave of one.
+            self._pull_partition(run, partition)
+            self._reduce_wave(run, [partition])
+        rtask, res = run.reduce_tasks[partition], run.reduced.pop(partition)
+        # Absorb the shadow disk's merge I/O and fold the run-phase
+        # counters into the task's ingestion-phase ones.
+        self._disk(rtask.node).absorb(res.disk)
+        rtask.counters.merge(res.counters)
+        self.tracer.absorb(res.trace)
+        return res.output
 
     def _close(self, run: JobRun) -> None:
         run.shuffle.cleanup()

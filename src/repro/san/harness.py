@@ -422,39 +422,24 @@ class Sanitizer:
 
         self._patch_module_attr(exec_base, "get_kernel", wrap_get_kernel)
 
+        def wrap_batch(orig):
+            def run_batch(session, kernel, specs):
+                if getattr(_TLS, "dispatch", False) or _ENGINE_DEPTH <= 0:
+                    return orig(session, kernel, specs)
+                return san._sanitized_dispatch(
+                    lambda: san._guarded(orig, session, kernel, specs),
+                    kernel,
+                    specs,
+                )
+
+            return run_batch
+
         for cls in (
             exec_base._InlineSession,
             exec_base._ThreadSession,
             exec_base._ForkSession,
         ):
-
-            def wrap_batch(orig):
-                def run_batch(session, kernel, specs):
-                    if getattr(_TLS, "dispatch", False) or _ENGINE_DEPTH <= 0:
-                        return orig(session, kernel, specs)
-                    return san._sanitized_dispatch(
-                        lambda: san._guarded(orig, session, kernel, specs),
-                        kernel,
-                        specs,
-                    )
-
-                return run_batch
-
-            def wrap_one(orig):
-                def run_one(session, kernel, spec):
-                    if getattr(_TLS, "dispatch", False) or _ENGINE_DEPTH <= 0:
-                        return orig(session, kernel, spec)
-                    result = san._sanitized_dispatch(
-                        lambda: [san._guarded(orig, session, kernel, spec)],
-                        kernel,
-                        [spec],
-                    )
-                    return result[0]
-
-                return run_one
-
             self._patch(cls, "run_batch", wrap_batch)
-            self._patch(cls, "run_one", wrap_one)
 
     def _patch_module_attr(
         self, module: Any, attr: str, factory: Callable[[Callable], Callable]

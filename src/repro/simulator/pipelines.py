@@ -60,7 +60,12 @@ class HOPSimConfig:
 
 
 class _BasePipeline:
-    """Cluster construction, map scheduling and result assembly."""
+    """Cluster construction, the process cast and result assembly.
+
+    A pipeline supplies ``_map_task`` (one block through the map side),
+    ``_new_reducer`` (an object with ``node``, ``mailbox``,
+    ``ingest_loop()`` and ``finale()``) and, optionally, ``_extras``.
+    """
 
     engine = "base"
 
@@ -153,9 +158,37 @@ class _BasePipeline:
             self.maps_done.fire()
             self._maybe_close_shuffle()
 
+    # -- the cast ----------------------------------------------------------------
+
+    def _map_worker(self, node: SimNode, queue: deque[tuple[int, SimNode]]) -> Proc:
+        while queue:
+            task_id, storage = queue.popleft()
+            yield from self._map_task(task_id, node, storage)
+
+    def _reducer_proc(self, reducer: Any) -> Proc:
+        yield from reducer.ingest_loop()
+        yield self.shuffle_done.wait()
+        yield from reducer.finale()
+
+    def _extras(self) -> dict[str, Any]:
+        return {}
+
+    def run(self) -> SimRunResult:
+        plan = self._block_plan()
+        self._reducers = [
+            self._new_reducer(i, self.cluster.reducer_node(i)) for i in range(self.spec.reducers)
+        ]
+        for node, queue in plan.items():
+            for _slot in range(self.spec.map_slots):
+                self.sim.spawn(self._map_worker(node, queue))
+        for reducer in self._reducers:
+            self.sim.spawn(self._reducer_proc(reducer))
+        self.sim.run()
+        return self._result(self._extras())
+
     # -- results -----------------------------------------------------------------
 
-    def _result(self, extras: dict[str, Any] | None = None) -> SimRunResult:
+    def _result(self, extras: dict[str, Any]) -> SimRunResult:
         horizon = max(self.sim.now, self.metric_bucket)
         series = metric_bundle(self.cluster.compute_nodes, horizon, self.metric_bucket)
         return SimRunResult(
@@ -167,7 +200,7 @@ class _BasePipeline:
             task_log=self.log,
             series=series,
             totals=self.totals,
-            extras=extras or {},
+            extras=extras,
         )
 
 
@@ -330,29 +363,8 @@ class HadoopPipeline(_BasePipeline):
         self._start_transfer(node, reducer.node, out_bytes, reducer.mailbox)
         self._map_completed()
 
-    def _map_worker(self, node: SimNode, queue: deque[tuple[int, SimNode]]) -> Proc:
-        while queue:
-            task_id, storage = queue.popleft()
-            yield from self._map_task(task_id, node, storage)
-
-    def _reducer_proc(self, reducer: _SortMergeReducer) -> Proc:
-        yield from reducer.ingest_loop()
-        yield self.shuffle_done.wait()
-        yield from reducer.finale()
-
-    def run(self) -> SimRunResult:
-        plan = self._block_plan()
-        self._reducers = [
-            _SortMergeReducer(self, i, self.cluster.reducer_node(i))
-            for i in range(self.spec.reducers)
-        ]
-        for node, queue in plan.items():
-            for _slot in range(self.spec.map_slots):
-                self.sim.spawn(self._map_worker(node, queue))
-        for reducer in self._reducers:
-            self.sim.spawn(self._reducer_proc(reducer))
-        self.sim.run()
-        return self._result()
+    def _new_reducer(self, index: int, node: SimNode) -> _SortMergeReducer:
+        return _SortMergeReducer(self, index, node)
 
 
 def _presort_ratio(p: WorkloadProfile) -> float:
@@ -423,7 +435,7 @@ class HOPPipeline(_BasePipeline):
             for reducer in self._reducers:
                 self.sim.spawn(self._snapshot_proc(reducer, fraction))
 
-    def _snapshot_proc(self, reducer: "_SortMergeReducer", fraction: float) -> Proc:
+    def _snapshot_proc(self, reducer: _SortMergeReducer, fraction: float) -> Proc:
         """Re-merge everything received so far and apply the reduce fn.
 
         "This is done by repeating the merge operation for each snapshot
@@ -450,37 +462,63 @@ class HOPPipeline(_BasePipeline):
             "merge", start, self.sim.now, node=reducer.node.name, task_id=reducer.index
         )
 
-    def _map_worker(self, node: SimNode, queue: deque[tuple[int, SimNode]]) -> Proc:
-        while queue:
-            task_id, storage = queue.popleft()
-            yield from self._map_task(task_id, node, storage)
-
-    def _reducer_proc(self, reducer: "_SortMergeReducer") -> Proc:
-        yield from reducer.ingest_loop()
-        yield self.shuffle_done.wait()
-        yield from reducer.finale()
-
-    def run(self) -> SimRunResult:
-        plan = self._block_plan()
+    def _new_reducer(self, index: int, node: SimNode) -> _SortMergeReducer:
         resort_cpu = self.profile.sort_cpu_per_mb * self.hop.resort_shift
-        self._reducers = [
-            _SortMergeReducer(
-                self,
-                i,
-                self.cluster.reducer_node(i),
-                extra_ingest_cpu_per_mb=resort_cpu,
+        return _SortMergeReducer(self, index, node, extra_ingest_cpu_per_mb=resort_cpu)
+
+    def _extras(self) -> dict[str, Any]:
+        return {"snapshots": list(self.snapshots_taken)}
+
+
+class _HashReducer:
+    """Reduce-side state of the one-pass pipeline: hash update on arrival."""
+
+    def __init__(self, pipeline: _BasePipeline, index: int, node: SimNode) -> None:
+        self.p = pipeline
+        self.index = index
+        self.node = node
+        self.mailbox = Mailbox(f"op-reduce-{index}")
+        pipeline._mailboxes.append(self.mailbox)
+        self.received = 0.0
+        self.spilled = 0.0
+
+    def ingest_loop(self) -> Proc:
+        p, node, index = self.p.profile, self.node, self.index
+        spill_fraction = 1.0 - p.state_fit_fraction
+        while True:
+            item = yield self.mailbox.get()
+            if item is None:
+                break
+            nbytes = float(item)
+            self.received += nbytes
+            # Incremental hash update on arrival.
+            yield Use(node.cpu, p.hash_cpu_per_mb * mb(nbytes), stream=f"hash-{index}")
+            overflow = nbytes * spill_fraction
+            if overflow > 0:
+                yield Use(
+                    node.intermediate_disk,
+                    overflow,
+                    stream=f"ospill-{index}",
+                    tag="write",
+                )
+                self.spilled += overflow
+                self.p.totals.reduce_spill_bytes += overflow
+
+    def finale(self) -> Proc:
+        """One read of any spilled state, the reduce/finalize CPU, and the
+        output write.  No multi-pass merge exists."""
+        pipe, p, node, index = self.p, self.p.profile, self.node, self.index
+        start = pipe.sim.now
+        if self.spilled > 0:
+            yield Use(
+                node.intermediate_disk, self.spilled, stream=f"ofin-{index}", tag="read"
             )
-            for i in range(self.spec.reducers)
-        ]
-        for node, queue in plan.items():
-            for _slot in range(self.spec.map_slots):
-                self.sim.spawn(self._map_worker(node, queue))
-        for reducer in self._reducers:
-            self.sim.spawn(self._reducer_proc(reducer))
-        self.sim.run()
-        return self._result(
-            extras={"snapshots": list(self.snapshots_taken)}
-        )
+        yield Use(node.cpu, p.reduce_cpu_per_mb * mb(self.received), stream=f"fin-{index}")
+        out_bytes = p.input_bytes * p.reduce_output_ratio / pipe.spec.reducers
+        storage = pipe.cluster.storage_node_for_block(index)
+        yield from write_remote(node, storage, out_bytes, pipe.totals, stream=f"out-{index}")
+        pipe.totals.output_bytes += out_bytes
+        pipe.log.record("reduce", start, pipe.sim.now, node=node.name, task_id=index)
 
 
 class OnePassPipeline(_BasePipeline):
@@ -490,17 +528,6 @@ class OnePassPipeline(_BasePipeline):
 
     #: Push chunk size: coarse enough that per-message overhead is noise.
     chunk_bytes = 4 * 1024 * 1024
-
-    def __init__(
-        self,
-        spec: ClusterSpec,
-        profile: WorkloadProfile,
-        *,
-        metric_bucket: float = 10.0,
-    ) -> None:
-        super().__init__(spec, profile, metric_bucket=metric_bucket)
-        self._received: dict[int, float] = {}
-        self._spilled: dict[int, float] = {}
 
     def _map_task(self, task_id: int, node: SimNode, storage: SimNode) -> Proc:
         p = self.profile
@@ -519,73 +546,15 @@ class OnePassPipeline(_BasePipeline):
         n_chunks = max(1, int(out_bytes // self.chunk_bytes))
         chunk = out_bytes / n_chunks
         for _c in range(n_chunks):
-            idx = self._next_reducer()
-            self._start_transfer(
-                node, self._reducer_nodes[idx], chunk, self._reducer_boxes[idx]
-            )
+            reducer = self._reducers[self._next_reducer()]
+            self._start_transfer(node, reducer.node, chunk, reducer.mailbox)
         self._map_completed()
 
-    def _map_worker(self, node: SimNode, queue: deque[tuple[int, SimNode]]) -> Proc:
-        while queue:
-            task_id, storage = queue.popleft()
-            yield from self._map_task(task_id, node, storage)
+    def _new_reducer(self, index: int, node: SimNode) -> _HashReducer:
+        return _HashReducer(self, index, node)
 
-    def _reducer_proc(self, index: int, node: SimNode, box: Mailbox) -> Proc:
-        p = self.profile
-        spec = self.spec
-        received = 0.0
-        spilled = 0.0
-        spill_fraction = 1.0 - p.state_fit_fraction
-        while True:
-            item = yield box.get()
-            if item is None:
-                break
-            nbytes = float(item)
-            received += nbytes
-            # Incremental hash update on arrival.
-            yield Use(node.cpu, p.hash_cpu_per_mb * mb(nbytes), stream=f"hash-{index}")
-            overflow = nbytes * spill_fraction
-            if overflow > 0:
-                yield Use(
-                    node.intermediate_disk,
-                    overflow,
-                    stream=f"ospill-{index}",
-                    tag="write",
-                )
-                spilled += overflow
-                self.totals.reduce_spill_bytes += overflow
-        yield self.shuffle_done.wait()
-        # Finalisation: one read of any spilled state, the reduce/finalize
-        # CPU, and the output write.  No multi-pass merge exists.
-        start = self.sim.now
-        if spilled > 0:
-            yield Use(
-                node.intermediate_disk, spilled, stream=f"ofin-{index}", tag="read"
-            )
-        yield Use(node.cpu, p.reduce_cpu_per_mb * mb(received), stream=f"fin-{index}")
-        out_bytes = p.input_bytes * p.reduce_output_ratio / spec.reducers
-        storage = self.cluster.storage_node_for_block(index)
-        yield from write_remote(node, storage, out_bytes, self.totals, stream=f"out-{index}")
-        self.totals.output_bytes += out_bytes
-        self.log.record("reduce", start, self.sim.now, node=node.name, task_id=index)
-        self._received[index] = received
-        self._spilled[index] = spilled
-
-    def run(self) -> SimRunResult:
-        plan = self._block_plan()
-        self._reducer_boxes: list[Mailbox] = []
-        self._reducer_nodes: list[SimNode] = []
-        for i in range(self.spec.reducers):
-            box = Mailbox(f"op-reduce-{i}")
-            self._mailboxes.append(box)
-            self._reducer_boxes.append(box)
-            self._reducer_nodes.append(self.cluster.reducer_node(i))
-        for node, queue in plan.items():
-            for _slot in range(self.spec.map_slots):
-                self.sim.spawn(self._map_worker(node, queue))
-        for i, (node, box) in enumerate(zip(self._reducer_nodes, self._reducer_boxes)):
-            self.sim.spawn(self._reducer_proc(i, node, box))
-        self.sim.run()
-        return self._result(
-            extras={"received": dict(self._received), "spilled": dict(self._spilled)}
-        )
+    def _extras(self) -> dict[str, Any]:
+        return {
+            "received": {r.index: r.received for r in self._reducers},
+            "spilled": {r.index: r.spilled for r in self._reducers},
+        }

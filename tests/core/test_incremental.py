@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import COUNT, SUM
+from repro.core.hybrid_hash import SpilledState
 from repro.core.incremental import IncrementalHash, count_threshold_policy
 from repro.io.disk import LocalDisk
 from repro.mapreduce.counters import C, Counters
@@ -33,7 +34,7 @@ class TestInMemory:
         partial = COUNT.initial()
         for _ in range(5):
             partial.update(None)
-        ih.merge_state("a", partial)
+        ih.update("a", SpilledState(partial))
         ih.update("a", 1)
         assert dict(ih.results()) == {"a": 6}
 

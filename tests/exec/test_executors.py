@@ -108,20 +108,20 @@ class TestSessions:
         with SerialExecutor().session(CONTEXT) as session:
             assert session.max_batch == 1
             assert session.run_batch("test_square", SPECS) == EXPECTED
-            assert session.run_one("test_square", 5) == 100
+            assert session.run_batch("test_square", [5]) == [100]
 
     def test_thread_session_preserves_spec_order(self):
         with ThreadExecutor(3).session(CONTEXT) as session:
             assert session.max_batch == 6
             assert session.run_batch("test_square", SPECS) == EXPECTED
-            assert session.run_one("test_square", 5) == 100
+            assert session.run_batch("test_square", [5]) == [100]
 
     @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
     def test_fork_session_preserves_spec_order(self):
         with MPExecutor(2).session(CONTEXT) as session:
             assert session.max_batch == 8
             assert session.run_batch("test_square", SPECS) == EXPECTED
-            assert session.run_one("test_square", 5) == 100
+            assert session.run_batch("test_square", [5]) == [100]
 
     @pytest.mark.skipif(not fork_available(), reason="requires fork start method")
     def test_fork_session_single_spec_runs_inline(self):

@@ -43,10 +43,12 @@ def target_for(engine, *, fault_seed=None, **engine_kwargs):
         if fault_seed is not None:
             # A fresh plan per engine instance: plans are stateful, and the
             # same seed gives crash and resume identical fault schedules.
+            # Sized to the job (the driver refuses a plan aimed at tasks
+            # that do not exist); seed 7 kills one map and one reduce attempt.
             kwargs["fault_plan"] = FaultPlan.random(
                 fault_seed,
-                num_map_tasks=8,
-                num_reducers=3,
+                num_map_tasks=len(cluster.hdfs.input_splits("in")),
+                num_reducers=2,
                 map_failure_rate=0.3,
                 reduce_failure_rate=0.3,
                 torn_write_rate=1.0,
@@ -77,7 +79,7 @@ class TestExhaustiveSweep:
     def test_under_seeded_fault_plan(self, engine, tmp_path):
         kwargs = {"checkpoint_interval": 3} if engine == "onepass" else {}
         report = run_crashpoint_sweep(
-            target_for(engine, fault_seed=23, **kwargs),
+            target_for(engine, fault_seed=7, **kwargs),
             str(tmp_path),
             mode="exhaustive",
         )
@@ -161,7 +163,7 @@ class TestSanitizerInterplay:
         kwargs = {"checkpoint_interval": 3} if engine == "onepass" else {}
         with Sanitizer() as san:
             report = run_crashpoint_sweep(
-                target_for(engine, fault_seed=23, **kwargs),
+                target_for(engine, fault_seed=7, **kwargs),
                 str(tmp_path),
                 mode="sampled",
                 samples=3,
@@ -182,9 +184,9 @@ class TestSanitizerInterplay:
             engine = engine_cls(
                 cluster,
                 fault_plan=FaultPlan.random(
-                    23,
-                    num_map_tasks=8,
-                    num_reducers=3,
+                    7,
+                    num_map_tasks=len(cluster.hdfs.input_splits("in")),
+                    num_reducers=2,
                     map_failure_rate=0.3,
                     reduce_failure_rate=0.3,
                     torn_write_rate=1.0,

@@ -61,7 +61,7 @@ class TestInvertedIndexUnderFaults:
     def test_onepass_hotset_with_faults(self, documents):
         cluster = LocalCluster(num_nodes=3, block_size=64 * 1024)
         cluster.hdfs.write_records("in", documents)
-        plan = FaultPlan(map_failures={1: 1})
+        plan = FaultPlan(map_failures={0: 1})
         OnePassEngine(cluster, fault_plan=plan).run(
             inverted_index_onepass_job("in", "out")
         )

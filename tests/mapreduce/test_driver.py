@@ -285,3 +285,46 @@ class TestInjectorScope:
                 make_job("per-user-count", engine)
             )
         assert injectors(cluster) == before
+
+
+# -- a plan is checked against the job before any work ---------------------------
+
+
+class TestPlanTargets:
+    """A plan aimed at a node, task or partition the job lacks is refused up
+    front — not a bare ``list.remove`` mid-job, not a fault that never fires."""
+
+    BAD_PLANS = {
+        "node_crashes['node9']": lambda: FaultPlan(node_crashes={"node9": 1}),
+        "slow_nodes['nodeXX']": lambda: FaultPlan(slow_nodes={"nodeXX": 2.0}),
+        "map_failures[99]": lambda: FaultPlan(map_failures={99: 1}),
+        "reduce_failures[2]": lambda: FaultPlan(reduce_failures={2: 1}),
+        "shuffle_failures[(0, 7)]": lambda: FaultPlan(shuffle_failures={(0, 7): 1}),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_unknown_target_is_a_value_error_before_any_work(self, engine):
+        for entry, make_plan in self.BAD_PLANS.items():
+            cluster = make_cluster()
+            before = cluster.disk_stats()
+            with pytest.raises(ValueError) as err:
+                ENGINES[engine](cluster, fault_plan=make_plan()).run(
+                    make_job("per-user-count", engine)
+                )
+            message = str(err.value)
+            assert message.startswith(f"{engine}: fault plan entry {entry} "), message
+            assert "node00" in message or "0.." in message  # the valid range
+            assert cluster.disk_stats() == before  # nothing ran
+
+    def test_every_in_range_target_is_accepted(self):
+        cluster = make_cluster(replication=2)
+        tasks = len(cluster.hdfs.input_splits("in"))
+        plan = FaultPlan(
+            map_failures={tasks - 1: 1},
+            reduce_failures={1: 1},
+            shuffle_failures={(0, 1): 1},
+            slow_nodes={"node03": 2.0},
+            node_crashes={"node00": tasks},
+        )
+        HadoopEngine(cluster, fault_plan=plan).run(make_job("per-user-count", "hadoop"))
+        assert plan.attempts_of(tasks - 1) >= 2

@@ -118,7 +118,7 @@ class TestPipelinedMapTask:
         )
         chunks = []
         task = _PipelinedMapTask(
-            job, 0, "n0", LocalDisk(), HOPConfig(granularity_records=granularity),
+            job, 0, "n0", HOPConfig(granularity_records=granularity),
             lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
         )
         task.run(iter(records))
@@ -196,7 +196,7 @@ class TestPipelinedMapTask:
 
         chunks = []
         task = _PipelinedMapTask(
-            job, 0, "n0", LocalDisk(), HOPConfig(granularity_records=1000),
+            job, 0, "n0", HOPConfig(granularity_records=1000),
             lambda partition, pairs, nbytes: chunks.append((partition, [k for k, _ in pairs])),
             partitioner=by_type,
         )  # fmt: skip

@@ -99,13 +99,13 @@ class TestRecoveryManagerMap:
         ran, discarded = [], []
         node, result = manager.run_map_task(
             7,
-            "a",
-            ["a", "b", "c"],
+            manager.map_candidates(7, "a", ["a", "b", "c"]),
             1024,
+            "out@a",  # the wave-run first attempt, handed in
             attempt_fn=lambda n: ran.append(n) or f"out@{n}",
             discard_fn=lambda n, r: discarded.append((n, r)),
         )
-        assert ran == ["a", "b", "c"]
+        assert ran == ["b", "c"]
         assert (node, result) == ("c", "out@c")
         # Dead attempts were cleaned up and charged.
         assert discarded == [("a", "out@a"), ("b", "out@b")]
@@ -116,23 +116,21 @@ class TestRecoveryManagerMap:
             FaultPlan(map_failures={0: 99}, max_attempts=3), Counters()
         )
         with pytest.raises(RuntimeError, match="exhausted 3 attempts"):
-            manager.run_map_task(
-                0, "a", ["a", "b"], 1, lambda n: None, lambda n, r: None
-            )
+            manager.run_map_task(0, ["a", "b"], 1, None, lambda n: None, lambda n, r: None)
 
     def test_no_live_nodes_is_an_error(self):
         manager = RecoveryManager(FaultPlan(), Counters())
         with pytest.raises(RuntimeError, match="no live nodes"):
-            manager.run_map_task(0, "a", [], 1, lambda n: None, lambda n, r: None)
+            manager.map_candidates(0, "a", [])
 
     def test_no_plan_means_single_attempt(self):
         manager = RecoveryManager(None, Counters())
         ran = []
-        node, _ = manager.run_map_task(
-            0, "a", ["a"], 1, lambda n: ran.append(n), lambda n, r: None
+        node, result = manager.run_map_task(
+            0, ["a"], 1, "first", lambda n: ran.append(n), lambda n, r: None
         )
-        assert ran == ["a"]
-        assert node == "a"
+        assert ran == []  # the handed-in first attempt is the only one
+        assert (node, result) == ("a", "first")
 
 
 class TestRecoveryManagerSpeculation:
@@ -146,9 +144,7 @@ class TestRecoveryManagerSpeculation:
             speculation=SpeculationPolicy(min_completed=1),
         )
         # Baseline: one fast task completed.
-        manager.run_map_task(
-            0, "fast", ["fast", "slow"], 1024, lambda n: "x", lambda n, r: None
-        )
+        manager.run_map_task(0, ["fast", "slow"], 1024, "x", lambda n: "x", lambda n, r: None)
         return manager
 
     def test_backup_beats_straggler(self):
@@ -157,9 +153,9 @@ class TestRecoveryManagerSpeculation:
         discarded = []
         node, result = manager.run_map_task(
             1,
-            "slow",
-            ["fast", "slow"],
+            ["slow", "fast"],
             1024,
+            "out@slow",
             attempt_fn=lambda n: f"out@{n}",
             discard_fn=lambda n, r: discarded.append((n, r)),
         )
@@ -179,15 +175,13 @@ class TestRecoveryManagerSpeculation:
             counters,
             speculation=SpeculationPolicy(min_completed=1),
         )
-        manager.run_map_task(
-            0, "fast", ["fast", "slow"], 1024, lambda n: "x", lambda n, r: None
-        )
+        manager.run_map_task(0, ["fast", "slow"], 1024, "x", lambda n: "x", lambda n, r: None)
         discarded = []
         node, result = manager.run_map_task(
             1,
-            "slow",
-            ["fast", "slow"],
+            ["slow", "fast"],
             1024,
+            "out@slow",
             attempt_fn=lambda n: f"out@{n}",
             discard_fn=lambda n, r: discarded.append((n, r)),
         )
@@ -201,7 +195,7 @@ class TestRecoveryManagerSpeculation:
         counters = Counters()
         manager = self.warmed_manager(counters)
         node, _ = manager.run_map_task(
-            2, "fast", ["fast", "slow"], 1024, lambda n: "y", lambda n, r: None
+            2, ["fast", "slow"], 1024, "y", lambda n: "y", lambda n, r: None
         )
         assert node == "fast"
         assert counters[C.SPECULATIVE_LAUNCHED] == 0
