@@ -41,7 +41,7 @@ from typing import Any, Sequence
 
 from repro.analysis.series import sparkline
 from repro.analysis.tables import format_table, human_bytes, human_time
-from repro.workloads import WORKLOADS, paper_jobs
+from repro.workloads import WORKLOADS, paper_cell
 
 ENGINES = ("hadoop", "hop", "onepass")
 
@@ -55,21 +55,8 @@ def _run_real(
     tracer: Any = None,
     journal: Any = None,
 ) -> Any:
-    from repro.core.engine import OnePassEngine
-    from repro.mapreduce.hop import HOPEngine
-    from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-
-    records_fn, sm_job, op_job = paper_jobs(workload)
-    cluster = LocalCluster(num_nodes=nodes, block_size=256 * 1024)
-    cluster.hdfs.write_records("in", records_fn(records))
-    if engine in ("hadoop", "hop"):
-        engine_cls = HadoopEngine if engine == "hadoop" else HOPEngine
-        return engine_cls(
-            cluster, executor=executor, tracer=tracer, journal=journal
-        ).run(sm_job("in", "out"))
-    return OnePassEngine(
-        cluster, executor=executor, tracer=tracer, journal=journal
-    ).run(op_job("in", "out"))
+    cluster, engine_cls, job = paper_cell(workload, engine, records, nodes)
+    return engine_cls(cluster, executor=executor, tracer=tracer, journal=journal).run(job)
 
 
 def _apply_log_level(args: argparse.Namespace) -> None:
@@ -79,22 +66,15 @@ def _apply_log_level(args: argparse.Namespace) -> None:
         set_level(args.log_level)
 
 
-def _maybe_write_trace(args: argparse.Namespace, result: Any) -> None:
-    """Write ``result``'s trace if ``--trace`` was given (run/compare/trace)."""
-    if not getattr(args, "trace", None):
+def _maybe_write_trace(path: str | None, fmt: str, result: Any) -> None:
+    """Write ``result``'s trace to ``path``, if one was asked for (run/compare/trace)."""
+    if not path:
         return
     from repro.obs.export import write_trace
 
     tracer = result.trace
-    write_trace(
-        args.trace,
-        args.trace_format,
-        tracer.spans,
-        tracer.events,
-        job_name=result.job_name,
-        metrics=tracer.metrics.as_report() if tracer.enabled else None,
-    )
-    print(f"wrote {args.trace_format} trace to {args.trace}")
+    write_trace(path, fmt, tracer.spans, tracer.events, job_name=result.job_name)
+    print(f"wrote {fmt} trace to {path}")
 
 
 def _print_counters(result: Any, title: str) -> None:
@@ -158,7 +138,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _print_counters(
         result, f"{args.workload} on {args.engine} ({args.records} records)"
     )
-    _maybe_write_trace(args, result)
+    _maybe_write_trace(args.trace, args.trace_format, result)
     if args.analyze:
         _print_analysis(tracer, result.job_name)
     return 0
@@ -192,30 +172,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import shutil
     import tempfile
 
-    from repro.core.engine import OnePassEngine
-    from repro.mapreduce.hop import HOPEngine
-    from repro.mapreduce.runtime import HadoopEngine, LocalCluster
     from repro.testing import ChaosTarget, CrashpointInvariantError, run_crashpoint_sweep
 
-    records_fn, sm_job, op_job = paper_jobs(args.workload)
-    data = records_fn(args.records)
-    job_fn = op_job if args.engine == "onepass" else sm_job
-    engine_cls = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}[
-        args.engine
-    ]
+    def cell() -> tuple[Any, Any, Any]:
+        return paper_cell(args.workload, args.engine, args.records, args.nodes)
 
-    def make_cluster() -> Any:
-        cluster = LocalCluster(num_nodes=args.nodes, block_size=256 * 1024)
-        cluster.hdfs.write_records("in", data)
-        return cluster
-
+    engine_cls = cell()[1]
     target = ChaosTarget(
         name=f"{args.workload}/{args.engine}",
-        make_cluster=make_cluster,
+        make_cluster=lambda: cell()[0],
         make_engine=lambda cluster, journal: engine_cls(
             cluster, executor=args.executor, journal=journal
         ),
-        make_job=lambda: job_fn("in", "out"),
+        make_job=lambda: cell()[2],
     )
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     crash_modes = ("after", "torn") if args.crash_mode == "both" else (args.crash_mode,)
@@ -257,7 +226,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one workload with tracing on; print or write the timeline."""
-    from repro.obs.export import summary_text, write_trace
+    from repro.obs.export import summary_text
     from repro.obs.tracer import Tracer
 
     _apply_log_level(args)
@@ -266,14 +235,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         args.workload, args.engine, args.records, args.nodes, args.executor, tracer
     )
     if args.out:
-        write_trace(
-            args.out,
-            args.format,
-            tracer.spans,
-            tracer.events,
-            job_name=result.job_name,
-        )
-        print(f"wrote {args.format} trace to {args.out}")
+        _maybe_write_trace(args.out, args.format, result)
     else:
         print(summary_text(tracer.spans, tracer.events, job_name=result.job_name), end="")
     return 0
@@ -332,44 +294,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     import time
 
-    records_fn, sm_job, op_job = paper_jobs(args.workload)
-    from repro.core.engine import OnePassEngine
-    from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-
     _apply_log_level(args)
-    data = records_fn(args.records)
     rows = []
     results = {}
     tracers: dict[str, Any] = {}
-    for engine in ("sort-merge", "one-pass"):
+    for engine, engine_name in (("sort-merge", "hadoop"), ("one-pass", "onepass")):
         tracer = None
         if args.trace or args.analyze:
             from repro.obs.tracer import Tracer
 
             tracer = Tracer()
         tracers[engine] = tracer
-        cluster = LocalCluster(num_nodes=args.nodes, block_size=256 * 1024)
-        cluster.hdfs.write_records("in", data)
+        cluster, engine_cls, job = paper_cell(
+            args.workload, engine_name, args.records, args.nodes
+        )
         t0 = time.process_time()
-        if engine == "sort-merge":
-            result = HadoopEngine(cluster, tracer=tracer).run(sm_job("in", "out"))
-        else:
-            result = OnePassEngine(cluster, tracer=tracer).run(op_job("in", "out"))
+        result = engine_cls(cluster, tracer=tracer).run(job)
         cpu = time.process_time() - t0
         results[engine] = (result, cpu)
         if args.trace:
-            from repro.obs.export import write_trace
-
             stem, dot, ext = args.trace.rpartition(".")
             path = f"{stem}-{engine}{dot}{ext}" if dot else f"{args.trace}-{engine}"
-            write_trace(
-                path,
-                args.trace_format,
-                tracer.spans,
-                tracer.events,
-                job_name=result.job_name,
-            )
-            print(f"wrote {args.trace_format} trace to {path}")
+            _maybe_write_trace(path, args.trace_format, result)
         c = result.counters
         rows.append(
             (

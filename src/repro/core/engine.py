@@ -251,13 +251,11 @@ class OnePassReduceTask:
         output: list[Any] = []
         groups = 0
         backend = self._backend
-        if not isinstance(backend, HybridHashGrouper):
-            self.tracer.metrics.gauge("hash.resident.keys").record(
-                self.tracer.clock, backend.resident_keys
-            )
         with self.tracer.span(
             "reduce", "reduce", node=self.node, task=self._task
         ) as reduce_span:
+            if not isinstance(backend, HybridHashGrouper):
+                reduce_span.set(resident_keys=backend.resident_keys)
             if job.is_aggregate:
                 finalize = job.finalize or _default_finalize
                 for key, result in self._drain():
@@ -461,7 +459,6 @@ class OnePassEngine(PushShuffleDriver):
                 continue  # journaled output; the reducer never runs
             run.network_bytes += nbytes
             rtask = run.reduce_tasks[partition]
-            self.tracer.metrics.histogram("push.chunk.bytes").observe(nbytes)
             with self.tracer.span(
                 "push",
                 "shuffle",

@@ -43,5 +43,4 @@ class LintConfig:
     counter_names_override: frozenset[str] | None = None
     span_names_override: frozenset[str] | None = None
     event_names_override: frozenset[str] | None = None
-    metric_names_override: frozenset[str] | None = None
     hot_path_modules_override: tuple[str, ...] | None = None

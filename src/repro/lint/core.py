@@ -47,7 +47,7 @@ KERNEL_MODULE = "src/repro/exec/kernels.py"
 EXECUTOR_MODULE = "src/repro/exec/base.py"
 #: Counter registry (``class C``).
 COUNTERS_MODULE = "src/repro/mapreduce/counters.py"
-#: Span/event/metric name registry (SPAN_NAMES, EVENT_NAMES, METRIC_NAMES).
+#: Span/event name registry (SPAN_NAMES, EVENT_NAMES).
 NAMES_MODULE = "src/repro/obs/names.py"
 #: Doc whose marked list names the hot-path modules (REP007).
 PERFORMANCE_DOC = "docs/PERFORMANCE.md"
@@ -401,10 +401,10 @@ class LintContext:
         """Declared counter string values (for uniqueness checks)."""
         return self._load_counters()[1]
 
-    # -- REP104: span/event/metric name registries --------------------------
+    # -- REP104: span/event name registries ---------------------------------
 
     def registry_names(self, kind: str) -> frozenset[str]:
-        """The registered names of one kind: "span", "event" or "metric"."""
+        """The registered names of one kind: "span" or "event"."""
         override = getattr(self.config, f"{kind}_names_override")
         if override is not None:
             return override

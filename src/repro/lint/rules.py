@@ -666,25 +666,25 @@ class PicklableSpecs(Rule):
                 )
 
 
-# -- REP104: span/event/metric names come from the registry -------------------
+# -- REP104: span/event names come from the registry --------------------------
 
 
 class RegistryNames(Rule):
-    """REP104: every span/event/metric name must be registered in
+    """REP104: every span/event name must be registered in
     ``repro/obs/names.py``.  A literal is looked up as it is; a name
     built from f-strings, concatenation or constant locals is
     constant-folded first; a name that cannot be folded is rejected
     outright.
 
-    Every exporter, phase table and consumer is keyed on the registry;
-    histograms and gauges merge worker -> coordinator *by name*, so a
-    misspelled one silently forks a new series.  ``Metrics`` raises on
-    unregistered names at runtime; this catches the same mistake
-    statically, including on paths tests never execute.
+    Every exporter, phase table and consumer is keyed on the registry —
+    the analyzer's metrics table selects spans and events *by name* — so
+    a misspelled one silently falls out of every view.  Nothing checks
+    names at runtime; this catches the mistake statically, including on
+    paths tests never execute.
     """
 
     id = "REP104"
-    title = "span/event/metric names must be (or fold to) registered constants"
+    title = "span/event names must be (or fold to) registered constants"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         for nodes in module.scope_nodes.values():
@@ -697,17 +697,11 @@ class RegistryNames(Rule):
                 ):
                     continue
                 method, receiver = node.func.attr, node.func.value
-                if method in ("span", "event", "add_span"):
-                    if not receiver_named(receiver, TRACER_NAMES):
-                        continue
-                    kind = "event" if method == "event" else "span"
-                elif method in ("histogram", "gauge"):
-                    # ``metrics.histogram(...)`` / ``<expr>.metrics.gauge(...)``
-                    if not receiver_named(receiver, ("metrics",)):
-                        continue
-                    kind = "metric"
-                else:
+                if method not in ("span", "event", "add_span") or not receiver_named(
+                    receiver, TRACER_NAMES
+                ):
                     continue
+                kind = "event" if method == "event" else "span"
                 name_arg = node.args[0]
                 if isinstance(name_arg, ast.Constant):
                     if not isinstance(name_arg.value, str):

@@ -170,15 +170,17 @@ class PartitionCache:
                 bytes=entry.nbytes,
             ):
                 self.spill_disk.write(path, entry.data, overwrite=True)
-            self.tracer.event("cache.spill", "cache", bytes=entry.nbytes)
+            self.tracer.event(
+                "cache.spill",
+                "cache",
+                bytes=entry.nbytes,
+                resident_bytes=self.used_bytes - entry.nbytes,
+            )
             self.counters.inc(C.CACHE_SPILLS)
             self.counters.inc(C.CACHE_SPILL_BYTES, entry.nbytes)
             entry.spill_path = path
             entry.data = None
             self.used_bytes -= entry.nbytes
-            self.tracer.metrics.gauge("cache.resident.bytes").record(
-                self.tracer.clock, self.used_bytes
-            )
 
     # -- cleanup -------------------------------------------------------------
 

@@ -302,18 +302,17 @@ class HOPEngine(PushShuffleDriver):
         chunks = [c for c in res.chunks if c[0] not in run.committed]
         disk = self._disk(node)
         reduce_tasks = run.reduce_tasks
-        chunk_hist = self.tracer.metrics.histogram("push.chunk.bytes")
         with self.tracer.span(
             "push",
             "shuffle",
             node=node,
             task=f"map:{task_id:05d}",
             partitions=sorted({p for p, _, _ in chunks}),
+            chunk_bytes=[nbytes for _, _, nbytes in chunks],
         ) as push_span:
             staged: list[tuple[int, str, int]] = []
             pushed_bytes = 0
             for partition, pairs, nbytes in chunks:
-                chunk_hist.observe(nbytes)
                 if reduce_tasks[partition].backlog_bytes >= self.hop.backpressure_bytes:
                     path = f"hop-stage/{task_id:05d}/c{len(staged):05d}-p{partition:03d}"
                     written = write_run(disk, path, pairs)

@@ -280,9 +280,6 @@ class HadoopEngine(JobDriver):
                     with run.counters.timer(C.T_RECOVERY):
                         self._rerun_lost_map(run, task_id)
                     continue
-                self.tracer.metrics.histogram("shuffle.segment.bytes").observe(
-                    seg.nbytes
-                )
                 with self.tracer.span(
                     "fetch",
                     "shuffle",

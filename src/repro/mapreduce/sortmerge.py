@@ -226,7 +226,6 @@ class _SortSpillBuffer:
         self._buckets = [[] for _ in range(self.num_partitions)]
         self._bytes = 0
 
-        self.tracer.metrics.histogram("map.sort.records").observe(total)
         with self.tracer.span(
             "sort", "sort", node=self.node, task=self._task, cost=total, records=total
         ):

@@ -3,7 +3,7 @@
 Deterministic interpretation of the PR 3 tracer's output: critical-path
 extraction over the span dependency DAG, barrier-stall and pipelining
 metrics (the paper's Fig. 4 as a computed report), skew and straggler
-attribution, the clock-keyed metrics registry view, and trace-diff with
+attribution, the metrics view derived from span args, and trace-diff with
 per-phase regression attribution.  See the "Performance analysis"
 section of ``docs/OBSERVABILITY.md``.
 """
@@ -25,6 +25,7 @@ from repro.obs.analyze.report import (
     analyze_journal,
     analyze_model,
     analyze_tracer,
+    derive_metrics,
     render_html,
     render_json,
     render_text,
@@ -42,6 +43,7 @@ __all__ = [
     "analyze_model",
     "analyze_tracer",
     "analyze_journal",
+    "derive_metrics",
     "critical_path",
     "barrier_report",
     "interval_union",

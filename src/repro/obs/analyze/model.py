@@ -4,9 +4,10 @@ The analyzer consumes the same artifacts the exporters produce: a live
 :class:`repro.obs.Tracer`, a JSONL trace file (``--trace-format jsonl``)
 or a Chrome trace-event file (``--trace-format chrome``).  All three
 reconstruct to the same :class:`TraceModel` — spans and events on the
-logical clock plus the metrics report — so ``repro analyze`` on a file
-produces byte-identical reports to ``repro run --analyze`` on the live
-run that wrote it.
+logical clock, nothing else: every section of the report, the metrics
+included, is derived from them — so ``repro analyze`` on a file produces
+byte-identical reports to ``repro run --analyze`` on the live run that
+wrote it, whichever command wrote it.
 
 Wall-clock fields (``wall_s``/``wall_us``) are parsed but never used:
 every analyzer quantity is logical-clock arithmetic, which is what makes
@@ -30,8 +31,6 @@ class TraceModel:
 
     spans: list[Span] = field(default_factory=list)
     events: list[TraceEvent] = field(default_factory=list)
-    #: Plain-data metrics view (``Metrics.as_report()`` shape).
-    metrics: dict[str, dict[str, Any]] = field(default_factory=dict)
     job_name: str = ""
 
     @property
@@ -46,7 +45,6 @@ def model_from_tracer(tracer: Any, *, job_name: str = "") -> TraceModel:
     return TraceModel(
         spans=list(tracer.spans),
         events=list(tracer.events),
-        metrics=tracer.metrics.as_report() if tracer.enabled else {},
         job_name=job_name,
     )
 
@@ -87,11 +85,9 @@ def _load_jsonl(text: str) -> TraceModel:
             model.spans.append(_span_from_jsonl(obj))
         elif kind == "event":
             model.events.append(_event_from_jsonl(obj))
-        elif kind == "metric":
-            model.metrics[obj["name"]] = obj["metric"]
         elif kind == "meta":
             model.job_name = obj.get("job", "")
-        else:
+        elif kind != "metric":  # an older trace's stale copy of what its spans say
             raise ValueError(f"unknown jsonl record type {kind!r}")
     return model
 
@@ -105,9 +101,6 @@ def _load_chrome(obj: dict[str, Any]) -> TraceModel:
             name = ev.get("args", {}).get("name", "")
             nodes[ev["pid"]] = "" if name == "coordinator" else name
     model = TraceModel(job_name=obj.get("otherData", {}).get("job", ""))
-    raw_metrics = obj.get("otherData", {}).get("metrics")
-    if isinstance(raw_metrics, dict):
-        model.metrics = raw_metrics
     for ev in events:
         ph = ev.get("ph")
         args = dict(ev.get("args", {}))
@@ -146,7 +139,7 @@ def load_trace(path: str) -> TraceModel:
 
     The format is sniffed from the content: a JSON object with
     ``traceEvents`` is a Chrome trace, otherwise each line must be one
-    JSONL span/event/metric record.
+    JSONL span/event/meta record.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -2,8 +2,9 @@
 
 :func:`analyze_model` runs every analysis pass — phase attribution,
 critical path, barrier/pipelining metrics, skew/straggler accounting,
-metrics registry — over one :class:`~repro.obs.analyze.model.TraceModel`
-and returns a single plain-data report (schema ``repro.analyze/v1``).
+the span-derived metrics view — over one
+:class:`~repro.obs.analyze.model.TraceModel` and returns a single
+plain-data report (schema ``repro.analyze/v1``).
 :func:`analyze_journal` produces the journal counterpart (schema
 ``repro.analyze.journal/v1``) from a job journal's *converged* committed
 state — the same report whether the journal came from an uninterrupted
@@ -21,20 +22,25 @@ fault plans.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from html import escape
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.analysis.tables import format_kv, format_table
 from repro.obs.analyze.barriers import barrier_report
 from repro.obs.analyze.critical_path import critical_path
 from repro.obs.analyze.model import TraceModel, model_from_tracer
 from repro.obs.analyze.skew import skew_report
-from repro.obs.timeline import PHASE_ORDER
+from repro.obs.timeline import phase_rank, phase_totals
+from repro.obs.tracer import Span, TraceEvent
 
 __all__ = [
     "SCHEMA",
     "JOURNAL_SCHEMA",
     "REPORT_FORMATS",
+    "DERIVED_METRICS",
+    "derive_metrics",
     "analyze_model",
     "analyze_tracer",
     "analyze_journal",
@@ -52,36 +58,95 @@ REPORT_FORMATS = ("terminal", "json", "html")
 _CHAIN_ROWS = 15
 
 
-def _phase_rank(cat: str) -> tuple[int, str]:
-    try:
-        return (PHASE_ORDER.index(cat), cat)
-    except ValueError:
-        return (len(PHASE_ORDER), cat)
-
-
 def _phases(model: TraceModel) -> dict[str, dict[str, Any]]:
-    """Per-category span counts/ticks/shares (wall-free, unlike phase_totals).
+    """Per-category span counts/ticks/shares: ``phase_totals`` minus wall time.
 
     Phase-envelope spans (``cat == "phase"``) cover the whole run and
     would dilute every share, so attribution is over work spans only and
     shares sum to 100%.
     """
-    agg: dict[str, dict[str, int]] = {}
-    for s in model.spans:
-        if s.cat == "phase":
-            continue
-        row = agg.setdefault(s.cat or "other", {"spans": 0, "ticks": 0})
-        row["spans"] += 1
-        row["ticks"] += s.t1 - s.t0
-    grand = sum(r["ticks"] for r in agg.values()) or 1
+    totals = phase_totals([s for s in model.spans if s.cat != "phase"])
+    grand = sum(row["ticks"] for row in totals.values()) or 1
     return {
         cat: {
-            "spans": agg[cat]["spans"],
-            "ticks": agg[cat]["ticks"],
-            "share": round(agg[cat]["ticks"] / grand, 4),
+            "spans": totals[cat]["spans"],
+            "ticks": totals[cat]["ticks"],
+            "share": round(totals[cat]["ticks"] / grand, 4),
         }
-        for cat in sorted(agg, key=_phase_rank)
+        for cat in sorted(totals, key=phase_rank)
     }
+
+
+#: Histogram bucket upper bounds (powers of four up to ~1G) plus an implicit
+#: overflow bucket.  Fixed for the repository: a committed trace must bucket
+#: the same way forever.
+_BOUNDS: tuple[int, ...] = tuple(4**i for i in range(16))
+
+#: The metrics view: name -> (type, record kind, record name, arg names).
+#: A distribution or a sampled level is not emitted anywhere — it is a
+#: reading of a number the spans and events already carry.  Each row selects
+#: the records of one name that hold one of its args (a list arg is one
+#: observation per element).  To add a metric, put the number on the span
+#: or event beside it and add a row.
+DERIVED_METRICS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
+    # map-side buffer sort sizes (every engine that sorts)
+    "map.sort.records": ("histogram", "span", "sort", ("records",)),
+    # hadoop fetch segment sizes
+    "shuffle.segment.bytes": ("histogram", "span", "fetch", ("bytes",)),
+    # pushed chunk sizes: one span per chunk (one-pass) or per map (hop)
+    "push.chunk.bytes": ("histogram", "span", "push", ("bytes", "chunk_bytes")),
+    # one-pass incremental hash residency when the partition's reduce opens
+    "hash.resident.keys": ("gauge", "span", "reduce", ("resident_keys",)),
+    # partition-cache residency after each spill
+    "cache.resident.bytes": ("gauge", "event", "cache.spill", ("resident_bytes",)),
+}
+
+
+def derive_metrics(
+    spans: Sequence[Span], events: Sequence[TraceEvent] = ()
+) -> dict[str, dict[str, Any]]:
+    """The report's ``metrics`` section, folded from span and event args.
+
+    Histograms report their non-empty buckets as ``{"le": bound-or-"inf",
+    "n": count}`` rows.  Gauge samples are ``[tick, value]`` in trace order,
+    the tick being the clock reading the level was current at: an event's
+    ``ts``, or the tick before a span opened (``t0 - 1``; opening costs one).
+    """
+    out: dict[str, dict[str, Any]] = {}
+    for name in sorted(DERIVED_METRICS):
+        kind, source, record, arg_names = DERIVED_METRICS[name]
+        samples: list[tuple[int, int]] = []
+        for r in (r for r in (spans if source == "span" else events) if r.name == record):
+            value = next((r.args[a] for a in arg_names if a in r.args), None)
+            if value is None:
+                continue
+            tick = r.t0 - 1 if source == "span" else r.ts
+            each = value if isinstance(value, (list, tuple)) else (value,)
+            samples.extend((tick, int(v)) for v in each)
+        if not samples:
+            continue
+        values = [v for _, v in samples]
+        if kind == "histogram":
+            counts = Counter(bisect_left(_BOUNDS, v) for v in values)
+            out[name] = {
+                "type": "histogram",
+                "count": len(values),
+                "total": sum(values),
+                "buckets": [
+                    {"le": _BOUNDS[i] if i < len(_BOUNDS) else "inf", "n": counts[i]}
+                    for i in sorted(counts)
+                ],
+            }
+        else:
+            out[name] = {
+                "type": "gauge",
+                "count": len(values),
+                "min": min(values),
+                "max": max(values),
+                "last": values[-1],
+                "samples": [[t, v] for t, v in samples],
+            }
+    return out
 
 
 def analyze_model(model: TraceModel) -> dict[str, Any]:
@@ -96,7 +161,7 @@ def analyze_model(model: TraceModel) -> dict[str, Any]:
         "critical_path": critical_path(model.spans),
         "barriers": barrier_report(model.spans),
         "skew": skew_report(model.spans, model.events),
-        "metrics": {name: model.metrics[name] for name in sorted(model.metrics)},
+        "metrics": derive_metrics(model.spans, model.events),
     }
 
 

@@ -60,7 +60,6 @@ def chrome_trace(
     events: Sequence[TraceEvent] = (),
     *,
     job_name: str = "",
-    metrics: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Render spans/events as a ``chrome://tracing``-loadable object."""
     pids = _pid_map(spans, events)
@@ -114,16 +113,13 @@ def chrome_trace(
                 "args": args,
             }
         )
-    other: dict[str, Any] = {
-        "job": job_name,
-        "clock": "logical (1 tick = 1 record-equivalent of work, shown as 1us)",
-    }
-    if metrics:
-        other["metrics"] = metrics
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {
+            "job": job_name,
+            "clock": "logical (1 tick = 1 record-equivalent of work, shown as 1us)",
+        },
     }
 
 
@@ -166,15 +162,12 @@ def to_jsonl(
     spans: Sequence[Span],
     events: Sequence[TraceEvent] = (),
     *,
-    metrics: dict[str, Any] | None = None,
     job_name: str = "",
 ) -> str:
     """One JSON object per line, ordered by logical start tick.
 
-    With ``metrics`` (a ``Metrics.as_report()`` mapping) and/or
-    ``job_name``, trailing ``metric``/leading ``meta`` records are
-    emitted so the file round-trips through ``repro analyze`` with the
-    full report intact.
+    With ``job_name`` a leading ``meta`` record is emitted, so the file
+    round-trips through ``repro analyze`` with the full report intact.
     """
     records: list[tuple[int, int, dict[str, Any]]] = []
     for i, s in enumerate(spans):
@@ -215,13 +208,6 @@ def to_jsonl(
     lines = [json.dumps(r[2], sort_keys=True) for r in records]
     if job_name:
         lines.insert(0, json.dumps({"type": "meta", "job": job_name}, sort_keys=True))
-    for name in sorted(metrics or ()):
-        lines.append(
-            json.dumps(
-                {"type": "metric", "name": name, "metric": metrics[name]},
-                sort_keys=True,
-            )
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -257,17 +243,12 @@ def write_trace(
     events: Sequence[TraceEvent] = (),
     *,
     job_name: str = "",
-    metrics: dict[str, Any] | None = None,
 ) -> None:
     """Serialise a trace to ``path`` in the requested format."""
     if fmt == "chrome":
-        payload = json.dumps(
-            chrome_trace(spans, events, job_name=job_name, metrics=metrics),
-            sort_keys=True,
-        )
-        text = payload + "\n"
+        text = json.dumps(chrome_trace(spans, events, job_name=job_name), sort_keys=True) + "\n"
     elif fmt == "jsonl":
-        text = to_jsonl(spans, events, metrics=metrics, job_name=job_name)
+        text = to_jsonl(spans, events, job_name=job_name)
     elif fmt == "summary":
         text = summary_text(spans, events, job_name=job_name)
     else:

@@ -1,10 +1,10 @@
-"""The span/event/metric name registry: the tracing vocabulary, in one place.
+"""The span/event name registry: the tracing vocabulary, in one place.
 
-Every span, event or metric an engine records must use a name declared
-here — lint rules REP005/REP104 (spans/events) and REP008 (metrics)
-enforce it.  Exporters, the phase tables, the analyzer and the CI
-trace-validation job all key on this vocabulary; an unregistered name
-would silently fall out of every downstream view.
+Every span or event an engine records must use a name declared here —
+lint rules REP005/REP104 enforce it.  Exporters, the phase tables, the
+analyzer (its metrics table selects spans and events by these names) and
+the CI trace-validation job all key on this vocabulary; an unregistered
+name would silently fall out of every downstream view.
 
 When instrumenting a new site, add its name here first (and to the
 span-model table in ``docs/OBSERVABILITY.md``).  The registry is also
@@ -15,7 +15,7 @@ dead vocabulary cannot accumulate.
 
 from __future__ import annotations
 
-__all__ = ["EVENT_NAMES", "METRIC_NAMES", "SPAN_NAMES"]
+__all__ = ["EVENT_NAMES", "SPAN_NAMES"]
 
 #: Closed-interval work attribution (``tracer.span``/``tracer.add_span``).
 SPAN_NAMES = frozenset(
@@ -63,20 +63,5 @@ EVENT_NAMES = frozenset(
         # chained-job partition cache
         "cache.register",
         "cache.spill",
-    }
-)
-
-#: Distribution/level metrics (``tracer.metrics.histogram``/``.gauge``);
-#: validated at first use by :class:`repro.obs.metrics.Metrics` and
-#: statically by lint rule REP008.
-METRIC_NAMES = frozenset(
-    {
-        # histograms
-        "map.sort.records",  # map-side buffer sort sizes (worker-side)
-        "shuffle.segment.bytes",  # hadoop fetch segment sizes
-        "push.chunk.bytes",  # pipelined push chunk sizes (hop/one-pass)
-        # gauges (tick-keyed levels)
-        "hash.resident.keys",  # one-pass incremental hash residency at finish
-        "cache.resident.bytes",  # partition-cache residency after a spill
     }
 )

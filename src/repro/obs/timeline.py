@@ -17,7 +17,7 @@ from typing import Sequence
 from repro.analysis.tables import format_table
 from repro.obs.tracer import Span, TraceEvent
 
-__all__ = ["PHASE_ORDER", "phase_totals", "phase_table", "recovery_timeline"]
+__all__ = ["PHASE_ORDER", "phase_rank", "phase_totals", "phase_table", "recovery_timeline"]
 
 #: Canonical presentation order; categories outside this list sort after,
 #: alphabetically.  Mirrors the paper's Table II row order (map fn, sort,
@@ -51,7 +51,8 @@ def phase_totals(spans: Sequence[Span]) -> dict[str, dict[str, float]]:
     return dict(totals)
 
 
-def _phase_rank(cat: str) -> tuple[int, str]:
+def phase_rank(cat: str) -> tuple[int, str]:
+    """Sort key placing ``cat`` in :data:`PHASE_ORDER` (strangers last, by name)."""
     try:
         return (PHASE_ORDER.index(cat), cat)
     except ValueError:
@@ -63,7 +64,7 @@ def phase_table(spans: Sequence[Span], *, title: str = "") -> str:
     totals = phase_totals(spans)
     grand_ticks = sum(row["ticks"] for row in totals.values()) or 1
     rows = []
-    for cat in sorted(totals, key=_phase_rank):
+    for cat in sorted(totals, key=phase_rank):
         row = totals[cat]
         rows.append(
             (

@@ -31,8 +31,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import NULL_METRICS, Metrics
-
 __all__ = [
     "Span",
     "TraceEvent",
@@ -83,9 +81,8 @@ class TraceEvent:
 
 
 #: The picklable wire form a worker-side tracer ships to the coordinator:
-#: ``(spans, events, clock, metrics_export)``.  :meth:`Tracer.absorb`
-#: also accepts the historical 3-tuple without the metrics element.
-TraceExport = tuple[list[Span], list[TraceEvent], int, Any]
+#: ``(spans, events, clock)``.
+TraceExport = tuple[list[Span], list[TraceEvent], int]
 
 
 class _SpanHandle:
@@ -144,16 +141,15 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Records spans, events and metrics on one logical clock."""
+    """Records spans and events on one logical clock."""
 
-    __slots__ = ("spans", "events", "metrics", "_clock")
+    __slots__ = ("spans", "events", "_clock")
 
     enabled = True
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
         self.events: list[TraceEvent] = []
-        self.metrics = Metrics()
         self._clock = 0
 
     @property
@@ -216,8 +212,8 @@ class Tracer:
     # -- composition ----------------------------------------------------------
 
     def export(self) -> TraceExport:
-        """The picklable form: ``(spans, events, clock, metrics)``."""
-        return (self.spans, self.events, self._clock, self.metrics.export())
+        """The picklable form: ``(spans, events, clock)``."""
+        return (self.spans, self.events, self._clock)
 
     def absorb(self, trace: TraceExport | None, *, args: dict[str, Any] | None = None) -> None:
         """Splice a task-local export onto this clock, preserving order.
@@ -227,15 +223,12 @@ class Tracer:
         child's total.  Called in deterministic task order by the
         coordinator, this yields identical merged traces across
         executors.  ``args`` (e.g. ``{"attempt": 2}``) is merged into
-        every absorbed span and event.  Metric exports merge into
-        :attr:`metrics` with gauge ticks rebased the same way.
+        every absorbed span and event.
         """
         if not trace:
             return
-        spans, events, clock, *rest = trace
+        spans, events, clock = trace
         base = self._clock
-        if rest and rest[0] is not None:
-            self.metrics.absorb(rest[0], base)
         for s in spans:
             s.t0 += base
             s.t1 += base
@@ -259,7 +252,6 @@ class NullTracer:
     spans: tuple = ()
     events: tuple = ()
     clock = 0
-    metrics = NULL_METRICS
 
     def span(self, *args: Any, **kwargs: Any) -> _NullSpan:
         return _NULL_SPAN

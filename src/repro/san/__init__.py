@@ -3,7 +3,7 @@
 Dynamic cross-validation of the static lint layers (REP002..REP205):
 an opt-in harness (:class:`repro.san.harness.Sanitizer`) instruments
 real engine runs with four detectors — nondeterminism sentinels,
-a vector-clock race detector, resource/lifetime tracking and
+a batch-window race detector, resource/lifetime tracking and
 pickle-boundary checks — and reports logical-clock-ordered, canonical
 violations.  See ``docs/SANITIZERS.md``.
 """

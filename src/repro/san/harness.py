@@ -10,10 +10,10 @@ lets the battery byte-compare sanitized vs unsanitized runs.
 
 Detector wiring (see docs/SANITIZERS.md for the full matrix):
 
-* ``race`` — each executor batch is a fork/join region in the
-  happens-before graph (:mod:`repro.san.hb`); registered shared objects
-  are fingerprinted across the batch window and any change is attributed
-  and raced against sibling-task accesses (SAN201 / REP201).
+* ``race`` — each executor batch is a fork/join window: registered
+  shared objects and the batch's specs are fingerprinted at the fork and
+  again at the join, and any change is a kernel-scope write the
+  coordinator never ordered (SAN201 / REP201).
 * ``sentinel`` — wall-clock/entropy calls inside engine scope report
   SAN001 (REP101) via :mod:`repro.san.sentinels`.
 * ``resource`` — spans, run writers, journal segments and record
@@ -47,7 +47,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Sequence
 
-from repro.san.hb import HBGraph, Race
 from repro.san.pickles import check_spec
 from repro.san.report import SanReport, Violation
 from repro.san.resources import ResourceTracker
@@ -198,7 +197,6 @@ class Sanitizer:
     def __init__(self, config: SanitizerConfig | None = None) -> None:
         self.config = config or SanitizerConfig()
         self.report = SanReport(detectors=self.config.detectors)
-        self.hb = HBGraph()
         self.resources = ResourceTracker()
         self._lock = threading.Lock()
         self._patches: list[tuple[Any, str, Any]] = []
@@ -477,7 +475,7 @@ class Sanitizer:
     def _sanitized_dispatch(
         self, call: Callable[[], list], kernel: str, specs: Sequence[Any]
     ) -> list:
-        """One executor batch as a fork/join region with all four
+        """One executor batch as a fork/join window with all four
         detector hooks around the real dispatch."""
         race = "race" in self.config.detectors
         tasks = []
@@ -508,10 +506,6 @@ class Sanitizer:
                 for name, value in self._shared.items()
             }
             before_specs = [fingerprint(spec) for spec in specs]
-            for task in tasks:
-                self.hb.fork(task)
-                for name in self._shared:
-                    self.hb.read(name, task, site=f"batch {kernel}")
 
         marker = self.resources.seq
         try:
@@ -536,8 +530,6 @@ class Sanitizer:
             self.resources.note_exception()
             raise
         else:
-            # Before the joins below: a write must be raced against the
-            # sibling reads while the task clocks are still concurrent.
             if race:
                 self._check_shared_writes(kernel, tasks, before_shared)
                 for task, spec, before in zip(tasks, specs, before_specs):
@@ -549,14 +541,10 @@ class Sanitizer:
                             task=task,
                             witness=(("spec", type(spec).__name__),),
                         )
-                self._report_races()
             return results
         finally:
             for spec in specs:
                 self._task_names.pop(id(spec), None)
-            if race:
-                for task in tasks:
-                    self.hb.join(task)
 
     def _snapshot(self, value: Any) -> Any:
         return value() if callable(value) and not hasattr(value, "__self__") else value
@@ -564,44 +552,24 @@ class Sanitizer:
     def _check_shared_writes(
         self, kernel: str, tasks: list[str], before: dict[str, str]
     ) -> None:
+        """One SAN201 per shared object the batch changed.
+
+        The batch window is the whole detection: an object that differs
+        at the join was written by one of the batch's tasks, none of
+        which the coordinator ordered against its siblings.
+        """
         for name, old in before.items():
             new = fingerprint(self._snapshot(self._shared[name]))
             if new == old:
                 continue
-            if len(tasks) > 1:
-                # Attribute the write to the batch and race it against
-                # the sibling reads recorded at fork time: any
-                # concurrent pair is an unordered write/read.
-                self.hb.write(name, tasks[-1], site=f"batch {kernel}")
-            else:
-                self._violation(
-                    "SAN201",
-                    f"kernel-scope write to shared state '{name}'",
-                    task=tasks[0],
-                    witness=(
-                        ("object", name),
-                        ("fingerprint", f"{old} -> {new}"),
-                    ),
-                )
-
-    def _report_races(self) -> None:
-        for race in self.hb.drain_races():
             self._violation(
                 "SAN201",
-                f"unordered {race.kind} on shared state '{race.obj}' "
-                f"between tasks {race.first.task} and {race.second.task}",
-                task=race.second.task,
+                f"kernel-scope write to shared state '{name}'",
+                task=tasks[0] if len(tasks) == 1 else kernel,
                 witness=(
-                    (
-                        "first",
-                        f"{race.first.kind} by {race.first.task} "
-                        f"at {dict(race.first.clock)}",
-                    ),
-                    (
-                        "second",
-                        f"{race.second.kind} by {race.second.task} "
-                        f"at {dict(race.second.clock)}",
-                    ),
+                    ("object", name),
+                    ("fingerprint", f"{old} -> {new}"),
+                    ("batch", f"{kernel}: {', '.join(tasks)}"),
                 ),
             )
 
@@ -652,8 +620,6 @@ class Sanitizer:
                 if kind == K_OUTPUT_COMMIT and _ENGINE_DEPTH > 0:
                     san._commit_check()
                 san._clock += 1
-                if "race" in san.config.detectors:
-                    san.hb.tick_coordinator()
                 return orig(journal, kind, **fields)
 
             return append
@@ -670,8 +636,6 @@ class Sanitizer:
         def wrap_absorb(orig):
             def absorb(tracer, trace, *, args=None):
                 san._clock += 1
-                if "race" in san.config.detectors:
-                    san.hb.tick_coordinator()
                 return orig(tracer, trace, args=args)
 
             return absorb

@@ -296,24 +296,14 @@ def _leg_digest(workload: str, engine: str, executor: str, records: int, nodes: 
     """Run one leg and return the canonical output digest."""
     import hashlib
 
-    from repro.core.engine import OnePassEngine
-    from repro.mapreduce.hop import HOPEngine
-    from repro.mapreduce.runtime import HadoopEngine, LocalCluster
     from repro.obs.tracer import Tracer
-    from repro.workloads import paper_jobs
+    from repro.workloads import paper_cell
 
-    records_fn, sm_job, op_job = paper_jobs(workload)
-    cluster = LocalCluster(num_nodes=nodes, block_size=256 * 1024)
-    cluster.hdfs.write_records("in", records_fn(records))
+    cluster, engine_cls, job = paper_cell(workload, engine, records, nodes)
     # A real tracer on both legs: sanitized reports order on absorb
     # ticks, and trace-on/trace-off output identity is already part of
     # the engines' contract, so the digest comparison is unaffected.
-    tracer = Tracer()
-    if engine in ("hadoop", "hop"):
-        engine_cls = HadoopEngine if engine == "hadoop" else HOPEngine
-        engine_cls(cluster, executor=executor, tracer=tracer).run(sm_job("in", "out"))
-    else:
-        OnePassEngine(cluster, executor=executor, tracer=tracer).run(op_job("in", "out"))
+    engine_cls(cluster, executor=executor, tracer=Tracer()).run(job)
     payload = repr(list(cluster.hdfs.read_records("out"))).encode()
     return hashlib.sha256(payload).hexdigest()
 

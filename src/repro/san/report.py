@@ -65,7 +65,7 @@ DETECTORS: tuple[DetectorInfo, ...] = (
     DetectorInfo(
         id="SAN201",
         detector="race",
-        title="unordered access to shared state across tasks",
+        title="kernel-scope write to shared state inside a batch",
         static_rules=("REP201",),
     ),
     DetectorInfo(
@@ -97,9 +97,9 @@ def detector_for(vid: str) -> DetectorInfo:
 class Violation:
     """One witnessed contract violation.
 
-    ``witness`` is a tuple of (label, value) string pairs — the HB
-    evidence for races, the acquisition site for leaks, the diff for
-    pickle mismatches.  ``stack`` is the repo-relative acquisition (or
+    ``witness`` is a tuple of (label, value) string pairs — the changed
+    object, its fingerprints and the batch for races, the acquisition
+    site for leaks, the diff for pickle mismatches.  ``stack`` is the repo-relative acquisition (or
     trip) stack, innermost last.
     """
 

@@ -5,7 +5,8 @@ and web-document analysis (inverted index), each available in sort-merge
 (:class:`~repro.mapreduce.api.MapReduceJob`) and one-pass
 (:class:`~repro.core.engine.OnePassJob`) form, plus reference
 implementations for correctness checks.  :func:`paper_jobs` is the one
-registry of the four by name, shared by the CLI and the sanitizer matrix.
+registry of the four by name and :func:`paper_cell` the one way to stand a
+(workload, engine) cell up, shared by the CLI and the sanitizer matrix.
 """
 
 from typing import Any, Callable
@@ -100,9 +101,31 @@ def paper_jobs(
     raise ValueError(f"unknown workload {workload!r}")
 
 
+def paper_cell(workload: str, engine: str, records: int, nodes: int) -> tuple[Any, type, Any]:
+    """One laptop-scale cell of the paper's workload x engine grid.
+
+    Returns ``(cluster, engine_cls, job)``: a fresh ``nodes``-node cluster
+    with about ``records`` generated records at ``"in"``, the engine class
+    named ``"hadoop"``, ``"hop"`` or ``"onepass"``, and the workload's job
+    in that engine's form writing ``"out"``.  The caller constructs the
+    engine, so executor, tracer, journal and plan stay at the call site.
+    """
+    from repro.core.engine import OnePassEngine
+    from repro.mapreduce.hop import HOPEngine
+    from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+
+    records_fn, sm_job, op_job = paper_jobs(workload)
+    cluster = LocalCluster(num_nodes=nodes, block_size=256 * 1024)
+    cluster.hdfs.write_records("in", records_fn(records))
+    engine_cls = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}[engine]
+    job = (op_job if engine == "onepass" else sm_job)("in", "out")
+    return cluster, engine_cls, job
+
+
 __all__ = [
     "WORKLOADS",
     "paper_jobs",
+    "paper_cell",
     "ZipfSampler",
     "zipf_pmf",
     "ClickStreamConfig",

@@ -5,10 +5,12 @@ rule existed (and would pass without it), the contract-conforming
 rewrite, and the violating snippet under an inline suppression.
 
 The test classes keep the names of the ids their fixtures were written
-for.  Four of those ids are retired into the rule that already covered
+for.  Three of those ids are retired into the rule that already covered
 the transitive half of the same contract — REP001 -> REP101,
-REP003 -> REP102, REP008 and REP005's registry-name half -> REP104 — so
-those fixtures, unchanged, now assert the surviving id.
+REP003 -> REP102, REP005's registry-name half -> REP104 — so those
+fixtures, unchanged, now assert the surviving id.  (REP008's fixtures
+went with the metrics registry whose names it checked: a distribution is
+now a row the analyzer reads off span args, with no call site to lint.)
 """
 
 import textwrap
@@ -438,116 +440,6 @@ class TestJournalNamesRegistered:
             """
         )
         assert rules_of(findings) == ["REP104", "REP104"]
-
-
-# -- REP008: metric discipline ------------------------------------------------
-
-
-class TestREP008:
-    def cfg(self):
-        return LintConfig(metric_names_override=frozenset({"map.sort.records"}))
-
-    def test_unregistered_histogram_name_flagged(self):
-        findings = lint(
-            """
-            def spill(self):
-                self.tracer.metrics.histogram("map.sorted.records").observe(3)
-            """,
-            config=self.cfg(),
-        )
-        assert rules_of(findings) == ["REP104"]
-        assert "map.sorted.records" in findings[0].message
-
-    def test_unregistered_gauge_name_flagged(self):
-        findings = lint(
-            """
-            def finish(metrics):
-                metrics.gauge("hash.keys").record(0, 1)
-            """,
-            config=self.cfg(),
-        )
-        assert rules_of(findings) == ["REP104"]
-
-    def test_registered_name_clean(self):
-        findings = lint(
-            """
-            def spill(tracer):
-                tracer.metrics.histogram("map.sort.records").observe(3)
-            """,
-            config=self.cfg(),
-        )
-        assert findings == []
-
-    def test_non_metrics_receiver_ignored(self):
-        findings = lint(
-            """
-            def plot(chart):
-                chart.histogram("whatever")
-            """,
-            config=self.cfg(),
-        )
-        assert findings == []
-
-    def test_dynamic_name_deferred_to_rep104(self):
-        findings = lint(
-            """
-            def spill(tracer, name):
-                tracer.metrics.histogram(name).observe(3)
-            """,
-            config=self.cfg(),
-        )
-        assert rules_of(findings) == ["REP104"]
-        assert "cannot be resolved statically" in findings[0].message
-
-    def test_folded_metric_name_checked_by_rep104(self):
-        findings = lint(
-            """
-            def spill(tracer):
-                prefix = "map.sort"
-                tracer.metrics.histogram(prefix + ".rows").observe(3)
-            """,
-            config=self.cfg(),
-        )
-        assert rules_of(findings) == ["REP104"]
-        assert "map.sort.rows" in findings[0].message
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            def spill(tracer):
-                tracer.metrics.histogram("tmp.debug").observe(1)  # reprolint: disable=REP104 -- scratch series
-            """,
-            config=self.cfg(),
-        )
-        assert findings == []
-
-
-class TestMetricNamesRegistered:
-    """The engines' metric instrumentation names are in the real registry
-    (no override), so they fail if an emitted name drops out of
-    ``names.py``."""
-
-    def test_emitted_metric_names_lint_clean(self):
-        findings = lint(
-            """
-            def run(self, tracer):
-                tracer.metrics.histogram("map.sort.records").observe(1)
-                tracer.metrics.histogram("shuffle.segment.bytes").observe(1)
-                tracer.metrics.histogram("push.chunk.bytes").observe(1)
-                tracer.metrics.gauge("hash.resident.keys").record(0, 1)
-                tracer.metrics.gauge("cache.resident.bytes").record(0, 1)
-            """
-        )
-        assert findings == []
-
-    def test_near_miss_name_flagged(self):
-        findings = lint(
-            """
-            def run(tracer):
-                tracer.metrics.histogram("shuffle.segments.bytes").observe(1)
-            """
-        )
-        assert rules_of(findings) == ["REP104"]
 
 
 # -- REP006: unordered set iteration ------------------------------------------

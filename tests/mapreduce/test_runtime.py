@@ -4,7 +4,9 @@ import pytest
 
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
+from repro.mapreduce.hop import HOPEngine
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.obs.analyze import analyze_tracer
 from repro.obs.tracer import Tracer
 from repro.workloads.page_frequency import page_frequency_job, reference_page_counts
 from repro.workloads.per_user_count import per_user_count_job, reference_user_counts
@@ -103,15 +105,25 @@ class TestHadoopEngine:
 class TestSortHistogram:
     @pytest.mark.parametrize("executor", [None, "processes:2"])
     def test_one_observation_per_map_spill(self, cluster, clicks, executor):
-        # ``map.sort.records`` is recorded worker-side, once per buffer sort,
-        # and absorbed by the coordinator with the rest of the task's trace.
+        # ``map.sort.records`` is read off the worker-side ``sort`` spans,
+        # one per buffer sort, absorbed with the rest of the task's trace.
         cluster.hdfs.write_records("clicks", clicks[:3000])
         job = per_user_count_job(
             "clicks", "out", config=JobConfig(map_buffer_bytes=16 * 1024)
         )
         tracer = Tracer()
         result = HadoopEngine(cluster, executor=executor, tracer=tracer).run(job)
-        sort_sizes = tracer.metrics.as_report()["map.sort.records"]
+        sort_sizes = analyze_tracer(tracer)["metrics"]["map.sort.records"]
         assert sort_sizes["count"] == result.counters[C.MAP_SPILLS]
         assert sort_sizes["count"] > result.counters[C.MAP_TASKS]
+        assert sort_sizes["total"] == result.counters[C.SORT_RECORDS]
+
+    def test_hop_sort_spans_feed_the_same_histogram(self, cluster, clicks):
+        # HOP sorts its mini-chunks under the same ``sort`` span; before the
+        # view was derived it never observed the histogram those spans imply.
+        cluster.hdfs.write_records("clicks", clicks[:3000])
+        tracer = Tracer()
+        result = HOPEngine(cluster, tracer=tracer).run(per_user_count_job("clicks", "out"))
+        sort_sizes = analyze_tracer(tracer)["metrics"]["map.sort.records"]
+        assert sort_sizes["count"] == sum(s.name == "sort" for s in tracer.spans) > 0
         assert sort_sizes["total"] == result.counters[C.SORT_RECORDS]

@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from repro.core.engine import OnePassEngine
+from repro.mapreduce.hop import HOPEngine
 from repro.mapreduce.journal import JobJournal
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.obs.analyze import (
@@ -24,6 +26,7 @@ from repro.obs.analyze import (
     barrier_report,
     critical_path,
     delta_rows,
+    derive_metrics,
     diff_reports,
     interval_union,
     load_trace,
@@ -36,8 +39,9 @@ from repro.obs.analyze import (
     union_length,
     validate_report,
 )
+from repro.obs.export import chrome_trace, to_jsonl, write_trace
 from repro.obs.tracer import Span, TraceEvent, Tracer
-from repro.workloads import per_user_count_job
+from repro.workloads import paper_jobs, per_user_count_job
 from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 
 
@@ -303,7 +307,6 @@ def _model():
             span("map-phase", "phase", 0, 25),
         ],
         events=[TraceEvent("node.crash", "recovery", 2, node="n2")],
-        metrics={},
         job_name="hand-built",
     )
 
@@ -352,6 +355,144 @@ class TestAnalyzeModel:
         assert any("chain[0].t0" in e for e in errors)
 
 
+# -- the metrics view: distributions and levels read off span/event args ---------
+
+
+class TestDerivedMetrics:
+    def test_histogram_buckets_by_hand(self):
+        """Bounds are 1, 4, 16, ...; a value lands in the first bound >= it,
+        past 4**15 in ``inf``; only non-empty buckets are reported."""
+        sizes = [0, 1, 2, 4, 5, 16, 17, 4**15, 4**15 + 1]
+        spans = [span("sort", "sort", 10 * i, 10 * i + 5, records=n) for i, n in enumerate(sizes)]
+        spans.append(span("map", "map", 0, 9, records=10**9))  # not a row's span
+        assert derive_metrics(spans) == {
+            "map.sort.records": {
+                "type": "histogram",
+                "count": 9,
+                "total": sum(sizes),
+                "buckets": [
+                    {"le": 1, "n": 2},
+                    {"le": 4, "n": 2},
+                    {"le": 16, "n": 2},
+                    {"le": 64, "n": 1},
+                    {"le": 4**15, "n": 1},
+                    {"le": "inf", "n": 1},
+                ],
+            }
+        }
+
+    def test_push_chunks_per_span_or_per_map(self):
+        """One-pass pushes one chunk per span (``bytes``), HOP one span per
+        map holding every chunk's size (``chunk_bytes``); both feed one row."""
+        spans = [
+            span("push", "shuffle", 0, 3, bytes=100, records=7),
+            span("push", "shuffle", 3, 9, chunk_bytes=[3, 5000, 5000], bytes_pushed=10003),
+            span("push", "shuffle", 9, 10, chunk_bytes=[]),
+        ]
+        hist = derive_metrics(spans)["push.chunk.bytes"]
+        assert (hist["count"], hist["total"]) == (4, 10103)
+        assert hist["buckets"] == [{"le": 4, "n": 1}, {"le": 256, "n": 1}, {"le": 16384, "n": 2}]
+
+    def test_gauges_by_hand(self):
+        """Samples keep trace order; the tick is the clock reading the level
+        was current at — an event's ``ts``, the tick before a span opened."""
+        spans = [
+            span("reduce", "reduce", 41, 50, task="reduce:000", resident_keys=7, groups=7),
+            span("reduce", "reduce", 51, 60, task="reduce:001", groups=3),  # hybrid: no table
+            span("reduce", "reduce", 61, 64, task="reduce:002", resident_keys=2.0),
+        ]
+        events = [
+            TraceEvent("cache.spill", "cache", 12, args={"bytes": 900, "resident_bytes": 3100}),
+            TraceEvent("cache.register", "cache", 13, args={"resident_bytes": 1}),
+            TraceEvent("cache.spill", "cache", 30, args={"bytes": 800, "resident_bytes": 0}),
+        ]
+        metrics = derive_metrics(spans, events)
+        assert list(metrics) == ["cache.resident.bytes", "hash.resident.keys"]  # sorted
+        assert metrics["hash.resident.keys"] == {
+            "type": "gauge", "count": 2, "min": 2, "max": 7, "last": 2,
+            "samples": [[40, 7], [60, 2]],
+        }
+        assert metrics["cache.resident.bytes"] == {
+            "type": "gauge", "count": 2, "min": 0, "max": 3100, "last": 0,
+            "samples": [[12, 3100], [30, 0]],
+        }
+        assert json.dumps(metrics)  # plain ints throughout
+
+    def test_nothing_to_read_is_no_section(self):
+        assert derive_metrics([]) == {}
+        assert derive_metrics([span("map", "map", 0, 5)], [TraceEvent("node.crash", "", 1)]) == {}
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+    def test_legacy_stale_section_is_ignored(self, tmp_path, fmt):
+        """A trace from before the view was derived carries its own copy of
+        the metrics; it loads, and the report is what the spans say."""
+        spans = [span("sort", "sort", 1, 9, task="map:00000", records=8)]
+        stale = {"map.sort.records": {"type": "histogram", "count": 99, "total": 99, "buckets": []}}
+        path = tmp_path / f"old.{fmt}"
+        if fmt == "jsonl":
+            line = json.dumps({"type": "metric", "name": "map.sort.records", "metric": stale})
+            path.write_text(to_jsonl(spans, job_name="old") + line + "\n")
+        else:
+            obj = chrome_trace(spans, job_name="old")
+            obj["otherData"]["metrics"] = stale
+            path.write_text(json.dumps(obj))
+        report = analyze_model(load_trace(str(path)))
+        assert report["job"] == "old"
+        assert report["metrics"] == derive_metrics(spans)
+        assert report["metrics"]["map.sort.records"]["count"] == 1
+
+    # per-user-count, 4 000 records, 3 nodes, 64 KiB blocks, serial — the
+    # ``metrics`` section the registry reported at the commit that removed it
+    # (HOP: its ``push.chunk.bytes`` then, plus the sort histogram it lacked).
+    SORTS = {
+        "type": "histogram", "count": 3, "total": 4000,
+        "buckets": [{"le": 1024, "n": 1}, {"le": 4096, "n": 2}],
+    }
+    RECORDED = {
+        "hadoop": {
+            "map.sort.records": SORTS,
+            "shuffle.segment.bytes": {
+                "type": "histogram", "count": 6, "total": 10716,
+                "buckets": [{"le": 4096, "n": 6}],
+            },
+        },
+        "hop": {
+            "map.sort.records": SORTS,
+            "push.chunk.bytes": {
+                "type": "histogram", "count": 6, "total": 23760,
+                "buckets": [{"le": 4096, "n": 3}, {"le": 16384, "n": 3}],
+            },
+        },
+        "onepass": {
+            "hash.resident.keys": {
+                "type": "gauge", "count": 2, "min": 99, "max": 100, "last": 99,
+                "samples": [[5498, 100], [5599, 99]],
+            },
+            "push.chunk.bytes": {
+                "type": "histogram", "count": 6, "total": 95452,
+                "buckets": [{"le": 16384, "n": 3}, {"le": 65536, "n": 3}],
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("engine", sorted(RECORDED))
+    def test_fixed_cell_matches_the_recorded_section(self, engine, tmp_path):
+        records_fn, sm_job, op_job = paper_jobs("per-user-count")
+        cluster = LocalCluster(num_nodes=3, block_size=64 * 1024)
+        cluster.hdfs.write_records("in", records_fn(4000))
+        engine_cls = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}[engine]
+        job = (op_job if engine == "onepass" else sm_job)("in", "out")
+        tracer = Tracer()
+        engine_cls(cluster, tracer=tracer).run(job)
+        report = analyze_tracer(tracer)
+        assert report["metrics"] == self.RECORDED[engine]
+        # ... and a file of that trace analyses to the live report, either format
+        for fmt in ("jsonl", "chrome"):
+            path = str(tmp_path / f"t.{fmt}")
+            write_trace(path, fmt, tracer.spans, tracer.events)
+            assert analyze_model(load_trace(path)) == report
+
+
 # -- loading trace files -------------------------------------------------------
 
 
@@ -381,8 +522,9 @@ class TestLoadTrace:
         assert model.job_name == "wc"
         assert model.spans[0].t1 == 10 and model.spans[0].wall_s == 0.0015
         assert model.events[0].name == "node.crash"
-        assert model.metrics["map.sort.records"]["count"] == 1
         assert model.makespan == 10
+        # the legacy ``metric`` record loads and is ignored: no sort span, no row
+        assert analyze_model(model)["metrics"] == {}
 
     def test_rejects_non_trace_file(self, tmp_path):
         path = tmp_path / "junk.txt"

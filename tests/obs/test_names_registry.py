@@ -1,13 +1,18 @@
-"""Audit of the span/event/metric name registries against real engine runs.
+"""Audit of the span/event name registries, and of the analyzer's metrics
+table, against real engine runs.
 
 ``repro/obs/names.py`` is a closed vocabulary enforced statically (REP005,
-REP008, REP104) and at runtime.  This audit closes the loop in the other
-direction: a battery of engine scenarios — the four workloads, fault and
-checkpoint recovery, speculation, the crashpoint chaos sweep, and a chained
-cached run — must between them emit **every** registered name.  A name that
-no scenario emits is dead registry weight (or dead instrumentation) and
-fails here; an emitted name missing from the registry fails too (and would
-already have failed at the emission site).
+REP104).  This audit closes the loop in the other direction: a battery of
+engine scenarios — the four workloads, fault and checkpoint recovery,
+speculation, the crashpoint chaos sweep, and a chained cached run — must
+between them emit **every** registered name.  A name that no scenario emits
+is dead registry weight (or dead instrumentation) and fails here; an emitted
+name missing from the registry fails too.
+
+Metrics have no registry: a distribution is a row of
+``repro.obs.analyze.report.DERIVED_METRICS`` naming a span or event and the
+arg to read.  The same battery audits that table — every row must find its
+records, and the arg it names must be on them.
 """
 
 import pytest
@@ -19,7 +24,8 @@ from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hop import HOPConfig, HOPEngine
 from repro.mapreduce.recovery import SpeculationPolicy
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-from repro.obs.names import EVENT_NAMES, METRIC_NAMES, SPAN_NAMES
+from repro.obs.analyze.report import DERIVED_METRICS
+from repro.obs.names import EVENT_NAMES, SPAN_NAMES
 from repro.obs.tracer import Tracer
 from repro.testing import ChaosTarget, run_crashpoint_sweep
 from repro.workloads import (
@@ -194,7 +200,9 @@ def _scenario_chain_cache():
 
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
-    """name -> set of scenario labels that emitted it, per kind."""
+    """name -> set of scenario labels that emitted it, per kind; plus, per
+    metrics-table row, the records it names (``selected``) and those of
+    them that lack every one of its args (``bare``)."""
     scenarios = {
         "hadoop-matrix": _scenario_hadoop_matrix,
         "hop-snapshot": _scenario_hop_snapshot,
@@ -210,16 +218,20 @@ def emitted(tmp_path_factory):
     }
     spans: dict[str, set[str]] = {}
     events: dict[str, set[str]] = {}
-    metrics: dict[str, set[str]] = {}
+    selected = dict.fromkeys(DERIVED_METRICS, 0)
+    bare = dict.fromkeys(DERIVED_METRICS, 0)
     for label, fn in scenarios.items():
         for tracer in fn():
             for span in tracer.spans:
                 spans.setdefault(span.name, set()).add(label)
             for event in tracer.events:
                 events.setdefault(event.name, set()).add(label)
-            for name in tracer.metrics.as_report():
-                metrics.setdefault(name, set()).add(label)
-    return {"spans": spans, "events": events, "metrics": metrics}
+            for metric, (_type, source, record, arg_names) in DERIVED_METRICS.items():
+                for r in tracer.spans if source == "span" else tracer.events:
+                    if r.name == record:
+                        selected[metric] += 1
+                        bare[metric] += not any(a in r.args for a in arg_names)
+    return {"spans": spans, "events": events, "selected": selected, "bare": bare}
 
 
 class TestRegistryCoverage:
@@ -234,8 +246,11 @@ class TestRegistryCoverage:
         assert not dead, f"registered event names never emitted: {sorted(dead)}"
 
     def test_every_metric_name_emitted(self, emitted):
-        dead = METRIC_NAMES - emitted["metrics"].keys()
-        assert not dead, f"registered metric names never emitted: {sorted(dead)}"
+        """Every row of the analyzer's table finds a record to read."""
+        dead = sorted(
+            m for m in DERIVED_METRICS if emitted["selected"][m] == emitted["bare"][m]
+        )
+        assert not dead, f"metrics-table rows no span/event feeds: {dead}"
 
 
 class TestEmissionDiscipline:
@@ -250,7 +265,12 @@ class TestEmissionDiscipline:
         assert not rogue, f"unregistered event names emitted: {sorted(rogue)}"
 
     def test_no_unregistered_metric_names(self, emitted):
-        # Metrics.histogram()/gauge() already raise on unknown names; this
-        # guards the registry audit itself staying in sync with that gate.
-        rogue = emitted["metrics"].keys() - METRIC_NAMES
-        assert not rogue, f"unregistered metric names emitted: {sorted(rogue)}"
+        """A row names a registered span/event, and the arg it reads is on
+        every record of that name — bar the one level that only some
+        ``reduce`` spans have (an incremental hash table to count)."""
+        for metric, (_type, source, record, _args) in DERIVED_METRICS.items():
+            assert record in (SPAN_NAMES if source == "span" else EVENT_NAMES), metric
+        partial = {"hash.resident.keys"}
+        bare = {m: n for m, n in emitted["bare"].items() if n and m not in partial}
+        assert not bare, f"records a metrics-table row selects but cannot read: {bare}"
+        assert 0 < emitted["bare"]["hash.resident.keys"] < emitted["selected"]["hash.resident.keys"]

@@ -312,3 +312,25 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "per-phase delta: sort-merge -> one-pass" in out
         assert out.count("performance analysis") == 2
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+    def test_three_trace_writers_analyze_to_the_same_metrics(self, capsys, tmp_path, fmt):
+        """``run --trace``, ``trace --out`` and ``compare --trace`` write the
+        same job's trace; whichever wrote it, ``analyze`` derives the same
+        (non-empty) metrics section from its spans."""
+        import json
+
+        cell = ["--workload", "per-user-count", "--records", "4000"]
+        paths = {w: str(tmp_path / f"{w}.{fmt}") for w in ("run", "trace", "compare")}
+        main(["run", *cell, "--engine", "hadoop", "--trace", paths["run"], "--trace-format", fmt])
+        main(["trace", *cell, "--engine", "hadoop", "--out", paths["trace"], "--format", fmt])
+        main(["compare", *cell, "--trace", paths["compare"], "--trace-format", fmt])
+        paths["compare"] = str(tmp_path / f"compare-sort-merge.{fmt}")
+        metrics = {}
+        for writer, path in paths.items():
+            capsys.readouterr()
+            assert main(["analyze", path, "--format", "json"]) == 0
+            metrics[writer] = json.loads(capsys.readouterr().out)["metrics"]
+        assert sorted(metrics["run"]) == ["map.sort.records", "shuffle.segment.bytes"]
+        assert metrics["trace"] == metrics["run"]
+        assert metrics["compare"] == metrics["run"]
