@@ -70,9 +70,7 @@ class RecordBatch:
     importable for the ``benchmarks/e2e`` probes, which time it.
     """
 
-    # __weakref__ lets the reprosan lifetime tracker observe batch
-    # liveness without strong references (and without a __dict__).
-    __slots__ = ("keys", "_values", "_offsets", "_lengths", "__weakref__")
+    __slots__ = ("keys", "_values", "_offsets", "_lengths")
 
     def __init__(
         self,

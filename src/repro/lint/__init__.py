@@ -7,10 +7,10 @@ those contracts at lint time with an AST-based rule framework:
 
 * :mod:`repro.lint.core` — the driver: the module model and its
   one-traversal index, suppression comments, run-wide registries;
-* :mod:`repro.lint.rules` — the per-file and whole-program checkers
-  (REP002..REP104), over the :mod:`repro.lint.dataflow` summaries;
+* :mod:`repro.lint.rules` — the per-file checkers (REP002..REP104);
 * :mod:`repro.lint.cfg` — the path- and context-sensitive checkers
-  (REP201..REP205);
+  (REP201..REP205), REP201 over the :mod:`repro.lint.dataflow` call
+  graph;
 * :mod:`repro.lint.config` — the root, the rule selection and the test
   overrides (each rule's vocabulary is a constant beside the rule);
 * :mod:`repro.lint.report` — text/JSON/SARIF reporters;

@@ -11,7 +11,7 @@ Every function in the whole-program call graph is classified as
   / engine / journal modules) but never from a worker entry;
 * ``both``        — shared helpers reachable from each side.
 
-The classification reuses the dataflow summaries: worker entries are
+The classification reuses the module summaries: worker entries are
 closed over the resolved call graph breadth-first, remembering each
 function's first caller so a finding can print the entry -> site
 witness chain; then the coordinator scope is seeded with every
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.lint.core import registered_kernels
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.dataflow.taint import ProgramFacts
+    from repro.lint.dataflow.graph import Program
 
 __all__ = ["COORDINATOR_SCOPES", "ExecContexts", "build_contexts", "worker_entries"]
 
@@ -114,19 +114,19 @@ def worker_entries(
     return kernels, frozenset(pool)
 
 
-def _closure(facts: "ProgramFacts", seeds: frozenset[str]) -> dict[str, str | None]:
+def _closure(program: "Program", seeds: frozenset[str]) -> dict[str, str | None]:
     """The call-graph closure of ``seeds`` over resolved summary calls,
     breadth-first: function id -> the caller that first reached it."""
     callers: dict[str, str | None] = dict.fromkeys(
-        sorted(seeds & facts.functions.keys())
+        sorted(seeds & program.functions.keys())
     )
     frontier = list(callers)
     while frontier:
         reached = []
         for fid in frontier:
-            summary = facts.functions[fid]
+            summary = program.functions[fid]
             for dotted, _lineno, _col in summary.calls:
-                target = facts.resolve(summary.modpath, dotted, summary.cls)
+                target = program.resolve(summary.modpath, dotted, summary.cls)
                 if target is not None and target not in callers:
                     callers[target] = fid
                     reached.append(target)
@@ -135,7 +135,7 @@ def _closure(facts: "ProgramFacts", seeds: frozenset[str]) -> dict[str, str | No
 
 
 def build_contexts(
-    facts: "ProgramFacts",
+    program: "Program",
     *,
     kernel_tree: ast.Module,
     kernel_modpath: str,
@@ -145,13 +145,13 @@ def build_contexts(
     kernels, pool_entries = worker_entries(
         kernel_tree, kernel_modpath, executor_tree, executor_modpath
     )
-    kernel = _closure(facts, kernels)
-    pool = _closure(facts, pool_entries)
+    kernel = _closure(program, kernels)
+    pool = _closure(program, pool_entries)
     coordinator_seeds = frozenset(
         fid
-        for fid, summary in facts.functions.items()
+        for fid, summary in program.functions.items()
         if summary.modpath.startswith(COORDINATOR_SCOPES)
         and fid not in kernel
         and fid not in pool
     )
-    return ExecContexts(kernel, pool, _closure(facts, coordinator_seeds))
+    return ExecContexts(kernel, pool, _closure(program, coordinator_seeds))

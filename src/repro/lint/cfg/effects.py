@@ -5,7 +5,8 @@ calls and classifies the record kind; ``emit_sites`` finds committed-
 output emissions (``hdfs.append_block(job.output_path, ...)``); both
 feed REP204's commit-then-emit check.  ``releases`` is the per-block
 release predicate REP205's must-analysis evaluates: close, ``with``,
-and the ownership transfers (return/yield, store, hand-off).  The
+and the ownership transfers (return/yield, store, hand-off);
+``is_resource_factory`` names the calls it treats as acquisitions.  The
 resource lattice maps fork-unsafe factory calls to the human-readable
 kind REP202 reports.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "EMIT_METHODS",
     "RESOURCE_KINDS",
     "emit_sites",
+    "is_resource_factory",
     "journal_appends",
     "releases",
     "resource_kind",
@@ -68,6 +70,18 @@ RESOURCE_KINDS: dict[str, str] = {
 def resource_kind(dotted: str) -> str | None:
     """The REP202 resource kind of a call target, or None."""
     return RESOURCE_KINDS.get(dotted) or RESOURCE_KINDS.get(dotted.rpartition(".")[2])
+
+
+#: Calls that acquire a resource REP205 wants closed on every path; bare
+#: names match any terminal segment, dotted names match exactly.
+RESOURCE_FACTORIES = ("open", "repro.io.runio.RunWriter")
+
+
+def is_resource_factory(dotted: str) -> bool:
+    terminal = dotted.rpartition(".")[2]
+    return any(
+        f == dotted or ("." not in f and f == terminal) for f in RESOURCE_FACTORIES
+    )
 
 
 # -- REP204: journal commits and output emissions -----------------------------

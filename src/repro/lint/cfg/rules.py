@@ -2,7 +2,7 @@
 
 These rules sit on the CFG layer (``cfg/builder.py``) and the
 execution-context model (``cfg/context.py``), on top of the
-whole-program summaries.  ``docs/STATIC_ANALYSIS.md`` documents the
+whole-program call graph.  ``docs/STATIC_ANALYSIS.md`` documents the
 contract behind each.
 """
 
@@ -14,8 +14,8 @@ from typing import Iterator
 from repro.lint.cfg.builder import CFG, Block, build_cfg, module_defs
 from repro.lint.cfg.effects import (
     EMIT_METHODS,
-    RESOURCE_KINDS,
     emit_sites,
+    is_resource_factory,
     journal_appends,
     releases,
     resource_kind,
@@ -26,18 +26,12 @@ from repro.lint.core import (
     LintContext,
     LintModule,
     Rule,
-    call_dotted,
-    enclosing_class_name,
     local_bindings,
     registered_kernels,
     terminal_name,
 )
-from repro.lint.dataflow.summary import (
-    COORDINATOR_SINGLETONS,
-    MODULE_BODY,
-    is_resource_factory,
-)
-from repro.lint.dataflow.taint import chain_display, fid_display
+from repro.lint.dataflow.graph import fid_display
+from repro.lint.dataflow.summary import COORDINATOR_SINGLETONS, MODULE_BODY
 
 __all__ = ["CFG_RULES"]
 
@@ -71,7 +65,7 @@ class KernelStateIsolation(Rule):
         ]
         if not touching:
             return
-        contexts = ctx.exec_contexts(ctx.facts_for(module))
+        contexts = ctx.exec_contexts(module)
         prefix = f"{module.modpath}::"
 
         def via(qual: str) -> str:
@@ -156,14 +150,14 @@ class ForkUnsafeCapture(Rule):
     handles, live generators) must never land on a picklable ``*Spec``
     field or be captured by a registered kernel from module scope — the
     fork/pickle transport cannot carry them, and under fork they alias
-    the coordinator's file descriptors.
+    the coordinator's file descriptors.  A resource a *helper* returns is
+    SAN202's to witness: it round-trips every spec of every run.
     """
 
     id = "REP202"
     title = "no fork-unsafe OS resources on specs or captured by kernels"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        facts = ctx.facts_for(module)
         spec_names = ctx.spec_class_names
         gen_defs = frozenset(
             qual
@@ -175,27 +169,16 @@ class ForkUnsafeCapture(Rule):
             )
         )
 
-        def value_kind(value: ast.AST) -> tuple[str, str | None] | None:
-            """(resource kind, witness chain) when the expression yields one."""
+        def value_kind(value: ast.AST) -> str | None:
+            """The resource kind the expression yields, if it yields one."""
             if isinstance(value, ast.GeneratorExp):
-                return "live generator", None
+                return "live generator"
             if not isinstance(value, ast.Call):
                 return None
-            dotted = call_dotted(module, value)
+            dotted = module.dotted(value.func)
             if dotted is None:
                 return None
-            kind = resource_kind(dotted)
-            if kind is not None:
-                return kind, None
-            if dotted in gen_defs:
-                return "live generator", None
-            fid = facts.resolve(
-                module.modpath, dotted, enclosing_class_name(module, value)
-            )
-            entry = facts.resource.get(fid) if fid is not None else None
-            if entry is None:
-                return None
-            return RESOURCE_KINDS.get(entry[0], entry[0]), chain_display(fid, entry)
+            return resource_kind(dotted) or ("live generator" if dotted in gen_defs else None)
 
         def bound_name(node: ast.AST) -> str | None:
             if (
@@ -210,7 +193,7 @@ class ForkUnsafeCapture(Rule):
         for node in module.tree.body:
             hit = value_kind(node.value) if bound_name(node) else None
             if hit is not None:
-                module_resources[bound_name(node)] = hit[0]
+                module_resources[bound_name(node)] = hit
 
         if module.modpath == ctx.kernel_modpath and module_resources:
             registered = set(registered_kernels(module.tree))
@@ -236,7 +219,7 @@ class ForkUnsafeCapture(Rule):
 
         for scope in module.scopes:
             nodes = module.scope_nodes[scope]
-            lookup: dict[str, tuple[str, str | None]] = {}
+            lookup: dict[str, str] = {}
             spec_locals: set[str] = set()
             for node in nodes:
                 name = bound_name(node)
@@ -254,9 +237,9 @@ class ForkUnsafeCapture(Rule):
                 shadowed = local_bindings(module, scope)
                 for gname, kind in module_resources.items():
                     if gname not in shadowed:
-                        lookup.setdefault(gname, (kind, None))
+                        lookup.setdefault(gname, kind)
 
-            def arg_kind(value: ast.AST) -> tuple[str, str | None] | None:
+            def arg_kind(value: ast.AST) -> str | None:
                 if isinstance(value, ast.Name) and value.id in lookup:
                     return lookup[value.id]
                 return value_kind(value)
@@ -284,18 +267,12 @@ class ForkUnsafeCapture(Rule):
                         )
 
     def _spec_finding(
-        self,
-        module: LintModule,
-        node: ast.AST,
-        hit: tuple[str, str | None],
-        where: str,
+        self, module: LintModule, node: ast.AST, kind: str, where: str
     ) -> Finding:
-        kind, witness = hit
-        suffix = f" (path: {witness})" if witness else ""
         return module.finding(
             self.id,
             node,
-            f"picklable spec {where} receives a {kind}{suffix}; the "
+            f"picklable spec {where} receives a {kind}; the "
             "fork/pickle transport cannot carry OS resources — pass a "
             "path or config value and open it inside the kernel",
         )
@@ -397,48 +374,46 @@ def _bare_close(module: LintModule, stmt: ast.AST | None, name: str) -> bool:
 
 
 class ResourceRelease(Rule):
-    """REP205: a local bound to a freshly acquired resource (open file,
-    run writer, tracer span — possibly acquired through a helper) must
-    be released on *every* CFG path out of the acquisition, exception
-    edges included: context-managed, closed in a ``finally`` that
-    starts right after the acquisition, or handed to another owner.  A
-    bare ``x.close()`` leaks the handle on every exception path between
-    acquisition and close, and so does a ``finally: x.close()`` when
-    statements between the acquisition and the ``try`` can raise.
+    """REP205: a local bound to a freshly acquired resource (an open
+    file, a run writer) must be released on *every* CFG path out of the
+    acquisition, exception edges included: context-managed, closed in a
+    ``finally`` that starts right after the acquisition, or handed to
+    another owner.  A bare ``x.close()`` leaks the handle on every
+    exception path between acquisition and close, and so does a
+    ``finally: x.close()`` when statements between the acquisition and
+    the ``try`` can raise.
     """
 
     id = "REP205"
     title = "acquired resources released on all paths, exception edges included"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        facts = ctx.facts_for(module)
-        # scope -> {acquiring assignment: (detail, witness path)}
-        acquired: dict[ast.AST, dict[ast.AST, tuple[str, str | None]]] = {}
+        # scope -> {acquiring assignment: the factory's name}
+        acquired: dict[ast.AST, dict[ast.AST, str]] = {}
         for node in module.nodes(ast.Assign):
             if (
                 len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
                 and isinstance(node.value, ast.Call)
             ):
-                hit = self._acquires(module, facts, node.value)
-                if hit is not None:
+                dotted = module.dotted(node.value.func)
+                if dotted is not None and is_resource_factory(dotted):
                     scope = next(
                         (a for a in module.ancestors(node) if isinstance(a, FUNCTION_DEFS)),
                         module.tree,
                     )
-                    acquired.setdefault(scope, {})[node] = hit
+                    acquired.setdefault(scope, {})[node] = dotted.rpartition(".")[2]
         for scope, hits in acquired.items():
             cfg = build_cfg(scope, MODULE_BODY if scope is module.tree else None)
             live = cfg.live()
             for block in cfg.blocks:
                 node = block.node
-                hit = hits.get(node) if block.index in live else None
-                if hit is None:
+                source = hits.get(node) if block.index in live else None
+                if source is None:
                     continue
                 name = node.targets[0].id
                 if self._released_on_all_paths(cfg, block, name):
                     continue
-                source = hit[0] + (f" (path: {hit[1]})" if hit[1] else "")
                 releasing = [
                     b for b in cfg.blocks if b.index in live and releases(b, name)
                 ]
@@ -463,24 +438,6 @@ class ResourceRelease(Rule):
                 yield module.finding(
                     self.id, node, f"resource {name!r} from {source} {why}"
                 )
-
-    @staticmethod
-    def _acquires(
-        module: LintModule, facts, node: ast.Call
-    ) -> tuple[str, str | None] | None:
-        """(detail, witness path) when the call acquires a resource."""
-        dotted = call_dotted(module, node)
-        if dotted is None:
-            return None
-        if is_resource_factory(dotted):
-            return dotted.rpartition(".")[2], None
-        fid = facts.resolve(
-            module.modpath, dotted, enclosing_class_name(module, node)
-        )
-        entry = facts.resource.get(fid) if fid is not None else None
-        if entry is None:
-            return None
-        return entry[0], chain_display(fid, entry)
 
     @staticmethod
     def _released_on_all_paths(cfg: CFG, acquire: Block, name: str) -> bool:

@@ -300,25 +300,6 @@ def registered_kernels(tree: ast.Module) -> list[str]:
     return out
 
 
-def enclosing_class_name(module: LintModule, node: ast.AST) -> str | None:
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor.name
-    return None
-
-
-def call_dotted(module: LintModule, node: ast.Call) -> str | None:
-    """The symbolic call target a summary would record for this site."""
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "self"
-    ):
-        return f"self.{func.attr}"
-    return module.dotted(func)
-
-
 class Rule:
     """Base class: one checker with a stable id."""
 
@@ -358,7 +339,7 @@ class LintContext:
         self._sources: dict[str, str] = {}
         self._spec_names: frozenset[str] | None = None
         self._program = None
-        self._contexts: dict[int, object] = {}
+        self._contexts = None
 
     def _read(self, relpath: str) -> str:
         """Registry source, or "" when absent (rules then deactivate)."""
@@ -468,7 +449,7 @@ class LintContext:
             )
         return self._spec_names
 
-    # -- whole-program dataflow ---------------------------------------------
+    # -- whole-program call graph -------------------------------------------
 
     @property
     def program(self):
@@ -480,54 +461,53 @@ class LintContext:
         return self._program
 
     def module_summary(self, module: LintModule):
-        """The module's dataflow summary: the program's own when the
-        source matches the program's copy, else summarised here, once."""
+        """The module's summary: the program's own when the source
+        matches the program's copy, else summarised here, once."""
         if module.summary is None:
             from repro.lint.dataflow.summary import summarize_module
 
-            program = self.program
-            if program.digests.get(module.modpath) == module.digest:
-                module.summary = program.modules[module.modpath]
+            shared = self.program.modules.get(module.modpath)
+            if shared is not None and shared.digest == module.digest:
+                module.summary = shared
             else:
                 module.summary = summarize_module(module)
         return module.summary
 
-    def facts_for(self, module: LintModule):
-        """Program facts with ``module``'s current source spliced in.
-
-        When the module shares the program's summary (its source matches
-        the program's copy) this is the shared program facts; fixture
-        sources, seeded-violation tests and files outside the program get
-        a spliced view with their functions visible to the fixpoint.
-        """
-        summary = self.module_summary(module)
-        if summary is self.program.modules.get(module.modpath):
-            return self.program.facts
-        return self.program.facts_for(summary, module.digest)
-
     # -- execution contexts ---------------------------------------------------
 
-    def exec_contexts(self, facts):
-        """Coordinator/kernel context classification, built once per
-        facts object.  A layered view shares its base's: nothing in the
-        base reaches the module layered on top and that module seeds
-        neither side, so the base's closure sets are still exact."""
+    def exec_contexts(self, module: LintModule):
+        """Coordinator/kernel classification of the program with
+        ``module``'s current source spliced in.
+
+        When the module shares the program's summary, or cannot change
+        what the program reaches (``Program.spliced``), this is the one
+        classification built per run; fixture sources and seeded edits
+        get their own, with their functions visible to the closure.
+        """
+        program = self.program
+        summary = self.module_summary(module)
+        if summary is not program.modules.get(module.modpath):
+            spliced = program.spliced(summary)
+            if spliced is not program:
+                return self._build_contexts(spliced)
+        if self._contexts is None:
+            self._contexts = self._build_contexts(program)
+        return self._contexts
+
+    def _build_contexts(self, program):
         from repro.lint.cfg.context import build_contexts
 
-        facts = facts.base or facts
-        if id(facts) not in self._contexts:
-            try:
-                executor_tree = ast.parse(self.executor_source)
-            except SyntaxError:
-                executor_tree = None
-            self._contexts[id(facts)] = build_contexts(
-                facts,
-                kernel_tree=ast.parse(self.kernel_source),
-                kernel_modpath=self.kernel_modpath,
-                executor_tree=executor_tree,
-                executor_modpath=module_path_for(Path(EXECUTOR_MODULE)),
-            )
-        return self._contexts[id(facts)]
+        try:
+            executor_tree = ast.parse(self.executor_source)
+        except SyntaxError:
+            executor_tree = None
+        return build_contexts(
+            program,
+            kernel_tree=ast.parse(self.kernel_source),
+            kernel_modpath=self.kernel_modpath,
+            executor_tree=executor_tree,
+            executor_modpath=module_path_for(Path(EXECUTOR_MODULE)),
+        )
 
 
 # -- runner -------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Whole-program dataflow layer for reprolint.
+"""Whole-program layer for reprolint: the call graph.
 
 This package builds per-module :class:`ModuleSummary` objects (each
-function's callees, returned taints, attribute writes, opened
-resources), links them into a project :class:`Program` over all of
-``src/repro/``, and runs a fixpoint propagator whose resolved
-:class:`ProgramFacts` the whole-program rules query.
+function's call targets, module-global writes and coordinator-singleton
+reads) and links them into a project :class:`Program` over all of
+``src/repro/``, whose resolver REP201's execution-context closure walks.
 """
 
 from repro.lint.dataflow.graph import Program, build_program, clear_program_memo
@@ -13,13 +12,11 @@ from repro.lint.dataflow.summary import (
     ModuleSummary,
     summarize_module,
 )
-from repro.lint.dataflow.taint import ProgramFacts
 
 __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "Program",
-    "ProgramFacts",
     "build_program",
     "clear_program_memo",
     "summarize_module",

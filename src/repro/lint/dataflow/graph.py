@@ -1,10 +1,11 @@
 """The project call graph: scanning and linking summaries.
 
 :func:`build_program` walks the program scope (all of ``src/repro/``),
-summarises every module and returns a :class:`Program` whose
-:class:`~repro.lint.dataflow.taint.ProgramFacts` the whole-program rules
-query.  Modules the lint run has already parsed are summarised from that
-parse, so no file is parsed twice.
+summarises every module and returns a :class:`Program`: the function
+index plus the resolver that turns a summary's symbolic call target into
+a function id.  REP201's execution-context closure is the one consumer.
+Modules the lint run has already parsed are summarised from that parse,
+so no file is parsed twice.
 
 Programs are memoised in-process per root: ``tests/lint`` lints hundreds
 of fixture snippets against the real program and builds it exactly once.
@@ -15,13 +16,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.lint.core import LintModule, iter_py_files, module_path_for
-from repro.lint.dataflow.summary import ModuleSummary, summarize_module
-from repro.lint.dataflow.taint import ProgramFacts
+from repro.lint.dataflow.summary import FunctionSummary, ModuleSummary, summarize_module
 
-__all__ = ["PROGRAM_SCOPE", "Program", "build_program", "clear_program_memo"]
+__all__ = ["PROGRAM_SCOPE", "Program", "build_program", "clear_program_memo", "fid_display"]
 
 #: Paths (relative to the root) whose modules form the whole-program
-#: call graph the interprocedural rules resolve against.
+#: call graph REP201 resolves against.
 PROGRAM_SCOPE = ("src/repro",)
 
 _PROGRAM_MEMO: dict[Path, "Program"] = {}
@@ -34,36 +34,49 @@ def dotted_module(modpath: str) -> str:
     return dotted[: -len(".__init__")] if dotted.endswith(".__init__") else dotted
 
 
+def fid_display(fid: str) -> str:
+    modpath, _, qual = fid.partition("::")
+    return f"{qual} ({modpath})"
+
+
 class Program:
-    """Every module summary in the program scope, plus resolved facts."""
+    """Every module summary in the program scope, linked by function id
+    (``<modpath>::<qualname>``)."""
 
-    __slots__ = ("modules", "digests", "_functions", "_facts", "_targets", "_ext_memo")
+    __slots__ = ("modules", "functions", "_targets")
 
-    def __init__(
-        self, modules: dict[str, ModuleSummary], digests: dict[str, str]
-    ) -> None:
+    def __init__(self, modules: dict[str, ModuleSummary]) -> None:
         self.modules = modules
-        self.digests = digests
-        self._functions: dict | None = None
-        self._facts: ProgramFacts | None = None
+        self.functions: dict[str, FunctionSummary] = {
+            f"{modpath}::{qual}": fn
+            for modpath, summary in modules.items()
+            for qual, fn in summary.functions.items()
+        }
         self._targets: frozenset[str] | None = None
-        self._ext_memo: dict[tuple[str, str], ProgramFacts] = {}
 
-    @property
-    def functions(self) -> dict:
-        if self._functions is None:
-            self._functions = {
-                f"{modpath}::{qual}": fn
-                for modpath, summary in self.modules.items()
-                for qual, fn in summary.functions.items()
-            }
-        return self._functions
-
-    @property
-    def facts(self) -> ProgramFacts:
-        if self._facts is None:
-            self._facts = ProgramFacts(self.functions)
-        return self._facts
+    def resolve(self, modpath: str, dotted: str, cls: str | None = None) -> str | None:
+        """Function id for a summary's symbolic call target, or None."""
+        if dotted.startswith("self."):
+            if cls is None:
+                return None
+            fid = f"{modpath}::{cls}.{dotted[5:]}"
+            return fid if fid in self.functions else None
+        if "." not in dotted:
+            fid = f"{modpath}::{dotted}"
+            return fid if fid in self.functions else None
+        parts = dotted.split(".")
+        for i in range(len(parts) - 1, 0, -1):
+            stem = "/".join(parts[:i])
+            remainder = ".".join(parts[i:])
+            for mp in (f"{stem}.py", f"{stem}/__init__.py"):
+                if mp not in self.modules:
+                    continue
+                for qual in (remainder, f"{remainder}.__init__"):
+                    fid = f"{mp}::{qual}"
+                    if fid in self.functions:
+                        return fid
+                return None  # right module, unknown function: stop here
+        return None
 
     def _calls_into(self, modpath: str) -> bool:
         """Does any program function name a target inside ``modpath``?"""
@@ -74,37 +87,22 @@ class Program:
         stem = dotted_module(modpath) + "."
         return any(target.startswith(stem) for target in self._targets)
 
-    def facts_for(self, summary: ModuleSummary, digest: str) -> ProgramFacts:
-        """Facts with ``summary`` spliced in for its module path.
+    def spliced(self, summary: ModuleSummary) -> "Program":
+        """The program with ``summary`` in place of its module's.
 
         A module in the program's own packages (a fixture, a seeded
-        edit) replaces or extends the program's functions and the
-        fixpoint reruns.  A module outside them that no program function
-        calls into (``benchmarks/``, ``examples/``) cannot change any
-        program function's facts, so it is layered on the shared facts
-        and only its own functions propagate.
+        edit) replaces or extends the program's functions.  A module
+        outside them that no program function calls into
+        (``benchmarks/``, ``examples/``) is reached by nothing in the
+        program and seeds neither execution context, so the program
+        itself — and every closure already built over it — still holds.
         """
-        key = (summary.modpath, digest)
-        cached = self._ext_memo.get(key)
-        if cached is not None:
-            return cached
-        prefix = f"{summary.modpath}::"
-        spliced = {f"{prefix}{qual}": fn for qual, fn in summary.functions.items()}
         package = summary.modpath.partition("/")[0]
         if all(
             not mp.startswith(package + "/") for mp in self.modules
         ) and not self._calls_into(summary.modpath):
-            facts = ProgramFacts(spliced, base=self.facts)
-        else:
-            combined = {
-                fid: fn
-                for fid, fn in self.functions.items()
-                if not fid.startswith(prefix)
-            }
-            combined.update(spliced)
-            facts = ProgramFacts(combined)
-        self._ext_memo[key] = facts
-        return facts
+            return self
+        return Program({**self.modules, summary.modpath: summary})
 
 
 def clear_program_memo() -> None:
@@ -118,18 +116,16 @@ def build_program(config, parsed: dict[Path, LintModule] | None = None) -> Progr
     parsed; they are summarised as they are instead of being re-read.
     """
     modules: dict[str, ModuleSummary] = {}
-    digests: dict[str, str] = {}
 
     def add(module: LintModule) -> None:
         if module.summary is None:
             module.summary = summarize_module(module)
         modules[module.modpath] = module.summary
-        digests[module.modpath] = module.digest
 
     if config.program_modules_override is not None:
         for modpath, source in sorted(config.program_modules_override.items()):
             add(LintModule(source, path=modpath, modpath=modpath))
-        return Program(modules, digests)
+        return Program(modules)
 
     root = Path(config.root).resolve()
     if root in _PROGRAM_MEMO:
@@ -144,5 +140,5 @@ def build_program(config, parsed: dict[Path, LintModule] | None = None) -> Progr
             except (OSError, SyntaxError, UnicodeDecodeError):
                 continue
         add(module)
-    program = _PROGRAM_MEMO[root] = Program(modules, digests)
+    program = _PROGRAM_MEMO[root] = Program(modules)
     return program

@@ -1,8 +1,6 @@
-"""Taint-source vocabulary shared by REP001 and the dataflow layer.
-
-One classification function answers "does this call read a wall clock,
-an OS entropy source or the global RNG?" for both the per-file REP001
-rule and the interprocedural summaries, so the two can never drift.
+"""The nondeterminism vocabulary: what REP101 calls a source, what
+REP006 calls order-free, and which names are builtins (never a
+call-graph edge).
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import builtins
 
 __all__ = [
     "BUILTIN_NAMES",
-    "HASH_ORDER",
     "ORDER_FREE_CALLS",
     "nondet_call",
 ]
@@ -41,12 +38,8 @@ NONDETERMINISTIC_CALLS = frozenset(
 #: The one deterministic entry point on the stdlib ``random`` module.
 SEEDED_RANDOM = frozenset({"random.Random"})
 
-#: The taint detail used for values whose *order* depends on the
-#: per-process hash seed (set iteration leaking into a sequence).
-HASH_ORDER = "hash-seed-dependent iteration order"
-
-#: Wrapping calls for which element order cannot matter — they absorb
-#: hash-order taint (``sorted`` canonicalises, the others reduce).
+#: Wrapping calls for which element order cannot matter (``sorted``
+#: canonicalises, the others reduce).
 ORDER_FREE_CALLS = frozenset(
     {"sorted", "set", "frozenset", "sum", "min", "max", "len", "any", "all"}
 )
@@ -56,32 +49,19 @@ ORDER_FREE_CALLS = frozenset(
 BUILTIN_NAMES = frozenset(dir(builtins))
 
 
-def nondet_call(dotted: str, node: ast.Call) -> tuple[str, str] | None:
-    """Classify one call as a nondeterminism source.
-
-    Returns ``(source, message)`` — ``source`` is the short taint detail
-    carried through summaries, ``message`` the REP001 finding text — or
-    ``None`` when the call is deterministic.
-    """
+def nondet_call(dotted: str, node: ast.Call) -> str | None:
+    """The REP101 finding text when the call is a nondeterminism source,
+    ``None`` when it is deterministic."""
     if dotted in NONDETERMINISTIC_CALLS:
-        return dotted, f"nondeterministic call {dotted}()"
+        return f"nondeterministic call {dotted}()"
     if dotted.startswith("random.Random."):
         return None  # method on an explicitly seeded RNG instance
     if dotted.startswith("random.") and dotted not in SEEDED_RANDOM:
-        return (
-            dotted,
-            f"{dotted}() uses the global unseeded RNG; use random.Random(seed)",
-        )
+        return f"{dotted}() uses the global unseeded RNG; use random.Random(seed)"
     if dotted.startswith("secrets."):
-        return dotted, f"{dotted}() draws OS entropy"
+        return f"{dotted}() draws OS entropy"
     if dotted.endswith(".random.default_rng") and not (node.args or node.keywords):
-        return (
-            "unseeded default_rng",
-            "default_rng() without a seed is nondeterministic",
-        )
+        return "default_rng() without a seed is nondeterministic"
     if dotted.startswith("numpy.random.") and not dotted.endswith(".default_rng"):
-        return (
-            dotted,
-            f"{dotted}() uses numpy's global RNG; use np.random.default_rng(seed)",
-        )
+        return f"{dotted}() uses numpy's global RNG; use np.random.default_rng(seed)"
     return None

@@ -3,11 +3,9 @@
 Each rule encodes one contract the determinism/performance story rests
 on; ``docs/STATIC_ANALYSIS.md`` documents the *why* behind every one.
 Rules are pure AST analyses over the :class:`LintModule` index — linting
-never imports repository code.  The whole-program rules (REP101,
-REP102) also consume the facts built by ``repro.lint.dataflow``: a call
-graph over every module in the program scope, with per-function taint
-summaries propagated to a fixpoint.  Their findings carry the witness
-chain from the call site to the source.
+never imports repository code.  Every rule here checks a site where it
+stands; the one rule that follows calls is REP201 (``cfg/rules.py``),
+over the call graph built by ``repro.lint.dataflow``.
 """
 
 from __future__ import annotations
@@ -22,23 +20,23 @@ from repro.lint.core import (
     LintContext,
     LintModule,
     Rule,
-    call_dotted,
-    enclosing_class_name,
     is_set_expr,
     local_bindings,
     receiver_named,
     registered_kernels,
     terminal_name,
 )
-from repro.lint.dataflow.sources import HASH_ORDER, ORDER_FREE_CALLS, nondet_call
-from repro.lint.dataflow.summary import TRACER_NAMES
-from repro.lint.dataflow.taint import chain_display
+from repro.lint.dataflow.sources import ORDER_FREE_CALLS, nondet_call
 
 __all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "counter_uses", "rule_by_id"]
 
 #: Module-path prefixes whose code feeds job output, counters or traces
-#: — the determinism scope for REP101/REP006.
+#: — the determinism scope for REP101/REP006.  The set is closed under
+#: ``src/repro`` imports (``tests/lint/test_self_clean.py`` recomputes
+#: the closure), so a clock read a deterministic function reaches
+#: through any chain of helpers sits in a module REP101 checks.
 DETERMINISTIC_SCOPES = (
+    "repro/analysis/",
     "repro/core/",
     "repro/mapreduce/",
     "repro/exec/",
@@ -163,6 +161,9 @@ class DeclaredCounters(Rule):
 
 
 # -- REP005: tracer discipline ------------------------------------------------
+
+#: Receiver names treated as tracers (plus any ``<expr>.tracer``).
+TRACER_NAMES = ("tracer", "trc")
 
 
 class TracerDiscipline(Rule):
@@ -463,64 +464,32 @@ class SlotsOnHotPaths(Rule):
         return False
 
 
-# -- REP101: nondeterminism, direct or through any number of calls ------------
-
-
-def _order_absorbed(module: LintModule, node: ast.AST) -> bool:
-    """True when the value at ``node`` flows into an order-free wrapper
-    (``sorted(...)`` etc.) before reaching any statement."""
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.Call):
-            if terminal_name(ancestor.func) in ORDER_FREE_CALLS:
-                return True
-        if isinstance(ancestor, ast.stmt):
-            return False
-    return False
+# -- REP101: nondeterminism ---------------------------------------------------
 
 
 class Nondeterminism(Rule):
     """REP101: engine/kernel/core code may not read wall clocks or OS
-    entropy — directly, or through a call whose target *transitively*
-    returns a wall-clock, unseeded-RNG or hash-order-dependent value (the
-    helper two modules away that launders it through a return value).
-    Randomness must flow through an explicitly seeded generator.
+    entropy.  Randomness must flow through an explicitly seeded
+    generator.  A read laundered through a helper is caught where it
+    stands: every module deterministic code imports is itself in
+    ``DETERMINISTIC_SCOPES``.
 
     ``time.perf_counter``/``time.process_time`` stay legal: they feed the
     advisory ``time.*`` timers that are excluded from determinism
-    comparisons (see ``docs/OBSERVABILITY.md``).  The source
-    classification lives in ``dataflow/sources.py``, shared with the
-    summaries, so the direct and transitive halves can never drift.
+    comparisons (see ``docs/OBSERVABILITY.md``).
     """
 
     id = "REP101"
-    title = "no wall-clock or unseeded-randomness reads, direct or transitive"
+    title = "no wall-clock or unseeded-randomness reads in deterministic scope"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         if not module.modpath.startswith(DETERMINISTIC_SCOPES):
             return
-        facts = ctx.facts_for(module)
         for node in module.nodes(ast.Call):
-            dotted = call_dotted(module, node)
-            if dotted is None:
-                continue
-            direct = nondet_call(dotted, node)
-            if direct is not None:
-                yield module.finding(self.id, node, direct[1])
-                continue
-            fid = facts.resolve(
-                module.modpath, dotted, enclosing_class_name(module, node)
-            )
-            entry = facts.nondet.get(fid) if fid is not None else None
-            if entry is None:
-                continue
-            if entry[0] == HASH_ORDER and _order_absorbed(module, node):
-                continue
-            yield module.finding(
-                self.id,
-                node,
-                f"{dotted}() is transitively nondeterministic "
-                f"({entry[0]}; path: {chain_display(fid, entry)})",
-            )
+            dotted = module.dotted(node.func)
+            message = nondet_call(dotted, node) if dotted is not None else None
+            if message is not None:
+                yield module.finding(self.id, node, message)
 
 
 # -- REP102: unpicklable values on task specs ---------------------------------
@@ -539,14 +508,14 @@ def _enclosing_local_defs(module: LintModule, node: ast.AST) -> dict[str, str]:
 class PicklableSpecs(Rule):
     """REP102: task specs cross process boundaries; lambdas, closures
     and local classes do not pickle — whether passed to a ``*Spec(...)``
-    constructor directly, returned by a factory call that is, assigned
-    onto a constructed spec, or smuggled onto a caller-supplied spec
-    parameter by a helper.  Anything callable a kernel needs belongs in
-    the fork-inherited job *context*, not the spec.
+    constructor or assigned onto a constructed spec.  Anything callable
+    a kernel needs belongs in the fork-inherited job *context*, not the
+    spec.  (A value a helper returns or attaches is SAN102's to witness:
+    it round-trips every spec of every run.)
     """
 
     id = "REP102"
-    title = "no lambdas/closures/local classes reaching picklable task specs"
+    title = "no lambdas/closures/local classes on picklable task specs"
 
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         spec_names = ctx.spec_class_names
@@ -562,7 +531,6 @@ class PicklableSpecs(Rule):
                                 sub,
                                 f"lambda default on spec {cls.name} will not pickle",
                             )
-        facts = ctx.facts_for(module)
         for nodes in module.scope_nodes.values():
             spec_locals: dict[str, str] = {}
             for node in nodes:
@@ -574,9 +542,12 @@ class PicklableSpecs(Rule):
                                 spec_locals[target.id] = name
             for node in nodes:
                 if isinstance(node, ast.Call):
-                    yield from self._check_call(
-                        module, facts, node, spec_names, spec_locals
-                    )
+                    name = terminal_name(node.func)
+                    if name in spec_names:
+                        for value in [*node.args, *(kw.value for kw in node.keywords)]:
+                            yield from self._check_value(
+                                module, value, f"passed to picklable spec {name}"
+                            )
                 elif isinstance(node, ast.Assign):
                     for target in node.targets:
                         if (
@@ -586,14 +557,13 @@ class PicklableSpecs(Rule):
                         ):
                             yield from self._check_value(
                                 module,
-                                facts,
                                 node.value,
                                 f"assigned to attribute {target.attr!r} of "
                                 f"picklable spec {spec_locals[target.value.id]}",
                             )
 
     def _check_value(
-        self, module: LintModule, facts, value: ast.AST, where: str
+        self, module: LintModule, value: ast.AST, where: str
     ) -> Iterator[Finding]:
         """One value landing on a spec (``where`` says how)."""
         if isinstance(value, ast.Lambda):
@@ -611,58 +581,6 @@ class PicklableSpecs(Rule):
                     value,
                     f"local {local_defs[value.id]} {value.id!r} {where}; "
                     "it will not pickle",
-                )
-        elif isinstance(value, ast.Call):
-            dotted = call_dotted(module, value)
-            fid = dotted and facts.resolve(
-                module.modpath, dotted, enclosing_class_name(module, value)
-            )
-            entry = facts.unpicklable.get(fid) if fid else None
-            if entry is not None:
-                yield module.finding(
-                    self.id,
-                    value,
-                    f"call {where} returns an unpicklable value "
-                    f"({entry[0]}; path: {chain_display(fid, entry)})",
-                )
-
-    def _check_call(
-        self,
-        module: LintModule,
-        facts,
-        node: ast.Call,
-        spec_names: frozenset[str],
-        spec_locals: dict[str, str],
-    ) -> Iterator[Finding]:
-        name = terminal_name(node.func)
-        if name in spec_names:
-            for value in [*node.args, *(kw.value for kw in node.keywords)]:
-                yield from self._check_value(
-                    module, facts, value, f"passed to picklable spec {name}"
-                )
-            return
-        # Helper call that writes an unpicklable value onto a spec
-        # passed as an argument.
-        dotted = call_dotted(module, node)
-        if dotted is None:
-            return
-        fid = facts.resolve(
-            module.modpath, dotted, enclosing_class_name(module, node)
-        )
-        if fid is None:
-            return
-        for tidx, kind, detail, chain, _lineno in facts.spec_writes(fid):
-            if kind != "unpicklable" or tidx >= len(node.args):
-                continue
-            arg = node.args[tidx]
-            if isinstance(arg, ast.Name) and arg.id in spec_locals:
-                via = chain_display(fid, (detail, chain, 0))
-                yield module.finding(
-                    self.id,
-                    node,
-                    f"{dotted}() stores an unpicklable value ({detail}) on "
-                    f"spec {spec_locals[arg.id]} argument {arg.id!r} "
-                    f"(path: {via})",
                 )
 
 

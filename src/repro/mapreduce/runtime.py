@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.filesystem import HDFS
-from repro.io.device import HDD_7200RPM, SSD_SATA, DeviceProfile
+from repro.io.device import HDD_7200RPM, SSD_SATA
 from repro.io.disk import DiskStats, LocalDisk
 from repro.mapreduce.counters import C
 from repro.mapreduce.driver import JobDriver, JobResult, JobRun
@@ -82,7 +82,6 @@ class LocalCluster:
         storage_nodes: int = 0,
         block_size: int = 1 * 1024 * 1024,
         replication: int = 1,
-        hdd_profile: DeviceProfile = HDD_7200RPM,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("need at least one node")
@@ -91,7 +90,7 @@ class LocalCluster:
         self.nodes: dict[str, ClusterNode] = {}
         names = [f"node{i:02d}" for i in range(num_nodes)]
         for name in names:
-            disks = {"hdd": LocalDisk(hdd_profile, name=f"{name}.hdd")}
+            disks = {"hdd": LocalDisk(HDD_7200RPM, name=f"{name}.hdd")}
             intermediate = "hdd"
             if with_ssd:
                 disks["ssd"] = LocalDisk(SSD_SATA, name=f"{name}.ssd")

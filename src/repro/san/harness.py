@@ -349,15 +349,11 @@ class Sanitizer:
 
     def _commit_check(self) -> None:
         """The output-commit barrier: everything but the journal's own
-        open segment (sealed by finalize, which follows the commit) and
-        weakref-tracked batches (frame locals legitimately pin them at
-        the commit instant; they are checked at scope exit) must be
-        released."""
+        open segment (sealed by finalize, which follows the commit) must
+        be released."""
         if "resource" not in self.config.detectors:
             return
-        for record in self.resources.take_leaks(
-            exclude_kinds=("journal.segment", "batch")
-        ):
+        for record in self.resources.take_leaks(exclude_kinds=("journal.segment",)):
             vid = self.resources.classify(record)
             self._violation(
                 vid,
@@ -394,11 +390,7 @@ class Sanitizer:
 
     def _patch(self, obj: Any, attr: str, factory: Callable[[Callable], Callable]) -> None:
         original = obj.__dict__[attr]
-        raw = original.__func__ if isinstance(original, classmethod) else original
-        wrapper = factory(raw)
-        if isinstance(original, classmethod):
-            wrapper = classmethod(wrapper)
-        setattr(obj, attr, wrapper)
+        setattr(obj, attr, factory(original))
         self._patches.append((obj, attr, original))
 
     # -- executor instrumentation --------------------------------------
@@ -643,7 +635,6 @@ class Sanitizer:
         self._patch(Tracer, "absorb", wrap_absorb)
 
     def _patch_resources(self) -> None:
-        from repro.io.batch import RecordBatch
         from repro.io.runio import RunWriter
         from repro.mapreduce.journal import JobJournal
         from repro.obs.tracer import _SpanHandle
@@ -660,27 +651,6 @@ class Sanitizer:
             JobJournal._open_segment_path,
             opens=lambda journal: journal._fh is None,
         )
-
-        san = self
-
-        def wrap_batch_ctor(orig):
-            def ctor(cls, *args, **kwargs):
-                batch = orig(cls, *args, **kwargs)
-                if _ENGINE_DEPTH > 0:
-                    san.resources.acquire(
-                        "batch",
-                        type(batch).__name__,
-                        task=getattr(_TLS, "task", ""),
-                        clock=san._clock,
-                        stack=capture_stack()[-2:],
-                        obj=batch,
-                    )
-                return batch
-
-            return ctor
-
-        self._patch(RecordBatch, "from_pairs", wrap_batch_ctor)
-        self._patch(RecordBatch, "decode", wrap_batch_ctor)
 
     def _track(
         self,

@@ -1,8 +1,7 @@
 """Resource/lifetime tracking with acquisition-site stack capture.
 
-Tracks span handles, run writers, journal segments and RecordBatch
-memoryview loans as acquire/release pairs.  Two checks consume the
-ledger:
+Tracks span handles, run writers and journal segments as
+acquire/release pairs.  Two checks consume the ledger:
 
 * **commit check** (dynamic REP205, "never closed"): when the coordinator appends
   ``K_OUTPUT_COMMIT``, every tracked resource except the journal's own
@@ -14,18 +13,11 @@ ledger:
   (non-crash-simulated) exception, resources acquired before the
   exception and never released witness a release site that fails to
   post-dominate its acquisition.
-
-Batches are tracked by weakref (RecordBatch carries ``__weakref__`` in
-its slots for this): a batch is "released" when it is garbage-collected,
-so a commit-time ``gc.collect()`` sweep keeps kernels free of explicit
-release calls while still catching coordinator-held batch references.
 """
 
 from __future__ import annotations
 
-import gc
 import threading
-import weakref
 from dataclasses import dataclass
 
 __all__ = ["ResourceRecord", "ResourceTracker"]
@@ -39,12 +31,6 @@ class ResourceRecord:
     task: str
     clock: int
     stack: tuple[tuple[str, int, str], ...]
-    ref: "weakref.ref | None" = None
-
-    def live(self) -> bool:
-        if self.ref is not None:
-            return self.ref() is not None
-        return True
 
 
 class ResourceTracker:
@@ -72,15 +58,8 @@ class ResourceTracker:
         task: str = "",
         clock: int = 0,
         stack: tuple[tuple[str, int, str], ...] = (),
-        obj: object | None = None,
     ) -> int:
         """Record an acquisition; returns the release token."""
-        ref = None
-        if obj is not None:
-            try:
-                ref = weakref.ref(obj)
-            except TypeError:
-                ref = None
         with self._lock:
             self._seq += 1
             token = self._seq
@@ -91,7 +70,6 @@ class ResourceTracker:
                 task=task,
                 clock=clock,
                 stack=stack,
-                ref=ref,
             )
         return token
 
@@ -129,21 +107,12 @@ class ResourceTracker:
     def take_leaks(
         self, *, exclude_kinds: tuple[str, ...] = ()
     ) -> list[ResourceRecord]:
-        """Pop and return every still-live record (weakref-tracked
-        records get one gc sweep first so dead batches don't report)."""
-        if any(r.ref is not None for r in self._live.values()):
-            gc.collect()
-        leaked = []
-        for token in sorted(self._live):
-            record = self._live[token]
-            if record.kind in exclude_kinds:
-                continue
-            if not record.live():
-                del self._live[token]
-                continue
-            leaked.append(record)
-            del self._live[token]
-        return leaked
+        """Pop and return every still-live record."""
+        return [
+            self._live.pop(token)
+            for token in sorted(self._live)
+            if self._live[token].kind not in exclude_kinds
+        ]
 
     def classify(self, record: ResourceRecord) -> str:
         """SAN205 when the leak predates the noted exception, SAN103

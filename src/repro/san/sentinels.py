@@ -61,10 +61,7 @@ class SentinelTrip(Exception):
 
 
 def _message_for(dotted: str) -> str:
-    classified = nondet_call(dotted, _DUMMY_CALL)
-    if classified is not None:
-        return classified[1]
-    return f"nondeterministic call {dotted}()"
+    return nondet_call(dotted, _DUMMY_CALL) or f"nondeterministic call {dotted}()"
 
 
 def sentinel_targets() -> list[tuple[str, str, str]]:

@@ -245,14 +245,14 @@ def context_of(extra_modules=None, **cfg_kw):
         executor_source_override=EXEC_SRC,
         **cfg_kw,
     )
-    ctx = LintContext(config)
-    facts = ctx.program.facts
-    return ctx, facts, ctx.exec_contexts(facts)
+    # The kernel module as the program holds it: the shared classification.
+    kernels = LintModule(KERNEL_SRC, path=KERNEL_MOD, modpath=KERNEL_MOD)
+    return LintContext(config).exec_contexts(kernels)
 
 
 class TestExecContexts:
     def test_registered_kernel_and_submitted_fn_are_worker_scope(self):
-        _ctx, _facts, cx = context_of()
+        cx = context_of()
         assert cx.classify(f"{KERNEL_MOD}::wordcount_kernel") == "kernel"
         assert cx.classify(f"{EXEC_MOD}::_invoke") == "kernel"
 
@@ -265,14 +265,14 @@ class TestExecContexts:
                 return shared_tally(1)
             """
         )
-        _ctx, _facts, cx = context_of({ENGINE_MOD: engine})
+        cx = context_of({ENGINE_MOD: engine})
         assert cx.classify(f"{ENGINE_MOD}::schedule") == "coordinator"
         # Called from the kernel and from the scheduler: both.
         assert cx.classify(f"{KERNEL_MOD}::shared_tally") == "both"
         assert cx.classify("repro/nowhere.py::ghost") is None
 
     def test_worker_chain_runs_from_the_entry_to_the_function(self):
-        _ctx, _facts, cx = context_of()
+        cx = context_of()
         kernel = f"{KERNEL_MOD}::wordcount_kernel"
         assert cx.worker_chain(kernel) == (kernel,)
         assert cx.worker_chain(f"{KERNEL_MOD}::shared_tally") == (

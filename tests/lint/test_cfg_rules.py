@@ -195,6 +195,38 @@ class TestREP201:
             kernel_src, modpath=KERNEL_MOD, modules=modules, kernel_src=kernel_src
         ) == []
 
+    def test_helper_reached_only_through_a_comprehension_is_in_kernel_scope(self):
+        # The kernel's one call into the stateful module sits in a list
+        # comprehension's element: an edge the statement interpreter this
+        # scan replaced never recorded, so the write went unreported.
+        kernel_src = """
+        from repro.core.tally import note
+
+        class MapSpec:
+            pass
+
+        def tally_kernel(ctx, specs):
+            return [note(s) for s in specs]
+
+        register_kernel("tally", tally_kernel)
+        """
+        tally = textwrap.dedent(
+            """
+            _SEEN = []
+
+            def note(x):
+                _SEEN.append(x)
+                return x
+            """
+        )
+        findings = lint(
+            tally, modpath="repro/core/tally.py",
+            modules={"repro/core/tally.py": tally},
+            kernel_src=kernel_src, select=("REP201",),
+        )
+        assert [(f.rule, f.line) for f in findings] == [("REP201", 5)]
+        assert "tally_kernel (repro/exec/kernels.py) -> note" in findings[0].message
+
     def test_singleton_read_from_a_kernel_flagged_pool_entry_exempt(self):
         # The executor's pool entry reads the fork context by design;
         # the same read reached from a registered kernel is a violation.
@@ -275,27 +307,6 @@ class TestREP202:
         findings = lint(src, select=("REP202",))
         assert rules_of(findings) == ["REP202"]
         assert "open file handle" in findings[0].message
-
-    def test_resource_via_helper_carries_witness(self):
-        src = """
-        from repro.exec.kernels import MapSpec
-        from repro.core.rio import acquire
-
-        def build(path):
-            fh = acquire(path)
-            return MapSpec(fh)
-        """
-        helper = textwrap.dedent(
-            """
-            def acquire(path):
-                return open(path)
-            """
-        )
-        findings = lint(
-            src, modules={"repro/core/rio.py": helper}, select=("REP202",)
-        )
-        assert rules_of(findings) == ["REP202"]
-        assert "acquire" in findings[0].message  # the witness chain
 
     def test_generator_on_spec_field_flagged(self):
         src = """

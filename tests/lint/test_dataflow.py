@@ -1,15 +1,17 @@
-"""The interprocedural layer: summaries, splicing, fixpoint, REP101..REP104.
+"""The whole-program layer: summaries, splicing, REP101..REP104 and REP201.
 
-Every REP10x rule is demonstrated with at least one true positive the
-per-file rules cannot catch (multi-hop flows) and at least one
-false-positive guard (seeded RNG, ``sorted(...)``, context managers,
-ownership transfer).  Fixture programs are injected hermetically via
+The summaries hold call edges, module-global writes and coordinator-
+singleton reads; REP201 (``TestREP105``) is the rule that follows the
+edges.  The REP10x fixtures are the direct ones — a violation laundered
+through a helper is caught where it stands (REP101: the helper's module
+is in deterministic scope) or by the sanitizer (SAN102/SAN202), and the
+guards (context managers, ownership transfer, plain values) stay.
+Fixture programs are injected hermetically via
 ``LintConfig.program_modules_override`` so no test depends on the real
 tree's contents.  ``TestREP103``'s fixtures assert REP205, the rule
 REP103 was retired into, and ``TestREP105``'s assert REP201.
 """
 
-import subprocess
 import textwrap
 
 from repro.lint import LintConfig, lint_paths, lint_source
@@ -77,58 +79,106 @@ def summarize(source, modpath=ENGINE_MOD):
 
 
 class TestSummaries:
-    def test_return_taint_and_call_sites(self):
+    def test_call_sites_in_every_expression_position(self):
+        # One helper call per function, each in a different position.
+        # The statement interpreter this scan replaced saw the first only.
         s = summarize(
             """
-            import time
             from repro.core import helper
+            from repro.core.helper import pure, seeded
 
-            def stamp():
-                return time.time()
+            def in_for(xs):
+                for x in xs:
+                    helper.pure(x)
 
-            def relay():
-                return helper.two_hop()
+            def in_list_comp(xs):
+                return [helper.pure(x) for x in xs]
+
+            def in_set_comp_condition(xs):
+                return {x for x in xs if helper.pure(x)}
+
+            def in_dict_comp(xs):
+                return {x: helper.pure(x) for x in xs}
+
+            def in_generator(xs):
+                return sum(helper.pure(x) for x in xs)
+
+            def in_lambda(xs):
+                return sorted(xs, key=lambda x: helper.pure(x))
+
+            def in_default(x=helper.pure(0)):
+                return x
+
+            def in_receiver():
+                return seeded().bit_length()
             """
         )
-        assert ("nondet", "time.time", 6) in s.functions["stamp"].return_taints
-        kinds = [t[0] for t in s.functions["relay"].return_taints]
-        assert kinds == ["call"]
-        assert any(
-            c[0] == "repro.core.helper.two_hop"
-            for c in s.functions["relay"].calls
-        )
+        edges = {
+            name: [c[0] for c in fn.calls if c[0].startswith("repro.")]
+            for name, fn in s.functions.items()
+            if name != "<module>"
+        }
+        assert edges.pop("in_receiver") == ["repro.core.helper.seeded"]
+        assert set(edges) == {
+            "in_for", "in_list_comp", "in_set_comp_condition", "in_dict_comp",
+            "in_generator", "in_lambda", "in_default",
+        }
+        assert all(targets == ["repro.core.helper.pure"] for targets in edges.values()), edges
 
-    def test_param_attr_write_records_lambda(self):
+    def test_receivers_resolve_through_bindings(self):
         s = summarize(
             """
-            def attach(spec):
-                spec.cb = lambda x: x
+            from repro.core.helper import Box, pure
+
+            class Engine:
+                def run(self, spec, *, sink):
+                    box = Box(spec)
+                    box.open()
+                    self.step()
+                    spec.validate()
+                    sink.write(spec)
+                    for item in spec.items:
+                        item.visit()
+                    return (lambda cell: cell.value())(box)
+
+                def step(self):
+                    return pure(1)
             """
         )
-        writes = s.functions["attach"].param_attr_writes
-        assert writes and writes[0][0] == 0 and writes[0][1] == "unpicklable"
+        run = [c[0] for c in s.functions["Engine.run"].calls]
+        # Constructor-typed local -> Class.method; self.x() stays symbolic;
+        # parameters, loop variables and lambda arguments are opaque.
+        assert run == ["repro.core.helper.Box", "repro.core.helper.Box.open", "self.step"]
+        assert [c[0] for c in s.functions["Engine.step"].calls] == ["repro.core.helper.pure"]
 
-    def test_suppressed_source_not_summarised(self):
+    def test_state_touches_and_their_suppression(self):
         s = summarize(
             """
-            import time
+            from repro.core.helper import CACHE
 
-            def stamp():
-                return time.time()  # reprolint: disable=REP101 -- test clock
+            _SEEN = []
+            _KERNELS = {}
+
+            def touch(x, local):
+                global _COUNT
+                _COUNT = x
+                _SEEN.append(x)
+                CACHE[x] = x
+                local.append(x)
+                return _KERNELS[x]
+
+            def justified(x):
+                _SEEN.append(x)  # reprolint: disable=REP201 -- handed off before workers start
             """
         )
-        assert s.functions["stamp"].return_taints == []
-
-    def test_with_managed_resource_not_tainted(self):
-        s = summarize(
-            """
-            def read(path):
-                with open(path) as f:
-                    return f.read()
-            """
-        )
-        kinds = {t[0] for t in s.functions["read"].return_taints}
-        assert "resource" not in kinds
+        touch = s.functions["touch"]
+        assert touch.global_writes == [
+            ("_COUNT", 8), ("_SEEN", 10), ("repro.core.helper.CACHE", 11),
+        ]
+        assert touch.singleton_reads == [("_KERNELS", 13)]
+        assert s.functions["justified"].global_writes == []
+        # The module body defines its globals; that is not a write.
+        assert s.functions["<module>"].global_writes == []
 
 
 # -- one summary per file per run ----------------------------------------------
@@ -192,68 +242,67 @@ class TestSummaryCacheIncremental:
         clear_program_memo()
         config = LintConfig(root=tmp_path)
         ctx = LintContext(config)
-        assert "repro/core/b.py::relay" in ctx.program.facts.nondet
+        relay = ctx.program.functions["repro/core/b.py::relay"]
+        assert [c[0] for c in relay.calls] == ["repro.core.a.stamp"]
         calls = self.count_summaries(monkeypatch)
         edited = LintModule(
             "from repro.core import a\n\ndef relay():\n    return 1\n",
             path="b.py",
             modpath="repro/core/b.py",
         )
-        assert "repro/core/b.py::relay" not in ctx.facts_for(edited).nondet
-        ctx.facts_for(edited)
+        assert ctx.module_summary(edited).functions["relay"].calls == []
+        ctx.exec_contexts(edited)
         assert calls == ["repro/core/b.py"]
 
-    def test_facts_for_shares_program_facts_when_unchanged(self, tmp_path):
+    def test_unchanged_module_shares_the_program_summary_and_contexts(self, tmp_path):
         _write_tree(tmp_path, self.FILES)
         clear_program_memo()
         config = LintConfig(root=tmp_path)
         ctx = LintContext(config)
         source = (tmp_path / "src/repro/core/b.py").read_text()
         module = LintModule(source, path="b.py", modpath="repro/core/b.py")
-        assert ctx.facts_for(module) is ctx.program.facts
+        assert ctx.module_summary(module) is ctx.program.modules["repro/core/b.py"]
+        shared = ctx.exec_contexts(module)
+        assert ctx.exec_contexts(module) is shared
         edited = LintModule(
-            source + "\n\nX = 1\n", path="b.py", modpath="repro/core/b.py"
+            source + "\n\ndef extra():\n    return relay()\n",
+            path="b.py",
+            modpath="repro/core/b.py",
         )
-        assert ctx.facts_for(edited) is not ctx.program.facts
+        spliced = ctx.exec_contexts(edited)
+        assert spliced is not shared
+        assert spliced.classify("repro/core/b.py::extra") == "coordinator"
+        assert shared.classify("repro/core/b.py::extra") is None
 
 
 class TestOutOfProgramFiles:
-    """Files outside the program (``benchmarks/``, ``examples/``) are
-    layered on the shared facts: only their own functions propagate."""
+    """A file outside the program (``benchmarks/``, ``examples/``) that
+    nothing in the program calls into cannot move any reachability: it
+    is linted against the program as it stands."""
 
     BENCH = textwrap.dedent(
         """
         from repro.core import helper
 
-        def tainted(path):
-            return helper.acquire(path)
+        _RUNS = []
 
-        def use(path):
-            handle = tainted(path)
-            data = handle.read()
-            return data
+        def tainted(path):
+            _RUNS.append(path)
+            return helper.pure(path)
         """
     )
 
-    def test_tainted_helper_caught_through_program_callee(self):
-        findings = lint(self.BENCH, modpath="benchmarks/bench_fixture.py")
-        assert rules_of(findings) == ["REP205"]
-        assert "never closed" in findings[0].message
-        # the chain runs benchmarks helper -> src/repro callee
-        assert "tainted" in findings[0].message
-        assert "acquire" in findings[0].message
-
-    def test_layered_facts_leave_the_program_facts_alone(self):
+    def test_uncalled_outside_module_leaves_the_program_alone(self):
         ctx = LintContext(LintConfig(program_modules_override={HELPER_MOD: HELPER_SRC}))
         module = LintModule(
             self.BENCH, path="b.py", modpath="benchmarks/bench_fixture.py"
         )
-        facts = ctx.facts_for(module)
-        assert facts.base is ctx.program.facts
-        assert "benchmarks/bench_fixture.py::tainted" in facts.resource
-        assert "benchmarks/bench_fixture.py::tainted" not in ctx.program.facts.resource
+        assert ctx.program.spliced(ctx.module_summary(module)) is ctx.program
+        helper = LintModule(HELPER_SRC, path="h.py", modpath=HELPER_MOD)
+        assert ctx.exec_contexts(module) is ctx.exec_contexts(helper)
+        assert lint(self.BENCH, modpath="benchmarks/bench_fixture.py") == []
 
-    def test_module_the_program_calls_into_reruns_the_fixpoint(self):
+    def test_module_the_program_calls_into_is_spliced(self):
         caller = "from benchmarks import bench_fixture\n\ndef run(p):\n    return bench_fixture.tainted(p)\n"
         ctx = LintContext(
             LintConfig(
@@ -266,28 +315,17 @@ class TestOutOfProgramFiles:
         module = LintModule(
             self.BENCH, path="b.py", modpath="benchmarks/bench_fixture.py"
         )
-        facts = ctx.facts_for(module)
-        assert facts.base is None
-        assert "repro/core/caller.py::run" in facts.resource
+        spliced = ctx.program.spliced(ctx.module_summary(module))
+        assert spliced is not ctx.program
+        assert "benchmarks/bench_fixture.py::tainted" in spliced.functions
+        contexts = ctx.exec_contexts(module)
+        assert contexts.classify("benchmarks/bench_fixture.py::tainted") == "coordinator"
 
 
-# -- REP101: transitive nondeterminism ----------------------------------------
+# -- REP101: nondeterminism, where the clock is read ---------------------------
 
 
 class TestREP101:
-    def test_two_hop_wall_clock_flagged(self):
-        findings = lint(
-            """
-            from repro.core import helper
-
-            def run():
-                return helper.two_hop()
-            """
-        )
-        assert rules_of(findings) == ["REP101"]
-        assert "time.time" in findings[0].message
-        assert "two_hop" in findings[0].message  # witness chain
-
     def test_direct_source_left_to_rep001(self):
         findings = lint(
             """
@@ -299,96 +337,28 @@ class TestREP101:
         )
         assert rules_of(findings) == ["REP101"]
 
-    def test_seeded_rng_helper_not_flagged(self):
-        findings = lint(
-            """
-            from repro.core import helper
-
-            def run():
-                return helper.seeded()
-            """
-        )
-        assert findings == []
-
-    def test_hash_order_return_flagged_but_sorted_absorbs(self):
-        flagged = lint(
-            """
-            from repro.core import helper
-
-            def run(d):
-                return helper.keys_list(d)
-            """
-        )
-        assert rules_of(flagged) == ["REP101"]
-        clean = lint(
-            """
-            from repro.core import helper
-
-            def run(d):
-                return sorted(helper.keys_list(d))
-            """
-        )
-        assert clean == []
-
-    def test_source_suppression_silences_transitive_finding(self):
-        helper = """
-        import time
-
-        def now():
-            return time.time()  # reprolint: disable=REP101 -- advisory stamp
-        """
-        findings = lint(
-            """
-            from repro.core import quiet
-
-            def run():
-                return quiet.now()
-            """,
-            modules={"repro/core/quiet.py": textwrap.dedent(helper)},
-        )
-        assert findings == []
-
-    def test_call_site_suppression(self):
-        findings = lint(
-            """
-            from repro.core import helper
-
-            def run():
-                return helper.two_hop()  # reprolint: disable=REP101 -- bench only
-            """
-        )
-        assert findings == []
-
-    def test_out_of_scope_module_ignored(self):
-        findings = lint(
+    def test_helper_chain_is_flagged_where_the_clock_is_read(self):
+        # run -> two_hop -> now -> time.time(): the caller is clean, the
+        # helper module (in deterministic scope, as every module such
+        # code imports is) holds the one finding.
+        caller = lint(
             """
             from repro.core import helper
 
             def run():
                 return helper.two_hop()
-            """,
-            modpath="repro/analysis/report.py",
+            """
         )
-        assert findings == []
+        assert caller == []
+        at_source = lint(HELPER_SRC, modpath=HELPER_MOD, select=("REP101",))
+        assert [(f.rule, f.line) for f in at_source] == [("REP101", 6)]
+        assert "time.time" in at_source[0].message
 
 
 # -- REP102: pickle-reachability ----------------------------------------------
 
 
 class TestREP102:
-    def test_ctor_arg_call_returning_lambda_flagged(self):
-        findings = lint(
-            """
-            from repro.core import helper
-            from repro.exec.kernels import FakeSpec
-
-            def build():
-                return FakeSpec(helper.make_cb())
-            """
-        )
-        assert rules_of(findings) == ["REP102"]
-        assert "make_cb" in findings[0].message
-
     def test_attribute_assignment_flagged(self):
         findings = lint(
             """
@@ -402,21 +372,6 @@ class TestREP102:
         )
         assert rules_of(findings) == ["REP102"]
         assert "will not pickle" in findings[0].message
-
-    def test_helper_smuggling_closure_onto_spec_flagged(self):
-        findings = lint(
-            """
-            from repro.core import helper
-            from repro.exec.kernels import FakeSpec
-
-            def build():
-                spec = FakeSpec()
-                helper.attach_cb(spec)
-                return spec
-            """
-        )
-        assert rules_of(findings) == ["REP102"]
-        assert "attach_cb" in findings[0].message
 
     def test_plain_values_clean(self):
         findings = lint(
@@ -450,21 +405,6 @@ class TestREP102:
 
 
 class TestREP103:
-    def test_interprocedural_acquisition_never_closed(self):
-        findings = lint(
-            """
-            from repro.core import helper
-
-            def read(path):
-                f = helper.acquire(path)
-                data = f.read()
-                return data
-            """
-        )
-        assert rules_of(findings) == ["REP205"]
-        assert "never closed" in findings[0].message
-        assert "acquire" in findings[0].message  # witness chain
-
     def test_close_outside_finally_flagged(self):
         findings = lint(
             """
@@ -715,33 +655,3 @@ class TestREP105:
             {"repro/core/stateful.py": textwrap.dedent(_STATEFUL_HELPER)},
         )
         assert findings == []
-
-
-# -- the git-aware CLI helper -------------------------------------------------
-
-
-class TestChangedOnly:
-    def test_changed_py_files_lists_edits_vs_ref(self, tmp_path):
-        from repro.lint.cli import changed_py_files
-
-        def git(*argv):
-            subprocess.run(
-                ["git", *argv], cwd=tmp_path, check=True, capture_output=True
-            )
-
-        git("init", "-q")
-        git("config", "user.email", "t@example.com")
-        git("config", "user.name", "t")
-        (tmp_path / "a.py").write_text("x = 1\n")
-        (tmp_path / "b.txt").write_text("not python\n")
-        git("add", ".")
-        git("commit", "-q", "-m", "seed")
-        (tmp_path / "a.py").write_text("x = 2\n")
-        (tmp_path / "b.txt").write_text("still not python\n")
-        changed = changed_py_files(tmp_path, "HEAD")
-        assert changed == [str(tmp_path / "a.py")]
-
-    def test_missing_git_returns_none(self, tmp_path):
-        from repro.lint.cli import changed_py_files
-
-        assert changed_py_files(tmp_path, "HEAD") is None

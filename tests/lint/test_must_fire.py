@@ -84,13 +84,13 @@ MUST_FIRE = {
     ),
     "REP101": (
         flow,
-        "from repro.core import helper\n\ndef run():\n    return helper.two_hop()\n",
-        "from repro.core import helper\n\ndef run():\n    return helper.seeded()\n",
+        "import time\n\ndef run():\n    return time.time()\n",
+        "import time\n\ndef run():\n    return time.perf_counter()\n",
     ),
     "REP102": (
         flow,
         "from repro.core import helper\nfrom repro.exec.kernels import FakeSpec\n\n"
-        "def build():\n    return FakeSpec(helper.make_cb())\n",
+        "def build():\n    return FakeSpec(lambda x: x + 1)\n",
         "from repro.core import helper\nfrom repro.exec.kernels import FakeSpec\n\n"
         "def build():\n    return FakeSpec(helper.pure(2))\n",
     ),

@@ -1,5 +1,5 @@
-"""Reporter satellites: SARIF 2.1.0 output, ``--stats`` timings, the
-``--changed-only`` rename handling and the catalogue shared with reprosan."""
+"""Reporter satellites: SARIF 2.1.0 output, ``--stats`` timings and the
+catalogue shared with reprosan."""
 
 import json
 import subprocess
@@ -90,77 +90,6 @@ class TestStats:
         timings = json.loads(proc.stdout)["timings"]
         assert set(timings) == {r.id for r in rules_mod.ALL_RULES}
         assert all(t >= 0 for t in timings.values())
-
-
-class TestChangedOnlyRenames:
-    """``--changed-only`` must follow git renames to the *new* path."""
-
-    def _git(self, *argv, cwd):
-        subprocess.run(
-            ["git", *argv],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-                "HOME": str(cwd),
-            },
-        )
-
-    def test_renamed_file_resolves_to_destination(self, tmp_path):
-        from repro.lint.cli import changed_py_files
-
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "mod_a.py").write_text("x = 1\n" * 30)
-        self._git("init", "-q", cwd=tmp_path)
-        self._git("add", ".", cwd=tmp_path)
-        self._git("commit", "-q", "-m", "seed", cwd=tmp_path)
-        self._git("mv", "pkg/mod_a.py", "pkg/mod_b.py", cwd=tmp_path)
-        self._git("commit", "-q", "-m", "rename", cwd=tmp_path)
-
-        changed = changed_py_files(tmp_path, "HEAD~1")
-        assert changed == [str(pkg / "mod_b.py")]
-
-    def test_rename_with_edit_and_plain_edit(self, tmp_path):
-        from repro.lint.cli import changed_py_files
-
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "mod_a.py").write_text("x = 1\n" * 30)
-        (pkg / "other.py").write_text("y = 2\n")
-        self._git("init", "-q", cwd=tmp_path)
-        self._git("add", ".", cwd=tmp_path)
-        self._git("commit", "-q", "-m", "seed", cwd=tmp_path)
-        # Rename + small edit (an R<similarity> status, not A/D)
-        self._git("mv", "pkg/mod_a.py", "pkg/mod_b.py", cwd=tmp_path)
-        (pkg / "mod_b.py").write_text("x = 1\n" * 30 + "z = 3\n")
-        (pkg / "other.py").write_text("y = 4\n")
-        self._git("add", ".", cwd=tmp_path)
-        self._git("commit", "-q", "-m", "rename+edit", cwd=tmp_path)
-
-        changed = changed_py_files(tmp_path, "HEAD~1")
-        assert changed == [str(pkg / "mod_b.py"), str(pkg / "other.py")]
-
-    def test_deleted_file_not_reported(self, tmp_path):
-        from repro.lint.cli import changed_py_files
-
-        (tmp_path / "gone.py").write_text("x = 1\n")
-        (tmp_path / "kept.py").write_text("y = 1\n")
-        self._git("init", "-q", cwd=tmp_path)
-        self._git("add", ".", cwd=tmp_path)
-        self._git("commit", "-q", "-m", "seed", cwd=tmp_path)
-        (tmp_path / "gone.py").unlink()
-        (tmp_path / "kept.py").write_text("y = 2\n")
-        self._git("add", ".", cwd=tmp_path)
-        self._git("commit", "-q", "-m", "delete", cwd=tmp_path)
-
-        changed = changed_py_files(tmp_path, "HEAD~1")
-        assert changed == [str(tmp_path / "kept.py")]
 
 
 class TestSharedCatalogue:

@@ -5,10 +5,10 @@ rule existed (and would pass without it), the contract-conforming
 rewrite, and the violating snippet under an inline suppression.
 
 The test classes keep the names of the ids their fixtures were written
-for.  Three of those ids are retired into the rule that already covered
-the transitive half of the same contract — REP001 -> REP101,
-REP003 -> REP102, REP005's registry-name half -> REP104 — so those
-fixtures, unchanged, now assert the surviving id.  (REP008's fixtures
+for.  Three of those ids are retired into the rule that owns the same
+contract — REP001 -> REP101, REP003 -> REP102, REP005's registry-name
+half -> REP104 — so those fixtures, unchanged, now assert the surviving
+id.  (REP008's fixtures
 went with the metrics registry whose names it checked: a distribution is
 now a row the analyzer reads off span args, with no call site to lint.)
 """
@@ -82,7 +82,7 @@ class TestREP001:
 
     def test_out_of_scope_module_ignored(self):
         src = "import time\nSTAMP = time.time()\n"
-        assert lint(src, modpath="repro/analysis/report.py") == []
+        assert lint(src, modpath="repro/san/report.py") == []
 
     def test_suppressed(self):
         findings = lint(
@@ -507,7 +507,7 @@ class TestREP006:
 
     def test_out_of_scope_module_ignored(self):
         src = "def f(keys):\n    s = set(keys)\n    for k in s:\n        pass\n"
-        assert lint(src, modpath="repro/analysis/fixture.py") == []
+        assert lint(src, modpath="repro/san/fixture.py") == []
 
     def test_suppressed(self):
         findings = lint(

@@ -18,8 +18,12 @@ import pytest
 
 from repro.lint import ALL_RULES, LintConfig, LintModule, lint_paths, lint_source
 from repro.lint.cfg.context import COORDINATOR_SCOPES
-from repro.lint.core import attr_root, iter_py_files
+from repro.lint.cfg.effects import is_resource_factory
+from repro.lint.core import attr_root, iter_py_files, receiver_named
 from repro.lint.dataflow import clear_program_memo
+from repro.lint.dataflow.graph import dotted_module
+from repro.lint.rules import DETERMINISTIC_SCOPES, TRACER_NAMES
+from tests.test_surface_audit import src_import_graph
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -50,7 +54,6 @@ def test_synthetic_violation_in_kernels_fails_the_pass():
         modpath="repro/exec/kernels.py",
         config=LintConfig(root=ROOT),
     )
-    # A direct read is a REP101 chain of length 0: one finding, one id.
     assert [f.rule for f in findings] == ["REP101"], findings
     assert "time.time" in findings[0].message
 
@@ -61,8 +64,9 @@ def test_synthetic_violation_in_kernels_fails_the_pass():
 SEEDS = {
     "two-hop wall-clock read": (
         {
-            # The clock is read outside deterministic scope, where that is
-            # legal; the kernel reaches it through two calls.
+            # The kernel reaches the clock through two calls into a module
+            # outside the engines; deterministic scope is closed under
+            # imports, so the read is flagged where it stands.
             "src/repro/analysis/seeded_clock.py": (
                 "import time\n\n\ndef _now():\n    return time.time()\n\n\n"
                 "def two_hop():\n    return _now()\n"
@@ -72,17 +76,7 @@ SEEDS = {
                 "started_at = seeded_clock.two_hop()",
             ),
         },
-        ("REP101", "src/repro/exec/kernels.py"),
-    ),
-    "factory-returned lambda on a spec": (
-        {
-            "src/repro/mapreduce/runtime.py": (
-                "\n\ndef _seeded_emit():\n    return lambda pair: pair\n\n\n"
-                "def _seeded_spec(block):\n"
-                "    return HadoopMapSpec(block, _seeded_emit())\n"
-            ),
-        },
-        ("REP102", "src/repro/mapreduce/runtime.py"),
+        ("REP101", "src/repro/analysis/seeded_clock.py"),
     ),
     "raising statement between RunWriter(...) and its try/finally": (
         {
@@ -156,7 +150,6 @@ def test_seeded_violation_fails_the_full_tree_pass_once(tree_copy, seed):
             else:
                 path.write_text(text)
         clear_program_memo()
-    # One, not two: the direct/transitive pair no longer double-reports.
     assert [(f.rule, f.path) for f in findings] == [expected], findings
 
 
@@ -213,6 +206,94 @@ def test_retired_rules_still_have_nothing_to_check(tree_copy):
         assert retired_rule_subjects(tree_copy) == [("repro/mapreduce/driver.py", "threading.Lock")]
     finally:
         driver.write_text(original)
+
+
+def scope_leaks(src):
+    """(importer, imported) pairs where a deterministic-scope module
+    imports a ``src/repro`` module outside ``DETERMINISTIC_SCOPES``."""
+    return sorted(
+        (importer, target)
+        for importer, targets in src_import_graph(Path(src)).items()
+        if importer.startswith(DETERMINISTIC_SCOPES)
+        for target in targets
+        if not target.startswith(DETERMINISTIC_SCOPES)
+    )
+
+
+def test_deterministic_scope_is_closed_under_imports(tree_copy):
+    """REP101 checks a clock read where it stands, so every module a
+    deterministic one can reach must itself be in scope: the witness
+    that replaced the rule's follow-the-call-chain half."""
+    assert not scope_leaks(SRC), (
+        "deterministic code imports a module REP101 does not check: add its package "
+        "to DETERMINISTIC_SCOPES (lint/rules.py) or drop the import"
+    )
+    leak = tree_copy / "src/repro/core/x.py"
+    try:
+        leak.write_text("from repro.testing.chaos import run_crashpoint_sweep\n")
+        assert scope_leaks(tree_copy / "src") == [
+            ("repro/core/x.py", "repro/testing/chaos.py")
+        ]
+    finally:
+        leak.unlink()
+
+
+def resource_returning_helpers(root):
+    """Every ``src/repro`` function that returns or yields a freshly
+    acquired resource — an ``open``/``RunWriter`` call or an unentered
+    ``tracer.span(...)``, directly or through a local bound to one —
+    which would make its *call sites* the acquisitions REP205 and REP202
+    have to see."""
+
+    def acquires(module, value):
+        if not isinstance(value, ast.Call):
+            return False
+        func = value.func
+        if isinstance(func, ast.Attribute) and func.attr == "span":
+            return receiver_named(func.value, TRACER_NAMES)
+        dotted = module.dotted(func) or ""
+        # A factory named bare inside the module that defines it.
+        here = f"{dotted_module(module.modpath)}.{dotted}"
+        return is_resource_factory(dotted) or is_resource_factory(here)
+
+    hits = []
+    for path in iter_py_files([Path(root) / "src/repro"]):
+        module = LintModule(path.read_text(), path=str(path))
+        for fn in module.functions:
+            nodes = module.scope_nodes[fn]
+            fresh = {
+                target.id
+                for node in nodes
+                if isinstance(node, ast.Assign) and acquires(module, node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            hits += [
+                (module.modpath, fn.name)
+                for node in nodes
+                if isinstance(node, (ast.Return, ast.Yield)) and node.value is not None
+                and (
+                    acquires(module, node.value)
+                    or (isinstance(node.value, ast.Name) and node.value.id in fresh)
+                )
+            ]
+    return hits
+
+
+def test_no_helper_returns_a_fresh_resource(tree_copy):
+    assert not resource_returning_helpers(ROOT), (
+        "a helper now returns a fresh resource, so its call sites are acquisitions "
+        "REP205/REP202 cannot see: restore the return-taint summaries and the rules' "
+        "transitive halves from commit 0192689 (lint/dataflow/{summary,taint}.py, "
+        "lint/rules.py, lint/cfg/rules.py)"
+    )
+    runio = tree_copy / "src/repro/io/runio.py"
+    original = runio.read_text()
+    try:
+        runio.write_text(original + '\n\ndef _mk(d):\n    return RunWriter(d, "p")\n')
+        assert resource_returning_helpers(tree_copy) == [("repro/io/runio.py", "_mk")]
+    finally:
+        runio.write_text(original)
 
 
 def test_cli_exit_codes_and_json(tmp_path):

@@ -79,16 +79,6 @@ class TestResourceTracker:
         assert tracker.take_leaks(exclude_kinds=("journal.segment",)) == []
         assert tracker.live_count == 1
 
-    def test_weakref_tracked_object_released_by_gc(self):
-        class Obj:
-            pass
-
-        tracker = ResourceTracker()
-        obj = Obj()
-        tracker.acquire("batch", "b0", obj=obj)
-        del obj
-        assert tracker.take_leaks() == []
-
     def test_forget_since_drops_only_newer(self):
         tracker = ResourceTracker()
         tracker.acquire("span", "old")

@@ -67,9 +67,9 @@ def group_of(path: Path, root: Path, src: Path) -> str | None:
     return rel[0] if rel[0] in ("examples", "tests") else "tests"  # root conftest.py
 
 
-def surface_audit(src: Path = ROOT / "src", root: Path = ROOT) -> list[dict]:
-    """One row per module: path under ``src/repro``, ``wc -l`` and, per
-    group, how many files import it."""
+def module_index(src: Path):
+    """The ``src/repro`` modules by dotted name, their parsed trees, and
+    the resolver from one ``imports_of`` pair to the module it names."""
     modules = {dotted(p, src): p for p in sorted((src / "repro").rglob("*.py"))}
     trees = {name: ast.parse(p.read_text()) for name, p in modules.items()}
     # package -> {name: module the package's __init__ imports it from}
@@ -86,6 +86,29 @@ def surface_audit(src: Path = ROOT / "src", root: Path = ROOT) -> list[dict]:
             return resolve(reexports[module][name], name)
         return module if module in modules else None
 
+    return modules, trees, resolve
+
+
+def src_import_graph(src: Path = ROOT / "src") -> dict[str, set[str]]:
+    """Module path under ``src/`` -> the ``src/repro`` module paths its
+    import statements name (``tests/lint/test_self_clean.py`` closes
+    ``DETERMINISTIC_SCOPES`` over this)."""
+    modules, trees, resolve = module_index(src)
+    path_of = {name: p.relative_to(src).as_posix() for name, p in modules.items()}
+    return {
+        path_of[name]: {
+            path_of[target]
+            for target in (resolve(module, alias) for module, alias in imports_of(tree))
+            if target is not None
+        }
+        for name, tree in trees.items()
+    }
+
+
+def surface_audit(src: Path = ROOT / "src", root: Path = ROOT) -> list[dict]:
+    """One row per module: path under ``src/repro``, ``wc -l`` and, per
+    group, how many files import it."""
+    modules, trees, resolve = module_index(src)
     importers: dict[str, dict[str, set[Path]]] = {m: {g: set() for g in GROUPS} for m in modules}
     callers = [*modules.values(), root / "conftest.py"]
     for folder in ("benchmarks", "examples", "tests"):
