@@ -2,7 +2,8 @@
 
 Measures the serial micro-kernels the PR-2 and PR-7 optimisations target
 — frame codec round-trip, per-bucket partition sorting, the streaming
-(disk-run) and in-memory segment merges, the multi-pass merger,
+(disk-run) and in-memory segment merges, the multi-pass merger, the final
+merge with its grouping,
 incremental hash update per pair and per chunk, the chained-job
 partition cache, the map-side collect path and the byte-budget size
 estimator — and guards them two ways:
@@ -64,11 +65,20 @@ REPEATS = 7  # best-of-N to shave scheduler noise
 #: memo, so a block over 100 distinct keys must cost at most 0.7x the same
 #: block over 10 000 — it reads 0.25 with the memo and 1.0 when a
 #: repeat costs what a first sight does, as it did before PR 16.
+#: And a *merge and group per piece* bound: the final merge orders each
+#: step's buffered prefixes by one stable sort of their kept keys, decodes
+#: a record only as the reduce side takes it, and groups with
+#: ``itertools.groupby``, so it must cost at most 0.85x the same runs
+#: through ``heapq.merge`` over per-record decoding generators and a
+#: pushback-generator grouping — it reads 0.73-0.79 (both sides unpickle
+#: every record once and scan every frame header, about half the
+#: reference's time) and 1.0 when it merges record by record again.
 PAIRED_OVERHEAD = {
     "san_overhead": ("exec_dispatch", 1.02),
     "map_collect_p64": ("map_collect", 1.3),
     "merge_pass": ("merge_pass_recode", 0.9),
     "map_collect_repeat": ("map_collect_distinct", 0.7),
+    "final_merge": ("final_merge_heapq", 0.85),
 }
 
 #: kernel -> pipeline phase it exercises.  When the gate fails, scores are
@@ -81,6 +91,8 @@ KERNEL_PHASES = {
     "batch_merge_streams": "merge",
     "merge_pass": "merge",
     "merge_pass_recode": "merge",
+    "final_merge": "merge",
+    "final_merge_heapq": "merge",
     "map_collect": "map",
     "map_collect_p64": "map",
     "map_collect_repeat": "map",
@@ -205,8 +217,8 @@ def kernel_batch_partition_sort() -> None:
 
 
 def _merge_input() -> list[list[tuple[str, int]]]:
-    """Eight key-sorted 15k-record segments (runs streamed from disk pop off
-    a heap record by record; in-memory segments concatenate and galloping-sort)."""
+    """Eight key-sorted 15k-record segments (streamed, each is one piece;
+    in-memory segments concatenate and galloping-sort)."""
 
     def build() -> list[list[tuple[str, int]]]:
         rng = random.Random(2718)
@@ -219,9 +231,9 @@ def _merge_input() -> list[list[tuple[str, int]]]:
 
 
 def kernel_merge_streams() -> None:
-    from repro.mapreduce.merge import merge_sorted
+    from repro.mapreduce.merge import merge_sorted, pair_pieces
 
-    streams = [iter(segment) for segment in _merge_input()]
+    streams = [pair_pieces([segment]) for segment in _merge_input()]
     count = sum(1 for _ in merge_sorted(streams))
     assert count == 8 * 15_000
 
@@ -273,8 +285,9 @@ def _merge_pass_runs() -> list:
 def kernel_merge_pass() -> None:
     """One background merge pass plus the final merge of a factor-4
     ``MultiPassMerger`` over 7 runs: the reduce side's multi-pass merge.
-    The pass moves frames (decode for the key, write the bytes as they
-    are); only the final merge hands decoded pairs on.
+    The pass moves frames (adopted without their keys, it decodes each
+    for its key and writes the bytes as they are); only the final merge
+    hands decoded pairs on.
     """
     from repro.io.disk import LocalDisk
     from repro.mapreduce.merge import MultiPassMerger
@@ -296,6 +309,129 @@ def kernel_merge_pass_recode() -> None:
 
     for data in _merge_pass_runs()[2]:
         assert len(encode_frames(list(iter_frames(data)))) == len(data)
+
+
+_FINAL_MERGE_RECORDS = 48_000
+
+
+def _final_merge_runs() -> list:
+    """Four sessionize-shaped sorted runs, ``(user id, (timestamp, url))``:
+    three of 6 000 records and one of 30 000, which spans two 1 MiB reads.
+    ``[run files, each run's keys]``."""
+    from repro.io.disk import LocalDisk
+    from repro.io.runio import write_run
+
+    def build() -> list:
+        rng = random.Random(4242)
+        disk = LocalDisk(name="finalbench")
+        keys = {}
+        for i, n in enumerate((6_000, 6_000, 6_000, 30_000)):
+            run = sorted(
+                (rng.randrange(4_000), (rng.random() * 3600.0, f"/page/{rng.randrange(2_000)}"))
+                for _ in range(n)
+            )
+            path = f"bench/run-{i:05d}.in"
+            keys[path] = []
+            write_run(disk, path, run, keys[path])
+        files = {path: disk.peek(path) for path in keys}
+        assert max(map(len, files.values())) > 1 << 20  # one run is multi-piece
+        return [files, keys]
+
+    return _dataset("final_merge_runs", build)
+
+
+def _final_merge_disk():
+    from repro.io.disk import LocalDisk
+
+    files, keys = _final_merge_runs()
+    disk = LocalDisk(name="finalbench")
+    disk.preload(files)
+    return disk, sorted(files), keys
+
+
+def kernel_final_merge() -> None:
+    """The reduce side's last step: ``MultiPassMerger.final_merge`` over four
+    runs whose keys it holds (as the ``hadoop_reduce`` kernel's merger does),
+    grouped by ``group_sorted`` and each group's values listed, as the
+    reduce task does before calling the reduce function."""
+    from repro.mapreduce.merge import MultiPassMerger, group_sorted
+
+    disk, paths, keys = _final_merge_disk()
+    merger = MultiPassMerger(disk, "bench", factor=4)
+    merger.adopt_state(([(path, disk.size(path)) for path in paths], len(paths)), keys)
+    count = sum(len(list(values)) for _, values in group_sorted(merger.final_merge()))
+    assert count == _FINAL_MERGE_RECORDS
+
+
+def kernel_final_merge_heapq() -> None:
+    """``final_merge``'s reference: the same runs, read in the same pieces
+    and decoded once, merged by ``heapq.merge`` over per-record generators
+    and grouped by a pushback generator — the final merge before it merged
+    and grouped per piece."""
+    import heapq
+    import pickle
+    from itertools import pairwise
+    from operator import itemgetter
+
+    from repro.io.serialization import FRAME_HEADER, frame_bounds
+
+    def stream_run(disk, path):
+        loads = pickle.loads
+        tail = b""
+        for chunk in disk.stream(path):
+            buf = tail + chunk if tail else chunk
+            bounds = frame_bounds(buf)
+            tail = buf[bounds[-1] :]
+            view = memoryview(buf)
+            for start, end in pairwise(bounds):
+                yield loads(view[start + FRAME_HEADER : end])
+
+    def group_sorted(pairs):
+        it = iter(pairs)
+        sentinel = object()
+        first = next(it, sentinel)
+        if first is sentinel:
+            return
+        current_key = first[0]
+        pushback = [first]
+        exhausted = False
+
+        def values_for(key):
+            nonlocal exhausted
+            while True:
+                if pushback:
+                    k, v = pushback.pop()
+                else:
+                    nxt = next(it, sentinel)
+                    if nxt is sentinel:
+                        exhausted = True
+                        return
+                    k, v = nxt
+                if k != key:
+                    pushback.append((k, v))
+                    return
+                yield v
+
+        while True:
+            group = values_for(current_key)
+            yield current_key, group
+            for _ in group:
+                pass
+            if exhausted:
+                return
+            if pushback:
+                current_key = pushback[-1][0]
+            else:
+                nxt = next(it, sentinel)
+                if nxt is sentinel:
+                    return
+                pushback.append(nxt)
+                current_key = nxt[0]
+
+    disk, paths, _ = _final_merge_disk()
+    merged = heapq.merge(*[stream_run(disk, path) for path in paths], key=itemgetter(0))
+    count = sum(len(list(values)) for _, values in group_sorted(merged))
+    assert count == _FINAL_MERGE_RECORDS
 
 
 def _hash_pairs() -> list[tuple[str, int]]:
@@ -596,6 +732,8 @@ KERNELS = {
     "batch_merge_streams": (kernel_batch_merge_streams, 120_000),
     "merge_pass": (kernel_merge_pass, _MERGE_PASS_RECORDS),
     "merge_pass_recode": (kernel_merge_pass_recode, _MERGE_PASS_RECORDS),
+    "final_merge": (kernel_final_merge, _FINAL_MERGE_RECORDS),
+    "final_merge_heapq": (kernel_final_merge_heapq, _FINAL_MERGE_RECORDS),
     "map_collect": (kernel_map_collect, 20_000),
     "map_collect_p64": (kernel_map_collect_p64, 20_000),
     "map_collect_repeat": (kernel_map_collect_repeat, _SCAN_BLOCK_PAIRS),

@@ -27,6 +27,7 @@ from typing import Any
 from repro.exec.base import register_kernel
 from repro.io.device import DeviceProfile
 from repro.io.disk import DiskExport, LocalDisk
+from repro.io.runio import KeyedRun
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.sortmerge import (
     MapOutput,
@@ -88,15 +89,15 @@ class HadoopReduceSpec:
     node: str
     profile: DeviceProfile
     disk_name: str
-    #: In-memory segments: lists of pairs.  A fetched segment is a
-    #: :class:`~repro.io.runio.FramedPairs`, which pickles as its frame
-    #: bytes alone — a segment crosses the pipe as pairs or as frames,
-    #: never both — and still spills without re-pickling on the worker.
-    memory: list[list[tuple[Any, Any]]]
+    #: In-memory segments: fetched ones are :class:`~repro.io.runio.KeyedRun`
+    #: (frames and keys, spilled without re-pickling); plain pair lists too.
+    memory: list[KeyedRun | list[tuple[Any, Any]]]
     memory_bytes: int
     merger_runs: list[tuple[str, int]]
     merger_seq: int
     run_files: dict[str, bytes]
+    #: Each run's keys by path; without them the merge decodes them.
+    run_keys: dict[str, list[Any]] | None = None
 
 
 @dataclass(slots=True)
@@ -124,7 +125,7 @@ def hadoop_reduce_kernel(
     tracer = task_tracer(bool(ctx.get("trace")))
     rtask = SortMergeReduceTask(job, spec.partition, spec.node, disk, tracer=tracer)
     rtask.adopt_ingested(
-        spec.memory, spec.memory_bytes, (spec.merger_runs, spec.merger_seq)
+        spec.memory, spec.memory_bytes, (spec.merger_runs, spec.merger_seq), spec.run_keys
     )
     output, groups = rtask.run()
     return HadoopReduceResult(

@@ -9,7 +9,7 @@ reproductions directly.
 from repro.io.batch import RecordBatch, merge_segments, sort_bucket
 from repro.io.device import HDD_7200RPM, RAMDISK, SSD_SATA, DeviceProfile, transfer_time
 from repro.io.disk import DiskFullError, DiskStats, LocalDisk
-from repro.io.runio import RunWriter, read_run, stream_run, write_run
+from repro.io.runio import RunWriter, stream_run, write_run
 from repro.io.serialization import (
     BinaryCodec,
     RawLineCodec,
@@ -32,7 +32,6 @@ __all__ = [
     "DiskFullError",
     "RunWriter",
     "write_run",
-    "read_run",
     "stream_run",
     "BinaryCodec",
     "TextLineCodec",

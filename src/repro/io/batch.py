@@ -20,9 +20,9 @@ module provides the alternatives:
   stay in the encoded buffer, sliced lazily.
 * Plain-list helpers (:func:`sort_bucket`, :func:`merge_segments`)
   implement the per-bucket stable sort and the concat-and-stable-sort
-  merge the sort-merge engines use on decoded pairs.  Their orderings
-  equal a global stable ``(partition, key)`` sort and ``heapq.merge``
-  (see the docstrings; the tests keep that sort as their oracle).
+  merge the sort-merge engines use on in-memory pairs.  Their orderings
+  equal a global stable ``(partition, key)`` sort and a k-way merge that
+  breaks ties by stream order (the tests keep both as their oracles).
 
 The module lives in ``repro.io`` beside the framing it extends
 (``serialization.py``); it stays import-light so the kernel-transitive
@@ -264,12 +264,9 @@ def merge_segments(
 ) -> list[tuple[Any, Any]]:
     """Merge key-sorted segments: concatenate in stream order, stable sort.
 
-    Equivalent to ``heapq.merge`` with its stream-index tie-break: both
-    are stable with respect to stream order for equal keys — ``heapq``
-    yields the earlier stream's records first, and here the earlier
-    stream's records precede the later's in the concatenation, which a
-    stable sort preserves.  Unlike the heap this is a single Timsort over
-    already-sorted runs (galloping).
+    The order of a k-way merge that breaks ties by stream index: the
+    earlier stream's records precede the later's in the concatenation,
+    which a stable sort preserves — one galloping Timsort.
     """
     out: list[tuple[Any, Any]] = []
     for seg in segments:

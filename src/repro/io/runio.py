@@ -7,38 +7,40 @@ is used for both, so readers can stream either.
 Writers buffer frames and flush in large chunks to keep the accounted
 operation counts realistic (one disk op per flush, not per record).
 
-**Frames travel with unchanged records.**  A record is pickled once, when
-it is first written.  From then on whoever only moves it carries its frame
-(the 4-byte length + payload exactly as it sits in the file): a fetched
-segment keeps the buffer it was decoded from (:class:`FramedPairs`),
-:func:`stream_frames` reads a run as ``(key, frame)`` records, merges order
-those by key like any pair, and :func:`write_run` joins the frames of a
-:class:`Framed` stream instead of pickling again.  Only a stage that makes
-new pairs (a combiner) hands :func:`write_run` plain items.  Re-pickling a
-decoded pair yields its frame again for every value the workloads emit;
-the known exception is a ``set``/``frozenset`` value, whose re-pickle has
-the same length but may order the elements differently.
+**Frames travel with unchanged records, keys beside them.**  A record is
+pickled once, when it is first written, and unpickled once, in front of
+the reduce function.  In between, whoever only moves it carries its frame
+(length prefix + payload, as it sits in the file) and, in a parallel list,
+the key it sorts by: a fetch hands on the map task's keys with the bytes
+(:class:`KeyedRun`), :func:`stream_frames` reads a run's frames in
+accounted pieces under its writer's keys, and :func:`write_run` joins the
+frames of a :class:`Framed` stream.  Only a stage that makes new pairs (a
+combiner) pickles again.  Re-pickling a decoded pair yields its frame
+again for every value the workloads emit; the known exception is a
+``set``/``frozenset`` value, whose re-pickle has the same length but may
+order the elements differently.
 """
 
 from __future__ import annotations
 
 import pickle
-from itertools import islice, pairwise
+from dataclasses import dataclass
+from itertools import chain, islice, pairwise
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.io.disk import LocalDisk
 from repro.io.serialization import FRAME_HEADER, encode_frames, frame_bounds, iter_frames
 
 __all__ = [
     "Framed",
-    "FramedPairs",
+    "KeyedRun",
     "RunWriter",
-    "decode_run",
     "frame_records",
-    "read_run",
     "run_chunks",
+    "segment_pairs",
     "stream_frames",
+    "stream_pieces",
     "stream_run",
     "write_chunks",
     "write_run",
@@ -49,7 +51,6 @@ _DEFAULT_FLUSH = 4 * 1024 * 1024
 _FLUSH_RECORDS = _DEFAULT_FLUSH // 64
 
 _KEY = itemgetter(0)
-_FRAME = itemgetter(1)
 
 
 class RunWriter:
@@ -122,61 +123,95 @@ class RunWriter:
         self.close()
 
 
-class FramedPairs(list):
-    """The decoded pairs of a run, with the bytes they were decoded from.
+@dataclass(frozen=True, slots=True)
+class KeyedRun:
+    """A sorted run held in memory, as a fetch hands it on: the frames as
+    the map task wrote them and the key of each, in order."""
 
-    An ordinary list of ``(key, value)`` pairs to everything that reads
-    it; ``data`` rides along so that a writer of the unchanged pairs can
-    reuse their frames (:func:`frame_records`).  Frames are only cut out
-    of ``data`` when a writer asks.  Do not mutate the list.  Crosses a
-    process boundary as ``data`` alone and is decoded again on arrival.
-    """
-
-    __slots__ = ("data",)
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return decode_run, (self.data,)
+    data: bytes
+    keys: list[Any]
 
 
 class Framed:
-    """Marks ``records`` as ``(key, frame)``: written by joining the frames."""
+    """Marks ``frames`` as frames, written by joining them, and names their
+    ``keys``: a list that holds the frames' keys, in order, once the frames
+    are exhausted (a merge fills it as it goes)."""
 
-    __slots__ = ("records",)
+    __slots__ = ("frames", "keys")
 
-    def __init__(self, records: Iterable[tuple[Any, bytes]]) -> None:
-        self.records = records
-
-
-def decode_run(data: bytes) -> FramedPairs:
-    """Decode a whole run held in memory, keeping ``data`` with the pairs."""
-    pairs = FramedPairs(iter_frames(data))
-    pairs.data = data
-    return pairs
+    def __init__(self, frames: Iterable[bytes], keys: list[Any]) -> None:
+        self.frames = frames
+        self.keys = keys
 
 
-def frame_records(pairs: list[tuple[Any, Any]]) -> list[tuple[Any, bytes]]:
-    """``pairs`` as ``(key, frame)`` records for a :class:`Framed` writer.
+class _Frames:
+    """A piece's frames (past ``skip`` bytes of each), cut from its buffer
+    only when sliced: a merge emits a prefix of a buffered piece at a time."""
 
-    The frames :class:`FramedPairs` carry are reused; pairs that carry
-    none (pushed objects, a caller's own list) are encoded here, once.
+    __slots__ = ("buf", "bounds", "skip")
+
+    def __init__(self, buf: bytes, bounds: list[int], skip: int = 0) -> None:
+        self.buf = buf
+        self.bounds = bounds
+        self.skip = skip
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, part: slice) -> list[bytes]:
+        start, stop, _ = part.indices(len(self))
+        buf, skip = self.buf, self.skip
+        return [buf[a + skip : b] for a, b in pairwise(self.bounds[start : stop + 1])]
+
+
+def segment_pairs(segment: KeyedRun | list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
+    """The decoded pairs of an in-memory segment (a plain list is its own)."""
+    return list(iter_frames(segment.data)) if isinstance(segment, KeyedRun) else segment
+
+
+def frame_records(segment: KeyedRun | list[tuple[Any, Any]]) -> tuple[list[Any], Sequence[bytes]]:
+    """``segment`` as ``(keys, frames)``: one piece for a merge of frames.
+
+    A :class:`KeyedRun` gives up the frames and keys it carries; plain
+    pairs (pushed objects, a caller's own list) are encoded here, once.
     """
-    data = pairs.data if isinstance(pairs, FramedPairs) else encode_frames(pairs)
+    if isinstance(segment, KeyedRun):
+        data, keys = segment.data, segment.keys
+    else:
+        data, keys = encode_frames(segment), list(map(_KEY, segment))
     bounds = frame_bounds(data)
-    if len(bounds) - 1 != len(pairs) or bounds[-1] != len(data):
-        raise ValueError(f"{len(pairs)} pairs do not match their {len(bounds) - 1} frames")
-    return list(zip(map(_KEY, pairs), [data[a:b] for a, b in pairwise(bounds)]))
+    if len(bounds) - 1 != len(keys) or bounds[-1] != len(data):
+        raise ValueError(f"{len(keys)} keys do not match their {len(bounds) - 1} frames")
+    return keys, _Frames(data, bounds)
 
 
-def run_chunks(items: Iterable[Any]) -> Iterator[bytes]:
+def run_chunks(items: Iterable[Any], keys: list[Any] | None = None) -> Iterator[bytes]:
     """The chunks a run of ``items`` is appended in, one per 65 536 records.
 
-    Plain items are pickled; the records of a :class:`Framed` stream give
-    up the frames they carry.  Lazy: a streaming merge stays streaming.
+    Plain items are pickled, and each pair's key is appended to ``keys``
+    when given; the frames of a :class:`Framed` stream are joined as they
+    are (its keys are its own).  Lazy: a streaming merge stays streaming.
     """
     framed = isinstance(items, Framed)
-    it = iter(items.records if framed else items)
+    it = iter(items.frames if framed else items)
     while batch := list(islice(it, _FLUSH_RECORDS)):
-        yield b"".join(map(_FRAME, batch)) if framed else encode_frames(batch)
+        if framed:
+            yield b"".join(batch)
+            continue
+        if keys is not None:
+            keys += _shared(map(_KEY, batch))
+        yield encode_frames(batch)
+
+
+def _shared(keys: Iterable[Any]) -> list[Any]:
+    """``keys`` with equal ones made one object, so a kept key costs a
+    pointer beyond the distinct keys (unhashable keys stay as they are)."""
+    keys = list(keys)
+    memo: dict[Any, Any] = {}
+    try:
+        return list(map(memo.setdefault, keys, keys))
+    except TypeError:
+        return keys
 
 
 def write_chunks(disk: LocalDisk, path: str, chunks: Iterable[bytes]) -> int:
@@ -189,14 +224,12 @@ def write_chunks(disk: LocalDisk, path: str, chunks: Iterable[bytes]) -> int:
     return nbytes
 
 
-def write_run(disk: LocalDisk, path: str, items: Iterable[Any]) -> int:
-    """Write ``items`` as a run at ``path``; return the byte size written."""
-    return write_chunks(disk, path, run_chunks(items))
-
-
-def read_run(disk: LocalDisk, path: str) -> FramedPairs:
-    """Read a whole run into memory with one accounted read."""
-    return decode_run(disk.read(path))
+def write_run(
+    disk: LocalDisk, path: str, items: Iterable[Any], keys: list[Any] | None = None
+) -> int:
+    """Write ``items`` as a run at ``path``; return the byte size written.
+    Plain pairs' keys are appended to ``keys`` when given."""
+    return write_chunks(disk, path, run_chunks(items, keys))
 
 
 def _frame_chunks(
@@ -218,17 +251,20 @@ def _frame_chunks(
         raise ValueError(f"truncated trailing frame in {path}")
 
 
-def stream_run(disk: LocalDisk, path: str, chunk_size: int = 1 << 20) -> Iterator[Any]:
-    """Stream a run's items, reading the file in ``chunk_size`` pieces.
-
-    Frames may straddle chunk boundaries; the reader carries the remainder
-    between chunks, so disk accounting still reflects large sequential reads.
-    """
+def stream_pieces(
+    disk: LocalDisk, path: str, chunk_size: int = 1 << 20
+) -> Iterator[list[Any]]:
+    """A run's items decoded, one list per accounted ``chunk_size`` read
+    (empty when a frame straddles the whole piece)."""
     loads = pickle.loads
     for buf, bounds in _frame_chunks(disk, path, chunk_size):
         view = memoryview(buf)
-        for start, end in pairwise(bounds):
-            yield loads(view[start + FRAME_HEADER : end])
+        yield [loads(view[start + FRAME_HEADER : end]) for start, end in pairwise(bounds)]
+
+
+def stream_run(disk: LocalDisk, path: str, chunk_size: int = 1 << 20) -> Iterator[Any]:
+    """Stream a run's items, reading the file in accounted ``chunk_size`` pieces."""
+    return chain.from_iterable(stream_pieces(disk, path, chunk_size))
 
 
 def stream_frames(
@@ -236,23 +272,27 @@ def stream_frames(
     path: str,
     keys: list[Any] | None = None,
     chunk_size: int = 1 << 20,
-) -> Iterator[tuple[Any, bytes]]:
-    """Stream a run of pairs as ``(key, frame)`` records, same reads as above.
+    *,
+    payloads: bool = False,
+) -> Iterator[tuple[list[Any], Sequence[bytes]]]:
+    """A run of pairs as ``(keys, frames)``, one piece per accounted read.
 
-    A caller that still holds the run's ``keys`` (the map task that wrote
-    it) passes them and nothing is unpickled; otherwise each frame is
-    decoded for its key.  The frame count is checked against ``keys``.
+    A caller that holds the run's ``keys`` (whoever wrote it) passes them
+    and nothing is unpickled; otherwise each frame is decoded for its key.
+    The frame count is checked against ``keys``.  With ``payloads`` each
+    frame comes without its length prefix, ready for ``pickle.loads``.
     """
     loads = pickle.loads
+    skip = FRAME_HEADER if payloads else 0
     seen = 0
     for buf, bounds in _frame_chunks(disk, path, chunk_size):
+        frames = _Frames(buf, bounds, skip)
         if keys is None:
             view = memoryview(buf)
-            for start, end in pairwise(bounds):
-                yield loads(view[start + FRAME_HEADER : end])[0], buf[start:end]
+            piece = [loads(view[start + FRAME_HEADER : end])[0] for start, end in pairwise(bounds)]
         else:
-            frames = [buf[start:end] for start, end in pairwise(bounds)]
-            yield from zip(keys[seen : seen + len(frames)], frames)
+            piece = keys[seen : seen + len(frames)]
             seen += len(frames)
+        yield piece, frames
     if keys is not None and seen != len(keys):
         raise ValueError(f"{path} holds {seen} frames for {len(keys)} keys")

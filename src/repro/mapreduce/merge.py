@@ -2,8 +2,8 @@
 
 Three pieces:
 
-* :func:`merge_sorted` — streaming k-way merge of sorted ``(key, value)``
-  iterators via a heap;
+* :func:`merge_sorted` — streaming k-way merge of key-sorted pair streams
+  read piece by piece, one stable sort per step;
 * :func:`group_sorted` — turn a key-sorted pair stream into
   ``(key, values-iterator)`` groups for the reduce function;
 * :class:`MultiPassMerger` — the paper's *multi-pass merge*: whenever the
@@ -18,89 +18,113 @@ cannot produce a single sorted stream until every run has arrived.
 
 from __future__ import annotations
 
-import heapq
+import pickle
+from bisect import bisect_left, bisect_right
+from itertools import chain, groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.io.disk import LocalDisk
-from repro.io.runio import Framed, stream_frames, stream_run, write_run
+from repro.io.runio import Framed, stream_frames, stream_pieces, write_run
 from repro.mapreduce.counters import C, Counters
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
-__all__ = ["merge_sorted", "group_sorted", "MultiPassMerger"]
+__all__ = ["merge_sorted", "pair_pieces", "group_sorted", "MultiPassMerger"]
 
 
 _FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 def merge_sorted(
-    streams: list[Iterator[tuple[Any, Any]]],
-    *,
-    key: Callable[[tuple[Any, Any]], Any] | None = None,
-) -> Iterator[tuple[Any, Any]]:
-    """K-way merge of pair streams, each already sorted by pair key.
+    streams: list[Iterable[tuple[list[Any], list[Any]]]],
+    keys: list[Any] | None = None,
+) -> Iterator[Any]:
+    """K-way merge of sorted streams read in pieces; yields the items.
 
-    Ties are broken by stream index, making the merge stable with respect
-    to stream order (Hadoop gives the same guarantee via segment order).
-    Implemented on :func:`heapq.merge`, whose C-accelerated heap carries a
-    stream-order tiebreaker internally — the same ordering guarantee as
-    the hand-rolled heap it replaces, without a Python-level comparison
-    per record (values are never compared).
+    A stream yields ``(keys, items)`` pieces (a run, one per accounted read:
+    :func:`~repro.io.runio.stream_frames`); ``keys``, if given, receives the
+    merged keys.  Order and piece reads are :func:`heapq.merge`'s on ``(key,
+    stream index)``, which reads on right after emitting a stream's last
+    buffered record.  A step takes each stream's last buffered record or,
+    if sooner, its :data:`STEP_RECORDS`-th unemitted one, emits everything
+    up to the first of those as one stable sort of the streams' prefixes,
+    and reads on only if that was its stream's last (no other stream can
+    run dry).  Items go out one at a time (``chain``), so reads interleave
+    with the consumer's writes as under heapq.  Keys are compared with
+    ``<`` alone; heapq tests ``==`` first, so NaN keys may order differently.
     """
-    return heapq.merge(*streams, key=key or _FIRST)
+    return chain.from_iterable(_merge_steps(streams, keys))
 
 
-_SENTINEL = object()
+#: Most items one merge step takes from one stream.
+STEP_RECORDS = 4096
+
+
+def _merge_steps(
+    streams: list[Iterable[tuple[list[Any], list[Any]]]], merged_keys: list[Any] | None
+) -> Iterator[list[Any]]:
+    # [stream index, pieces, buffered keys, buffered items, read offset].
+    live: list[list[Any]] = []
+    for index, stream in enumerate(streams):
+        pieces = iter(stream)
+        piece = next(filter(_FIRST, pieces), None)
+        if piece is not None:
+            live.append([index, pieces, *piece, 0])
+    while live:
+        first = min(live, key=lambda s: (s[2][min(s[4] + STEP_RECORDS, len(s[2])) - 1], s[0]))
+        index, stop = first[0], min(first[4] + STEP_RECORDS, len(first[2]))
+        pivot = first[2][stop - 1]
+        keys: list[Any] = []
+        items: list[Any] = []
+        prefixes = 0
+        for s in live:
+            buf, start = s[2], s[4]
+            if s is first:
+                cut = stop
+            elif s[0] < index:
+                cut = bisect_right(buf, pivot, start)
+            else:
+                cut = bisect_left(buf, pivot, start)
+            if cut > start:
+                keys += buf[start:cut]
+                items += s[3][start:cut]
+                s[4] = cut
+                prefixes += 1
+        if prefixes > 1:
+            # One stable sort of the prefixes, concatenated in stream order.
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            items = list(map(items.__getitem__, order))
+            if merged_keys is not None:
+                keys = list(map(keys.__getitem__, order))
+            del order
+        if merged_keys is not None:
+            merged_keys += keys
+        del keys  # not held while the consumer takes the step
+        yield items
+        if stop == len(first[2]):  # its last buffered record is out: read on
+            piece = next(filter(_FIRST, first[1]), None)
+            if piece is None:
+                live.remove(first)
+            else:
+                first[2], first[3], first[4] = *piece, 0
+
+
+def pair_pieces(pieces: Iterable[list[tuple[Any, Any]]]) -> Iterator[tuple[list[Any], list]]:
+    """Pieces of decoded pairs as :func:`merge_sorted` pieces, keyed by pair key."""
+    for pairs in pieces:
+        yield list(map(_FIRST, pairs)), pairs
 
 
 def group_sorted(pairs: Iterable[tuple[Any, Any]]) -> Iterator[tuple[Any, Iterator[Any]]]:
     """Group a key-sorted pair stream into ``(key, values)`` lazily.
 
     The values iterator for a group must be consumed before advancing to
-    the next group (as with Hadoop's reduce iterator).  Unconsumed values
-    are drained automatically on advance.
+    the next group (as with Hadoop's reduce iterator); values the consumer
+    left unconsumed are skipped on advance.
     """
-    it = iter(pairs)
-    first = next(it, _SENTINEL)
-    if first is _SENTINEL:
-        return
-
-    current_key = first[0]
-    pushback: list[tuple[Any, Any]] = [first]
-    exhausted = False
-
-    def values_for(key: Any) -> Iterator[Any]:
-        nonlocal exhausted
-        while True:
-            if pushback:
-                k, v = pushback.pop()
-            else:
-                nxt = next(it, _SENTINEL)
-                if nxt is _SENTINEL:
-                    exhausted = True
-                    return
-                k, v = nxt
-            if k != key:
-                pushback.append((k, v))
-                return
-            yield v
-
-    while True:
-        group = values_for(current_key)
-        yield current_key, group
-        # Drain whatever the consumer left behind.
-        for _ in group:
-            pass
-        if exhausted:
-            return
-        if pushback:
-            current_key = pushback[-1][0]
-        else:
-            nxt = next(it, _SENTINEL)
-            if nxt is _SENTINEL:
-                return
-            pushback.append(nxt)
-            current_key = nxt[0]
+    for key, group in groupby(pairs, _FIRST):
+        yield key, map(_SECOND, group)
 
 
 class MultiPassMerger:
@@ -112,6 +136,10 @@ class MultiPassMerger:
     supplied counters.  After the last run arrives, :meth:`final_merge`
     reduces the pool below ``F`` if needed and returns the single merged,
     sorted stream.
+
+    Beside each run's ``(path, nbytes)`` it keeps the run's keys
+    (:attr:`run_keys`), so a pass unpickles nothing and the final merge
+    each record once; a run adopted without them is decoded for its keys.
     """
 
     def __init__(
@@ -135,6 +163,7 @@ class MultiPassMerger:
         self.node = node
         self.task = task
         self._runs: list[tuple[str, int]] = []  # (path, nbytes), insertion order
+        self.run_keys: dict[str, list[Any]] = {}  # path -> the run's keys, in order
         self._seq = 0
         self.finished = False
 
@@ -159,12 +188,18 @@ class MultiPassMerger:
         """Snapshot ``(runs, next sequence number)`` for a worker-side task."""
         return list(self._runs), self._seq
 
-    def adopt_state(self, state: tuple[list[tuple[str, int]], int]) -> None:
-        """Install state exported by :meth:`export_state` (fresh merger only)."""
+    def adopt_state(
+        self,
+        state: tuple[list[tuple[str, int]], int],
+        keys: dict[str, list[Any]] | None = None,
+    ) -> None:
+        """Install state exported by :meth:`export_state` (fresh merger only),
+        with the runs' :attr:`run_keys` when the caller has them."""
         if self.finished or self._runs:
             raise RuntimeError("can only adopt state into a fresh merger")
         runs, seq = state
         self._runs = list(runs)
+        self.run_keys = dict(keys or {})
         self._seq = seq
 
     def _new_path(self, tag: str) -> str:
@@ -175,8 +210,9 @@ class MultiPassMerger:
     def add_run(self, pairs: Iterable[tuple[Any, Any]] | Framed) -> None:
         """Write one sorted run to disk and trigger background merges.
 
-        ``pairs`` are pickled; a :class:`~repro.io.runio.Framed` stream of
-        records that already carry their frames is written as it is.
+        ``pairs`` are pickled and their keys noted; a
+        :class:`~repro.io.runio.Framed` stream is written as it is, and its
+        keys kept.
 
         Merging the F smallest runs whenever the pool reaches ``2F - 1``
         (Hadoop's actual policy) leaves F - 1 runs behind and, crucially,
@@ -187,7 +223,9 @@ class MultiPassMerger:
         if self.finished:
             raise RuntimeError("merger already finalised")
         path = self._new_path("in")
-        nbytes = write_run(self.disk, path, pairs)
+        keys = pairs.keys if isinstance(pairs, Framed) else []
+        nbytes = write_run(self.disk, path, pairs, keys)
+        self.run_keys[path] = keys
         self.counters.inc(C.REDUCE_SPILL_BYTES, nbytes)
         self.counters.inc(C.REDUCE_SPILLS)
         self._runs.append((path, nbytes))
@@ -206,12 +244,13 @@ class MultiPassMerger:
         with self.tracer.span(
             "merge", "merge", node=self.node, task=self.task, fan_in=fan_in
         ) as merge_span:
-            # A pass only moves records: order them by key, keep their frames.
-            merged = Framed(
-                merge_sorted([stream_frames(self.disk, path) for path, _ in victims])
-            )
+            # A pass only moves records: order them by the kept keys, keep
+            # their frames, note the merged order's keys for the next pass.
+            kept = self.run_keys
+            streams = [stream_frames(self.disk, path, kept.pop(path, None)) for path, _ in victims]
             out_path = self._new_path("merged")
-            out_bytes = write_run(self.disk, out_path, merged)
+            kept[out_path] = keys = []
+            out_bytes = write_run(self.disk, out_path, Framed(merge_sorted(streams, keys), keys))
             merge_span.set(bytes_in=read_bytes, bytes_out=out_bytes)
             merge_span.set_cost(byte_cost(read_bytes + out_bytes))
         for path, _ in victims:
@@ -234,8 +273,14 @@ class MultiPassMerger:
             self._merge_pass(self.factor)
         read_bytes = sum(nbytes for _, nbytes in self._runs)
         self.counters.inc(C.MERGE_READ_BYTES, read_bytes)
-        streams = [stream_run(self.disk, path) for path, _ in self._runs]
-        return merge_sorted(streams)
+        runs, kept, self.run_keys = self._runs, self.run_keys, {}
+        if all(path in kept for path, _ in runs):
+            # Frames ordered by the kept keys; each is unpickled, once, as
+            # the reduce side takes it, so decoded pairs do not pile up.
+            streams = [stream_frames(self.disk, path, kept[path], payloads=True) for path, _ in runs]
+            return map(pickle.loads, merge_sorted(streams))
+        # Runs adopted without their keys: each piece is decoded for them.
+        return merge_sorted([pair_pieces(stream_pieces(self.disk, path)) for path, _ in runs])
 
     def cleanup(self) -> None:
         """Delete any remaining run files."""

@@ -288,7 +288,7 @@ class HadoopEngine(JobDriver):
                     bytes=seg.nbytes,
                     map_task=task_id,
                 ):
-                    rtask.accept_segment(seg.pairs, seg.nbytes)
+                    rtask.accept_segment(seg.run, seg.nbytes)
 
     def _rerun_lost_map(self, run: JobRun, task_id: int) -> None:
         """Re-execute a map whose output is lost; re-register fresh output.
@@ -345,7 +345,8 @@ class HadoopEngine(JobDriver):
         for partition in pending:
             node = run.reducer_nodes[partition]
             disk = self._disk(node)
-            memory, memory_bytes, (runs, seq) = run.reduce_tasks[partition].export_ingested()
+            rtask = run.reduce_tasks[partition]
+            memory, memory_bytes, (runs, seq) = rtask.export_ingested()
             specs.append(
                 HadoopReduceSpec(
                     partition,
@@ -357,6 +358,7 @@ class HadoopEngine(JobDriver):
                     runs,
                     seq,
                     {path: disk.peek(path) for path, _ in runs},
+                    rtask.run_keys,
                 )
             )
         run.reduced.update(zip(pending, run.session.run_batch("hadoop_reduce", specs)))

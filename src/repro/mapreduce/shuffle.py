@@ -24,10 +24,12 @@ partition's fetch marks so a fresh task can re-pull everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.io.disk import LocalDisk
-from repro.io.runio import FramedPairs, decode_run, read_run
+from repro.io.runio import KeyedRun
+from repro.io.serialization import iter_frames
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.recovery import FetchRetryPolicy
@@ -53,10 +55,15 @@ class FetchedSegment:
 
     map_task: int
     partition: int
-    #: The decoded pairs, still holding the segment's bytes: a reducer that
-    #: spills them unchanged reuses the frames instead of pickling again.
-    pairs: FramedPairs
+    #: The segment's bytes and its map task's sorted keys, undecoded: a
+    #: reducer moves the frames by the keys and decodes only at its merge.
+    run: KeyedRun
     nbytes: int
+
+    @property
+    def pairs(self) -> list[tuple[Any, Any]]:
+        """The decoded pairs (one unpickle per record; the engines never ask)."""
+        return list(iter_frames(self.run.data))
 
 
 class ShuffleService:
@@ -129,20 +136,14 @@ class ShuffleService:
         """
         self._fetched = {key for key in self._fetched if key[1] != partition}
 
-    def fetch(
-        self,
-        map_task: int,
-        partition: int,
-        counters: Counters | None = None,
-        *,
-        from_cache: bool | None = None,
-    ) -> FetchedSegment:
+    def fetch(self, map_task: int, partition: int) -> FetchedSegment:
         """Pull one segment from the mapper that produced it.
 
         Transient failures injected by the fault plan are retried with
         capped exponential backoff (simulated time, accumulated in
         :attr:`backoff_ms`); exceeding the retry budget raises
-        :class:`FetchFailedError`.
+        :class:`FetchFailedError`.  The map task's keys go with the bytes
+        and are then dropped; a repeat pull during recovery decodes them.
         """
         key = (map_task, partition)
         if key in self._fetched:
@@ -162,42 +163,32 @@ class ShuffleService:
 
         disk = self.mapper_disks[output.node]
         refetch = self._fetch_counts.get(key, 0) > 0
-        use_cache = self.serve_from_page_cache if from_cache is None else from_cache
+        use_cache = self.serve_from_page_cache
         if refetch:
             # A repeat pull during recovery: long past any page-cache
             # residency, and its bytes are rework, not first-time shuffle.
             use_cache = False
             self.refetched_bytes += segment.nbytes
-        if use_cache:
-            # Fresh output is still in the mapper's page cache; no disk read,
-            # but the bytes still cross the network.
-            pairs = decode_run(disk.peek(segment.path))
-        else:
-            pairs = read_run(disk, segment.path)
+        # Fresh output is still in the mapper's page cache: no disk read,
+        # but the bytes still cross the network.
+        data = disk.peek(segment.path) if use_cache else disk.read(segment.path)
+        keys = segment.keys
+        if keys is None:  # a repeat pull: the keys went with the first
+            keys = [pair[0] for pair in iter_frames(data)]
+        output.segments[partition] = replace(segment, keys=None)
         self._fetched.add(key)
         self._fetch_counts[key] = self._fetch_counts.get(key, 0) + 1
         self.network_bytes += segment.nbytes
-        if counters is not None:
-            counters.inc(C.SHUFFLE_BYTES, 0)  # reducer adds on accept
         return FetchedSegment(
             map_task=map_task,
             partition=partition,
-            pairs=pairs,
+            run=KeyedRun(data, keys),
             nbytes=segment.nbytes,
         )
 
-    def fetch_all(
-        self,
-        partition: int,
-        counters: Counters | None = None,
-        *,
-        from_cache: bool | None = None,
-    ) -> list[FetchedSegment]:
+    def fetch_all(self, partition: int) -> list[FetchedSegment]:
         """Pull every currently pending segment for ``partition``."""
-        return [
-            self.fetch(task_id, partition, counters, from_cache=from_cache)
-            for task_id in self.pending_fetches(partition)
-        ]
+        return [self.fetch(task_id, partition) for task_id in self.pending_fetches(partition)]
 
     def merge_stats(self, counters: Counters) -> None:
         """Fold fetch-retry and refetch accounting into the job counters."""

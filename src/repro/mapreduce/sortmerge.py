@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.io.batch import merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
-from repro.io.runio import Framed, frame_records, stream_frames, stream_run, write_run
+from repro.io.runio import Framed, KeyedRun, frame_records, segment_pairs, stream_frames
+from repro.io.runio import stream_pieces, write_run
 from repro.io.serialization import estimate_size
 from repro.mapreduce.api import MapFn, MapReduceJob
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted
+from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted, pair_pieces
 from repro.mapreduce.partition import KeyFacts, Partitioner, hash_partitioner
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
@@ -46,8 +47,13 @@ _RECORD_OVERHEAD = 32
 MAP_SLICE_RECORDS = 256
 
 _KEY = itemgetter(0)
+_VALUE = itemgetter(1)
 
-_SpillSegment = tuple[str, int, int, list[Any] | None]
+#: (path, nbytes, records, sorted keys) of one partition's piece of a spill.
+_SpillSegment = tuple[str, int, int, list[Any]]
+
+#: An in-memory reduce-side segment: a fetched run, or pairs as pushed.
+Segment = KeyedRun | list[tuple[Any, Any]]
 
 
 def map_slices(
@@ -88,6 +94,9 @@ class MapOutputSegment:
     path: str
     nbytes: int
     records: int
+    #: The sorted keys of the segment's frames, kept by the map task that
+    #: wrote them: the fetch hands them on and then drops them.
+    keys: list[Any] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -116,7 +125,8 @@ def _combine_buckets(
     node: str,
     task: str,
 ) -> list[list[tuple[Any, Any]]]:
-    """Run the combiner over equal-key runs of each sorted bucket; one span."""
+    """Run the combiner over equal-key runs of each sorted bucket; one span.
+    Every one of the ``total`` records is some group's input."""
     combine_fn = job.combine_fn
     assert combine_fn is not None
     out_buckets: list[list[tuple[Any, Any]]] = []
@@ -126,23 +136,13 @@ def _combine_buckets(
     ) as combine_span, counters.timer(C.T_COMBINE):
         for pairs in buckets:
             out: list[tuple[Any, Any]] = []
-            i = 0
-            n = len(pairs)
-            while i < n:
-                # Pre-extract the group key once and slice the group out,
-                # instead of re-indexing each pair in an inner loop.
-                key = pairs[i][0]
-                j = i + 1
-                while j < n and pairs[j][0] == key:
-                    j += 1
-                values = [p[1] for p in pairs[i:j]]
-                i = j
-                counters.inc(C.COMBINE_INPUT_RECORDS, len(values))
-                for out_pair in combine_fn(key, iter(values)):
-                    out.append(out_pair)
-                    counters.inc(C.COMBINE_OUTPUT_RECORDS)
+            for key, group in groupby(pairs, _KEY):
+                out += combine_fn(key, map(_VALUE, group))
             out_buckets.append(out)
             total_out += len(out)
+        counters.inc(C.COMBINE_INPUT_RECORDS, total)
+        if total_out:
+            counters.inc(C.COMBINE_OUTPUT_RECORDS, total_out)
         combine_span.set(records_in=total, records_out=total_out)
     return out_buckets
 
@@ -188,7 +188,8 @@ class _SortSpillBuffer:
         self._combining = job.has_combiner and job.config.combine_on_spill
         # spill_segments[s][p] -> (path, nbytes, records, sorted keys); the
         # keys stay for the life of the task so that the multi-spill merge
-        # orders frames without unpickling them (None when it combines).
+        # orders frames without unpickling them, and a lone spill's keys
+        # go to the shuffle with its segments.
         self.spill_segments: list[dict[int, _SpillSegment]] = []
 
     def add(self, key: Any, value: Any) -> None:
@@ -259,8 +260,8 @@ class _SortSpillBuffer:
     ) -> int:
         """Write one partition's sorted pairs of this spill; return the bytes."""
         path = f"mapspill/{self.task_id:05d}/s{self._spill_seq:03d}-p{partition:03d}"
-        nbytes = write_run(self.disk, path, pairs)
-        keys = None if self._combining else list(map(_KEY, pairs))
+        keys: list[Any] = []
+        nbytes = write_run(self.disk, path, pairs, keys)
         segments[partition] = (path, nbytes, len(pairs), keys)
         self.counters.inc(C.MAP_SPILL_BYTES, nbytes)
         return nbytes
@@ -277,10 +278,10 @@ class _SortSpillBuffer:
             return {}
         if len(self.spill_segments) == 1:
             final: dict[int, MapOutputSegment] = {}
-            for partition, (path, nbytes, records, _) in self.spill_segments[0].items():
+            for partition, (path, nbytes, records, keys) in self.spill_segments[0].items():
                 out_path = f"mapout/{self.task_id:05d}/p{partition:03d}"
                 self.disk.rename(path, out_path)
-                final[partition] = MapOutputSegment(out_path, nbytes, records)
+                final[partition] = MapOutputSegment(out_path, nbytes, records, keys)
                 self.counters.inc(C.MAP_OUTPUT_BYTES, nbytes)
             return final
 
@@ -299,25 +300,26 @@ class _SortSpillBuffer:
                 self.counters.inc(C.MERGE_READ_BYTES, read_bytes)
                 read_total += read_bytes
                 out_path = f"mapout/{self.task_id:05d}/p{partition:03d}"
+                keys: list[Any] = []
                 if self._combining:
-                    # New pairs: decode, combine, encode; every pair the
-                    # combiner emits meanwhile is a record of this segment.
-                    streams = [stream_run(self.disk, path) for path, _, _, _ in sources]
-                    emitted = self.counters[C.COMBINE_OUTPUT_RECORDS]
-                    nbytes = write_run(
-                        self.disk, out_path, self._combine_stream(merge_sorted(streams))
+                    # New pairs: decode, combine, encode; every record read
+                    # is combiner input, every record written its output.
+                    combine = self.job.combine_fn
+                    merged = merge_sorted(
+                        [pair_pieces(stream_pieces(self.disk, path)) for path, _, _, _ in sources]
                     )
-                    records = int(self.counters[C.COMBINE_OUTPUT_RECORDS] - emitted)
+                    combined = (p for k, vs in group_sorted(merged) for p in combine(k, vs))
+                    nbytes = write_run(self.disk, out_path, combined, keys)
+                    self.counters.inc(C.COMBINE_INPUT_RECORDS, sum(r for _, _, r, _ in sources))
+                    if keys:
+                        self.counters.inc(C.COMBINE_OUTPUT_RECORDS, len(keys))
                 else:
                     # Unchanged records: their frames move, ordered by the kept keys.
-                    streams = [
-                        stream_frames(self.disk, path, keys) for path, _, _, keys in sources
-                    ]
-                    nbytes = write_run(self.disk, out_path, Framed(merge_sorted(streams)))
-                    records = sum(r for _, _, r, _ in sources)
+                    streams = [stream_frames(self.disk, path, k) for path, _, _, k in sources]
+                    nbytes = write_run(self.disk, out_path, Framed(merge_sorted(streams, keys), keys))
                 for path, _, _, _ in sources:
                     self.disk.delete(path)
-                final[partition] = MapOutputSegment(out_path, nbytes, records)
+                final[partition] = MapOutputSegment(out_path, nbytes, len(keys), keys)
                 self.counters.inc(C.MAP_OUTPUT_BYTES, nbytes)
                 self.counters.inc(C.MERGE_WRITE_BYTES, nbytes)
                 write_total += nbytes
@@ -326,18 +328,6 @@ class _SortSpillBuffer:
             )
             merge_span.set_cost(byte_cost(read_total + write_total))
         return final
-
-    def _combine_stream(
-        self, pairs: Iterator[tuple[Any, Any]]
-    ) -> Iterator[tuple[Any, Any]]:
-        combine_fn = self.job.combine_fn
-        assert combine_fn is not None
-        for key, values in group_sorted(pairs):
-            vals = list(values)
-            self.counters.inc(C.COMBINE_INPUT_RECORDS, len(vals))
-            for out in combine_fn(key, iter(vals)):
-                self.counters.inc(C.COMBINE_OUTPUT_RECORDS)
-                yield out
 
 
 class SortMergeMapTask:
@@ -419,19 +409,21 @@ class SortMergeReduceTask:
             node=node,
             task=self._task,
         )
-        self._memory: list[list[tuple[Any, Any]]] = []
+        self._memory: list[Segment] = []
         self._memory_bytes = 0
 
     # -- shuffle ingestion -----------------------------------------------------
 
-    def accept_segment(self, pairs: list[tuple[Any, Any]], nbytes: int) -> None:
+    def accept_segment(self, segment: Segment, nbytes: int) -> None:
         """Receive one fetched (already sorted) map-output segment.
 
-        Segments buffer in memory; when the reduce buffer fills, the
-        in-memory segments are merged into one sorted run and spilled into
-        the multi-pass merger (Hadoop's in-memory merge).
+        A fetch delivers a :class:`~repro.io.runio.KeyedRun`; a pushed chunk
+        or a caller's own list of pairs is accepted as it is.  Segments
+        buffer in memory; when the reduce buffer fills, the in-memory
+        segments are merged into one sorted run and spilled into the
+        multi-pass merger (Hadoop's in-memory merge).
         """
-        self._memory.append(pairs)
+        self._memory.append(segment)
         self._memory_bytes += nbytes
         self.counters.inc(C.SHUFFLE_BYTES, nbytes)
         if self._memory_bytes >= self.job.config.reduce_buffer_bytes:
@@ -454,40 +446,48 @@ class SortMergeReduceTask:
         ):
             self._merger.add_run(self._spill_run(segments))
 
-    def _spill_run(self, segments: list[list[tuple[Any, Any]]]) -> Any:
+    def _spill_run(self, segments: list[Segment]) -> Any:
         """The sorted run one in-memory merge spills: combined, or framed.
 
-        Concatenating in arrival order and stably sorting by key gives the
-        sequence a heap merge with a stream-order tie-break would.
+        Either way the order is a k-way merge's with a stream-order
+        tie-break: arrival order breaks ties between equal keys.
         """
         if self.job.has_combiner and self.job.config.combine_on_spill:
-            return _combine_sorted_stream(self.job, merge_segments(segments), self.counters)
-        # The spill only moves the records: merge them by key as
-        # (key, frame), reusing the frames the fetch carried along.
-        return Framed(merge_segments([frame_records(s) for s in segments]))
+            pairs = merge_segments(map(segment_pairs, segments))
+            return _combine_sorted(self.job, pairs, self.counters)
+        # The spill only moves the records: merge their frames by the keys
+        # the fetch carried along.
+        keys: list[Any] = []
+        return Framed(merge_sorted([[frame_records(s)] for s in segments], keys), keys)
 
     # -- state transfer (parallel execution) -------------------------------------
 
     def export_ingested(
         self,
-    ) -> tuple[list[list[tuple[Any, Any]]], int, tuple[list[tuple[str, int]], int]]:
+    ) -> tuple[list[Segment], int, tuple[list[tuple[str, int]], int]]:
         """Hand the ingestion-phase state to a worker-side task.
 
         Returns ``(memory segments, memory bytes, merger state)``; together
-        with the merger's run files this is everything :meth:`run` needs.
+        with the merger's run files (and, to spare its passes a decode,
+        :attr:`run_keys`) this is everything :meth:`run` needs.
         """
         return self._memory, self._memory_bytes, self._merger.export_state()
 
+    @property
+    def run_keys(self) -> dict[str, list[Any]]:
+        return self._merger.run_keys
+
     def adopt_ingested(
         self,
-        memory: list[list[tuple[Any, Any]]],
+        memory: list[Segment],
         memory_bytes: int,
         merger_state: tuple[list[tuple[str, int]], int],
+        run_keys: dict[str, list[Any]] | None = None,
     ) -> None:
         """Install ingestion-phase state exported by :meth:`export_ingested`."""
         self._memory = memory
         self._memory_bytes = memory_bytes
-        self._merger.adopt_state(merger_state)
+        self._merger.adopt_state(merger_state, run_keys)
 
     # -- reduce ------------------------------------------------------------------
 
@@ -500,7 +500,9 @@ class SortMergeReduceTask:
         ) as reduce_span:
             if self._merger.run_count == 0:
                 # Everything fits in memory: final merge happens purely in RAM.
-                stream: Iterable[tuple[Any, Any]] = merge_segments(self._memory)
+                stream: Iterable[tuple[Any, Any]] = merge_segments(
+                    map(segment_pairs, self._memory)
+                )
             else:
                 self._spill_memory()
                 stream = self._merger.final_merge()
@@ -515,10 +517,11 @@ class SortMergeReduceTask:
                 groups += 1
                 vals = list(values)
                 n_in += len(vals)
-                counters.inc(C.REDUCE_INPUT_RECORDS, len(vals))
                 t0 = perf()
                 output.extend(reduce_fn(key, iter(vals)))
                 t_reduce += perf() - t0
+            if n_in:
+                counters.inc(C.REDUCE_INPUT_RECORDS, n_in)
             counters.inc(C.T_REDUCE_FN, t_reduce)
             counters.inc(C.REDUCE_INPUT_GROUPS, groups)
             counters.inc(C.REDUCE_OUTPUT_RECORDS, len(output))
@@ -528,18 +531,20 @@ class SortMergeReduceTask:
         return output, groups
 
 
-def _combine_sorted_stream(
+def _combine_sorted(
     job: MapReduceJob,
-    pairs: Iterable[tuple[Any, Any]],
+    pairs: list[tuple[Any, Any]],
     counters: Counters,
-) -> Iterator[tuple[Any, Any]]:
-    """Apply the job's combiner to a key-sorted stream (reduce-side)."""
+) -> list[tuple[Any, Any]]:
+    """Apply the job's combiner to a key-sorted list of pairs (reduce-side)."""
     combine_fn = job.combine_fn
     assert combine_fn is not None
-    for key, values in group_sorted(pairs):
-        vals = list(values)
-        counters.inc(C.COMBINE_INPUT_RECORDS, len(vals))
-        with counters.timer(C.T_COMBINE):
-            combined = list(combine_fn(key, iter(vals)))
-        counters.inc(C.COMBINE_OUTPUT_RECORDS, len(combined))
-        yield from combined
+    out: list[tuple[Any, Any]] = []
+    if not pairs:
+        return out
+    counters.inc(C.COMBINE_INPUT_RECORDS, len(pairs))
+    with counters.timer(C.T_COMBINE):
+        for key, values in group_sorted(pairs):
+            out += combine_fn(key, values)
+    counters.inc(C.COMBINE_OUTPUT_RECORDS, len(out))
+    return out

@@ -9,12 +9,12 @@ import pickle
 from repro.io.disk import LocalDisk
 from repro.io.runio import (
     Framed,
-    FramedPairs,
+    KeyedRun,
     RunWriter,
-    decode_run,
     frame_records,
-    read_run,
+    segment_pairs,
     stream_frames,
+    stream_pieces,
     stream_run,
     write_run,
 )
@@ -30,7 +30,7 @@ class TestRunWriter:
         items = [(i, f"v{i}") for i in range(100)]
         nbytes = write_run(disk, "run0", items)
         assert nbytes > 0
-        assert read_run(disk, "run0") == items
+        assert list(stream_run(disk, "run0")) == items
 
     def test_stream_matches_read(self, disk):
         items = [(i, "x" * (i % 7)) for i in range(500)]
@@ -39,7 +39,7 @@ class TestRunWriter:
 
     def test_empty_run(self, disk):
         write_run(disk, "empty", [])
-        assert read_run(disk, "empty") == []
+        assert disk.read("empty") == b""
         assert list(stream_run(disk, "empty")) == []
 
     def test_counts(self, disk):
@@ -70,7 +70,7 @@ class TestRunWriter:
     def test_overwrites_previous_run(self, disk):
         write_run(disk, "run0", [1, 2, 3])
         write_run(disk, "run0", [4])
-        assert read_run(disk, "run0") == [4]
+        assert list(stream_run(disk, "run0")) == [4]
 
     @given(pairs)
     @settings(max_examples=30)
@@ -114,60 +114,72 @@ class TestChunkedReader:
                 list(stream_run(disk, "r", chunk_size=chunk_size))
             with pytest.raises(ValueError, match="truncated trailing frame in r"):
                 list(stream_frames(disk, "r", chunk_size=chunk_size))
+            with pytest.raises(ValueError, match="truncated trailing frame in r"):
+                list(stream_pieces(disk, "r", chunk_size=chunk_size))
 
 
 class TestCarriedFrames:
     PAIRS = [(f"k{i:03d}", (i, "v" * (i % 5))) for i in range(50)]
 
-    def test_decode_run_is_a_list_of_pairs_that_keeps_its_bytes(self):
+    def test_keyed_run_decodes_once_and_pickles_as_bytes_and_keys(self):
         data = encode_frames(self.PAIRS)
-        seg = decode_run(data)
-        assert seg == self.PAIRS and isinstance(seg, list)
-        assert seg.data is data
-        assert list(seg) == self.PAIRS and type(list(seg)) is list  # frames dropped
-
-    def test_framed_pairs_cross_a_pickle_boundary_as_frames_only(self):
-        seg = decode_run(encode_frames(self.PAIRS))
+        seg = KeyedRun(data, [k for k, _ in self.PAIRS])
+        assert segment_pairs(seg) == self.PAIRS
+        assert segment_pairs(list(self.PAIRS)) == self.PAIRS  # a plain list is its own
         blob = pickle.dumps(seg, protocol=pickle.HIGHEST_PROTOCOL)
         clone = pickle.loads(blob)
-        assert type(clone) is FramedPairs and clone == seg and clone.data == seg.data
-        assert len(blob) < len(seg.data) + 200  # the pairs did not travel as well
+        assert type(clone) is KeyedRun and clone == seg
+        keys_blob = pickle.dumps(seg.keys, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < len(data) + len(keys_blob) + 100  # no decoded values beside them
 
     def test_frame_records_reuses_or_encodes(self):
         data = encode_frames(self.PAIRS)
-        carried = frame_records(decode_run(data))
+        carried = frame_records(KeyedRun(data, [k for k, _ in self.PAIRS]))
         fresh = frame_records(list(self.PAIRS))
-        assert carried == fresh
-        assert [k for k, _ in carried] == [k for k, _ in self.PAIRS]
-        assert b"".join(f for _, f in carried) == data
+        assert (carried[0], carried[1][:]) == (fresh[0], fresh[1][:])
+        keys, frames = carried
+        assert keys == [k for k, _ in self.PAIRS]
+        assert b"".join(frames[:]) == data
+        assert frames[3:5] == frames[:][3:5] and len(frames) == len(self.PAIRS)
 
     def test_frame_records_rejects_a_mutated_segment(self):
-        seg = decode_run(encode_frames(self.PAIRS))
-        seg.append(("extra", 1))
+        seg = KeyedRun(encode_frames(self.PAIRS), [k for k, _ in self.PAIRS] + ["extra"])
         with pytest.raises(ValueError):
             frame_records(seg)
 
     def test_framed_stream_is_written_as_it_is(self, disk):
         data = encode_frames(self.PAIRS)
         write_run(disk, "plain", self.PAIRS)
-        nbytes = write_run(disk, "framed", Framed(iter(frame_records(decode_run(data)))))
+        keys: list = []
+        assert write_run(disk, "plain", self.PAIRS, keys) == len(data)
+        assert keys == [k for k, _ in self.PAIRS]  # noted for the run's next reader
+        _, frames = frame_records(KeyedRun(data, keys))
+        nbytes = write_run(disk, "framed", Framed(iter(frames[:]), keys))
         assert nbytes == len(data)
         assert disk.peek("framed") == disk.peek("plain") == data
 
     @pytest.mark.parametrize("chunk_size", [7, 1 << 20])
     def test_stream_frames_decodes_keys_or_takes_them(self, disk, chunk_size):
         write_run(disk, "r", self.PAIRS)
-        expected = frame_records(list(self.PAIRS))
-        assert list(stream_frames(disk, "r", chunk_size=chunk_size)) == expected
-        keys = [k for k, _ in self.PAIRS]
+        keys, frames = frame_records(list(self.PAIRS))
+        frames = frames[:]
+
+        def joined(pieces):
+            pieces = list(pieces)
+            assert len(pieces) == -(-disk.size("r") // chunk_size)  # one per piece read
+            return [k for ks, _ in pieces for k in ks], [f for _, fs in pieces for f in fs[:]]
+
+        assert joined(stream_frames(disk, "r", chunk_size=chunk_size)) == (keys, frames)
         calls = []
         orig = pickle.loads
         try:
             pickle.loads = lambda *a, **k: calls.append(1) or orig(*a, **k)
-            assert list(stream_frames(disk, "r", keys, chunk_size)) == expected
+            assert joined(stream_frames(disk, "r", keys, chunk_size)) == (keys, frames)
+            payloads = joined(stream_frames(disk, "r", keys, chunk_size, payloads=True))[1]
         finally:
             pickle.loads = orig
         assert not calls  # held keys: nothing is unpickled
+        assert [pickle.loads(p) for p in payloads] == self.PAIRS
 
     def test_stream_frames_checks_the_count_against_the_keys(self, disk):
         write_run(disk, "r", self.PAIRS)

@@ -1,10 +1,11 @@
-"""Encode once, decode at the consumer: frames travel with unchanged records.
+"""Encode once, decode once: frames and keys travel with unchanged records.
 
 A map-output record is pickled when its spill is written and unpickled
-where a key or value is needed (fetch, final merge).  Every stage between
-that only moves it — the map-side multi-spill merge, the reduce-side
-spill, each multi-pass merge pass — writes the carried frame bytes.  The
-files, counters and disk accounting must not be able to tell.
+where its value is needed (the final merge).  Every stage between that
+only moves it — the map-side multi-spill merge, the fetch, the reduce-side
+spill, each multi-pass merge pass — writes the carried frame bytes in the
+order of the keys its writer kept.  The files, counters and disk
+accounting must not be able to tell.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from repro.io.runio import Framed, RunWriter, stream_frames, write_run
 from repro.io.serialization import BinaryCodec, encode_frames, iter_frames
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.merge import MultiPassMerger
+from repro.mapreduce.hop import HOPEngine
+from repro.mapreduce.merge import MultiPassMerger, merge_sorted
 from repro.mapreduce.recovery import PartitionLog
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.mapreduce.shuffle import ShuffleService
@@ -91,7 +93,7 @@ def _sort_merge_pipeline(pairs, *, batch, keep_frames=True):
     so every partition merges several spills; every fetched segment spills
     at the reducer, so three runs cascade through a factor-2 merger.
     Returns the disk (with every appended chunk) and the reduce output.
-    ``keep_frames=False`` hands the reduce task plain lists, as the
+    ``keep_frames=False`` hands the reduce task decoded pairs, as the
     benchmark probes do.
     """
     job = _job(
@@ -106,7 +108,7 @@ def _sort_merge_pipeline(pairs, *, batch, keep_frames=True):
     for partition in range(2):
         rtask = SortMergeReduceTask(job, partition, "n0", disk)
         for seg in shuffle.fetch_all(partition):
-            rtask.accept_segment(seg.pairs if keep_frames else list(seg.pairs), seg.nbytes)
+            rtask.accept_segment(seg.run if keep_frames else list(seg.pairs), seg.nbytes)
         output += rtask.run()[0]
     return disk, output
 
@@ -202,12 +204,12 @@ def _click_records(n=6000):
     return [(i * 0.5, (i * 7919) % 211, f"/page/{i % 37}") for i in range(n)]
 
 
-def _run_hadoop(job, records):
+def _run_hadoop(job, records, engine=HadoopEngine):
     cluster = LocalCluster(num_nodes=3, block_size=32 * 1024)
     cluster.hdfs.write_records("in", records)
     job.input_path, job.output_path = "in", "out"
     with counted_pickle() as calls:
-        result = HadoopEngine(cluster).run(job)
+        result = engine(cluster).run(job)
     counters = result.counters
     # The input decode and the output encode are pickle calls too.
     dumps = calls["dumps"] - counters[C.REDUCE_OUTPUT_RECORDS]
@@ -215,28 +217,55 @@ def _run_hadoop(job, records):
     return dumps, loads, counters
 
 
+def _budget_job(batch=True, reduce_buffer_bytes=12 * 1024):
+    return MapReduceJob(
+        "budget",
+        lambda r: [(r[1], (r[0], r[2]))],
+        _collect,
+        config=JobConfig(
+            num_reducers=2,
+            batch=batch,
+            map_buffer_bytes=48 * 1024,
+            reduce_buffer_bytes=reduce_buffer_bytes,
+            merge_factor=2,
+        ),
+    )
+
+
+@contextmanager
+def counted_merge_passes(monkeypatch):
+    """Count the pickle calls made inside ``MultiPassMerger`` merge passes."""
+    inside = {"passes": 0, "dumps": 0, "loads": 0}
+    original = MultiPassMerger._merge_pass
+
+    def counting_pass(self, fan_in):
+        with counted_pickle() as calls:
+            original(self, fan_in)
+        inside["passes"] += 1
+        inside["dumps"] += calls["dumps"]
+        inside["loads"] += calls["loads"]
+
+    monkeypatch.setattr(MultiPassMerger, "_merge_pass", counting_pass)
+    yield inside
+
+
 class TestPickleBudget:
     @pytest.mark.parametrize("batch", [False, True])
-    def test_one_dumps_two_loads_per_record_between_map_and_reduce(self, batch):
-        job = MapReduceJob(
-            "budget",
-            lambda r: [(r[1], (r[0], r[2]))],
-            _collect,
-            config=JobConfig(
-                num_reducers=2,
-                batch=batch,
-                map_buffer_bytes=48 * 1024,
-                reduce_buffer_bytes=96 * 1024,
-                merge_factor=10,
-            ),
-        )
-        dumps, loads, counters = _run_hadoop(job, _click_records())
+    def test_one_dumps_one_loads_per_record_between_map_and_reduce(self, batch):
+        dumps, loads, counters = _run_hadoop(_budget_job(batch), _click_records())
         records = counters[C.MAP_OUTPUT_RECORDS]
-        # The job really exercises both movers, and no multi-pass merge.
+        # The job really exercises every mover: map spills, reduce spills, passes.
         assert counters[C.MAP_SPILLS] > counters[C.MAP_TASKS]
-        assert counters[C.REDUCE_SPILLS] > 2 and counters[C.MERGE_PASSES] == 0
+        assert counters[C.REDUCE_SPILLS] > 2 and counters[C.MERGE_PASSES] > 2
         assert dumps <= 1.0 * records  # the map spill; 3.0 before frames were carried
-        assert loads <= 2.0 * records  # fetch + final merge; 3.0 before
+        assert loads <= 1.0 * records  # the final merge; 3.0, then 2.0 before keys travelled
+
+    @pytest.mark.parametrize("engine", [HadoopEngine, HOPEngine])
+    def test_a_merge_pass_unpickles_nothing(self, engine, monkeypatch):
+        with counted_merge_passes(monkeypatch) as inside:
+            _run_hadoop(_budget_job(), _click_records(), engine)
+        assert inside["passes"] > 2
+        assert inside["dumps"] == inside["loads"] == 0
 
     def test_a_combiner_job_costs_no_more_than_before(self):
         job = MapReduceJob(
@@ -333,8 +362,10 @@ class TestAccountedOpSequence:
             streams = [
                 stream_frames(new, f"s{i}", list(map(_KEY, run))) for i, run in enumerate(runs)
             ]
-            nbytes = write_run(new, "out", Framed(heapq.merge(*streams, key=_KEY)))
+            keys = []
+            nbytes = write_run(new, "out", Framed(merge_sorted(streams, keys), keys))
         assert calls == {"dumps": 0, "loads": 0}
+        assert keys == sorted(k for run in runs for k, _ in run)
         assert nbytes == _reference_merge(ref, [f"s{i}" for i in range(3)], "out")
         assert new.peek("out") == ref.peek("out")
         assert new.stats == ref.stats
@@ -398,14 +429,50 @@ class TestProbesContract:
         shuffle.register(SortMergeMapTask(job, 0, "n0", disk).run(iter(records)))
         rtask = SortMergeReduceTask(job, 0, "n0", disk)
         for seg in shuffle.fetch_all(0):
-            rtask.accept_segment(seg.pairs, seg.nbytes)
+            rtask.accept_segment(seg.run, seg.nbytes)
         memory, memory_bytes, (runs, seq) = rtask.export_ingested()
         spec = HadoopReduceSpec(0, "n0", disk.profile, disk.name, memory, memory_bytes, runs, seq, {})
         blob = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
         clone = pickle.loads(blob)
         assert clone == spec and type(clone.memory[0]) is type(memory[0])
         framed = sum(len(segment.data) for segment in memory)
-        assert len(blob) < framed + 1024  # frames only: the pairs were not pickled beside them
+        keys = sum(len(pickle.dumps(segment.keys, protocol=5)) for segment in memory)
+        assert len(blob) < framed + keys + 1024  # frames and keys: no decoded values beside them
+
+    def test_the_kernel_gives_the_same_output_with_run_keys_and_without(self):
+        """The probes build a 9-argument spec: no run keys, passes decode them."""
+        job = _budget_job(reduce_buffer_bytes=16 * 1024)
+        disk = LocalDisk(HDD_7200RPM, name="n0.hdd")
+        shuffle = ShuffleService({"n0": disk})
+        records = _click_records(3000)
+        for task_id in range(8):
+            block = records[task_id::8]
+            shuffle.register(SortMergeMapTask(job, task_id, "n0", disk).run(iter(block)))
+        rtask = SortMergeReduceTask(job, 0, "n0", disk)
+        for seg in shuffle.fetch_all(0):
+            rtask.accept_segment(seg.run, seg.nbytes)
+        memory, memory_bytes, (runs, seq) = rtask.export_ingested()
+        files = {p: disk.peek(p) for p, _ in runs}
+        assert memory and len(runs) == 2  # the kernel's spill makes 3 runs: one pass
+        nine = (0, "n0", disk.profile, disk.name, memory, memory_bytes, runs, seq, files)
+        bare, keyed = HadoopReduceSpec(*nine), HadoopReduceSpec(*nine, rtask.run_keys)
+        assert bare.run_keys is None and set(keyed.run_keys) == {p for p, _ in runs}
+        context = {"job": job, "codec": BinaryCodec(), "trace": False}
+        results = {}
+        for name, spec in (("bare", bare), ("keyed", keyed)):
+            with counted_pickle() as calls, SerialExecutor().session(context) as session:
+                [results[name]] = session.run_batch("hadoop_reduce", [spec])
+            results[name + ".loads"] = calls["loads"]
+        assert results["keyed"].counters[C.MERGE_PASSES] > 0  # the kernel made a pass
+        assert results["bare"].output == results["keyed"].output
+        assert results["bare"].disk.stats == results["keyed"].disk.stats
+        bare_counters, keyed_counters = (
+            [(k, v) for k, v in results[name].counters.as_dict().items() if not k.startswith("time.")]
+            for name in ("bare", "keyed")
+        )
+        assert bare_counters == keyed_counters
+        # With the keys the final merge is the only decode; without, passes decode too.
+        assert results["keyed.loads"] < results["bare.loads"]
 
 
 # -- satellites -------------------------------------------------------------------

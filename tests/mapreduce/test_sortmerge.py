@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.io.disk import LocalDisk
 from repro.io.serialization import encode_frames, estimate_size
-from repro.io.runio import read_run
+from repro.io.runio import stream_run
 from repro.mapreduce import sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C, Counters
@@ -48,9 +48,10 @@ class TestMapTask:
         out = task.run(["a b c d e f g h", "a b a b"])
         assert set(out.segments) <= {0, 1, 2}
         for seg in out.segments.values():
-            pairs = read_run(disk, seg.path)
+            pairs = list(stream_run(disk, seg.path))
             keys = [k for k, _ in pairs]
             assert keys == sorted(keys)
+            assert seg.keys == keys  # the keys the shuffle hands on
         assert out.total_records == 12
         assert task.counters[C.MAP_INPUT_RECORDS] == 2
         assert task.counters[C.MAP_OUTPUT_RECORDS] == 12
@@ -91,14 +92,14 @@ class TestMapTask:
         job = make_job(combine=sum_combine, num_reducers=1)
         disk = LocalDisk()
         out = SortMergeMapTask(job, 0, "n0", disk).run(["a a a b"] * 5)
-        pairs = read_run(disk, out.segments[0].path)
+        pairs = list(stream_run(disk, out.segments[0].path))
         assert dict(pairs) == {"a": 15, "b": 5}
 
     def test_combiner_applied_across_spills(self):
         job = make_job(combine=sum_combine, num_reducers=1, map_buffer_bytes=1500)
         disk = LocalDisk()
         out = SortMergeMapTask(job, 0, "n0", disk).run(["a b c d e"] * 100)
-        pairs = read_run(disk, out.segments[0].path)
+        pairs = list(stream_run(disk, out.segments[0].path))
         assert dict(pairs) == {w: 100 for w in "abcde"}
 
     def test_empty_input(self):
