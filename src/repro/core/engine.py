@@ -146,7 +146,7 @@ class OnePassReduceTask:
         self.tracer = tracer
         self._task = f"reduce:{partition:03d}"
         #: Chunks 1..restored_through are already covered by a restored
-        #: journal checkpoint; :meth:`accept_chunk` drops them on re-delivery.
+        #: journal checkpoint; :meth:`accept_segment` drops them on re-delivery.
         self.restored_through = 0
         self._chunks_seen = 0
         cfg = job.config
@@ -190,7 +190,7 @@ class OnePassReduceTask:
 
     # -- ingestion (push target) ----------------------------------------------
 
-    def accept_chunk(self, pairs: list[tuple[Any, Any]], nbytes: int) -> bool:
+    def accept_segment(self, pairs: list[tuple[Any, Any]], nbytes: int) -> bool:
         """Absorb one pushed chunk; False when a restored checkpoint covers it."""
         self._chunks_seen += 1
         if self._chunks_seen <= self.restored_through:

@@ -99,10 +99,6 @@ class HotSetIncrementalHash:
         return len(self._table)
 
     @property
-    def spilled_bytes(self) -> int:
-        return sum(w.bytes_written for w in self._writers if w is not None)
-
-    @property
     def spilled_records(self) -> int:
         """Pairs written cold so far (live; bytes settle only on flush)."""
         return sum(w.records_written for w in self._writers if w is not None)

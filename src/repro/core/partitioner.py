@@ -19,7 +19,7 @@ in Table II's "Sorting" row simply does not exist on this path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.aggregates import Aggregator
 from repro.core.hash_tables import AccountedStateTable
@@ -187,9 +187,3 @@ class MapSideHashCombiner:
 
     def finish(self) -> None:
         self.flush()
-
-
-def iter_states(pairs: list[tuple[Any, Any]]) -> Iterator[tuple[Any, Any]]:
-    """Unwrap ``SpilledState`` values for callers that want raw results."""
-    for key, value in pairs:
-        yield key, value.state.result() if isinstance(value, SpilledState) else value

@@ -41,6 +41,7 @@ __all__ = [
     "HadoopMapResult",
     "HadoopReduceSpec",
     "HadoopReduceResult",
+    "reduce_spec",
     "HopMapSpec",
     "HopMapResult",
     "OnePassMapSpec",
@@ -98,6 +99,9 @@ class HadoopReduceSpec:
     run_files: dict[str, bytes]
     #: Each run's keys by path; without them the merge decodes them.
     run_keys: dict[str, list[Any]] | None = None
+    #: The engine's reducer facts (see :class:`SortMergeReduceTask`).
+    namespace: str = "reduce"
+    combine: bool = True
 
 
 @dataclass(slots=True)
@@ -108,6 +112,27 @@ class HadoopReduceResult:
     counters: Counters
     disk: DiskExport
     trace: Any = None
+
+
+def reduce_spec(rtask: SortMergeReduceTask) -> HadoopReduceSpec:
+    """The spec that ships ``rtask``'s ingested state (in-memory segments,
+    on-disk runs, their bytes and keys) to :func:`hadoop_reduce_kernel`."""
+    disk = rtask.disk
+    memory, memory_bytes, (runs, seq) = rtask.export_ingested()
+    return HadoopReduceSpec(
+        rtask.partition,
+        rtask.node,
+        disk.profile,
+        disk.name,
+        memory,
+        memory_bytes,
+        runs,
+        seq,
+        {path: disk.peek(path) for path, _ in runs},
+        rtask.run_keys,
+        rtask.namespace,
+        rtask.combining,
+    )
 
 
 def hadoop_reduce_kernel(
@@ -123,7 +148,15 @@ def hadoop_reduce_kernel(
     disk = LocalDisk(spec.profile, name=spec.disk_name)
     disk.preload(spec.run_files)
     tracer = task_tracer(bool(ctx.get("trace")))
-    rtask = SortMergeReduceTask(job, spec.partition, spec.node, disk, tracer=tracer)
+    rtask = SortMergeReduceTask(
+        job,
+        spec.partition,
+        spec.node,
+        disk,
+        tracer=tracer,
+        namespace=spec.namespace,
+        combine=spec.combine,
+    )
     rtask.adopt_ingested(
         spec.memory, spec.memory_bytes, (spec.merger_runs, spec.merger_seq), spec.run_keys
     )

@@ -37,6 +37,3 @@ class BlockInfo:
     nbytes: int
     records: int
     replicas: list[str] = field(default_factory=list)
-
-    def is_replicated_on(self, node: str) -> bool:
-        return node in self.replicas

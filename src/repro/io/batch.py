@@ -157,9 +157,6 @@ class RecordBatch:
         """Total value payload bytes (excluding frame headers)."""
         return sum(self._lengths)
 
-    def key_at(self, i: int) -> Any:
-        return self.keys[i]
-
     def value_view(self, i: int) -> memoryview:
         """Zero-copy view of row *i*'s pickled value payload."""
         offset = self._offsets[i]

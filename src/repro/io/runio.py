@@ -30,7 +30,8 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.io.disk import LocalDisk
-from repro.io.serialization import FRAME_HEADER, encode_frames, frame_bounds, iter_frames
+from repro.io.serialization import FRAME_HEADER, encode_each, encode_frames, frame_bounds
+from repro.io.serialization import iter_frames
 
 __all__ = [
     "Framed",
@@ -175,10 +176,9 @@ def frame_records(segment: KeyedRun | list[tuple[Any, Any]]) -> tuple[list[Any],
     A :class:`KeyedRun` gives up the frames and keys it carries; plain
     pairs (pushed objects, a caller's own list) are encoded here, once.
     """
-    if isinstance(segment, KeyedRun):
-        data, keys = segment.data, segment.keys
-    else:
-        data, keys = encode_frames(segment), list(map(_KEY, segment))
+    if not isinstance(segment, KeyedRun):
+        return list(map(_KEY, segment)), encode_each(segment)
+    data, keys = segment.data, segment.keys
     bounds = frame_bounds(data)
     if len(bounds) - 1 != len(keys) or bounds[-1] != len(data):
         raise ValueError(f"{len(keys)} keys do not match their {len(bounds) - 1} frames")

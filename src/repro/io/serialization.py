@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 __all__ = [
     "encode_frames",
+    "encode_each",
     "iter_frames",
     "frame_bounds",
     "frame_count",
@@ -56,6 +57,13 @@ def encode_frames(items: Iterable[Any]) -> bytes:
         buf += pack(len(payload))
         buf += payload
     return bytes(buf)
+
+
+def encode_each(items: Iterable[Any]) -> list[bytes]:
+    """Each item's frame as its own ``bytes``: :func:`encode_frames`
+    unjoined, for a merge that moves frames one at a time."""
+    pack, dumps, proto = _LEN.pack, pickle.dumps, pickle.HIGHEST_PROTOCOL
+    return [pack(len(p)) + p for p in (dumps(item, proto) for item in items)]
 
 
 def iter_frames(data: bytes) -> Iterator[Any]:

@@ -109,11 +109,3 @@ class MapReduceJob:
             if key not in known:
                 raise AttributeError(f"JobConfig has no field {key!r}")
         return replace(self, config=replace(self.config, **overrides))
-
-
-def run_combiner(
-    combine_fn: CombineFn, grouped: Iterable[tuple[Any, list[Any]]]
-) -> Iterator[tuple[Any, Any]]:
-    """Apply a combiner to pre-grouped pairs, flattening its emissions."""
-    for key, values in grouped:
-        yield from combine_fn(key, iter(values))

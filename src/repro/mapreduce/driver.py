@@ -114,6 +114,8 @@ class JobRun:
     checkpoints: dict[int, tuple[int, bytes]] = field(default_factory=dict)
     session: Any = None
     reduce_tasks: dict[int, Any] = field(default_factory=dict)
+    #: partition -> reduce-kernel result awaiting its commit.
+    reduced: dict[int, Any] = field(default_factory=dict)
     network_bytes: int = 0
 
 
@@ -124,6 +126,10 @@ class JobDriver:
     name = ""
     #: The registered kernel every map task of this engine runs.
     map_kernel = ""
+    #: The registered kernel a blocking reduce runs (see
+    #: :meth:`_finish_reduce`); an engine that reduces on the coordinator
+    #: leaves it empty and overrides that hook.
+    reduce_kernel = ""
     #: Push engines keep recovery state in replicated on-disk logs — the
     #: files a fault plan's disk faults are aimed at.
     replicated_logs = False
@@ -421,7 +427,8 @@ class JobDriver:
         t_reduce_start = time.perf_counter()
         hdfs.namenode.create_file(job.output_path, codec_name="binary")
         order = sorted(run.reduce_tasks)
-        if self.fault_plan is None:
+        if self.fault_plan is None and self.reduce_kernel:
+            # Without a plan no reduce attempt can die: one wave.
             self._reduce_wave(run, [p for p in order if p not in run.committed])
         output_records = 0
         for partition in order:
@@ -508,13 +515,27 @@ class JobDriver:
         """A reduce task on ``node`` holding everything its lost twin held."""
         raise NotImplementedError
 
-    def _reduce_wave(self, run: JobRun, pending: list[int]) -> None:
-        """Pre-compute ``pending`` partitions as one kernel wave (without a
-        plan no reduce attempt can die, so they are independent)."""
-
     def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
-        """Run one reduce attempt to completion; returns its output records."""
-        raise NotImplementedError
+        """Run one reduce attempt to completion; returns its output records.
+
+        The blocking reducer: a partition not in the pre-computed wave is
+        reduced as a wave of one.  The kernel's shadow-disk merge I/O,
+        run-phase counters and trace are charged here, in partition order.
+        """
+        if partition not in run.reduced:
+            self._reduce_wave(run, [partition])
+        rtask, res = run.reduce_tasks[partition], run.reduced.pop(partition)
+        rtask.disk.absorb(res.disk)
+        rtask.counters.merge(res.counters)
+        self.tracer.absorb(res.trace)
+        return res.output
+
+    def _reduce_wave(self, run: JobRun, pending: list[int]) -> None:
+        """Ship each pending reduce task's ingested state to :attr:`reduce_kernel`."""
+        from repro.exec.kernels import reduce_spec
+
+        specs = [reduce_spec(run.reduce_tasks[partition]) for partition in pending]
+        run.reduced.update(zip(pending, run.session.run_batch(self.reduce_kernel, specs)))
 
     def _close(self, run: JobRun) -> None:
         """Delete intermediates; settle ``run.network_bytes`` and extras."""
@@ -531,7 +552,7 @@ class PushShuffleDriver(JobDriver):
     survived, plan or no plan.  A lost reduce task — killed attempt or
     node crash — is rebuilt by replaying its partition's log in delivery
     order, which reproduces the exact pre-failure state.  Reduce tasks
-    take chunks through ``accept_chunk(pairs, nbytes)``.
+    take chunks through ``accept_segment(pairs, nbytes)``.
     """
 
     replicated_logs = True
@@ -559,7 +580,7 @@ class PushShuffleDriver(JobDriver):
         if log is not None:
             run.counters.inc(C.STAGED_OUTPUT_BYTES, nbytes)
             log.append(pairs, nbytes)
-        return run.reduce_tasks[partition].accept_chunk(pairs, nbytes)
+        return run.reduce_tasks[partition].accept_segment(pairs, nbytes)
 
     def _stores(self, run: JobRun, partition: int) -> list[Any]:
         """The replicated stores guarding ``partition``, log first."""
@@ -592,7 +613,7 @@ class PushShuffleDriver(JobDriver):
             "replay", "recovery", node=node, task=f"reduce:{partition:03d}"
         ) as replay_span:
             for _seq, pairs, nbytes in run.logs[partition].replay(after_seq):
-                rtask.accept_chunk(pairs, nbytes)
+                rtask.accept_segment(pairs, nbytes)
                 replayed += len(pairs)
                 nbytes_replayed += nbytes
                 run.counters.inc(C.REPLAYED_RECORDS, len(pairs))

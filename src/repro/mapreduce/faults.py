@@ -244,10 +244,6 @@ class FaultPlan:
     def total_failures_injected(self) -> int:
         return sum(self.map_failures.values())
 
-    @property
-    def total_reduce_failures_injected(self) -> int:
-        return sum(self.reduce_failures.values())
-
     # -- construction ----------------------------------------------------------
 
     @classmethod

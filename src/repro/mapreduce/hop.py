@@ -38,7 +38,7 @@ from repro.mapreduce.runtime import LocalCluster
 from repro.mapreduce.sortmerge import SortMergeReduceTask, _combine_buckets, map_slices
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
-__all__ = ["HOPConfig", "Snapshot", "PipelinedReduceTask", "HOPEngine"]
+__all__ = ["HOPConfig", "Snapshot", "take_snapshot", "HOPEngine"]
 
 
 @dataclass(slots=True)
@@ -67,54 +67,31 @@ class Snapshot:
     records: tuple[Any, ...]
 
 
-class PipelinedReduceTask(SortMergeReduceTask):
-    """The sort-merge reduce task, fed by eagerly pushed mini-segments.
+def take_snapshot(rtask: SortMergeReduceTask, fraction: float) -> Snapshot:
+    """Repeat merge + reduce over all data ``rtask`` received so far.
 
-    HOP keeps Hadoop's reducer — in-memory merge, multi-pass merger,
-    blocking final merge — and adds what Table III says it adds: a push
-    target with a visible backlog, and snapshots.
+    On-disk runs are re-read (accounted), in-memory segments are merged
+    in RAM; nothing is consumed, so the final merge still happens later
+    — this duplication of work is HOP's snapshot overhead.
     """
-
-    run_namespace = "hop-reduce"
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self._memory_bytes
-
-    #: Receive one pushed, sorted mini-segment.
-    accept_chunk = SortMergeReduceTask.accept_segment
-
-    def _spill_run(self, segments: list[list[tuple[Any, Any]]]) -> Any:
-        # HOP never runs the combiner reduce-side, and pushed chunks carry
-        # no frames to reuse: the merged pairs are pickled by the writer.
-        return merge_segments(segments)
-
-    # -- snapshots -----------------------------------------------------------
-
-    def snapshot(self, fraction: float) -> Snapshot:
-        """Repeat merge + reduce over all data received so far.
-
-        On-disk runs are re-read (accounted), in-memory segments are merged
-        in RAM; nothing is consumed, so the final merge still happens later
-        — this duplication of work is HOP's snapshot overhead.
-        """
-        self.counters.inc(C.SNAPSHOTS)
-        with self.tracer.span(
-            "snapshot", "snapshot", node=self.node, task=self._task, fraction=fraction
-        ) as snap_span:
-            segments: list[Iterable[tuple[Any, Any]]] = list(self._memory)
-            for path, nbytes in self._merger.run_paths:
-                segments.append(list(stream_run(self.disk, path)))
-                self.counters.inc(C.MERGE_READ_BYTES, nbytes)
-            with self.counters.timer(C.T_MERGE):
-                merged = merge_segments(segments)
-            output: list[Any] = []
-            with self.counters.timer(C.T_REDUCE_FN):
-                for key, values in group_sorted(iter(merged)):
-                    output.extend(self.job.reduce_fn(key, values))
-            snap_span.set_cost(max(1, len(merged)))
-            snap_span.set(records=len(merged), out_records=len(output))
-        return Snapshot(fraction=fraction, records=tuple(output))
+    counters, disk, tracer = rtask.counters, rtask.disk, rtask.tracer
+    counters.inc(C.SNAPSHOTS)
+    memory, _, (runs, _) = rtask.export_ingested()
+    task = f"reduce:{rtask.partition:03d}"
+    with tracer.span("snapshot", "snapshot", node=rtask.node, task=task, fraction=fraction) as span:
+        segments: list[Iterable[tuple[Any, Any]]] = list(memory)
+        for path, nbytes in runs:
+            segments.append(list(stream_run(disk, path)))
+            counters.inc(C.MERGE_READ_BYTES, nbytes)
+        with counters.timer(C.T_MERGE):
+            merged = merge_segments(segments)
+        output: list[Any] = []
+        with counters.timer(C.T_REDUCE_FN):
+            for key, values in group_sorted(iter(merged)):
+                output.extend(rtask.job.reduce_fn(key, values))
+        span.set_cost(max(1, len(merged)))
+        span.set(records=len(merged), out_records=len(output))
+    return Snapshot(fraction=fraction, records=tuple(output))
 
 
 class _PipelinedMapTask:
@@ -252,6 +229,7 @@ class HOPEngine(PushShuffleDriver):
 
     name = "hop"
     map_kernel = "hop_map"
+    reduce_kernel = "hadoop_reduce"
     reduce_namespace = "hop-reduce"
 
     def __init__(
@@ -313,7 +291,7 @@ class HOPEngine(PushShuffleDriver):
             staged: list[tuple[int, str, int]] = []
             pushed_bytes = 0
             for partition, pairs, nbytes in chunks:
-                if reduce_tasks[partition].backlog_bytes >= self.hop.backpressure_bytes:
+                if reduce_tasks[partition].memory_bytes >= self.hop.backpressure_bytes:
                     path = f"hop-stage/{task_id:05d}/c{len(staged):05d}-p{partition:03d}"
                     written = write_run(disk, path, pairs)
                     run.counters.inc(C.MAP_SPILL_BYTES, written)
@@ -341,19 +319,17 @@ class HOPEngine(PushShuffleDriver):
             target = fractions[run.next_snapshot]
             merged: list[Any] = []
             for rtask in run.reduce_tasks.values():
-                merged.extend(rtask.snapshot(target).records)
+                merged.extend(take_snapshot(rtask, target).records)
             run.snapshots.append(Snapshot(fraction=target, records=tuple(merged)))
             run.next_snapshot += 1
 
-    # -- reduce side: blocking final merge ---------------------------------------
+    # -- reduce side: Hadoop's blocking reducer, never combining ------------------
 
     def _new_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
-        disk = self._disk(node)
-        return PipelinedReduceTask(run.job, partition, node, disk, tracer=self.tracer)
-
-    def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
-        output, _groups = run.reduce_tasks[partition].run()
-        return output
+        disk, namespace = self._disk(node), self.reduce_namespace
+        return SortMergeReduceTask(
+            run.job, partition, node, disk, tracer=self.tracer, namespace=namespace, combine=False
+        )
 
     def _close(self, run: JobRun) -> None:
         super()._close(run)

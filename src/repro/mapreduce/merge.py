@@ -171,19 +171,6 @@ class MultiPassMerger:
     def run_count(self) -> int:
         return len(self._runs)
 
-    @property
-    def on_disk_bytes(self) -> int:
-        return sum(nbytes for _, nbytes in self._runs)
-
-    @property
-    def run_paths(self) -> list[tuple[str, int]]:
-        """Current on-disk runs as ``(path, nbytes)`` (non-destructive view).
-
-        MapReduce Online's snapshot mechanism re-reads these runs to build a
-        periodic early answer without finalising the merge.
-        """
-        return list(self._runs)
-
     def export_state(self) -> tuple[list[tuple[str, int]], int]:
         """Snapshot ``(runs, next sequence number)`` for a worker-side task."""
         return list(self._runs), self._seq

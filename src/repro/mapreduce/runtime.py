@@ -188,6 +188,7 @@ class HadoopEngine(JobDriver):
 
     name = "hadoop"
     map_kernel = "hadoop_map"
+    reduce_kernel = "hadoop_reduce"
 
     def __init__(
         self,
@@ -219,8 +220,6 @@ class HadoopEngine(JobDriver):
             retry_policy=self.retry_policy,
         )
         run.lineage = TaskLineage()
-        #: partition -> kernel-side reduce result awaiting its commit.
-        run.reduced = {}
 
     # -- map side: sort-spill output, registered for pull -----------------------
 
@@ -336,46 +335,12 @@ class HadoopEngine(JobDriver):
         run.shuffle.reset_partition(partition)
         return self._new_reduce_task(run, partition, node)
 
-    def _reduce_wave(self, run: JobRun, pending: list[int]) -> None:
-        """Independent partitions: ship each reduce task's ingested state
-        (in-memory segments + on-disk runs) to the ``hadoop_reduce`` kernel."""
-        from repro.exec.kernels import HadoopReduceSpec
-
-        specs = []
-        for partition in pending:
-            node = run.reducer_nodes[partition]
-            disk = self._disk(node)
-            rtask = run.reduce_tasks[partition]
-            memory, memory_bytes, (runs, seq) = rtask.export_ingested()
-            specs.append(
-                HadoopReduceSpec(
-                    partition,
-                    node,
-                    disk.profile,
-                    disk.name,
-                    memory,
-                    memory_bytes,
-                    runs,
-                    seq,
-                    {path: disk.peek(path) for path, _ in runs},
-                    rtask.run_keys,
-                )
-            )
-        run.reduced.update(zip(pending, run.session.run_batch("hadoop_reduce", specs)))
-
     def _finish_reduce(self, run: JobRun, partition: int) -> list[Any]:
         if partition not in run.reduced:
             # Not pre-computed (a plan, or a rebuilt task's whole
-            # partition): pull what is pending, reduce as a wave of one.
+            # partition): pull what is pending before the wave of one.
             self._pull_partition(run, partition)
-            self._reduce_wave(run, [partition])
-        rtask, res = run.reduce_tasks[partition], run.reduced.pop(partition)
-        # Absorb the shadow disk's merge I/O and fold the run-phase
-        # counters into the task's ingestion-phase ones.
-        self._disk(rtask.node).absorb(res.disk)
-        rtask.counters.merge(res.counters)
-        self.tracer.absorb(res.trace)
-        return res.output
+        return super()._finish_reduce(run, partition)
 
     def _close(self, run: JobRun) -> None:
         run.shuffle.cleanup()

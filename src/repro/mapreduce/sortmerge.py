@@ -379,10 +379,12 @@ class SortMergeMapTask:
 
 
 class SortMergeReduceTask:
-    """Executes one reduce task: multi-pass merge, then grouped reduce."""
+    """Executes one reduce task: multi-pass merge, then grouped reduce.
 
-    #: Disk namespace of this task's merge runs.
-    run_namespace = "reduce"
+    The one sort-merge reducer of Hadoop and HOP.  The two differ in data
+    only: the disk ``namespace`` of the task's merge runs, and whether its
+    in-memory merge may ``combine`` (HOP's never does).
+    """
 
     def __init__(
         self,
@@ -392,6 +394,8 @@ class SortMergeReduceTask:
         disk: LocalDisk,
         *,
         tracer: Any = NULL_TRACER,
+        namespace: str = "reduce",
+        combine: bool = True,
     ) -> None:
         self.job = job
         self.partition = partition
@@ -399,10 +403,12 @@ class SortMergeReduceTask:
         self.disk = disk
         self.counters = Counters()
         self.tracer = tracer
+        self.namespace = namespace
+        self.combining = combine and job.has_combiner and job.config.combine_on_spill
         self._task = f"reduce:{partition:03d}"
         self._merger = MultiPassMerger(
             disk,
-            f"{self.run_namespace}/{partition:03d}",
+            f"{namespace}/{partition:03d}",
             factor=job.config.merge_factor,
             counters=self.counters,
             tracer=tracer,
@@ -410,7 +416,7 @@ class SortMergeReduceTask:
             task=self._task,
         )
         self._memory: list[Segment] = []
-        self._memory_bytes = 0
+        self.memory_bytes = 0
 
     # -- shuffle ingestion -----------------------------------------------------
 
@@ -424,17 +430,17 @@ class SortMergeReduceTask:
         multi-pass merger (Hadoop's in-memory merge).
         """
         self._memory.append(segment)
-        self._memory_bytes += nbytes
+        self.memory_bytes += nbytes
         self.counters.inc(C.SHUFFLE_BYTES, nbytes)
-        if self._memory_bytes >= self.job.config.reduce_buffer_bytes:
+        if self.memory_bytes >= self.job.config.reduce_buffer_bytes:
             self._spill_memory()
 
     def _spill_memory(self) -> None:
         if not self._memory:
             return
-        nbytes = self._memory_bytes
+        nbytes = self.memory_bytes
         segments, self._memory = self._memory, []
-        self._memory_bytes = 0
+        self.memory_bytes = 0
         with self.tracer.span(
             "spill",
             "spill",
@@ -452,7 +458,7 @@ class SortMergeReduceTask:
         Either way the order is a k-way merge's with a stream-order
         tie-break: arrival order breaks ties between equal keys.
         """
-        if self.job.has_combiner and self.job.config.combine_on_spill:
+        if self.combining:
             pairs = merge_segments(map(segment_pairs, segments))
             return _combine_sorted(self.job, pairs, self.counters)
         # The spill only moves the records: merge their frames by the keys
@@ -471,7 +477,7 @@ class SortMergeReduceTask:
         with the merger's run files (and, to spare its passes a decode,
         :attr:`run_keys`) this is everything :meth:`run` needs.
         """
-        return self._memory, self._memory_bytes, self._merger.export_state()
+        return self._memory, self.memory_bytes, self._merger.export_state()
 
     @property
     def run_keys(self) -> dict[str, list[Any]]:
@@ -486,7 +492,7 @@ class SortMergeReduceTask:
     ) -> None:
         """Install ingestion-phase state exported by :meth:`export_ingested`."""
         self._memory = memory
-        self._memory_bytes = memory_bytes
+        self.memory_bytes = memory_bytes
         self._merger.adopt_state(merger_state, run_keys)
 
     # -- reduce ------------------------------------------------------------------

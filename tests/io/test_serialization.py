@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.io.serialization import (
     BinaryCodec,
     TextLineCodec,
+    encode_each,
     encode_frames,
     estimate_size,
     frame_count,
@@ -40,6 +41,13 @@ class TestFrames:
         data = encode_frames(items)
         assert list(iter_frames(data)) == items
         assert frame_count(data) == len(items)
+
+    @given(st.lists(values, max_size=50))
+    @settings(max_examples=60)
+    def test_each_frame_joins_to_the_stream(self, items):
+        frames = encode_each(items)
+        assert len(frames) == len(items)
+        assert b"".join(frames) == encode_frames(items)
 
     def test_truncated_header_rejected(self):
         data = encode_frames([1, 2])

@@ -1,10 +1,15 @@
 """MapReduce Online engine: pipelining, snapshots, backpressure."""
 
+import hashlib
+from dataclasses import asdict
+
 import pytest
 
+from repro.exec import SerialExecutor
 from repro.io.disk import LocalDisk
 from repro.mapreduce.api import JobConfig
 from repro.mapreduce.counters import C
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hop import HOPConfig, HOPEngine
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.workloads.page_frequency import page_frequency_job, reference_page_counts
@@ -138,3 +143,95 @@ class TestHOPEngine:
         )
         assert result.counters[C.SHUFFLE_BYTES] > 0
         assert result.counters[C.SORT_RECORDS] > 0
+
+
+class RecordingExecutor:
+    """Serial execution that logs every wave as ``(kernel, spec partitions)``."""
+
+    name = "serial"
+    workers = 1
+
+    def __init__(self):
+        self.waves = []
+
+    def session(self, context):
+        session = SerialExecutor().session(context)
+        run_batch = session.run_batch
+
+        def recording(kernel, specs):
+            self.waves.append((kernel, [getattr(spec, "partition", None) for spec in specs]))
+            return run_batch(kernel, specs)
+
+        session.run_batch = recording
+        return session
+
+
+class TestHOPReducesThroughTheKernel:
+    """HOP's final reduce is Hadoop's: the ``hadoop_reduce`` kernel."""
+
+    def reduce_waves(self, cluster, clicks, plan):
+        cluster.hdfs.write_records("clicks", clicks)
+        executor = RecordingExecutor()
+        HOPEngine(cluster, fault_plan=plan, executor=executor).run(
+            page_frequency_job("clicks", "out")
+        )
+        assert dict(cluster.hdfs.read_records("out")) == reference_page_counts(clicks)
+        return [partitions for kernel, partitions in executor.waves if kernel == "hadoop_reduce"]
+
+    def test_clean_run_is_one_wave_over_every_partition(self, cluster, clicks):
+        assert self.reduce_waves(cluster, clicks, None) == [[0, 1]]
+
+    def test_under_a_plan_each_attempt_is_a_wave_of_one(self, cluster, clicks):
+        # partition 0's first attempt dies and is retried
+        plan = FaultPlan(reduce_failures={0: 1})
+        assert self.reduce_waves(cluster, clicks, plan) == [[0], [0], [1]]
+
+    #: The run below, pinned: per-device ``DiskStats`` as
+    #: ``(bytes_read, bytes_written, read_ops, write_ops, random_ops,
+    #: sequential_ops, deletes, busy_time)``.
+    PINNED_DISKS = {
+        "node00.hdd": (574105, 477190, 49, 43, 73, 19, 40, 0.6316399226718479),
+        "node01.hdd": (591092, 495682, 51, 45, 75, 21, 42, 0.6490158716837567),
+        "node02.hdd": (81748, 81748, 2, 2, 4, 0, 0, 0.03573246595594618),
+    }
+
+    @pytest.mark.parametrize("executor", ["serial", "processes:2"])
+    def test_reduce_side_spills_and_merges_never_combine(self, cluster, clicks, executor):
+        # A combiner job whose reducers spill and run merge passes: the
+        # kernel must spill HOP's pushed lists uncombined, under HOP's
+        # namespace, to the same bytes.
+        cluster.hdfs.write_records("clicks", clicks)
+        config = JobConfig(reduce_buffer_bytes=2048, merge_factor=2)
+        result = HOPEngine(
+            cluster, hop_config=HOPConfig(granularity_records=200), executor=executor
+        ).run(page_frequency_job("clicks", "out", config=config))
+        output = list(cluster.hdfs.read_records("out"))
+        assert hashlib.sha256(repr(output).encode()).hexdigest()[:16] == "2e96d62691af0602"
+        counters = result.counters
+        assert {
+            name: counters[name]
+            for name in (
+                C.COMBINE_INPUT_RECORDS,
+                C.COMBINE_OUTPUT_RECORDS,
+                C.REDUCE_SPILL_BYTES,
+                C.REDUCE_SPILLS,
+                C.MERGE_PASSES,
+                C.MERGE_READ_BYTES,
+                C.MERGE_WRITE_BYTES,
+            )
+        } == {
+            C.COMBINE_INPUT_RECORDS: 8000,
+            C.COMBINE_OUTPUT_RECORDS: 2891,
+            C.REDUCE_SPILL_BYTES: 101185,
+            C.REDUCE_SPILLS: 43,
+            C.MERGE_PASSES: 39,
+            C.MERGE_READ_BYTES: 889315,
+            C.MERGE_WRITE_BYTES: 595805,
+        }
+        assert counters[C.COMBINE_INPUT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS]
+        disks = {name: tuple(asdict(st).values()) for name, st in cluster.disk_stats().items()}
+        assert disks.keys() == self.PINNED_DISKS.keys()
+        for name, pinned in self.PINNED_DISKS.items():
+            # busy_time is a float sum: its last digit follows summation order
+            assert disks[name][:-1] == pinned[:-1], name
+            assert disks[name][-1] == pytest.approx(pinned[-1], rel=1e-12), name

@@ -1,15 +1,17 @@
 """MapReduce Online internals: the pipelined map and reduce tasks in isolation."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io.disk import LocalDisk
-from repro.mapreduce import sortmerge
+from repro.mapreduce import hop, sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
-from repro.mapreduce.hop import HOPConfig, PipelinedReduceTask, _PipelinedMapTask
+from repro.mapreduce.hop import HOPConfig, HOPEngine, _PipelinedMapTask, take_snapshot
 from repro.mapreduce.partition import hash_partitioner
+from repro.mapreduce.runtime import LocalCluster
 
 from tests.mapreduce.test_sortmerge import UNORDERABLE, concat_combine, reference_spill
 
@@ -19,13 +21,16 @@ def sum_reduce(key, values):
 
 
 def make_task(**cfg):
+    """HOP's reducer as the engine builds it, for a job with a combiner."""
     job = MapReduceJob(
         "wc",
         lambda r: [(r, 1)],
         sum_reduce,
+        combine_fn=sum_reduce,
         config=JobConfig(num_reducers=1, **cfg),
     )
-    return PipelinedReduceTask(job, 0, "n0", LocalDisk())
+    engine = HOPEngine(LocalCluster(num_nodes=1))
+    return engine._new_reduce_task(SimpleNamespace(job=job), 0, "node00")
 
 
 class TestPipelinedReduceTask:
@@ -33,42 +38,50 @@ class TestPipelinedReduceTask:
         return sorted(pairs, key=lambda p: p[0]), 48 * len(pairs)
 
     def test_is_hadoops_reduce_task_plus_push_and_snapshots(self):
-        # One sort-merge reduce task: HOP adds a push target, snapshots, its
-        # run namespace and a combiner-free spill — no loop of its own.
-        assert issubclass(PipelinedReduceTask, sortmerge.SortMergeReduceTask)
-        own = {name for name in vars(PipelinedReduceTask) if not name.startswith("__")}
-        assert own == {"run_namespace", "backlog_bytes", "accept_chunk", "_spill_run", "snapshot"}
+        # One sort-merge reduce task: HOP hands it two facts — its run
+        # namespace and a combiner-free spill — and takes snapshots with a
+        # function of its own; hop.py defines no reduce-task class.
+        task = make_task()
+        assert type(task) is sortmerge.SortMergeReduceTask
+        assert (task.namespace, task.combining) == ("hop-reduce", False)
+        own = {
+            name
+            for name, obj in vars(hop).items()
+            if isinstance(obj, type) and obj.__module__ == hop.__name__
+        }
+        assert own == {"HOPConfig", "Snapshot", "_PipelinedMapTask", "HOPEngine"}
 
     def test_accepts_chunks_and_reduces(self):
         task = make_task()
         for pairs in ([("a", 1), ("b", 1)], [("a", 2)]):
             chunk, nbytes = self.chunk(pairs)
-            task.accept_chunk(chunk, nbytes)
+            task.accept_segment(chunk, nbytes)
         output, groups = task.run()
         assert sorted(output) == [("a", 3), ("b", 1)] and groups == 2
 
     def test_backlog_tracks_memory(self):
         task = make_task()
         chunk, nbytes = self.chunk([("a", 1)] * 10)
-        task.accept_chunk(chunk, nbytes)
-        assert task.backlog_bytes == nbytes
+        task.accept_segment(chunk, nbytes)
+        assert task.memory_bytes == nbytes
 
     def test_memory_pressure_spills_runs(self):
         task = make_task(reduce_buffer_bytes=256)
         for i in range(20):
             chunk, nbytes = self.chunk([(f"k{j}", 1) for j in range(10)])
-            task.accept_chunk(chunk, nbytes)
+            task.accept_segment(chunk, nbytes)
         assert task.counters[C.REDUCE_SPILL_BYTES] > 0
         output, _ = task.run()
         assert dict(output) == {f"k{j}": 20 for j in range(10)}
+        assert task.counters[C.COMBINE_INPUT_RECORDS] == 0
 
     def test_snapshot_is_nondestructive(self):
         task = make_task(reduce_buffer_bytes=256)
         for i in range(10):
             chunk, nbytes = self.chunk([("a", 1), ("b", 1)])
-            task.accept_chunk(chunk, nbytes)
-        snap1 = dict(task.snapshot(0.5).records)
-        snap2 = dict(task.snapshot(0.75).records)
+            task.accept_segment(chunk, nbytes)
+        snap1 = dict(take_snapshot(task, 0.5).records)
+        snap2 = dict(take_snapshot(task, 0.75).records)
         assert snap1 == snap2 == {"a": 10, "b": 10}
         # Final run still sees everything.
         assert dict(task.run()[0]) == {"a": 10, "b": 10}
@@ -77,22 +90,22 @@ class TestPipelinedReduceTask:
         task = make_task(reduce_buffer_bytes=128)
         for i in range(30):
             chunk, nbytes = self.chunk([(f"k{i % 5}", 1)] * 4)
-            task.accept_chunk(chunk, nbytes)
+            task.accept_segment(chunk, nbytes)
         before = task.counters[C.MERGE_READ_BYTES]
-        task.snapshot(0.9)
+        take_snapshot(task, 0.9)
         assert task.counters[C.MERGE_READ_BYTES] > before
         assert task.counters[C.SNAPSHOTS] == 1
 
     def test_snapshot_of_empty_task(self):
         task = make_task()
-        snap = task.snapshot(0.25)
+        snap = take_snapshot(task, 0.25)
         assert snap.records == ()
         assert snap.fraction == 0.25
 
     def test_run_counts_groups(self):
         task = make_task()
         chunk, nbytes = self.chunk([("a", 1), ("b", 2), ("c", 3)])
-        task.accept_chunk(chunk, nbytes)
+        task.accept_segment(chunk, nbytes)
         task.run()
         assert task.counters[C.REDUCE_INPUT_GROUPS] == 3
         assert task.counters[C.REDUCE_TASKS] == 1
