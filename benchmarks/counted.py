@@ -1,0 +1,117 @@
+"""Counted rows beside the timed benchmark: pickle calls per map-output record.
+
+Runs each of the four ``benchmarks.e2e`` workloads on each engine once,
+serially, on the seed-0 dataset, with ``PYTHONHASHSEED=0``, and counts the
+calls made to ``pickle.dumps`` and ``pickle.loads`` while the engine runs,
+less the input decode (a ``loads`` per ``map.input.records``) and the
+output encode (a ``dumps`` per ``reduce.output.records``).  The counts
+repeat exactly on any host, so ``benchmarks/COUNTED.json`` commits them.
+
+From the repository root, ``PYTHONPATH=src python -m benchmarks.counted``
+prints the rows; ``--write`` re-records the file, ``--diff`` prints each
+row that moved and ``--check`` also exits 1 on any move.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pickle
+import sys
+from pathlib import Path
+from typing import Any
+
+from benchmarks.e2e.harness import load_cluster
+from benchmarks.e2e.workloads import WORKLOADS
+from repro.core.engine import OnePassEngine
+from repro.mapreduce.counters import C
+from repro.mapreduce.hop import HOPEngine
+from repro.mapreduce.runtime import HadoopEngine
+
+COUNTED = Path(__file__).resolve().parent / "COUNTED.json"
+ENGINES = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}
+SEED = 0
+
+
+def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]:
+    """One serial run of ``engine`` on ``workload``; its pickle row."""
+    job = workload.onepass_job(True) if engine == "onepass" else workload.mr_job(True)
+    cluster = load_cluster(records)
+    calls = {"dumps": 0, "loads": 0}
+    dumps, loads = pickle.dumps, pickle.loads
+
+    def counting(fn: Any, name: str) -> Any:
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    pickle.dumps, pickle.loads = counting(dumps, "dumps"), counting(loads, "loads")
+    try:
+        counters = ENGINES[engine](cluster).run(job).counters
+    finally:
+        pickle.dumps, pickle.loads = dumps, loads
+    n = int(counters[C.MAP_OUTPUT_RECORDS])
+    row = {
+        "map_output_records": n,
+        "dumps": calls["dumps"] - int(counters[C.REDUCE_OUTPUT_RECORDS]),
+        "loads": calls["loads"] - int(counters[C.MAP_INPUT_RECORDS]),
+    }
+    return row | {f"{k}_per_record": round(row[k] / max(1, n), 4) for k in ("dumps", "loads")}
+
+
+def count_all() -> dict[str, Any]:
+    rows = {}
+    for workload in WORKLOADS:
+        records = workload.records(SEED)
+        for engine in ENGINES:
+            rows[f"{workload.name}.{engine}"] = count_cell(workload, engine, records)
+    return {"python": f"{sys.version_info[0]}.{sys.version_info[1]}", "seed": SEED, "rows": rows}
+
+
+def moved(old: dict[str, Any], new: dict[str, Any]) -> list[str]:
+    """One line per row that differs between two sets of rows, naming
+    each field that moved."""
+    lines = []
+    for cell in sorted(old.keys() | new.keys()):
+        a, b = old.get(cell, {}), new.get(cell, {})
+        fields = [f"{f} {a.get(f)} -> {b.get(f)}" for f in sorted(a | b) if a.get(f) != b.get(f)]
+        if fields:
+            lines.append(f"{cell}: " + ", ".join(fields))
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help=f"re-record {COUNTED.name}")
+    mode.add_argument("--check", action="store_true", help="exit 1 unless every row is equal")
+    mode.add_argument("--diff", action="store_true", help="print each row that moved")
+    args = parser.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # Hash randomisation must be off before the interpreter starts.
+        sys.stdout.flush()
+        env = os.environ | {"PYTHONHASHSEED": "0"}
+        os.execve(sys.executable, [sys.executable, "-m", "benchmarks.counted", *sys.argv[1:]], env)
+    result = count_all()
+    if args.write:
+        COUNTED.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        return 0
+    if not (args.check or args.diff):
+        for cell, row in result["rows"].items():
+            print(f"{cell:20} {row['dumps_per_record']:7.4f} dumps {row['loads_per_record']:7.4f} loads"
+                  f" per record ({row['map_output_records']} records)")  # fmt: skip
+        return 0
+    committed = json.loads(COUNTED.read_text())
+    if committed["python"] != result["python"]:
+        # The counts do not depend on the interpreter; the stamp says where they were taken.
+        print(f"note: recorded on Python {committed['python']}, run on {result['python']}")
+    lines = moved(committed["rows"], result["rows"])
+    print("\n".join([*lines, f"counted: {len(lines)} of {len(committed['rows'])} rows moved"]))
+    return 1 if args.check and lines else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -38,6 +38,7 @@ __all__ = [
     "KeyedRun",
     "RunWriter",
     "frame_records",
+    "reread_run",
     "run_chunks",
     "segment_pairs",
     "stream_frames",
@@ -249,6 +250,14 @@ def _frame_chunks(
         yield buf, bounds
     if tail:
         raise ValueError(f"truncated trailing frame in {path}")
+
+
+def reread_run(disk: LocalDisk, path: str, records: int, chunk_size: int = 1 << 20) -> None:
+    """Re-read a run whose ``records`` pairs the caller holds, in accounted
+    pieces, decoding nothing: ``ValueError`` unless it is that many frames."""
+    frames = sum(len(bounds) - 1 for _, bounds in _frame_chunks(disk, path, chunk_size))
+    if frames != records:
+        raise ValueError(f"{path} holds {frames} frames for {records} records")
 
 
 def stream_pieces(

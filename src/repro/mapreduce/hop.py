@@ -15,6 +15,8 @@ both reproduced here:
    answer.  As the paper stresses, this is *not* incremental computation:
    every snapshot re-merges from scratch and re-reads any on-disk runs,
    which is exactly the extra I/O the paper attributes to HOP's design.
+   The re-read is checked, not decoded: until the last snapshot a reducer
+   holds the decoded pairs of each run it spilled, and merges those.
 
 Crucially, HOP keeps the sort-merge group-by, so the blocking final merge
 and its multi-pass I/O remain — the paper's central observation.
@@ -23,10 +25,11 @@ and its multi-pass I/O remain — the paper's central observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Any, Callable, Iterable
 
 from repro.io.batch import merge_segments, sort_bucket
-from repro.io.runio import stream_run, write_run
+from repro.io.runio import reread_run, write_run
 from repro.mapreduce.api import MapReduceJob
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.driver import JobRun, PushShuffleDriver
@@ -55,8 +58,8 @@ class HOPConfig:
         for f in self.snapshot_fractions:
             if not 0 < f < 1:
                 raise ValueError("snapshot fractions must lie in (0, 1)")
-        if tuple(sorted(self.snapshot_fractions)) != tuple(self.snapshot_fractions):
-            raise ValueError("snapshot fractions must be increasing")
+        if any(a >= b for a, b in pairwise(self.snapshot_fractions)):
+            raise ValueError("snapshot fractions must be strictly increasing")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +73,9 @@ class Snapshot:
 def take_snapshot(rtask: SortMergeReduceTask, fraction: float) -> Snapshot:
     """Repeat merge + reduce over all data ``rtask`` received so far.
 
-    On-disk runs are re-read (accounted), in-memory segments are merged
-    in RAM; nothing is consumed, so the final merge still happens later
-    — this duplication of work is HOP's snapshot overhead.
+    On-disk runs are re-read (accounted) and checked, and the pairs held
+    for them merged with the in-memory segments; nothing is consumed, so the
+    final merge still happens later — this duplication is HOP's overhead.
     """
     counters, disk, tracer = rtask.counters, rtask.disk, rtask.tracer
     counters.inc(C.SNAPSHOTS)
@@ -81,7 +84,9 @@ def take_snapshot(rtask: SortMergeReduceTask, fraction: float) -> Snapshot:
     with tracer.span("snapshot", "snapshot", node=rtask.node, task=task, fraction=fraction) as span:
         segments: list[Iterable[tuple[Any, Any]]] = list(memory)
         for path, nbytes in runs:
-            segments.append(list(stream_run(disk, path)))
+            pairs = rtask.run_pairs[path]
+            reread_run(disk, path, len(pairs))
+            segments.append(pairs)
             counters.inc(C.MERGE_READ_BYTES, nbytes)
         with counters.timer(C.T_MERGE):
             merged = merge_segments(segments)
@@ -288,22 +293,22 @@ class HOPEngine(PushShuffleDriver):
             partitions=sorted({p for p, _, _ in chunks}),
             chunk_bytes=[nbytes for _, _, nbytes in chunks],
         ) as push_span:
-            staged: list[tuple[int, str, int]] = []
+            staged: list[tuple[int, list[tuple[Any, Any]], str, int]] = []
             pushed_bytes = 0
             for partition, pairs, nbytes in chunks:
                 if reduce_tasks[partition].memory_bytes >= self.hop.backpressure_bytes:
                     path = f"hop-stage/{task_id:05d}/c{len(staged):05d}-p{partition:03d}"
                     written = write_run(disk, path, pairs)
                     run.counters.inc(C.MAP_SPILL_BYTES, written)
-                    staged.append((partition, path, written))
+                    staged.append((partition, pairs, path, written))
                 else:
                     pushed_bytes += nbytes
                     self._accept_chunk(run, partition, pairs, nbytes)
             # Staged chunks are delivered once the task finishes (reducers
-            # caught up), at their on-disk framed size.
+            # caught up), at their on-disk framed size, re-read and checked.
             staged_bytes = 0
-            for partition, path, written in staged:
-                pairs = list(stream_run(disk, path))
+            for partition, pairs, path, written in staged:
+                reread_run(disk, path, len(pairs))
                 staged_bytes += written
                 self._accept_chunk(run, partition, pairs, written)
                 disk.delete(path)
@@ -322,14 +327,20 @@ class HOPEngine(PushShuffleDriver):
                 merged.extend(take_snapshot(rtask, target).records)
             run.snapshots.append(Snapshot(fraction=target, records=tuple(merged)))
             run.next_snapshot += 1
+            if run.next_snapshot == len(fractions):  # no snapshot re-reads a run again
+                for rtask in run.reduce_tasks.values():
+                    rtask.hold_pairs(False)
 
     # -- reduce side: Hadoop's blocking reducer, never combining ------------------
 
     def _new_reduce_task(self, run: JobRun, partition: int, node: str) -> Any:
         disk, namespace = self._disk(node), self.reduce_namespace
-        return SortMergeReduceTask(
+        rtask = SortMergeReduceTask(
             run.job, partition, node, disk, tracer=self.tracer, namespace=namespace, combine=False
         )
+        # It holds its runs' pairs while a snapshot is due (none is taken before _open).
+        rtask.hold_pairs(getattr(run, "next_snapshot", 0) < len(self.hop.snapshot_fractions))
+        return rtask
 
     def _close(self, run: JobRun) -> None:
         super()._close(run)

@@ -24,6 +24,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
+from repro.io.batch import merge_segments
 from repro.io.disk import LocalDisk
 from repro.io.runio import Framed, stream_frames, stream_pieces, write_run
 from repro.mapreduce.counters import C, Counters
@@ -140,6 +141,8 @@ class MultiPassMerger:
     Beside each run's ``(path, nbytes)`` it keeps the run's keys
     (:attr:`run_keys`), so a pass unpickles nothing and the final merge
     each record once; a run adopted without them is decoded for its keys.
+    While :attr:`run_pairs` is a dict it also keeps each run's decoded pairs
+    (for HOP's snapshots), and a pass merges them as it merges the frames.
     """
 
     def __init__(
@@ -164,6 +167,7 @@ class MultiPassMerger:
         self.task = task
         self._runs: list[tuple[str, int]] = []  # (path, nbytes), insertion order
         self.run_keys: dict[str, list[Any]] = {}  # path -> the run's keys, in order
+        self.run_pairs: dict[str, list[tuple[Any, Any]]] | None = None  # path -> its pairs
         self._seq = 0
         self.finished = False
 
@@ -197,9 +201,9 @@ class MultiPassMerger:
     def add_run(self, pairs: Iterable[tuple[Any, Any]] | Framed) -> None:
         """Write one sorted run to disk and trigger background merges.
 
-        ``pairs`` are pickled and their keys noted; a
-        :class:`~repro.io.runio.Framed` stream is written as it is, and its
-        keys kept.
+        ``pairs`` are pickled and their keys noted (a list of them is also
+        held while :attr:`run_pairs` is); a :class:`~repro.io.runio.Framed`
+        stream is written as it is, and its keys kept.
 
         Merging the F smallest runs whenever the pool reaches ``2F - 1``
         (Hadoop's actual policy) leaves F - 1 runs behind and, crucially,
@@ -213,6 +217,8 @@ class MultiPassMerger:
         keys = pairs.keys if isinstance(pairs, Framed) else []
         nbytes = write_run(self.disk, path, pairs, keys)
         self.run_keys[path] = keys
+        if self.run_pairs is not None and isinstance(pairs, list):
+            self.run_pairs[path] = pairs
         self.counters.inc(C.REDUCE_SPILL_BYTES, nbytes)
         self.counters.inc(C.REDUCE_SPILLS)
         self._runs.append((path, nbytes))
@@ -238,6 +244,8 @@ class MultiPassMerger:
             out_path = self._new_path("merged")
             kept[out_path] = keys = []
             out_bytes = write_run(self.disk, out_path, Framed(merge_sorted(streams, keys), keys))
+            if (held := self.run_pairs) is not None:  # in victim order, as the frames
+                held[out_path] = merge_segments([held.pop(path) for path, _ in victims])
             merge_span.set(bytes_in=read_bytes, bytes_out=out_bytes)
             merge_span.set_cost(byte_cost(read_bytes + out_bytes))
         for path, _ in victims:

@@ -453,7 +453,8 @@ class SortMergeReduceTask:
             self._merger.add_run(self._spill_run(segments))
 
     def _spill_run(self, segments: list[Segment]) -> Any:
-        """The sorted run one in-memory merge spills: combined, or framed.
+        """The sorted run one in-memory merge spills: combined or merged
+        pushed pairs (a list the merger may hold), or framed.
 
         Either way the order is a k-way merge's with a stream-order
         tie-break: arrival order breaks ties between equal keys.
@@ -461,6 +462,8 @@ class SortMergeReduceTask:
         if self.combining:
             pairs = merge_segments(map(segment_pairs, segments))
             return _combine_sorted(self.job, pairs, self.counters)
+        if not any(isinstance(s, KeyedRun) for s in segments):
+            return merge_segments(segments)  # pushed pairs, as they are
         # The spill only moves the records: merge their frames by the keys
         # the fetch carried along.
         keys: list[Any] = []
@@ -482,6 +485,14 @@ class SortMergeReduceTask:
     @property
     def run_keys(self) -> dict[str, list[Any]]:
         return self._merger.run_keys
+
+    @property
+    def run_pairs(self) -> dict[str, list[tuple[Any, Any]]] | None:
+        return self._merger.run_pairs
+
+    def hold_pairs(self, hold: bool) -> None:
+        """Keep each run's pairs (call before the first spill), or drop all kept."""
+        self._merger.run_pairs = {} if hold else None
 
     def adopt_ingested(
         self,

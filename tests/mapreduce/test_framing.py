@@ -260,6 +260,16 @@ class TestPickleBudget:
         assert dumps <= 1.0 * records  # the map spill; 3.0 before frames were carried
         assert loads <= 1.0 * records  # the final merge; 3.0, then 2.0 before keys travelled
 
+    def test_hop_snapshots_re_read_runs_without_decoding_them(self):
+        # Default snapshot fractions: every snapshot re-reads the runs spilled
+        # so far, and merges the pairs the reducer held for them.
+        dumps, loads, counters = _run_hadoop(_budget_job(), _click_records(), HOPEngine)
+        records = counters[C.MAP_OUTPUT_RECORDS]
+        assert counters[C.SNAPSHOTS] == 3 * 2  # three fractions, two reducers
+        assert counters[C.REDUCE_SPILLS] > 2 and counters[C.MERGE_PASSES] > 2
+        assert dumps <= 1.0 * records  # the reduce-side spill
+        assert loads <= 1.0 * records  # the final merge; more while snapshots decoded runs
+
     @pytest.mark.parametrize("engine", [HadoopEngine, HOPEngine])
     def test_a_merge_pass_unpickles_nothing(self, engine, monkeypatch):
         with counted_merge_passes(monkeypatch) as inside:

@@ -26,6 +26,7 @@ class TestHOPConfig:
         [
             {"granularity_records": 0},
             {"snapshot_fractions": (0.5, 0.25)},
+            {"snapshot_fractions": (0.5, 0.5)},  # one snapshot taken twice over
             {"snapshot_fractions": (0.0,)},
             {"snapshot_fractions": (1.0,)},
         ],

@@ -1,18 +1,24 @@
 """MapReduce Online internals: the pipelined map and reduce tasks in isolation."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec.kernels import HadoopReduceSpec, reduce_spec
+from repro.io.runio import stream_run
 from repro.mapreduce import hop, sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hop import HOPConfig, HOPEngine, _PipelinedMapTask, take_snapshot
+from repro.mapreduce.merge import MultiPassMerger
 from repro.mapreduce.partition import hash_partitioner
-from repro.mapreduce.runtime import LocalCluster
+from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 
+from tests.mapreduce.test_framing import _budget_job, _click_records
 from tests.mapreduce.test_sortmerge import UNORDERABLE, concat_combine, reference_spill
 
 
@@ -109,6 +115,125 @@ class TestPipelinedReduceTask:
         task.run()
         assert task.counters[C.REDUCE_INPUT_GROUPS] == 3
         assert task.counters[C.REDUCE_TASKS] == 1
+
+
+class TestHeldPairs:
+    """Until the last snapshot a HOP reducer holds each run's decoded pairs,
+    so a snapshot re-reads its runs without decoding them."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.text("ab", max_size=1), UNORDERABLE), max_size=8),
+                st.booleans(),
+            ),
+            max_size=25,
+        ),
+        buffer_bytes=st.integers(1, 1500),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_held_list_is_its_run(self, ops, buffer_bytes):
+        # Equal keys across runs and values no sort may compare: a held list
+        # must keep the on-disk order exactly, through spills and passes.
+        task = make_task(reduce_buffer_bytes=buffer_bytes, merge_factor=2)
+        for pairs, spill in ops:
+            task.accept_segment(sorted(pairs, key=lambda p: p[0]), 48 * len(pairs) + 64)
+            if spill:
+                task._spill_memory()
+            _, _, (runs, _) = task.export_ingested()
+            assert sorted(task.run_pairs) == sorted(path for path, _ in runs)
+            for path, _ in runs:
+                assert task.run_pairs[path] == list(stream_run(task.disk, path))
+
+    def test_a_snapshot_checks_what_it_re_reads(self):
+        task = make_task(reduce_buffer_bytes=1)
+        task.accept_segment([("a", 1), ("b", 2)], 160)
+        [path] = task.run_pairs
+        task.run_pairs[path].append(("c", 3))  # one pair more than the run holds
+        with pytest.raises(ValueError, match="holds 2 frames for 3 records"):
+            take_snapshot(task, 0.5)
+
+    def test_held_lists_do_not_reach_the_reduce_spec(self):
+        specs = []
+        for hold in (True, False):
+            task = make_task(reduce_buffer_bytes=256, merge_factor=2)
+            task.hold_pairs(hold)
+            for i in range(12):
+                task.accept_segment([(f"k{i % 3}", i), (f"k{i % 5}", i)], 160)
+            specs.append(reduce_spec(task))
+        assert [f.name for f in fields(HadoopReduceSpec)] == [
+            "partition", "node", "profile", "disk_name", "memory", "memory_bytes",
+            "merger_runs", "merger_seq", "run_files", "run_keys", "namespace", "combine",
+        ]  # fmt: skip
+        assert specs[0] == specs[1] and specs[0].merger_runs
+
+    @staticmethod
+    def held_at_each_commit(monkeypatch, engine):
+        """Run ``engine`` on a spilling job; per map commit, each reduce task's
+        held runs (``None``: not holding) next to the runs it has."""
+        seen = []
+        after = type(engine)._after_map_commit
+
+        def recording(self, run, completed):
+            after(self, run, completed)
+            for rtask in run.reduce_tasks.values():
+                held = rtask.run_pairs
+                runs = [path for path, _ in rtask.export_ingested()[2][0]]
+                seen.append((run.next_snapshot, None if held is None else sorted(held), runs))
+
+        monkeypatch.setattr(type(engine), "_after_map_commit", recording)
+        result = engine.run(spilling_words(engine.cluster))
+        assert result.counters[C.REDUCE_SPILLS] > 0
+        return seen, result
+
+    def test_the_lists_go_after_the_last_snapshot(self, monkeypatch):
+        hop = HOPConfig(granularity_records=100, snapshot_fractions=(0.25, 0.5))
+        engine = HOPEngine(LocalCluster(num_nodes=3, block_size=4096), hop_config=hop)
+        seen, result = self.held_at_each_commit(monkeypatch, engine)
+        assert result.counters[C.SNAPSHOTS] == 2 * 2
+        assert any(runs for due, _, runs in seen if due < 2)
+        for due, held, runs in seen:
+            assert held == (sorted(runs) if due < 2 else None)
+
+    def test_nothing_is_held_without_snapshots(self, monkeypatch):
+        hop = HOPConfig(granularity_records=100, snapshot_fractions=())
+        engine = HOPEngine(LocalCluster(num_nodes=3, block_size=4096), hop_config=hop)
+        seen, result = self.held_at_each_commit(monkeypatch, engine)
+        assert result.counters[C.SNAPSHOTS] == 0
+        assert {held for _, held, _ in seen} == {None}
+
+    def test_hadoop_never_holds(self, monkeypatch):
+        holding = []
+        add_run = MultiPassMerger.add_run
+
+        def spy(self, *args):
+            holding.append(self.run_pairs)
+            add_run(self, *args)
+
+        monkeypatch.setattr(MultiPassMerger, "add_run", spy)
+        cluster = LocalCluster(num_nodes=3, block_size=4096)
+        HadoopEngine(cluster).run(spilling_words(cluster))
+        assert holding and set(holding) == {None}
+
+    @pytest.mark.parametrize("fault", ["short_reads", "torn_writes"])
+    def test_a_torn_or_short_run_still_fails_the_snapshot(self, fault):
+        # The error the decoding re-read raised, word for word.
+        cluster = LocalCluster(num_nodes=3, block_size=32 * 1024)
+        cluster.hdfs.write_records("in", _click_records())
+        job = _budget_job()
+        job.input_path, job.output_path = "in", "out"
+        engine = HOPEngine(cluster, fault_plan=FaultPlan(**{fault: {"hop-reduce/": 1}}))
+        with pytest.raises(ValueError, match=r"^truncated trailing frame in hop-reduce/000/run-00000\.in$"):
+            engine.run(job)
+
+
+def spilling_words(cluster):
+    """A word count whose reducers spill and merge, its input on ``cluster``."""
+    cluster.hdfs.write_records("in", [f"w{i % 97} w{i % 13}" for i in range(3000)])
+    config = JobConfig(num_reducers=2, reduce_buffer_bytes=4096, merge_factor=2)
+    return MapReduceJob(
+        "wc", word_pairs, sum_reduce, input_path="in", output_path="out", config=config
+    )
 
 
 def word_pairs(record):

@@ -20,7 +20,9 @@ OPEN, CLOSE = "<!-- surface-audit -->", "<!-- /surface-audit -->"
 
 #: The CI ``perf`` job's scripts; with ``benchmarks/e2e`` (BENCHMARK.json)
 #: they are the benchmark cells a change is gated on.
-GATED_BENCHES = ("perfguard.py", "bench_chained_pipeline.py", "bench_executor_scaling.py")
+GATED_BENCHES = (
+    "perfguard.py", "bench_chained_pipeline.py", "bench_executor_scaling.py", "counted.py"
+)
 
 #: Modules reached by name rather than by an import statement.
 RUN_BY_NAME = {
