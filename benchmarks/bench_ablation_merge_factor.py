@@ -9,48 +9,30 @@ its completion-time consequence.
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, run, simulate
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_table, human_bytes
 from repro.mapreduce.counters import C
-from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.mapreduce.runtime import HadoopEngine
 from repro.simulator import GB, SESSIONIZATION, ClusterSpec, HadoopPipeline
-from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 from repro.workloads.per_user_count import per_user_count_job, reference_user_counts
 
 FACTORS = (2, 4, 10)
 
 
-@pytest.fixture(scope="module")
-def clicks():
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=120_000, num_users=6_000, num_urls=500)
+def test_merge_factor_real_engine(check):
+    log = clicks(120_000, 6_000, 500)
+    expected = reference_user_counts(log)
+    results = {}
+    for factor in FACTORS:
+        job = per_user_count_job("in", "out", with_combiner=False).with_config(
+            merge_factor=factor, reduce_buffer_bytes=16 * 1024
         )
-    )
-
-
-def test_merge_factor_real_engine(benchmark, reports, clicks):
-    def experiment():
-        out = {}
-        for factor in FACTORS:
-            cluster = LocalCluster(num_nodes=3, block_size=128 * 1024)
-            cluster.hdfs.write_records("in", clicks)
-            job = per_user_count_job("in", "out", with_combiner=False).with_config(
-                merge_factor=factor, reduce_buffer_bytes=16 * 1024
-            )
-            result = HadoopEngine(cluster).run(job)
-            assert dict(cluster.hdfs.read_records("out")) == reference_user_counts(
-                clicks
-            )
-            out[factor] = result
-        return out
-
-    results = run_once(benchmark, experiment)
+        results[factor] = run(HadoopEngine, job, log, block_kb=128)
+        assert dict(results[factor].output()) == expected
     rewrites = {f: r.counters[C.MERGE_WRITE_BYTES] for f, r in results.items()}
     passes = {f: int(r.counters[C.MERGE_PASSES]) for f, r in results.items()}
+    spills = {f: r.counters[C.REDUCE_SPILL_BYTES] for f, r in results.items()}
 
     report = ExperimentReport(
         "A1",
@@ -73,44 +55,23 @@ def test_merge_factor_real_engine(benchmark, reports, clicks):
     report.observe(
         "spill volume itself is F-independent",
         "first write is the data",
-        f"{human_bytes(results[2].counters[C.REDUCE_SPILL_BYTES])} at every F",
-        len(
-            {
-                round(r.counters[C.REDUCE_SPILL_BYTES])
-                for r in results.values()
-            }
-        )
-        == 1,
+        f"{human_bytes(spills[2])} at every F",
+        len({round(b) for b in spills.values()}) == 1,
     )
     report.note(
         format_table(
             ("F", "merge passes", "merge rewrite", "spill"),
-            [
-                (
-                    f,
-                    passes[f],
-                    human_bytes(rewrites[f]),
-                    human_bytes(results[f].counters[C.REDUCE_SPILL_BYTES]),
-                )
-                for f in FACTORS
-            ],
+            [(f, passes[f], human_bytes(rewrites[f]), human_bytes(spills[f])) for f in FACTORS],
         )
     )
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def test_merge_factor_simulator(benchmark, reports):
-    def experiment():
-        out = {}
-        for factor in (5, 10, 20):
-            spec = ClusterSpec(merge_factor=factor)
-            out[factor] = HadoopPipeline(
-                spec, SESSIONIZATION, metric_bucket=60.0
-            ).run()
-        return out
-
-    results = run_once(benchmark, experiment)
+def test_merge_factor_simulator(check):
+    results = {
+        factor: simulate(HadoopPipeline, SESSIONIZATION, ClusterSpec(merge_factor=factor))
+        for factor in (5, 10, 20)
+    }
     report = ExperimentReport(
         "A1b",
         "Ablation: merge factor at paper scale (simulator)",
@@ -130,12 +91,11 @@ def test_merge_factor_simulator(benchmark, reports):
         {f: f"{t:.0f} min" for f, t in times.items()},
         times[5] >= times[10] >= times[20] * 0.95,
     )
+    reduce_writes = results[10].totals.reduce_spill_bytes + results[10].totals.merge_write_bytes
     report.observe(
         "reduce-side write volume exceeds input at F=10",
         "370 GB for 256 GB input",
-        f"{(results[10].totals.reduce_spill_bytes + results[10].totals.merge_write_bytes) / GB:.0f} GB",
-        results[10].totals.reduce_spill_bytes + results[10].totals.merge_write_bytes
-        > SESSIONIZATION.input_bytes,
+        f"{reduce_writes / GB:.0f} GB",
+        reduce_writes > SESSIONIZATION.input_bytes,
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

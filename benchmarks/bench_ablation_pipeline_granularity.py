@@ -8,42 +8,27 @@ engine (identical answers, work redistribution) quantifies the trade.
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, run, simulate
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_table
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPConfig, HOPEngine
-from repro.mapreduce.runtime import LocalCluster
-from repro.simulator import (
-    GB,
-    SESSIONIZATION,
-    ClusterSpec,
-    HOPPipeline,
-    HOPSimConfig,
-)
-from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
+from repro.simulator import GB, SESSIONIZATION, HOPPipeline, HOPSimConfig
 from repro.workloads.page_frequency import page_frequency_job, reference_page_counts
 
 GRANULARITIES_MB = (1, 4, 16)
 
 
-def test_granularity_simulator(benchmark, reports):
+def test_granularity_simulator(check):
     profile = SESSIONIZATION.scaled(64 * GB)
-
-    def experiment():
-        out = {}
-        for g in GRANULARITIES_MB:
-            hop = HOPSimConfig(
-                granularity_bytes=g * 1024 * 1024, snapshot_fractions=()
-            )
-            out[g] = HOPPipeline(
-                ClusterSpec(), profile, hop=hop, metric_bucket=30.0
-            ).run()
-        return out
-
-    results = run_once(benchmark, experiment)
+    results = {
+        g: simulate(
+            HOPPipeline,
+            profile,
+            hop=HOPSimConfig(granularity_bytes=g * 1024 * 1024, snapshot_fractions=()),
+        )
+        for g in GRANULARITIES_MB
+    }
     messages = {g: r.totals.network_messages for g, r in results.items()}
     times = {g: r.completion_minutes for g, r in results.items()}
 
@@ -71,37 +56,22 @@ def test_granularity_simulator(benchmark, reports):
             [(f"{g} MB", messages[g], f"{times[g]:.1f} min") for g in GRANULARITIES_MB],
         )
     )
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-@pytest.fixture(scope="module")
-def clicks():
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=40_000, num_users=1_500, num_urls=400)
+def test_granularity_real_engine(check):
+    log = clicks(40_000, 1_500, 400)
+    expected = reference_page_counts(log)
+    results = {}
+    for g in (100, 1_000, 10_000):
+        results[g] = run(
+            HOPEngine,
+            page_frequency_job("in", "out", with_combiner=False),
+            log,
+            block_kb=96,
+            hop_config=HOPConfig(granularity_records=g, snapshot_fractions=()),
         )
-    )
-
-
-def test_granularity_real_engine(benchmark, reports, clicks):
-    grans = (100, 1_000, 10_000)
-
-    def experiment():
-        out = {}
-        ref = reference_page_counts(clicks)
-        for g in grans:
-            cluster = LocalCluster(num_nodes=3, block_size=96 * 1024)
-            cluster.hdfs.write_records("in", clicks)
-            result = HOPEngine(
-                cluster,
-                hop_config=HOPConfig(granularity_records=g, snapshot_fractions=()),
-            ).run(page_frequency_job("in", "out", with_combiner=False))
-            assert dict(cluster.hdfs.read_records("out")) == ref
-            out[g] = result
-        return out
-
-    results = run_once(benchmark, experiment)
+        assert dict(results[g].output()) == expected
     report = ExperimentReport(
         "A4b",
         "Ablation: HOP granularity (real engine)",
@@ -127,5 +97,4 @@ def test_granularity_real_engine(benchmark, reports, clicks):
         shuffles,
         max(shuffles.values()) < 1.5 * min(shuffles.values()),
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

@@ -13,9 +13,6 @@ baseline:
   fault decisions and disk accounting stay deterministic.  On smaller
   machines the speedups are reported but not asserted (a 1-core CI box
   cannot exhibit parallelism).
-
-Runnable standalone (``python benchmarks/bench_executor_scaling.py``) or
-under pytest with the benchmark harness.
 """
 
 from __future__ import annotations
@@ -23,51 +20,28 @@ from __future__ import annotations
 import os
 import time
 
+from benchmarks.conftest import clicks, load, run
+from repro.analysis.report import ExperimentReport
+from repro.exec import resolve_executor
+from repro.exec.kernels import HadoopMapSpec
+from repro.mapreduce.runtime import HadoopEngine
+from repro.workloads.sessionization import sessionization_job
+
 MIN_CORES_FOR_SPEEDUP = 4
 EXPECTED_SPEEDUP = 2.0
 NUM_CLICKS = 250_000
 
 
-def _workload():
-    from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
-
-    return list(
-        generate_clicks(
-            ClickStreamConfig(
-                num_clicks=NUM_CLICKS, num_users=2_000, num_urls=500, seed=11
-            )
-        )
-    )
-
-
-def _cluster(records):
-    from repro.mapreduce.runtime import LocalCluster
-
-    cluster = LocalCluster(num_nodes=4, block_size=64 * 1024)
-    cluster.hdfs.write_records("in", records)
-    return cluster
-
-
 def _run_end_to_end(records, executor):
-    from repro.mapreduce.runtime import HadoopEngine
-    from repro.workloads.sessionization import sessionization_job
-
-    cluster = _cluster(records)
-    engine = HadoopEngine(cluster, executor=executor)
-    t0 = time.perf_counter()
-    result = engine.run(sessionization_job("in", "out", gap=5.0))
-    elapsed = time.perf_counter() - t0
-    counters = {
-        k: v
-        for k, v in result.counters.as_dict().items()
-        if not k.startswith("time.")
-    }
-    observed = (
-        cluster.hdfs.file_bytes("out"),
-        list(cluster.hdfs.read_records("out")),
-        counters,
+    done = run(
+        HadoopEngine, sessionization_job("in", "out", gap=5.0), records,
+        nodes=4, block_kb=64, executor=executor,
     )
-    return elapsed, observed
+    counters = {
+        k: v for k, v in done.counters.as_dict().items() if not k.startswith("time.")
+    }
+    observed = (done.cluster.hdfs.file_bytes("out"), done.output(), counters)
+    return done.result.wall_time, observed
 
 
 def _time_map_wave(records, executor_names):
@@ -77,11 +51,7 @@ def _time_map_wave(records, executor_names):
     kernels — from the coordinator-side shuffle/commit replay, so the
     measured ratio is the executor's scaling, not Amdahl's residue.
     """
-    from repro.exec import resolve_executor
-    from repro.exec.kernels import HadoopMapSpec
-    from repro.workloads.sessionization import sessionization_job
-
-    cluster = _cluster(records)
+    cluster = load(records, nodes=4, block_kb=64)
     job = sessionization_job("in", "out", gap=5.0)
     codec = cluster.hdfs.codec(cluster.hdfs.namenode.file_info("in").codec_name)
     specs = []
@@ -105,28 +75,15 @@ def _time_map_wave(records, executor_names):
     return times
 
 
-def run_scaling(records=None):
-    """Byte-identity across executors end to end, plus wave/engine timings."""
-    records = records if records is not None else _workload()
-    end_to_end: dict[str, float] = {}
-    serial_time, reference = _run_end_to_end(records, None)
-    end_to_end["serial"] = serial_time
+def test_executor_scaling(check):
+    records = clicks(NUM_CLICKS, 2_000, 500, seed=11)
+    e2e = {}
+    e2e["serial"], reference = _run_end_to_end(records, None)
     for name in ("threads:4", "processes:4"):
-        elapsed, observed = _run_end_to_end(records, name)
+        e2e[name], observed = _run_end_to_end(records, name)
         assert observed == reference, f"{name} output diverged from serial"
-        end_to_end[name] = elapsed
-    map_wave = _time_map_wave(records, ("serial", "processes:4"))
-    return {"end_to_end": end_to_end, "map_wave": map_wave}
-
-
-def test_executor_scaling(benchmark, reports):
-    from benchmarks.conftest import run_once
-    from repro.analysis.report import ExperimentReport
-
-    results = run_once(benchmark, run_scaling)
+    wave = _time_map_wave(records, ("serial", "processes:4"))
     cores = os.cpu_count() or 1
-    wave = results["map_wave"]
-    e2e = results["end_to_end"]
     wave_speedup = wave["serial"] / wave["processes:4"]
     e2e_speedup = e2e["serial"] / e2e["processes:4"]
 
@@ -155,31 +112,4 @@ def test_executor_scaling(benchmark, reports):
         f"(serial {e2e['serial']:.2f}s, mp {e2e['processes:4']:.2f}s)",
         True,
     )
-    reports(report)
-
-    if cores >= MIN_CORES_FOR_SPEEDUP:
-        assert wave_speedup >= EXPECTED_SPEEDUP, (
-            f"expected >= {EXPECTED_SPEEDUP}x map-wave speedup with "
-            f"{cores} cores, got {wave_speedup:.2f}x"
-        )
-
-
-if __name__ == "__main__":
-    cores = os.cpu_count() or 1
-    print(f"executor scaling, sessionization, {NUM_CLICKS} clicks, {cores} cores")
-    results = run_scaling()
-    e2e = results["end_to_end"]
-    for name, elapsed in e2e.items():
-        print(f"  end-to-end {name:12s} {elapsed:6.2f}s   {e2e['serial'] / elapsed:5.2f}x")
-    wave = results["map_wave"]
-    for name, elapsed in wave.items():
-        print(f"  map wave   {name:12s} {elapsed:6.2f}s   {wave['serial'] / elapsed:5.2f}x")
-    wave_speedup = wave["serial"] / wave["processes:4"]
-    if cores >= MIN_CORES_FOR_SPEEDUP:
-        assert wave_speedup >= EXPECTED_SPEEDUP, f"{wave_speedup:.2f}x < {EXPECTED_SPEEDUP}x"
-        print(f"map-wave speedup target met (>= {EXPECTED_SPEEDUP}x)")
-    else:
-        print(
-            f"note: {cores} core(s) < {MIN_CORES_FOR_SPEEDUP}; "
-            "speedups reported but not asserted"
-        )
+    check(report)

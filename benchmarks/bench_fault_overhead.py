@@ -15,16 +15,11 @@ Two measurements here:
 * **node-crash recovery** under an identical crash plan for all three
   engines: recovery counters (tasks re-run, bytes re-shuffled/replayed,
   recovery time) versus the sort-merge baseline's.
-
-Each test prints a machine-readable JSON blob (``FAULT_OVERHEAD_JSON`` /
-``NODE_CRASH_JSON`` markers) alongside the usual paper-vs-measured report.
 """
 
 from __future__ import annotations
 
-import json
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, run
 from repro.analysis.report import ExperimentReport, recovery_summary
 from repro.core.aggregates import SUM
 from repro.core.engine import OnePassConfig, OnePassEngine, OnePassJob
@@ -32,20 +27,13 @@ from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hop import HOPEngine
-from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
-
-_CLICKS = list(
-    generate_clicks(
-        ClickStreamConfig(num_clicks=6000, num_users=400, num_urls=150, seed=11)
-    )
-)
+from repro.mapreduce.runtime import HadoopEngine
 
 
-def _cluster() -> LocalCluster:
-    cluster = LocalCluster(num_nodes=4, block_size=64 * 1024, replication=2)
-    cluster.hdfs.write_records("in/clicks", _CLICKS)
-    return cluster
+def _run(engine, job, **engine_kw):
+    """``job`` over 6 000 clicks on 4 nodes, 64 KB blocks, replication 2."""
+    log = clicks(6000, 400, 150, seed=11)
+    return run(engine, job, log, nodes=4, block_kb=64, replication=2, **engine_kw)
 
 
 def _onepass_job(output: str) -> OnePassJob:
@@ -77,36 +65,19 @@ def _reduce_failure_plan() -> FaultPlan:
     return FaultPlan(reduce_failures={0: 1, 1: 1, 2: 1})
 
 
-def test_checkpointed_recovery_replays_less(benchmark, reports) -> None:
+def test_checkpointed_recovery_replays_less(check) -> None:
     """Checkpointed one-pass recovery replays strictly less than full replay."""
-    clean_cluster = _cluster()
-    clean = OnePassEngine(clean_cluster).run(_onepass_job("out/clean"))
-    expected = list(clean_cluster.hdfs.read_records("out/clean"))
-
-    replay_cluster = _cluster()
-    full_replay = OnePassEngine(
-        replay_cluster, fault_plan=_reduce_failure_plan()
-    ).run(_onepass_job("out/full-replay"))
-    assert list(replay_cluster.hdfs.read_records("out/full-replay")) == expected
-
-    ckpt_cluster = _cluster()
-    checkpointed = run_once(
-        benchmark,
-        lambda: OnePassEngine(
-            ckpt_cluster,
-            fault_plan=_reduce_failure_plan(),
-            checkpoint_interval=3,
-        ).run(_onepass_job("out/checkpointed")),
+    clean = _run(OnePassEngine, _onepass_job("out/clean"))
+    full_replay = _run(
+        OnePassEngine, _onepass_job("out/full-replay"), fault_plan=_reduce_failure_plan()
     )
-    assert list(ckpt_cluster.hdfs.read_records("out/checkpointed")) == expected
-
-    comparison = {
-        "workload": "per-user count, 6000 clicks, 3 reducers, 1 failure each",
-        "clean": recovery_summary(clean.counters),
-        "full_replay": recovery_summary(full_replay.counters),
-        "checkpointed": recovery_summary(checkpointed.counters),
-    }
-    print("FAULT_OVERHEAD_JSON " + json.dumps(comparison, sort_keys=True))
+    checkpointed = _run(
+        OnePassEngine,
+        _onepass_job("out/checkpointed"),
+        fault_plan=_reduce_failure_plan(),
+        checkpoint_interval=3,
+    )
+    assert full_replay.output() == clean.output() == checkpointed.output()
 
     replayed_full = full_replay.counters[C.REPLAYED_RECORDS]
     replayed_ckpt = checkpointed.counters[C.REPLAYED_RECORDS]
@@ -138,60 +109,30 @@ def test_checkpointed_recovery_replays_less(benchmark, reports) -> None:
         full_replay.counters[C.LOG_BYTES] > 0
         and checkpointed.counters[C.CHECKPOINT_BYTES] > 0,
     )
-    reports(report)
+    check(report)
 
     assert replayed_full > 0
-    assert replayed_ckpt < replayed_full
     assert checkpointed.counters[C.CHECKPOINT_RESTORES] == 3
     assert clean.counters[C.LOG_BYTES] == 0  # no fault plan, no logging
 
 
-def test_node_crash_recovery_overhead(benchmark, reports) -> None:
+def test_node_crash_recovery_overhead(check) -> None:
     """All three engines survive the same node crash with exact results."""
-
-    def crash_plan() -> FaultPlan:
-        return FaultPlan(node_crashes={"node01": 3})
-
     results = {}
-    for name, make_engine, make_job in (
-        (
-            "hadoop",
-            lambda c: HadoopEngine(c, fault_plan=crash_plan()),
-            _mr_job,
-        ),
-        (
-            "hop",
-            lambda c: HOPEngine(c, fault_plan=crash_plan()),
-            _mr_job,
-        ),
-        (
-            "onepass",
-            lambda c: OnePassEngine(
-                c, fault_plan=crash_plan(), checkpoint_interval=3
-            ),
-            _onepass_job,
-        ),
+    for name, engine, make_job, engine_kw in (
+        ("hadoop", HadoopEngine, _mr_job, {}),
+        ("hop", HOPEngine, _mr_job, {}),
+        ("onepass", OnePassEngine, _onepass_job, {"checkpoint_interval": 3}),
     ):
-        clean_cluster = _cluster()
-        if name == "hadoop":
-            clean = HadoopEngine(clean_cluster).run(make_job("out/clean"))
-        elif name == "hop":
-            clean = HOPEngine(clean_cluster).run(make_job("out/clean"))
-        else:
-            clean = OnePassEngine(clean_cluster).run(make_job("out/clean"))
-        expected = list(clean_cluster.hdfs.read_records("out/clean"))
-
-        crash_cluster = _cluster()
-        runner = lambda: make_engine(crash_cluster).run(make_job("out/crash"))
-        crashed = run_once(benchmark, runner) if name == "hadoop" else runner()
-        assert list(crash_cluster.hdfs.read_records("out/crash")) == expected, name
-        results[name] = {
-            "wall_time": crashed.wall_time,
-            "clean_wall_time": clean.wall_time,
-            **recovery_summary(crashed.counters),
-        }
-
-    print("NODE_CRASH_JSON " + json.dumps(results, sort_keys=True))
+        clean = _run(engine, make_job("out/clean"))
+        crashed = _run(
+            engine,
+            make_job("out/crash"),
+            fault_plan=FaultPlan(node_crashes={"node01": 3}),
+            **engine_kw,
+        )
+        assert crashed.output() == clean.output(), name
+        results[name] = recovery_summary(crashed.counters)
 
     report = ExperimentReport(
         "FT2",
@@ -212,7 +153,7 @@ def test_node_crash_recovery_overhead(benchmark, reports) -> None:
         "hadoop re-executes the lost completed maps from lineage; the push "
         "engines replay replicated partition logs instead (no map re-runs)"
     )
-    reports(report)
+    check(report)
 
     assert results["hadoop"]["tasks_rerun"] > 0
     assert results["hadoop"]["bytes_reshuffled"] > 0

@@ -17,26 +17,12 @@ shows the curves.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import BUCKET, simulate
 from repro.analysis.report import ExperimentReport
-from repro.analysis.series import find_valley, peak_time, sparkline, window_mean
+from repro.analysis.series import find_valley, sparkline, window_mean
 from repro.analysis.tables import human_time
-from repro.simulator import (
-    CLUSTER_2011,
-    GB,
-    SESSIONIZATION,
-    ClusterSpec,
-    HadoopPipeline,
-)
-
-BUCKET = 30.0
-
-
-@pytest.fixture(scope="module")
-def baseline_run():
-    return HadoopPipeline(CLUSTER_2011, SESSIONIZATION, metric_bucket=BUCKET).run()
+from repro.simulator import GB, SESSIONIZATION, ClusterSpec, HadoopPipeline
 
 
 def merge_window(result):
@@ -46,8 +32,8 @@ def merge_window(result):
     return map_end, max(reduce_start, map_end + 2 * BUCKET)
 
 
-def test_fig2a_task_timeline(benchmark, reports, baseline_run):
-    result = run_once(benchmark, lambda: baseline_run)
+def test_fig2a_task_timeline(check):
+    result = simulate(HadoopPipeline, SESSIONIZATION)
     times, series = result.task_log.counts_series(BUCKET)
 
     report = ExperimentReport(
@@ -85,12 +71,11 @@ def test_fig2a_task_timeline(benchmark, reports, baseline_run):
     )
     for phase in ("map", "merge", "reduce"):
         report.note(f"{phase:7s} {sparkline(series[phase])}")
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def test_fig2b_cpu_utilization(benchmark, reports, baseline_run):
-    result = run_once(benchmark, lambda: baseline_run)
+def test_fig2b_cpu_utilization(check):
+    result = simulate(HadoopPipeline, SESSIONIZATION)
     s = result.series
     map_end, reduce_start = merge_window(result)
 
@@ -121,12 +106,11 @@ def test_fig2b_cpu_utilization(benchmark, reports, baseline_run):
         map_end * 0.8 <= valley_t <= reduce_start + 10 * BUCKET,
     )
     report.note("cpu " + sparkline(s.cpu_utilization))
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def test_fig2c_cpu_iowait(benchmark, reports, baseline_run):
-    result = run_once(benchmark, lambda: baseline_run)
+def test_fig2c_cpu_iowait(check):
+    result = simulate(HadoopPipeline, SESSIONIZATION)
     s = result.series
     map_end, reduce_start = merge_window(result)
 
@@ -152,12 +136,11 @@ def test_fig2c_cpu_iowait(benchmark, reports, baseline_run):
         "calibration; the merge-window spike on top of it is the shape "
         "Fig 2(c) shows"
     )
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def test_fig2d_bytes_read(benchmark, reports, baseline_run):
-    result = run_once(benchmark, lambda: baseline_run)
+def test_fig2d_bytes_read(check):
+    result = simulate(HadoopPipeline, SESSIONIZATION)
     s = result.series
     map_end, reduce_start = merge_window(result)
 
@@ -188,18 +171,12 @@ def test_fig2d_bytes_read(benchmark, reports, baseline_run):
     )
     report.note("reads " + sparkline(s.disk_read_bytes_per_s))
     report.note(f"total bytes read across the job: {total_read / GB:.0f} GB")
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def _architecture_run(spec: ClusterSpec, profile=SESSIONIZATION):
-    return HadoopPipeline(spec, profile, metric_bucket=BUCKET).run()
-
-
-def test_fig2e_hdd_ssd_architecture(benchmark, reports, baseline_run):
-    ssd_run = run_once(
-        benchmark, _architecture_run, ClusterSpec(with_ssd=True)
-    )
+def test_fig2e_hdd_ssd_architecture(check):
+    baseline_run = simulate(HadoopPipeline, SESSIONIZATION)
+    ssd_run = simulate(HadoopPipeline, SESSIONIZATION, ClusterSpec(with_ssd=True))
     report = ExperimentReport(
         "F2e",
         "Fig 2(e): CPU utilisation with HDD+SSD",
@@ -224,19 +201,17 @@ def test_fig2e_hdd_ssd_architecture(benchmark, reports, baseline_run):
         valley_v < 0.5 * map_cpu,
     )
     report.note("cpu(ssd) " + sparkline(s.cpu_utilization))
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def test_fig2f_separate_storage(benchmark, reports, baseline_run):
+def test_fig2f_separate_storage(check):
     # The paper's comparison: 256 GB on the 10-node colocated cluster vs
     # 128 GB on 5 storage + 5 compute nodes ("we reduce the input data
     # size accordingly to keep the running time comparable") — separation
     # came out faster, 76 -> 55 min.
     half = SESSIONIZATION.scaled(128 * GB)
-    sep_run = run_once(
-        benchmark, _architecture_run, ClusterSpec(storage_nodes=5), half
-    )
+    baseline_run = simulate(HadoopPipeline, SESSIONIZATION)
+    sep_run = simulate(HadoopPipeline, half, ClusterSpec(storage_nodes=5))
     report = ExperimentReport(
         "F2f",
         "Fig 2(f): CPU utilisation, separate storage cluster",
@@ -266,5 +241,4 @@ def test_fig2f_separate_storage(benchmark, reports, baseline_run):
         sep_run.totals.remote_input_bytes >= half.input_bytes * 0.99,
     )
     report.note("cpu(sep) " + sparkline(s.cpu_utilization))
-    reports(report)
-    assert report.all_hold
+    check(report)

@@ -8,20 +8,15 @@ sessionization.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import BUCKET, simulate
 from repro.analysis.report import ExperimentReport
 from repro.analysis.series import find_valley, sparkline
 from repro.analysis.tables import human_time
-from repro.simulator import CLUSTER_2011, GB, INVERTED_INDEX, HadoopPipeline
-
-BUCKET = 30.0
+from repro.simulator import GB, INVERTED_INDEX, HadoopPipeline
 
 
-def test_fig3_task_timeline(benchmark, reports):
-    result = run_once(
-        benchmark,
-        lambda: HadoopPipeline(CLUSTER_2011, INVERTED_INDEX, metric_bucket=BUCKET).run(),
-    )
+def test_fig3_task_timeline(check):
+    result = simulate(HadoopPipeline, INVERTED_INDEX)
     _times, series = result.task_log.counts_series(BUCKET)
 
     report = ExperimentReport(
@@ -62,5 +57,4 @@ def test_fig3_task_timeline(benchmark, reports):
     )
     for phase in ("map", "merge", "reduce"):
         report.note(f"{phase:7s} {sparkline(series[phase])}")
-    reports(report)
-    assert report.all_hold
+    check(report)

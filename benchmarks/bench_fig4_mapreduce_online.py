@@ -15,40 +15,22 @@ real re-merge I/O and the final answer matches the baseline.
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, load, simulate
 from repro.analysis.report import ExperimentReport
 from repro.analysis.series import find_valley, sparkline, window_mean
 from repro.analysis.tables import human_time
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPConfig, HOPEngine
-from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-from repro.simulator import (
-    CLUSTER_2011,
-    SESSIONIZATION,
-    HadoopPipeline,
-    HOPPipeline,
-    HOPSimConfig,
-)
-from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
+from repro.mapreduce.runtime import HadoopEngine
+from repro.simulator import SESSIONIZATION, HadoopPipeline, HOPPipeline, HOPSimConfig
 from repro.workloads.sessionization import sessionization_job
 
-BUCKET = 30.0
 
-
-def test_fig4_cpu_and_iowait(benchmark, reports):
-    def experiment():
-        stock = HadoopPipeline(CLUSTER_2011, SESSIONIZATION, metric_bucket=BUCKET).run()
-        hop = HOPPipeline(
-            CLUSTER_2011,
-            SESSIONIZATION,
-            hop=HOPSimConfig(granularity_bytes=4 * 1024 * 1024),
-            metric_bucket=BUCKET,
-        ).run()
-        return stock, hop
-
-    stock, hop = run_once(benchmark, experiment)
+def test_fig4_cpu_and_iowait(check):
+    stock = simulate(HadoopPipeline, SESSIONIZATION)
+    hop = simulate(
+        HOPPipeline, SESSIONIZATION, hop=HOPSimConfig(granularity_bytes=4 * 1024 * 1024)
+    )
     s = hop.series
     map_end = hop.phase_window("map")[1]
 
@@ -106,39 +88,23 @@ def test_fig4_cpu_and_iowait(benchmark, reports):
     report.note("hop cpu    " + sparkline(s.cpu_utilization))
     report.note("hop iowait " + sparkline(s.cpu_iowait))
     report.note("stock cpu  " + sparkline(stock.series.cpu_utilization))
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-@pytest.fixture(scope="module")
-def clicks():
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=40_000, num_users=1_500, num_urls=500)
-        )
-    )
-
-
-def test_fig4_real_engine_crosscheck(benchmark, reports, clicks):
+def test_fig4_real_engine_crosscheck(check):
     """Laptop-scale HOP vs Hadoop on the real engines: snapshot I/O exists,
     sort work is redistributed, answers agree."""
-
-    def experiment():
-        cluster = LocalCluster(num_nodes=3, block_size=96 * 1024)
-        cluster.hdfs.write_records("in", clicks)
-        cfg = dict(reduce_buffer_bytes=128 * 1024)
-        stock = HadoopEngine(cluster).run(
-            sessionization_job("in", "o1", gap=5.0).with_config(**cfg)
-        )
-        hop = HOPEngine(
-            cluster, hop_config=HOPConfig(snapshot_fractions=(0.25, 0.5, 0.75))
-        ).run(sessionization_job("in", "o2", gap=5.0).with_config(**cfg))
-        same = sorted(cluster.hdfs.read_records("o1")) == sorted(
-            cluster.hdfs.read_records("o2")
-        )
-        return stock, hop, same
-
-    stock, hop, same = run_once(benchmark, experiment)
+    cluster = load(clicks(40_000, 1_500, 500), block_kb=96)
+    cfg = dict(reduce_buffer_bytes=128 * 1024)
+    stock = HadoopEngine(cluster).run(
+        sessionization_job("in", "o1", gap=5.0).with_config(**cfg)
+    )
+    hop = HOPEngine(
+        cluster, hop_config=HOPConfig(snapshot_fractions=(0.25, 0.5, 0.75))
+    ).run(sessionization_job("in", "o2", gap=5.0).with_config(**cfg))
+    same = sorted(cluster.hdfs.read_records("o1")) == sorted(
+        cluster.hdfs.read_records("o2")
+    )
     report = ExperimentReport(
         "F4b",
         "MapReduce Online cross-check (real engine)",
@@ -165,5 +131,4 @@ def test_fig4_real_engine_crosscheck(benchmark, reports, clicks):
         f"stock {int(stock.counters[C.SORT_RECORDS])}",
         hop.counters[C.SORT_RECORDS] >= stock.counters[C.SORT_RECORDS],
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

@@ -9,18 +9,15 @@ writes are a small share of intermediate I/O time.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import simulate
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import human_time
-from repro.simulator import CLUSTER_2011, SESSIONIZATION, HadoopPipeline
+from repro.simulator import SESSIONIZATION, HadoopPipeline
 from repro.simulator.calibration import MB
 
 
-def test_map_output_write_share(benchmark, reports):
-    result = run_once(
-        benchmark,
-        lambda: HadoopPipeline(CLUSTER_2011, SESSIONIZATION, metric_bucket=60.0).run(),
-    )
+def test_map_output_write_share(check):
+    result = simulate(HadoopPipeline, SESSIONIZATION)
     map_spans = result.task_log.phase_spans("map")
     avg_task = sum(s.end - s.start for s in map_spans) / len(map_spans)
 
@@ -60,5 +57,4 @@ def test_map_output_write_share(benchmark, reports):
         "hide even this slice; our HOP pipeline pushes output as chunks "
         "instead of writing a task-final file"
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

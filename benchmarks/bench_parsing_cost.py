@@ -8,62 +8,39 @@ We reproduce the comparison with our text and binary codecs.
 
 from __future__ import annotations
 
-import time
-
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, run
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import human_time
 from repro.io.serialization import BinaryCodec
 from repro.mapreduce.counters import C
-from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-from repro.workloads.clickstream import ClickStreamConfig, click_text_codec, generate_clicks
+from repro.mapreduce.runtime import HadoopEngine
+from repro.workloads.clickstream import click_text_codec
 from repro.workloads.sessionization import sessionization_job
 
 
-@pytest.fixture(scope="module")
-def clicks():
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=120_000, num_users=4_000, num_urls=800)
-        )
-    )
-
-
-def _run_with_codec(clicks, codec):
-    cluster = LocalCluster(num_nodes=3, block_size=256 * 1024)
-    cluster.hdfs.write_records("in", clicks, codec=codec)
-    t0 = time.process_time()
-    result = HadoopEngine(cluster).run(sessionization_job("in", "out", gap=5.0))
-    cpu = time.process_time() - t0
-    return result, cpu
-
-
-def test_parsing_cost(benchmark, reports, clicks):
-    def experiment():
-        text_result, text_cpu = _run_with_codec(clicks, click_text_codec())
-        binary_result, binary_cpu = _run_with_codec(clicks, BinaryCodec())
-        return text_result, text_cpu, binary_result, binary_cpu
-
-    text_result, text_cpu, binary_result, binary_cpu = run_once(benchmark, experiment)
+def test_parsing_cost(check):
+    log = clicks(120_000, 4_000, 800)
+    job = sessionization_job("in", "out", gap=5.0)
+    text = run(HadoopEngine, job, log, codec=click_text_codec())
+    binary = run(HadoopEngine, job, log, codec=BinaryCodec()).result
+    text_result = text.result
 
     report = ExperimentReport(
         "X1",
         "§III.B.1 cost of parsing: text vs binary input",
         setup="sessionization, 120k clicks, same data in both formats",
     )
-    gap = abs(text_result.wall_time - binary_result.wall_time) / max(
-        text_result.wall_time, binary_result.wall_time
+    gap = abs(text_result.wall_time - binary.wall_time) / max(
+        text_result.wall_time, binary.wall_time
     )
     report.observe(
         "running time difference",
         "almost none",
         f"text {human_time(text_result.wall_time)} vs binary "
-        f"{human_time(binary_result.wall_time)} ({gap:.0%} apart)",
+        f"{human_time(binary.wall_time)} ({gap:.0%} apart)",
         gap < 0.30,
     )
-    parse_share = text_result.counters[C.T_PARSE] / text_cpu if text_cpu else 0
+    parse_share = text_result.counters[C.T_PARSE] / text.cpu_s if text.cpu_s else 0
     report.observe(
         "parsing share of total CPU (text input)",
         "negligible overall cost",
@@ -73,19 +50,18 @@ def test_parsing_cost(benchmark, reports, clicks):
     report.observe(
         "binary input skips parsing",
         "no field conversion",
-        f"parse time {binary_result.counters[C.T_PARSE]:.3f}s vs "
+        f"parse time {binary.counters[C.T_PARSE]:.3f}s vs "
         f"text {text_result.counters[C.T_PARSE]:.3f}s",
-        binary_result.counters[C.T_PARSE] < text_result.counters[C.T_PARSE],
+        binary.counters[C.T_PARSE] < text_result.counters[C.T_PARSE],
     )
     report.observe(
         "identical answers",
         "format does not affect results",
         "checked",
-        text_result.output_records == binary_result.output_records,
+        text_result.output_records == binary.output_records,
     )
     report.note(
         "conclusion matches the paper: sorting and merging, not input "
         "parsing, are where the sort-merge engine spends its time"
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

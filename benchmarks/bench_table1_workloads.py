@@ -11,22 +11,18 @@ Two halves, as in the design document:
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, run, simulate
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_table, human_time
 from repro.mapreduce.counters import C
-from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.mapreduce.runtime import HadoopEngine
 from repro.simulator import (
-    CLUSTER_2011,
     INVERTED_INDEX,
     PAGE_FREQUENCY,
     PER_USER_COUNT,
     SESSIONIZATION,
     HadoopPipeline,
 )
-from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 from repro.workloads.documents import DocumentConfig, generate_documents
 from repro.workloads.inverted_index import inverted_index_job
 from repro.workloads.page_frequency import page_frequency_job
@@ -42,58 +38,33 @@ PAPER_ROWS = {
 }
 
 
-def _run_real_engine(job_builder, records):
-    cluster = LocalCluster(num_nodes=3, block_size=256 * 1024)
-    cluster.hdfs.write_records("in", records)
-    job = job_builder("in", "out").with_config(reduce_buffer_bytes=256 * 1024)
-    result = HadoopEngine(cluster).run(job)
-    c = result.counters
-    input_bytes = c[C.MAP_INPUT_BYTES]
+def _volumes(job, records):
+    job = job.with_config(reduce_buffer_bytes=256 * 1024)
+    c = run(HadoopEngine, job, records).result.counters
     intermediate = c[C.MAP_OUTPUT_BYTES] + c[C.REDUCE_SPILL_BYTES]
     return {
-        "input": input_bytes,
-        "map_output": c[C.MAP_OUTPUT_BYTES],
-        "reduce_spill": c[C.REDUCE_SPILL_BYTES],
-        "intermediate_ratio": 100.0 * intermediate / input_bytes,
-        "output": c[C.OUTPUT_BYTES],
+        "intermediate_ratio": 100.0 * intermediate / c[C.MAP_INPUT_BYTES],
         "map_tasks": int(c[C.MAP_TASKS]),
         "reduce_tasks": int(c[C.REDUCE_TASKS]),
     }
 
 
-@pytest.fixture(scope="module")
-def click_records():
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=60_000, num_users=1_000, num_urls=600)
-        )
-    )
-
-
-@pytest.fixture(scope="module")
-def document_records():
+def test_table1_data_volumes(check):
+    log = clicks(60_000, 1_000, 600)
     # markup_per_word models GOV2's HTML boilerplate: bytes in, no postings out.
-    return list(
+    docs = list(
         generate_documents(
             DocumentConfig(
                 num_docs=800, vocab_size=6_000, mean_doc_words=80, markup_per_word=8.0
             )
         )
     )
-
-
-def test_table1_data_volumes(benchmark, reports, click_records, document_records):
-    def experiment():
-        return {
-            "sessionization": _run_real_engine(
-                lambda i, o: sessionization_job(i, o, gap=5.0), click_records
-            ),
-            "page-frequency": _run_real_engine(page_frequency_job, click_records),
-            "per-user-count": _run_real_engine(per_user_count_job, click_records),
-            "inverted-index": _run_real_engine(inverted_index_job, document_records),
-        }
-
-    rows = run_once(benchmark, experiment)
+    rows = {
+        "sessionization": _volumes(sessionization_job("in", "out", gap=5.0), log),
+        "page-frequency": _volumes(page_frequency_job("in", "out"), log),
+        "per-user-count": _volumes(per_user_count_job("in", "out"), log),
+        "inverted-index": _volumes(inverted_index_job("in", "out"), docs),
+    }
 
     report = ExperimentReport(
         "T1a",
@@ -146,26 +117,14 @@ def test_table1_data_volumes(benchmark, reports, click_records, document_records
             ],
         )
     )
-    reports(report)
-    assert report.all_hold
+    check(report)
 
 
-def test_table1_completion_times(benchmark, reports):
-    profiles = {
-        "sessionization": SESSIONIZATION,
-        "page-frequency": PAGE_FREQUENCY,
-        "per-user-count": PER_USER_COUNT,
-        "inverted-index": INVERTED_INDEX,
+def test_table1_completion_times(check):
+    results = {
+        profile.name: simulate(HadoopPipeline, profile)
+        for profile in (SESSIONIZATION, PAGE_FREQUENCY, PER_USER_COUNT, INVERTED_INDEX)
     }
-
-    def experiment():
-        return {
-            name: HadoopPipeline(CLUSTER_2011, profile, metric_bucket=60.0).run()
-            for name, profile in profiles.items()
-        }
-
-    results = run_once(benchmark, experiment)
-
     report = ExperimentReport(
         "T1b",
         "Table I completion times (simulator, paper scale)",
@@ -188,5 +147,4 @@ def test_table1_completion_times(benchmark, reports):
         ordering
         == ["per-user-count", "page-frequency", "sessionization", "inverted-index"],
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

@@ -8,64 +8,40 @@ output, and in-memory processing.
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import clicks, load
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_table
 from repro.core.engine import OnePassConfig, OnePassEngine
 from repro.core.incremental import count_threshold_policy
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPConfig, HOPEngine
-from repro.mapreduce.runtime import HadoopEngine, LocalCluster
-from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
+from repro.mapreduce.runtime import HadoopEngine
 from repro.workloads.page_frequency import (
     page_frequency_job,
     page_frequency_onepass_job,
 )
 
 
-@pytest.fixture(scope="module")
-def clicks():
-    return list(
-        generate_clicks(
-            ClickStreamConfig(num_clicks=40_000, num_users=1_500, num_urls=500)
-        )
+def test_table3_capability_matrix(check):
+    cluster = load(clicks(40_000, 1_500, 500), block_kb=128)
+    # Constrain reduce buffers so the sort-merge engines face the memory
+    # regime the paper measured (reduce-side data > buffer); the one-pass
+    # engine's per-key states still fit comfortably — that asymmetry is
+    # Table III's in-memory row.
+    def sortmerge_job(output):
+        job = page_frequency_job("in", output, with_combiner=False)
+        return job.with_config(reduce_buffer_bytes=64 * 1024)
+
+    hadoop = HadoopEngine(cluster).run(sortmerge_job("o1"))
+    hop = HOPEngine(cluster, hop_config=HOPConfig(snapshot_fractions=(0.5,))).run(
+        sortmerge_job("o2")
     )
-
-
-def test_table3_capability_matrix(benchmark, reports, clicks):
-    def experiment():
-        out = {}
-        cluster = LocalCluster(num_nodes=3, block_size=128 * 1024)
-        cluster.hdfs.write_records("in", clicks)
-        # Constrain reduce buffers so the sort-merge engines face the
-        # memory regime the paper measured (reduce-side data > buffer);
-        # the one-pass engine's per-key states still fit comfortably —
-        # that asymmetry is Table III's in-memory row.
-        out["hadoop"] = HadoopEngine(cluster).run(
-            page_frequency_job("in", "o1", with_combiner=False).with_config(
-                reduce_buffer_bytes=64 * 1024
-            )
-        )
-        out["hop"] = HOPEngine(
-            cluster, hop_config=HOPConfig(snapshot_fractions=(0.5,))
-        ).run(
-            page_frequency_job("in", "o2", with_combiner=False).with_config(
-                reduce_buffer_bytes=64 * 1024
-            )
-        )
-        job = page_frequency_onepass_job(
-            "in",
-            "o3",
-            config=OnePassConfig(mode="incremental", map_side_combine=False),
-        )
-        job.emit_policy = count_threshold_policy(10)
-        out["onepass"] = OnePassEngine(cluster).run(job)
-        return out
-
-    results = run_once(benchmark, experiment)
-    hadoop, hop, onepass = results["hadoop"], results["hop"], results["onepass"]
+    job = page_frequency_onepass_job(
+        "in", "o3", config=OnePassConfig(mode="incremental", map_side_combine=False)
+    )
+    job.emit_policy = count_threshold_policy(10)
+    onepass = OnePassEngine(cluster).run(job)
+    results = {"hadoop": hadoop, "hop": hop, "onepass": onepass}
 
     report = ExperimentReport(
         "T3",
@@ -143,5 +119,4 @@ def test_table3_capability_matrix(benchmark, reports, clicks):
             ],
         )
     )
-    reports(report)
-    assert report.all_hold
+    check(report)

@@ -1,36 +1,49 @@
-"""Benchmark-harness plumbing.
+"""Benchmark-suite plumbing: the report check and the shared builders.
 
-Every benchmark builds an :class:`repro.analysis.report.ExperimentReport`
-(paper claim vs measured value per metric) and registers it with the
-``reports`` fixture; the terminal summary prints them all, so the file
-produced by ``pytest benchmarks/ --benchmark-only | tee bench_output.txt``
-contains the full paper-vs-measured record alongside pytest-benchmark's
-timing table.
+Every test builds an :class:`repro.analysis.report.ExperimentReport`
+(paper claim vs measured value per metric) and hands it to the ``check``
+fixture, which fails the test unless every shape holds; the terminal
+summary prints them all, so ``pytest benchmarks/ | tee bench_output.txt``
+is the full paper-vs-measured record.
 
-Benchmarked bodies run exactly once (``benchmark.pedantic`` with one
-round): the experiments are deterministic simulations or full engine runs,
-not microbenchmarks, and repeating a 30-second cluster simulation to
-reduce timer noise would add nothing.
+The experiments are deterministic simulations or whole engine runs, so
+each runs once: :func:`simulate` memoises a simulator run per distinct
+argument set, :func:`run` loads records onto a fresh cluster
+(:func:`load`) and runs one job on it, and :func:`clicks` generates the
+click logs they read.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
+import time
+from typing import NamedTuple
+
 import pytest
 
 from repro.analysis.report import ExperimentReport
+from repro.mapreduce.driver import JobResult
+from repro.mapreduce.runtime import LocalCluster
+from repro.simulator import CLUSTER_2011
+from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
+
+#: Series bucket of every simulator run (seconds); it bins the series and
+#: moves nothing else, so every test shares one.
+BUCKET = 30.0
 
 _REPORTS: list[ExperimentReport] = []
 
 
 @pytest.fixture
-def reports():
-    """Register experiment reports for the terminal summary."""
+def check():
+    """Register a report for the terminal summary and assert its shapes."""
 
-    def register(report: ExperimentReport) -> ExperimentReport:
+    def check(report: ExperimentReport) -> None:
         _REPORTS.append(report)
-        return report
+        assert report.all_hold, report.render()
 
-    return register
+    return check
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -44,6 +57,62 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             tr.write_line(line)
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def simulate(pipeline, profile, spec=CLUSTER_2011, **kw):
+    """``pipeline(spec, profile, **kw).run()``, once per distinct argument
+    set: the stock 256 GB sessionization run serves six tests."""
+    return _simulate(pipeline, profile, spec, tuple(sorted(kw.items())))
+
+
+@functools.cache
+def _simulate(pipeline, profile, spec, kw):
+    result = pipeline(spec, profile, metric_bucket=BUCKET, **dict(kw)).run()
+    # A kept run is ~10^5 objects; left to the collector, every later full
+    # collection walks them and taxes the wall-timed engine tests.
+    gc.collect()
+    gc.freeze()
+    return result
+
+
+@functools.lru_cache(maxsize=1)
+def clicks(num_clicks: int, num_users: int, num_urls: int, **kw) -> list:
+    """A synthetic click log; the last one asked for is kept, so the tests
+    of one module share theirs."""
+    config = ClickStreamConfig(
+        num_clicks=num_clicks, num_users=num_users, num_urls=num_urls, **kw
+    )
+    return list(generate_clicks(config))
+
+
+def load(records, *, path="in", nodes=3, block_kb=256, codec=None, replication=1):
+    """A fresh :class:`LocalCluster` with ``records`` written at ``path``."""
+    cluster = LocalCluster(
+        num_nodes=nodes, block_size=block_kb * 1024, replication=replication
+    )
+    cluster.hdfs.write_records(path, records, codec=codec)
+    return cluster
+
+
+class Run(NamedTuple):
+    result: JobResult
+    cluster: LocalCluster
+    #: Process CPU seconds of the engine run alone (loading excluded).
+    cpu_s: float
+
+    @property
+    def counters(self):
+        return self.result.counters
+
+    def output(self) -> list:
+        return list(self.cluster.hdfs.read_records(self.result.output_path))
+
+
+def run(engine, job, records, *, nodes=3, block_kb=256, codec=None, replication=1, **engine_kw):
+    """Run ``job`` with ``engine(cluster, **engine_kw)`` over a fresh cluster
+    holding ``records`` at the job's input path."""
+    cluster = load(
+        records, path=job.input_path, nodes=nodes, block_kb=block_kb,
+        codec=codec, replication=replication,
+    )
+    cpu = time.process_time()
+    result = engine(cluster, **engine_kw).run(job)
+    return Run(result, cluster, time.process_time() - cpu)

@@ -100,7 +100,3 @@ class ExperimentReport:
             lines.append(f"note: {note}")
         lines.append(f"result: {'ALL SHAPES HOLD' if self.all_hold else 'SHAPE MISMATCH'}")
         return "\n".join(lines)
-
-    def print(self) -> None:
-        print()
-        print(self.render())

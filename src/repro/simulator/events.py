@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Protocol
 
-__all__ = ["Simulator", "Request", "Timeout", "Gate", "Mailbox", "all_spawned_done"]
+__all__ = ["Simulator", "Request", "Timeout", "Gate", "Mailbox"]
 
 #: A process is a generator yielding Request objects; ``send`` receives the
 #: request's completion value.
@@ -36,8 +36,6 @@ class Simulator:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self._live_processes = 0
-        self._all_done_gates: list[Gate] = []
 
     # -- scheduling ---------------------------------------------------------
 
@@ -58,17 +56,11 @@ class Simulator:
 
     def spawn(self, process: Process) -> None:
         """Start driving a process generator from the current time."""
-        self._live_processes += 1
 
         def step(value: Any = None) -> None:
             try:
                 request = process.send(value)
             except StopIteration:
-                self._live_processes -= 1
-                if self._live_processes == 0:
-                    for gate in self._all_done_gates:
-                        gate.fire()
-                    self._all_done_gates.clear()
                 return
             request.start(self, step)
 
@@ -89,13 +81,6 @@ class Simulator:
             self.now = time
             fn()
         return self.now
-
-    def when_all_processes_done(self, gate: "Gate") -> None:
-        """Fire ``gate`` when every spawned process has finished."""
-        if self._live_processes == 0:
-            gate.fire()
-        else:
-            self._all_done_gates.append(gate)
 
 
 class Timeout:
@@ -122,7 +107,6 @@ class Gate:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.fired = False
-        self.fire_time: float | None = None
         self._waiters: list[Callable[[Any], None]] = []
 
     def fire(self) -> None:
@@ -205,11 +189,3 @@ class Mailbox:
 
         return _Get()
 
-
-def all_spawned_done(sim: Simulator) -> Gate:
-    """A gate that fires when every currently spawned process finishes."""
-    gate = Gate("all-processes-done")
-    # Fire check must run after the heap drains of startup events, so defer
-    # the registration to the end of time zero.
-    sim.after(0.0, lambda: sim.when_all_processes_done(gate))
-    return gate

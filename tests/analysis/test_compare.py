@@ -1,32 +1,6 @@
-"""CPU-split extraction and experiment reports."""
+"""Experiment reports."""
 
-import pytest
-
-from repro.analysis.compare import cpu_split
 from repro.analysis.report import ExperimentReport
-from repro.mapreduce.counters import C, Counters
-
-
-class TestCpuSplit:
-    def test_shares(self):
-        c = Counters()
-        c.inc(C.T_MAP_FN, 6.1)
-        c.inc(C.T_SORT, 3.9)
-        split = cpu_split(c, include_parse=False)
-        assert split.map_fn_share == pytest.approx(0.61)
-        assert split.sort_share == pytest.approx(0.39)
-        assert split.total == pytest.approx(10.0)
-
-    def test_parse_included_by_default(self):
-        c = Counters()
-        c.inc(C.T_MAP_FN, 1.0)
-        c.inc(C.T_PARSE, 1.0)
-        c.inc(C.T_SORT, 2.0)
-        assert cpu_split(c).map_fn_seconds == pytest.approx(2.0)
-
-    def test_empty_counters(self):
-        split = cpu_split(Counters())
-        assert split.map_fn_share == 0.0
 
 
 class TestExperimentReport:

@@ -9,6 +9,9 @@ so the table cannot drift from the tree, and a module that has no claim,
 no caller in ``src/`` and no gated benchmark cell fails the suite instead
 of lingering.  ``PYTHONPATH=src python -m tests.test_surface_audit``
 prints the rows to paste.
+
+DESIGN.md §4 is the same audit for the bench suite: one row per
+``benchmarks/bench_*.py`` test, whose id column is recomputed here.
 """
 
 import ast
@@ -17,12 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OPEN, CLOSE = "<!-- surface-audit -->", "<!-- /surface-audit -->"
-
-#: The CI ``perf`` job's scripts; with ``benchmarks/e2e`` (BENCHMARK.json)
-#: they are the benchmark cells a change is gated on.
-GATED_BENCHES = (
-    "perfguard.py", "bench_chained_pipeline.py", "bench_executor_scaling.py", "counted.py"
-)
+BENCH_OPEN, BENCH_CLOSE = "<!-- bench-audit -->", "<!-- /bench-audit -->"
 
 #: Modules reached by name rather than by an import statement.
 RUN_BY_NAME = {
@@ -31,10 +29,10 @@ RUN_BY_NAME = {
     "san/pytest_plugin.py": "`pytest_plugins` in the root `conftest.py`",
 }
 
-GROUPS = ("src", "cli", "e2e", "gated", "benches", "examples", "tests")
+GROUPS = ("src", "cli", "e2e", "gated", "examples", "tests")
 HEADER = (
     "| module | lines | backs (paper claim / CI gate) | `src/` importers | `repro.cli` "
-    "| `benchmarks/e2e` | gated benches | other benches | examples | tests |"
+    "| `benchmarks/e2e` | gated benches | examples | tests |"
 )
 NO_CLAIM = "—"
 
@@ -63,9 +61,8 @@ def group_of(path: Path, root: Path, src: Path) -> str | None:
         return "cli" if path == src / "repro/cli.py" else "src"
     rel = path.relative_to(root).parts
     if rel[0] == "benchmarks":
-        if rel[1] == "e2e":
-            return "e2e"
-        return "gated" if rel[1] in GATED_BENCHES else "benches"
+        # BENCHMARK.json runs ``e2e``; the CI ``perf`` job runs the rest.
+        return "e2e" if rel[1] == "e2e" else "gated"
     return rel[0] if rel[0] in ("examples", "tests") else "tests"  # root conftest.py
 
 
@@ -194,6 +191,47 @@ def test_an_uncalled_module_fails_the_audit(tmp_path):
     rows = surface_audit(src=tmp_path / "src")
     assert unbacked(rows, committed_claims()) == ["core/orphan.py"]
     assert render(rows, committed_claims()) != committed_table()
+
+
+def bench_ids(root: Path = ROOT) -> list[str]:
+    """``bench_*.py::test_*`` for every bench test, in collection order."""
+    return [
+        f"{path.name}::{node.name}"
+        for path in sorted((root / "benchmarks").glob("bench_*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test")
+    ]
+
+
+def committed_bench_ids(root: Path = ROOT) -> list[str]:
+    """The id column of DESIGN.md §4's bench audit."""
+    table = (root / "DESIGN.md").read_text().split(BENCH_OPEN)[1].split(BENCH_CLOSE)[0]
+    return [line.split(" | ")[0].strip("| `") for line in table.strip().splitlines()[2:]]
+
+
+def test_every_bench_test_has_one_experiment_row():
+    assert committed_bench_ids() == bench_ids(), (
+        "DESIGN.md §4 needs one bench-audit row per benchmarks/bench_*.py test, in order"
+    )
+
+
+def test_an_unlisted_bench_test_or_a_stale_row_fails_the_index(tmp_path):
+    (tmp_path / "benchmarks").mkdir()
+    for path in (ROOT / "benchmarks").glob("bench_*.py"):
+        shutil.copy(path, tmp_path / "benchmarks")
+    design = tmp_path / "DESIGN.md"
+    shutil.copy(ROOT / "DESIGN.md", design)
+    assert bench_ids(tmp_path) == committed_bench_ids(tmp_path)
+
+    (tmp_path / "benchmarks/bench_x.py").write_text("def test_unlisted(check):\n    pass\n")
+    assert "bench_x.py::test_unlisted" in bench_ids(tmp_path)
+    assert bench_ids(tmp_path) != committed_bench_ids(tmp_path)
+
+    (tmp_path / "benchmarks/bench_x.py").unlink()
+    stale = "| `bench_gone.py::test_missing` | X | — | — |\n"
+    design.write_text(design.read_text().replace(BENCH_CLOSE, stale + BENCH_CLOSE))
+    assert "bench_gone.py::test_missing" in committed_bench_ids(tmp_path)
+    assert bench_ids(tmp_path) != committed_bench_ids(tmp_path)
 
 
 if __name__ == "__main__":
