@@ -1,4 +1,4 @@
-"""Chained two-job pipeline: PartitionCache vs spill-and-re-read.
+"""Chained two-job pipeline: PartitionCache vs spill-and-re-read (E2).
 
 The canonical chain the partition cache (:mod:`repro.mapreduce.chain`)
 exists for: stage one reorders the click log into per-user sessions (the
@@ -13,7 +13,7 @@ The metric is simulated **disk busy time** (the accounted seconds every
 :class:`~repro.io.disk.LocalDisk` spent servicing requests, summed over
 the cluster — the basis of the paper's utilisation figures), not wall
 clock: it is deterministic, machine-independent, and exactly the cost
-the cache removes.  The gate requires the cached chain to be at least
+the cache removes.  The test requires the cached chain to be at least
 2x cheaper end-to-end.
 
 Block size matters: the device model charges a positioning cost per
@@ -21,29 +21,20 @@ random op plus bytes/bandwidth, so tiny blocks are seek-dominated and
 understate the transfer traffic a real chain saves.  The bench uses 1 MiB
 blocks — large enough that byte traffic dominates, matching the paper's
 HDFS-sized-block setting.
-
-Usage::
-
-    python benchmarks/bench_chained_pipeline.py --check   # fail (exit 1) below 2x
-    python benchmarks/bench_chained_pipeline.py --write   # record into BENCH_PR7.json
-
-Under pytest the same measurement is report E2 of the benchmark suite.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
+from benchmarks.conftest import clicks, load
 from repro.analysis.report import ExperimentReport
+from repro.mapreduce.chain import ChainStage, _make_engine, run_chain
+from repro.workloads.counting import counting_onepass_job
+from repro.workloads.sessionization import session_log_onepass_job, user_of_session
 
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_PR7.json"
 MIN_SPEEDUP = 2.0
 
 NUM_CLICKS = 60_000
-BLOCK_SIZE = 1024 * 1024
+BLOCK_KB = 1024
 NUM_NODES = 3
 
 
@@ -51,140 +42,57 @@ def _cluster_busy(cluster) -> float:
     return sum(stats.busy_time for stats in cluster.disk_stats().values())
 
 
-def _jobs():
-    from repro.workloads.counting import counting_onepass_job
-    from repro.workloads.sessionization import session_log_onepass_job, user_of_session
-
-    return (
-        session_log_onepass_job("clicks/in", "clicks/sessions"),
-        counting_onepass_job(
-            "session-click-count", user_of_session, "clicks/sessions", "clicks/out"
+def _stages() -> list[ChainStage]:
+    return [
+        ChainStage(session_log_onepass_job("clicks/in", "clicks/sessions"), "onepass"),
+        ChainStage(
+            counting_onepass_job(
+                "session-click-count", user_of_session, "clicks/sessions", "clicks/out"
+            ),
+            "onepass",
         ),
+    ]
+
+
+def _chain_disk_busy(*, cached: bool) -> tuple[float, list, int]:
+    """Disk busy seconds, output and cache hits of the chain on a fresh
+    cluster.  Uncached, the two jobs run back to back, so stage one's
+    output lands on the DataNodes and stage two reads it back."""
+    cluster = load(
+        clicks(NUM_CLICKS, 400, 200, seed=21),
+        path="clicks/in", nodes=NUM_NODES, block_kb=BLOCK_KB,
     )
-
-
-def run_bench() -> dict[str, float]:
-    """Measure both variants on identical input; returns the record.
-
-    The uncached variant runs the two jobs back to back on one cluster
-    (stage one's output lands on the DataNodes and stage two reads it
-    back); the cached variant runs the same jobs under
-    :func:`run_chain`.  Both outputs are asserted record-identical — the
-    speedup is only meaningful if the cache changed no byte of the
-    answer.
-    """
-    from repro.mapreduce.chain import ChainStage, _make_engine, run_chain
-    from repro.mapreduce.runtime import LocalCluster
-    from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
-
-    clicks = list(
-        generate_clicks(
-            ClickStreamConfig(
-                num_clicks=NUM_CLICKS, num_users=400, num_urls=200, seed=21
-            )
-        )
-    )
-
-    uncached = LocalCluster(num_nodes=NUM_NODES, block_size=BLOCK_SIZE)
-    uncached.hdfs.write_records("clicks/in", clicks)
-    busy0 = _cluster_busy(uncached)
-    stage1, stage2 = _jobs()
-    _make_engine(ChainStage(stage1, "onepass"), uncached, None, None).run(stage1)
-    _make_engine(ChainStage(stage2, "onepass"), uncached, None, None).run(stage2)
-    uncached_out = list(uncached.hdfs.read_records("clicks/out"))
-    uncached_busy = _cluster_busy(uncached) - busy0
-
-    cached = LocalCluster(num_nodes=NUM_NODES, block_size=BLOCK_SIZE)
-    cached.hdfs.write_records("clicks/in", clicks)
-    busy0 = _cluster_busy(cached)
-    stage1, stage2 = _jobs()
-    chain = run_chain(
-        cached, [ChainStage(stage1, "onepass"), ChainStage(stage2, "onepass")]
-    )
-    cached_out = list(cached.hdfs.read_records("clicks/out"))
-    cached_busy = _cluster_busy(cached) - busy0
-
-    assert cached_out == uncached_out, "cache changed the chain's output"
-    assert chain.counters["cache.hits"] > 0, "chain never hit the cache"
-
-    return {
-        "num_clicks": NUM_CLICKS,
-        "block_size_bytes": BLOCK_SIZE,
-        "num_nodes": NUM_NODES,
-        "uncached_disk_busy_s": round(uncached_busy, 4),
-        "cached_disk_busy_s": round(cached_busy, 4),
-        "speedup": round(uncached_busy / cached_busy, 4),
-        "cache_hits": int(chain.counters["cache.hits"]),
-        "min_speedup": MIN_SPEEDUP,
-    }
+    busy0 = _cluster_busy(cluster)
+    hits = 0
+    if cached:
+        hits = int(run_chain(cluster, _stages()).counters["cache.hits"])
+    else:
+        for stage in _stages():
+            _make_engine(stage, cluster, None, None).run(stage.job)
+    output = list(cluster.hdfs.read_records("clicks/out"))
+    return _cluster_busy(cluster) - busy0, output, hits
 
 
 def test_chained_pipeline_cache(check):
-    record = run_bench()
+    uncached_busy, uncached_out, _ = _chain_disk_busy(cached=False)
+    cached_busy, cached_out, hits = _chain_disk_busy(cached=True)
+    speedup = uncached_busy / cached_busy
     report = ExperimentReport(
         "E2",
         "chained pipeline: partition cache vs spill-and-re-read",
         setup=f"sessionize {NUM_CLICKS} clicks -> count per user, "
-        f"{BLOCK_SIZE // 1024} KiB blocks, {NUM_NODES} nodes",
+        f"{BLOCK_KB} KiB blocks, {NUM_NODES} nodes",
     )
     report.observe(
-        "cache changes no byte of the answer", "identical output", "asserted", True
+        "cache changes no byte of the answer",
+        "identical output",
+        f"identical, {hits} cache hits",
+        cached_out == uncached_out and hits > 0,
     )
     report.observe(
         "intermediate's disk round-trip removed",
-        f">= {MIN_SPEEDUP:.0f}x less disk busy time (CI gate)",
-        f"{record['speedup']:.2f}x ({record['uncached_disk_busy_s']:.4f} s -> "
-        f"{record['cached_disk_busy_s']:.4f} s)",
-        record["speedup"] >= MIN_SPEEDUP,
+        f">= {MIN_SPEEDUP:.0f}x less disk busy time",
+        f"{speedup:.2f}x ({uncached_busy:.4f} s -> {cached_busy:.4f} s)",
+        speedup >= MIN_SPEEDUP,
     )
     check(report)
-
-
-def _report(record: dict[str, float]) -> None:
-    print(
-        f"chained pipeline ({record['num_clicks']} clicks, "
-        f"{record['block_size_bytes'] // 1024} KiB blocks, "
-        f"{record['num_nodes']} nodes):"
-    )
-    print(f"  uncached disk busy  {record['uncached_disk_busy_s']:8.4f} s")
-    print(f"  cached disk busy    {record['cached_disk_busy_s']:8.4f} s")
-    print(f"  speedup             {record['speedup']:8.2f} x  (required >= {MIN_SPEEDUP})")
-    print(f"  cache hits          {record['cache_hits']:8d}")
-
-
-def cmd_write(path: Path) -> int:
-    record = run_bench()
-    _report(record)
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["chained_pipeline"] = record
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"recorded chained_pipeline into {path}")
-    return 0 if record["speedup"] >= MIN_SPEEDUP else 1
-
-
-def cmd_check(path: Path) -> int:
-    record = run_bench()
-    _report(record)
-    if record["speedup"] < MIN_SPEEDUP:
-        print(
-            f"\nchained pipeline speedup {record['speedup']:.2f}x "
-            f"below required {MIN_SPEEDUP}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"\nchained pipeline speedup holds >= {MIN_SPEEDUP}x")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true", help="record into the baseline")
-    mode.add_argument("--check", action="store_true", help="verify the 2x gate")
-    parser.add_argument("--baseline", type=Path, default=BASELINE_PATH)
-    args = parser.parse_args(argv)
-    return cmd_write(args.baseline) if args.write else cmd_check(args.baseline)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

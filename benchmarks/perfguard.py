@@ -852,7 +852,7 @@ def cmd_update_baseline(path: Path) -> int:
     Entries still within tolerance keep their committed values, so the
     rewrite is a no-op for them and the diff shows exactly which kernels
     actually moved.  New kernels are added, removed kernels dropped, and
-    unrelated top-level keys (the chained-pipeline record) are preserved.
+    unrelated top-level keys are preserved.
     """
     if not path.exists():
         print(f"no baseline at {path}; run with --write first", file=sys.stderr)
