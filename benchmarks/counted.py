@@ -1,11 +1,15 @@
-"""Counted rows beside the timed benchmark: pickle calls per map-output record.
+"""Counted rows beside the timed benchmark: pickle calls per map-output
+record and cyclic-GC collections per job.
 
 Runs each of the four ``benchmarks.e2e`` workloads on each engine once,
 serially, on the seed-0 dataset, with ``PYTHONHASHSEED=0``, and counts the
 calls made to ``pickle.dumps`` and ``pickle.loads`` while the engine runs,
 less the input decode (a ``loads`` per ``map.input.records``) and the
-output encode (a ``dumps`` per ``reduce.output.records``).  The counts
-repeat exactly on any host, so ``benchmarks/COUNTED.json`` commits them.
+output encode (a ``dumps`` per ``reduce.output.records``).  Each cell also
+records ``gc_collections``: the collections of generations 0, 1 and 2 the
+run made (``gc.get_stats()`` deltas over ``run()``, after a full
+``gc.collect()``).  The counts repeat exactly on any host, so
+``benchmarks/COUNTED.json`` commits them.
 
 From the repository root, ``PYTHONPATH=src python -m benchmarks.counted``
 prints the rows; ``--write`` re-records the file, ``--diff`` prints each
@@ -15,6 +19,7 @@ row that moved and ``--check`` also exits 1 on any move.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pickle
@@ -48,16 +53,20 @@ def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]
 
         return wrapper
 
+    gc.collect()
+    gc0 = [g["collections"] for g in gc.get_stats()]
     pickle.dumps, pickle.loads = counting(dumps, "dumps"), counting(loads, "loads")
     try:
         counters = ENGINES[engine](cluster).run(job).counters
     finally:
         pickle.dumps, pickle.loads = dumps, loads
+    collections = [g["collections"] - n for g, n in zip(gc.get_stats(), gc0)]
     n = int(counters[C.MAP_OUTPUT_RECORDS])
     row = {
         "map_output_records": n,
         "dumps": calls["dumps"] - int(counters[C.REDUCE_OUTPUT_RECORDS]),
         "loads": calls["loads"] - int(counters[C.MAP_INPUT_RECORDS]),
+        "gc_collections": collections,
     }
     return row | {f"{k}_per_record": round(row[k] / max(1, n), 4) for k in ("dumps", "loads")}
 
@@ -102,7 +111,8 @@ def main() -> int:
     if not (args.check or args.diff):
         for cell, row in result["rows"].items():
             print(f"{cell:20} {row['dumps_per_record']:7.4f} dumps {row['loads_per_record']:7.4f} loads"
-                  f" per record ({row['map_output_records']} records)")  # fmt: skip
+                  f" per record ({row['map_output_records']} records);"
+                  f" gc collections {row['gc_collections']}")  # fmt: skip
         return 0
     committed = json.loads(COUNTED.read_text())
     if committed["python"] != result["python"]:

@@ -20,6 +20,7 @@ replicated delivery logs that make a push shuffle recoverable.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -119,6 +120,26 @@ class JobRun:
     network_bytes: int = 0
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic collector for one job.
+
+    The job's pairs, runs and hash states live until it ends, so collections
+    inside it free nothing.  One young collection at exit, however the job
+    ends, reclaims any cycle it left and traverses its survivors once.  A
+    caller that already disabled the (process-wide) collector is left alone.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect(0)
+        gc.enable()
+
+
 class JobDriver:
     """One job's whole lifecycle; engines subclass and fill in the hooks."""
 
@@ -157,6 +178,11 @@ class JobDriver:
 
     def run(self, job: Any) -> JobResult:
         """Execute ``job``; returns the merged counters and output path."""
+        # Outside _run, so its exit collection sees only what the result keeps.
+        with _collector_paused():
+            return self._run(job)
+
+    def _run(self, job: Any) -> JobResult:
         if not job.input_path or not job.output_path:
             raise ValueError("job must set input_path and output_path")
         journal = self.journal

@@ -1,5 +1,9 @@
 """The `JobDriver` seam: one lifecycle under three engines (and a toy fourth)."""
 
+import dataclasses
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.engine import OnePassConfig, OnePassEngine, OnePassJob
@@ -11,6 +15,7 @@ from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hop import HOPEngine
 from repro.mapreduce.journal import CoordinatorCrash, JobJournal
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.obs.tracer import Tracer
 from repro.testing import ChaosTarget, run_crashpoint_sweep
 from repro.workloads import (
     inverted_index_job,
@@ -328,3 +333,122 @@ class TestPlanTargets:
         )
         HadoopEngine(cluster, fault_plan=plan).run(make_job("per-user-count", "hadoop"))
         assert plan.attempts_of(tasks - 1) >= 2
+
+
+# -- the cyclic collector is paused for each job ----------------------------------
+
+
+@contextmanager
+def collections():
+    """Log ``(generation, objects collected)`` per collection while open."""
+    log = []
+
+    def hook(phase, info):
+        if phase == "stop":
+            log.append((info["generation"], info["collected"]))
+
+    gc.callbacks.append(hook)
+    try:
+        yield log
+    finally:
+        gc.callbacks.remove(hook)
+
+
+def kill_plan():
+    return FaultPlan(map_failures={1: 1, 2: 2}, reduce_failures={0: 1})
+
+
+def run_counting(engine, plan=None, executor=None, tracer=None):
+    """``gc.collect()``, then one per-user-count run; returns its collections."""
+    cluster = make_cluster()
+    job = make_job("per-user-count", engine)
+    gc.collect()
+    with collections() as log:
+        ENGINES[engine](cluster, fault_plan=plan, executor=executor, tracer=tracer).run(job)
+    return log
+
+
+class _Cyclic:
+    """A map fn that leaves one self-referencing list per record behind."""
+
+    def __init__(self, map_fn):
+        self.map_fn = map_fn
+
+    def __call__(self, record):
+        loop = []
+        loop.append(loop)
+        return self.map_fn(record)
+
+
+def _failing_map(record):
+    raise ZeroDivisionError("map fn failed")
+
+
+@pytest.fixture
+def collector_enabled():
+    gc.enable()
+    yield
+    gc.enable()  # whatever a failing test left behind
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """The first job in a process leaves import-time objects; run one of
+    each engine first so the exit collections below see only the job."""
+    for engine in ENGINES:
+        run_counting(engine, kill_plan(), "processes:2", Tracer())
+
+
+@pytest.mark.usefixtures("collector_enabled")
+class TestCollectorPaused:
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("plan", [None, kill_plan], ids=["no-plan", "kill"])
+    @pytest.mark.parametrize("executor", ["serial", "processes:2"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_a_run_leaves_no_cycles(self, warm, engine, executor, plan, traced):
+        log = run_counting(
+            engine, plan and plan(), executor, Tracer() if traced else None
+        )
+        assert log == [(0, 0)]  # one young collection, at exit, freeing nothing
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_cycles_the_map_fn_leaves_are_collected_at_exit(self, engine):
+        cluster = make_cluster()
+        job = make_job("per-user-count", engine)
+        job = dataclasses.replace(job, map_fn=_Cyclic(job.map_fn))
+        gc.collect()
+        with collections() as log:
+            ENGINES[engine](cluster).run(job)
+        [(generation, collected)] = log
+        assert generation == 0 and collected == len(CLICKS)
+        assert gc.garbage == []
+
+    def test_enabled_before_is_enabled_after_with_one_young_collection(self):
+        cluster, job = make_cluster(), make_job("per-user-count", "hadoop")
+        gc.collect()
+        before = [g["collections"] for g in gc.get_stats()]
+        HadoopEngine(cluster).run(job)
+        after = [g["collections"] for g in gc.get_stats()]
+        assert gc.isenabled()
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 0]
+
+    def test_disabled_before_stays_disabled_and_uncollected(self):
+        cluster, job = make_cluster(), make_job("per-user-count", "onepass")
+        gc.disable()
+        with collections() as log:
+            OnePassEngine(cluster).run(job)
+        assert not gc.isenabled()
+        assert log == []
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_restored_after_the_map_fn_raises(self, engine):
+        job = dataclasses.replace(make_job("per-user-count", engine), map_fn=_failing_map)
+        with pytest.raises(ZeroDivisionError):
+            ENGINES[engine](make_cluster()).run(job)
+        assert gc.isenabled()
+
+    def test_restored_after_a_process_pool_run(self):
+        cluster = make_cluster()
+        HOPEngine(cluster, executor="processes:2").run(make_job("per-user-count", "hop"))
+        assert gc.isenabled()
+        assert sorted(output_of(cluster)) == reference_counts()
