@@ -122,6 +122,19 @@ class TestGuarantees:
         assert sum(e.count for e in ss.entries()) == 5000
         assert len(ss) == 4
 
+    def test_compaction_never_compares_keys(self):
+        # The rebuild once made (count, 0, key) entries, so a count tie
+        # compared an int with a str and raised TypeError.
+        ss = SpaceSaving(2)
+        for i in range(40):
+            ss.offer(1 if i % 2 == 0 else "a")
+        assert [(e.key, e.count) for e in ss.entries()] == [(1, 20), ("a", 20)]
+        ss = SpaceSaving(3)
+        for i in range(300):
+            ss.offer((i, "t") if i % 3 == 0 else str(i % 7) if i % 3 == 1 else i % 5)
+        assert sum(e.count for e in ss.entries()) == 300
+        assert ss.evictions > 0
+
 
 class TestOnSkewedStream:
     def test_finds_zipf_head(self):
