@@ -41,14 +41,16 @@ def zipf_stream(keys: int, skew: float, updates: int, seed: int) -> list[int]:
 
 def drive(stream, *, capacity=None, memory_bytes=None) -> dict:
     """``stream`` as a SUM per key through a hot set of ``capacity`` states
-    or, given ``memory_bytes`` instead, a plain incremental hash."""
+    or, given ``memory_bytes`` instead, a plain incremental hash, fed as
+    the one-pass engine feeds it: ``update_batch`` of one chunk at a time."""
     counters = Counters()
     if capacity is None:
         table = IncrementalHash(SUM, memory_bytes=memory_bytes, disk=LocalDisk(), counters=counters)
     else:
         table = HotSetIncrementalHash(SUM, LocalDisk(), "hot", capacity=capacity, counters=counters)
-    for key in stream:
-        table.update(key, 1)
+    pairs = [(key, 1) for key in stream]
+    for i in range(0, len(pairs), 4096):
+        table.update_batch(pairs[i : i + 4096])
     exact = dict(table.results()) == Counter(stream)
     hits, misses = counters[C.HOT_HITS], counters[C.HOT_MISSES]
     return {

@@ -91,15 +91,12 @@ class AccountedStateTable:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self.states
-
     def update(self, key: Any, value: Any) -> AggregateState:
         """Fold ``value`` into ``key``'s state; returns the state."""
         self.probes += 1
         state = self.states.get(key)
         if state is None:
-            state = self._admit(key)
+            state = self.admit(key)
         self.used_bytes += state.update(value)
         return state
 
@@ -108,11 +105,12 @@ class AccountedStateTable:
         self.probes += 1
         state = self.states.get(key)
         if state is None:
-            state = self._admit(key)
+            state = self.admit(key)
         self.used_bytes += state.merge(other)
         return state
 
-    def _admit(self, key: Any) -> AggregateState:
+    def admit(self, key: Any) -> AggregateState:
+        """Give the absent ``key`` a fresh state, charging its bytes."""
         state = self.states[key] = self.aggregator.initial()
         self.used_bytes += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
         return state

@@ -28,7 +28,7 @@ write-everything-then-merge behaviour — the paper's headline §V claim.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator, Sequence
 
 from repro.core.aggregates import Aggregator
 from repro.core.frequent import SpaceSaving, TrackedKey
@@ -104,29 +104,52 @@ class HotSetIncrementalHash:
         return sum(w.records_written for w in self._writers if w is not None)
 
     def update(self, key: Any, value: Any) -> None:
-        """Observe one pair: aggregate in memory if hot, else spill raw."""
+        """Observe one pair: :meth:`update_batch` of one."""
+        self.update_batch(((key, value),))
+
+    def update_batch(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+        """Observe pairs in order: aggregate each in memory if hot, else spill it raw.
+
+        A key is hot if resident or if there is room.  Only :meth:`_refresh`
+        reads the sketch, every ``refresh_interval`` pairs however the stream
+        is cut, so each segment up to a refresh point offers the sketch its
+        keys in one call and then folds its pairs in one loop."""
         if self._finished:
             raise RuntimeError("hot-set hash already finished")
-        self.updates += 1
-        self.sketch.offer(key)
-        if key in self._table or len(self._table) < self.capacity:
-            if isinstance(value, SpilledState):
-                self._table.merge_state(key, value.state)
-            else:
-                self._table.update(key, value)
-            self.counters.inc(C.HOT_HITS)
-        else:
-            self._spill_pair(key, value)
-            self.counters.inc(C.HOT_MISSES)
-        self._since_refresh += 1
-        if self._since_refresh >= self.refresh_interval:
-            self._refresh()
-
-    def update_batch(self, pairs: Iterable[tuple[Any, Any]]) -> None:
-        """:meth:`update` for each pair: admission and eviction are per-pair decisions."""
-        update = self.update
-        for key, value in pairs:
-            update(key, value)
+        table, counters, offer_all = self._table, self.counters, self.sketch.offer_all
+        states, admit, capacity = table.states, table.admit, self.capacity
+        resident, spilled = states.get, SpilledState
+        start = 0
+        while start < len(pairs):
+            end = start + self.refresh_interval - self._since_refresh
+            segment = pairs[start:end]
+            offer_all([key for key, _ in segment])
+            misses = grown = 0
+            for key, value in segment:
+                state = resident(key)
+                if state is None:
+                    if len(states) >= capacity:
+                        self._spill_pair(key, value)
+                        misses += 1
+                        continue
+                    state = admit(key)
+                if isinstance(value, spilled):
+                    grown += state.merge(value.state)
+                else:
+                    grown += state.update(value)
+            hits = len(segment) - misses
+            table.used_bytes += grown
+            table.probes += hits
+            # A zero inc would insert the name early: counters keep insertion order.
+            if hits:
+                counters.inc(C.HOT_HITS, hits)
+            if misses:
+                counters.inc(C.HOT_MISSES, misses)
+            self.updates += len(segment)
+            self._since_refresh += len(segment)
+            if self._since_refresh >= self.refresh_interval:
+                self._refresh()
+            start = end
 
     def _spill_pair(self, key: Any, value: Any) -> None:
         bucket = self._hash(key) % self.spill_partitions

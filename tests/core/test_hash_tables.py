@@ -73,7 +73,7 @@ class TestAccountedStateTable:
     def test_contains_and_get(self):
         t = AccountedStateTable(SUM)
         t.update("a", 5)
-        assert "a" in t and "b" not in t
+        assert "a" in t.states and "b" not in t.states
         assert dict(t.results()) == {"a": 5}
 
     def test_merge_state(self):
@@ -107,7 +107,7 @@ class TestAccountedStateTable:
         state = t.pop("a")
         assert state.result() == ["x" * 100]
         assert t.used_bytes < before
-        assert "a" not in t
+        assert "a" not in t.states
 
     def test_clear(self):
         t = AccountedStateTable(COUNT)

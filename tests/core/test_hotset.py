@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import COUNT, SUM
+from repro.core.frequent import SpaceSaving
+from repro.core.hash_tables import AccountedStateTable
 from repro.core.hotset import HotSetIncrementalHash
+from repro.core.hybrid_hash import SpilledState
 from repro.io.disk import LocalDisk
 from repro.mapreduce.counters import C, Counters
 from repro.workloads.zipf import ZipfSampler
@@ -132,3 +135,115 @@ class TestValidation:
     def test_capacity(self):
         with pytest.raises(ValueError):
             HotSetIncrementalHash(COUNT, LocalDisk(), "x", capacity=0)
+
+
+def per_pair_update(h, key, value):
+    """The hot set's fold before ``update_batch`` took whole chunks: one
+    sketch offer, one admission decision and one refresh check per pair."""
+    if h._finished:
+        raise RuntimeError("hot-set hash already finished")
+    h.updates += 1
+    h.sketch.offer(key)
+    if key in h._table.states or len(h._table) < h.capacity:
+        if isinstance(value, SpilledState):
+            h._table.merge_state(key, value.state)
+        else:
+            h._table.update(key, value)
+        h.counters.inc(C.HOT_HITS)
+    else:
+        h._spill_pair(key, value)
+        h.counters.inc(C.HOT_MISSES)
+    h._since_refresh += 1
+    if h._since_refresh >= h.refresh_interval:
+        h._refresh()
+
+
+def run_hotset(items, cuts, capacity, refresh):
+    """Fold ``items`` per pair (``cuts is None``) or as ``update_batch`` of
+    the cut chunks; everything the fold leaves behind."""
+    h, disk, counters = make(capacity=capacity, aggregator=SUM, refresh_interval=refresh)
+    pairs = []
+    for key, value, as_state in items:
+        if as_state:
+            state = SUM.initial()
+            state.update(value)
+            value = SpilledState(state)
+        pairs.append((key, value))
+    if cuts is None:
+        for key, value in pairs:
+            per_pair_update(h, key, value)
+    else:
+        edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
+        for a, b in zip(edges, edges[1:]):
+            h.update_batch(pairs[a:b])
+    sketch = h.sketch
+    live = (
+        h.updates,
+        h.resident_keys,
+        h.spilled_records,
+        h._table.used_bytes,
+        h._table.probes,
+        [(a.key, a.result, a.count_estimate, a.count_error) for a in h.approximate_results()],
+        sketch.entries(),
+        sketch.total,
+        sketch.evictions,
+    )
+    output = list(h.results())
+    return live, output, list(counters.as_dict().items()), disk.stats.snapshot()
+
+
+keys = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "c", "d"]))
+
+
+class TestBatchFold:
+    """``update_batch`` is the per-pair fold with the sketch offers and the
+    admission loop hoisted, however the stream is cut."""
+
+    @given(
+        st.lists(st.tuples(keys, st.integers(0, 5), st.booleans()), max_size=200),
+        st.lists(st.integers(0, 200), max_size=6),
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from([1, 3, 2048]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_state_counters_and_spills_as_per_pair(self, items, cuts, capacity, refresh):
+        assert run_hotset(items, cuts, capacity, refresh) == run_hotset(
+            items, None, capacity, refresh
+        )
+
+    def test_a_chunk_does_not_enter_the_per_pair_methods(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("update_batch fell back to a per-pair method")
+
+        monkeypatch.setattr(SpaceSaving, "offer", fail)
+        monkeypatch.setattr(AccountedStateTable, "update", fail)
+        monkeypatch.setattr(AccountedStateTable, "merge_state", fail)
+        h, _, counters = make(capacity=4, refresh_interval=16)
+        h.update_batch([(f"k{i % 10}", 1) for i in range(100)])
+        assert h.updates == 100
+        assert counters[C.HOT_HITS] + counters[C.HOT_MISSES] == 100
+        monkeypatch.undo()  # the cold replay's grouper folds per pair
+        assert dict(h.results()) == {f"k{i}": 10 for i in range(10)}
+
+
+def sketch_state(ss):
+    return (list(ss._counts.items()), list(ss._errors.items()), list(ss._heap),
+            ss._seq, ss.total, ss.evictions)  # fmt: skip
+
+
+class TestOfferAll:
+    @given(
+        st.lists(keys, min_size=50, max_size=300),
+        st.lists(st.integers(0, 300), max_size=5),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_offer_all_is_an_offer_loop(self, stream, cuts, capacity):
+        one, many = SpaceSaving(capacity), SpaceSaving(capacity)
+        for key in stream:
+            one.offer(key)
+        edges = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
+        for a, b in zip(edges, edges[1:]):
+            many.offer_all(stream[a:b])
+            assert len(many._heap) <= 8 * capacity  # compacted as offer compacts
+        assert sketch_state(many) == sketch_state(one)
