@@ -78,6 +78,8 @@ class OnePassConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.hotset_capacity < 1:
             raise ValueError("hotset_capacity must be >= 1")
+        if self.spill_partitions < 2:
+            raise ValueError("spill_partitions must be >= 2")
         for name in ("map_buffer_bytes", "map_memory_bytes", "reduce_memory_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -153,8 +155,8 @@ class OnePassReduceTask:
         namespace = f"onepass/{partition:03d}"
         #: The one hash backend.  ``_fold`` absorbs a pushed chunk into it
         #: and ``_drain`` yields its ``(key, result)`` groups; both are
-        #: picked here, once (hot-set admission stays per pair, inside
-        #: :meth:`HotSetIncrementalHash.update_batch`).
+        #: picked here, once (each is one ``AccountedStateTable.fold`` per
+        #: chunk, or per hot-set segment, plus its own miss routing).
         backend: IncrementalHash | HotSetIncrementalHash | HybridHashGrouper
         if job.is_aggregate and cfg.mode == "incremental":
             backend = IncrementalHash(

@@ -16,13 +16,14 @@ bucket hashed with the same function would not split further).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+import sys
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.aggregates import AggregateState, Aggregator
 from repro.io.serialization import estimate_size
 from repro.mapreduce.partition import stable_hash
 
-__all__ = ["HashFamily", "AccountedStateTable"]
+__all__ = ["HashFamily", "AccountedStateTable", "SpilledState"]
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _SLOT_BYTES = 104  # dict slot overhead per entry, amortised
@@ -65,54 +66,139 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+class SpilledState:
+    """Wrapper marking a spilled partial *state* (vs. a raw value).
+
+    Evicting a resident key writes its accumulated state to the key's disk
+    partition; the recursive pass merges it back via ``AggregateState.merge``
+    instead of ``update``.  The wrapper disambiguates states from user
+    values that might themselves be state-like objects.
+    """
+
+    __slots__ = ("state",)
+    # Spill frames pickle the class by this path, so it stays where the
+    # spill format first put it (hybrid_hash re-exports the class).
+    __module__ = "repro.core.hybrid_hash"
+
+    def __init__(self, state: Any) -> None:
+        self.state = state
+
+
 class AccountedStateTable:
     """``key -> AggregateState`` with running byte accounting.
 
-    ``update`` folds one value into the key's state, creating it on first
-    touch.  Nothing is re-measured per fold: a new key is charged its
-    estimate, a dict slot and its fresh state once, and every fold adds
-    the growth the state itself reports (``AggregateState.update`` /
-    ``merge`` return it).  So :attr:`used_bytes` is a plain field — a
-    budget check is one attribute read — that always equals
-    ``sum(estimate_size(key) + 104 + state.size_bytes())`` over the table.
+    :meth:`fold` is the reduce side's one fold: hybrid hash, incremental
+    hash and the hot set each hand it their pairs and route the misses it
+    returns.  The admission rule is fixed at construction:
 
-    :attr:`states` is the backing dict, public so that hoisted loops can
-    test residency without a call; only this class mutates it.
+    * ``capacity`` — admit an absent key while fewer keys are resident;
+    * ``budget`` — the first pair that takes :attr:`used_bytes` past it
+      latches :attr:`frozen` (recording :attr:`frozen_bytes`); from then on
+      only resident keys fold;
+    * ``shed`` (with ``budget``) — once frozen, a pair that takes the table
+      past ``2 * budget`` pops the largest states until back under budget.
+
+    Nothing is re-measured per fold: a new key is charged its estimate, a
+    dict slot and its fresh state once, and every fold adds the growth the
+    state itself reports (``AggregateState.update`` / ``merge`` return
+    it).  So :attr:`used_bytes` always equals
+    ``sum(estimate_size(key) + 104 + state.size_bytes())`` over the table.
+    :attr:`states` is the backing dict; only this class mutates it.
     """
 
-    __slots__ = ("aggregator", "states", "used_bytes", "probes")
+    __slots__ = (
+        "aggregator",
+        "states",
+        "used_bytes",
+        "probes",
+        "capacity",
+        "budget",
+        "shed",
+        "frozen",
+        "frozen_bytes",
+    )
 
-    def __init__(self, aggregator: Aggregator) -> None:
+    def __init__(
+        self,
+        aggregator: Aggregator,
+        *,
+        capacity: int = sys.maxsize,
+        budget: int | None = None,
+        shed: bool = False,
+    ) -> None:
         self.aggregator = aggregator
         self.states: dict[Any, AggregateState] = {}
-        self.used_bytes = 0
-        self.probes = 0
+        self.used_bytes = self.probes = self.frozen_bytes = 0
+        self.capacity, self.budget, self.shed = capacity, budget, shed
+        self.frozen = False
 
     def __len__(self) -> int:
         return len(self.states)
 
+    def fold(self, pairs: Sequence[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
+        """Fold ``pairs`` in order; return the misses, in order.
+
+        A resident or admitted key folds its value (a :class:`SpilledState`
+        merges); any other pair is a miss.  The budget is checked after
+        every pair, so the freeze and each shed land on the same pair
+        however a stream is cut; a shed appends ``(key,
+        SpilledState(state))`` to the misses.  ``probes`` grows by the
+        pairs folded, once per call.
+        """
+        states, budget, frozen = self.states, self.budget, self.frozen
+        misses: list[tuple[Any, Any]] = []
+        used = self.used_bytes
+        # Growth is summed apart from admissions, so a fixed-size state's
+        # zero growth keeps ``grown`` a cached small int.
+        grown = shed = 0
+        for key, value in pairs:
+            state = states.get(key)
+            if state is None:
+                if frozen or len(states) >= self.capacity:
+                    misses.append((key, value))
+                    continue
+                state = states[key] = self.aggregator.initial()
+                used += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
+            if isinstance(value, SpilledState):
+                grown += state.merge(value.state)
+            else:
+                grown += state.update(value)
+            if budget is None:
+                continue
+            used += grown
+            grown = 0
+            if not frozen:
+                if used > budget:
+                    self.frozen = frozen = True
+                    self.frozen_bytes = used
+            elif self.shed and used > 2 * budget:
+                # Linear states (collect/session) outgrow a frozen key set.
+                self.used_bytes = used
+                shed += self._shed(misses)
+                used = self.used_bytes
+        self.used_bytes = used + grown
+        self.probes += len(pairs) - len(misses) + shed
+        return misses
+
+    def _shed(self, misses: list[tuple[Any, Any]]) -> int:
+        """Pop the largest states onto ``misses`` until back under budget;
+        returns how many."""
+        by_size = sorted(self.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
+        for popped, (key, _state) in enumerate(by_size):
+            if self.used_bytes <= self.budget:
+                return popped
+            misses.append((key, SpilledState(self.pop(key))))
+        return len(by_size)
+
     def update(self, key: Any, value: Any) -> AggregateState:
-        """Fold ``value`` into ``key``'s state; returns the state."""
+        """Fold ``value`` into ``key``'s state, admitting it on first touch;
+        returns the state.  The map-side combiner's one-pair fold."""
         self.probes += 1
         state = self.states.get(key)
         if state is None:
-            state = self.admit(key)
+            state = self.states[key] = self.aggregator.initial()
+            self.used_bytes += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
         self.used_bytes += state.update(value)
-        return state
-
-    def merge_state(self, key: Any, other: AggregateState) -> AggregateState:
-        """Fold a partial state for ``key`` into the table."""
-        self.probes += 1
-        state = self.states.get(key)
-        if state is None:
-            state = self.admit(key)
-        self.used_bytes += state.merge(other)
-        return state
-
-    def admit(self, key: Any) -> AggregateState:
-        """Give the absent ``key`` a fresh state, charging its bytes."""
-        state = self.states[key] = self.aggregator.initial()
-        self.used_bytes += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
         return state
 
     def pop(self, key: Any) -> AggregateState:

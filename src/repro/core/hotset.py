@@ -32,10 +32,10 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.aggregates import Aggregator
 from repro.core.frequent import SpaceSaving, TrackedKey
-from repro.core.hash_tables import AccountedStateTable, HashFamily
-from repro.core.hybrid_hash import HybridHashGrouper, SpilledState
+from repro.core.hash_tables import AccountedStateTable, HashFamily, SpilledState
+from repro.core.hybrid_hash import HybridHashGrouper
 from repro.io.disk import LocalDisk
-from repro.io.runio import RunWriter, stream_run
+from repro.io.runio import RunWriter, stream_pieces
 from repro.mapreduce.counters import C, Counters
 
 __all__ = ["ApproximateResult", "HotSetIncrementalHash"]
@@ -75,6 +75,10 @@ class HotSetIncrementalHash:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if refresh_interval is not None and refresh_interval < 1:
+            raise ValueError("refresh_interval must be >= 1")
+        if spill_partitions < 2:
+            raise ValueError("spill_partitions must be >= 2")
         self.aggregator = aggregator
         self.disk = disk
         self.namespace = namespace.rstrip("/")
@@ -82,10 +86,12 @@ class HotSetIncrementalHash:
         self.sketch = SpaceSaving(4 * capacity)
         # Refresh seldom enough that resident-set churn stays a small
         # fraction of the stream; each refresh can evict O(capacity) states.
-        self.refresh_interval = refresh_interval or max(2048, 4 * capacity)
+        self.refresh_interval = (
+            max(2048, 4 * capacity) if refresh_interval is None else refresh_interval
+        )
         self.spill_partitions = spill_partitions
         self.counters = counters if counters is not None else Counters()
-        self._table = AccountedStateTable(aggregator)
+        self._table = AccountedStateTable(aggregator, capacity=capacity)
         self._hash = HashFamily(seed=0x5EED).member(0)
         self._writers: list[RunWriter | None] = [None] * spill_partitions
         self._since_refresh = 0
@@ -110,41 +116,28 @@ class HotSetIncrementalHash:
     def update_batch(self, pairs: Sequence[tuple[Any, Any]]) -> None:
         """Observe pairs in order: aggregate each in memory if hot, else spill it raw.
 
-        A key is hot if resident or if there is room.  Only :meth:`_refresh`
-        reads the sketch, every ``refresh_interval`` pairs however the stream
-        is cut, so each segment up to a refresh point offers the sketch its
-        keys in one call and then folds its pairs in one loop."""
+        A key is hot if resident or if the table has room.  Only
+        :meth:`_refresh` reads the sketch, every ``refresh_interval`` pairs
+        however the stream is cut, so each segment up to a refresh point
+        offers the sketch its keys in one call and is one table fold."""
         if self._finished:
             raise RuntimeError("hot-set hash already finished")
-        table, counters, offer_all = self._table, self.counters, self.sketch.offer_all
-        states, admit, capacity = table.states, table.admit, self.capacity
-        resident, spilled = states.get, SpilledState
+        fold, counters, offer_all = self._table.fold, self.counters, self.sketch.offer_all
+        spill = self._spill_pair
         start = 0
         while start < len(pairs):
             end = start + self.refresh_interval - self._since_refresh
             segment = pairs[start:end]
             offer_all([key for key, _ in segment])
-            misses = grown = 0
-            for key, value in segment:
-                state = resident(key)
-                if state is None:
-                    if len(states) >= capacity:
-                        self._spill_pair(key, value)
-                        misses += 1
-                        continue
-                    state = admit(key)
-                if isinstance(value, spilled):
-                    grown += state.merge(value.state)
-                else:
-                    grown += state.update(value)
-            hits = len(segment) - misses
-            table.used_bytes += grown
-            table.probes += hits
+            misses = fold(segment)
+            for key, value in misses:
+                spill(key, value)
+            hits = len(segment) - len(misses)
             # A zero inc would insert the name early: counters keep insertion order.
             if hits:
                 counters.inc(C.HOT_HITS, hits)
             if misses:
-                counters.inc(C.HOT_MISSES, misses)
+                counters.inc(C.HOT_MISSES, len(misses))
             self.updates += len(segment)
             self._since_refresh += len(segment)
             if self._since_refresh >= self.refresh_interval:
@@ -225,11 +218,10 @@ class HotSetIncrementalHash:
             spill_partitions=self.spill_partitions,
             counters=self.counters,
         )
-        grouper.add_batch(
-            (key, SpilledState(state)) for key, state in self._table.items()
-        )
+        grouper.add_batch([(key, SpilledState(state)) for key, state in self._table.items()])
         self._table.clear()
         for path in cold_paths:
-            grouper.add_batch(stream_run(self.disk, path))
+            for piece in stream_pieces(self.disk, path):
+                grouper.add_batch(piece)
             self.disk.delete(path)
         yield from grouper.finish()

@@ -21,12 +21,12 @@ Properties the benchmarks verify:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.aggregates import COLLECT, Aggregator
-from repro.core.hash_tables import AccountedStateTable, HashFamily
+from repro.core.hash_tables import AccountedStateTable, HashFamily, SpilledState
 from repro.io.disk import LocalDisk
-from repro.io.runio import RunWriter, stream_run
+from repro.io.runio import RunWriter, stream_pieces
 from repro.mapreduce.counters import C, Counters
 
 __all__ = ["HybridHashGrouper", "SpilledState"]
@@ -34,21 +34,6 @@ __all__ = ["HybridHashGrouper", "SpilledState"]
 #: One hash function per recursion level, so a partition that overflowed
 #: under level ``i`` splits again under level ``i + 1``.
 _HASH_FAMILY = HashFamily()
-
-
-class SpilledState:
-    """Wrapper marking a spilled partial *state* (vs. a raw value).
-
-    Evicting a resident key writes its accumulated state to the key's disk
-    partition; the recursive pass merges it back via ``AggregateState.merge``
-    instead of ``update``.  The wrapper disambiguates states from user
-    values that might themselves be state-like objects.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: Any) -> None:
-        self.state = state
 
 
 class HybridHashGrouper:
@@ -97,10 +82,8 @@ class HybridHashGrouper:
         self.max_levels = max_levels
         self.counters = counters if counters is not None else Counters()
         self._hash: Callable[[Any], int] = _HASH_FAMILY.member(level)
-        self._table = AccountedStateTable(aggregator)
-        self._frozen = False
+        self._table = AccountedStateTable(aggregator, budget=memory_bytes, shed=True)
         self._writers: list[RunWriter | None] = [None] * spill_partitions
-        self._spilled_pairs = [0] * spill_partitions
         self._finished = False
 
     # -- ingestion -----------------------------------------------------------
@@ -108,7 +91,7 @@ class HybridHashGrouper:
     @property
     def frozen(self) -> bool:
         """True once the resident key set stopped admitting new keys."""
-        return self._frozen
+        return self._table.frozen
 
     @property
     def resident_keys(self) -> int:
@@ -116,73 +99,31 @@ class HybridHashGrouper:
 
     @property
     def spilled_records(self) -> int:
-        return sum(self._spilled_pairs)
+        return sum(w.records_written for w in self._writers if w is not None)
 
     def add(self, key: Any, value: Any) -> None:
-        """Route one pair to the in-memory table or a disk partition.
+        """Route one pair: :meth:`add_batch` of one."""
+        self.add_batch(((key, value),))
 
-        ``value`` may be a :class:`SpilledState` produced by an eviction at
-        an outer recursion level; it is merged rather than folded.
+    def add_batch(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+        """Fold ``pairs`` into the in-memory table; spill what it does not take.
+
+        A value may be a :class:`SpilledState` produced by an eviction at
+        an outer recursion level; it is merged rather than folded.  The
+        table checks the budget after every pair, so the freeze and every
+        shed land on the same pair however the stream is cut, and its
+        misses (cold pairs, and shed states where they were shed) reach
+        disk in order.
         """
         if self._finished:
             raise RuntimeError("grouper already finished")
         table = self._table
-        if self._frozen and key not in table.states:
+        frozen = table.frozen
+        misses = table.fold(pairs)
+        if table.frozen and not frozen:
+            self.counters.set_max(C.HASH_STATE_BYTES_PEAK, table.frozen_bytes)
+        for key, value in misses:
             self._spill(key, value)
-            return
-        # Resident keys continue to aggregate in memory for free.
-        if isinstance(value, SpilledState):
-            table.merge_state(key, value.state)
-        else:
-            table.update(key, value)
-        if not self._frozen:
-            if table.used_bytes > self.memory_bytes:
-                self._frozen = True
-                self.counters.set_max(C.HASH_STATE_BYTES_PEAK, table.used_bytes)
-        elif table.used_bytes > 2 * self.memory_bytes:
-            # Linear states (collect/session) can outgrow the budget even
-            # with a frozen key set; shed the largest states to disk.
-            self._evict_largest()
-
-    def add_batch(self, pairs: Iterable[tuple[Any, Any]]) -> None:
-        """:meth:`add` for a stream of pairs, lookups hoisted out of the loop.
-
-        The budget is still checked after every pair, so the freeze and
-        every shed land on the same pair however the stream is cut.
-        """
-        if self._finished:
-            raise RuntimeError("grouper already finished")
-        table = self._table
-        resident = table.states
-        update = table.update
-        merge = table.merge_state
-        budget = self.memory_bytes
-        frozen = self._frozen
-        for key, value in pairs:
-            if frozen and key not in resident:
-                self._spill(key, value)
-                continue
-            if isinstance(value, SpilledState):
-                merge(key, value.state)
-            else:
-                update(key, value)
-            if not frozen:
-                if table.used_bytes > budget:
-                    frozen = self._frozen = True
-                    self.counters.set_max(C.HASH_STATE_BYTES_PEAK, table.used_bytes)
-            elif table.used_bytes > 2 * budget:
-                self._evict_largest()
-
-    def _evict_largest(self) -> None:
-        """Spill the biggest resident states until back under budget."""
-        by_size = sorted(
-            self._table.items(), key=lambda kv: kv[1].size_bytes(), reverse=True
-        )
-        for key, _state in by_size:
-            if self._table.used_bytes <= self.memory_bytes:
-                break
-            state = self._table.pop(key)
-            self._spill(key, SpilledState(state))
 
     def _spill(self, key: Any, value: Any) -> None:
         bucket = self._hash(key) % self.spill_partitions
@@ -192,7 +133,6 @@ class HybridHashGrouper:
             writer = RunWriter(self.disk, path)
             self._writers[bucket] = writer
         writer.write((key, value))
-        self._spilled_pairs[bucket] += 1
 
     # -- results ----------------------------------------------------------------
 
@@ -219,29 +159,24 @@ class HybridHashGrouper:
             yield from self._process_partition(writer.path, bucket)
 
     def _process_partition(self, path: str, bucket: int) -> Iterator[tuple[Any, Any]]:
-        pairs = stream_run(self.disk, path)
         if self.level + 1 >= self.max_levels:
             # Pathological recursion (hash collisions): finish without a
             # budget rather than loop forever.
             table = AccountedStateTable(self.aggregator)
-            for key, value in pairs:
-                if isinstance(value, SpilledState):
-                    table.merge_state(key, value.state)
-                else:
-                    table.update(key, value)
-            self.disk.delete(path)
-            yield from table.results()
-            return
-        child = HybridHashGrouper(
-            self.disk,
-            f"{self.namespace}/b{bucket:03d}",
-            self.memory_bytes,
-            aggregator=self.aggregator,
-            spill_partitions=self.spill_partitions,
-            level=self.level + 1,
-            max_levels=self.max_levels,
-            counters=self.counters,
-        )
-        child.add_batch(pairs)
+            fold, drain = table.fold, table.results
+        else:
+            child = HybridHashGrouper(
+                self.disk,
+                f"{self.namespace}/b{bucket:03d}",
+                self.memory_bytes,
+                aggregator=self.aggregator,
+                spill_partitions=self.spill_partitions,
+                level=self.level + 1,
+                max_levels=self.max_levels,
+                counters=self.counters,
+            )
+            fold, drain = child.add_batch, child.finish
+        for piece in stream_pieces(self.disk, path):
+            fold(piece)
         self.disk.delete(path)
-        yield from child.finish()
+        yield from drain()

@@ -26,8 +26,8 @@ import pickle
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.aggregates import AggregateState, Aggregator
-from repro.core.hash_tables import AccountedStateTable
-from repro.core.hybrid_hash import HybridHashGrouper, SpilledState
+from repro.core.hash_tables import AccountedStateTable, SpilledState
+from repro.core.hybrid_hash import HybridHashGrouper
 from repro.io.disk import LocalDisk
 from repro.mapreduce.counters import C, Counters
 
@@ -106,7 +106,7 @@ class IncrementalHash:
         self.namespace = namespace
         self.emit_policy = emit_policy
         self.counters = counters if counters is not None else Counters()
-        self._table = AccountedStateTable(aggregator)
+        self._table = AccountedStateTable(aggregator, budget=memory_bytes)
         self._emitted: set[Any] = set()
         self.early_emitted: list[tuple[Any, Any]] = []
         self._overflow: HybridHashGrouper | None = None
@@ -133,63 +133,43 @@ class IncrementalHash:
         return self._overflow.spilled_records if self._overflow is not None else 0
 
     def update(self, key: Any, value: Any) -> None:
-        """Fold one pair; may trigger an early emission."""
-        if self._finished:
-            raise RuntimeError("incremental hash already finished")
-        self.updates += 1
-        table = self._table
-        if self._overflow is not None and key not in table.states:
-            self._overflow.add(key, value)
-            return
-        if isinstance(value, SpilledState):
-            state = table.merge_state(key, value.state)
-        else:
-            state = table.update(key, value)
-        if self.emit_policy is not None:
-            self._maybe_emit(key, state)
-        budget = self.memory_bytes
-        if self._overflow is None and budget is not None and table.used_bytes > budget:
-            self._freeze()
+        """Fold one pair: :meth:`update_batch` of one."""
+        self.update_batch(((key, value),))
 
     def update_batch(self, pairs: Sequence[tuple[Any, Any]]) -> None:
-        """:meth:`update` for a stream of pairs, lookups hoisted out of the loop.
+        """Fold pairs in order; may trigger early emissions.
 
-        The budget is still checked after every pair, so the freeze lands
+        The table checks the budget after every pair, so the freeze lands
         on the same pair however the stream is cut.  Once frozen the
         resident key set never changes and the overflow grouper shares
-        nothing with it, so a batch's cold pairs reach it in one call.
+        nothing with it, so a batch's misses reach it in one call.  With an
+        emit policy each pair is its own fold, so the policy sees the state
+        every pair leaves and a freeze follows the pair's emission.
         """
         if self._finished:
             raise RuntimeError("incremental hash already finished")
         table = self._table
-        resident = table.states
-        update = table.update
-        merge = table.merge_state
-        budget = self.memory_bytes
-        emits = self.emit_policy is not None
-        frozen = self._overflow is not None
-        cold: list[tuple[Any, Any]] = []
-        for key, value in pairs:
-            if frozen and key not in resident:
-                cold.append((key, value))
-                continue
-            if isinstance(value, SpilledState):
-                state = merge(key, value.state)
-            else:
-                state = update(key, value)
-            if emits:
-                self._maybe_emit(key, state)
-            if not frozen and budget is not None and table.used_bytes > budget:
-                self._freeze()
-                frozen = True
+        if self.emit_policy is None:
+            misses = table.fold(pairs)
+        else:
+            misses = []
+            for pair in pairs:
+                missed = table.fold((pair,))
+                misses += missed
+                if not missed:
+                    self._maybe_emit(pair[0], table.states[pair[0]])
+                if table.frozen and self._overflow is None:
+                    self._freeze()
+        if table.frozen and self._overflow is None:
+            self._freeze()
+        if misses:
+            self._overflow.add_batch(misses)  # type: ignore[union-attr]
         self.updates += len(pairs)
-        if self._overflow is not None:
-            self._overflow.add_batch(cold)
 
     def _freeze(self) -> None:
         """Stop admitting new keys; overflow them to hybrid hash on disk."""
         assert self.disk is not None and self.memory_bytes is not None
-        self.counters.set_max(C.HASH_STATE_BYTES_PEAK, self._table.used_bytes)
+        self.counters.set_max(C.HASH_STATE_BYTES_PEAK, self._table.frozen_bytes)
         self._overflow = HybridHashGrouper(
             self.disk,
             f"{self.namespace}/overflow",
@@ -237,9 +217,8 @@ class IncrementalHash:
         if self._finished:
             raise RuntimeError("incremental hash already finished")
         states, emitted, early, updates = pickle.loads(payload)
-        self._table = AccountedStateTable(self.aggregator)
-        for key, state in states:
-            self._table.merge_state(key, state)
+        self._table = AccountedStateTable(self.aggregator, budget=self.memory_bytes)
+        self._table.fold([(key, SpilledState(state)) for key, state in states])
         self._emitted = set(emitted)
         self.early_emitted = list(early)
         self.updates = updates

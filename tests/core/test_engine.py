@@ -34,6 +34,8 @@ class TestOnePassConfig:
             {"mode": "bogus"},
             {"hotset_capacity": 0},
             {"map_memory_bytes": 0},
+            {"spill_partitions": 1},
+            {"spill_partitions": 1, "mode": "hotset"},
         ],
     )
     def test_invalid(self, kwargs):

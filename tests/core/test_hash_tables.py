@@ -17,8 +17,13 @@ from repro.core.aggregates import (
     sessionize,
     top_k,
 )
-from repro.core.hash_tables import AccountedStateTable, HashFamily
+from repro.core.hash_tables import AccountedStateTable, HashFamily, SpilledState
+from repro.core.hotset import HotSetIncrementalHash
+from repro.core.hybrid_hash import HybridHashGrouper
+from repro.core.incremental import IncrementalHash
+from repro.io.disk import LocalDisk
 from repro.io.serialization import estimate_size
+from tests.core.per_pair import fold_one
 
 
 class TestHashFamily:
@@ -80,7 +85,7 @@ class TestAccountedStateTable:
         t = AccountedStateTable(COUNT)
         other = CountState()
         other.n = 10
-        t.merge_state("a", other)
+        assert t.fold([("a", SpilledState(other))]) == []
         t.update("a", None)
         assert dict(t.results()) == {"a": 11}
 
@@ -180,7 +185,7 @@ class TestRunningTotal:
                 other = aggregator.initial()
                 for value in arg:
                     other.update(value)
-                table.merge_state(key, other)
+                table.fold([(key, SpilledState(other))])
                 probes += 1
             elif op == "pop":
                 # By a key the table holds (as eviction does): ``1`` and
@@ -216,3 +221,126 @@ class TestRunningTotal:
         table = AccountedStateTable(Aggregator("legacy", Legacy))
         with pytest.raises(TypeError):
             table.update("k", 1)
+
+
+# -- the fold: admission rules, freeze and shed ------------------------------------
+
+#: A table rule and the reference admission it stands for.
+RULES = {
+    "none": {},
+    "capacity": {"capacity": 3},
+    "budget": {"budget": 700},
+    "shed": {"budget": 700, "shed": True},
+    "one_byte": {"budget": 1, "shed": True},
+}
+
+
+def reference_fold(table, pairs):
+    """One pair at a time with ``per_pair.fold_one``'s own accounting; the
+    misses in order."""
+    misses = []
+    for key, value in pairs:
+        if key not in table.states and (table.frozen or len(table.states) >= table.capacity):
+            misses.append((key, value))
+            continue
+        fold_one(table, key, value)
+        if table.budget is None:
+            continue
+        if not table.frozen:
+            if table.used_bytes > table.budget:
+                table.frozen, table.frozen_bytes = True, table.used_bytes
+        elif table.shed and table.used_bytes > 2 * table.budget:
+            by_size = sorted(table.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
+            for victim, state in by_size:
+                if table.used_bytes <= table.budget:
+                    break
+                del table.states[victim]
+                table.used_bytes -= estimate_size(victim) + state.size_bytes() + 104
+                misses.append((victim, SpilledState(state)))
+    return misses
+
+
+def snapshot(table, misses):
+    return (
+        [(k, s.result()) for k, s in table.items()],
+        table.used_bytes,
+        table.probes,
+        table.frozen,
+        table.frozen_bytes,
+        [(k, v.state.result() if isinstance(v, SpilledState) else v) for k, v in misses],
+    )
+
+
+class TestFold:
+    """``fold`` is the per-pair reference over any cut of the stream."""
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @given(
+        pairs=st.lists(st.tuples(_keys, st.text("ab", max_size=30)), max_size=80),
+        cuts=st.lists(st.integers(0, 80), max_size=4),
+        as_state=st.lists(st.booleans(), min_size=80, max_size=80),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fold_is_the_per_pair_reference(self, rule, pairs, cuts, as_state):
+        def values():
+            out = []
+            for (key, value), wrap in zip(pairs, as_state):
+                if wrap:
+                    state = COLLECT.initial()
+                    state.update(value)
+                    value = SpilledState(state)
+                out.append((key, value))
+            return out
+
+        reference = AccountedStateTable(COLLECT, **RULES[rule])
+        expected = snapshot(reference, reference_fold(reference, values()))
+        table = AccountedStateTable(COLLECT, **RULES[rule])
+        stream = values()
+        edges = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]
+        misses = []
+        for a, b in zip(edges, edges[1:]):
+            misses += table.fold(stream[a:b])
+        assert snapshot(table, misses) == expected
+        assert table.used_bytes == remeasured(table)
+
+    def test_the_budget_freezes_on_the_pair_that_passes_it(self):
+        table = AccountedStateTable(COUNT, budget=500)
+        misses = table.fold([(i, None) for i in range(5)])
+        assert table.frozen and len(table) == 3 == table.probes
+        assert table.frozen_bytes == table.used_bytes > 500
+        assert misses == [(3, None), (4, None)]
+
+    def test_a_shed_pops_the_largest_states_onto_the_misses(self):
+        # "b" freezes the table, "c" misses, and "b" then passes 2 x budget.
+        table = AccountedStateTable(COLLECT, budget=400, shed=True)
+        misses = table.fold([("a", "x"), ("b", "y"), ("c", "z"), ("b", "y" * 300)])
+        assert table.frozen and misses[0] == ("c", "z")
+        assert misses[1][0] == "b" and isinstance(misses[1][1], SpilledState)
+        assert misses[1][1].state.result() == ["y", "y" * 300]
+        assert table.used_bytes <= 400 and table.probes == 3 and len(misses) == 2
+
+    def test_spilled_state_pickles_under_its_first_module_path(self):
+        # Every spilled-state frame carries this path: moving it would
+        # change spill bytes.
+        import pickle
+
+        assert b"repro.core.hybrid_hash" in pickle.dumps(SpilledState(None))
+        assert type(pickle.loads(pickle.dumps(SpilledState(1)))) is SpilledState
+
+
+class TestOneFold:
+    def test_no_backend_folds_a_chunk_through_the_per_pair_update(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a backend folded a chunk through AccountedStateTable.update")
+
+        monkeypatch.setattr(AccountedStateTable, "update", fail)
+        chunk = [(f"k{i % 40}", 1) for i in range(400)]
+        backends = [
+            (HybridHashGrouper(LocalDisk(), "hh", 600, aggregator=SUM), "add_batch", "finish"),
+            (IncrementalHash(SUM, memory_bytes=600, disk=LocalDisk()), "update_batch", "results"),
+            (HotSetIncrementalHash(SUM, LocalDisk(), "hot", capacity=4, refresh_interval=50),
+             "update_batch", "results"),
+        ]  # fmt: skip
+        for backend, fold, drain in backends:
+            getattr(backend, fold)(chunk)
+            assert dict(getattr(backend, drain)()) == {f"k{i}": 10 for i in range(40)}

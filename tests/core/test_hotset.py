@@ -14,6 +14,7 @@ from repro.core.hybrid_hash import SpilledState
 from repro.io.disk import LocalDisk
 from repro.mapreduce.counters import C, Counters
 from repro.workloads.zipf import ZipfSampler
+from tests.core.per_pair import KeepingDisk, cut, hotset_update
 
 
 def make(capacity=8, aggregator=COUNT, **kwargs):
@@ -136,32 +137,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             HotSetIncrementalHash(COUNT, LocalDisk(), "x", capacity=0)
 
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_refresh_interval_below_one(self, interval):
+        # -1 used to hang update_batch (its segments walked backwards) and
+        # 0 silently meant the default.
+        with pytest.raises(ValueError, match="refresh_interval"):
+            HotSetIncrementalHash(COUNT, LocalDisk(), "x", capacity=2, refresh_interval=interval)
 
-def per_pair_update(h, key, value):
-    """The hot set's fold before ``update_batch`` took whole chunks: one
-    sketch offer, one admission decision and one refresh check per pair."""
-    if h._finished:
-        raise RuntimeError("hot-set hash already finished")
-    h.updates += 1
-    h.sketch.offer(key)
-    if key in h._table.states or len(h._table) < h.capacity:
-        if isinstance(value, SpilledState):
-            h._table.merge_state(key, value.state)
-        else:
-            h._table.update(key, value)
-        h.counters.inc(C.HOT_HITS)
-    else:
-        h._spill_pair(key, value)
-        h.counters.inc(C.HOT_MISSES)
-    h._since_refresh += 1
-    if h._since_refresh >= h.refresh_interval:
-        h._refresh()
+    def test_refresh_interval_default_and_one(self):
+        assert make(capacity=4)[0].refresh_interval == 2048
+        h, _, _ = make(capacity=2, refresh_interval=1)
+        h.update_batch([(1, 1), (2, 1), (3, 1)])
+        assert dict(h.results()) == {1: 1, 2: 1, 3: 1}
+
+    def test_spill_partitions_below_two(self):
+        with pytest.raises(ValueError, match="spill_partitions"):
+            HotSetIncrementalHash(COUNT, LocalDisk(), "x", capacity=2, spill_partitions=1)
 
 
 def run_hotset(items, cuts, capacity, refresh):
     """Fold ``items`` per pair (``cuts is None``) or as ``update_batch`` of
     the cut chunks; everything the fold leaves behind."""
-    h, disk, counters = make(capacity=capacity, aggregator=SUM, refresh_interval=refresh)
+    disk, counters = KeepingDisk(), Counters()
+    h = HotSetIncrementalHash(
+        SUM, disk, "hot", capacity=capacity, refresh_interval=refresh, counters=counters
+    )
     pairs = []
     for key, value, as_state in items:
         if as_state:
@@ -171,11 +171,10 @@ def run_hotset(items, cuts, capacity, refresh):
         pairs.append((key, value))
     if cuts is None:
         for key, value in pairs:
-            per_pair_update(h, key, value)
+            hotset_update(h, key, value)
     else:
-        edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
-        for a, b in zip(edges, edges[1:]):
-            h.update_batch(pairs[a:b])
+        for chunk in cut(pairs, cuts):
+            h.update_batch(chunk)
     sketch = h.sketch
     live = (
         h.updates,
@@ -189,15 +188,15 @@ def run_hotset(items, cuts, capacity, refresh):
         sketch.evictions,
     )
     output = list(h.results())
-    return live, output, list(counters.as_dict().items()), disk.stats.snapshot()
+    return live, output, list(counters.as_dict().items()), disk.stats.snapshot(), disk.deleted
 
 
-keys = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "c", "d"]))
+keys = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "c", "d", 1.0, "1", True]))
 
 
 class TestBatchFold:
-    """``update_batch`` is the per-pair fold with the sketch offers and the
-    admission loop hoisted, however the stream is cut."""
+    """``update_batch`` is the parent's per-pair fold
+    (``per_pair.hotset_update``) however the stream is cut."""
 
     @given(
         st.lists(st.tuples(keys, st.integers(0, 5), st.booleans()), max_size=200),
@@ -217,12 +216,11 @@ class TestBatchFold:
 
         monkeypatch.setattr(SpaceSaving, "offer", fail)
         monkeypatch.setattr(AccountedStateTable, "update", fail)
-        monkeypatch.setattr(AccountedStateTable, "merge_state", fail)
         h, _, counters = make(capacity=4, refresh_interval=16)
         h.update_batch([(f"k{i % 10}", 1) for i in range(100)])
         assert h.updates == 100
         assert counters[C.HOT_HITS] + counters[C.HOT_MISSES] == 100
-        monkeypatch.undo()  # the cold replay's grouper folds per pair
+        # The cold replay folds through the grouper's table too.
         assert dict(h.results()) == {f"k{i}": 10 for i in range(10)}
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import COLLECT, COUNT, SUM
+from repro.core.hash_tables import AccountedStateTable
 from repro.core.hybrid_hash import HybridHashGrouper, SpilledState
 from repro.io.disk import LocalDisk
 from repro.mapreduce.counters import C, Counters
+from tests.core.per_pair import KeepingDisk, cut, hybrid_add
 
 pair_streams = st.lists(
     st.tuples(st.integers(0, 40), st.integers(-5, 5)), max_size=300
@@ -118,50 +120,82 @@ class TestOverflow:
         assert results == expected
 
 
-class RecordingGrouper(HybridHashGrouper):
-    """Remembers which states every shed evicted, in order."""
+class RecordingTable(AccountedStateTable):
+    """Remembers which keys every shed evicted, in order."""
+
+    __slots__ = ("sheds",)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.sheds = []
 
-    def _evict_largest(self):
-        before = [k for k, _ in self._table.items()]
-        super()._evict_largest()
-        after = {k for k, _ in self._table.items()}
-        self.sheds.append([k for k in before if k not in after])
+    def _shed(self, misses):
+        start = len(misses)
+        popped = super()._shed(misses)
+        self.sheds.append([key for key, _ in misses[start:]])
+        return popped
+
+
+def make_recording(disk, counters, memory, aggregator):
+    g = HybridHashGrouper(disk, "hh", memory, aggregator=aggregator, counters=counters)
+    g._table = RecordingTable(aggregator, budget=memory, shed=True)
+    return g
 
 
 def observe(grouper, disk, counters):
-    """Everything a caller could tell two groupers apart by, then the output."""
+    """Everything a caller could tell two groupers apart by, then the output
+    and the bytes of every spill file."""
+    table = grouper._table
     state = (
         grouper.frozen,
-        [k for k, _ in grouper._table.items()],
-        grouper._table.used_bytes,
-        grouper._table.probes,
-        list(grouper._spilled_pairs),
-        grouper.sheds,
+        table.frozen_bytes,
+        [k for k, _ in table.items()],
+        table.used_bytes,
+        table.probes,
+        [w.records_written if w is not None else 0 for w in grouper._writers],
+        table.sheds,
     )
     output = list(grouper.finish())
-    counts = {k: v for k, v in counters.as_dict().items() if not k.startswith("time.")}
-    return state, output, counts, disk.stats.snapshot()
+    counts = [(k, v) for k, v in counters.as_dict().items() if not k.startswith("time.")]
+    return state, output, counts, disk.stats.snapshot(), disk.deleted
 
 
 def run_grouper(pairs, cuts, memory, aggregator):
-    disk, counters = LocalDisk(), Counters()
-    g = RecordingGrouper(disk, "hh", memory, aggregator=aggregator, counters=counters)
+    """The per-pair reference (``cuts is None``) or ``add_batch`` of the cut stream."""
+    disk, counters = KeepingDisk(), Counters()
+    g = make_recording(disk, counters, memory, aggregator)
     if cuts is None:
         for key, value in pairs:
-            g.add(key, value)
+            victims = hybrid_add(g, key, value)
+            if victims is not None:
+                g._table.sheds.append(victims)
     else:
-        edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
-        for a, b in zip(edges, edges[1:]):
-            g.add_batch(pairs[a:b])
+        for chunk in cut(pairs, cuts):
+            g.add_batch(chunk)
     return g, observe(g, disk, counters)
 
 
+def spilled(aggregator, values):
+    state = aggregator.initial()
+    for value in values:
+        state.update(value)
+    return SpilledState(state)
+
+
+#: Keys that share dict slots but not size estimates or pickles.
+mixed_keys = st.one_of(st.integers(0, 25), st.sampled_from([1, 1.0, "1", True, 2.0, "k"]))
+
+
+def stream(draw_items, aggregator):
+    """Build pairs afresh per run: a SpilledState's inner state is mutable."""
+    return [
+        (key, spilled(aggregator, value) if as_state else value[0] if value else None)
+        for key, value, as_state in draw_items
+    ]
+
+
 class TestBatchEquivalence:
-    """``add_batch`` is per-pair ``add`` with the lookups hoisted."""
+    """``add_batch`` is the parent's per-pair ``add`` (``per_pair.hybrid_add``)."""
 
     @given(
         st.lists(st.tuples(st.integers(0, 25), st.text("xyz", max_size=80)), max_size=200),
@@ -177,6 +211,21 @@ class TestBatchEquivalence:
         _, batched = run_grouper(pairs, cuts, memory, aggregator)
         assert per_pair == batched
 
+    @given(
+        st.lists(
+            st.tuples(mixed_keys, st.lists(st.text("xy", max_size=40), max_size=3), st.booleans()),
+            max_size=150,
+        ),
+        st.lists(st.integers(0, 150), max_size=5),
+        st.sampled_from([1, 200, 900, 4000]),
+        st.sampled_from([COLLECT, COUNT]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spilled_states_mixed_keys_and_tiny_budgets(self, items, cuts, memory, aggregator):
+        _, per_pair = run_grouper(stream(items, aggregator), None, memory, aggregator)
+        _, batched = run_grouper(stream(items, aggregator), cuts, memory, aggregator)
+        assert per_pair == batched
+
     def test_freeze_and_shed_in_the_middle_of_one_batch(self):
         # 30 keys freeze a 2 KiB table; the resident "k0" then outgrows
         # 2 x budget twice while cold keys spill around it.
@@ -185,8 +234,9 @@ class TestBatchEquivalence:
         per_pair_g, per_pair = run_grouper(pairs, None, 2048, COLLECT)
         batched_g, batched = run_grouper(pairs, [], 2048, COLLECT)
         assert per_pair == batched
-        assert batched_g.sheds and any("k0" in victims for victims in batched_g.sheds)
-        assert sum(batched_g._spilled_pairs) > 40
+        assert batched_g._table.sheds and any("k0" in victims for victims in batched_g._table.sheds)
+        assert batched_g.spilled_records > 40
+        assert batched[4]  # spill files were compared byte for byte
 
     def test_spilled_states_merge_in_a_batch(self):
         inner = COUNT.initial()
@@ -195,6 +245,12 @@ class TestBatchEquivalence:
         g = HybridHashGrouper(LocalDisk(), "hh", 1 << 20, aggregator=COUNT)
         g.add_batch([("a", None), ("a", SpilledState(inner)), ("b", SpilledState(inner))])
         assert dict(g.finish()) == {"a": 6, "b": 5}
+
+    def test_spilled_records_sum_the_writers(self):
+        g = HybridHashGrouper(LocalDisk(), "hh", 256, aggregator=COUNT, spill_partitions=4)
+        g.add_batch([(f"k{i}", 1) for i in range(100)])
+        written = [w.records_written for w in g._writers if w is not None]
+        assert g.spilled_records == sum(written) == 100 - len(g._table)
 
 
 class TestValidation:

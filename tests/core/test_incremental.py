@@ -1,5 +1,6 @@
 """Incremental hash: per-key states, early emission, overflow."""
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.hybrid_hash import SpilledState
 from repro.core.incremental import IncrementalHash, count_threshold_policy
 from repro.io.disk import LocalDisk
 from repro.mapreduce.counters import C, Counters
+from tests.core.per_pair import KeepingDisk, cut, incremental_restore, incremental_update
 
 
 class TestInMemory:
@@ -120,32 +122,59 @@ class TestOverflow:
 
 
 def run_incremental(pairs, cuts, memory, policy):
-    """Per-pair ``update`` (``cuts is None``) or ``update_batch`` over the cut stream."""
-    disk, counters = LocalDisk(), Counters()
+    """The per-pair reference (``cuts is None``) or ``update_batch`` over the cut stream."""
+    disk, counters = KeepingDisk(), Counters()
     ih = IncrementalHash(
         COUNT, memory_bytes=memory, disk=disk, emit_policy=policy, counters=counters
     )
     if cuts is None:
         for key, value in pairs:
-            ih.update(key, value)
+            incremental_update(ih, key, value)
     else:
-        edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
-        for a, b in zip(edges, edges[1:]):
-            ih.update_batch(pairs[a:b])
+        for chunk in cut(pairs, cuts):
+            ih.update_batch(chunk)
+    return observe(ih, disk, counters)
+
+
+def observe(ih, disk, counters):
+    table = ih._table
     state = (
         ih.updates,
         ih.overflowed,
+        table.frozen,
+        table.frozen_bytes,
+        [k for k, _ in table.items()],
         ih.used_bytes,
+        table.probes,
         ih.spilled_records,
         list(ih.early_emitted),
     )
     output = list(ih.results())
-    counts = {k: v for k, v in counters.as_dict().items() if not k.startswith("time.")}
-    return state, output, counts, disk.stats.snapshot()
+    counts = [(k, v) for k, v in counters.as_dict().items() if not k.startswith("time.")]
+    return state, output, counts, disk.stats.snapshot(), disk.deleted
+
+
+def counted(n):
+    state = COUNT.initial()
+    for _ in range(n):
+        state.update(None)
+    return SpilledState(state)
+
+
+#: ``1``, ``1.0`` and ``True`` share a slot but not a size estimate.
+mixed_keys = st.one_of(st.integers(0, 30), st.sampled_from([1, 1.0, "1", True, "k"]))
+#: A raw value, or a partial count to merge.
+values = st.one_of(st.just(1), st.integers(1, 4).map(lambda n: -n))
+
+
+def as_pairs(items):
+    """Pairs afresh per run: a negative value stands for a partial count."""
+    return [(key, counted(-v) if v < 0 else v) for key, v in items]
 
 
 class TestBatchEquivalence:
-    """``update_batch`` is per-pair ``update`` with the lookups hoisted."""
+    """``update_batch`` is the parent's per-pair ``update``
+    (``per_pair.incremental_update``) however the stream is cut."""
 
     @given(
         st.lists(st.tuples(st.integers(0, 30), st.just(1)), max_size=250),
@@ -161,6 +190,53 @@ class TestBatchEquivalence:
         assert run_incremental(pairs, None, memory, policy) == run_incremental(
             pairs, cuts, memory, policy
         )
+
+    @given(
+        st.lists(st.tuples(mixed_keys, values), max_size=200),
+        st.lists(st.integers(0, 200), max_size=5),
+        st.sampled_from([1, 300, 1200, None]),
+        st.sampled_from([None, 2, 5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_spilled_states_mixed_keys_and_tiny_budgets(self, items, cuts, memory, threshold):
+        policy = count_threshold_policy(threshold) if threshold else None
+        assert run_incremental(as_pairs(items), None, memory, policy) == run_incremental(
+            as_pairs(items), cuts, memory, policy
+        )
+
+    @given(
+        st.lists(st.tuples(mixed_keys, values), max_size=120),
+        st.lists(st.tuples(mixed_keys, values), max_size=120),
+        st.lists(st.integers(0, 120), max_size=4),
+        st.sampled_from([600, 1 << 20]),
+        st.sampled_from([None, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_checkpoint_then_restore(self, before, after, cuts, memory, threshold):
+        """A restored table equals the parent's merge-per-state restore,
+        and so does the log suffix folded after it."""
+        policy = count_threshold_policy(threshold) if threshold else None
+        runs = []
+        for reference in (True, False):
+            source = IncrementalHash(COUNT, memory_bytes=memory, disk=LocalDisk(), emit_policy=policy)
+            source.update_batch(as_pairs(before))
+            payload = source.checkpoint_payload()
+            if payload is None:
+                return  # overflowed: not checkpointable
+            disk, counters = KeepingDisk(), Counters()
+            ih = IncrementalHash(
+                COUNT, memory_bytes=memory, disk=disk, emit_policy=policy, counters=counters
+            )
+            ih.restore_payload(payload)
+            if reference:
+                incremental_restore(ih, pickle.loads(payload)[0])
+                for key, value in as_pairs(after):
+                    incremental_update(ih, key, value)
+            else:
+                for chunk in cut(as_pairs(after), cuts):
+                    ih.update_batch(chunk)
+            runs.append(observe(ih, disk, counters))
+        assert runs[0] == runs[1]
 
     def test_a_budgeted_batch_does_not_enter_update_per_pair(self, monkeypatch):
         def fail(self, key, value):
