@@ -1,12 +1,11 @@
 """Trace-diff with per-phase regression attribution.
 
 Comparing two runs — clean vs faulty, sort-merge vs one-pass, current
-vs committed perfguard baseline — reduces to the same primitive: two
+vs a saved baseline report — reduces to the same primitive: two
 ``{key: value}`` maps and their deltas, sorted so the biggest
 regression leads.  :func:`delta_rows` is that primitive;
 :func:`diff_reports` applies it to two analyzer reports phase by phase,
-and ``benchmarks/perfguard.py`` applies it to per-phase kernel scores so
-a gate failure names *which phase* regressed instead of a bare ratio.
+so ``repro analyze --baseline`` names *which phase* regressed.
 """
 
 from __future__ import annotations
@@ -110,13 +109,9 @@ def diff_reports(base: Mapping[str, Any], new: Mapping[str, Any]) -> dict[str, A
 
 
 def render_delta_table(
-    rows: Sequence[Mapping[str, Any]],
-    *,
-    title: str = "per-phase delta",
-    key_header: str = "phase",
-    unit: str = "ticks",
+    rows: Sequence[Mapping[str, Any]], *, title: str = "per-phase delta"
 ) -> str:
-    """Render ``delta_rows`` output as an aligned terminal table."""
+    """Render ``delta_rows`` output of phase ticks as an aligned terminal table."""
     def fmt(v: float) -> str:
         return f"{v:g}"
 
@@ -131,7 +126,7 @@ def render_delta_table(
         for r in rows
     ]
     return format_table(
-        (key_header, f"base ({unit})", f"new ({unit})", "delta", "ratio"),
+        ("phase", "base (ticks)", "new (ticks)", "delta", "ratio"),
         table_rows,
         title=title,
     )

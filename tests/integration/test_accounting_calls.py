@@ -9,7 +9,16 @@ executor, in this process.
 Before the key-facts memo and the growth-reporting states every map-output
 record cost one ``stable_hash`` and one key estimate, and every fold on the
 reduce side re-measured its state.
+
+The last two budgets count every Python call ``sys.setprofile`` sees in a
+``repro`` package: the map-side collect loop's cost per pair must not grow
+with the reducer count, and a sanitizer that is constructed but never
+installed must cost nothing.
 """
+
+import collections
+import random
+import sys
 
 import pytest
 
@@ -20,6 +29,9 @@ import repro.mapreduce.partition
 import repro.mapreduce.sortmerge
 from repro.core.engine import OnePassConfig, OnePassEngine
 from repro.core.incremental import IncrementalHash
+from repro.exec.base import get_kernel
+from repro.exec.kernels import OnePassMapSpec
+from repro.io.serialization import BinaryCodec
 from repro.mapreduce.api import JobConfig
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPEngine
@@ -29,7 +41,8 @@ from repro.workloads.inverted_index import (
     inverted_index_job,
     inverted_index_onepass_job,
 )
-from repro.workloads.page_frequency import page_frequency_onepass_job
+from repro.san import Sanitizer
+from repro.workloads.page_frequency import page_frequency_job, page_frequency_onepass_job
 
 ESTIMATOR_BINDINGS = (
     repro.mapreduce.partition,
@@ -121,3 +134,59 @@ def test_budgeted_incremental_job_folds_chunks_in_one_loop(clicks, monkeypatch):
     result = OnePassEngine(cluster).run(page_frequency_onepass_job("in", "out", config=cfg))
     assert result.counters[C.REDUCE_INPUT_RECORDS] > 150
     assert entered.n == 0
+
+
+def package_calls(fn):
+    """``call`` events over ``fn()`` per callee ``repro.<package>``, as
+    ``benchmarks/counted.py`` keys them."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            parts = frame.f_globals.get("__name__", "").split(".")
+            if parts[0] == "repro":
+                calls[".".join(parts[:2])] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def collect_calls(clicks, num_reducers):
+    """Calls of one ``onepass_map`` task over ``clicks``: decode, map fn,
+    partition and combine under the shared byte budget, final flush."""
+    cfg = OnePassConfig(num_reducers=num_reducers, map_side_combine=True)
+    job = page_frequency_onepass_job("in", "out", config=cfg)
+    spec = OnePassMapSpec(0, "n0", BinaryCodec().encode(clicks))
+    kernel = get_kernel("onepass_map")
+    return package_calls(lambda: kernel({"job": job, "codec": BinaryCodec()}, spec)).total()
+
+
+def test_onepass_collect_cost_per_pair_does_not_grow_with_reducers():
+    # The shared-budget check runs after every pair against a running total:
+    # 64 reducers add a fixed cost per partition and nothing per pair.
+    rng = random.Random(1313)
+    clicks = [(i * 0.5, rng.randrange(5_000), f"/page/{rng.randrange(2_000)}")
+              for i in range(10_000)]  # fmt: skip
+    extra = [collect_calls(clicks[:n], 64) - collect_calls(clicks[:n], 4) for n in (5_000, 10_000)]
+    assert extra[0] > 0
+    assert extra[0] == extra[1]
+
+
+@pytest.mark.parametrize("engine", [HadoopEngine, HOPEngine, OnePassEngine])
+def test_an_uninstalled_sanitizer_costs_no_calls(clicks, engine):
+    sanitizer = Sanitizer()  # constructed, deliberately not installed
+    cluster = LocalCluster(num_nodes=3, block_size=48 * 1024)
+    cluster.hdfs.write_records("in", clicks)
+    if engine is OnePassEngine:
+        cfg = OnePassConfig(num_reducers=NUM_REDUCERS)
+        job = page_frequency_onepass_job("in", "out", config=cfg)
+    else:
+        job = page_frequency_job("in", "out", config=JobConfig(num_reducers=NUM_REDUCERS))
+    calls = package_calls(lambda: engine(cluster).run(job))
+    assert calls["repro.mapreduce"] > 0
+    assert calls["repro.san"] == 0
+    assert sanitizer.report.violations == []
