@@ -1,13 +1,13 @@
 """`reprolint`: repo-specific static analysis for the determinism contracts.
 
 The engines in this repository obey contracts that ordinary linters do
-not know about — byte-identical output across executors, pure picklable
-kernels, registered counter and span names.  This package machine-checks
+not know about — byte-identical output across executors, pure kernels,
+released resources, commit-then-emit ordering.  This package machine-checks
 those contracts at lint time with an AST-based rule framework:
 
 * :mod:`repro.lint.core` — the driver: the module model and its
   one-traversal index, suppression comments, run-wide registries;
-* :mod:`repro.lint.rules` — the per-file checkers (REP002..REP104);
+* :mod:`repro.lint.rules` — the per-file checkers (REP002..REP101);
 * :mod:`repro.lint.cfg` — the path- and context-sensitive checkers
   (REP201..REP205), REP201 over the :mod:`repro.lint.dataflow` call
   graph;

@@ -151,7 +151,8 @@ class ForkUnsafeCapture(Rule):
     field or be captured by a registered kernel from module scope — the
     fork/pickle transport cannot carry them, and under fork they alias
     the coordinator's file descriptors.  A resource a *helper* returns is
-    SAN202's to witness: it round-trips every spec of every run.
+    not followed: no function in ``src/repro`` returns one
+    (``test_no_helper_returns_a_fresh_resource``).
     """
 
     id = "REP202"

@@ -40,7 +40,4 @@ class LintConfig:
     program_modules_override: dict[str, str] | None = None
     kernel_source_override: str | None = None
     executor_source_override: str | None = None
-    counter_names_override: frozenset[str] | None = None
-    span_names_override: frozenset[str] | None = None
-    event_names_override: frozenset[str] | None = None
     hot_path_modules_override: tuple[str, ...] | None = None

@@ -45,10 +45,6 @@ KERNEL_MODULE = "src/repro/exec/kernels.py"
 #: Where the Executor protocol lives; ``pool.submit(fn, ...)`` sites
 #: here mark ``fn`` as a worker entry point.
 EXECUTOR_MODULE = "src/repro/exec/base.py"
-#: Counter registry (``class C``).
-COUNTERS_MODULE = "src/repro/mapreduce/counters.py"
-#: Span/event name registry (SPAN_NAMES, EVENT_NAMES).
-NAMES_MODULE = "src/repro/obs/names.py"
 #: Doc whose marked list names the hot-path modules (REP007).
 PERFORMANCE_DOC = "docs/PERFORMANCE.md"
 
@@ -319,8 +315,6 @@ class LintContext:
     __slots__ = (
         "config",
         "parsed",
-        "_counters",
-        "_names",
         "_hot_modules",
         "_sources",
         "_spec_names",
@@ -333,8 +327,6 @@ class LintContext:
         #: resolved path -> module already parsed by this run, so the
         #: program build reuses it instead of parsing the file again.
         self.parsed: dict[Path, LintModule] = {}
-        self._counters: tuple[frozenset[str], list[str]] | None = None
-        self._names: dict[str, frozenset[str]] | None = None
         self._hot_modules: tuple[str, ...] | None = None
         self._sources: dict[str, str] = {}
         self._spec_names: frozenset[str] | None = None
@@ -349,56 +341,6 @@ class LintContext:
             except OSError:
                 self._sources[relpath] = ""
         return self._sources[relpath]
-
-    # -- REP004: counter registry ------------------------------------------
-
-    def _load_counters(self) -> tuple[frozenset[str], list[str]]:
-        if self._counters is None:
-            names: list[str] = []
-            values: list[str] = []
-            for node in ast.parse(self._read(COUNTERS_MODULE)).body:
-                if isinstance(node, ast.ClassDef) and node.name == "C":
-                    for stmt in node.body:
-                        if isinstance(stmt, ast.Assign) and isinstance(
-                            stmt.targets[0], ast.Name
-                        ):
-                            names.append(stmt.targets[0].id)
-                            if isinstance(stmt.value, ast.Constant):
-                                values.append(str(stmt.value.value))
-            self._counters = (
-                frozenset(n for n in names if not n.startswith("__")),
-                values,
-            )
-        return self._counters
-
-    @property
-    def counter_names(self) -> frozenset[str]:
-        if self.config.counter_names_override is not None:
-            return self.config.counter_names_override
-        return self._load_counters()[0]
-
-    @property
-    def counter_values(self) -> list[str]:
-        """Declared counter string values (for uniqueness checks)."""
-        return self._load_counters()[1]
-
-    # -- REP104: span/event name registries ---------------------------------
-
-    def registry_names(self, kind: str) -> frozenset[str]:
-        """The registered names of one kind: "span" or "event"."""
-        override = getattr(self.config, f"{kind}_names_override")
-        if override is not None:
-            return override
-        if self._names is None:
-            self._names = {}
-            for node in ast.parse(self._read(NAMES_MODULE)).body:
-                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                    self._names[node.targets[0].id] = frozenset(
-                        n.value
-                        for n in ast.walk(node.value)
-                        if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                    )
-        return self._names.get(f"{kind.upper()}_NAMES", frozenset())
 
     # -- REP007: hot-path module list --------------------------------------
 

@@ -12,6 +12,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "ORDER_FREE_CALLS",
     "nondet_call",
+    "nondet_reference",
 ]
 
 #: Dotted call paths that read the wall clock or an OS entropy source.
@@ -65,3 +66,16 @@ def nondet_call(dotted: str, node: ast.Call) -> str | None:
     if dotted.startswith("numpy.random.") and not dotted.endswith(".default_rng"):
         return f"{dotted}() uses numpy's global RNG; use np.random.default_rng(seed)"
     return None
+
+
+def nondet_reference(dotted: str) -> str | None:
+    """The REP101 finding text when a source is taken as a value — bound,
+    passed or used as a default — to be called later, out of sight;
+    ``None`` for anything else (types and the seedable ``default_rng``
+    included)."""
+    if dotted.endswith(".default_rng") or dotted.rpartition(".")[2][:1].isupper():
+        return None
+    # Only the default_rng check reads the call's arguments, and it is out above.
+    if nondet_call(dotted, ast.Call(args=[], keywords=[])) is None:
+        return None
+    return f"nondeterministic callable {dotted} taken as a value; it is called out of sight"

@@ -26,9 +26,9 @@ from repro.lint.core import (
     registered_kernels,
     terminal_name,
 )
-from repro.lint.dataflow.sources import ORDER_FREE_CALLS, nondet_call
+from repro.lint.dataflow.sources import ORDER_FREE_CALLS, nondet_call, nondet_reference
 
-__all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "counter_uses", "rule_by_id"]
+__all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "rule_by_id"]
 
 #: Module-path prefixes whose code feeds job output, counters or traces
 #: — the determinism scope for REP101/REP006.  The set is closed under
@@ -122,44 +122,6 @@ class KernelPurity(Rule):
                     )
 
 
-# -- REP004: counter names must be declared -----------------------------------
-
-_COUNTER_CLASS = "repro.mapreduce.counters.C"
-
-
-def counter_uses(module: LintModule) -> dict[str, list[ast.Attribute]]:
-    """All ``C.<name>`` accesses in a module, alias-resolved."""
-    uses: dict[str, list[ast.Attribute]] = {}
-    for node in module.nodes(ast.Attribute):
-        dotted = module.dotted(node)
-        if dotted and dotted.startswith(_COUNTER_CLASS + "."):
-            attr = dotted[len(_COUNTER_CLASS) + 1 :]
-            if "." not in attr:
-                uses.setdefault(attr, []).append(node)
-    return uses
-
-
-class DeclaredCounters(Rule):
-    """REP004: every counter referenced anywhere must be declared on the
-    registry class ``C``.  A typo'd counter name raises only on the code
-    path that touches it — possibly a rarely-exercised fault path.
-    """
-
-    id = "REP004"
-    title = "counter names must be declared in the counter registry"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        declared = ctx.counter_names
-        for attr, nodes in sorted(counter_uses(module).items()):
-            if attr not in declared:
-                for node in nodes:
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"counter C.{attr} is not declared in the counter registry",
-                    )
-
-
 # -- REP005: tracer discipline ------------------------------------------------
 
 #: Receiver names treated as tracers (plus any ``<expr>.tracer``).
@@ -170,8 +132,7 @@ class TracerDiscipline(Rule):
     """REP005: spans must be context-managed.
 
     A span handle left unclosed on an exception path corrupts the
-    logical clock for the rest of the trace.  (What a span may be
-    *called* is REP104's contract.)
+    logical clock for the rest of the trace.
     """
 
     id = "REP005"
@@ -474,6 +435,9 @@ class Nondeterminism(Rule):
     stands: every module deterministic code imports is itself in
     ``DETERMINISTIC_SCOPES``.
 
+    A source taken as a value (bound, passed or used as a default) is
+    flagged where it is taken: the call it feeds is out of sight.
+
     ``time.perf_counter``/``time.process_time`` stay legal: they feed the
     advisory ``time.*`` timers that are excluded from determinism
     comparisons (see ``docs/OBSERVABILITY.md``).
@@ -490,217 +454,31 @@ class Nondeterminism(Rule):
             message = nondet_call(dotted, node) if dotted is not None else None
             if message is not None:
                 yield module.finding(self.id, node, message)
+        for node in module.nodes(ast.Name, ast.Attribute):
+            if _taken_as_value(module, node):
+                dotted = module.dotted(node)
+                message = nondet_reference(dotted) if dotted is not None else None
+                if message is not None:
+                    yield module.finding(self.id, node, message)
 
 
-# -- REP102: unpicklable values on task specs ---------------------------------
-
-
-def _enclosing_local_defs(module: LintModule, node: ast.AST) -> dict[str, str]:
-    """Names of defs/classes local to the functions enclosing ``node``."""
-    enclosing = [a for a in module.ancestors(node) if isinstance(a, FUNCTION_DEFS)]
-    out: dict[str, str] = {}
-    for sub in module.nodes(*FUNCTION_DEFS, ast.ClassDef):
-        if any(a in enclosing for a in module.ancestors(sub)):
-            out.setdefault(sub.name, "class" if isinstance(sub, ast.ClassDef) else "function")
-    return out
-
-
-class PicklableSpecs(Rule):
-    """REP102: task specs cross process boundaries; lambdas, closures
-    and local classes do not pickle — whether passed to a ``*Spec(...)``
-    constructor or assigned onto a constructed spec.  Anything callable
-    a kernel needs belongs in the fork-inherited job *context*, not the
-    spec.  (A value a helper returns or attaches is SAN102's to witness:
-    it round-trips every spec of every run.)
-    """
-
-    id = "REP102"
-    title = "no lambdas/closures/local classes on picklable task specs"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        spec_names = ctx.spec_class_names
-        if not spec_names:
-            return
-        if module.modpath == ctx.kernel_modpath:
-            for cls in module.nodes(ast.ClassDef):
-                if cls.name in spec_names:
-                    for sub in module.subtree(cls):
-                        if isinstance(sub, ast.Lambda):
-                            yield module.finding(
-                                self.id,
-                                sub,
-                                f"lambda default on spec {cls.name} will not pickle",
-                            )
-        for nodes in module.scope_nodes.values():
-            spec_locals: dict[str, str] = {}
-            for node in nodes:
-                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                    name = terminal_name(node.value.func)
-                    if name in spec_names:
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                spec_locals[target.id] = name
-            for node in nodes:
-                if isinstance(node, ast.Call):
-                    name = terminal_name(node.func)
-                    if name in spec_names:
-                        for value in [*node.args, *(kw.value for kw in node.keywords)]:
-                            yield from self._check_value(
-                                module, value, f"passed to picklable spec {name}"
-                            )
-                elif isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id in spec_locals
-                        ):
-                            yield from self._check_value(
-                                module,
-                                node.value,
-                                f"assigned to attribute {target.attr!r} of "
-                                f"picklable spec {spec_locals[target.value.id]}",
-                            )
-
-    def _check_value(
-        self, module: LintModule, value: ast.AST, where: str
-    ) -> Iterator[Finding]:
-        """One value landing on a spec (``where`` says how)."""
-        if isinstance(value, ast.Lambda):
-            yield module.finding(
-                self.id,
-                value,
-                f"lambda {where}; it will not pickle "
-                "(move the callable into the job context)",
-            )
-        elif isinstance(value, ast.Name):
-            local_defs = _enclosing_local_defs(module, value)
-            if value.id in local_defs:
-                yield module.finding(
-                    self.id,
-                    value,
-                    f"local {local_defs[value.id]} {value.id!r} {where}; "
-                    "it will not pickle",
-                )
-
-
-# -- REP104: span/event names come from the registry --------------------------
-
-
-class RegistryNames(Rule):
-    """REP104: every span/event name must be registered in
-    ``repro/obs/names.py``.  A literal is looked up as it is; a name
-    built from f-strings, concatenation or constant locals is
-    constant-folded first; a name that cannot be folded is rejected
-    outright.
-
-    Every exporter, phase table and consumer is keyed on the registry —
-    the analyzer's metrics table selects spans and events *by name* — so
-    a misspelled one silently falls out of every view.  Nothing checks
-    names at runtime; this catches the mistake statically, including on
-    paths tests never execute.
-    """
-
-    id = "REP104"
-    title = "span/event names must be (or fold to) registered constants"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        for nodes in module.scope_nodes.values():
-            const_env: dict[str, str] | None = None
-            for node in nodes:
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.args
-                ):
-                    continue
-                method, receiver = node.func.attr, node.func.value
-                if method not in ("span", "event", "add_span") or not receiver_named(
-                    receiver, TRACER_NAMES
-                ):
-                    continue
-                kind = "event" if method == "event" else "span"
-                name_arg = node.args[0]
-                if isinstance(name_arg, ast.Constant):
-                    if not isinstance(name_arg.value, str):
-                        continue
-                    name, how = name_arg.value, ""
-                else:
-                    if const_env is None:
-                        const_env = _const_str_locals(nodes)
-                    name, how = _fold_constant_str(name_arg, const_env), " (constant-folded)"
-                    if name is None:
-                        yield module.finding(
-                            self.id,
-                            node,
-                            f"{method}() name cannot be resolved statically; "
-                            "use a name that folds to a registered constant",
-                        )
-                        continue
-                if name not in ctx.registry_names(kind):
-                    yield module.finding(
-                        self.id,
-                        name_arg,
-                        f"{kind} name {name!r}{how} is not registered in "
-                        "repro/obs/names.py",
-                    )
-
-
-def _const_str_locals(nodes: list[ast.AST]) -> dict[str, str]:
-    """Locals bound exactly once, to a string literal, in one scope."""
-    values: dict[str, str] = {}
-    stores: dict[str, int] = {}
-    for node in nodes:
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            stores[node.id] = stores.get(node.id, 0) + 1
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-            ):
-                values[target.id] = node.value.value
-    return {k: v for k, v in values.items() if stores.get(k) == 1}
-
-
-def _fold_constant_str(node: ast.AST, env: dict[str, str]) -> str | None:
-    """Constant-fold a string expression; None when it cannot fold."""
-    if isinstance(node, ast.Constant):
-        return node.value if isinstance(node.value, str) else None
-    if isinstance(node, ast.Name):
-        return env.get(node.id)
-    if isinstance(node, ast.JoinedStr):
-        parts = []
-        for value in node.values:
-            if isinstance(value, ast.FormattedValue):
-                if value.format_spec is not None or value.conversion != -1:
-                    return None
-                part = _fold_constant_str(value.value, env)
-            else:
-                part = _fold_constant_str(value, env)
-            if part is None:
-                return None
-            parts.append(part)
-        return "".join(parts)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = _fold_constant_str(node.left, env)
-        right = _fold_constant_str(node.right, env)
-        if left is None or right is None:
-            return None
-        return left + right
-    return None
+def _taken_as_value(module: LintModule, node: ast.AST) -> bool:
+    """``node`` is bound (``perf = time.time``), passed (``f(time.time)``)
+    or a default (``def f(clock=time.time)``) rather than called."""
+    parent = module.parents.get(node)
+    if isinstance(parent, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+        return parent.value is node
+    if isinstance(parent, ast.Call):
+        return parent.func is not node
+    return isinstance(parent, (ast.keyword, ast.arguments))
 
 
 ALL_RULES: tuple[Rule, ...] = (
     KernelPurity(),
-    DeclaredCounters(),
     TracerDiscipline(),
     NoUnorderedIteration(),
     SlotsOnHotPaths(),
     Nondeterminism(),
-    PicklableSpecs(),
-    RegistryNames(),
     *CFG_RULES,
 )
 

@@ -1,10 +1,11 @@
 """The span/event name registry: the tracing vocabulary, in one place.
 
 Every span or event an engine records must use a name declared here —
-lint rules REP005/REP104 enforce it.  Exporters, the phase tables, the
-analyzer (its metrics table selects spans and events by these names) and
-the CI trace-validation job all key on this vocabulary; an unregistered
-name would silently fall out of every downstream view.
+``tests/obs/test_names_registry.py`` fails on an emitted name missing
+from it.  Exporters, the phase tables, the analyzer (its metrics table
+selects spans and events by these names) and the CI trace-validation job
+all key on this vocabulary; an unregistered name would silently fall out
+of every downstream view.
 
 When instrumenting a new site, add its name here first (and to the
 span-model table in ``docs/OBSERVABILITY.md``).  The registry is also

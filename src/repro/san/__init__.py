@@ -1,11 +1,11 @@
-"""reprosan: the runtime determinism/race/leak sanitizer.
+"""reprosan: the runtime race sanitizer.
 
-Dynamic cross-validation of the static lint layers (REP002..REP205):
-an opt-in harness (:class:`repro.san.harness.Sanitizer`) instruments
-real engine runs with four detectors — nondeterminism sentinels,
-a batch-window race detector, resource/lifetime tracking and
-pickle-boundary checks — and reports logical-clock-ordered, canonical
-violations.  See ``docs/SANITIZERS.md``.
+Dynamic cross-validation of the static kernel-state rule (REP201): an
+opt-in harness (:class:`repro.san.harness.Sanitizer`) instruments real
+engine runs with a batch-window race detector and reports
+logical-clock-ordered, canonical violations.  The clean matrix also
+byte-compares every leg's output against ``san-baseline.json``.  See
+``docs/SANITIZERS.md``.
 """
 
 from repro.san.harness import Sanitizer, SanitizerConfig, active_sanitizer

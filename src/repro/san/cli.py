@@ -5,10 +5,9 @@ Examples::
     python -m repro sanitize --workload per-user-count --engine onepass
     python -m repro sanitize --workload sessionization --engine hadoop \\
         --executor processes:2 --format sarif
-    python -m repro sanitize --battery              # detectors must fire
+    python -m repro sanitize --battery              # the detector must fire
     python -m repro sanitize --matrix               # clean 4x3x3 battery
     python -m repro sanitize --matrix --engine hop --write-baseline
-    python -m repro sanitize --workload inverted-index --hashseed
 """
 
 from __future__ import annotations
@@ -124,24 +123,6 @@ def _cmd_single(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         status = 1
-    if args.hashseed:
-        from repro.san.hashseed import double_run, workload_argv
-
-        violation, _ = double_run(
-            workload_argv(
-                args.workload,
-                args.engine,
-                args.executor or "serial",
-                args.records,
-                args.nodes,
-            ),
-            label=f"{args.workload}/{args.engine}",
-        )
-        if violation is not None:
-            print(f"{violation.id}: {violation.message}", file=sys.stderr)
-            for key, value in violation.witness:
-                print(f"    {key}: {value}", file=sys.stderr)
-            status = 1
     return status
 
 
@@ -161,7 +142,7 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> None:
 
     p = sub.add_parser(
         "sanitize",
-        help="run a workload under the runtime determinism/race/leak sanitizer",
+        help="run a workload under the runtime race sanitizer",
         description="reprosan: dynamic cross-validation of the REPxxx "
         "contracts (see docs/SANITIZERS.md).",
     )
@@ -181,19 +162,12 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> None:
         "--detectors",
         default=None,
         metavar="NAMES",
-        help="comma-separated detector subset: sentinel,race,resource,pickle "
-        "(default: all)",
-    )
-    p.add_argument(
-        "--hashseed",
-        action="store_true",
-        help="also double-run the leg under two PYTHONHASHSEED values and "
-        "byte-compare the output digests (SAN006)",
+        help="comma-separated detector subset: race (default: all)",
     )
     p.add_argument(
         "--battery",
         action="store_true",
-        help="run the synthetic-violation battery: every detector must fire "
+        help="run the synthetic-violation battery: the detector must fire "
         "exactly once",
     )
     p.add_argument(

@@ -1,7 +1,7 @@
 """pytest integration: ``pytest --reprosan``.
 
-With the flag, every test runs with an installed sanitizer (all four
-detectors) and fails if it records a violation — the dynamic analogue of
+With the flag, every test runs with an installed sanitizer (the race
+detector) and fails if it records a violation — the dynamic analogue of
 running the lint layer over the test suite.  Tests that *deliberately*
 violate contracts (the battery's own tests, fixtures that probe crash
 paths) opt out with ``@pytest.mark.no_reprosan``.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 __all__ = [
     "DETECTORS",
@@ -23,7 +22,6 @@ __all__ = [
     "SanReport",
     "Violation",
     "detector_ids",
-    "detector_for",
 ]
 
 
@@ -39,46 +37,10 @@ class DetectorInfo:
 
 DETECTORS: tuple[DetectorInfo, ...] = (
     DetectorInfo(
-        id="SAN001",
-        detector="sentinel",
-        title="nondeterministic call observed inside engine scope",
-        static_rules=("REP101",),
-    ),
-    DetectorInfo(
-        id="SAN006",
-        detector="hashseed",
-        title="output diverges across PYTHONHASHSEED values",
-        static_rules=("REP006",),
-    ),
-    DetectorInfo(
-        id="SAN102",
-        detector="pickle",
-        title="spec does not survive the executor pickle boundary",
-        static_rules=("REP102",),
-    ),
-    DetectorInfo(
-        id="SAN103",
-        detector="resource",
-        title="resource still live at coordinator commit",
-        static_rules=("REP205",),
-    ),
-    DetectorInfo(
         id="SAN201",
         detector="race",
         title="kernel-scope write to shared state inside a batch",
         static_rules=("REP201",),
-    ),
-    DetectorInfo(
-        id="SAN202",
-        detector="pickle",
-        title="fork-unsafe OS resource reachable from a spec",
-        static_rules=("REP202",),
-    ),
-    DetectorInfo(
-        id="SAN205",
-        detector="resource",
-        title="resource leaked on an exception path",
-        static_rules=("REP005",),
     ),
 )
 
@@ -89,18 +51,14 @@ def detector_ids() -> tuple[str, ...]:
     return tuple(d.id for d in DETECTORS)
 
 
-def detector_for(vid: str) -> DetectorInfo:
-    return _BY_ID[vid]
-
-
 @dataclass(frozen=True)
 class Violation:
     """One witnessed contract violation.
 
     ``witness`` is a tuple of (label, value) string pairs — the changed
-    object, its fingerprints and the batch for races, the acquisition
-    site for leaks, the diff for pickle mismatches.  ``stack`` is the repo-relative acquisition (or
-    trip) stack, innermost last.
+    object, its fingerprints and the batch for a race.  ``path``, ``line``
+    and ``stack`` stay in the report schema for a detector that knows a
+    source site; the race detector reports ``<runtime>``.
     """
 
     id: str
@@ -150,9 +108,6 @@ class SanReport:
 
     def add(self, violation: Violation) -> None:
         self.violations.append(violation)
-
-    def extend(self, violations: Iterable[Violation]) -> None:
-        self.violations.extend(violations)
 
     def finalize(self) -> "SanReport":
         """Sort into canonical order and drop exact duplicates."""

@@ -137,8 +137,8 @@ class TestSanitizerInterplay:
     """Sanitizer x FaultPlan x crashpoint interplay (reprosan).
 
     Injected faults and simulated coordinator crashes are *modelled*
-    failures: the sanitizer must neither report their unwound resources
-    as leaks nor perturb the recovered output.
+    failures: retried batches must not look like races to the sanitizer,
+    and installing it must not perturb the recovered output.
     """
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))

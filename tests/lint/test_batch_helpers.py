@@ -58,8 +58,6 @@ def lint(source, *, modpath=ENGINE_MOD):
     config = LintConfig(
         program_modules_override={BATCH_MOD: BATCH_SRC},
         kernel_source_override="class FakeSpec:\n    pass\n",
-        span_names_override=frozenset({"map", "sort"}),
-        event_names_override=frozenset({"node.crash"}),
     )
     return lint_source(textwrap.dedent(source), modpath=modpath, config=config)
 

@@ -1,11 +1,11 @@
-"""The whole-program layer: summaries, splicing, REP101..REP104 and REP201.
+"""The whole-program layer: summaries, splicing, REP101 and REP201.
 
 The summaries hold call edges, module-global writes and coordinator-
 singleton reads; REP201 (``TestREP105``) is the rule that follows the
-edges.  The REP10x fixtures are the direct ones — a violation laundered
-through a helper is caught where it stands (REP101: the helper's module
-is in deterministic scope) or by the sanitizer (SAN102/SAN202), and the
-guards (context managers, ownership transfer, plain values) stay.
+edges.  The REP101 fixtures are the direct ones — a clock read laundered
+through a helper is caught where it stands (the helper's module is in
+deterministic scope) — and the guards (context managers, ownership
+transfer) stay.
 Fixture programs are injected hermetically via
 ``LintConfig.program_modules_override`` so no test depends on the real
 tree's contents.  ``TestREP103``'s fixtures assert REP205, the rule
@@ -41,14 +41,8 @@ HELPER_SRC = textwrap.dedent(
     def keys_list(d):
         return list(set(d))
 
-    def make_cb():
-        return lambda x: x + 1
-
     def acquire(path):
         return open(path)
-
-    def attach_cb(spec):
-        spec.cb = lambda x: x
 
     def pure(x):
         return x + 1
@@ -60,8 +54,6 @@ def lint(source, *, modpath=ENGINE_MOD, modules=None, **cfg_kw):
     over = {HELPER_MOD: HELPER_SRC}
     over.update(modules or {})
     cfg_kw.setdefault("kernel_source_override", "class FakeSpec:\n    pass\n")
-    cfg_kw.setdefault("span_names_override", frozenset({"map", "reduce"}))
-    cfg_kw.setdefault("event_names_override", frozenset({"node.crash"}))
     config = LintConfig(program_modules_override=over, **cfg_kw)
     return lint_source(textwrap.dedent(source), modpath=modpath, config=config)
 
@@ -355,52 +347,6 @@ class TestREP101:
         assert "time.time" in at_source[0].message
 
 
-# -- REP102: pickle-reachability ----------------------------------------------
-
-
-class TestREP102:
-    def test_attribute_assignment_flagged(self):
-        findings = lint(
-            """
-            from repro.exec.kernels import FakeSpec
-
-            def build():
-                spec = FakeSpec()
-                spec.cb = lambda x: x
-                return spec
-            """
-        )
-        assert rules_of(findings) == ["REP102"]
-        assert "will not pickle" in findings[0].message
-
-    def test_plain_values_clean(self):
-        findings = lint(
-            """
-            from repro.core import helper
-            from repro.exec.kernels import FakeSpec
-
-            def build():
-                spec = FakeSpec(helper.pure(2))
-                spec.n = 3
-                return spec
-            """
-        )
-        assert findings == []
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            from repro.exec.kernels import FakeSpec
-
-            def build():
-                spec = FakeSpec()
-                spec.cb = lambda x: x  # reprolint: disable=REP102 -- local-only run
-                return spec
-            """
-        )
-        assert findings == []
-
-
 # -- REP103: resource leaks ---------------------------------------------------
 
 
@@ -472,89 +418,6 @@ class TestREP103:
             def read(path):
                 f = open(path)  # reprolint: disable=REP205 -- process-lifetime handle
                 return f.read()
-            """
-        )
-        assert findings == []
-
-
-# -- REP104: registry name flow -----------------------------------------------
-
-
-class TestREP104:
-    def test_folded_unregistered_name_flagged(self):
-        findings = lint(
-            """
-            def run(tracer):
-                part = "re"
-                with tracer.span(f"{part}play"):
-                    pass
-            """
-        )
-        assert rules_of(findings) == ["REP104"]
-        assert "'replay'" in findings[0].message
-
-    def test_concatenation_folds_to_registered_name(self):
-        findings = lint(
-            """
-            def run(tracer):
-                part = "re"
-                with tracer.span(part + "duce"):
-                    pass
-            """
-        )
-        assert findings == []
-
-    def test_constant_local_name(self):
-        findings = lint(
-            """
-            def run(tracer):
-                name = "map"
-                with tracer.span(name):
-                    pass
-            """
-        )
-        assert findings == []
-
-    def test_unfoldable_name_rejected(self):
-        findings = lint(
-            """
-            def run(tracer, shard):
-                with tracer.span(f"shard-{shard}"):
-                    pass
-            """
-        )
-        assert rules_of(findings) == ["REP104"]
-        assert "cannot be resolved statically" in findings[0].message
-
-    def test_reassigned_local_does_not_fold(self):
-        findings = lint(
-            """
-            def run(tracer, flag):
-                name = "map"
-                if flag:
-                    name = "oops"
-                with tracer.span(name):
-                    pass
-            """
-        )
-        assert rules_of(findings) == ["REP104"]
-
-    def test_literal_names_left_to_rep005(self):
-        findings = lint(
-            """
-            def run(tracer):
-                with tracer.span("unregistered"):
-                    pass
-            """
-        )
-        assert rules_of(findings) == ["REP104"]
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            def run(tracer, shard):
-                with tracer.span(f"shard-{shard}"):  # reprolint: disable=REP104 -- debug build
-                    pass
             """
         )
         assert findings == []

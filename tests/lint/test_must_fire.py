@@ -62,13 +62,8 @@ MUST_FIRE = {
         "def k(ctx, spec):\n    print(spec)\n\nregister_kernel('k', k)\n",
         "def k(ctx, spec):\n    return [spec]\n\nregister_kernel('k', k)\n",
     ),
-    "REP004": (
-        per_file(counter_names_override=frozenset({"MAP_INPUT_RECORDS"})),
-        "from repro.mapreduce.counters import C\nNAME = C.MAP_INPUT_RECORD\n",
-        "from repro.mapreduce.counters import C\nNAME = C.MAP_INPUT_RECORDS\n",
-    ),
     "REP005": (
-        per_file(span_names_override=frozenset({"map"})),
+        per_file(),
         "def run(tracer):\n    handle = tracer.span('map')\n    handle.__enter__()\n",
         "def run(tracer):\n    with tracer.span('map'):\n        pass\n",
     ),
@@ -86,18 +81,6 @@ MUST_FIRE = {
         flow,
         "import time\n\ndef run():\n    return time.time()\n",
         "import time\n\ndef run():\n    return time.perf_counter()\n",
-    ),
-    "REP102": (
-        flow,
-        "from repro.core import helper\nfrom repro.exec.kernels import FakeSpec\n\n"
-        "def build():\n    return FakeSpec(lambda x: x + 1)\n",
-        "from repro.core import helper\nfrom repro.exec.kernels import FakeSpec\n\n"
-        "def build():\n    return FakeSpec(helper.pure(2))\n",
-    ),
-    "REP104": (
-        flow,
-        "def run(tracer, shard):\n    with tracer.span(f'shard-{shard}'):\n        pass\n",
-        "def run(tracer):\n    part = 're'\n    with tracer.span(part + 'duce'):\n        pass\n",
     ),
     "REP201": (
         cfg_as_kernel_module,
@@ -145,3 +128,28 @@ def test_every_rule_must_fire(rule):
 
 def test_no_row_outlives_its_rule():
     assert set(MUST_FIRE) == {r.id for r in ALL_RULES}
+
+
+#: REP101 on a source taken as a value: the call it feeds is out of sight.
+REP101_REFERENCES = {
+    "assigned": (
+        "import time\n\ndef run():\n    clock = time.time\n    return clock()\n",
+        "import time\n\ndef run():\n    clock = time.perf_counter\n    return clock()\n",
+    ),
+    "argument": (
+        "import time\n\ndef run(stamp):\n    return stamp(key=time.time)\n",
+        "import time\n\ndef run(stamp):\n    return stamp(key=time.perf_counter)\n",
+    ),
+    "default": (
+        "import time\n\ndef run(clock=time.time):\n    return clock()\n",
+        "import time\n\ndef run(clock=time.perf_counter):\n    return clock()\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(REP101_REFERENCES))
+def test_rep101_fires_on_a_source_taken_as_a_value(form):
+    violating, conforming = REP101_REFERENCES[form]
+    fired = flow(violating, "REP101")
+    assert [(f.rule, "time.time" in f.message) for f in fired] == [("REP101", True)]
+    assert flow(conforming, "REP101") == []

@@ -106,16 +106,6 @@ SEEDS = {
         # At the write, with the chain — and nothing at the kernel.
         ("REP201", "src/repro/analysis/seeded_state.py"),
     ),
-    "f-string span name": (
-        {
-            "src/repro/mapreduce/driver.py": (
-                "\n\ndef _seeded_span(tracer, shard):\n"
-                '    with tracer.span(f"shard-{shard}"):\n'
-                "        pass\n"
-            ),
-        },
-        ("REP104", "src/repro/mapreduce/driver.py"),
-    ),
 }
 
 
@@ -332,11 +322,10 @@ def test_list_rules_names_all_layers():
     )
     assert out.returncode == 0
     for rule_id in (
-        "REP002", "REP004", "REP005", "REP006", "REP007",
-        "REP101", "REP102", "REP104",
+        "REP002", "REP005", "REP006", "REP007", "REP101",
         "REP201", "REP202", "REP204", "REP205",
     ):
         assert rule_id in out.stdout
-    assert len(out.stdout.splitlines()) == 12
-    for retired in ("REP105", "REP203", "REP206"):
+    assert len(out.stdout.splitlines()) == 9
+    for retired in ("REP004", "REP102", "REP104", "REP105", "REP203", "REP206"):
         assert retired not in out.stdout

@@ -1,13 +1,15 @@
 """Audit of the span/event name registries, and of the analyzer's metrics
 table, against real engine runs.
 
-``repro/obs/names.py`` is a closed vocabulary enforced statically (REP005,
-REP104).  This audit closes the loop in the other direction: a battery of
-engine scenarios — the four workloads, fault and checkpoint recovery,
-speculation, the crashpoint chaos sweep, and a chained cached run — must
-between them emit **every** registered name.  A name that no scenario emits
-is dead registry weight (or dead instrumentation) and fails here; an emitted
-name missing from the registry fails too.
+``repro/obs/names.py`` is a closed vocabulary, and this audit holds it
+from both sides: a battery of engine scenarios — the four workloads, fault
+and checkpoint recovery, speculation, the crashpoint chaos sweep, and a
+chained cached run — must between them emit **every** registered name, and
+every name they emit must be registered.  A name that no scenario emits is
+dead registry weight (or dead instrumentation); an emitted name missing
+from the registry is a typo every downstream view would drop.  (The static
+twin, REP104, was retired by the mutant kill table in
+``docs/STATIC_ANALYSIS.md``: this battery killed its mutant.)
 
 Metrics have no registry: a distribution is a row of
 ``repro.obs.analyze.report.DERIVED_METRICS`` naming a span or event and the

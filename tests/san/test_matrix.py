@@ -58,8 +58,8 @@ class TestBattery:
             assert violation.witness, result.rule
 
     def test_battery_select_subset(self):
-        results = run_battery(("REP102", "REP202"))
-        assert [r.rule for r in results] == ["REP102", "REP202"]
+        results = run_battery(("REP201",))
+        assert [r.rule for r in results] == ["REP201"]
         assert battery_ok(results)
 
 

@@ -25,7 +25,6 @@ BENCH_OPEN, BENCH_CLOSE = "<!-- bench-audit -->", "<!-- /bench-audit -->"
 #: Modules reached by name rather than by an import statement.
 RUN_BY_NAME = {
     "__main__.py": "`python -m repro`",
-    "san/workload_digest.py": "`python -m repro.san.workload_digest`, spawned by `san/hashseed.py`",
     "san/pytest_plugin.py": "`pytest_plugins` in the root `conftest.py`",
 }
 
