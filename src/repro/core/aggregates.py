@@ -22,6 +22,7 @@ tests exercise exactly that invariant.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Protocol, TypeVar
 
 from repro.io.serialization import estimate_size
@@ -91,6 +92,7 @@ class CountState:
     """COUNT(*): one integer."""
 
     __slots__ = ("n",)
+    SIZE_BYTES = 64  # a table charges it at admission without a call
 
     def __init__(self) -> None:
         self.n = 0
@@ -107,7 +109,7 @@ class CountState:
         return self.n
 
     def size_bytes(self) -> int:
-        return 64
+        return self.SIZE_BYTES
 
 
 class SumState:
@@ -119,6 +121,7 @@ class SumState:
     """
 
     __slots__ = ("total",)
+    SIZE_BYTES = 64
 
     def __init__(self) -> None:
         self.total = 0
@@ -135,13 +138,14 @@ class SumState:
         return self.total
 
     def size_bytes(self) -> int:
-        return 64
+        return self.SIZE_BYTES
 
 
 class SumCountState:
     """(sum, count) pair — the building block of AVG."""
 
     __slots__ = ("total", "n")
+    SIZE_BYTES = 96
 
     def __init__(self) -> None:
         self.total = 0
@@ -161,7 +165,7 @@ class SumCountState:
         return (self.total, self.n)
 
     def size_bytes(self) -> int:
-        return 96
+        return self.SIZE_BYTES
 
 
 class AvgState(SumCountState):
@@ -270,7 +274,9 @@ class CollectState:
 
     Needed when the reduce function is holistic (sessionization, inverted
     index posting lists).  Its footprint grows with the data, which is what
-    makes memory management interesting for these workloads.
+    makes memory management interesting for these workloads.  A collect
+    table's fold appends and charges values itself (``_bytes`` is pickled
+    in every spilled state's frame, so it keeps its name).
     """
 
     __slots__ = ("values", "_bytes")
@@ -317,7 +323,7 @@ class SessionState(CollectState):
     def result(self) -> list[list[Any]]:
         if not self.values:
             return []
-        ordered = sorted(self.values, key=lambda click: click[0])
+        ordered = sorted(self.values, key=itemgetter(0))
         sessions: list[list[Any]] = [[ordered[0]]]
         for click in ordered[1:]:
             if click[0] - sessions[-1][-1][0] > self.gap:

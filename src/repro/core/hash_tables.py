@@ -17,16 +17,20 @@ bucket hashed with the same function would not split further).
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.aggregates import AggregateState, Aggregator
-from repro.io.serialization import estimate_size
+from repro.core.aggregates import AggregateState, Aggregator, CollectState
+from repro.io.disk import LocalDisk
+from repro.io.runio import RunWriter
+from repro.io.serialization import estimate_size, estimate_sizes
 from repro.mapreduce.partition import stable_hash
 
-__all__ = ["HashFamily", "AccountedStateTable", "SpilledState"]
+__all__ = ["HashFamily", "AccountedStateTable", "SpilledState", "SpillBuckets"]
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _SLOT_BYTES = 104  # dict slot overhead per entry, amortised
+_VALUE = itemgetter(1)
 
 
 class HashFamily:
@@ -84,6 +88,33 @@ class SpilledState:
         self.state = state
 
 
+class SpillBuckets:
+    """Hashed spill files ``f"{prefix}{bucket:03d}"``; :meth:`write` buckets
+    a segment in one loop and makes one ``write_all`` per bucket."""
+
+    __slots__ = ("disk", "prefix", "hash", "writers")
+
+    def __init__(
+        self, disk: LocalDisk, prefix: str, hash: Callable[[Any], int], count: int
+    ) -> None:
+        self.disk, self.prefix, self.hash = disk, prefix, hash
+        self.writers: list[RunWriter | None] = [None] * count
+
+    @property
+    def records(self) -> int:
+        return sum(w.records_written for w in self.writers if w is not None)
+
+    def write(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+        buckets: dict[int, list[tuple[Any, Any]]] = {}
+        hash_, count, writers = self.hash, len(self.writers), self.writers
+        for pair in pairs:
+            buckets.setdefault(hash_(pair[0]) % count, []).append(pair)
+        for bucket, bucket_pairs in buckets.items():
+            if writers[bucket] is None:
+                writers[bucket] = RunWriter(self.disk, f"{self.prefix}{bucket:03d}")
+            writers[bucket].write_all(bucket_pairs)  # type: ignore[union-attr]
+
+
 class AccountedStateTable:
     """``key -> AggregateState`` with running byte accounting.
 
@@ -99,9 +130,13 @@ class AccountedStateTable:
       past ``2 * budget`` pops the largest states until back under budget.
 
     Nothing is re-measured per fold: a new key is charged its estimate, a
-    dict slot and its fresh state once, and every fold adds the growth the
-    state itself reports (``AggregateState.update`` / ``merge`` return
-    it).  So :attr:`used_bytes` always equals
+    dict slot and its fresh state once (a fixed-size state's
+    ``SIZE_BYTES``), and every fold adds the growth the state itself
+    reports (``AggregateState.update`` / ``merge`` return it), but a
+    collect table (:attr:`collects`: its states update as
+    :class:`CollectState` does) sizes a fold's values in one
+    :func:`estimate_sizes` call and appends them itself.  So
+    :attr:`used_bytes` always equals
     ``sum(estimate_size(key) + 104 + state.size_bytes())`` over the table.
     :attr:`states` is the backing dict; only this class mutates it.
     """
@@ -116,6 +151,8 @@ class AccountedStateTable:
         "shed",
         "frozen",
         "frozen_bytes",
+        "fixed_bytes",
+        "collects",
     )
 
     def __init__(
@@ -131,6 +168,9 @@ class AccountedStateTable:
         self.used_bytes = self.probes = self.frozen_bytes = 0
         self.capacity, self.budget, self.shed = capacity, budget, shed
         self.frozen = False
+        probe = aggregator.initial()
+        self.fixed_bytes: int = getattr(probe, "SIZE_BYTES", 0)
+        self.collects = getattr(type(probe), "update", None) is CollectState.update
 
     def __len__(self) -> int:
         return len(self.states)
@@ -146,21 +186,29 @@ class AccountedStateTable:
         pairs folded, once per call.
         """
         states, budget, frozen = self.states, self.budget, self.frozen
+        make, fixed, collects = self.aggregator.initial, self.fixed_bytes, self.collects
         misses: list[tuple[Any, Any]] = []
         used = self.used_bytes
         # Growth is summed apart from admissions, so a fixed-size state's
         # zero growth keeps ``grown`` a cached small int.
         grown = shed = 0
+        sizes = iter(estimate_sizes(list(map(_VALUE, pairs)))) if collects else None
         for key, value in pairs:
+            if collects:
+                size = next(sizes)  # type: ignore[arg-type]
             state = states.get(key)
             if state is None:
                 if frozen or len(states) >= self.capacity:
                     misses.append((key, value))
                     continue
-                state = states[key] = self.aggregator.initial()
-                used += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
+                state = states[key] = make()
+                used += estimate_size(key) + _SLOT_BYTES + (fixed or state.size_bytes())
             if isinstance(value, SpilledState):
                 grown += state.merge(value.state)
+            elif collects:
+                state.values.append(value)
+                state._bytes += size + 8
+                grown += size + 8
             else:
                 grown += state.update(value)
             if budget is None:
@@ -197,7 +245,8 @@ class AccountedStateTable:
         state = self.states.get(key)
         if state is None:
             state = self.states[key] = self.aggregator.initial()
-            self.used_bytes += estimate_size(key) + _SLOT_BYTES + state.size_bytes()
+            fresh = self.fixed_bytes or state.size_bytes()
+            self.used_bytes += estimate_size(key) + _SLOT_BYTES + fresh
         self.used_bytes += state.update(value)
         return state
 

@@ -32,10 +32,10 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.aggregates import Aggregator
 from repro.core.frequent import SpaceSaving, TrackedKey
-from repro.core.hash_tables import AccountedStateTable, HashFamily, SpilledState
+from repro.core.hash_tables import AccountedStateTable, HashFamily, SpillBuckets, SpilledState
 from repro.core.hybrid_hash import HybridHashGrouper
 from repro.io.disk import LocalDisk
-from repro.io.runio import RunWriter, stream_pieces
+from repro.io.runio import stream_pieces
 from repro.mapreduce.counters import C, Counters
 
 __all__ = ["ApproximateResult", "HotSetIncrementalHash"]
@@ -92,8 +92,9 @@ class HotSetIncrementalHash:
         self.spill_partitions = spill_partitions
         self.counters = counters if counters is not None else Counters()
         self._table = AccountedStateTable(aggregator, capacity=capacity)
-        self._hash = HashFamily(seed=0x5EED).member(0)
-        self._writers: list[RunWriter | None] = [None] * spill_partitions
+        self._spills = SpillBuckets(
+            disk, f"{self.namespace}/cold-b", HashFamily(seed=0x5EED).member(0), spill_partitions
+        )
         self._since_refresh = 0
         self._finished = False
         self.updates = 0
@@ -107,7 +108,7 @@ class HotSetIncrementalHash:
     @property
     def spilled_records(self) -> int:
         """Pairs written cold so far (live; bytes settle only on flush)."""
-        return sum(w.records_written for w in self._writers if w is not None)
+        return self._spills.records
 
     def update(self, key: Any, value: Any) -> None:
         """Observe one pair: :meth:`update_batch` of one."""
@@ -123,15 +124,15 @@ class HotSetIncrementalHash:
         if self._finished:
             raise RuntimeError("hot-set hash already finished")
         fold, counters, offer_all = self._table.fold, self.counters, self.sketch.offer_all
-        spill = self._spill_pair
+        spill = self._spills.write
         start = 0
         while start < len(pairs):
             end = start + self.refresh_interval - self._since_refresh
             segment = pairs[start:end]
             offer_all([key for key, _ in segment])
             misses = fold(segment)
-            for key, value in misses:
-                spill(key, value)
+            if misses:
+                spill(misses)
             hits = len(segment) - len(misses)
             # A zero inc would insert the name early: counters keep insertion order.
             if hits:
@@ -143,14 +144,6 @@ class HotSetIncrementalHash:
             if self._since_refresh >= self.refresh_interval:
                 self._refresh()
             start = end
-
-    def _spill_pair(self, key: Any, value: Any) -> None:
-        bucket = self._hash(key) % self.spill_partitions
-        writer = self._writers[bucket]
-        if writer is None:
-            writer = RunWriter(self.disk, f"{self.namespace}/cold-b{bucket:03d}")
-            self._writers[bucket] = writer
-        writer.write((key, value))
 
     def _refresh(self) -> None:
         """Realign the resident set with the sketch's current top keys.
@@ -164,8 +157,7 @@ class HotSetIncrementalHash:
         # Eviction (and hence spill) order must not depend on the
         # process hash seed; repr-keyed sort handles mixed key types.
         for key in sorted(resident - hot, key=repr):
-            state = self._table.pop(key)
-            self._spill_pair(key, SpilledState(state))
+            self._spills.write([(key, SpilledState(self._table.pop(key)))])
             self.counters.inc(C.HOT_EVICTIONS)
         # Newly hot keys start their state on their next arrival; their
         # prior history already lives in the cold spills.
@@ -198,7 +190,7 @@ class HotSetIncrementalHash:
         budget = max(self._table.used_bytes, 1 << 16)
 
         cold_paths: list[str] = []
-        for writer in self._writers:
+        for writer in self._spills.writers:
             if writer is not None:
                 writer.close()
                 self.counters.inc(C.REDUCE_SPILL_BYTES, writer.bytes_written)

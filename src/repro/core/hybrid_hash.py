@@ -21,12 +21,12 @@ Properties the benchmarks verify:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.core.aggregates import COLLECT, Aggregator
-from repro.core.hash_tables import AccountedStateTable, HashFamily, SpilledState
+from repro.core.hash_tables import AccountedStateTable, HashFamily, SpillBuckets, SpilledState
 from repro.io.disk import LocalDisk
-from repro.io.runio import RunWriter, stream_pieces
+from repro.io.runio import stream_pieces
 from repro.mapreduce.counters import C, Counters
 
 __all__ = ["HybridHashGrouper", "SpilledState"]
@@ -81,9 +81,10 @@ class HybridHashGrouper:
         self.level = level
         self.max_levels = max_levels
         self.counters = counters if counters is not None else Counters()
-        self._hash: Callable[[Any], int] = _HASH_FAMILY.member(level)
         self._table = AccountedStateTable(aggregator, budget=memory_bytes, shed=True)
-        self._writers: list[RunWriter | None] = [None] * spill_partitions
+        self._spills = SpillBuckets(
+            disk, f"{self.namespace}/hh-l{level}-b", _HASH_FAMILY.member(level), spill_partitions
+        )
         self._finished = False
 
     # -- ingestion -----------------------------------------------------------
@@ -99,7 +100,7 @@ class HybridHashGrouper:
 
     @property
     def spilled_records(self) -> int:
-        return sum(w.records_written for w in self._writers if w is not None)
+        return self._spills.records
 
     def add(self, key: Any, value: Any) -> None:
         """Route one pair: :meth:`add_batch` of one."""
@@ -113,7 +114,7 @@ class HybridHashGrouper:
         table checks the budget after every pair, so the freeze and every
         shed land on the same pair however the stream is cut, and its
         misses (cold pairs, and shed states where they were shed) reach
-        disk in order.
+        disk in order, a bucket at a time.
         """
         if self._finished:
             raise RuntimeError("grouper already finished")
@@ -122,17 +123,8 @@ class HybridHashGrouper:
         misses = table.fold(pairs)
         if table.frozen and not frozen:
             self.counters.set_max(C.HASH_STATE_BYTES_PEAK, table.frozen_bytes)
-        for key, value in misses:
-            self._spill(key, value)
-
-    def _spill(self, key: Any, value: Any) -> None:
-        bucket = self._hash(key) % self.spill_partitions
-        writer = self._writers[bucket]
-        if writer is None:
-            path = f"{self.namespace}/hh-l{self.level}-b{bucket:03d}"
-            writer = RunWriter(self.disk, path)
-            self._writers[bucket] = writer
-        writer.write((key, value))
+        if misses:
+            self._spills.write(misses)
 
     # -- results ----------------------------------------------------------------
 
@@ -150,7 +142,7 @@ class HybridHashGrouper:
         yield from self._table.results()
         self._table.clear()
 
-        for bucket, writer in enumerate(self._writers):
+        for bucket, writer in enumerate(self._spills.writers):
             if writer is None:
                 continue
             writer.close()

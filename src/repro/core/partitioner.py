@@ -19,12 +19,13 @@ in Table II's "Sorting" row simply does not exist on this path.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.core.aggregates import Aggregator
 from repro.core.hash_tables import AccountedStateTable
 from repro.core.hybrid_hash import SpilledState
-from repro.io.serialization import estimate_size
+from repro.io.serialization import estimate_sizes
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.partition import KeyFacts, KeyPartitions, Partitioner, hash_partitioner
 
@@ -34,6 +35,7 @@ __all__ = ["ScanPartitionBuffer", "MapSideHashCombiner"]
 ChunkSink = Callable[[int, list[tuple[Any, Any]], int], None]
 
 _PAIR_OVERHEAD = 32
+_VALUE = itemgetter(1)
 
 
 class ScanPartitionBuffer:
@@ -69,19 +71,19 @@ class ScanPartitionBuffer:
 
         The flush threshold is checked after every pair, so chunk
         boundaries do not depend on how the stream is cut into blocks;
-        a key is routed and sized once per task (:class:`KeyFacts`) and
-        the counter moves once per block.
+        a key is routed and sized once per task (:class:`KeyFacts`), the
+        block's values in one :func:`estimate_sizes` call, and the
+        counter moves once per block.
         """
         facts = self._facts
         buffers = self._buffers
         sizes = self._bytes
         budget = self.buffer_bytes
-        estimate = estimate_size
-        for key, value in pairs:
+        for (key, value), value_bytes in zip(pairs, estimate_sizes(list(map(_VALUE, pairs)))):
             t = type(key)
             partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
             buffers[partition].append((key, value))
-            sizes[partition] += key_bytes + estimate(value)
+            sizes[partition] += key_bytes + value_bytes
             if sizes[partition] >= budget:
                 self._flush(partition)
         self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))

@@ -59,15 +59,15 @@ class RunWriter:
     """Buffered writer of framed pairs to one file on a :class:`LocalDisk`.
 
     The incremental writer of the hash techniques' spill partitions, which
-    receive one record at a time; whole runs go through :func:`write_run`.
+    receive a bucket at a time; whole runs go through :func:`write_run`.
     """
 
     __slots__ = (
         "disk",
         "path",
         "flush_bytes",
+        "_limit",
         "_pending",
-        "_pending_bytes",
         "records_written",
         "bytes_written",
         "_closed",
@@ -83,26 +83,28 @@ class RunWriter:
         self.disk = disk
         self.path = path
         self.flush_bytes = flush_bytes
+        # A record is charged 64 bytes: a flush lands every ``_limit`` records.
+        self._limit = max(1, -(-flush_bytes // 64))
         self._pending: list[Any] = []
-        self._pending_bytes = 0
         self.records_written = 0
         self.bytes_written = 0
         self._closed = False
         disk.create(path, overwrite=True)
 
     def write(self, item: Any) -> None:
-        if self._closed:
-            raise ValueError(f"writer for {self.path} is closed")
-        self._pending.append(item)
-        # A cheap length proxy; exact framing happens at flush time.
-        self._pending_bytes += 64
-        self.records_written += 1
-        if self._pending_bytes >= self.flush_bytes:
-            self._flush()
+        self.write_all((item,))
 
     def write_all(self, items: Iterable[Any]) -> None:
-        for item in items:
-            self.write(item)
+        """Append ``items`` in order, one slice per flush."""
+        if self._closed:
+            raise ValueError(f"writer for {self.path} is closed")
+        pending, limit = self._pending, self._limit
+        it = iter(items)
+        while chunk := list(islice(it, limit - len(pending))):
+            pending += chunk
+            self.records_written += len(chunk)
+            if len(pending) >= limit:
+                self._flush()
 
     def _flush(self) -> None:
         if not self._pending:
@@ -111,7 +113,6 @@ class RunWriter:
         self.disk.append(self.path, chunk)
         self.bytes_written += len(chunk)
         self._pending.clear()
-        self._pending_bytes = 0
 
     def close(self) -> None:
         if not self._closed:

@@ -25,7 +25,7 @@ from repro.io.batch import merge_segments, sort_bucket
 from repro.io.disk import LocalDisk
 from repro.io.runio import Framed, KeyedRun, frame_records, segment_pairs, stream_frames
 from repro.io.runio import stream_pieces, write_run
-from repro.io.serialization import estimate_size
+from repro.io.serialization import estimate_sizes
 from repro.mapreduce.api import MapFn, MapReduceJob
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted, pair_pieces
@@ -199,18 +199,18 @@ class _SortSpillBuffer:
         """The collect loop: bucket ``pairs``, spilling at the byte budget.
 
         The budget is checked after every pair, so spill points do not
-        depend on how the stream is cut into blocks.
+        depend on how the stream is cut into blocks; values are sized a
+        block at a time.
         """
         facts = self._facts
         budget = self.buffer_bytes
-        estimate = estimate_size
         buckets = self._buckets
         used = self._bytes
-        for key, value in pairs:
+        for (key, value), value_bytes in zip(pairs, estimate_sizes(list(map(_VALUE, pairs)))):
             t = type(key)
             partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
             buckets[partition].append((key, value))
-            used += key_bytes + estimate(value)
+            used += key_bytes + value_bytes
             if used >= budget:
                 self.spill()
                 buckets = self._buckets

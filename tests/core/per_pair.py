@@ -4,12 +4,15 @@ Each function drives a real backend object one pair at a time, the way the
 backends folded before they shared ``AccountedStateTable.fold``, with its
 own admission, byte accounting, freeze and shed.  They call nothing of the
 table but its dict, so a test that compares a backend's batched fold with
-them compares two implementations, not the fold with itself.
+them compares two implementations, not the fold with itself.  Misses
+spill a pair at a time (:func:`spill_one`), as before the backends
+bucketed a segment's misses.
 """
 
 from repro.core.hash_tables import SpilledState
 from repro.core.hybrid_hash import HybridHashGrouper
 from repro.io.disk import LocalDisk
+from repro.io.runio import RunWriter
 from repro.io.serialization import estimate_size
 from repro.mapreduce.counters import C
 
@@ -30,6 +33,45 @@ def fold_one(table, key, value):
     return state
 
 
+def table_fold(table, pairs, sheds=None):
+    """``AccountedStateTable.fold`` a pair at a time with :func:`fold_one`'s
+    own accounting and the table's admission rule; the misses in order.
+    Each shed appends ``(used_bytes before it, victims)`` to ``sheds``."""
+    misses = []
+    for key, value in pairs:
+        if key not in table.states and (table.frozen or len(table.states) >= table.capacity):
+            misses.append((key, value))
+            continue
+        fold_one(table, key, value)
+        if table.budget is None:
+            continue
+        if not table.frozen:
+            if table.used_bytes > table.budget:
+                table.frozen, table.frozen_bytes = True, table.used_bytes
+        elif table.shed and table.used_bytes > 2 * table.budget:
+            before, victims = table.used_bytes, []
+            by_size = sorted(table.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
+            for victim, state in by_size:
+                if table.used_bytes <= table.budget:
+                    break
+                del table.states[victim]
+                table.used_bytes -= estimate_size(victim) + state.size_bytes() + SLOT_BYTES
+                misses.append((victim, SpilledState(state)))
+                victims.append(victim)
+            if sheds is not None:
+                sheds.append((before, victims))
+    return misses
+
+
+def spill_one(spills, key, value):
+    """One hash and one ``RunWriter.write`` for one pair into ``SpillBuckets``."""
+    bucket = spills.hash(key) % len(spills.writers)
+    writer = spills.writers[bucket]
+    if writer is None:
+        writer = spills.writers[bucket] = RunWriter(spills.disk, f"{spills.prefix}{bucket:03d}")
+    writer.write((key, value))
+
+
 def hybrid_add(g, key, value):
     """``HybridHashGrouper.add``: a cold key spills once frozen, the first
     pair past the budget freezes, a frozen pair past twice it sheds.
@@ -38,7 +80,7 @@ def hybrid_add(g, key, value):
         raise RuntimeError("grouper already finished")
     table = g._table
     if table.frozen and key not in table.states:
-        g._spill(key, value)
+        spill_one(g._spills, key, value)
         return None
     fold_one(table, key, value)
     if not table.frozen:
@@ -61,7 +103,7 @@ def shed(g):
             break
         del table.states[key]
         table.used_bytes -= estimate_size(key) + state.size_bytes() + SLOT_BYTES
-        g._spill(key, SpilledState(state))
+        spill_one(g._spills, key, SpilledState(state))
         victims.append(key)
     return victims
 
@@ -114,7 +156,7 @@ def hotset_update(h, key, value):
         fold_one(h._table, key, value)
         h.counters.inc(C.HOT_HITS)
     else:
-        h._spill_pair(key, value)
+        spill_one(h._spills, key, value)
         h.counters.inc(C.HOT_MISSES)
     h._since_refresh += 1
     if h._since_refresh >= h.refresh_interval:

@@ -23,7 +23,7 @@ from repro.core.hybrid_hash import HybridHashGrouper
 from repro.core.incremental import IncrementalHash
 from repro.io.disk import LocalDisk
 from repro.io.serialization import estimate_size
-from tests.core.per_pair import fold_one
+from tests.core.per_pair import table_fold
 
 
 class TestHashFamily:
@@ -155,6 +155,7 @@ def _ops(values):
     return st.lists(
         st.one_of(
             st.tuples(st.just("update"), _keys, values),
+            st.tuples(st.just("fold"), _keys, st.lists(values, max_size=4)),
             st.tuples(st.just("merge"), _keys, st.lists(values, max_size=4)),
             st.tuples(st.just("pop"), st.integers(0, 10), st.none()),
             st.tuples(st.just("clear"), st.none(), st.none()),
@@ -181,6 +182,10 @@ class TestRunningTotal:
             if op == "update":
                 table.update(key, arg)
                 probes += 1
+            elif op == "fold":
+                # A collect table sizes these in one ``estimate_sizes`` call.
+                table.fold([(key, value) for value in arg])
+                probes += len(arg)
             elif op == "merge":
                 other = aggregator.initial()
                 for value in arg:
@@ -235,31 +240,6 @@ RULES = {
 }
 
 
-def reference_fold(table, pairs):
-    """One pair at a time with ``per_pair.fold_one``'s own accounting; the
-    misses in order."""
-    misses = []
-    for key, value in pairs:
-        if key not in table.states and (table.frozen or len(table.states) >= table.capacity):
-            misses.append((key, value))
-            continue
-        fold_one(table, key, value)
-        if table.budget is None:
-            continue
-        if not table.frozen:
-            if table.used_bytes > table.budget:
-                table.frozen, table.frozen_bytes = True, table.used_bytes
-        elif table.shed and table.used_bytes > 2 * table.budget:
-            by_size = sorted(table.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
-            for victim, state in by_size:
-                if table.used_bytes <= table.budget:
-                    break
-                del table.states[victim]
-                table.used_bytes -= estimate_size(victim) + state.size_bytes() + 104
-                misses.append((victim, SpilledState(state)))
-    return misses
-
-
 def snapshot(table, misses):
     return (
         [(k, s.result()) for k, s in table.items()],
@@ -293,7 +273,7 @@ class TestFold:
             return out
 
         reference = AccountedStateTable(COLLECT, **RULES[rule])
-        expected = snapshot(reference, reference_fold(reference, values()))
+        expected = snapshot(reference, table_fold(reference, values()))
         table = AccountedStateTable(COLLECT, **RULES[rule])
         stream = values()
         edges = [0, *sorted(min(c, len(stream)) for c in cuts), len(stream)]

@@ -152,7 +152,7 @@ def observe(grouper, disk, counters):
         [k for k, _ in table.items()],
         table.used_bytes,
         table.probes,
-        [w.records_written if w is not None else 0 for w in grouper._writers],
+        [w.records_written if w is not None else 0 for w in grouper._spills.writers],
         table.sheds,
     )
     output = list(grouper.finish())
@@ -249,7 +249,7 @@ class TestBatchEquivalence:
     def test_spilled_records_sum_the_writers(self):
         g = HybridHashGrouper(LocalDisk(), "hh", 256, aggregator=COUNT, spill_partitions=4)
         g.add_batch([(f"k{i}", 1) for i in range(100)])
-        written = [w.records_written for w in g._writers if w is not None]
+        written = [w.records_written for w in g._spills.writers if w is not None]
         assert g.spilled_records == sum(written) == 100 - len(g._table)
 
 

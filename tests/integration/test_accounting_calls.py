@@ -1,14 +1,19 @@
 """Call budgets of the byte accounting: a record is sized and routed once.
 
 Counts, not timings — they repeat exactly.  ``estimate_size`` and
-``stable_hash`` are wrapped by counters in the modules that bind them (the
-estimator's own recursion stays inside ``repro.io.serialization`` and is
-not counted: these are *top-level* calls), and a job runs on the serial
-executor, in this process.
+``estimate_sizes`` are wrapped by counters in every ``repro`` module that
+binds them, their own module included, so a value sized one at a time
+counts wherever the call is made (the inverted index's keys and values
+are flat, so the estimator never recurses on them).  The map side's
+``stable_hash`` is wrapped where the partitioner binds it.  A job runs
+on the serial executor, in this process.
 
 Before the key-facts memo and the growth-reporting states every map-output
 record cost one ``stable_hash`` and one key estimate, and every fold on the
-reduce side re-measured its state.
+reduce side re-measured its state.  Before the batch sizer every value was
+sized once per pair at the map-side buffer and again at a collect state;
+now a value costs no ``estimate_size`` call, only its block's share of
+one ``estimate_sizes`` call.
 
 The last two budgets count every Python call ``sys.setprofile`` sees in a
 ``repro`` package: the map-side collect loop's cost per pair must not grow
@@ -22,11 +27,8 @@ import sys
 
 import pytest
 
-import repro.core.aggregates
-import repro.core.hash_tables
-import repro.core.partitioner
+import repro.io.serialization
 import repro.mapreduce.partition
-import repro.mapreduce.sortmerge
 from repro.core.engine import OnePassConfig, OnePassEngine
 from repro.core.incremental import IncrementalHash
 from repro.exec.base import get_kernel
@@ -36,6 +38,7 @@ from repro.mapreduce.api import JobConfig
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPEngine
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.mapreduce.sortmerge import MAP_SLICE_RECORDS
 from repro.workloads.inverted_index import (
     index_map,
     inverted_index_job,
@@ -44,13 +47,6 @@ from repro.workloads.inverted_index import (
 from repro.san import Sanitizer
 from repro.workloads.page_frequency import page_frequency_job, page_frequency_onepass_job
 
-ESTIMATOR_BINDINGS = (
-    repro.mapreduce.partition,
-    repro.mapreduce.sortmerge,
-    repro.core.partitioner,
-    repro.core.aggregates,
-    repro.core.hash_tables,
-)
 NUM_REDUCERS = 3
 
 
@@ -64,15 +60,25 @@ class Calls:
         return self.fn(*args)
 
 
+def wrap_everywhere(monkeypatch, name):
+    """Wrap ``repro.io.serialization.<name>`` in every module bound to it."""
+    original = getattr(repro.io.serialization, name)
+    counter = Calls(original)
+    for module in list(sys.modules.values()):
+        repro_module = getattr(module, "__name__", "").startswith("repro")
+        if repro_module and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counter)
+    return counter
+
+
 @pytest.fixture
 def calls(monkeypatch):
-    estimate = Calls(repro.mapreduce.partition.estimate_size)
-    for module in ESTIMATOR_BINDINGS:
-        monkeypatch.setattr(module, "estimate_size", estimate)
+    estimate = wrap_everywhere(monkeypatch, "estimate_size")
+    sizer = wrap_everywhere(monkeypatch, "estimate_sizes")
     # The map side's binding only: hybrid hash's spill buckets bind their own.
     map_hash = Calls(repro.mapreduce.partition.stable_hash)
     monkeypatch.setattr(repro.mapreduce.partition, "stable_hash", map_hash)
-    return estimate, map_hash
+    return estimate, sizer, map_hash
 
 
 @pytest.fixture
@@ -83,21 +89,24 @@ def cluster(documents):
 
 
 def key_shape(cluster):
-    """(records, sum over map tasks of distinct keys, distinct keys)."""
-    records = per_task = 0
+    """(records, sum over map tasks of distinct keys, distinct keys, map
+    slices: the blocks a map task's collect loop takes)."""
+    records = per_task = slices = 0
     distinct = set()
     for split in cluster.hdfs.input_splits("in"):
-        keys = [k for doc in cluster.hdfs.read_block_records(split.block_id) for k, _ in index_map(doc)]
+        docs = list(cluster.hdfs.read_block_records(split.block_id))
+        keys = [k for doc in docs for k, _ in index_map(doc)]
         records += len(keys)
         per_task += len(set(keys))
         distinct.update(keys)
+        slices += -(-len(docs) // MAP_SLICE_RECORDS)
     assert per_task < records / 2, "the input must repeat keys within a task"
-    return records, per_task, len(distinct)
+    return records, per_task, len(distinct), slices
 
 
 def test_hybrid_one_pass_job(cluster, calls):
-    estimate, map_hash = calls
-    records, per_task, distinct = key_shape(cluster)
+    estimate, sizer, map_hash = calls
+    records, per_task, distinct, slices = key_shape(cluster)
     cfg = OnePassConfig(
         mode="hybrid", map_side_combine=False, num_reducers=NUM_REDUCERS, batch=True
     )
@@ -105,21 +114,23 @@ def test_hybrid_one_pass_job(cluster, calls):
     assert result.counters[C.MAP_OUTPUT_RECORDS] == records
     assert result.counters[C.REDUCE_SPILLS] == 0  # re-read spills would be re-sized
     assert map_hash.n <= per_task
-    # value at the scan buffer + value at the collect state, each key once
-    # per map task and once per reducer table
-    assert estimate.n <= 2 * records + per_task + distinct
+    # each key once per map task and once per reducer table; no value
+    assert estimate.n <= per_task + distinct
+    # values: once per map slice and once per pushed chunk (one per reducer)
+    assert sizer.n <= slices + NUM_REDUCERS
 
 
 @pytest.mark.parametrize("engine", [HadoopEngine, HOPEngine])
 @pytest.mark.parametrize("batch", [False, True])
 def test_sort_merge_engines(cluster, calls, engine, batch):
-    estimate, map_hash = calls
-    records, per_task, _ = key_shape(cluster)
+    estimate, sizer, map_hash = calls
+    records, per_task, _, slices = key_shape(cluster)
     cfg = JobConfig(num_reducers=NUM_REDUCERS, batch=batch)
     result = engine(cluster).run(inverted_index_job("in", "out", config=cfg))
     assert result.counters[C.MAP_OUTPUT_RECORDS] == records
     assert map_hash.n <= per_task
-    assert estimate.n <= records + per_task
+    assert estimate.n <= per_task
+    assert sizer.n <= slices
 
 
 def test_budgeted_incremental_job_folds_chunks_in_one_loop(clicks, monkeypatch):

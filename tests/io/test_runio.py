@@ -67,6 +67,36 @@ class TestRunWriter:
         w.close()
         assert disk.stats.write_ops - before > 5
 
+    @given(
+        pairs,
+        st.lists(st.integers(0, 200), max_size=6),
+        st.sampled_from([-5, 0, 1, 64, 65, 128, 200, 1000, 1 << 22]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_write_all_keeps_the_per_record_flush_points(self, items, cuts, flush_bytes):
+        """Cut anywhere, ``write_all`` appends the chunks a per-record
+        writer charging 64 bytes a record would, at the same records."""
+        expected, pending, charged = [], [], 0
+        for item in items:
+            pending.append(item)
+            charged += 64
+            if charged >= flush_bytes:
+                expected.append(encode_frames(pending))
+                pending, charged = [], 0
+        if pending:
+            expected.append(encode_frames(pending))
+        disk = LocalDisk()
+        appended = []
+        append = disk.append
+        disk.append = lambda path, data: (appended.append(bytes(data)), append(path, data))[1]
+        edges = [0, *sorted(min(c, len(items)) for c in cuts), len(items)]
+        with RunWriter(disk, "run0", flush_bytes=flush_bytes) as w:
+            for a, b in zip(edges, edges[1:]):
+                w.write_all(items[a:b])
+        assert appended == expected
+        assert w.records_written == len(items)
+        assert w.bytes_written == disk.size("run0") == sum(map(len, expected))
+
     def test_overwrites_previous_run(self, disk):
         write_run(disk, "run0", [1, 2, 3])
         write_run(disk, "run0", [4])

@@ -4,6 +4,8 @@ import collections
 import enum
 import sys
 
+import repro.io.serialization
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.io.serialization import (
     encode_each,
     encode_frames,
     estimate_size,
+    estimate_sizes,
     frame_count,
     iter_frames,
 )
@@ -317,3 +320,102 @@ class TestEstimateSize:
     @settings(max_examples=60)
     def test_never_negative_or_zero(self, obj):
         assert estimate_size(obj) > 0
+
+
+# -- estimate_sizes: the batch form, equal to the loop --------------------------
+
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+#: Element kinds for a tuple column.  The first four (and the int/bool
+#: mix) take the column path; the rest send the segment value by value.
+_COLUMN_KINDS = {
+    "int": _ints,
+    "bool": st.booleans(),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(max_size=12),
+    "int|bool": st.one_of(_ints, st.booleans()),
+    "int|float": st.one_of(_ints, st.floats(allow_nan=False)),
+    "str subclass": st.text(max_size=12).map(_Tag),
+    "IntEnum": st.just(_Colour.RED),
+    "nested tuple": st.tuples(_ints, st.text(max_size=3)),
+    "empty tuple": st.just(()),
+    "None": st.none(),
+}
+_columns = st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), max_size=4)
+_scalar_kinds = st.sampled_from(
+    [_ints, st.booleans(), st.floats(allow_nan=False), st.text(max_size=12), st.none(),
+     st.binary(max_size=12), st.binary(max_size=12).map(bytearray), st.just(_Colour.RED)]
+)  # fmt: skip
+
+
+def _grown(items):
+    """``items`` as a list built by appends: same length, more capacity."""
+    out = []
+    for item in items:
+        out.append(item)
+    return out
+
+
+#: Lists of one length and different capacity: ``getsizeof`` tells them apart.
+_lists = st.integers(0, 6).map(
+    lambda n: st.tuples(st.lists(_ints, min_size=n, max_size=n), st.booleans()).map(
+        lambda built: _grown(built[0]) if built[1] else list(built[0])
+    )
+)
+#: Values dropped into a segment to spoil its path: another width, a
+#: nested or empty tuple, a scalar of another class, anything at all.
+_spoilers = st.one_of(
+    st.tuples(_ints, _ints, _ints), st.tuples(st.tuples(_ints)), st.just(()), _ints,
+    st.floats(allow_nan=False), st.text(max_size=5), st.none(), _objects,
+)  # fmt: skip
+
+
+@st.composite
+def _segments(draw):
+    """A segment of one shape, its length on either side of the 16-value
+    cut below which the sizer loops, with up to two spoilers dropped in."""
+    n = draw(st.sampled_from([0, 1, 2, 15, 16, 17, 40]))
+    kinds = draw(st.one_of(
+        _columns.map(lambda cols: st.tuples(*(_COLUMN_KINDS[k] for k in cols))),
+        _scalar_kinds,
+        _lists,
+    ))  # fmt: skip
+    segment = draw(st.lists(kinds, min_size=n, max_size=n))
+    for at, spoiler in draw(st.lists(st.tuples(st.integers(0, 40), _spoilers), max_size=2)):
+        segment.insert(min(at, len(segment)), spoiler)
+    return segment
+
+
+class TestEstimateSizes:
+    @given(_segments())
+    @settings(max_examples=600, deadline=None)
+    def test_equals_the_per_value_loop(self, values):
+        assert estimate_sizes(values) == [estimate_size(v) for v in values]
+
+    def test_named_segments(self):
+        for values in [
+            [],
+            [(1.5, "/a")],
+            [(1, True), (False, 2)] * 8,  # an int/bool column: 28 each
+            [(1, 2.0), (1.0, 2)] * 8,  # int/float columns: value by value
+            [(_Tag("a"), 1), ("b", 2)] * 8,
+            [(_Colour.RED, 1), (1, 1)] * 8,
+            [(1, 2)] * 15 + [(1, 2, 3)],
+            [((1,), 2), ((1,), 2)] * 8,
+            [(), ()] * 8,
+            [[1, 2, 3], _grown([1, 2, 3])] * 8,
+            [None, None] * 8,
+            [b"ab", b""] * 8,
+            [1, True] * 8,
+        ]:
+            assert estimate_sizes(values) == [estimate_size(v) for v in values], values
+
+    def test_workload_segments_size_without_the_per_value_estimator(self, monkeypatch):
+        def fail(obj, _depth=0):
+            raise AssertionError("sized value by value")
+
+        monkeypatch.setattr(repro.io.serialization, "estimate_size", fail)
+        sessionize = [(1.5, "/url/7"), (2.0, "/a")] * 8
+        assert estimate_sizes(sessionize) == [56 + 24 + 55, 56 + 24 + 51] * 8
+        assert estimate_sizes([(3, 4), (5, True)] * 8) == [56 + 28 + 28] * 16
+        assert estimate_sizes([1] * 16) == [28] * 16
+        assert estimate_sizes(["/page/1234"] * 16) == [59] * 16

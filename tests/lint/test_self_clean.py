@@ -80,7 +80,7 @@ SEEDS = {
     ),
     "raising statement between RunWriter(...) and its try/finally": (
         {
-            "src/repro/core/hybrid_hash.py": (
+            "src/repro/core/hash_tables.py": (
                 "\n\ndef _seeded_spill(disk, pairs, check):\n"
                 '    writer = RunWriter(disk, "seeded")\n'
                 "    check(pairs)\n"
@@ -91,7 +91,7 @@ SEEDS = {
                 "        writer.close()\n"
             ),
         },
-        ("REP205", "src/repro/core/hybrid_hash.py"),
+        ("REP205", "src/repro/core/hash_tables.py"),
     ),
     "kernel -> helper in another module -> module-global write": (
         {
