@@ -29,7 +29,7 @@ from repro.core.aggregates import COLLECT, Aggregator
 from repro.core.hotset import ApproximateResult, HotSetIncrementalHash
 from repro.core.hybrid_hash import HybridHashGrouper
 from repro.core.incremental import EmitPolicy, IncrementalHash
-from repro.core.partitioner import MapSideHashCombiner, ScanPartitionBuffer
+from repro.core.partitioner import ChunkSink, MapSideHashCombiner, ScanPartitionBuffer
 from repro.io.disk import LocalDisk
 from repro.mapreduce.api import ReduceFn
 from repro.mapreduce.counters import C, Counters
@@ -38,7 +38,6 @@ from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.journal import K_CHECKPOINT
 from repro.mapreduce.recovery import CheckpointStore, SpeculationPolicy
 from repro.mapreduce.runtime import LocalCluster
-from repro.mapreduce.sortmerge import map_slices
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
     "OnePassJob",
     "OnePassReduceTask",
     "OnePassEngine",
-    "execute_onepass_map",
+    "onepass_map_buffer",
 ]
 
 FinalizeFn = Callable[[Any, Any], Iterable[Any]]
@@ -303,62 +302,24 @@ def _default_finalize(key: Any, result: Any) -> Iterable[Any]:
     yield (key, result)
 
 
-def execute_onepass_map(
-    job: OnePassJob,
-    codec: Any,
-    data: bytes,
-    sink: Callable[[int, list[tuple[Any, Any]], int], None],
-    *,
-    tracer: Any = NULL_TRACER,
-    task_id: int = 0,
-    node: str = "",
-) -> Counters:
-    """One map task's pure body: decode, map, partition/combine into ``sink``.
-
-    This is the worker-side half of the one-pass map task (the
-    ``onepass_map`` kernel): no disk or HDFS access, no engine state — its
-    only effect is the ordered stream of chunks pushed through ``sink``.
-    Returns the task's counters for the coordinator to merge.
-    """
+def onepass_map_buffer(
+    job: OnePassJob, sink: ChunkSink, counters: Counters
+) -> ScanPartitionBuffer | MapSideHashCombiner:
+    """The one-pass map task's collect buffer, pushing its chunks to ``sink``:
+    map-side hash aggregation for a job with an aggregator (unless the
+    config turns it off), scan-only partitioning otherwise."""
     cfg = job.config
-    task_counters = Counters()
-    task_counters.inc(C.MAP_TASKS)
-    task_counters.inc(C.MAP_INPUT_BYTES, len(data))
-
     if job.is_aggregate and cfg.map_side_combine:
-        buffer: Any = MapSideHashCombiner(
+        return MapSideHashCombiner(
             cfg.num_reducers,
             job.aggregator,
             sink,
             memory_bytes=cfg.map_memory_bytes,
-            counters=task_counters,
+            counters=counters,
         )
-    else:
-        buffer = ScanPartitionBuffer(
-            cfg.num_reducers,
-            sink,
-            buffer_bytes=cfg.map_buffer_bytes,
-            counters=task_counters,
-        )
-
-    perf = time.perf_counter
-    t_hash = 0.0
-    n_in = 0
-    with tracer.span(
-        "map", "map", node=node, task=f"map:{task_id:05d}"
-    ) as map_span:
-        for pairs, ends in map_slices(codec.decode(data), job.map_fn, task_counters):
-            n_in += len(ends)
-            t0 = perf()
-            buffer.add_block(pairs)
-            t_hash += perf() - t0
-        t0 = perf()
-        buffer.finish()
-        t_hash += perf() - t0
-        map_span.set_cost(max(1, n_in))
-        map_span.set(records=n_in, bytes=len(data))
-    task_counters.inc(C.T_HASH, t_hash)
-    return task_counters
+    return ScanPartitionBuffer(
+        cfg.num_reducers, sink, buffer_bytes=cfg.map_buffer_bytes, counters=counters
+    )
 
 
 class OnePassEngine(PushShuffleDriver):
@@ -450,13 +411,13 @@ class OnePassEngine(PushShuffleDriver):
     # -- map side: in-memory scan/combine, pushed on completion -----------------
 
     def _map_spec(self, run: JobRun, task_id: int, node: str, data: bytes) -> Any:
-        from repro.exec.kernels import OnePassMapSpec
+        from repro.exec.kernels import PushMapSpec
 
-        return OnePassMapSpec(task_id, node, data)
+        return PushMapSpec(task_id, node, data)
 
     def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
         """Push each chunk to its reducer: log it, absorb it, maybe checkpoint."""
-        for partition, pairs, nbytes in res.staged:
+        for partition, pairs, nbytes in res.chunks:
             if partition in run.committed:
                 continue  # journaled output; the reducer never runs
             run.network_bytes += nbytes
@@ -477,7 +438,7 @@ class OnePassEngine(PushShuffleDriver):
                 if run.chunks_since_checkpoint[partition] >= self.checkpoint_interval:
                     if self._save_checkpoint(run, rtask):
                         run.chunks_since_checkpoint[partition] = 0
-        return sum(nbytes for _, _, nbytes in res.staged)
+        return sum(nbytes for _, _, nbytes in res.chunks)
 
     # -- reduce side: hash state, checkpointed ------------------------------------
 

@@ -27,7 +27,7 @@ from repro.core.hash_tables import AccountedStateTable
 from repro.core.hybrid_hash import SpilledState
 from repro.io.serialization import estimate_sizes
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.partition import KeyFacts, KeyPartitions, Partitioner, hash_partitioner
+from repro.mapreduce.partition import KeyFacts, KeyPartitions, hash_partitioner
 
 __all__ = ["ScanPartitionBuffer", "MapSideHashCombiner"]
 
@@ -47,7 +47,6 @@ class ScanPartitionBuffer:
         sink: ChunkSink,
         *,
         buffer_bytes: int = 4 * 1024 * 1024,
-        partitioner: Partitioner = hash_partitioner,
         counters: Counters | None = None,
     ) -> None:
         if num_partitions < 1:
@@ -55,22 +54,24 @@ class ScanPartitionBuffer:
         self.num_partitions = num_partitions
         self.sink = sink
         self.buffer_bytes = buffer_bytes
-        self.partitioner = partitioner
         self.counters = counters if counters is not None else Counters()
         self._buffers: list[list[tuple[Any, Any]]] = [
             [] for _ in range(num_partitions)
         ]
         self._bytes = [0] * num_partitions
-        self._facts = KeyFacts(partitioner, num_partitions, _PAIR_OVERHEAD)
+        self._facts = KeyFacts(num_partitions, _PAIR_OVERHEAD)
 
     def add(self, key: Any, value: Any) -> None:
         self.add_block(((key, value),))
 
-    def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+    def add_block(
+        self, pairs: Sequence[tuple[Any, Any]], ends: Sequence[int] | None = None
+    ) -> None:
         """The collect loop: partition ``pairs``, flushing each full buffer.
 
         The flush threshold is checked after every pair, so chunk
-        boundaries do not depend on how the stream is cut into blocks;
+        boundaries do not depend on how the stream is cut into blocks
+        (nor on ``ends``, the input-record boundaries only HOP cuts on);
         a key is routed and sized once per task (:class:`KeyFacts`), the
         block's values in one :func:`estimate_sizes` call, and the
         counter moves once per block.
@@ -119,7 +120,6 @@ class MapSideHashCombiner:
         sink: ChunkSink,
         *,
         memory_bytes: int = 8 * 1024 * 1024,
-        partitioner: Partitioner = hash_partitioner,
         counters: Counters | None = None,
     ) -> None:
         if num_partitions < 1:
@@ -130,25 +130,23 @@ class MapSideHashCombiner:
         self.aggregator = aggregator
         self.sink = sink
         self.memory_bytes = memory_bytes
-        self.partitioner = partitioner
         self.counters = counters if counters is not None else Counters()
         self._tables = [AccountedStateTable(aggregator) for _ in range(num_partitions)]
         #: Running total of every table's ``used_bytes``; zero after a flush.
         self.used_bytes = 0
         self.flushes = 0
-        self._partitions = KeyPartitions(partitioner, num_partitions)
+        self._partitions = KeyPartitions(num_partitions)
 
-    def add(self, key: Any, value: Any) -> None:
-        self.add_block(((key, value),))
-
-    def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+    def add_block(
+        self, pairs: Sequence[tuple[Any, Any]], ends: Sequence[int] | None = None
+    ) -> None:
         """The collect loop: aggregate ``pairs``, flushing at the budget.
 
         The shared-budget check runs after every pair, against a running
         total moved by each table update's delta — O(1) per pair, not a
-        sum over all partitions' tables.
+        sum over all partitions' tables; ``ends`` is unused, as in
+        :meth:`ScanPartitionBuffer.add_block`.
         """
-        partitioner = self.partitioner
         num_partitions = self.num_partitions
         memo = self._partitions
         tables = self._tables
@@ -156,7 +154,8 @@ class MapSideHashCombiner:
         used = self.used_bytes
         for key, value in pairs:
             t = type(key)
-            table = tables[memo[key] if t is str or t is int else partitioner(key, num_partitions)]
+            p = memo[key] if t is str or t is int else hash_partitioner(key, num_partitions)
+            table = tables[p]
             used -= table.used_bytes
             table.update(key, value)
             used += table.used_bytes

@@ -15,8 +15,8 @@ Each kernel is a pure function of ``(context, spec)``:
 The sort-spill kernels' disk I/O runs against a *shadow*
 :class:`~repro.io.disk.LocalDisk` with the real device's profile; the
 coordinator absorbs the export, so files, byte counts and op accounting
-match in-place execution exactly.  The push engines' map kernels touch no
-disk: their one effect is the ordered chunk stream.
+match in-place execution exactly.  The push engines' map kernels share one
+body and touch no disk: their one effect is the ordered chunk stream.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from repro.exec.base import register_kernel
 from repro.io.device import DeviceProfile
 from repro.io.disk import DiskExport, LocalDisk
 from repro.io.runio import KeyedRun
-from repro.mapreduce.counters import Counters
+from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.sortmerge import (
     MapOutput,
     SortMergeMapTask,
     SortMergeReduceTask,
+    run_map_task,
 )
 from repro.obs.tracer import task_tracer
 
@@ -42,10 +43,9 @@ __all__ = [
     "HadoopReduceSpec",
     "HadoopReduceResult",
     "reduce_spec",
-    "HopMapSpec",
-    "HopMapResult",
+    "PushMapSpec",
+    "PushMapResult",
     "OnePassMapSpec",
-    "OnePassMapResult",
 ]
 
 
@@ -171,84 +171,70 @@ def hadoop_reduce_kernel(
     )
 
 
-# -- HOP (pipelined) map ------------------------------------------------------
+# -- push map: HOP and one-pass ----------------------------------------------
 
 
 @dataclass(slots=True)
-class HopMapSpec:
+class PushMapSpec:
     task_id: int
     node: str
     data: bytes
 
 
+#: The name the benchmark's probe builds the one-pass spec by.
+OnePassMapSpec = PushMapSpec
+
+
 @dataclass(slots=True)
-class HopMapResult:
+class PushMapResult:
     #: Ordered ``(partition, pairs, nbytes)`` emissions; the coordinator
-    #: replays push-vs-stage against live reducer backlogs once the
-    #: attempt has survived.
+    #: replays their delivery once the attempt has survived.
     chunks: list[tuple[int, list[tuple[Any, Any]], int]]
     counters: Counters
     trace: Any = None
 
 
-def hop_map_kernel(ctx: dict[str, Any], spec: HopMapSpec) -> HopMapResult:
-    """One pipelined map task: no disk I/O, only the ordered chunk stream."""
-    from repro.mapreduce.hop import _PipelinedMapTask
+def _push_map(
+    ctx: dict[str, Any], spec: PushMapSpec, buffer_for: Any, timer: str | None = None
+) -> PushMapResult:
+    """One push engine's map task: no disk I/O, only the ordered chunk stream.
 
+    ``buffer_for(sink, counters, tracer)`` builds the engine's collect
+    buffer around the sink that records each emitted chunk.
+    """
     chunks: list[tuple[int, list[tuple[Any, Any]], int]] = []
     tracer = task_tracer(bool(ctx.get("trace")))
-    task = _PipelinedMapTask(
-        ctx["job"],
-        spec.task_id,
-        spec.node,
-        ctx["hop"],
-        lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
-        tracer=tracer,
+    counters = Counters()
+    buffer = buffer_for(
+        lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)), counters, tracer
     )
-    task.run(ctx["codec"].decode(spec.data), input_bytes=len(spec.data))
-    return HopMapResult(chunks, task.counters, tracer.export())
+    run_map_task(
+        ctx["job"], spec.task_id, spec.node, ctx["codec"].decode(spec.data), buffer, counters,
+        input_bytes=len(spec.data), tracer=tracer, timer=timer,
+    )  # fmt: skip
+    return PushMapResult(chunks, counters, tracer.export())
 
 
-# -- one-pass map -------------------------------------------------------------
+def hop_map_kernel(ctx: dict[str, Any], spec: PushMapSpec) -> PushMapResult:
+    """One pipelined map task: sorted mini-chunks, cut on record boundaries."""
+    from repro.mapreduce.hop import _ChunkBuffer
+
+    return _push_map(
+        ctx, spec, lambda sink, counters, tracer: _ChunkBuffer(
+            ctx["job"], spec.task_id, spec.node, ctx["hop"], sink, counters, tracer
+        ),
+    )  # fmt: skip
 
 
-@dataclass(slots=True)
-class OnePassMapSpec:
-    task_id: int
-    node: str
-    data: bytes
-
-
-@dataclass(slots=True)
-class OnePassMapResult:
-    staged: list[tuple[int, list[tuple[Any, Any]], int]]
-    counters: Counters
-    trace: Any = None
-
-
-def onepass_map_kernel(ctx: dict[str, Any], spec: OnePassMapSpec) -> OnePassMapResult:
-    """One hash-engine map task: scan/combine entirely in memory.
-
-    The map side of the one-pass engine performs no disk I/O — its only
-    effect is the ordered stream of pushed chunks, collected here and
-    delivered (with logging/checkpointing where configured) by the
-    coordinator.
-    """
-    from repro.core.engine import execute_onepass_map
+def onepass_map_kernel(ctx: dict[str, Any], spec: PushMapSpec) -> PushMapResult:
+    """One hash-engine map task: scan or combine entirely in memory, the
+    buffer's time charged to ``time.hash``."""
+    from repro.core.engine import onepass_map_buffer
 
     job = ctx["job"]
-    staged: list[tuple[int, list[tuple[Any, Any]], int]] = []
-    tracer = task_tracer(bool(ctx.get("trace")))
-    counters = execute_onepass_map(
-        job,
-        ctx["codec"],
-        spec.data,
-        lambda partition, pairs, nbytes: staged.append((partition, pairs, nbytes)),
-        tracer=tracer,
-        task_id=spec.task_id,
-        node=spec.node,
+    return _push_map(
+        ctx, spec, lambda sink, counters, _tracer: onepass_map_buffer(job, sink, counters), C.T_HASH
     )
-    return OnePassMapResult(staged, counters, tracer.export())
 
 
 register_kernel("hadoop_map", hadoop_map_kernel)

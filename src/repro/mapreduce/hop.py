@@ -28,17 +28,17 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Any, Callable, Iterable
 
-from repro.io.batch import merge_segments, sort_bucket
+from repro.io.batch import merge_segments
 from repro.io.runio import reread_run, write_run
 from repro.mapreduce.api import MapReduceJob
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.driver import JobRun, PushShuffleDriver
 from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.merge import group_sorted
-from repro.mapreduce.partition import KeyPartitions, Partitioner, hash_partitioner
+from repro.mapreduce.partition import KeyPartitions, hash_partitioner
 from repro.mapreduce.recovery import SpeculationPolicy
 from repro.mapreduce.runtime import LocalCluster
-from repro.mapreduce.sortmerge import SortMergeReduceTask, _combine_buckets, map_slices
+from repro.mapreduce.sortmerge import SortMergeReduceTask, _SortingBuffer
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = ["HOPConfig", "Snapshot", "take_snapshot", "HOPEngine"]
@@ -99,16 +99,15 @@ def take_snapshot(rtask: SortMergeReduceTask, fraction: float) -> Snapshot:
     return Snapshot(fraction=fraction, records=tuple(output))
 
 
-class _PipelinedMapTask:
-    """Map task that sorts mini-segments and hands them to ``emit``.
+class _ChunkBuffer(_SortingBuffer):
+    """HOP's map-side collect buffer: sorted mini-chunks handed to ``emit``.
 
-    The task itself is a pure function of its input and touches no disk:
-    every sorted partition piece goes to ``emit(partition, pairs, nbytes)``.
-    Whether a piece is pushed to a live reducer or staged under
-    backpressure is decided by the coordinator, against live reducer
-    state and only once the attempt has survived — which is what lets the
-    whole task run on a worker process while the coordinator keeps all
-    scheduling decisions.
+    It touches no disk: every sorted partition piece goes to
+    ``emit(partition, pairs, nbytes)``.  Whether a piece is pushed to a
+    live reducer or staged under backpressure is decided by the
+    coordinator, against live reducer state and only once the attempt has
+    survived — which is what lets the whole task run on a worker process
+    while the coordinator keeps all scheduling decisions.
     """
 
     def __init__(
@@ -118,41 +117,15 @@ class _PipelinedMapTask:
         node: str,
         hop: HOPConfig,
         emit: Callable[[int, list[tuple[Any, Any]], int], None],
-        partitioner: Partitioner = hash_partitioner,
+        counters: Counters,
         tracer: Any = NULL_TRACER,
     ) -> None:
-        self.job = job
-        self.task_id = task_id
-        self.node = node
+        super().__init__(job, task_id, node, counters, tracer)
         self.hop = hop
         self.emit = emit
-        self.partitioner = partitioner
-        self.counters = Counters()
-        self.tracer = tracer
-        self._task = f"map:{task_id:05d}"
-        self.num_partitions = job.config.num_reducers
-        self._partitions = KeyPartitions(partitioner, self.num_partitions)
-        #: Pairs collected since the last emit, fanned out into one bucket
-        #: per partition at append time; ``_pending`` counts them.
-        self._buckets: list[list[tuple[Any, Any]]] = [
-            [] for _ in range(self.num_partitions)
-        ]
+        self._partitions = KeyPartitions(self.num_partitions)
+        #: Pairs collected since the last emit (in ``_buckets``).
         self._pending = 0
-
-    def run(self, records: Iterable[Any], *, input_bytes: int = 0) -> None:
-        counters = self.counters
-        counters.inc(C.MAP_TASKS)
-        counters.inc(C.MAP_INPUT_BYTES, input_bytes)
-        with self.tracer.span(
-            "map", "map", node=self.node, task=self._task
-        ) as map_span:
-            n_in = 0
-            for pairs, ends in map_slices(records, self.job.map_fn, counters):
-                n_in += len(ends)
-                self.add_block(pairs, ends)
-            self._emit_pending()
-            map_span.set_cost(max(1, n_in))
-            map_span.set(records=n_in, bytes=input_bytes)
 
     def add_block(self, pairs: list[tuple[Any, Any]], ends: list[int]) -> None:
         """The collect loop: one slice of map output into mini-chunks.
@@ -173,47 +146,28 @@ class _PipelinedMapTask:
         self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
 
     def _collect(self, pairs: list[tuple[Any, Any]]) -> None:
-        partitioner = self.partitioner
         num_partitions = self.num_partitions
         memo = self._partitions
         buckets = self._buckets
         for key, value in pairs:
             t = type(key)
-            p = memo[key] if t is str or t is int else partitioner(key, num_partitions)
+            p = memo[key] if t is str or t is int else hash_partitioner(key, num_partitions)
             buckets[p].append((key, value))
         self._pending += len(pairs)
 
     def _emit_pending(self) -> None:
-        """Sort the pending mini-chunk and emit its partition pieces in order.
-
-        One "sort" span covers the per-bucket key sorts; walking the
-        buckets in ascending partition order yields the pieces a stable
-        ``(partition, key)`` sort of the whole chunk would.
-        """
+        """Sort and combine the pending mini-chunk; emit its partition
+        pieces in ascending partition order."""
         total = self._pending
         if not total:
             return
-        buckets = self._buckets
-        self._buckets = [[] for _ in range(self.num_partitions)]
         self._pending = 0
-        with self.tracer.span(
-            "sort", "sort", node=self.node, task=self._task, cost=total, records=total
-        ):
-            with self.counters.timer(C.T_SORT):
-                for bucket in buckets:
-                    if bucket:
-                        sort_bucket(bucket)
-        self.counters.inc(C.SORT_RECORDS, total)
-
-        if self.job.has_combiner and self.job.config.combine_on_spill:
-            buckets = _combine_buckets(
-                self.job, buckets, total, self.counters, self.tracer, self.node, self._task
-            )
-
-        for partition, pairs in enumerate(buckets):
+        for partition, pairs in enumerate(self._sort_and_combine(total)):
             if pairs:
                 nbytes = 48 * len(pairs) + 64  # framed-size proxy for transport
                 self.emit(partition, pairs, nbytes)
+
+    finish = _emit_pending  # the task's end emits the last chunk
 
 
 class HOPEngine(PushShuffleDriver):
@@ -270,9 +224,9 @@ class HOPEngine(PushShuffleDriver):
     # -- map side: the surviving attempt's chunks, pushed or staged ---------------
 
     def _map_spec(self, run: JobRun, task_id: int, node: str, data: bytes) -> Any:
-        from repro.exec.kernels import HopMapSpec
+        from repro.exec.kernels import PushMapSpec
 
-        return HopMapSpec(task_id, node, data)
+        return PushMapSpec(task_id, node, data)
 
     def _commit_map(self, run: JobRun, task_id: int, node: str, res: Any) -> int:
         """Replay one map task's emissions against real reducer state.

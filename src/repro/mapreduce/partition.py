@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from typing import Any, Callable
+from typing import Any
 
 from repro.io.serialization import estimate_size
 
-__all__ = ["stable_hash", "HashPartitioner", "Partitioner", "KeyPartitions", "KeyFacts"]
-
-Partitioner = Callable[[Any, int], int]
+__all__ = ["stable_hash", "HashPartitioner", "KeyPartitions", "KeyFacts"]
 
 
 def stable_hash(key: Any) -> int:
@@ -25,9 +23,13 @@ def stable_hash(key: Any) -> int:
     the reducer count: ``1 == 1.0 == True`` and ``0 == 0.0 == -0.0``, so
     an integral float is hashed as the ``int`` it equals (NaN, the
     infinities and non-integral floats equal no ``int`` and are pickled).
-    Known limitation: a *tuple* key is hashed by its pickle, so
-    ``(1, "a")`` and ``(1.0, "a")`` still part ways; changing the tuple
-    hash would re-partition every tuple-keyed job.
+    Tuples and frozensets are pickled in a canonical form
+    (:func:`_canonical`): inside a tuple, at any depth, an element that
+    equals an ``int`` is that ``int``, and a frozenset is its elements'
+    hashes, sorted (its own iteration order follows the process's hash
+    seed).  Known limitation: pickle memoises repeated objects, so a tuple
+    holding one ``str`` object twice pickles unlike one holding two equal
+    copies; ``(s, s)`` and ``(s, t)`` with ``s == t`` can part ways.
     """
     if isinstance(key, str):
         data = key.encode("utf-8")
@@ -41,8 +43,21 @@ def stable_hash(key: Any) -> int:
                 return zlib.crc32(key.to_bytes(16, "little", signed=True))
             except OverflowError:  # beyond signed 128 bits (e.g. ``uuid4().int``)
                 pass
-        data = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(_canonical(key), protocol=pickle.HIGHEST_PROTOCOL)
     return zlib.crc32(data)
+
+
+def _canonical(key: Any) -> Any:
+    """``key`` as :func:`stable_hash` pickles it.  A tuple of ``str``,
+    ``int``, ``bytes``, ``None`` and non-integral floats comes back as an
+    equal tuple of the same objects, so it hashes as its own pickle."""
+    if isinstance(key, tuple):
+        return tuple(map(_canonical, key))
+    if isinstance(key, frozenset):
+        return sorted(map(stable_hash, key))
+    if isinstance(key, int) or isinstance(key, float) and key.is_integer():
+        return int(key)
+    return key
 
 
 class HashPartitioner:
@@ -64,26 +79,23 @@ hash_partitioner = HashPartitioner()
 
 
 class KeyPartitions(dict[Any, int]):
-    """One map task's memo of ``key -> partition``.
+    """One map task's memo of ``key -> hash_partitioner(key, num_partitions)``.
 
     A collect loop routes a key once per task, not once per record:
-    ``memo[key]`` runs the partitioner on first sight and is one C-level
-    dict probe on every repeat.  Only keys of exact type ``str`` or ``int``
-    may be looked up — ``1``, ``1.0`` and ``True`` share a dict slot but
-    neither a pickle nor a size — so every loop tests ``type(key)`` first
-    and serves any other key per record.  The memo dies with its task's
-    buffer and memoises whichever partitioner that buffer was given
-    (deterministic in ``(key, n)`` by contract).
+    ``memo[key]`` hashes it on first sight and is one C-level dict probe
+    on every repeat.  Only keys of exact type ``str`` or ``int`` may be
+    looked up — ``1``, ``1.0`` and ``True`` share a dict slot but not a
+    size — so every loop tests ``type(key)`` first and routes any other
+    key per record.  The memo dies with its task's buffer.
     """
 
-    __slots__ = ("partitioner", "num_partitions")
+    __slots__ = ("num_partitions",)
 
-    def __init__(self, partitioner: Partitioner, num_partitions: int) -> None:
-        self.partitioner = partitioner
+    def __init__(self, num_partitions: int) -> None:
         self.num_partitions = num_partitions
 
     def __missing__(self, key: Any) -> int:
-        partition = self[key] = self.partitioner(key, self.num_partitions)
+        partition = self[key] = hash_partitioner(key, self.num_partitions)
         return partition
 
 
@@ -96,16 +108,15 @@ class KeyFacts(dict[Any, tuple[int, int]]):
         partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
     """
 
-    __slots__ = ("partitioner", "num_partitions", "overhead")
+    __slots__ = ("num_partitions", "overhead")
 
-    def __init__(self, partitioner: Partitioner, num_partitions: int, overhead: int) -> None:
-        self.partitioner = partitioner
+    def __init__(self, num_partitions: int, overhead: int) -> None:
         self.num_partitions = num_partitions
         self.overhead = overhead
 
     def of(self, key: Any) -> tuple[int, int]:
         """The facts of ``key``, computed and not remembered (any key type)."""
-        return self.partitioner(key, self.num_partitions), estimate_size(key) + self.overhead
+        return hash_partitioner(key, self.num_partitions), estimate_size(key) + self.overhead
 
     def __missing__(self, key: Any) -> tuple[int, int]:
         facts = self[key] = self.of(key)

@@ -29,11 +29,12 @@ from repro.io.serialization import estimate_sizes
 from repro.mapreduce.api import MapFn, MapReduceJob
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted, pair_pieces
-from repro.mapreduce.partition import KeyFacts, Partitioner, hash_partitioner
+from repro.mapreduce.partition import KeyFacts
 from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = [
     "map_slices",
+    "run_map_task",
     "MapOutputSegment",
     "MapOutput",
     "SortMergeMapTask",
@@ -87,6 +88,46 @@ def map_slices(
         yield pairs, ends
 
 
+def run_map_task(
+    job: MapReduceJob,
+    task_id: int,
+    node: str,
+    records: Iterable[Any],
+    buffer: Any,
+    counters: Counters,
+    *,
+    input_bytes: int = 0,
+    tracer: Any = NULL_TRACER,
+    timer: str | None = None,
+) -> Any:
+    """One map task under any engine: decode → map → collect, then finish.
+
+    ``buffer`` is the engine's collect buffer: it takes each slice as
+    ``add_block(pairs, ends)`` and returns the task's output from
+    ``finish()``, which this returns.  With a ``timer`` counter name the
+    buffer's wall time is charged to it after the task's ``"map"`` span.
+    """
+    counters.inc(C.MAP_TASKS)
+    counters.inc(C.MAP_INPUT_BYTES, input_bytes)
+    perf = time.perf_counter
+    t_collect = 0.0
+    n_in = 0
+    with tracer.span("map", "map", node=node, task=f"map:{task_id:05d}") as map_span:
+        for pairs, ends in map_slices(records, job.map_fn, counters):
+            n_in += len(ends)
+            t0 = perf()
+            buffer.add_block(pairs, ends)
+            t_collect += perf() - t0
+        t0 = perf()
+        output = buffer.finish()
+        t_collect += perf() - t0
+        map_span.set_cost(max(1, n_in))
+        map_span.set(records=n_in, bytes=input_bytes)
+    if timer:
+        counters.inc(timer, t_collect)
+    return output
+
+
 @dataclass(frozen=True, slots=True)
 class MapOutputSegment:
     """One partition's sorted segment of one map task's output."""
@@ -116,47 +157,73 @@ class MapOutput:
         return sum(s.records for s in self.segments.values())
 
 
-def _combine_buckets(
-    job: MapReduceJob,
-    buckets: list[list[tuple[Any, Any]]],
-    total: int,
-    counters: Counters,
-    tracer: Any,
-    node: str,
-    task: str,
-) -> list[list[tuple[Any, Any]]]:
-    """Run the combiner over equal-key runs of each sorted bucket; one span.
-    Every one of the ``total`` records is some group's input."""
-    combine_fn = job.combine_fn
-    assert combine_fn is not None
-    out_buckets: list[list[tuple[Any, Any]]] = []
-    total_out = 0
-    with tracer.span(
-        "combine", "combine", node=node, task=task, cost=total
-    ) as combine_span, counters.timer(C.T_COMBINE):
-        for pairs in buckets:
-            out: list[tuple[Any, Any]] = []
-            for key, group in groupby(pairs, _KEY):
-                out += combine_fn(key, map(_VALUE, group))
-            out_buckets.append(out)
-            total_out += len(out)
-        counters.inc(C.COMBINE_INPUT_RECORDS, total)
-        if total_out:
-            counters.inc(C.COMBINE_OUTPUT_RECORDS, total_out)
-        combine_span.set(records_in=total, records_out=total_out)
-    return out_buckets
+class _SortingBuffer:
+    """What Hadoop's spill buffer and HOP's chunk buffer share: one map
+    task's pairs, fanned out into one bucket per partition *at add time*,
+    then sorted and combined a spill (or a chunk) at a time.
 
-
-class _SortSpillBuffer:
-    """Map-side output buffer with Hadoop's sort-and-spill behaviour.
-
-    Pairs fan out into one bucket per partition *at add time* — the
-    partition never rides along as a tuple element or is compared during
-    sorting.  A spill stably sorts each bucket by key alone
+    The partition never rides along as a tuple element or is compared
+    during sorting.  Each bucket is stably sorted by key alone
     (:func:`repro.io.batch.sort_bucket`); the sorted buckets in ascending
     partition order are the record sequence a stable sort on the compound
     ``(partition, key)`` yields, which is Hadoop's map-output order.
     """
+
+    def __init__(
+        self, job: MapReduceJob, task_id: int, node: str, counters: Counters, tracer: Any
+    ) -> None:
+        self.job = job
+        self.task_id = task_id
+        self.node = node
+        self.counters = counters
+        self.tracer = tracer
+        self._task = f"map:{task_id:05d}"
+        self.num_partitions = job.config.num_reducers
+        self._combining = job.has_combiner and job.config.combine_on_spill
+        self._buckets: list[list[tuple[Any, Any]]] = [
+            [] for _ in range(self.num_partitions)
+        ]
+
+    def _sort_and_combine(self, total: int) -> list[list[tuple[Any, Any]]]:
+        """Take the ``total`` pairs collected so far, sort each bucket by
+        key (one ``"sort"`` span) and, if the job combines on spill, run
+        its combiner over each sorted bucket's equal-key runs (one
+        ``"combine"`` span; every record is some group's input)."""
+        buckets = self._buckets
+        self._buckets = [[] for _ in range(self.num_partitions)]
+        counters, tracer, node, task = self.counters, self.tracer, self.node, self._task
+        with tracer.span("sort", "sort", node=node, task=task, cost=total, records=total):
+            with counters.timer(C.T_SORT):
+                for bucket in buckets:
+                    if bucket:
+                        sort_bucket(bucket)
+        counters.inc(C.SORT_RECORDS, total)
+        if not self._combining:
+            return buckets
+        combine_fn = self.job.combine_fn
+        assert combine_fn is not None
+        out_buckets: list[list[tuple[Any, Any]]] = []
+        total_out = 0
+        with tracer.span(
+            "combine", "combine", node=node, task=task, cost=total
+        ) as combine_span, counters.timer(C.T_COMBINE):
+            for pairs in buckets:
+                out: list[tuple[Any, Any]] = []
+                for key, group in groupby(pairs, _KEY):
+                    out += combine_fn(key, map(_VALUE, group))
+                out_buckets.append(out)
+                total_out += len(out)
+            counters.inc(C.COMBINE_INPUT_RECORDS, total)
+            if total_out:
+                counters.inc(C.COMBINE_OUTPUT_RECORDS, total_out)
+            combine_span.set(records_in=total, records_out=total_out)
+        return out_buckets
+
+
+class _SortSpillBuffer(_SortingBuffer):
+    """Map-side output buffer with Hadoop's sort-and-spill behaviour: a
+    full buffer sorts, combines and spills; :meth:`finish` merges the
+    spills into one sorted segment per partition."""
 
     def __init__(
         self,
@@ -164,42 +231,30 @@ class _SortSpillBuffer:
         disk: LocalDisk,
         task_id: int,
         counters: Counters,
-        partitioner: Partitioner,
         *,
         tracer: Any = NULL_TRACER,
         node: str = "",
     ) -> None:
-        self.job = job
+        super().__init__(job, task_id, node, counters, tracer)
         self.disk = disk
-        self.task_id = task_id
-        self.counters = counters
-        self.partitioner = partitioner
-        self.tracer = tracer
-        self.node = node
-        self._task = f"map:{task_id:05d}"
-        self.num_partitions = job.config.num_reducers
         self.buffer_bytes = job.config.map_buffer_bytes
-        self._facts = KeyFacts(partitioner, self.num_partitions, _RECORD_OVERHEAD)
-        self._buckets: list[list[tuple[Any, Any]]] = [
-            [] for _ in range(self.num_partitions)
-        ]
+        self._facts = KeyFacts(self.num_partitions, _RECORD_OVERHEAD)
         self._bytes = 0
         self._spill_seq = 0
-        self._combining = job.has_combiner and job.config.combine_on_spill
         # spill_segments[s][p] -> (path, nbytes, records, sorted keys); the
         # keys stay for the life of the task so that the multi-spill merge
         # orders frames without unpickling them, and a lone spill's keys
         # go to the shuffle with its segments.
         self.spill_segments: list[dict[int, _SpillSegment]] = []
 
-    def add(self, key: Any, value: Any) -> None:
-        self.add_block(((key, value),))
-
-    def add_block(self, pairs: Sequence[tuple[Any, Any]]) -> None:
+    def add_block(
+        self, pairs: Sequence[tuple[Any, Any]], ends: Sequence[int] | None = None
+    ) -> None:
         """The collect loop: bucket ``pairs``, spilling at the byte budget.
 
         The budget is checked after every pair, so spill points do not
-        depend on how the stream is cut into blocks; values are sized a
+        depend on how the stream is cut into blocks (nor on ``ends``, the
+        input-record boundaries only HOP cuts on); values are sized a
         block at a time.
         """
         facts = self._facts
@@ -223,24 +278,8 @@ class _SortSpillBuffer:
         total = sum(len(bucket) for bucket in self._buckets)
         if not total:
             return
-        buckets = self._buckets
-        self._buckets = [[] for _ in range(self.num_partitions)]
         self._bytes = 0
-
-        with self.tracer.span(
-            "sort", "sort", node=self.node, task=self._task, cost=total, records=total
-        ):
-            with self.counters.timer(C.T_SORT):
-                for bucket in buckets:
-                    if bucket:
-                        sort_bucket(bucket)
-        self.counters.inc(C.SORT_RECORDS, total)
-
-        if self._combining:
-            buckets = _combine_buckets(
-                self.job, buckets, total, self.counters, self.tracer, self.node, self._task
-            )
-
+        buckets = self._sort_and_combine(total)
         segments: dict[int, _SpillSegment] = {}
         spill_bytes = 0
         with self.tracer.span(
@@ -340,41 +379,24 @@ class SortMergeMapTask:
         node: str,
         disk: LocalDisk,
         *,
-        partitioner: Partitioner = hash_partitioner,
         tracer: Any = NULL_TRACER,
     ) -> None:
         self.job = job
         self.task_id = task_id
         self.node = node
         self.disk = disk
-        self.partitioner = partitioner
         self.counters = Counters()
         self.tracer = tracer
 
     def run(self, records: Iterable[Any], *, input_bytes: int = 0) -> MapOutput:
         """Apply the map function to every record; sort, spill, finalise."""
-        counters = self.counters
-        counters.inc(C.MAP_TASKS)
-        counters.inc(C.MAP_INPUT_BYTES, input_bytes)
         buffer = _SortSpillBuffer(
-            self.job,
-            self.disk,
-            self.task_id,
-            counters,
-            self.partitioner,
-            tracer=self.tracer,
-            node=self.node,
+            self.job, self.disk, self.task_id, self.counters, tracer=self.tracer, node=self.node
         )
-        with self.tracer.span(
-            "map", "map", node=self.node, task=f"map:{self.task_id:05d}"
-        ) as map_span:
-            n_in = 0
-            for pairs, ends in map_slices(records, self.job.map_fn, counters):
-                n_in += len(ends)
-                buffer.add_block(pairs)
-            segments = buffer.finish()
-            map_span.set_cost(max(1, n_in))
-            map_span.set(records=n_in, bytes=input_bytes)
+        segments = run_map_task(
+            self.job, self.task_id, self.node, records, buffer, self.counters,
+            input_bytes=input_bytes, tracer=self.tracer,
+        )  # fmt: skip
         return MapOutput(task_id=self.task_id, node=self.node, segments=segments)
 
 

@@ -104,6 +104,18 @@ class TestOverflow:
         wrapper = SpilledState(inner)
         assert wrapper.state.result() == 1
 
+    def test_equal_tuple_keys_meet_in_one_group(self):
+        # (1, "a") == (1.0, "a") == (True, "a"): once frozen, the three spill
+        # by their hash and must meet in one bucket, so one group of 9.
+        g = HybridHashGrouper(LocalDisk(), "hh", 512, aggregator=COUNT, counters=Counters())
+        for i in range(200):
+            g.add(f"filler-{i}", 1)
+        for key in [(1, "a"), (1.0, "a"), (True, "a")] * 3:
+            g.add(key, 1)
+        out = list(g.finish())
+        assert g.frozen
+        assert [n for key, n in out if key == (1, "a")] == [9] and len(out) == 201
+
     @given(pair_streams, st.sampled_from([256, 1024, 16384, 1 << 20]))
     @settings(max_examples=40, deadline=None)
     def test_property_counts_match_reference(self, pairs, memory):

@@ -87,7 +87,7 @@ class TestMapSideHashCombiner:
         sink = Sink()
         comb = MapSideHashCombiner(2, COUNT, sink, memory_bytes=1 << 20)
         for key in "aabbbc":
-            comb.add(key, 1)
+            comb.add_block([(key, 1)])
         comb.finish()
         merged: Counter = Counter()
         for _, pairs, _ in sink.chunks:
@@ -100,7 +100,7 @@ class TestMapSideHashCombiner:
         sink = Sink()
         comb = MapSideHashCombiner(1, COUNT, sink, memory_bytes=1 << 20)
         for _ in range(1000):
-            comb.add("same", 1)
+            comb.add_block([("same", 1)])
         comb.finish()
         assert len(sink.all_pairs()) == 1
 
@@ -108,7 +108,7 @@ class TestMapSideHashCombiner:
         sink = Sink()
         comb = MapSideHashCombiner(1, SUM, sink, memory_bytes=4096)
         for i in range(2000):
-            comb.add(f"key-{i}", 1)
+            comb.add_block([(f"key-{i}", 1)])
         assert comb.flushes >= 1
         comb.finish()
         total = sum(v.state.result() for _, pairs, _ in sink.chunks for _k, v in pairs)
@@ -120,7 +120,7 @@ class TestMapSideHashCombiner:
         expected: dict[str, int] = {}
         for i in range(3000):
             key, value = f"k{i % 40}", i % 5
-            comb.add(key, value)
+            comb.add_block([(key, value)])
             expected[key] = expected.get(key, 0) + value
         comb.finish()
         merged: dict[str, int] = {}
@@ -257,8 +257,8 @@ class TestCollectEquivalence:
         pairs = [(f"k{i % 7}", i) for i in range(200)]
         per_pair, blocked = Sink(), Sink()
         a = CheckedCombiner(3, SUM, per_pair, memory_bytes=600)
-        for key, value in pairs:
-            a.add(key, value)
+        for pair in pairs:
+            a.add_block([pair])
         a.finish()
         b = CheckedCombiner(3, SUM, blocked, memory_bytes=600)
         b.add_batch(pairs)

@@ -123,10 +123,10 @@ class ToyEngine(JobDriver):
         return OnePassMapSpec(task_id, node, data)
 
     def _commit_map(self, run, task_id, node, res):
-        for partition, pairs, _nbytes in res.staged:
+        for partition, pairs, _nbytes in res.chunks:
             run.delivered[partition].append(pairs)
             run.reduce_tasks[partition].accept(pairs)
-        return sum(nbytes for _, _, nbytes in res.staged)
+        return sum(nbytes for _, _, nbytes in res.chunks)
 
     def _new_reduce_task(self, run, partition, node):
         return _DictReduceTask()

@@ -13,8 +13,10 @@ from repro.mapreduce import hop, sortmerge
 from repro.mapreduce.api import JobConfig, MapReduceJob
 from repro.mapreduce.counters import C
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.hop import HOPConfig, HOPEngine, _PipelinedMapTask, take_snapshot
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.hop import HOPConfig, HOPEngine, _ChunkBuffer, take_snapshot
 from repro.mapreduce.merge import MultiPassMerger
+from repro.mapreduce import partition
 from repro.mapreduce.partition import hash_partitioner
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 
@@ -55,7 +57,7 @@ class TestPipelinedReduceTask:
             for name, obj in vars(hop).items()
             if isinstance(obj, type) and obj.__module__ == hop.__name__
         }
-        assert own == {"HOPConfig", "Snapshot", "_PipelinedMapTask", "HOPEngine"}
+        assert own == {"HOPConfig", "Snapshot", "_ChunkBuffer", "HOPEngine"}
 
     def test_accepts_chunks_and_reduces(self):
         task = make_task()
@@ -255,12 +257,13 @@ class TestPipelinedMapTask:
             config=JobConfig(num_reducers=num_reducers, batch=batch),
         )
         chunks = []
-        task = _PipelinedMapTask(
+        counters = Counters()
+        buffer = _ChunkBuffer(
             job, 0, "n0", HOPConfig(granularity_records=granularity),
-            lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)),
-        )
-        task.run(iter(records))
-        return chunks, task.counters
+            lambda partition, pairs, nbytes: chunks.append((partition, pairs, nbytes)), counters,
+        )  # fmt: skip
+        sortmerge.run_map_task(job, 0, "n0", iter(records), buffer, counters)
+        return chunks, counters
 
     def reference(self, records, granularity, map_fn=word_pairs):
         """Per-record chunking: emit once the pending pairs reach the granularity."""
@@ -321,9 +324,10 @@ class TestPipelinedMapTask:
         )
 
     @pytest.mark.parametrize("batch", [False, True])
-    def test_keys_sharing_a_dict_slot_are_routed_per_record(self, batch):
+    def test_keys_sharing_a_dict_slot_are_routed_per_record(self, monkeypatch, batch):
         # Only exact str/int keys go through the partition memo; 1.0 and True
-        # equal 1 but must not be answered from its slot by a custom partitioner.
+        # equal 1 but must not be answered from its slot.  They hash alike, so
+        # a spy routing by type tells the memo's answers from per-record ones.
         keys = [1, 1.0, True, 0, 0.0, -0.0, 2.5, 1, 1.0, True, 7, 7]
         job = MapReduceJob(
             "wc", lambda r: [(r, 1)], sum_reduce, config=JobConfig(num_reducers=3, batch=batch)
@@ -332,13 +336,16 @@ class TestPipelinedMapTask:
         def by_type(key, n):
             return (int, float, bool).index(type(key))
 
+        for module in (partition, hop):  # the memo's binding and the per-record one
+            monkeypatch.setattr(module, "hash_partitioner", by_type)
         chunks = []
-        task = _PipelinedMapTask(
+        counters = Counters()
+        buffer = _ChunkBuffer(
             job, 0, "n0", HOPConfig(granularity_records=1000),
             lambda partition, pairs, nbytes: chunks.append((partition, [k for k, _ in pairs])),
-            partitioner=by_type,
+            counters,
         )  # fmt: skip
-        task.run(iter(keys))
+        sortmerge.run_map_task(job, 0, "n0", iter(keys), buffer, counters)
         assert [(p, [type(k) for k in ks]) for p, ks in chunks] == [
             (0, [int] * 5), (1, [float] * 5), (2, [bool] * 2)
         ]  # fmt: skip

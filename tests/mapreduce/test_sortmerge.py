@@ -151,7 +151,7 @@ class TestCollect:
         combine_fn = concat_combine if combine else None
         disk, counters = LocalDisk(), Counters()
         buffer = sortmerge._SortSpillBuffer(
-            make_job(num_reducers=3, combine=combine_fn), disk, 0, counters, hash_partitioner
+            make_job(num_reducers=3, combine=combine_fn), disk, 0, counters
         )
         expected_files, written = {}, 0
         for i, block in enumerate(blocks):
@@ -188,14 +188,14 @@ class TestCollect:
         outcomes = []
         for blocked in (False, True):
             disk, counters = LocalDisk(), Counters()
-            buffer = buffer_cls(job, disk, 0, counters, hash_partitioner)
+            buffer = buffer_cls(job, disk, 0, counters)
             if blocked:
                 edges = [0, *sorted(min(c, len(pairs)) for c in cuts), len(pairs)]
                 for a, b in zip(edges, edges[1:]):
                     buffer.add_block(pairs[a:b])
             else:
-                for key, value in pairs:
-                    buffer.add(key, value)
+                for pair in pairs:
+                    buffer.add_block([pair])
             segments = buffer.finish()
             counts = {
                 k: v for k, v in counters.as_dict().items() if v and not k.startswith("time.")
@@ -208,11 +208,11 @@ class TestCollect:
         # ``1 == 1.0 == True`` share a dict slot but not a size estimate; the
         # list key is unhashable (the sort-merge path accepts it).
         keys = [1, 1.0, True, "1", b"1", (1,), 0.0, -0.0, [1], 1, "1", True, 2**70, None]
-        buffer = buffer_cls(make_job(num_reducers=5), LocalDisk(), 0, Counters(), hash_partitioner)
+        buffer = buffer_cls(make_job(num_reducers=5), LocalDisk(), 0, Counters())
         routed = []
         for key in keys * 2:
             before = buffer._bytes
-            buffer.add(key, ("v", 1))
+            buffer.add_block([(key, ("v", 1))])
             assert buffer._bytes - before == estimate_size(key) + estimate_size(("v", 1)) + 32
             routed.append(hash_partitioner(key, 5))
         assert [len(b) for b in buffer._buckets] == [routed.count(p) for p in range(5)]
@@ -225,7 +225,7 @@ class TestCollect:
         for warm in (False, True):
             disk, counters = LocalDisk(), Counters()
             buffer = buffer_cls(
-                make_job(num_reducers=3, map_buffer_bytes=1500), disk, 0, counters, hash_partitioner
+                make_job(num_reducers=3, map_buffer_bytes=1500), disk, 0, counters
             )
             if warm:
                 for key, _ in pairs:

@@ -52,19 +52,19 @@ _FETCH_WITH = (
     "                    rtask.accept_segment(seg.run, seg.nbytes)\n"
 )
 _FETCH_SPAN = _FETCH_WITH.split(":\n                    rtask")[0].replace("with ", "")
-_KERNEL_TOP = '    job = ctx["job"]\n    staged: '
+_KERNEL_TOP = '    job = ctx["job"]\n    return _push_map('
 
 #: id -> (what the mutant does, ((path under src/repro, old, new), ...)).
 MUTANTS: dict[str, tuple[str, tuple[tuple[str, str, str], ...]]] = {
-    "M01": ("`core/engine.py` `execute_onepass_map`: `perf = time.time`",
-            (("core/engine.py", "    perf = time.perf_counter\n    t_hash", "    perf = time.time\n    t_hash"),)),
+    "M01": ("`sortmerge.py` `run_map_task`: `perf = time.time`",
+            (("mapreduce/sortmerge.py", "    perf = time.perf_counter\n    t_collect", "    perf = time.time\n    t_collect"),)),
     "M02": ("`workloads/zipf.py`: `default_rng()` unseeded",
             (("workloads/zipf.py", "default_rng(seed)", "default_rng()"),)),
     "M03": ("`core/hotset.py` `_refresh`: iterate `resident - hot` unsorted",
             (("core/hotset.py", "in sorted(resident - hot, key=repr):", "in resident - hot:"),)),
-    "M04": ("`hop.py` `_map_spec`: `HopMapSpec(task_id, lambda: node, data)`",
-            (("mapreduce/hop.py", "HopMapSpec(task_id, node, data)", "HopMapSpec(task_id, lambda: node, data)"),)),
-    "M05": ('`hop_map_kernel`: `chunks = ctx.setdefault("chunks", [])`',
+    "M04": ("`hop.py` `_map_spec`: `PushMapSpec(task_id, lambda: node, data)`",
+            (("mapreduce/hop.py", "PushMapSpec(task_id, node, data)", "PushMapSpec(task_id, lambda: node, data)"),)),
+    "M05": ('`_push_map`: `chunks = ctx.setdefault("chunks", [])`',
             (("exec/kernels.py", "    chunks: list[tuple[int, list[tuple[Any, Any]], int]] = []\n",
               '    chunks = ctx.setdefault("chunks", [])\n'),)),
     "M06": ("`onepass_map_kernel` calls `register_kernel(...)`",
@@ -86,8 +86,8 @@ MUTANTS: dict[str, tuple[str, tuple[tuple[str, str, str], ...]]] = {
             (("core/engine.py", '"hash.spill", "spill"', '"hash.spilled", "spill"'),)),
     "M12": ("`onepass_map_kernel`: `print(spec.task_id)`",
             (("exec/kernels.py", _KERNEL_TOP, "    print(spec.task_id)\n" + _KERNEL_TOP),)),
-    "M13": ("`OnePassMapSpec` loses `slots=True` (not a hot-path module)",
-            (("exec/kernels.py", "@dataclass(slots=True)\nclass OnePassMapSpec:", "@dataclass\nclass OnePassMapSpec:"),)),
+    "M13": ("`PushMapSpec` loses `slots=True` (not a hot-path module)",
+            (("exec/kernels.py", "@dataclass(slots=True)\nclass PushMapSpec:", "@dataclass\nclass PushMapSpec:"),)),
     "M14": ("fetch span `__enter__()`, `__exit__` after the body, no `finally`",
             (("mapreduce/runtime.py", _FETCH_WITH,
               "                fetch_span = " + _FETCH_SPAN.lstrip() + "\n                fetch_span.__enter__()\n"
@@ -99,8 +99,8 @@ MUTANTS: dict[str, tuple[str, tuple[tuple[str, str, str], ...]]] = {
             (("mapreduce/sortmerge.py", "MAP_SLICE_RECORDS = 256\n", "MAP_SLICE_RECORDS = 256\n_SLICES: list[int] = []\n"),
              ("mapreduce/sortmerge.py", "        counters.inc(C.MAP_INPUT_RECORDS, len(chunk))\n",
               "        _SLICES.append(len(chunk))\n        counters.inc(C.MAP_INPUT_RECORDS, len(chunk))\n"))),
-    "M17": ("`execute_onepass_map`: `t_hash = 0.0 * time.time()`",
-            (("core/engine.py", "    t_hash = 0.0\n    n_in = 0", "    t_hash = 0.0 * time.time()\n    n_in = 0"),)),
+    "M17": ("`run_map_task`: `t_collect = 0.0 * time.time()`",
+            (("mapreduce/sortmerge.py", "    t_collect = 0.0\n    n_in = 0", "    t_collect = 0.0 * time.time()\n    n_in = 0"),)),
     "M18": ("`onepass_map_kernel`: `spec.node = spec.node.upper()`",
             (("exec/kernels.py", _KERNEL_TOP, "    spec.node = spec.node.upper()\n" + _KERNEL_TOP),)),
     "M19": ("`AccountedStateTable` (hot-path `core/hash_tables.py`) loses `__slots__`",
@@ -108,18 +108,15 @@ MUTANTS: dict[str, tuple[str, tuple[tuple[str, str, str], ...]]] = {
     "M20": ("`journal._load_segments`: segment read by a bare `open`, never closed",
             (("mapreduce/journal.py", '            with open(full, "rb") as fh:\n                data = fh.read()',
               '            fh = open(full, "rb")\n            data = fh.read()'),)),
-    "M21": ("`OnePassMapSpec` gains a `guard` field; `_map_spec` passes a `threading.Lock()`",
-            (("exec/kernels.py", "class OnePassMapSpec:\n    task_id: int\n    node: str\n    data: bytes\n",
-              "class OnePassMapSpec:\n    task_id: int\n    node: str\n    data: bytes\n    guard: Any = None\n"),
-             ("core/engine.py", "        return OnePassMapSpec(task_id, node, data)",
-              "        import threading\n\n        return OnePassMapSpec(task_id, node, data, threading.Lock())"))),
-    "M22": ("`onepass_map_kernel` takes a module-level `threading.Lock()` around its tracer set-up",
+    "M21": ("`PushMapSpec` gains a `guard` field; one-pass `_map_spec` passes a `threading.Lock()`",
+            (("exec/kernels.py", "class PushMapSpec:\n    task_id: int\n    node: str\n    data: bytes\n",
+              "class PushMapSpec:\n    task_id: int\n    node: str\n    data: bytes\n    guard: Any = None\n"),
+             ("core/engine.py", "        return PushMapSpec(task_id, node, data)",
+              "        import threading\n\n        return PushMapSpec(task_id, node, data, threading.Lock())"))),
+    "M22": ("`onepass_map_kernel` takes a module-level `threading.Lock()` around its job look-up",
             (("exec/kernels.py", "from repro.obs.tracer import task_tracer\n",
               "from repro.obs.tracer import task_tracer\nimport threading\n\n_GUARD = threading.Lock()\n"),
-             ("exec/kernels.py", '    staged: list[tuple[int, list[tuple[Any, Any]], int]] = []\n'
-              '    tracer = task_tracer(bool(ctx.get("trace")))\n',
-              '    staged: list[tuple[int, list[tuple[Any, Any]], int]] = []\n'
-              '    with _GUARD:\n        tracer = task_tracer(bool(ctx.get("trace")))\n'))),
+             ("exec/kernels.py", _KERNEL_TOP, "    with _GUARD:\n    " + _KERNEL_TOP))),
     "M23": ("`_pull_partition`: fetch span opened before `shuffle.fetch`; a planned fetch fault skips its exit",
             (("mapreduce/runtime.py", "                try:\n                    seg = shuffle.fetch(task_id, partition)\n",
               '                fetching = self.tracer.span("fetch", "shuffle", node=rtask.node, '
