@@ -39,6 +39,7 @@ __all__ = [
     "TopKState",
     "CollectState",
     "SessionState",
+    "split_sessions",
     "COUNT",
     "SUM",
     "AVG",
@@ -321,16 +322,23 @@ class SessionState(CollectState):
         self.gap = gap
 
     def result(self) -> list[list[Any]]:
-        if not self.values:
-            return []
-        ordered = sorted(self.values, key=itemgetter(0))
-        sessions: list[list[Any]] = [[ordered[0]]]
-        for click in ordered[1:]:
-            if click[0] - sessions[-1][-1][0] > self.gap:
-                sessions.append([click])
-            else:
-                sessions[-1].append(click)
-        return sessions
+        return split_sessions(self.values, self.gap)
+
+
+def split_sessions(clicks: Iterable[Any], gap: float) -> list[list[Any]]:
+    """Order ``(timestamp, ...)`` clicks by timestamp (a stable sort) and
+    cut them into sessions wherever two neighbours are more than ``gap``
+    apart.  The one gap-split both sessionization forms run."""
+    ordered = sorted(clicks, key=itemgetter(0))
+    if not ordered:
+        return []
+    sessions: list[list[Any]] = [[ordered[0]]]
+    for click in ordered[1:]:
+        if click[0] - sessions[-1][-1][0] > gap:
+            sessions.append([click])
+        else:
+            sessions[-1].append(click)
+    return sessions
 
 
 # -- ready-made aggregators ---------------------------------------------------

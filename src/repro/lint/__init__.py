@@ -2,15 +2,14 @@
 
 The engines in this repository obey contracts that ordinary linters do
 not know about — byte-identical output across executors, pure kernels,
-released resources, commit-then-emit ordering.  This package machine-checks
+kernels isolated from coordinator state.  This package machine-checks
 those contracts at lint time with an AST-based rule framework:
 
 * :mod:`repro.lint.core` — the driver: the module model and its
   one-traversal index, suppression comments, run-wide registries;
-* :mod:`repro.lint.rules` — the per-file checkers (REP002..REP101);
-* :mod:`repro.lint.cfg` — the path- and context-sensitive checkers
-  (REP201..REP205), REP201 over the :mod:`repro.lint.dataflow` call
-  graph;
+* :mod:`repro.lint.rules` — the per-file checkers (REP002, REP007, REP101);
+* :mod:`repro.lint.cfg` — the execution-context checkers (REP201,
+  REP202), REP201 over the :mod:`repro.lint.dataflow` call graph;
 * :mod:`repro.lint.config` — the root, the rule selection and the test
   overrides (each rule's vocabulary is a constant beside the rule);
 * :mod:`repro.lint.report` — text/JSON/SARIF reporters;

@@ -1,9 +1,8 @@
-"""REP201, REP202, REP204, REP205: concurrency and protocol-ordering rules.
+"""REP201, REP202: the kernel-isolation rules.
 
-These rules sit on the CFG layer (``cfg/builder.py``) and the
-execution-context model (``cfg/context.py``), on top of the
-whole-program call graph.  ``docs/STATIC_ANALYSIS.md`` documents the
-contract behind each.
+These rules sit on the execution-context model (``cfg/context.py``), on
+top of the whole-program call graph.  ``docs/STATIC_ANALYSIS.md``
+documents the contract behind each.
 """
 
 from __future__ import annotations
@@ -11,29 +10,20 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.cfg.builder import CFG, Block, build_cfg, module_defs
-from repro.lint.cfg.effects import (
-    EMIT_METHODS,
-    emit_sites,
-    is_resource_factory,
-    journal_appends,
-    releases,
-    resource_kind,
-)
 from repro.lint.core import (
-    FUNCTION_DEFS,
     Finding,
     LintContext,
     LintModule,
     Rule,
     local_bindings,
+    module_defs,
     registered_kernels,
     terminal_name,
 )
 from repro.lint.dataflow.graph import fid_display
-from repro.lint.dataflow.summary import COORDINATOR_SINGLETONS, MODULE_BODY
+from repro.lint.dataflow.summary import COORDINATOR_SINGLETONS
 
-__all__ = ["CFG_RULES"]
+__all__ = ["CFG_RULES", "RESOURCE_KINDS", "resource_kind"]
 
 
 # -- REP201: kernels touch no coordinator or module state ---------------------
@@ -143,6 +133,31 @@ def _global_reads(
 
 
 # -- REP202: fork-unsafe captures ---------------------------------------------
+
+#: Calls that produce fork-unsafe OS resources (REP202 forbids them on
+#: picklable spec fields and in kernel closures) -> the kind REP202
+#: names in findings.  Terminal-segment keys ("open") match bare
+#: builtins; dotted keys match the alias-resolved call target exactly.
+RESOURCE_KINDS: dict[str, str] = {
+    "open": "open file handle",
+    "tempfile.NamedTemporaryFile": "open file handle",
+    "tempfile.TemporaryFile": "open file handle",
+    "socket.socket": "socket",
+    "socket.create_connection": "socket",
+    "subprocess.Popen": "live process handle",
+    "threading.Lock": "thread lock",
+    "threading.RLock": "thread lock",
+    "threading.Condition": "condition variable",
+    "threading.Semaphore": "semaphore",
+    "threading.BoundedSemaphore": "semaphore",
+    "threading.Event": "thread event",
+}
+
+
+def resource_kind(dotted: str) -> str | None:
+    """The REP202 resource kind of a call target, or None."""
+    return RESOURCE_KINDS.get(dotted) or RESOURCE_KINDS.get(dotted.rpartition(".")[2])
+
 
 
 class ForkUnsafeCapture(Rule):
@@ -279,192 +294,7 @@ class ForkUnsafeCapture(Rule):
         )
 
 
-# -- REP204: commit-then-emit protocol ordering -------------------------------
-
-
-class CommitProtocolOrder(Rule):
-    """REP204: crash consistency requires the reduce-commit journal
-    record to happen-before the committed-output emission — a crash
-    between emit and append replays the reduce and duplicates output.
-    Functions that emit but never touch the journal are out of protocol
-    scope (helpers given a pre-committed path).
-    """
-
-    id = "REP204"
-    title = "reduce-commit journal append must precede output emission"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        # Only a def that calls an emit method can hold an emission.
-        emitters = {
-            ancestor
-            for call in module.nodes(ast.Call)
-            if isinstance(call.func, ast.Attribute) and call.func.attr in EMIT_METHODS
-            for ancestor in module.ancestors(call)
-        }
-        for qual, fn in module_defs(module.tree):
-            if fn not in emitters:
-                continue
-            cfg = build_cfg(fn, qual)
-            live = cfg.live()
-            commits: set[int] = set()
-            journal_touched = False
-            emits: list[tuple[int, ast.Call]] = []
-            for block in cfg.blocks:
-                if block.index not in live:
-                    continue
-                for kind, _call in journal_appends(block, module):
-                    journal_touched = True
-                    if kind == "reduce-commit":
-                        commits.add(block.index)
-                for call in emit_sites(block):
-                    emits.append((block.index, call))
-            if not emits or not journal_touched:
-                continue
-            for idx, call in emits:
-                if not commits:
-                    yield module.finding(
-                        self.id,
-                        call,
-                        f"{qual!r} emits committed output but appends no "
-                        "reduce-commit journal record; append "
-                        "K_REDUCE_COMMIT before emitting so a crash "
-                        "replays instead of duplicating",
-                    )
-                    continue
-                ahead = cfg.reachable([idx], forward=True, include_back=False)
-                if ahead & commits:
-                    yield module.finding(
-                        self.id,
-                        call,
-                        f"{qual!r} emits committed output before its "
-                        "reduce-commit journal append on a control-flow "
-                        "path; the append must happen-before the emission",
-                    )
-                    continue
-                behind = cfg.reachable([idx], forward=False, include_back=True)
-                if not behind & commits:
-                    yield module.finding(
-                        self.id,
-                        call,
-                        f"no path through {qual!r} appends a reduce-commit "
-                        "journal record before this committed-output "
-                        "emission",
-                    )
-
-
-# -- REP205: resource release on every path -----------------------------------
-
-
-def _bare_close(module: LintModule, stmt: ast.AST | None, name: str) -> bool:
-    """Is ``stmt`` a ``name.close()`` statement outside any ``finally``?"""
-    call = stmt.value if isinstance(stmt, ast.Expr) else None
-    if not (
-        isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and call.func.attr == "close"
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id == name
-    ):
-        return False
-    child = stmt
-    for parent in module.ancestors(stmt):
-        if isinstance(parent, ast.Try) and child in parent.finalbody:
-            return False
-        child = parent
-    return True
-
-
-class ResourceRelease(Rule):
-    """REP205: a local bound to a freshly acquired resource (an open
-    file, a run writer) must be released on *every* CFG path out of the
-    acquisition, exception edges included: context-managed, closed in a
-    ``finally`` that starts right after the acquisition, or handed to
-    another owner.  A bare ``x.close()`` leaks the handle on every
-    exception path between acquisition and close, and so does a
-    ``finally: x.close()`` when statements between the acquisition and
-    the ``try`` can raise.
-    """
-
-    id = "REP205"
-    title = "acquired resources released on all paths, exception edges included"
-
-    def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
-        # scope -> {acquiring assignment: the factory's name}
-        acquired: dict[ast.AST, dict[ast.AST, str]] = {}
-        for node in module.nodes(ast.Assign):
-            if (
-                len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-            ):
-                dotted = module.dotted(node.value.func)
-                if dotted is not None and is_resource_factory(dotted):
-                    scope = next(
-                        (a for a in module.ancestors(node) if isinstance(a, FUNCTION_DEFS)),
-                        module.tree,
-                    )
-                    acquired.setdefault(scope, {})[node] = dotted.rpartition(".")[2]
-        for scope, hits in acquired.items():
-            cfg = build_cfg(scope, MODULE_BODY if scope is module.tree else None)
-            live = cfg.live()
-            for block in cfg.blocks:
-                node = block.node
-                source = hits.get(node) if block.index in live else None
-                if source is None:
-                    continue
-                name = node.targets[0].id
-                if self._released_on_all_paths(cfg, block, name):
-                    continue
-                releasing = [
-                    b for b in cfg.blocks if b.index in live and releases(b, name)
-                ]
-                if not releasing:
-                    why = (
-                        "is never closed in this scope (use `with` or close "
-                        "it in a finally block)"
-                    )
-                elif all(_bare_close(module, b.node, name) for b in releasing):
-                    why = (
-                        "is closed outside try/finally; an exception before "
-                        "close() leaks it (use `with` or move close() to a "
-                        "finally block)"
-                    )
-                else:
-                    why = (
-                        "escapes on an exception path before its release; the "
-                        "close/with must post-dominate the acquisition (no "
-                        "raising statements between acquire and the protected "
-                        "region)"
-                    )
-                yield module.finding(
-                    self.id, node, f"resource {name!r} from {source} {why}"
-                )
-
-    @staticmethod
-    def _released_on_all_paths(cfg: CFG, acquire: Block, name: str) -> bool:
-        """Greatest-fixpoint must-analysis: a block is safe when it
-        releases ``name`` or every successor is safe; reaching function
-        exit without a release is unsafe.  The acquisition's own
-        exception edge is exempt (a failed acquire binds nothing)."""
-        rel = [releases(b, name) for b in cfg.blocks]
-        safe = [True] * len(cfg.blocks)
-        safe[cfg.exit] = False
-        changed = True
-        while changed:
-            changed = False
-            for b in cfg.blocks:
-                i = b.index
-                if i == cfg.exit or rel[i] or not safe[i]:
-                    continue
-                if b.succs and not all(safe[s] for s, _k in b.succs):
-                    safe[i] = False
-                    changed = True
-        return all(safe[s] for s, kind in acquire.succs if kind != "exc")
-
-
 CFG_RULES: tuple[Rule, ...] = (
     KernelStateIsolation(),
     ForkUnsafeCapture(),
-    CommitProtocolOrder(),
-    ResourceRelease(),
 )

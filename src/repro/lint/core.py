@@ -4,9 +4,9 @@ A :class:`LintModule` wraps one parsed source file with the facts every
 rule needs, built by *one* traversal: nodes by type, parent links,
 per-scope node lists and import aliases.  Rules iterate that index and
 never walk the tree themselves.  A :class:`LintContext` carries the
-run-wide registries — declared counter names, registered span/event
-names, the hot-path module list — parsed *statically* from their source
-files so linting never imports repository code.
+run-wide registries — the kernel and spec registry, the hot-path module
+list — parsed *statically* from their source files so linting never
+imports repository code.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
     "module_path_for",
 ]
 
-#: ``# reprolint: disable=REP101,REP006 -- why this is fine``
+#: ``# reprolint: disable=REP101,REP201 -- why this is fine``
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*disable=(?P<rules>REP\d{3}(?:\s*,\s*REP\d{3})*)"
     r"(?:\s*--\s*(?P<reason>.*))?"
@@ -170,12 +170,6 @@ class LintModule:
                 else:
                     yield sub
 
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        parents = self.parents
-        while node in parents:
-            node = parents[node]
-            yield node
-
     def dotted(self, node: ast.AST) -> str | None:
         """Canonical dotted path of a Name/Attribute chain, alias-resolved."""
         return dotted_name(node, self.aliases)
@@ -238,20 +232,6 @@ def attr_root(node: ast.AST) -> ast.AST:
     return node
 
 
-def is_set_expr(node: ast.AST) -> bool:
-    return isinstance(node, (ast.Set, ast.SetComp)) or (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
-
-
-def receiver_named(node: ast.AST, names: tuple[str, ...]) -> bool:
-    """``tracer`` / ``self.tracer`` style receivers: a bare name or the
-    last attribute segment is one of ``names``."""
-    return terminal_name(node) in names
-
-
 def module_level_names(tree: ast.Module) -> set[str]:
     """Names assigned at module level (imports not included)."""
     names: set[str] = set()
@@ -278,6 +258,20 @@ def local_bindings(module: LintModule, fn: ast.AST) -> set[str]:
         elif isinstance(node, (*FUNCTION_DEFS, ast.ClassDef)):
             names.add(node.name)
     return names
+
+
+def module_defs(
+    tree: ast.Module,
+) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
+    """(qualname, def node) for module-level functions and methods —
+    the granularity the dataflow summaries use for function ids."""
+    for node in tree.body:
+        if isinstance(node, FUNCTION_DEFS):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, FUNCTION_DEFS):
+                    yield f"{node.name}.{sub.name}", sub
 
 
 def registered_kernels(tree: ast.Module) -> list[str]:

@@ -1,6 +1,5 @@
-"""The nondeterminism vocabulary: what REP101 calls a source, what
-REP006 calls order-free, and which names are builtins (never a
-call-graph edge).
+"""The nondeterminism vocabulary: what REP101 calls a source, and which
+names are builtins (never a call-graph edge).
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ import builtins
 
 __all__ = [
     "BUILTIN_NAMES",
-    "ORDER_FREE_CALLS",
     "nondet_call",
     "nondet_reference",
 ]
@@ -38,12 +36,6 @@ NONDETERMINISTIC_CALLS = frozenset(
 
 #: The one deterministic entry point on the stdlib ``random`` module.
 SEEDED_RANDOM = frozenset({"random.Random"})
-
-#: Wrapping calls for which element order cannot matter (``sorted``
-#: canonicalises, the others reduce).
-ORDER_FREE_CALLS = frozenset(
-    {"sorted", "set", "frozenset", "sum", "min", "max", "len", "any", "all"}
-)
 
 #: Plain builtin names: calls to these are never project call-graph
 #: edges, so summaries skip recording them as callees.

@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.lint.core import FUNCTION_DEFS, attr_root, module_level_names
+from repro.lint.core import FUNCTION_DEFS, attr_root, module_defs, module_level_names
 from repro.lint.dataflow.sources import BUILTIN_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,13 +101,9 @@ def summarize_module(module: "LintModule") -> ModuleSummary:
             module, scope, FunctionSummary(qualname, module.modpath, cls), tracked, imported_modules
         )
 
-    for node in module.tree.body:
-        if isinstance(node, FUNCTION_DEFS):
-            scan(node, node.name, None, module_globals)
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, FUNCTION_DEFS):
-                    scan(sub, f"{node.name}.{sub.name}", node.name, module_globals)
+    for qualname, fn in module_defs(module.tree):
+        cls, _dot, _name = qualname.rpartition(".")
+        scan(fn, qualname, cls or None, module_globals)
     # The module body cannot write "its own" globals in the escape sense
     # (that is just definition), so global-write tracking is off for it.
     scan(module.tree, MODULE_BODY, None, {})

@@ -220,6 +220,8 @@ class JobDriver:
             journal.finalize()
             counters.inc(C.JOURNAL_APPENDS, journal.appends - appends0)
             counters.inc(C.JOURNAL_BYTES, journal.bytes_written - jbytes0)
+        if self.tracer.open_spans:
+            raise RuntimeError(f"{job.name}: {self.tracer.open_spans} span(s) left open")
         return JobResult(
             job_name=job.name,
             engine=self.name,

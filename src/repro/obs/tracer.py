@@ -105,6 +105,7 @@ class _SpanHandle:
 
     def __enter__(self) -> "_SpanHandle":
         tracer = self._tracer
+        tracer.open_spans += 1
         tracer._clock += 1
         self._span.t0 = tracer._clock
         self._wall0 = time.perf_counter()
@@ -112,6 +113,7 @@ class _SpanHandle:
 
     def __exit__(self, *exc: object) -> None:
         tracer = self._tracer
+        tracer.open_spans -= 1
         span = self._span
         span.wall_s = time.perf_counter() - self._wall0
         tracer._clock += self._cost
@@ -143,7 +145,7 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Records spans and events on one logical clock."""
 
-    __slots__ = ("spans", "events", "_clock")
+    __slots__ = ("spans", "events", "_clock", "open_spans")
 
     enabled = True
 
@@ -151,6 +153,10 @@ class Tracer:
         self.spans: list[Span] = []
         self.events: list[TraceEvent] = []
         self._clock = 0
+        #: Spans entered and not yet exited.  A task or job that ends with
+        #: one open left it open on some path (an exception skipped its
+        #: exit): :meth:`export` and the driver refuse that.
+        self.open_spans = 0
 
     @property
     def clock(self) -> int:
@@ -213,6 +219,8 @@ class Tracer:
 
     def export(self) -> TraceExport:
         """The picklable form: ``(spans, events, clock)``."""
+        if self.open_spans:
+            raise RuntimeError(f"trace exported with {self.open_spans} span(s) still open")
         return (self.spans, self.events, self._clock)
 
     def absorb(self, trace: TraceExport | None, *, args: dict[str, Any] | None = None) -> None:
@@ -252,6 +260,7 @@ class NullTracer:
     spans: tuple = ()
     events: tuple = ()
     clock = 0
+    open_spans = 0
 
     def span(self, *args: Any, **kwargs: Any) -> _NullSpan:
         return _NULL_SPAN

@@ -32,6 +32,9 @@ Checked invariants:
   output record count.
 * **Idempotent replay** — running a *third* time against the completed
   journal reproduces the bytes again without appending a single record.
+* **Commit before emit** — whatever output the crashed run had already
+  emitted is a prefix of the records its durable ``reduce-commit``
+  records hold, so a resume replays that output instead of reducing it twice.
 """
 
 from __future__ import annotations
@@ -223,15 +226,37 @@ def run_crashpoint_sweep(
                 journal_dir, crash_at=site, crash_mode=crash_mode
             )
             crash_cluster = target.make_cluster()
+            crash_job = target.make_job()
             try:
-                target.make_engine(crash_cluster, crash_journal).run(
-                    target.make_job()
-                )
+                target.make_engine(crash_cluster, crash_journal).run(crash_job)
             except CoordinatorCrash:
                 report.crashes += 1
             else:
                 fail(
                     f"crash_at={site} did not fire (run completed)",
+                    site,
+                    crash_mode,
+                    journal_dir,
+                )
+
+            # Commit before emit, read from the crashed session's records:
+            # reopening the journal here would seal its torn tail first.
+            hdfs = crash_cluster.hdfs
+            emitted = (
+                list(hdfs.read_records(crash_job.output_path))
+                if hdfs.namenode.exists(crash_job.output_path)
+                else []
+            )
+            committed = [
+                record
+                for rec in crash_journal.records
+                if rec.kind == K_REDUCE_COMMIT
+                for record in rec.fields["records"]
+            ]
+            if emitted != committed[: len(emitted)]:
+                fail(
+                    f"the crashed run emitted {len(emitted)} output records that "
+                    f"are not a prefix of its {len(committed)} committed ones",
                     site,
                     crash_mode,
                     journal_dir,

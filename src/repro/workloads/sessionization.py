@@ -12,10 +12,11 @@ record per session.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.core.engine import OnePassConfig, OnePassJob
-from repro.core.aggregates import sessionize
+from repro.core.aggregates import sessionize, split_sessions
 from repro.mapreduce.api import JobConfig, MapReduceJob
 
 __all__ = [
@@ -41,27 +42,12 @@ def session_map(click: tuple[float, int, str]) -> Iterator[tuple[int, tuple[floa
     yield (user, (timestamp, url))
 
 
-def _split_sessions(
-    clicks: Iterable[tuple[float, str]], gap: float
-) -> list[list[tuple[float, str]]]:
-    ordered = sorted(clicks, key=lambda c: c[0])
-    if not ordered:
-        return []
-    sessions: list[list[tuple[float, str]]] = [[ordered[0]]]
-    for click in ordered[1:]:
-        if click[0] - sessions[-1][-1][0] > gap:
-            sessions.append([click])
-        else:
-            sessions[-1].append(click)
-    return sessions
-
-
 def session_reduce(
     user: int, clicks: Iterator[tuple[float, str]], *, gap: float = DEFAULT_GAP
 ) -> Iterator[tuple[int, float, tuple[str, ...]]]:
     """Emit one ``(user, session_start, urls)`` record per session."""
-    for session in _split_sessions(clicks, gap):
-        yield (user, session[0][0], tuple(url for _ts, url in session))
+    for session in split_sessions(clicks, gap):
+        yield (user, session[0][0], tuple(map(itemgetter(1), session)))
 
 
 def sessionization_job(
@@ -105,7 +91,7 @@ def sessionization_onepass_job(
 
     def finalize(user: int, sessions: list[list[tuple[float, str]]]) -> Iterator[Any]:
         for session in sessions:
-            yield (user, session[0][0], tuple(url for _ts, url in session))
+            yield (user, session[0][0], tuple(map(itemgetter(1), session)))
 
     return OnePassJob(
         name="sessionization-onepass",
@@ -134,7 +120,7 @@ def session_log_reduce(
     same cardinality as the input, which is what makes it the natural
     stage one of a chained pipeline.
     """
-    for session in _split_sessions(clicks, gap):
+    for session in split_sessions(clicks, gap):
         start = session[0][0]
         for timestamp, url in session:
             yield (user, start, timestamp, url)

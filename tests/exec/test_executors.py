@@ -1,7 +1,10 @@
 """Unit tests for the pluggable task executor subsystem (repro.exec)."""
 
+import dataclasses
+
 import pytest
 
+from repro.exec import kernels
 from repro.exec import (
     Executor,
     MPExecutor,
@@ -96,6 +99,18 @@ class TestKernelRegistry:
         # get_kernel triggers registration of the built-in engine kernels.
         for name in ("hadoop_map", "hadoop_reduce", "hop_map", "onepass_map"):
             assert callable(get_kernel(name))
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            name for name, cls in vars(kernels).items()
+            if name.endswith("Spec") and dataclasses.is_dataclass(cls)
+        ),
+    )
+    def test_task_specs_have_no_instance_dict(self, name):
+        # One spec crosses the executor per task: slots keep it small.
+        spec_cls = getattr(kernels, name)
+        assert not hasattr(object.__new__(spec_cls), "__dict__")
 
 
 CONTEXT = {"scale": 2}

@@ -1,10 +1,11 @@
 """Crashpoint chaos sweeps: kill the coordinator everywhere, resume, verify.
 
 The acceptance bar for the journal subsystem: an exhaustive sweep — crash
-at *every* journal-append site, in both crash modes — must hold all five
+at *every* journal-append site, in both crash modes — must hold all six
 invariants (byte-identical output, exactly-once commits, no orphans,
-counter consistency, idempotent replay) on every engine, with and without
-a seeded :class:`FaultPlan` running underneath.
+counter consistency, idempotent replay, and commit before emit on the
+crashed cluster) on every engine, with and without a seeded
+:class:`FaultPlan` running underneath.
 """
 
 import pytest

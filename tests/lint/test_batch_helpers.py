@@ -17,8 +17,8 @@ from repro.lint import LintConfig, lint_source
 ENGINE_MOD = "repro/core/fixture.py"
 KERNEL_MOD = "repro/exec/kernels.py"
 
-#: A stand-in for ``repro.io.batch``: the real helpers' shapes, plus two
-#: deliberately tainted variants the rules must catch where they stand.
+#: A stand-in for ``repro.io.batch``: the real helpers' shapes, plus a
+#: deliberately tainted variant the rules must catch where it stands.
 BATCH_MOD = "repro/io/batchfix.py"
 BATCH_SRC = textwrap.dedent(
     """
@@ -47,9 +47,6 @@ BATCH_SRC = textwrap.dedent(
 
     def stamp_batch(pairs):
         return (time.time(), pairs)
-
-    def distinct_keys(pairs):
-        return list({k for k, _v in pairs})
     """
 )
 
@@ -68,20 +65,20 @@ def rules_of(findings):
 
 class TestREP101ThroughBatchHelpers:
     def test_tainted_batch_helpers_flagged_where_they_stand(self):
-        """The engine never calls ``time.time`` or iterates a set itself
-        — the batch helpers do, and the helper module holds the findings
-        while the engine that calls them stays clean."""
+        """The engine never calls ``time.time`` itself — a batch helper
+        does, and the helper module holds the finding while the engine
+        that calls it stays clean."""
         engine = lint(
             """
             from repro.io import batchfix
 
             def emit_run(pairs):
-                return batchfix.stamp_batch(pairs), batchfix.distinct_keys(pairs)
+                return batchfix.stamp_batch(pairs)
             """
         )
         assert engine == []
         helpers = lint(BATCH_SRC, modpath=BATCH_MOD)
-        assert sorted((f.rule, f.line) for f in helpers) == [("REP006", 29), ("REP101", 26)]
+        assert sorted((f.rule, f.line) for f in helpers) == [("REP101", 26)]
 
     def test_clean_batch_helpers_produce_no_findings(self):
         """The real batch-path shape: fanout, per-bucket stable sort,

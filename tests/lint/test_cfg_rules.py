@@ -1,4 +1,4 @@
-"""REP201..REP205 fixture suites: one true positive, one clean guard
+"""REP201 and REP202 fixture suites: one true positive, one clean guard
 and one suppression per rule, all injected hermetically via
 ``program_modules_override`` (plus kernel/executor source overrides for
 the context model)."""
@@ -365,165 +365,3 @@ class TestREP202:
             return MapSpec(fh)  # reprolint: disable=REP202 -- serial-only harness
         """
         assert lint(src, select=("REP202",)) == []
-
-
-# -- REP204: commit-then-emit ordering ----------------------------------------
-
-
-class TestREP204:
-    def test_emit_before_commit_flagged(self):
-        src = """
-        def flush(journal, hdfs, job, block):
-            hdfs.append_block(job.output_path, block)
-            journal.append(K_REDUCE_COMMIT, {"reduce": job.rid})
-        """
-        findings = lint(src, select=("REP204",))
-        assert rules_of(findings) == ["REP204"]
-        assert "before its reduce-commit" in findings[0].message
-
-    def test_emit_with_no_commit_record_flagged(self):
-        src = """
-        def flush(journal, hdfs, job, block):
-            journal.append(K_TASK_DONE, {"task": job.rid})
-            hdfs.append_block(job.output_path, block)
-        """
-        findings = lint(src, select=("REP204",))
-        assert rules_of(findings) == ["REP204"]
-        assert "appends no reduce-commit" in findings[0].message
-
-    def test_emit_on_commit_free_branch_flagged(self):
-        src = """
-        def flush(journal, hdfs, job, block, fresh):
-            if fresh:
-                journal.append(K_REDUCE_COMMIT, {"reduce": job.rid})
-            else:
-                hdfs.append_block(job.output_path, block)
-        """
-        findings = lint(src, select=("REP204",))
-        assert rules_of(findings) == ["REP204"]
-        assert "no path" in findings[0].message
-
-    def test_commit_then_emit_is_clean(self):
-        src = """
-        def flush(journal, hdfs, job, blocks):
-            for rid in job.reduces:
-                journal.append(K_REDUCE_COMMIT, {"reduce": rid})
-            for block in blocks:
-                hdfs.append_block(job.output_path, block)
-            journal.append(K_OUTPUT_COMMIT, {"job": job.jid})
-        """
-        assert lint(src, select=("REP204",)) == []
-
-    def test_replay_emit_after_loop_commit_is_clean(self):
-        # The crash-recovery shape: within one loop iteration the commit
-        # precedes the emission; later iterations' emits see the earlier
-        # commit through the back edge.
-        src = """
-        def drain(journal, hdfs, job, parts):
-            for part in parts:
-                journal.append("reduce-commit", {"part": part.rid})
-                hdfs.append_block(job.output_path, part.data)
-        """
-        assert lint(src, select=("REP204",)) == []
-
-    def test_emit_only_helpers_are_out_of_scope(self):
-        src = """
-        def copy_out(hdfs, job, block):
-            hdfs.append_block(job.output_path, block)
-        """
-        assert lint(src, select=("REP204",)) == []
-
-    def test_suppression(self):
-        src = """
-        def flush(journal, hdfs, job, block):
-            hdfs.append_block(job.output_path, block)  # reprolint: disable=REP204 -- scratch path
-            journal.append(K_REDUCE_COMMIT, {"reduce": job.rid})
-        """
-        assert lint(src, select=("REP204",)) == []
-
-
-    def test_real_tree_the_drivers_emission_site_is_what_the_rule_checks(self):
-        # One lifecycle means one function for REP204 to reason about:
-        # ``JobDriver._reduce_phase``.  The shipped driver is clean, and a
-        # one-token mutation that demotes its reduce-commit append makes
-        # the rule fire there — so it is the real emission site under
-        # check, not a fixture.
-        from pathlib import Path
-
-        from repro.lint.config import repo_root
-
-        modpath = "repro/mapreduce/driver.py"
-        source = (Path(repo_root()) / "src" / modpath).read_text()
-        assert source.count("append_block(") == 1
-        assert lint(source, modpath=modpath, select=("REP204",)) == []
-        mutated = source.replace(
-            "journal.append(K_REDUCE_COMMIT,", "journal.append(K_SHUFFLE_COMMIT,"
-        )
-        assert mutated != source
-        findings = lint(mutated, modpath=modpath, select=("REP204",))
-        assert rules_of(findings) == ["REP204"]
-        assert "JobDriver._reduce_phase" in findings[0].message
-
-
-# -- REP205: path-sensitive resource release ----------------------------------
-
-
-class TestREP205:
-    def test_raise_window_between_acquire_and_finally_flagged(self):
-        src = """
-        def load(path, parse):
-            fh = open(path)
-            header = parse(fh.readline())
-            try:
-                return header
-            finally:
-                fh.close()
-        """
-        findings = lint(src, select=("REP205",))
-        assert rules_of(findings) == ["REP205"]
-        assert "exception path" in findings[0].message
-
-    def test_immediate_try_finally_is_clean(self):
-        src = """
-        def load(path, parse):
-            fh = open(path)
-            try:
-                header = parse(fh.readline())
-                return header
-            finally:
-                fh.close()
-        """
-        assert lint(src, select=("REP205",)) == []
-
-    def test_with_statement_is_clean(self):
-        src = """
-        def load(path, parse):
-            fh = open(path)
-            with fh:
-                return parse(fh.readline())
-        """
-        assert lint(src, select=("REP205",)) == []
-
-    def test_rep103_owns_plainly_broken_cases(self):
-        # No release at all: what REP103 used to report is one REP205
-        # finding, with REP103's message.
-        src = """
-        def load(path):
-            fh = open(path)
-            return 1
-        """
-        findings = lint(src, select=("REP205",))
-        assert rules_of(findings) == ["REP205"]
-        assert "never closed" in findings[0].message
-
-    def test_suppression(self):
-        src = """
-        def load(path, parse):
-            fh = open(path)  # reprolint: disable=REP205 -- parse cannot raise here
-            header = parse(fh.readline())
-            try:
-                return header
-            finally:
-                fh.close()
-        """
-        assert lint(src, select=("REP205",)) == []

@@ -8,8 +8,8 @@ deterministic scope) — and the guards (context managers, ownership
 transfer) stay.
 Fixture programs are injected hermetically via
 ``LintConfig.program_modules_override`` so no test depends on the real
-tree's contents.  ``TestREP103``'s fixtures assert REP205, the rule
-REP103 was retired into, and ``TestREP105``'s assert REP201.
+tree's contents.  ``TestREP105``'s fixtures assert REP201, the rule
+REP105 was retired into.
 """
 
 import textwrap
@@ -345,82 +345,6 @@ class TestREP101:
         at_source = lint(HELPER_SRC, modpath=HELPER_MOD, select=("REP101",))
         assert [(f.rule, f.line) for f in at_source] == [("REP101", 6)]
         assert "time.time" in at_source[0].message
-
-
-# -- REP103: resource leaks ---------------------------------------------------
-
-
-class TestREP103:
-    def test_close_outside_finally_flagged(self):
-        findings = lint(
-            """
-            def read(path):
-                f = open(path)
-                data = f.read()
-                f.close()
-                return data
-            """
-        )
-        assert rules_of(findings) == ["REP205"]
-        assert "outside try/finally" in findings[0].message
-
-    def test_context_manager_clean(self):
-        findings = lint(
-            """
-            from repro.core import helper
-
-            def direct(path):
-                with open(path) as f:
-                    return f.read()
-
-            def named(path):
-                f = helper.acquire(path)
-                with f:
-                    return f.read()
-            """
-        )
-        assert findings == []
-
-    def test_close_in_finally_clean(self):
-        findings = lint(
-            """
-            def read(path):
-                f = open(path)
-                try:
-                    return f.read()
-                finally:
-                    f.close()
-            """
-        )
-        assert findings == []
-
-    def test_ownership_transfer_clean(self):
-        findings = lint(
-            """
-            class Sink:
-                def store(self, path, registry):
-                    w = open(path)
-                    registry["w"] = w
-
-            def make(path):
-                return open(path)
-
-            def handoff(path, owner):
-                f = open(path)
-                owner.adopt(f)
-            """
-        )
-        assert findings == []
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            def read(path):
-                f = open(path)  # reprolint: disable=REP205 -- process-lifetime handle
-                return f.read()
-            """
-        )
-        assert findings == []
 
 
 # -- REP105 -> REP201: kernel state escape -------------------------------------

@@ -15,25 +15,23 @@ def findings_for(source, **kw):
 
 
 def test_suppression_is_rule_specific():
-    # A REP101 disable does not hide the REP006 finding on the same line.
+    # A REP101 disable does not hide the REP202 finding on the same line.
     src = """
     import time
 
-    def f(keys):
-        s = set(keys)
-        for k in s:  # reprolint: disable=REP101 -- wrong rule id
-            time.time()
+    def f(path):
+        return PushMapSpec(open(path), time.time())  # reprolint: disable=REP101 -- one of two
     """
     rules = {f.rule for f in findings_for(src)}
-    assert rules == {"REP101", "REP006"}
+    assert rules == {"REP202"}
 
 
 def test_suppression_multiple_rules_one_comment():
     src = """
     import time
 
-    def f(keys):
-        for k in set(keys): time.time()  # reprolint: disable=REP101,REP006 -- both known
+    def f(path):
+        return PushMapSpec(open(path), time.time())  # reprolint: disable=REP101,REP202 -- both
     """
     assert findings_for(src) == []
 
@@ -113,10 +111,9 @@ def test_select_limits_rules():
     src = """
     import time
 
-    def f(keys):
-        s = set(keys)
-        for k in s:
-            time.time()
+    def f(path):
+        return PushMapSpec(open(path), time.time())
     """
-    only_six = findings_for(src, config=LintConfig(select=("REP006",)))
-    assert [f.rule for f in only_six] == ["REP006"]
+    assert {f.rule for f in findings_for(src)} == {"REP101", "REP202"}
+    only_one = findings_for(src, config=LintConfig(select=("REP202",)))
+    assert [f.rule for f in only_one] == ["REP202"]

@@ -62,16 +62,6 @@ MUST_FIRE = {
         "def k(ctx, spec):\n    print(spec)\n\nregister_kernel('k', k)\n",
         "def k(ctx, spec):\n    return [spec]\n\nregister_kernel('k', k)\n",
     ),
-    "REP005": (
-        per_file(),
-        "def run(tracer):\n    handle = tracer.span('map')\n    handle.__enter__()\n",
-        "def run(tracer):\n    with tracer.span('map'):\n        pass\n",
-    ),
-    "REP006": (
-        per_file(),
-        "def f(keys):\n    s = set(keys)\n    for k in s:\n        yield k\n",
-        "def f(keys):\n    s = set(keys)\n    for k in sorted(s):\n        yield k\n",
-    ),
     "REP007": (
         hot_module,
         "class State:\n    def __init__(self):\n        self.count = 0\n",
@@ -97,22 +87,6 @@ MUST_FIRE = {
         "def build(path):\n    fh = open(path)\n    return MapSpec(fh)\n",
         "from repro.exec.kernels import MapSpec\n\n"
         "def build(path):\n    return MapSpec(path)\n",
-    ),
-    "REP204": (
-        cfg,
-        "def flush(journal, hdfs, job, block):\n"
-        "    hdfs.append_block(job.output_path, block)\n"
-        "    journal.append(K_REDUCE_COMMIT, {'reduce': job.rid})\n",
-        "def flush(journal, hdfs, job, block):\n"
-        "    journal.append(K_REDUCE_COMMIT, {'reduce': job.rid})\n"
-        "    hdfs.append_block(job.output_path, block)\n",
-    ),
-    "REP205": (
-        cfg,
-        "def load(path, parse):\n    fh = open(path)\n    header = parse(fh.readline())\n"
-        "    try:\n        return header\n    finally:\n        fh.close()\n",
-        "def load(path, parse):\n    fh = open(path)\n"
-        "    try:\n        return parse(fh.readline())\n    finally:\n        fh.close()\n",
     ),
 }
 

@@ -47,7 +47,7 @@ class TestSarif:
         for r in rules:
             assert r["shortDescription"]["text"]
             assert r["defaultConfiguration"] == {"level": "error"}
-        assert {"REP002", "REP101", "REP201", "REP202", "REP204", "REP205"} <= set(ids)
+        assert {"REP002", "REP007", "REP101", "REP201", "REP202"} <= set(ids)
 
     def test_results_carry_locations_and_rule_index(self):
         doc = json.loads(to_sarif(FINDINGS))

@@ -9,7 +9,9 @@ for: REP001 was retired into REP101, the rule that owns the same
 contract, so its fixtures, unchanged, assert the surviving id.  REP003's,
 REP004's and REP005's registry-name fixtures went with REP102, REP004
 and REP104, which the mutant kill table in ``docs/STATIC_ANALYSIS.md``
-retired: the tests kill every mutant they caught.  (REP008's fixtures went with the metrics
+retired: the tests kill every mutant they caught.  The same table
+retired REP005 and REP006 with their fixtures, once runtime checks (the
+open-span count, the two-hash-seed digest) killed their mutants.  (REP008's fixtures went with the metrics
 registry whose names it checked: a distribution is now a row the
 analyzer reads off span args, with no call site to lint.)
 """
@@ -171,218 +173,6 @@ class TestREP002:
         register_kernel("k", k)
         """
         assert lint(src, modpath=KERNEL_MOD, config=kernel_config(src)) == []
-
-
-# -- REP005: tracer discipline ------------------------------------------------
-
-
-class TestREP005:
-    def cfg(self):
-        return LintConfig()
-
-    def test_span_outside_with_flagged(self):
-        findings = lint(
-            """
-            def run(tracer):
-                handle = tracer.span("map")
-                handle.__enter__()
-            """,
-            config=self.cfg(),
-        )
-        assert rules_of(findings) == ["REP005"]
-        assert "with" in findings[0].message
-
-    def test_clean_usage(self):
-        findings = lint(
-            """
-            def run(self, trc):
-                with self.tracer.span("map", "map", cost=3):
-                    pass
-                trc.event("node.crash", "recovery")
-                self.tracer.add_span("sort", "sort", 0, 4)
-            """,
-            config=self.cfg(),
-        )
-        assert findings == []
-
-    def test_non_tracer_receivers_ignored(self):
-        findings = lint(
-            """
-            def run(doc):
-                doc.span("anything")
-                doc.event("whatever")
-            """,
-            config=self.cfg(),
-        )
-        assert findings == []
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            def run(tracer):
-                h = tracer.span("map")  # reprolint: disable=REP005 -- closed by caller
-                return h
-            """,
-            config=self.cfg(),
-        )
-        assert findings == []
-
-
-# -- REP006: unordered set iteration ------------------------------------------
-
-
-class TestREP006:
-    def test_for_over_set_flagged(self):
-        findings = lint(
-            """
-            def emit(keys):
-                pending = set(keys)
-                for key in pending:
-                    yield key
-            """
-        )
-        assert rules_of(findings) == ["REP006"]
-        assert "sorted" in findings[0].message
-
-    def test_set_difference_flagged(self):
-        findings = lint(
-            """
-            def evict(table, hot):
-                resident = {k for k in table}
-                for key in resident - hot:
-                    table.pop(key)
-            """
-        )
-        assert rules_of(findings) == ["REP006"]
-
-    def test_self_attribute_set_flagged(self):
-        findings = lint(
-            """
-            class Tracker:
-                def __init__(self):
-                    self._seen: set[str] = set()
-
-                def dump(self):
-                    return [k for k in self._seen]
-            """
-        )
-        assert rules_of(findings) == ["REP006"]
-
-    def test_list_of_set_literal_flagged(self):
-        findings = lint("VALUES = list({'a', 'b'})\n")
-        assert rules_of(findings) == ["REP006"]
-
-    @pytest.mark.parametrize(
-        "snippet",
-        [
-            # sorted() is the fix
-            "def f(keys):\n    s = set(keys)\n    for k in sorted(s):\n        pass\n",
-            # order-free reductions
-            "def f(keys):\n    s = set(keys)\n    return sum(1 for k in s)\n",
-            "def f(keys):\n    s = set(keys)\n    return max(s), len(s), any(k for k in s)\n",
-            # set-to-set rebuilds cannot leak order
-            "def f(keys):\n    s = set(keys)\n    return {k for k in s if k}\n",
-            # membership is not iteration
-            "def f(keys, k):\n    s = set(keys)\n    return k in s\n",
-            # lists iterate deterministically
-            "def f(keys):\n    s = list(keys)\n    for k in s:\n        pass\n",
-        ],
-    )
-    def test_clean_variants(self, snippet):
-        assert lint(snippet) == []
-
-    def test_out_of_scope_module_ignored(self):
-        src = "def f(keys):\n    s = set(keys)\n    for k in s:\n        pass\n"
-        assert lint(src, modpath="repro/san/fixture.py") == []
-
-    def test_suppressed(self):
-        findings = lint(
-            """
-            def f(keys):
-                s = set(keys)
-                for k in s:  # reprolint: disable=REP006 -- feeds a commutative sum
-                    pass
-            """
-        )
-        assert findings == []
-
-
-class TestREP006UnorderedSources:
-    """The widened REP006 surface: frozenset, set-call locals, and dict
-    views on dicts built from unordered sources."""
-
-    def test_frozenset_iteration_flagged(self):
-        findings = lint(
-            """
-            def f(keys):
-                frozen = frozenset(keys)
-                for k in frozen:
-                    pass
-            """
-        )
-        assert rules_of(findings) == ["REP006"]
-
-    def test_set_call_local_flagged(self):
-        findings = lint(
-            """
-            def f(keys):
-                s = set(keys)
-                return [k for k in s]
-            """
-        )
-        assert rules_of(findings) == ["REP006"]
-
-    @pytest.mark.parametrize(
-        "view", ["d", "d.keys()", "d.values()", "d.items()"]
-    )
-    def test_dict_fromkeys_set_views_flagged(self, view):
-        findings = lint(
-            f"""
-            def f(keys):
-                d = dict.fromkeys({{k for k in keys}})
-                for item in {view}:
-                    pass
-            """
-        )
-        assert rules_of(findings) == ["REP006"]
-        assert "dict built from an unordered source" in findings[0].message
-
-    def test_dict_comprehension_over_set_flagged(self):
-        findings = lint(
-            """
-            def f(keys):
-                s = set(keys)
-                d = {k: 0 for k in sorted(s)}
-                e = {k: 0 for k in s}
-                for k in e.keys():
-                    pass
-            """
-        )
-        # the comprehension over the bare set AND the view iteration
-        assert rules_of(findings) == ["REP006", "REP006"]
-
-    def test_sorted_dict_views_clean(self):
-        findings = lint(
-            """
-            def f(keys):
-                d = dict.fromkeys(set(keys))
-                for k in sorted(d.keys()):
-                    pass
-                return sorted(d.items())
-            """
-        )
-        assert findings == []
-
-    def test_dict_from_ordered_source_clean(self):
-        findings = lint(
-            """
-            def f(pairs):
-                d = dict(pairs)
-                for k in d.keys():
-                    pass
-            """
-        )
-        assert findings == []
 
 
 # -- REP007: __slots__ on hot paths -------------------------------------------

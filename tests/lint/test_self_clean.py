@@ -18,11 +18,11 @@ import pytest
 
 from repro.lint import ALL_RULES, LintConfig, LintModule, lint_paths, lint_source
 from repro.lint.cfg.context import COORDINATOR_SCOPES
-from repro.lint.cfg.effects import is_resource_factory
-from repro.lint.core import attr_root, iter_py_files, receiver_named
+from repro.lint.cfg.rules import resource_kind
+from repro.lint.core import attr_root, iter_py_files
 from repro.lint.dataflow import clear_program_memo
 from repro.lint.dataflow.graph import dotted_module
-from repro.lint.rules import DETERMINISTIC_SCOPES, TRACER_NAMES
+from repro.lint.rules import DETERMINISTIC_SCOPES
 from tests.test_surface_audit import src_import_graph
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -77,21 +77,6 @@ SEEDS = {
             ),
         },
         ("REP101", "src/repro/analysis/seeded_clock.py"),
-    ),
-    "raising statement between RunWriter(...) and its try/finally": (
-        {
-            "src/repro/core/hash_tables.py": (
-                "\n\ndef _seeded_spill(disk, pairs, check):\n"
-                '    writer = RunWriter(disk, "seeded")\n'
-                "    check(pairs)\n"
-                "    try:\n"
-                "        for pair in pairs:\n"
-                "            writer.write(pair)\n"
-                "    finally:\n"
-                "        writer.close()\n"
-            ),
-        },
-        ("REP205", "src/repro/core/hash_tables.py"),
     ),
     "kernel -> helper in another module -> module-global write": (
         {
@@ -229,22 +214,18 @@ def test_deterministic_scope_is_closed_under_imports(tree_copy):
 
 
 def resource_returning_helpers(root):
-    """Every ``src/repro`` function that returns or yields a freshly
-    acquired resource — an ``open``/``RunWriter`` call or an unentered
-    ``tracer.span(...)``, directly or through a local bound to one —
-    which would make its *call sites* the acquisitions REP205 and REP202
-    have to see."""
+    """Every ``src/repro`` function that returns or yields a fresh OS
+    resource — a call REP202's ``resource_kind`` names (an open file, a
+    socket, a lock, ...), directly or through a local bound to one —
+    which would make its *call sites* the acquisitions REP202 has to see."""
 
     def acquires(module, value):
         if not isinstance(value, ast.Call):
             return False
-        func = value.func
-        if isinstance(func, ast.Attribute) and func.attr == "span":
-            return receiver_named(func.value, TRACER_NAMES)
-        dotted = module.dotted(func) or ""
+        dotted = module.dotted(value.func) or ""
         # A factory named bare inside the module that defines it.
         here = f"{dotted_module(module.modpath)}.{dotted}"
-        return is_resource_factory(dotted) or is_resource_factory(here)
+        return bool(resource_kind(dotted) or resource_kind(here))
 
     hits = []
     for path in iter_py_files([Path(root) / "src/repro"]):
@@ -273,14 +254,14 @@ def resource_returning_helpers(root):
 def test_no_helper_returns_a_fresh_resource(tree_copy):
     assert not resource_returning_helpers(ROOT), (
         "a helper now returns a fresh resource, so its call sites are acquisitions "
-        "REP205/REP202 cannot see: restore the return-taint summaries and the rules' "
-        "transitive halves from commit 0192689 (lint/dataflow/{summary,taint}.py, "
-        "lint/rules.py, lint/cfg/rules.py)"
+        "REP202 cannot see: restore the return-taint summaries and REP202's "
+        "transitive half from commit 0192689 (lint/dataflow/{summary,taint}.py, "
+        "lint/cfg/rules.py)"
     )
     runio = tree_copy / "src/repro/io/runio.py"
     original = runio.read_text()
     try:
-        runio.write_text(original + '\n\ndef _mk(d):\n    return RunWriter(d, "p")\n')
+        runio.write_text(original + '\n\ndef _mk(path):\n    fh = open(path, "rb")\n    return fh\n')
         assert resource_returning_helpers(tree_copy) == [("repro/io/runio.py", "_mk")]
     finally:
         runio.write_text(original)
@@ -321,11 +302,11 @@ def test_list_rules_names_all_layers():
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
     assert out.returncode == 0
-    for rule_id in (
-        "REP002", "REP005", "REP006", "REP007", "REP101",
-        "REP201", "REP202", "REP204", "REP205",
-    ):
+    for rule_id in ("REP002", "REP007", "REP101", "REP201", "REP202"):
         assert rule_id in out.stdout
-    assert len(out.stdout.splitlines()) == 9
-    for retired in ("REP004", "REP102", "REP104", "REP105", "REP203", "REP206"):
+    assert len(out.stdout.splitlines()) == 5
+    for retired in (
+        "REP004", "REP005", "REP006", "REP102", "REP104",
+        "REP105", "REP203", "REP204", "REP205", "REP206",
+    ):
         assert retired not in out.stdout

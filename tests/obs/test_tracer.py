@@ -1,7 +1,12 @@
-"""Tracer unit tests: logical clock, spans, events, absorb, null path."""
+"""Tracer unit tests: logical clock, spans, events, absorb, null path,
+and the open-span count a task or job may not end with."""
 
 import pickle
 
+import pytest
+
+from repro.mapreduce.runtime import HadoopEngine, LocalCluster
+from repro.mapreduce.sortmerge import SortMergeReduceTask
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -9,6 +14,8 @@ from repro.obs.tracer import (
     byte_cost,
     task_tracer,
 )
+from repro.workloads import per_user_count_job
+from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 
 
 class TestLogicalClock:
@@ -185,3 +192,56 @@ class TestTracerEnabled:
         tr = Tracer()
         tr.add_span("p", "phase", 5, 5)
         assert tr.spans[0].t1 == 6
+
+
+class TestOpenSpans:
+    """A span entered and never exited corrupts the logical clock for the
+    rest of the trace, so the count of open spans is checked where a
+    trace ends: a task's :meth:`Tracer.export` and the end of a job."""
+
+    def test_entry_and_exit_balance_the_count(self):
+        tr = Tracer()
+        with tr.span("outer"):
+            with tr.span("inner"):
+                assert tr.open_spans == 2
+        assert tr.open_spans == 0
+        assert NULL_TRACER.open_spans == 0
+
+    def test_export_refuses_an_open_span(self):
+        tr = Tracer()
+        handle = tr.span("map")
+        handle.__enter__()
+        with pytest.raises(RuntimeError, match="1 span"):
+            tr.export()
+        handle.__exit__(None, None, None)
+        assert tr.export()[2] == tr.clock
+
+    @staticmethod
+    def _job_run(tracer):
+        cluster = LocalCluster(num_nodes=3, block_size=32 * 1024)
+        cluster.hdfs.write_records(
+            "in", list(generate_clicks(ClickStreamConfig(num_clicks=600, num_users=30)))
+        )
+        return HadoopEngine(cluster, tracer=tracer).run(per_user_count_job("in", "out"))
+
+    def test_a_job_that_ends_with_an_open_span_is_refused(self, monkeypatch):
+        tracer = Tracer()
+        close = HadoopEngine._close
+
+        def close_leaving_a_span_open(self, run):
+            self.tracer.span("leak").__enter__()
+            close(self, run)
+
+        monkeypatch.setattr(HadoopEngine, "_close", close_leaving_a_span_open)
+        with pytest.raises(RuntimeError, match="1 span"):
+            self._job_run(tracer)
+
+    def test_a_raising_fetch_closes_its_span(self, monkeypatch):
+        def fail(self, run, nbytes):
+            raise OSError("segment unreadable")
+
+        monkeypatch.setattr(SortMergeReduceTask, "accept_segment", fail)
+        tracer = Tracer()
+        with pytest.raises(OSError, match="segment unreadable"):
+            self._job_run(tracer)
+        assert tracer.open_spans == 0

@@ -64,7 +64,7 @@ class TestSingleLeg:
         ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
         # Shared catalogue: dynamic detectors AND every static rule.
         assert "SAN201" in ids
-        assert {"REP101", "REP201", "REP006"} <= ids
+        assert {"REP101", "REP201", "REP202"} <= ids
         assert run["results"] == []
 
     def test_detector_subset_flag(self):

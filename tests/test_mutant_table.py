@@ -13,7 +13,7 @@ from repro.lint import ALL_RULES
 from repro.lint.sarif import full_catalogue
 from repro.san.matrix import CROSS_VALIDATION
 from repro.san.report import DETECTORS
-from tests.mutants import MISS, MUTANTS, RETIRED, ROOT, committed_rows, parse, unique_kills
+from tests.mutants import MISS, MUTANTS, RESTORE_FROM, RETIRED, ROOT, committed_rows, parse, unique_kills
 
 TABLE = parse(committed_rows())
 CHECKERS = [rule.id for rule in ALL_RULES] + [d.id for d in DETECTORS]
@@ -51,7 +51,10 @@ def test_retired_checkers_are_gone():
 def test_retired_checkers_mutants_are_still_killed(checker):
     """The tripwire: a retired rule's mutants stay killed by T, a retired
     detector's by T or a surviving rule.  When one is not, restore the
-    checker from the commit ``RETIRED`` names."""
+    checker from the commit ``RESTORE_FROM`` files it under."""
+    (commit,) = [c for c, group in RESTORE_FROM.items() if checker in group]
     for mutant in RETIRED[checker]:
         t, rules, _sans = TABLE[mutant]
-        assert t != MISS or (checker.startswith("SAN") and rules), (checker, mutant)
+        assert t != MISS or (checker.startswith("SAN") and rules), (
+            f"{mutant} is no longer killed: restore {checker} from commit {commit}"
+        )
