@@ -29,7 +29,7 @@ from repro.mapreduce.partition import stable_hash
 __all__ = ["HashFamily", "AccountedStateTable", "SpilledState", "SpillBuckets"]
 
 _MERSENNE_PRIME = (1 << 61) - 1
-_SLOT_BYTES = 104  # dict slot overhead per entry, amortised
+SLOT_BYTES = 104  # dict slot overhead per entry, amortised
 _VALUE = itemgetter(1)
 
 
@@ -118,9 +118,10 @@ class SpillBuckets:
 class AccountedStateTable:
     """``key -> AggregateState`` with running byte accounting.
 
-    :meth:`fold` is the reduce side's one fold: hybrid hash, incremental
-    hash and the hot set each hand it their pairs and route the misses it
-    returns.  The admission rule is fixed at construction:
+    :meth:`fold` is the one fold: hybrid hash, incremental hash and the
+    hot set each hand it their pairs and route the misses it returns, and
+    the map-side combiner hands it each block with its flush.  The
+    admission rule is fixed at construction:
 
     * ``capacity`` — admit an absent key while fewer keys are resident;
     * ``budget`` — the first pair that takes :attr:`used_bytes` past it
@@ -175,15 +176,20 @@ class AccountedStateTable:
     def __len__(self) -> int:
         return len(self.states)
 
-    def fold(self, pairs: Sequence[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
+    def fold(
+        self, pairs: Sequence[tuple[Any, Any]], flush: Callable[[], None] | None = None
+    ) -> list[tuple[Any, Any]]:
         """Fold ``pairs`` in order; return the misses, in order.
 
         A resident or admitted key folds its value (a :class:`SpilledState`
         merges); any other pair is a miss.  The budget is checked after
-        every pair, so the freeze and each shed land on the same pair
-        however a stream is cut; a shed appends ``(key,
-        SpilledState(state))`` to the misses.  ``probes`` grows by the
-        pairs folded, once per call.
+        every pair, so the freeze, each shed and each flush land on the
+        same pair however a stream is cut; a shed appends ``(key,
+        SpilledState(state))`` to the misses.  With ``flush`` (the map-side
+        combiner's), the pair that takes :attr:`used_bytes` to the budget
+        calls it instead of freezing; it must empty the table with
+        :meth:`clear`, and the fold goes on with the rest.  ``probes``
+        grows by the pairs folded, once per call.
         """
         states, budget, frozen = self.states, self.budget, self.frozen
         make, fixed, collects = self.aggregator.initial, self.fixed_bytes, self.collects
@@ -202,7 +208,7 @@ class AccountedStateTable:
                     misses.append((key, value))
                     continue
                 state = states[key] = make()
-                used += estimate_size(key) + _SLOT_BYTES + (fixed or state.size_bytes())
+                used += estimate_size(key) + SLOT_BYTES + (fixed or state.size_bytes())
             if isinstance(value, SpilledState):
                 grown += state.merge(value.state)
             elif collects:
@@ -216,7 +222,11 @@ class AccountedStateTable:
             used += grown
             grown = 0
             if not frozen:
-                if used > budget:
+                if used >= budget and flush is not None:
+                    self.used_bytes = used
+                    flush()
+                    used = self.used_bytes
+                elif used > budget:
                     self.frozen = frozen = True
                     self.frozen_bytes = used
             elif self.shed and used > 2 * budget:
@@ -238,22 +248,10 @@ class AccountedStateTable:
             misses.append((key, SpilledState(self.pop(key))))
         return len(by_size)
 
-    def update(self, key: Any, value: Any) -> AggregateState:
-        """Fold ``value`` into ``key``'s state, admitting it on first touch;
-        returns the state.  The map-side combiner's one-pair fold."""
-        self.probes += 1
-        state = self.states.get(key)
-        if state is None:
-            state = self.states[key] = self.aggregator.initial()
-            fresh = self.fixed_bytes or state.size_bytes()
-            self.used_bytes += estimate_size(key) + _SLOT_BYTES + fresh
-        self.used_bytes += state.update(value)
-        return state
-
     def pop(self, key: Any) -> AggregateState:
         """Remove and return ``key``'s state, releasing its budget."""
         state = self.states.pop(key)
-        self.used_bytes -= estimate_size(key) + state.size_bytes() + _SLOT_BYTES
+        self.used_bytes -= estimate_size(key) + state.size_bytes() + SLOT_BYTES
         return state
 
     def items(self) -> Iterator[tuple[Any, AggregateState]]:

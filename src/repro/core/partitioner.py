@@ -6,12 +6,12 @@ The paper's map module offers two options to replace Hadoop's sort:
    scanned once for partitioning, and no effort is spent for grouping."
    :class:`ScanPartitionBuffer` appends each pair to its reducer's buffer
    and pushes a chunk downstream when the buffer fills.
-2. **Map-side hybrid hash** (combine function present): pairs aggregate
-   into per-partition in-memory hash tables ("in most cases the map output
-   fits in memory so Hybrid Hash is simply in-memory hashing"); when the
-   task's memory budget fills, each table's partial *states* are flushed
-   downstream and the tables reset.  Downstream consumers fold the states
-   via ``AggregateState.merge``.
+2. **Map-side hybrid hash** (combine function present): each block of
+   pairs folds into one task-wide in-memory hash table ("in most cases the
+   map output fits in memory so Hybrid Hash is simply in-memory hashing");
+   when the task's memory budget fills, the table's partial *states* are
+   flushed downstream, split by partition, and the table resets.
+   Downstream consumers fold the states via ``AggregateState.merge``.
 
 Neither option ever compares keys for order — the CPU the baseline spends
 in Table II's "Sorting" row simply does not exist on this path.
@@ -23,11 +23,10 @@ from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.core.aggregates import Aggregator
-from repro.core.hash_tables import AccountedStateTable
-from repro.core.hybrid_hash import SpilledState
+from repro.core.hash_tables import SLOT_BYTES, AccountedStateTable, SpilledState
 from repro.io.serialization import estimate_sizes
 from repro.mapreduce.counters import C, Counters
-from repro.mapreduce.partition import KeyFacts, KeyPartitions, hash_partitioner
+from repro.mapreduce.partition import KeyFacts
 
 __all__ = ["ScanPartitionBuffer", "MapSideHashCombiner"]
 
@@ -49,8 +48,7 @@ class ScanPartitionBuffer:
         buffer_bytes: int = 4 * 1024 * 1024,
         counters: Counters | None = None,
     ) -> None:
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
+        self._facts = KeyFacts(num_partitions, _PAIR_OVERHEAD)  # rejects num_partitions < 1
         self.num_partitions = num_partitions
         self.sink = sink
         self.buffer_bytes = buffer_bytes
@@ -59,7 +57,6 @@ class ScanPartitionBuffer:
             [] for _ in range(num_partitions)
         ]
         self._bytes = [0] * num_partitions
-        self._facts = KeyFacts(num_partitions, _PAIR_OVERHEAD)
 
     def add(self, key: Any, value: Any) -> None:
         self.add_block(((key, value),))
@@ -106,11 +103,12 @@ class ScanPartitionBuffer:
 
 
 class MapSideHashCombiner:
-    """Option 2: per-partition in-memory hash aggregation (Hybrid Hash).
+    """Option 2: in-memory hash aggregation (Hybrid Hash) in one task-wide table.
 
     The flush unit is the whole task (all partitions) because the memory
-    budget is shared; each flush emits ``(key, SpilledState)`` pairs that
-    the reducer merges, so the algebra works for any aggregator.
+    budget is shared; each flush emits, per partition, ``(key,
+    SpilledState)`` pairs that the reducer merges, so the algebra works
+    for any aggregator.
     """
 
     def __init__(
@@ -122,69 +120,43 @@ class MapSideHashCombiner:
         memory_bytes: int = 8 * 1024 * 1024,
         counters: Counters | None = None,
     ) -> None:
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
         if memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
         self.num_partitions = num_partitions
-        self.aggregator = aggregator
         self.sink = sink
-        self.memory_bytes = memory_bytes
         self.counters = counters if counters is not None else Counters()
-        self._tables = [AccountedStateTable(aggregator) for _ in range(num_partitions)]
-        #: Running total of every table's ``used_bytes``; zero after a flush.
-        self.used_bytes = 0
-        self.flushes = 0
-        self._partitions = KeyPartitions(num_partitions)
+        self._facts = KeyFacts(num_partitions, SLOT_BYTES)  # rejects num_partitions < 1
+        self._table = AccountedStateTable(aggregator, budget=memory_bytes)
 
     def add_block(
         self, pairs: Sequence[tuple[Any, Any]], ends: Sequence[int] | None = None
     ) -> None:
-        """The collect loop: aggregate ``pairs``, flushing at the budget.
-
-        The shared-budget check runs after every pair, against a running
-        total moved by each table update's delta — O(1) per pair, not a
-        sum over all partitions' tables; ``ends`` is unused, as in
-        :meth:`ScanPartitionBuffer.add_block`.
-        """
-        num_partitions = self.num_partitions
-        memo = self._partitions
-        tables = self._tables
-        memory = self.memory_bytes
-        used = self.used_bytes
-        for key, value in pairs:
-            t = type(key)
-            p = memo[key] if t is str or t is int else hash_partitioner(key, num_partitions)
-            table = tables[p]
-            used -= table.used_bytes
-            table.update(key, value)
-            used += table.used_bytes
-            if used >= memory:
-                self.used_bytes = used
-                self.flush()
-                used = 0
-        self.used_bytes = used
+        """The collect loop: fold ``pairs`` through the table, which calls
+        :meth:`flush` at the pair that fills the budget; ``ends`` is
+        unused, as in :meth:`ScanPartitionBuffer.add_block`."""
+        self._table.fold(pairs, self.flush)
         self.counters.inc(C.MAP_OUTPUT_RECORDS, len(pairs))
 
     add_batch = add_block  # the name the benchmark's probes call
 
     def flush(self) -> None:
-        """Emit every partition's partial states downstream and reset."""
-        any_emitted = False
-        for partition, table in enumerate(self._tables):
-            if len(table) == 0:
-                continue
-            pairs = [
-                (key, SpilledState(state)) for key, state in table.items()
-            ]
-            nbytes = table.used_bytes
-            table.clear()
-            self.sink(partition, pairs, nbytes)
-            self.counters.inc(C.COMBINE_OUTPUT_RECORDS, len(pairs))
-            any_emitted = True
-        self.used_bytes = 0
-        if any_emitted:
-            self.flushes += 1
+        """Emit the partial states downstream, one chunk per partition in
+        insertion order, and reset.  A chunk's bytes are its keys' share of
+        the table's: key estimate, dict slot and state size."""
+        table, facts = self._table, self._facts
+        fixed = table.fixed_bytes
+        chunks: list[list[tuple[Any, Any]]] = [[] for _ in range(self.num_partitions)]
+        sizes = [0] * self.num_partitions
+        for key, state in table.states.items():
+            t = type(key)
+            partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
+            chunks[partition].append((key, SpilledState(state)))
+            sizes[partition] += key_bytes + (fixed or state.size_bytes())
+        table.clear()
+        for partition, pairs in enumerate(chunks):
+            if pairs:
+                self.sink(partition, pairs, sizes[partition])
+                self.counters.inc(C.COMBINE_OUTPUT_RECORDS, len(pairs))
 
     def finish(self) -> None:
         self.flush()

@@ -16,7 +16,7 @@ from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.faults import FaultPlan, TaskFailure
 from repro.mapreduce.hop import HOPConfig, HOPEngine, Snapshot
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted
-from repro.mapreduce.partition import HashPartitioner, hash_partitioner, stable_hash
+from repro.mapreduce.partition import hash_partitioner, stable_hash
 from repro.mapreduce.recovery import (
     CheckpointStore,
     FetchRetryPolicy,
@@ -50,7 +50,6 @@ __all__ = [
     "group_sorted",
     "MultiPassMerger",
     "stable_hash",
-    "HashPartitioner",
     "hash_partitioner",
     "WaveScheduler",
     "TaskAssignment",

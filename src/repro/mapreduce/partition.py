@@ -13,7 +13,7 @@ from typing import Any
 
 from repro.io.serialization import estimate_size
 
-__all__ = ["stable_hash", "HashPartitioner", "KeyPartitions", "KeyFacts"]
+__all__ = ["stable_hash", "hash_partitioner", "KeyPartitions", "KeyFacts"]
 
 
 def stable_hash(key: Any) -> int:
@@ -60,22 +60,17 @@ def _canonical(key: Any) -> Any:
     return key
 
 
-class HashPartitioner:
-    """``partition(key) = stable_hash(key) mod num_partitions``.
+def hash_partitioner(key: Any, num_partitions: int) -> int:
+    """``stable_hash(key) mod num_partitions``.
 
-    Called once per map-output pair, so it does not re-validate
-    ``num_partitions``: whoever owns the count (the job configs, the
-    one-pass buffers) checks it once, where it is set.
+    Called once per map-output pair that misses a task's memo, so it does
+    not re-validate ``num_partitions``: whoever owns the count (the job
+    configs, the memos below) checks it once, where it is set.
     """
-
-    def __call__(self, key: Any, num_partitions: int) -> int:
-        try:
-            return stable_hash(key) % num_partitions
-        except ZeroDivisionError:
-            raise ValueError("num_partitions must be positive") from None
-
-
-hash_partitioner = HashPartitioner()
+    try:
+        return stable_hash(key) % num_partitions
+    except ZeroDivisionError:
+        raise ValueError("num_partitions must be positive") from None
 
 
 class KeyPartitions(dict[Any, int]):
@@ -92,10 +87,12 @@ class KeyPartitions(dict[Any, int]):
     __slots__ = ("num_partitions",)
 
     def __init__(self, num_partitions: int) -> None:
+        if num_partitions < 1:
+            raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
 
     def __missing__(self, key: Any) -> int:
-        partition = self[key] = hash_partitioner(key, self.num_partitions)
+        partition = self[key] = stable_hash(key) % self.num_partitions
         return partition
 
 
@@ -111,13 +108,16 @@ class KeyFacts(dict[Any, tuple[int, int]]):
     __slots__ = ("num_partitions", "overhead")
 
     def __init__(self, num_partitions: int, overhead: int) -> None:
+        if num_partitions < 1:
+            raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
         self.overhead = overhead
 
     def of(self, key: Any) -> tuple[int, int]:
         """The facts of ``key``, computed and not remembered (any key type)."""
-        return hash_partitioner(key, self.num_partitions), estimate_size(key) + self.overhead
+        return stable_hash(key) % self.num_partitions, estimate_size(key) + self.overhead
 
     def __missing__(self, key: Any) -> tuple[int, int]:
-        facts = self[key] = self.of(key)
+        n, overhead = self.num_partitions, self.overhead
+        facts = self[key] = (stable_hash(key) % n, estimate_size(key) + overhead)
         return facts

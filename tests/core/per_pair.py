@@ -33,6 +33,12 @@ def fold_one(table, key, value):
     return state
 
 
+def remeasured(table):
+    """A table's bytes measured afresh: key estimate, dict slot and state
+    size over every resident key."""
+    return sum(estimate_size(k) + SLOT_BYTES + state.size_bytes() for k, state in table.items())
+
+
 def table_fold(table, pairs, sheds=None):
     """``AccountedStateTable.fold`` a pair at a time with :func:`fold_one`'s
     own accounting and the table's admission rule; the misses in order.

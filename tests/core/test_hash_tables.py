@@ -23,7 +23,7 @@ from repro.core.hybrid_hash import HybridHashGrouper
 from repro.core.incremental import IncrementalHash
 from repro.io.disk import LocalDisk
 from repro.io.serialization import estimate_size
-from tests.core.per_pair import table_fold
+from tests.core.per_pair import remeasured, table_fold
 
 
 class TestHashFamily:
@@ -69,15 +69,15 @@ class TestHashFamily:
 class TestAccountedStateTable:
     def test_update_creates_and_folds(self):
         t = AccountedStateTable(COUNT)
-        t.update("a", None)
-        t.update("a", None)
-        t.update("b", None)
+        t.fold([("a", None)])
+        t.fold([("a", None)])
+        t.fold([("b", None)])
         assert len(t) == 2
         assert dict(t.results()) == {"a": 2, "b": 1}
 
     def test_contains_and_get(self):
         t = AccountedStateTable(SUM)
-        t.update("a", 5)
+        t.fold([("a", 5)])
         assert "a" in t.states and "b" not in t.states
         assert dict(t.results()) == {"a": 5}
 
@@ -86,28 +86,28 @@ class TestAccountedStateTable:
         other = CountState()
         other.n = 10
         assert t.fold([("a", SpilledState(other))]) == []
-        t.update("a", None)
+        t.fold([("a", None)])
         assert dict(t.results()) == {"a": 11}
 
     def test_used_bytes_grows_with_keys(self):
         t = AccountedStateTable(COUNT)
         empty = t.used_bytes
         for i in range(100):
-            t.update(f"key-{i}", None)
+            t.fold([(f"key-{i}", None)])
         assert t.used_bytes > empty + 100 * 50
 
     def test_used_bytes_grows_with_collect_values(self):
         t = AccountedStateTable(COLLECT)
-        t.update("k", "x")
+        t.fold([("k", "x")])
         one = t.used_bytes
         for _ in range(50):
-            t.update("k", "y" * 50)
+            t.fold([("k", "y" * 50)])
         assert t.used_bytes > one + 50 * 50
 
     def test_pop_releases_budget(self):
         t = AccountedStateTable(COLLECT)
-        t.update("a", "x" * 100)
-        t.update("b", "y")
+        t.fold([("a", "x" * 100)])
+        t.fold([("b", "y")])
         before = t.used_bytes
         state = t.pop("a")
         assert state.result() == ["x" * 100]
@@ -116,7 +116,7 @@ class TestAccountedStateTable:
 
     def test_clear(self):
         t = AccountedStateTable(COUNT)
-        t.update("a", None)
+        t.fold([("a", None)])
         t.clear()
         assert len(t) == 0
         assert t.used_bytes == 0
@@ -124,7 +124,7 @@ class TestAccountedStateTable:
     def test_probes_counted(self):
         t = AccountedStateTable(COUNT)
         for i in range(7):
-            t.update(i % 3, None)
+            t.fold([(i % 3, None)])
         assert t.probes == 7
 
 
@@ -154,7 +154,7 @@ _keys = st.one_of(st.integers(0, 6), st.sampled_from(["a", "bb", 1.0, True, (1, 
 def _ops(values):
     return st.lists(
         st.one_of(
-            st.tuples(st.just("update"), _keys, values),
+            st.tuples(st.just("fold_one"), _keys, values),
             st.tuples(st.just("fold"), _keys, st.lists(values, max_size=4)),
             st.tuples(st.just("merge"), _keys, st.lists(values, max_size=4)),
             st.tuples(st.just("pop"), st.integers(0, 10), st.none()),
@@ -162,10 +162,6 @@ def _ops(values):
         ),
         max_size=40,
     )
-
-
-def remeasured(table):
-    return sum(estimate_size(k) + 104 + state.size_bytes() for k, state in table.items())
 
 
 class TestRunningTotal:
@@ -179,8 +175,8 @@ class TestRunningTotal:
         table = AccountedStateTable(aggregator)
         probes = 0
         for op, key, arg in data.draw(_ops(values)):
-            if op == "update":
-                table.update(key, arg)
+            if op == "fold_one":
+                table.fold([(key, arg)])
                 probes += 1
             elif op == "fold":
                 # A collect table sizes these in one ``estimate_sizes`` call.
@@ -225,7 +221,7 @@ class TestRunningTotal:
 
         table = AccountedStateTable(Aggregator("legacy", Legacy))
         with pytest.raises(TypeError):
-            table.update("k", 1)
+            table.fold([("k", 1)])
 
 
 # -- the fold: admission rules, freeze and shed ------------------------------------
@@ -309,11 +305,7 @@ class TestFold:
 
 
 class TestOneFold:
-    def test_no_backend_folds_a_chunk_through_the_per_pair_update(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a backend folded a chunk through AccountedStateTable.update")
-
-        monkeypatch.setattr(AccountedStateTable, "update", fail)
+    def test_no_backend_folds_a_chunk_through_the_per_pair_update(self):
         chunk = [(f"k{i % 40}", 1) for i in range(400)]
         backends = [
             (HybridHashGrouper(LocalDisk(), "hh", 600, aggregator=SUM), "add_batch", "finish"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.aggregates import COUNT, SUM
 from repro.core.frequent import SpaceSaving
-from repro.core.hash_tables import AccountedStateTable
 from repro.core.hotset import HotSetIncrementalHash
 from repro.core.hybrid_hash import SpilledState
 from repro.io.disk import LocalDisk
@@ -215,7 +214,6 @@ class TestBatchFold:
             raise AssertionError("update_batch fell back to a per-pair method")
 
         monkeypatch.setattr(SpaceSaving, "offer", fail)
-        monkeypatch.setattr(AccountedStateTable, "update", fail)
         h, _, counters = make(capacity=4, refresh_interval=16)
         h.update_batch([(f"k{i % 10}", 1) for i in range(100)])
         assert h.updates == 100

@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 from repro.io.serialization import estimate_size
 from repro.mapreduce import partition
-from repro.mapreduce.partition import (
-    HashPartitioner,
-    KeyFacts,
-    KeyPartitions,
-    hash_partitioner,
-    stable_hash,
-)
+from repro.mapreduce.partition import KeyFacts, KeyPartitions, hash_partitioner, stable_hash
 
 keys = st.one_of(
     st.text(max_size=30),
@@ -126,10 +120,6 @@ class TestHashPartitioner:
         assert min(counts) > 4000 / n / 2
         assert max(counts) < 4000 / n * 2
 
-    def test_callable_class(self):
-        p = HashPartitioner()
-        assert p("abc", 10) == hash_partitioner("abc", 10)
-
 
 def _collect(facts, key):
     """The lookup protocol every collect loop inlines."""
@@ -162,11 +152,11 @@ class TestKeyFacts:
     def test_partitioner_and_estimator_run_once_per_distinct_key(self, monkeypatch):
         calls = []
 
-        def spy(key, n):
+        def spy(key):
             calls.append(key)
-            return len(calls) % n
+            return len(calls)
 
-        monkeypatch.setattr(partition, "hash_partitioner", spy)
+        monkeypatch.setattr(partition, "stable_hash", spy)
         facts = KeyFacts(3, 8)
         first = [_collect(facts, k) for k in ("a", "b", 5, "a", 5, "b")]
         assert calls == ["a", "b", 5]
@@ -175,14 +165,14 @@ class TestKeyFacts:
     def test_key_partitions_is_the_partition_half(self, monkeypatch):
         calls = []
 
-        def spy(key, n):
+        def spy(key):
             calls.append(key)
-            return hash_partitioner(key, n)
+            return stable_hash(key)
 
-        monkeypatch.setattr(partition, "hash_partitioner", spy)
+        monkeypatch.setattr(partition, "stable_hash", spy)
         memo = KeyPartitions(4)
         for key in ("k", 7, "k", 7, 2**70, "k"):
-            assert memo[key] == hash_partitioner(key, 4)
+            assert memo[key] == stable_hash(key) % 4
         assert calls == ["k", 7, 2**70]
 
     def test_zero_partitions_rejected_on_first_key(self):
