@@ -4,8 +4,10 @@ record, Python calls per package and cyclic-GC collections per job.
 Runs each of the four ``benchmarks.e2e`` workloads on each engine once,
 serially, on the seed-0 dataset, with ``PYTHONHASHSEED=0``, and counts the
 calls made to ``pickle.dumps`` and ``pickle.loads`` while the engine runs,
-less the input decode (a ``loads`` per ``map.input.records``) and the
-output encode (a ``dumps`` per ``reduce.output.records``).  Each cell also
+less the input decode (a ``loads`` per pickle frame of the input blocks,
+one per write chunk) and the output encode (a ``dumps`` per frame of the
+output blocks, one per reduce output block), both counted with
+:func:`repro.io.frame_count`.  Each cell also
 records ``gc_collections``: the collections of generations 0, 1 and 2 the
 run made (``gc.get_stats()`` deltas over ``run()``, after a full
 ``gc.collect()``).  These counts repeat exactly on any host, so
@@ -39,6 +41,7 @@ from typing import Any
 from benchmarks.e2e.harness import load_cluster
 from benchmarks.e2e.workloads import WORKLOADS
 from repro.core.engine import OnePassEngine
+from repro.io import frame_count
 from repro.mapreduce.counters import C
 from repro.mapreduce.hop import HOPEngine
 from repro.mapreduce.runtime import HadoopEngine
@@ -48,6 +51,12 @@ ENGINES = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}
 SEED = 0
 #: row fields that only repeat on the Python minor version COUNTED.json was recorded on
 PER_INTERPRETER = ("calls", "calls_per_record")
+
+
+def frames(cluster: Any, path: str) -> int:
+    """The pickle frames in ``path``'s blocks."""
+    hdfs = cluster.hdfs
+    return sum(frame_count(hdfs.read_block_bytes(b.block_id)) for b in hdfs.namenode.blocks_of(path))
 
 
 def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]:
@@ -91,8 +100,8 @@ def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]
     n = int(counters[C.MAP_OUTPUT_RECORDS])
     row = {
         "map_output_records": n,
-        "dumps": calls["dumps"] - int(counters[C.REDUCE_OUTPUT_RECORDS]),
-        "loads": calls["loads"] - int(counters[C.MAP_INPUT_RECORDS]),
+        "dumps": calls["dumps"] - frames(cluster, job.output_path),
+        "loads": calls["loads"] - frames(cluster, job.input_path),
         "gc_collections": collections,
         "calls": dict(sorted(packages.items())),
     }

@@ -140,6 +140,12 @@ class AccountedStateTable:
     :attr:`used_bytes` always equals
     ``sum(estimate_size(key) + 104 + state.size_bytes())`` over the table.
     :attr:`states` is the backing dict; only this class mutates it.
+
+    ``facts`` (the map-side combiner's) is a task's
+    :class:`~repro.mapreduce.partition.KeyFacts` memo with overhead
+    :data:`SLOT_BYTES`: an admitted ``str`` or ``int`` key is charged
+    ``facts[key][1]``, the same estimate plus slot, so its flush finds
+    the key routed and sized once per task.
     """
 
     __slots__ = (
@@ -154,6 +160,7 @@ class AccountedStateTable:
         "frozen_bytes",
         "fixed_bytes",
         "collects",
+        "facts",
     )
 
     def __init__(
@@ -163,8 +170,10 @@ class AccountedStateTable:
         capacity: int = sys.maxsize,
         budget: int | None = None,
         shed: bool = False,
+        facts: dict[Any, tuple[int, int]] | None = None,
     ) -> None:
         self.aggregator = aggregator
+        self.facts = facts
         self.states: dict[Any, AggregateState] = {}
         self.used_bytes = self.probes = self.frozen_bytes = 0
         self.capacity, self.budget, self.shed = capacity, budget, shed
@@ -193,6 +202,7 @@ class AccountedStateTable:
         """
         states, budget, frozen = self.states, self.budget, self.frozen
         make, fixed, collects = self.aggregator.initial, self.fixed_bytes, self.collects
+        facts = self.facts
         misses: list[tuple[Any, Any]] = []
         used = self.used_bytes
         # Growth is summed apart from admissions, so a fixed-size state's
@@ -208,7 +218,11 @@ class AccountedStateTable:
                     misses.append((key, value))
                     continue
                 state = states[key] = make()
-                used += estimate_size(key) + SLOT_BYTES + (fixed or state.size_bytes())
+                t = type(key)
+                if facts is not None and (t is str or t is int):
+                    used += facts[key][1] + (fixed or state.size_bytes())
+                else:
+                    used += estimate_size(key) + SLOT_BYTES + (fixed or state.size_bytes())
             if isinstance(value, SpilledState):
                 grown += state.merge(value.state)
             elif collects:

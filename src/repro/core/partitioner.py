@@ -125,8 +125,9 @@ class MapSideHashCombiner:
         self.num_partitions = num_partitions
         self.sink = sink
         self.counters = counters if counters is not None else Counters()
+        # One memo routes and sizes a key for the table's admission and the flush.
         self._facts = KeyFacts(num_partitions, SLOT_BYTES)  # rejects num_partitions < 1
-        self._table = AccountedStateTable(aggregator, budget=memory_bytes)
+        self._table = AccountedStateTable(aggregator, budget=memory_bytes, facts=self._facts)
 
     def add_block(
         self, pairs: Sequence[tuple[Any, Any]], ends: Sequence[int] | None = None

@@ -29,9 +29,10 @@ class DataNode:
         """Persist one block replica (synchronous write, as in HDFS)."""
         self.disk.write(block_id.storage_name(), data, overwrite=True)
 
-    def read_block(self, block_id: BlockId) -> bytes:
-        """Read one full block replica."""
-        return self.disk.read(block_id.storage_name())
+    def read_block(self, block_id: BlockId, *, charge: bool = True) -> bytes:
+        """Read one full block replica (``charge=False``: without I/O accounting)."""
+        name = block_id.storage_name()
+        return self.disk.read(name) if charge else self.disk.peek(name)
 
     def stream_block(self, block_id: BlockId, chunk_size: int = 1 << 20) -> Iterator[bytes]:
         return self.disk.stream(block_id.storage_name(), chunk_size)

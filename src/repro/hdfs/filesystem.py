@@ -94,10 +94,13 @@ class HDFS:
         Records are encoded with ``codec`` (binary by default) in chunks of
         ``records_per_chunk`` and packed into blocks of roughly
         :attr:`block_size` bytes.  Chunk encodings are concatenated, which
-        every codec in :mod:`repro.io.serialization` supports (framed
-        streams and line-oriented text are both concatenable); this keeps
-        the write linear in the data instead of re-encoding the pending
-        buffer on every probe.
+        every codec in :mod:`repro.io.serialization` supports (the binary
+        codec's one frame per chunk and line-oriented text are both
+        concatenable); this keeps the write linear in the data instead of
+        re-encoding the pending buffer on every probe.  A binary chunk is
+        also the unit of decode — one ``pickle.loads`` per chunk — so
+        ``records_per_chunk`` sets how many records one read unpickles at
+        once, and a block never splits a chunk.
         """
         codec = codec or self._codecs["binary"]
         if codec.name not in self._codecs:
@@ -175,14 +178,17 @@ class HDFS:
 
     # -- reads ---------------------------------------------------------------
 
-    def read_block_bytes(self, block_id: BlockId, *, from_node: str | None = None) -> bytes:
+    def read_block_bytes(
+        self, block_id: BlockId, *, from_node: str | None = None, charge: bool = True
+    ) -> bytes:
         """Read one block replica's raw bytes.
 
         ``from_node`` selects the replica (for locality accounting); by
         default the first replica serves the read.  A missing replica (its
         DataNode lost the data) fails over to the remaining replicas, as
         HDFS clients do; only when every replica is gone does the read
-        raise :class:`FileNotFoundError`.
+        raise :class:`FileNotFoundError`.  ``charge=False`` reads without
+        charging the replica's disk.
         """
         cache = self.block_cache
         if cache is not None and cache.captures(block_id.path):
@@ -197,7 +203,7 @@ class HDFS:
         last_error: FileNotFoundError | None = None
         for node in order:
             try:
-                return self.datanodes[node].read_block(block_id)
+                return self.datanodes[node].read_block(block_id, charge=charge)
             except FileNotFoundError as exc:
                 last_error = exc
         raise FileNotFoundError(

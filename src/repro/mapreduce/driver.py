@@ -355,20 +355,28 @@ class JobDriver:
 
     def _launch_wave(
         self, run: JobRun, batch: list[TaskAssignment]
-    ) -> list[tuple[TaskAssignment, list[str], Any]]:
+    ) -> Iterator[tuple[TaskAssignment, list[str], Any]]:
         """Grant ``batch`` and run each task's first attempt as one kernel wave.
 
-        Returns ``(assignment, candidate nodes, first result)`` per task;
-        the first attempt ran on ``candidates[0]``.
+        Yields ``(assignment, candidate nodes, first result)`` per task, in
+        order; the first attempt ran on ``candidates[0]``.  A wave wider
+        than one reads its inputs uncharged and charges each read as it
+        yields the task, so every disk sees the op sequence that waves of
+        one (the serial executor) give it.
         """
+        charge = len(batch) == 1
         candidates, specs = [], []
         for a in batch:
             self.journal.append(K_TASK_GRANT, task=a.task_id, node=a.node)
             nodes = run.recovery.map_candidates(a.task_id, a.node, run.live)
             candidates.append(nodes)
-            specs.append(self._attempt_spec(run, a, nodes[0]))
+            data = self._read_input(run, a.split, nodes[0], charge=charge)
+            specs.append(self._map_spec(run, a.task_id, nodes[0], data))
         results = run.session.run_batch(self.map_kernel, specs)
-        return list(zip(batch, candidates, results))
+        for a, nodes, first in zip(batch, candidates, results):
+            if not charge:
+                self._read_input(run, a.split, nodes[0])
+            yield a, nodes, first
 
     def _attempt_spec(self, run: JobRun, a: TaskAssignment, node: str) -> Any:
         return self._map_spec(run, a.task_id, node, self._read_input(run, a.split, node))
@@ -398,13 +406,19 @@ class JobDriver:
         nbytes = self._commit_map(run, a.task_id, node, res)
         self.journal.append(K_MAP_COMMIT, task=a.task_id, node=node, nbytes=nbytes)
 
-    def _read_input(self, run: JobRun, split: InputSplit, node: str) -> bytes:
-        """A split's raw bytes, preferring the local replica."""
+    def _read_input(
+        self, run: JobRun, split: InputSplit, node: str, *, charge: bool = True
+    ) -> bytes:
+        """A split's raw bytes, preferring the local replica.
+
+        Without ``charge`` neither the disk read nor the network transfer
+        is accounted: the caller reads again, charged, when it is due.
+        """
         local = node in split.preferred_nodes
         data = self.cluster.hdfs.read_block_bytes(
-            split.block_id, from_node=node if local else None
+            split.block_id, from_node=node if local else None, charge=charge
         )
-        if not local:
+        if charge and not local:
             run.network_bytes += len(data)
         return data
 

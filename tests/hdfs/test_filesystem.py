@@ -23,7 +23,8 @@ class TestWriteRead:
 
     def test_multiple_blocks_created(self):
         hdfs, _ = make_hdfs(block_size=2048)
-        hdfs.write_records("f", [(i, "x" * 50) for i in range(400)])
+        # Distinct payloads: one frame per chunk would share a repeated string.
+        hdfs.write_records("f", [(i, f"{i:050d}") for i in range(400)])
         assert len(hdfs.namenode.blocks_of("f")) > 1
 
     def test_block_records_sum_to_total(self):

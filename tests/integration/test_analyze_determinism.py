@@ -31,9 +31,10 @@ from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 EXECUTORS = (None, "threads:2", "processes:2")
 ENGINES = ("hadoop", "hop", "onepass")
 
+# Two blocks on both clusters below: the seeded plan is drawn for two map tasks.
 CLICKS = list(
     generate_clicks(
-        ClickStreamConfig(num_clicks=2_500, num_users=120, num_urls=60, seed=13)
+        ClickStreamConfig(num_clicks=3_500, num_users=120, num_urls=60, seed=13)
     )
 )
 

@@ -19,8 +19,9 @@ from repro.testing.chaos import _pick_sites
 from repro.workloads import per_user_count_job, per_user_count_onepass_job
 from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 
+# Two 32 KiB blocks: the seeded plans below are drawn for two map tasks.
 RECORDS = list(
-    generate_clicks(ClickStreamConfig(num_clicks=900, num_users=40, num_urls=30))
+    generate_clicks(ClickStreamConfig(num_clicks=1_400, num_users=40, num_urls=30))
 )
 
 ENGINES = {

@@ -98,9 +98,9 @@ class TestFaultsPlusReplication:
         assert dict(cluster.hdfs.read_records("out")) == reference_user_counts(clicks)
 
 
-def replicated_cluster(clicks):
+def replicated_cluster(clicks, records_per_chunk=256):
     cluster = LocalCluster(num_nodes=4, block_size=64 * 1024, replication=2)
-    cluster.hdfs.write_records("in", clicks)
+    cluster.hdfs.write_records("in", clicks, records_per_chunk=records_per_chunk)
     return cluster
 
 
@@ -168,7 +168,9 @@ class TestNodeCrashRecovery:
     def test_two_crashes_survived(self, clicks):
         from repro.workloads.per_user_count import reference_user_counts
 
-        cluster = replicated_cluster(clicks)
+        # One record per chunk keeps the six map tasks the second crash needs.
+        cluster = replicated_cluster(clicks, records_per_chunk=1)
+        assert len(cluster.hdfs.input_splits("in")) == 6
         result = run_engine(
             "hadoop",
             cluster,

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hdfs.datanode import DataNode
+from repro.hdfs.filesystem import HDFS
+from repro.io.disk import LocalDisk
 from repro.io.serialization import (
     BinaryCodec,
     TextLineCodec,
@@ -20,6 +23,7 @@ from repro.io.serialization import (
     frame_count,
     iter_frames,
 )
+from repro.mapreduce.partition import stable_hash
 
 # Picklable scalar values for framing round-trips.
 scalars = st.one_of(
@@ -99,12 +103,81 @@ class TestTextLineCodec:
         assert list(codec.decode(b"1\n\n2\n")) == [(1,), (2,)]
 
 
+def _chunked(records, cuts):
+    """``records`` cut at the sorted positions ``cuts`` (empty chunks too)."""
+    bounds = [0, *sorted(c % (len(records) + 1) for c in cuts), len(records)]
+    return [records[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class TestBinaryCodec:
     @given(st.lists(values, max_size=30))
     @settings(max_examples=40)
     def test_roundtrip(self, records):
         codec = BinaryCodec()
         assert list(codec.decode(codec.encode(records))) == records
+
+    @given(st.lists(values, max_size=40), st.lists(st.integers(min_value=0), max_size=8))
+    @settings(max_examples=80)
+    def test_any_chunking_concatenates_to_the_records(self, records, cuts):
+        codec = BinaryCodec()
+        chunks = _chunked(records, cuts)
+        data = b"".join(codec.encode(chunk) for chunk in chunks)
+        assert list(codec.decode(data)) == records
+        # One frame per non-empty chunk, whatever its length.
+        assert frame_count(data) == sum(1 for chunk in chunks if chunk)
+
+    def test_an_empty_chunk_is_no_bytes(self):
+        codec = BinaryCodec()
+        assert codec.encode([]) == codec.encode(iter(())) == b""
+        assert list(codec.decode(b"")) == []
+
+    def test_a_chunk_is_one_frame_holding_its_list(self):
+        codec = BinaryCodec()
+        data = codec.encode(iter([(1, "a"), (2, "b")]))
+        assert frame_count(data) == 1
+        assert list(iter_frames(data)) == [[(1, "a"), (2, "b")]]
+
+    def test_a_truncated_chunk_is_rejected(self):
+        codec = BinaryCodec()
+        data = codec.encode([(1, "a"), (2, "b")]) + codec.encode([(3, "c")])
+        for cut in (1, len(data) - 1):
+            with pytest.raises(ValueError, match="truncated"):
+                list(codec.decode(data[:cut]))
+
+    @given(st.lists(st.tuples(st.text(min_size=1, max_size=12), st.booleans()), max_size=30),
+           st.lists(st.integers(min_value=0), max_size=4))  # fmt: skip
+    @settings(max_examples=60)
+    def test_a_shared_string_keeps_its_value_and_partition(self, drawn, cuts):
+        # ``(s, s)`` holds one object twice and ``(s, copy)`` two equal
+        # ones; a chunk's pickle memo shares repeated objects on decode, so
+        # equality and the stable hash must not see the difference.
+        records = [(s, s) if same else (s, "".join(list(s))) for s, same in drawn]
+        codec = BinaryCodec()
+        data = b"".join(codec.encode(chunk) for chunk in _chunked(records, cuts))
+        decoded = list(codec.decode(data))
+        assert decoded == records
+        assert [stable_hash(r) % 7 for r in decoded] == [stable_hash(r) % 7 for r in records]
+
+    @given(st.lists(st.tuples(st.integers(), st.text(max_size=30)), max_size=120),
+           st.integers(min_value=1, max_value=40), st.sampled_from([64, 512, 4096]))  # fmt: skip
+    @settings(max_examples=40, deadline=None)
+    def test_hdfs_files_hold_the_records_written(self, records, records_per_chunk, block_size):
+        disks = {f"n{i}": LocalDisk(name=f"n{i}") for i in range(2)}
+        hdfs = HDFS({n: DataNode(n, d) for n, d in disks.items()}, block_size=block_size)
+        hdfs.write_records("f", records, records_per_chunk=records_per_chunk)
+        assert list(hdfs.read_records("f")) == records
+        assert hdfs.file_records("f") == len(records)
+        assert sum(s.records for s in hdfs.input_splits("f")) == len(records)
+
+    def test_one_record_per_chunk(self):
+        disks = {"n0": LocalDisk(name="n0")}
+        hdfs = HDFS({"n0": DataNode("n0", disks["n0"])}, block_size=256)
+        records = [(i, f"r{i}") for i in range(50)]
+        hdfs.write_records("f", records, records_per_chunk=1)
+        assert list(hdfs.read_records("f")) == records
+        assert hdfs.file_records("f") == 50
+        blocks = [hdfs.read_block_bytes(s.block_id) for s in hdfs.input_splits("f")]
+        assert len(blocks) > 1 and sum(map(frame_count, blocks)) == 50
 
     def test_binary_beats_text_on_parse_free_decode(self):
         # Not a performance assertion — just that both decode identically

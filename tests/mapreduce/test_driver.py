@@ -30,8 +30,9 @@ from repro.workloads import (
 from repro.workloads.clickstream import ClickStreamConfig, generate_clicks
 from repro.workloads.documents import DocumentConfig, generate_documents
 
+# 8 000 clicks fill four 64 KiB blocks: ``kill_plan`` kills map task 2.
 CLICKS = list(
-    generate_clicks(ClickStreamConfig(num_clicks=5_000, num_users=300, num_urls=100, seed=42))
+    generate_clicks(ClickStreamConfig(num_clicks=8_000, num_users=300, num_urls=100, seed=42))
 )
 DOCS = list(generate_documents(DocumentConfig(num_docs=80, mean_doc_words=60, seed=3)))
 

@@ -191,9 +191,9 @@ class TestHOPReducesThroughTheKernel:
     #: ``(bytes_read, bytes_written, read_ops, write_ops, random_ops,
     #: sequential_ops, deletes, busy_time)``.
     PINNED_DISKS = {
-        "node00.hdd": (574105, 477190, 49, 43, 73, 19, 40, 0.6316399226718479),
-        "node01.hdd": (591092, 495682, 51, 45, 75, 21, 42, 0.6490158716837567),
-        "node02.hdd": (81748, 81748, 2, 2, 4, 0, 0, 0.03573246595594618),
+        "node00.hdd": (491483, 424178, 49, 43, 73, 19, 40, 0.6302026930914985),
+        "node01.hdd": (478842, 412377, 48, 42, 70, 20, 40, 0.6044436963399255),
+        "node02.hdd": (72000, 72000, 1, 1, 1, 1, 0, 0.01002587890625),
     }
 
     @pytest.mark.parametrize("executor", ["serial", "processes:2"])
@@ -222,12 +222,12 @@ class TestHOPReducesThroughTheKernel:
             )
         } == {
             C.COMBINE_INPUT_RECORDS: 8000,
-            C.COMBINE_OUTPUT_RECORDS: 2891,
-            C.REDUCE_SPILL_BYTES: 101185,
-            C.REDUCE_SPILLS: 43,
-            C.MERGE_PASSES: 39,
-            C.MERGE_READ_BYTES: 889315,
-            C.MERGE_WRITE_BYTES: 595805,
+            C.COMBINE_OUTPUT_RECORDS: 2857,
+            C.REDUCE_SPILL_BYTES: 99995,
+            C.REDUCE_SPILLS: 42,
+            C.MERGE_PASSES: 38,
+            C.MERGE_READ_BYTES: 814415,
+            C.MERGE_WRITE_BYTES: 580650,
         }
         assert counters[C.COMBINE_INPUT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS]
         disks = {name: tuple(asdict(st).values()) for name, st in cluster.disk_stats().items()}

@@ -443,34 +443,38 @@ class TestDerivedMetrics:
 
     # per-user-count, 4 000 records, 3 nodes, 64 KiB blocks, serial — the
     # ``metrics`` section the registry reported at the commit that removed it
-    # (HOP: its ``push.chunk.bytes`` then, plus the sort histogram it lacked).
-    SORTS = {
-        "type": "histogram", "count": 3, "total": 4000,
-        "buckets": [{"le": 1024, "n": 1}, {"le": 4096, "n": 2}],
-    }
+    # (HOP: its ``push.chunk.bytes`` then, plus the sort histogram it lacked),
+    # re-recorded when input blocks became one pickle frame per write chunk:
+    # the input is two blocks (map tasks) now, three before.
     RECORDED = {
         "hadoop": {
-            "map.sort.records": SORTS,
+            "map.sort.records": {
+                "type": "histogram", "count": 2, "total": 4000,
+                "buckets": [{"le": 4096, "n": 2}],
+            },
             "shuffle.segment.bytes": {
-                "type": "histogram", "count": 6, "total": 10716,
-                "buckets": [{"le": 4096, "n": 6}],
+                "type": "histogram", "count": 4, "total": 7856,
+                "buckets": [{"le": 4096, "n": 4}],
             },
         },
         "hop": {
-            "map.sort.records": SORTS,
+            "map.sort.records": {
+                "type": "histogram", "count": 3, "total": 4000,
+                "buckets": [{"le": 1024, "n": 1}, {"le": 4096, "n": 2}],
+            },
             "push.chunk.bytes": {
-                "type": "histogram", "count": 6, "total": 23760,
-                "buckets": [{"le": 4096, "n": 3}, {"le": 16384, "n": 3}],
+                "type": "histogram", "count": 6, "total": 22944,
+                "buckets": [{"le": 4096, "n": 4}, {"le": 16384, "n": 2}],
             },
         },
         "onepass": {
             "hash.resident.keys": {
                 "type": "gauge", "count": 2, "min": 99, "max": 100, "last": 99,
-                "samples": [[5498, 100], [5599, 99]],
+                "samples": [[5099, 100], [5200, 99]],
             },
             "push.chunk.bytes": {
-                "type": "histogram", "count": 6, "total": 95452,
-                "buckets": [{"le": 16384, "n": 3}, {"le": 65536, "n": 3}],
+                "type": "histogram", "count": 4, "total": 69972,
+                "buckets": [{"le": 16384, "n": 1}, {"le": 65536, "n": 3}],
             },
         },
     }
