@@ -37,7 +37,10 @@ _KERNELS: dict[str, Kernel] = {}
 
 
 def register_kernel(name: str, fn: Kernel) -> None:
-    """Register a task kernel under ``name`` (idempotent re-registration)."""
+    """Register a task kernel under ``name``, once: a second registration
+    (say, from inside a task, which only some executors would see) raises."""
+    if name in _KERNELS:
+        raise ValueError(f"kernel {name!r} is already registered")
     _KERNELS[name] = fn
 
 

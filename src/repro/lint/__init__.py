@@ -1,17 +1,18 @@
 """`reprolint`: repo-specific static analysis for the determinism contracts.
 
 The engines in this repository obey contracts that ordinary linters do
-not know about — byte-identical output across executors, pure kernels,
-kernels isolated from coordinator state.  This package machine-checks
-those contracts at lint time with an AST-based rule framework:
+not know about — byte-identical output across executors, kernels that do
+no I/O of their own, slots on hot-path classes.  This package
+machine-checks those contracts at lint time with an AST-based rule
+framework (kernel isolation from module state is checked at run time,
+by ``tests/exec/test_module_state.py``):
 
 * :mod:`repro.lint.core` — the driver: the module model and its
   one-traversal index, suppression comments, run-wide registries;
-* :mod:`repro.lint.rules` — the per-file checkers (REP002, REP007, REP101);
-* :mod:`repro.lint.cfg` — the execution-context checkers (REP201,
-  REP202), REP201 over the :mod:`repro.lint.dataflow` call graph;
+* :mod:`repro.lint.rules` — the checkers (REP002, REP007, REP101);
+* :mod:`repro.lint.sources` — REP101's nondeterminism vocabulary;
 * :mod:`repro.lint.config` — the root, the rule selection and the test
-  overrides (each rule's vocabulary is a constant beside the rule);
+  override (each rule's vocabulary is a constant beside the rule);
 * :mod:`repro.lint.report` — text/JSON/SARIF reporters;
 * :mod:`repro.lint.cli` — the ``repro lint`` subcommand.
 

@@ -60,7 +60,7 @@ def add_lint_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "lint",
         help="static-analysis pass for the repo's determinism contracts",
-        description="Check the REP002..REP202 contracts (see "
+        description="Check the REP002, REP007 and REP101 contracts (see "
         "docs/STATIC_ANALYSIS.md); any finding fails the run.",
     )
     p.add_argument(

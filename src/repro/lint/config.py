@@ -4,7 +4,7 @@ The repository's vocabulary — which modules are deterministic scope,
 which calls block, what counts as a resource — is not configuration:
 nothing ever overrides it, so it lives as module constants beside the
 rule that reads it.  What is left here is the root, the rule selection
-and the overrides tests use to lint fixture snippets without touching
+and the one override tests use to lint fixture snippets without touching
 the real tree.
 """
 
@@ -29,15 +29,11 @@ def repo_root(start: Path | None = None) -> Path:
 class LintConfig:
     """Knobs for one lint run."""
 
-    #: Repository root; source of the registry files and the program.
+    #: Repository root; source of the registry files.
     root: Path = field(default_factory=repo_root)
 
     #: Rule ids to run; empty means all.
     select: tuple[str, ...] = ()
 
-    # -- test-injection overrides (bypass the on-disk tree) ----------------
-    #: modpath -> source replacing the on-disk whole program.
-    program_modules_override: dict[str, str] | None = None
-    kernel_source_override: str | None = None
-    executor_source_override: str | None = None
+    #: Test override for the hot-path module list (bypasses the doc).
     hot_path_modules_override: tuple[str, ...] | None = None

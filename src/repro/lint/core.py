@@ -4,15 +4,14 @@ A :class:`LintModule` wraps one parsed source file with the facts every
 rule needs, built by *one* traversal: nodes by type, parent links,
 per-scope node lists and import aliases.  Rules iterate that index and
 never walk the tree themselves.  A :class:`LintContext` carries the
-run-wide registries — the kernel and spec registry, the hot-path module
-list — parsed *statically* from their source files so linting never
-imports repository code.
+run-wide registries — the kernel module, the hot-path module list —
+read *statically* from the tree so linting never imports repository
+code.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 import time
 from collections import deque
@@ -34,17 +33,14 @@ __all__ = [
     "module_path_for",
 ]
 
-#: ``# reprolint: disable=REP101,REP201 -- why this is fine``
+#: ``# reprolint: disable=REP002,REP101 -- why this is fine``
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*disable=(?P<rules>REP\d{3}(?:\s*,\s*REP\d{3})*)"
     r"(?:\s*--\s*(?P<reason>.*))?"
 )
 
-#: Where kernels and the picklable ``*Spec`` classes are registered.
+#: Where kernels are registered (REP002).
 KERNEL_MODULE = "src/repro/exec/kernels.py"
-#: Where the Executor protocol lives; ``pool.submit(fn, ...)`` sites
-#: here mark ``fn`` as a worker entry point.
-EXECUTOR_MODULE = "src/repro/exec/base.py"
 #: Doc whose marked list names the hot-path modules (REP007).
 PERFORMANCE_DOC = "docs/PERFORMANCE.md"
 
@@ -82,26 +78,19 @@ class LintModule:
     __slots__ = (
         "path",
         "modpath",
-        "source",
-        "digest",
         "tree",
         "suppressions",
         "parents",
         "by_type",
         "scope_nodes",
         "aliases",
-        "summary",
     )
 
     def __init__(self, source: str, *, path: str, modpath: str | None = None) -> None:
         self.path = path
         self.modpath = modpath if modpath is not None else module_path_for(Path(path))
-        self.source = source
-        self.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         self.tree = ast.parse(source, filename=path)
         self.suppressions = _parse_suppressions(source)
-        #: Filled by ``LintContext.module_summary`` (at most once).
-        self.summary = None
         #: child -> parent, for the whole tree.
         self.parents: dict[ast.AST, ast.AST] = {}
         #: node type -> nodes, in ``ast.walk`` (breadth-first) order.
@@ -143,16 +132,6 @@ class LintModule:
         """Every node of the given exact types."""
         for t in types:
             yield from self.by_type.get(t, ())
-
-    @property
-    def functions(self) -> list[ast.AST]:
-        """Every def in the module, at any nesting depth."""
-        return list(self.nodes(*FUNCTION_DEFS))
-
-    @property
-    def scopes(self) -> list[ast.AST]:
-        """The module body and every function body (class bodies apart)."""
-        return [self.tree, *self.functions]
 
     def subtree(self, root: ast.AST) -> Iterator[ast.AST]:
         """A scope node (module, def or class) and everything below it,
@@ -232,17 +211,6 @@ def attr_root(node: ast.AST) -> ast.AST:
     return node
 
 
-def module_level_names(tree: ast.Module) -> set[str]:
-    """Names assigned at module level (imports not included)."""
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
-
-
 def local_bindings(module: LintModule, fn: ast.AST) -> set[str]:
     """Every name a def binds: its parameters, plus every store, import
     and def/class name anywhere below it (its own name included)."""
@@ -258,20 +226,6 @@ def local_bindings(module: LintModule, fn: ast.AST) -> set[str]:
         elif isinstance(node, (*FUNCTION_DEFS, ast.ClassDef)):
             names.add(node.name)
     return names
-
-
-def module_defs(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """(qualname, def node) for module-level functions and methods —
-    the granularity the dataflow summaries use for function ids."""
-    for node in tree.body:
-        if isinstance(node, FUNCTION_DEFS):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, FUNCTION_DEFS):
-                    yield f"{node.name}.{sub.name}", sub
 
 
 def registered_kernels(tree: ast.Module) -> list[str]:
@@ -304,50 +258,31 @@ class Rule:
 
 
 class LintContext:
-    """Registries shared by every rule in one run, parsed statically."""
+    """Registries shared by every rule in one run, read statically."""
 
-    __slots__ = (
-        "config",
-        "parsed",
-        "_hot_modules",
-        "_sources",
-        "_spec_names",
-        "_program",
-        "_contexts",
-    )
+    __slots__ = ("config", "_hot_modules")
 
     def __init__(self, config: LintConfig | None = None) -> None:
         self.config = config or LintConfig()
-        #: resolved path -> module already parsed by this run, so the
-        #: program build reuses it instead of parsing the file again.
-        self.parsed: dict[Path, LintModule] = {}
         self._hot_modules: tuple[str, ...] | None = None
-        self._sources: dict[str, str] = {}
-        self._spec_names: frozenset[str] | None = None
-        self._program = None
-        self._contexts = None
-
-    def _read(self, relpath: str) -> str:
-        """Registry source, or "" when absent (rules then deactivate)."""
-        if relpath not in self._sources:
-            try:
-                self._sources[relpath] = (self.config.root / relpath).read_text()
-            except OSError:
-                self._sources[relpath] = ""
-        return self._sources[relpath]
 
     # -- REP007: hot-path module list --------------------------------------
 
     @property
     def hot_path_modules(self) -> tuple[str, ...]:
         """Module paths required to use ``__slots__``, read from the marked
-        list in ``docs/PERFORMANCE.md`` (the doc is the source of truth)."""
+        list in ``docs/PERFORMANCE.md`` (the doc is the source of truth;
+        without it the list is empty and REP007 checks nothing)."""
         if self.config.hot_path_modules_override is not None:
             return self.config.hot_path_modules_override
         if self._hot_modules is None:
+            try:
+                doc = (self.config.root / PERFORMANCE_DOC).read_text()
+            except OSError:
+                doc = ""
             m = re.search(
                 r"<!--\s*reprolint:\s*hot-path-modules\s*-->(.*?)<!--\s*/reprolint\s*-->",
-                self._read(PERFORMANCE_DOC),
+                doc,
                 re.S,
             )
             body = m.group(1) if m else ""
@@ -356,94 +291,11 @@ class LintContext:
             )
         return self._hot_modules
 
-    # -- kernel and executor modules ---------------------------------------
-
-    @property
-    def kernel_source(self) -> str:
-        if self.config.kernel_source_override is not None:
-            return self.config.kernel_source_override
-        return self._read(KERNEL_MODULE)
+    # -- REP002: the kernel module -------------------------------------------
 
     @property
     def kernel_modpath(self) -> str:
         return module_path_for(Path(KERNEL_MODULE))
-
-    @property
-    def executor_source(self) -> str:
-        if self.config.executor_source_override is not None:
-            return self.config.executor_source_override
-        return self._read(EXECUTOR_MODULE)
-
-    @property
-    def spec_class_names(self) -> frozenset[str]:
-        """Picklable task-spec classes defined in the kernel module."""
-        if self._spec_names is None:
-            self._spec_names = frozenset(
-                n.name
-                for n in ast.walk(ast.parse(self.kernel_source))
-                if isinstance(n, ast.ClassDef) and n.name.endswith("Spec")
-            )
-        return self._spec_names
-
-    # -- whole-program call graph -------------------------------------------
-
-    @property
-    def program(self):
-        """The whole-program call-graph view (built lazily once per run)."""
-        if self._program is None:
-            from repro.lint.dataflow.graph import build_program
-
-            self._program = build_program(self.config, self.parsed)
-        return self._program
-
-    def module_summary(self, module: LintModule):
-        """The module's summary: the program's own when the source
-        matches the program's copy, else summarised here, once."""
-        if module.summary is None:
-            from repro.lint.dataflow.summary import summarize_module
-
-            shared = self.program.modules.get(module.modpath)
-            if shared is not None and shared.digest == module.digest:
-                module.summary = shared
-            else:
-                module.summary = summarize_module(module)
-        return module.summary
-
-    # -- execution contexts ---------------------------------------------------
-
-    def exec_contexts(self, module: LintModule):
-        """Coordinator/kernel classification of the program with
-        ``module``'s current source spliced in.
-
-        When the module shares the program's summary, or cannot change
-        what the program reaches (``Program.spliced``), this is the one
-        classification built per run; fixture sources and seeded edits
-        get their own, with their functions visible to the closure.
-        """
-        program = self.program
-        summary = self.module_summary(module)
-        if summary is not program.modules.get(module.modpath):
-            spliced = program.spliced(summary)
-            if spliced is not program:
-                return self._build_contexts(spliced)
-        if self._contexts is None:
-            self._contexts = self._build_contexts(program)
-        return self._contexts
-
-    def _build_contexts(self, program):
-        from repro.lint.cfg.context import build_contexts
-
-        try:
-            executor_tree = ast.parse(self.executor_source)
-        except SyntaxError:
-            executor_tree = None
-        return build_contexts(
-            program,
-            kernel_tree=ast.parse(self.kernel_source),
-            kernel_modpath=self.kernel_modpath,
-            executor_tree=executor_tree,
-            executor_modpath=module_path_for(Path(EXECUTOR_MODULE)),
-        )
 
 
 # -- runner -------------------------------------------------------------------
@@ -506,24 +358,22 @@ def lint_paths(
 ) -> list[Finding]:
     """Lint files/directories; findings sorted by (path, line, rule).
 
-    Every file is parsed and indexed once, up front, so the program
-    build (triggered by the first whole-program rule) can share those
-    modules; each is dropped as soon as its rules have run.  When
-    ``timings`` is a dict, per-rule wall-time accumulates into it
-    (rule id -> seconds across all linted files).
+    Every file is parsed, indexed and linted once.  When ``timings`` is
+    a dict, per-rule wall-time accumulates into it (rule id -> seconds
+    across all linted files).
     """
     ctx = LintContext(config)
     findings: list[Finding] = []
     for path in iter_py_files(Path(p) for p in paths):
         shown = _display_path(path, ctx)
         try:
-            ctx.parsed[path.resolve()] = LintModule(path.read_text(), path=shown)
+            module = LintModule(path.read_text(), path=shown)
         except SyntaxError as exc:
             findings.append(
                 Finding("REP000", shown, exc.lineno or 1, 1, f"syntax error: {exc.msg}")
             )
-    for key in list(ctx.parsed):
-        findings.extend(lint_module(ctx.parsed.pop(key), ctx, timings))
+            continue
+        findings.extend(lint_module(module, ctx, timings))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 

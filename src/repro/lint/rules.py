@@ -1,11 +1,9 @@
-"""The per-file and whole-program rule implementations.
+"""The rule implementations.
 
 Each rule encodes one contract the determinism/performance story rests
 on; ``docs/STATIC_ANALYSIS.md`` documents the *why* behind every one.
 Rules are pure AST analyses over the :class:`LintModule` index — linting
-never imports repository code.  Every rule here checks a site where it
-stands; the one rule that follows calls is REP201 (``cfg/rules.py``),
-over the call graph built by ``repro.lint.dataflow``.
+never imports repository code — and each checks a site where it stands.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.cfg.rules import CFG_RULES
 from repro.lint.core import (
     FUNCTION_DEFS,
     Finding,
@@ -24,9 +21,9 @@ from repro.lint.core import (
     registered_kernels,
     terminal_name,
 )
-from repro.lint.dataflow.sources import nondet_call, nondet_reference
+from repro.lint.sources import nondet_call, nondet_reference
 
-__all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "rule_by_id"]
+__all__ = ["ALL_RULES", "DETERMINISTIC_SCOPES", "Rule", "kernel_reach", "rule_by_id"]
 
 #: Module-path prefixes whose code feeds job output, counters or traces
 #: — the determinism scope for REP101.  The set is closed under
@@ -69,14 +66,35 @@ _IMPURE_ROOTS = frozenset(
 _IMPURE_BUILTINS = frozenset({"open", "print", "input", "exec", "eval", "globals"})
 
 
+def kernel_reach(module: LintModule) -> dict[str, ast.AST]:
+    """The module-level defs a registered kernel reaches: the kernels and
+    the module-local helpers they call, by name -> def."""
+    defs = {n.name: n for n in module.tree.body if isinstance(n, FUNCTION_DEFS)}
+    reachable: dict[str, ast.AST] = {}
+    frontier = [name for name in registered_kernels(module.tree) if name in defs]
+    while frontier:
+        name = frontier.pop()
+        if name in reachable:
+            continue
+        reachable[name] = defs[name]
+        for node in module.subtree(defs[name]):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in defs
+            ):
+                frontier.append(node.func.id)
+    return reachable
+
+
 class KernelPurity(Rule):
     """REP002: functions registered as task kernels do no I/O of their own.
 
     A kernel runs inline, on a thread or in a forked worker; opening
     real files or sockets, spawning processes or printing happens in
     some executors and not others.  Task I/O goes through the shadow
-    ``LocalDisk``.  (What *state* a kernel may touch is REP201's
-    contract.)
+    ``LocalDisk``.  (What *state* a kernel may touch is checked at run
+    time: ``tests/exec/test_module_state.py``.)
     """
 
     id = "REP002"
@@ -85,24 +103,7 @@ class KernelPurity(Rule):
     def check(self, module: LintModule, ctx: LintContext) -> Iterator[Finding]:
         if module.modpath != ctx.kernel_modpath:
             return
-        tree = module.tree
-        defs = {n.name: n for n in tree.body if isinstance(n, FUNCTION_DEFS)}
-        # Close over module-local helpers the kernels call.
-        reachable: dict[str, ast.FunctionDef] = {}
-        frontier = [name for name in registered_kernels(tree) if name in defs]
-        while frontier:
-            name = frontier.pop()
-            if name in reachable:
-                continue
-            reachable[name] = defs[name]
-            for node in module.subtree(defs[name]):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in defs
-                ):
-                    frontier.append(node.func.id)
-        for fn in reachable.values():
+        for fn in kernel_reach(module).values():
             local = local_bindings(module, fn)
             where = f"kernel {fn.name!r}"
             for node in module.subtree(fn):
@@ -229,7 +230,6 @@ ALL_RULES: tuple[Rule, ...] = (
     KernelPurity(),
     SlotsOnHotPaths(),
     Nondeterminism(),
-    *CFG_RULES,
 )
 
 

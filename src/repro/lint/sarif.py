@@ -5,7 +5,7 @@ interchange shape: one run, one driver carrying the full rule (or
 detector) catalogue, one result per finding with a physical location.
 This module is the single place that shape is built; ``reprolint``
 passes its static-rule catalogue, ``reprosan`` passes the dynamic
-detector catalogue plus the static rules each detector cross-validates.
+detector catalogue followed by the static rules.
 
 Serialisation is canonical (sorted keys, fixed indent, trailing
 newline) so SARIF artifacts are byte-comparable across runs.
@@ -39,21 +39,12 @@ def rule_catalogue() -> list[dict[str, Any]]:
 
 
 def full_catalogue() -> list[dict[str, Any]]:
-    """Static rules plus the reprosan dynamic detectors, ids unique.
-
-    The combined catalogue is what makes a reprosan SARIF
-    self-describing: every SANxxx result names the REPxxx rules it
-    cross-validates, and those rules are present in the same driver.
-    """
+    """The reprosan dynamic detectors plus the static rules, ids unique:
+    one driver for both layers' contracts."""
     from repro.san.report import DETECTORS
 
     catalogue = [
-        {
-            "id": d.id,
-            "name": f"San{d.detector.capitalize()}",
-            "title": d.title,
-            "properties": {"staticRules": list(d.static_rules)},
-        }
+        {"id": d.id, "name": f"San{d.detector.capitalize()}", "title": d.title}
         for d in DETECTORS
     ]
     catalogue.extend(rule_catalogue())
@@ -99,23 +90,17 @@ def sarif_document(
     rules: Sequence[Mapping[str, Any]],
     results: Sequence[Mapping[str, Any]],
 ) -> dict[str, Any]:
-    """A complete one-run SARIF document.
-
-    ``rules`` entries carry ``id``, ``name``, ``title`` and an optional
-    ``properties`` mapping (reprosan uses it for the REPxxx
-    cross-validation list).
-    """
-    driver_rules = []
-    for rule in rules:
-        entry: dict[str, Any] = {
+    """A complete one-run SARIF document; ``rules`` entries carry
+    ``id``, ``name`` and ``title``."""
+    driver_rules = [
+        {
             "id": rule["id"],
             "name": rule["name"],
             "shortDescription": {"text": rule["title"]},
             "defaultConfiguration": {"level": "error"},
         }
-        if rule.get("properties"):
-            entry["properties"] = dict(rule["properties"])
-        driver_rules.append(entry)
+        for rule in rules
+    ]
     return {
         "$schema": SARIF_SCHEMA,
         "version": "2.1.0",

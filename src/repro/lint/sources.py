@@ -1,17 +1,10 @@
-"""The nondeterminism vocabulary: what REP101 calls a source, and which
-names are builtins (never a call-graph edge).
-"""
+"""The nondeterminism vocabulary: what REP101 calls a source."""
 
 from __future__ import annotations
 
 import ast
-import builtins
 
-__all__ = [
-    "BUILTIN_NAMES",
-    "nondet_call",
-    "nondet_reference",
-]
+__all__ = ["nondet_call", "nondet_reference"]
 
 #: Dotted call paths that read the wall clock or an OS entropy source.
 NONDETERMINISTIC_CALLS = frozenset(
@@ -36,10 +29,6 @@ NONDETERMINISTIC_CALLS = frozenset(
 
 #: The one deterministic entry point on the stdlib ``random`` module.
 SEEDED_RANDOM = frozenset({"random.Random"})
-
-#: Plain builtin names: calls to these are never project call-graph
-#: edges, so summaries skip recording them as callees.
-BUILTIN_NAMES = frozenset(dir(builtins))
 
 
 def nondet_call(dotted: str, node: ast.Call) -> str | None:

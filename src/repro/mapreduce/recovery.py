@@ -418,15 +418,16 @@ class PartitionLog:
 
         A torn write leaves a truncated trailing frame; ``stream_run``
         raises for it, and a replica whose record count disagrees with
-        the log's own bookkeeping is equally untrustworthy.  Either way
-        the next replica is tried; only when none is intact does the
-        entry count as lost.
+        the log's own bookkeeping is equally untrustworthy.  A short read
+        looks the same but is transient, so a replica is read twice
+        before it is rejected.  Either way the next replica is tried;
+        only when none is intact does the entry count as lost.
         """
         for _node, disk in self.replicas:
             if not disk.exists(entry.path):
                 continue
             try:
-                pairs = list(stream_run(disk, entry.path))
+                pairs = _read_replica(disk, entry)
             except ValueError:
                 self.counters.inc(C.LOG_REPLICAS_REJECTED)
                 continue
@@ -453,6 +454,18 @@ class PartitionLog:
     def cleanup(self) -> None:
         for _node, disk in self.replicas:
             disk.delete_prefix(f"faultlog/p{self.partition:03d}/")
+
+
+def _read_replica(disk: LocalDisk, entry: _LogEntry) -> list[tuple[Any, Any]]:
+    """One replica's pairs, read again once if the first read's framing
+    or record count is off: the second read stands."""
+    try:
+        pairs = list(stream_run(disk, entry.path))
+        if len(pairs) == entry.records:
+            return pairs
+    except ValueError:
+        pass
+    return list(stream_run(disk, entry.path))
 
 
 class CheckpointStore:

@@ -1,9 +1,9 @@
 """reprosan: the runtime race sanitizer.
 
-Dynamic cross-validation of the static kernel-state rule (REP201): an
-opt-in harness (:class:`repro.san.harness.Sanitizer`) instruments real
-engine runs with a batch-window race detector and reports
-logical-clock-ordered, canonical violations.  The clean matrix also
+An opt-in harness (:class:`repro.san.harness.Sanitizer`) instruments
+real engine runs with a batch-window race detector — a kernel-scope
+write to shared state or to its own spec inside one executor batch — and
+reports logical-clock-ordered, canonical violations.  The clean matrix also
 byte-compares every leg's output against ``san-baseline.json``.  See
 ``docs/SANITIZERS.md``.
 """

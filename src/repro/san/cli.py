@@ -26,14 +26,10 @@ def _print_report(report, fmt: str) -> None:
 def _cmd_battery(args: argparse.Namespace) -> int:
     from repro.san.matrix import battery_ok, run_battery
 
-    rules = tuple(args.select.split(",")) if args.select else None
-    results = run_battery(rules)
-    width = max(len(r.rule) for r in results)
+    results = run_battery()
     for r in results:
         status = "ok" if r.ok else "FAIL"
-        print(
-            f"{r.rule:<{width}} -> {r.expected}  fired {r.fired}  [{status}]"
-        )
+        print(f"{r.detector}  fired {r.fired}  [{status}]")
         if not r.ok:
             for v in r.report.violations:
                 print(f"    got {v.id}: {v.message}")
@@ -143,8 +139,8 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "sanitize",
         help="run a workload under the runtime race sanitizer",
-        description="reprosan: dynamic cross-validation of the REPxxx "
-        "contracts (see docs/SANITIZERS.md).",
+        description="reprosan: the runtime kernel-state race detector "
+        "(see docs/SANITIZERS.md).",
     )
     p.add_argument("--workload", choices=WORKLOADS, default=None)
     p.add_argument("--engine", choices=ENGINES, default=None)
@@ -187,11 +183,5 @@ def add_sanitize_parser(sub: argparse._SubParsersAction) -> None:
         default=None,
         metavar="PATH",
         help="baseline file (default: <root>/san-baseline.json)",
-    )
-    p.add_argument(
-        "--select",
-        default=None,
-        metavar="RULES",
-        help="with --battery: comma-separated static rule ids to exercise",
     )
     p.set_defaults(fn=cmd_sanitize)

@@ -10,7 +10,7 @@ lets the clean matrix byte-compare sanitized vs unsanitized runs.
 The one detector, ``race``: each executor batch is a fork/join window.
 Registered shared objects and the batch's specs are fingerprinted at the
 fork and again at the join, and any change is a kernel-scope write the
-coordinator never ordered (SAN201 / REP201).
+coordinator never ordered (SAN201).
 
 Scope rule: the detector only observes between engine ``run`` entry and
 exit (``_ENGINE_DEPTH``).

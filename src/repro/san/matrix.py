@@ -1,22 +1,18 @@
-"""The cross-validation matrix: static rules ↔ dynamic detectors.
+"""The sanitizer's two proofs: the battery and the clean matrix.
 
-Two halves, both runnable from ``repro sanitize``:
+Both halves are runnable from ``repro sanitize``:
 
 * **Synthetic-violation battery** — one seeded fixture per detector,
-  deliberately committing the violation its static rule forbids, run
+  deliberately committing the violation the detector exists to see, run
   under an isolated sanitizer.  A detector passes when its fixture fires
-  *exactly once* with a non-empty witness.  This is the proof that the
-  dynamic layer actually detects what the static layer claims.
+  *exactly once* with a non-empty witness: the proof that the dynamic
+  layer detects what it claims.
 
 * **Clean matrix** — every workload × engine × executor leg run twice,
   sanitized and unsanitized, byte-comparing output digests and requiring
   zero violations.  The committed ``san-baseline.json`` pins the digests
   so any nondeterminism regression (or sanitizer-induced perturbation)
   fails loudly.
-
-The deliberate violation below carries a ``reprolint: disable`` marker:
-it is the battery's *payload*, statically suppressed precisely because
-the runtime detector is the layer under test.
 """
 
 from __future__ import annotations
@@ -26,13 +22,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.exec.base import ThreadExecutor, register_kernel
 from repro.san.harness import Sanitizer, SanitizerConfig
 from repro.san.report import SanReport
 
 __all__ = [
     "BATTERY",
     "BASELINE_SCHEMA",
-    "CROSS_VALIDATION",
     "BatteryResult",
     "LegResult",
     "battery_ok",
@@ -44,9 +40,6 @@ __all__ = [
     "run_matrix",
     "write_baseline",
 ]
-
-#: Static rule -> the dynamic detector that witnesses it at runtime.
-CROSS_VALIDATION: dict[str, str] = {"REP201": "SAN201"}
 
 BASELINE_SCHEMA = "repro.san-baseline/v1"
 
@@ -62,20 +55,20 @@ MATRIX_EXECUTORS = ("serial", "threads:2", "processes:2")
 
 # -- battery fixtures ---------------------------------------------------------
 
-#: Module state the REP201 fixture's kernel deliberately writes.
+#: Module state the SAN201 fixture's kernel deliberately writes.
 _BATTERY_STATE: dict[str, Any] = {}
 
 
 def _racy_kernel(ctx: Any, spec: Any) -> Any:
-    # Deliberate REP201 violation: kernel writes module-global state.
-    _BATTERY_STATE["last"] = spec  # reprolint: disable=REP201 -- battery payload
+    # The battery payload: a kernel that writes module-global state.
+    _BATTERY_STATE["last"] = spec
     return spec
 
 
-def _fixture_rep201(san: Sanitizer) -> None:
-    from repro.exec.base import ThreadExecutor, register_kernel
+register_kernel("san.battery.racy", _racy_kernel)
 
-    register_kernel("san.battery.racy", _racy_kernel)
+
+def _fixture_san201(san: Sanitizer) -> None:
     _BATTERY_STATE.clear()
     san.track_shared("repro.san.matrix._BATTERY_STATE", _BATTERY_STATE)
     specs = [{"part": 0}, {"part": 1}]
@@ -87,8 +80,7 @@ def _fixture_rep201(san: Sanitizer) -> None:
 
 @dataclass(frozen=True)
 class BatteryResult:
-    rule: str
-    expected: str
+    detector: str
     fired: int
     report: SanReport
 
@@ -97,7 +89,7 @@ class BatteryResult:
         if self.fired != 1:
             return False
         v = self.report.violations[0]
-        return v.id == self.expected and bool(v.witness)
+        return v.id == self.detector and bool(v.witness)
 
 
 def _run_fixture(fn: Callable[[Sanitizer], None], detectors: tuple[str, ...]) -> SanReport:
@@ -106,28 +98,17 @@ def _run_fixture(fn: Callable[[Sanitizer], None], detectors: tuple[str, ...]) ->
     return san.report
 
 
-#: (static rule, expected violation id, fixture runner).
-BATTERY: tuple[tuple[str, str, Callable[[], SanReport]], ...] = (
-    ("REP201", "SAN201", lambda: _run_fixture(_fixture_rep201, ("race",))),
+#: (violation id, fixture runner), one per detector.
+BATTERY: tuple[tuple[str, Callable[[], SanReport]], ...] = (
+    ("SAN201", lambda: _run_fixture(_fixture_san201, ("race",))),
 )
 
 
-def run_battery(
-    rules: tuple[str, ...] | None = None,
-) -> list[BatteryResult]:
+def run_battery() -> list[BatteryResult]:
     out = []
-    for rule, expected, runner in BATTERY:
-        if rules is not None and rule not in rules:
-            continue
+    for detector, runner in BATTERY:
         report = runner()
-        out.append(
-            BatteryResult(
-                rule=rule,
-                expected=expected,
-                fired=len(report.violations),
-                report=report,
-            )
-        )
+        out.append(BatteryResult(detector=detector, fired=len(report.violations), report=report))
     return out
 
 

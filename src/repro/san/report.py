@@ -6,9 +6,8 @@ sort key uses the sanitizer's logical clock (ticked through the tracer
 absorb path) and stable textual fields, never wall time — so the same
 run produces byte-identical terminal/JSON/SARIF reports every time.
 
-The :data:`DETECTORS` catalogue is the dynamic half of the
-cross-validation matrix: each entry names the static REPxxx rule(s) it
-witnesses at runtime (see ``docs/SANITIZERS.md``).
+The :data:`DETECTORS` catalogue names each detector, its violation id and
+what it sees (see ``docs/SANITIZERS.md``).
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectorInfo:
-    """One dynamic detector and the static rules it cross-validates."""
+    """One dynamic detector and the violation id it reports."""
 
     id: str
     detector: str
     title: str
-    static_rules: tuple[str, ...]
 
 
 DETECTORS: tuple[DetectorInfo, ...] = (
@@ -40,7 +38,6 @@ DETECTORS: tuple[DetectorInfo, ...] = (
         id="SAN201",
         detector="race",
         title="kernel-scope write to shared state inside a batch",
-        static_rules=("REP201",),
     ),
 )
 
@@ -75,10 +72,6 @@ class Violation:
     def detector(self) -> str:
         return _BY_ID[self.id].detector
 
-    @property
-    def static_rules(self) -> tuple[str, ...]:
-        return _BY_ID[self.id].static_rules
-
     def sort_key(self) -> tuple:
         return (self.id, self.path, self.line, self.task, self.clock, self.message)
 
@@ -86,7 +79,6 @@ class Violation:
         return {
             "id": self.id,
             "detector": self.detector,
-            "staticRules": list(self.static_rules),
             "message": self.message,
             "path": self.path,
             "line": self.line,
@@ -146,7 +138,7 @@ class SanReport:
         lines = []
         for v in self.violations:
             where = f"{v.path}:{v.line}" if v.line else v.path
-            head = f"{where}: {v.id} [{'+'.join(v.static_rules)}] {v.message}"
+            head = f"{where}: {v.id} {v.message}"
             if v.task:
                 head += f" (task {v.task}, clock {v.clock})"
             lines.append(head)
@@ -173,7 +165,7 @@ class SanReport:
         rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
         results = []
         for v in self.violations:
-            properties: dict = {"staticRules": list(v.static_rules)}
+            properties: dict = {}
             if v.task:
                 properties["task"] = v.task
                 properties["clock"] = v.clock

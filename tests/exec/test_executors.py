@@ -95,6 +95,13 @@ class TestKernelRegistry:
         with pytest.raises(KeyError, match="no_such_kernel"):
             get_kernel("no_such_kernel")
 
+    def test_a_name_registers_once(self):
+        # A task that re-registers itself would write the coordinator's
+        # registry from kernel scope (tests/exec/test_module_state.py).
+        with pytest.raises(ValueError, match="'test_square' is already registered"):
+            register_kernel("test_square", _square_kernel)
+        assert get_kernel("test_square") is _square_kernel
+
     def test_engine_kernels_register_lazily(self):
         # get_kernel triggers registration of the built-in engine kernels.
         for name in ("hadoop_map", "hadoop_reduce", "hop_map", "onepass_map"):

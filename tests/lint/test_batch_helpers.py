@@ -52,11 +52,7 @@ BATCH_SRC = textwrap.dedent(
 
 
 def lint(source, *, modpath=ENGINE_MOD):
-    config = LintConfig(
-        program_modules_override={BATCH_MOD: BATCH_SRC},
-        kernel_source_override="class FakeSpec:\n    pass\n",
-    )
-    return lint_source(textwrap.dedent(source), modpath=modpath, config=config)
+    return lint_source(textwrap.dedent(source), modpath=modpath, config=LintConfig())
 
 
 def rules_of(findings):
@@ -100,12 +96,7 @@ class TestREP101ThroughBatchHelpers:
 
 class TestREP002ThroughBatchHelpers:
     def kernel_lint(self, source):
-        src = textwrap.dedent(source)
-        return lint_source(
-            src,
-            modpath=KERNEL_MOD,
-            config=LintConfig(kernel_source_override=src),
-        )
+        return lint_source(textwrap.dedent(source), modpath=KERNEL_MOD, config=LintConfig())
 
     def test_impure_module_local_batch_helper_flagged(self):
         """A kernel delegating its per-batch loop to a module-local helper

@@ -11,29 +11,34 @@ def findings_for(source, **kw):
     return lint_source(textwrap.dedent(source), modpath="repro/core/fx.py", **kw)
 
 
+#: A kernel whose one line breaks two contracts: I/O (REP002) of a wall
+#: clock (REP101).
+TWO_RULE_KERNEL = """
+import time
+
+def k(ctx, spec):
+    print(time.time())  {comment}
+
+register_kernel("k", k)
+"""
+
+
+def kernel_findings(comment="", **kw):
+    source = TWO_RULE_KERNEL.format(comment=comment)
+    return lint_source(source, modpath="repro/exec/kernels.py", **kw)
+
+
 # -- suppression comments -----------------------------------------------------
 
 
 def test_suppression_is_rule_specific():
-    # A REP101 disable does not hide the REP202 finding on the same line.
-    src = """
-    import time
-
-    def f(path):
-        return PushMapSpec(open(path), time.time())  # reprolint: disable=REP101 -- one of two
-    """
-    rules = {f.rule for f in findings_for(src)}
-    assert rules == {"REP202"}
+    # A REP101 disable does not hide the REP002 finding on the same line.
+    findings = kernel_findings("# reprolint: disable=REP101 -- one of two")
+    assert {f.rule for f in findings} == {"REP002"}
 
 
 def test_suppression_multiple_rules_one_comment():
-    src = """
-    import time
-
-    def f(path):
-        return PushMapSpec(open(path), time.time())  # reprolint: disable=REP101,REP202 -- both
-    """
-    assert findings_for(src) == []
+    assert kernel_findings("# reprolint: disable=REP002,REP101 -- both") == []
 
 
 def test_malformed_suppression_ignored():
@@ -108,12 +113,6 @@ def test_lint_paths_sorted_and_scoped(tmp_path):
 
 
 def test_select_limits_rules():
-    src = """
-    import time
-
-    def f(path):
-        return PushMapSpec(open(path), time.time())
-    """
-    assert {f.rule for f in findings_for(src)} == {"REP101", "REP202"}
-    only_one = findings_for(src, config=LintConfig(select=("REP202",)))
-    assert [f.rule for f in only_one] == ["REP202"]
+    assert {f.rule for f in kernel_findings()} == {"REP002", "REP101"}
+    only_one = kernel_findings(config=LintConfig(select=("REP002",)))
+    assert [f.rule for f in only_one] == ["REP002"]

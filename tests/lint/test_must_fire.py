@@ -2,57 +2,34 @@
 snippet and stays quiet on its conforming rewrite.
 
 One row per surviving contract, each a fixture already used by the
-per-rule suites (whose harnesses this module borrows), so "the rule set
-fires once per contract" is a property the suite checks rather than one
-a reader assembles from three test modules.  A rule added without a row
+per-rule suites, so "the rule set fires once per contract" is a property
+the suite checks rather than one a reader assembles from the per-rule
+tests.  A rule added without a row
 here fails :func:`test_every_rule_must_fire`.
 """
 
 import pytest
 
 from repro.lint import ALL_RULES, LintConfig, lint_source
-from tests.lint import test_cfg_rules as cfg_layer
-from tests.lint import test_dataflow as flow_layer
 
 ENGINE_MOD = "repro/core/fixture.py"
 KERNEL_MOD = "repro/exec/kernels.py"
 
 
-def per_file(**cfg_kw):
-    """Lint against the real program with registry overrides."""
-
-    def run(source, rule, modpath=ENGINE_MOD):
-        return lint_source(
-            source, modpath=modpath, config=LintConfig(select=(rule,), **cfg_kw)
-        )
-
-    return run
+def engine_module(source, rule):
+    return lint_source(source, modpath=ENGINE_MOD, config=LintConfig(select=(rule,)))
 
 
 def as_kernel_module(source, rule):
-    return lint_source(
-        source,
-        modpath=KERNEL_MOD,
-        config=LintConfig(select=(rule,), kernel_source_override=source),
-    )
+    return lint_source(source, modpath=KERNEL_MOD, config=LintConfig(select=(rule,)))
 
 
 def hot_module(source, rule):
-    return per_file(hot_path_modules_override=("repro/core/hot.py",))(
-        source, rule, modpath="repro/core/hot.py"
+    return lint_source(
+        source,
+        modpath="repro/core/hot.py",
+        config=LintConfig(select=(rule,), hot_path_modules_override=("repro/core/hot.py",)),
     )
-
-
-def flow(source, rule):
-    return flow_layer.lint(source, select=(rule,))
-
-
-def cfg(source, rule):
-    return cfg_layer.lint(source, select=(rule,))
-
-
-def cfg_as_kernel_module(source, rule):
-    return cfg_layer.lint(source, select=(rule,), modpath=KERNEL_MOD, kernel_src=source)
 
 
 #: rule id -> (harness, violating snippet, conforming snippet)
@@ -68,25 +45,9 @@ MUST_FIRE = {
         "class State:\n    __slots__ = ('count',)\n",
     ),
     "REP101": (
-        flow,
+        engine_module,
         "import time\n\ndef run():\n    return time.time()\n",
         "import time\n\ndef run():\n    return time.perf_counter()\n",
-    ),
-    "REP201": (
-        cfg_as_kernel_module,
-        "TOTAL = 0\n\nclass MapSpec:\n    pass\n\n"
-        "def tally_kernel(ctx, spec):\n    global TOTAL\n    TOTAL = TOTAL + 1\n    return TOTAL\n\n"
-        "register_kernel('tally', tally_kernel)\n",
-        "class MapSpec:\n    pass\n\n"
-        "def tally_kernel(ctx, spec):\n    return spec\n\n"
-        "register_kernel('tally', tally_kernel)\n",
-    ),
-    "REP202": (
-        cfg,
-        "from repro.exec.kernels import MapSpec\n\n"
-        "def build(path):\n    fh = open(path)\n    return MapSpec(fh)\n",
-        "from repro.exec.kernels import MapSpec\n\n"
-        "def build(path):\n    return MapSpec(path)\n",
     ),
 }
 
@@ -124,6 +85,6 @@ REP101_REFERENCES = {
 @pytest.mark.parametrize("form", sorted(REP101_REFERENCES))
 def test_rep101_fires_on_a_source_taken_as_a_value(form):
     violating, conforming = REP101_REFERENCES[form]
-    fired = flow(violating, "REP101")
+    fired = engine_module(violating, "REP101")
     assert [(f.rule, "time.time" in f.message) for f in fired] == [("REP101", True)]
-    assert flow(conforming, "REP101") == []
+    assert engine_module(conforming, "REP101") == []

@@ -13,7 +13,9 @@ retired: the tests kill every mutant they caught.  The same table
 retired REP005 and REP006 with their fixtures, once runtime checks (the
 open-span count, the two-hash-seed digest) killed their mutants.  (REP008's fixtures went with the metrics
 registry whose names it checked: a distribution is now a row the
-analyzer reads off span args, with no call site to lint.)
+analyzer reads off span args, with no call site to lint.)  ``TestREP101``
+holds the two REP101 fixtures of the retired call-graph layer: a clock
+read two helpers away is flagged where it is read.
 """
 
 import textwrap
@@ -97,11 +99,59 @@ class TestREP001:
         assert findings == []
 
 
-# -- REP002: kernel I/O purity (its state half is REP201's) -------------------
+# -- REP101: a source behind helpers is flagged where it is read --------------
+
+#: A helper module in deterministic scope, imported by the fixture caller.
+HELPER_MOD = "repro/core/helper.py"
+HELPER_SRC = textwrap.dedent(
+    """
+    import random
+    import time
+
+    def now():
+        return time.time()
+
+    def two_hop():
+        return now()
+
+    def seeded():
+        rng = random.Random(7)
+        return rng.random()
+    """
+)
 
 
-def kernel_config(source):
-    return LintConfig(kernel_source_override=textwrap.dedent(source))
+class TestREP101:
+    def test_direct_source_left_to_rep001(self):
+        findings = lint(
+            """
+            import time
+
+            def run():
+                return time.time()
+            """
+        )
+        assert rules_of(findings) == ["REP101"]
+
+    def test_helper_chain_is_flagged_where_the_clock_is_read(self):
+        # run -> two_hop -> now -> time.time(): the caller is clean, the
+        # helper module (in deterministic scope, as every module such
+        # code imports is) holds the one finding.
+        caller = lint(
+            """
+            from repro.core import helper
+
+            def run():
+                return helper.two_hop()
+            """
+        )
+        assert caller == []
+        at_source = lint(HELPER_SRC, modpath=HELPER_MOD, select="REP101")
+        assert [(f.rule, f.line) for f in at_source] == [("REP101", 6)]
+        assert "time.time" in at_source[0].message
+
+
+# -- REP002: kernel I/O purity (its state half is checked at run time) --------
 
 
 class TestREP002:
@@ -119,19 +169,13 @@ class TestREP002:
 
         register_kernel("bad", bad_kernel)
         """
-        findings = lint(src, modpath=KERNEL_MOD, config=kernel_config(src))
-        by_rule = {
-            rule: " ".join(f.message for f in findings if f.rule == rule)
-            for rule in rules_of(findings)
-        }
-        # One finding per violation: the I/O calls are REP002's, the
-        # three state touches (once also REP002's) are REP201's.
-        assert sorted(rules_of(findings)) == ["REP002"] * 2 + ["REP201"] * 3
-        assert "os.remove" in by_rule["REP002"]
-        assert "open()" in by_rule["REP002"]
-        assert "_STATE" in by_rule["REP201"]
-        assert "_SEEN" in by_rule["REP201"]
-        assert "_FORK_CONTEXT" in by_rule["REP201"]
+        findings = lint(src, modpath=KERNEL_MOD)
+        # One finding per I/O call; the three state touches are the
+        # runtime checks' (tests/exec/test_module_state.py).
+        assert rules_of(findings) == ["REP002"] * 2
+        messages = " ".join(f.message for f in findings)
+        assert "os.remove" in messages
+        assert "open()" in messages
 
     def test_purity_extends_to_module_helpers(self):
         src = """
@@ -143,7 +187,7 @@ class TestREP002:
 
         register_kernel("k", kernel)
         """
-        findings = lint(src, modpath=KERNEL_MOD, config=kernel_config(src))
+        findings = lint(src, modpath=KERNEL_MOD)
         assert rules_of(findings) == ["REP002"]
         assert "print" in findings[0].message
 
@@ -156,14 +200,14 @@ class TestREP002:
 
         register_kernel("good", good_kernel)
         """
-        assert lint(src, modpath=KERNEL_MOD, config=kernel_config(src)) == []
+        assert lint(src, modpath=KERNEL_MOD) == []
 
     def test_unregistered_function_not_checked(self):
         src = """
         def coordinator_only(plan):
             print(plan)
         """
-        assert lint(src, modpath=KERNEL_MOD, config=kernel_config(src)) == []
+        assert lint(src, modpath=KERNEL_MOD) == []
 
     def test_suppressed(self):
         src = """
@@ -172,7 +216,7 @@ class TestREP002:
 
         register_kernel("k", k)
         """
-        assert lint(src, modpath=KERNEL_MOD, config=kernel_config(src)) == []
+        assert lint(src, modpath=KERNEL_MOD) == []
 
 
 # -- REP007: __slots__ on hot paths -------------------------------------------

@@ -17,11 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import ALL_RULES, LintConfig, LintModule, lint_paths, lint_source
-from repro.lint.cfg.context import COORDINATOR_SCOPES
-from repro.lint.cfg.rules import resource_kind
 from repro.lint.core import attr_root, iter_py_files
-from repro.lint.dataflow import clear_program_memo
-from repro.lint.dataflow.graph import dotted_module
 from repro.lint.rules import DETERMINISTIC_SCOPES
 from tests.test_surface_audit import src_import_graph
 
@@ -78,19 +74,6 @@ SEEDS = {
         },
         ("REP101", "src/repro/analysis/seeded_clock.py"),
     ),
-    "kernel -> helper in another module -> module-global write": (
-        {
-            "src/repro/analysis/seeded_state.py": (
-                "_SEEN = []\n\n\ndef note(x):\n    _SEEN.append(x)\n    return x\n"
-            ),
-            "src/repro/exec/kernels.py": lambda s: seed_kernel(
-                "from repro.analysis import seeded_state\n" + s,
-                "seeded_state.note(spec)",
-            ),
-        },
-        # At the write, with the chain — and nothing at the kernel.
-        ("REP201", "src/repro/analysis/seeded_state.py"),
-    ),
 }
 
 
@@ -116,7 +99,6 @@ def test_seeded_violation_fails_the_full_tree_pass_once(tree_copy, seed):
             originals[path] = path.read_text() if path.exists() else None
             before = originals[path] or ""
             path.write_text(edit(before) if callable(edit) else before + edit)
-        clear_program_memo()
         findings = lint_paths([tree_copy / "src"], LintConfig(root=tree_copy))
     finally:
         for path, text in originals.items():
@@ -124,7 +106,6 @@ def test_seeded_violation_fails_the_full_tree_pass_once(tree_copy, seed):
                 path.unlink()
             else:
                 path.write_text(text)
-        clear_program_memo()
     assert [(f.rule, f.path) for f in findings] == [expected], findings
 
 
@@ -143,6 +124,18 @@ def test_every_rule_has_a_subject_in_this_tree(capsys, monkeypatch):
     assert [row[0].lstrip("| ") for row in rows] == [rule.id for rule in ALL_RULES]
     assert all(int(row[2]) > 0 for row in rows), rows
 
+
+#: Module-path prefixes whose code runs on the coordinator (workloads are
+#: excluded: their map/reduce closures execute inside kernels).
+COORDINATOR_SCOPES = (
+    "repro/core/",
+    "repro/mapreduce/",
+    "repro/exec/",
+    "repro/hdfs/",
+    "repro/io/",
+    "repro/obs/",
+    "repro/simulator/",
+)
 
 #: What REP203 (blocking calls) and REP206 (lock order) policed; both were
 #: retired because coordinator-scope code contains none of it.
@@ -213,60 +206,6 @@ def test_deterministic_scope_is_closed_under_imports(tree_copy):
         leak.unlink()
 
 
-def resource_returning_helpers(root):
-    """Every ``src/repro`` function that returns or yields a fresh OS
-    resource — a call REP202's ``resource_kind`` names (an open file, a
-    socket, a lock, ...), directly or through a local bound to one —
-    which would make its *call sites* the acquisitions REP202 has to see."""
-
-    def acquires(module, value):
-        if not isinstance(value, ast.Call):
-            return False
-        dotted = module.dotted(value.func) or ""
-        # A factory named bare inside the module that defines it.
-        here = f"{dotted_module(module.modpath)}.{dotted}"
-        return bool(resource_kind(dotted) or resource_kind(here))
-
-    hits = []
-    for path in iter_py_files([Path(root) / "src/repro"]):
-        module = LintModule(path.read_text(), path=str(path))
-        for fn in module.functions:
-            nodes = module.scope_nodes[fn]
-            fresh = {
-                target.id
-                for node in nodes
-                if isinstance(node, ast.Assign) and acquires(module, node.value)
-                for target in node.targets
-                if isinstance(target, ast.Name)
-            }
-            hits += [
-                (module.modpath, fn.name)
-                for node in nodes
-                if isinstance(node, (ast.Return, ast.Yield)) and node.value is not None
-                and (
-                    acquires(module, node.value)
-                    or (isinstance(node.value, ast.Name) and node.value.id in fresh)
-                )
-            ]
-    return hits
-
-
-def test_no_helper_returns_a_fresh_resource(tree_copy):
-    assert not resource_returning_helpers(ROOT), (
-        "a helper now returns a fresh resource, so its call sites are acquisitions "
-        "REP202 cannot see: restore the return-taint summaries and REP202's "
-        "transitive half from commit 0192689 (lint/dataflow/{summary,taint}.py, "
-        "lint/cfg/rules.py)"
-    )
-    runio = tree_copy / "src/repro/io/runio.py"
-    original = runio.read_text()
-    try:
-        runio.write_text(original + '\n\ndef _mk(path):\n    fh = open(path, "rb")\n    return fh\n')
-        assert resource_returning_helpers(tree_copy) == [("repro/io/runio.py", "_mk")]
-    finally:
-        runio.write_text(original)
-
-
 def test_cli_exit_codes_and_json(tmp_path):
     env_src = str(SRC)
     clean = subprocess.run(
@@ -302,11 +241,9 @@ def test_list_rules_names_all_layers():
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
     assert out.returncode == 0
-    for rule_id in ("REP002", "REP007", "REP101", "REP201", "REP202"):
-        assert rule_id in out.stdout
-    assert len(out.stdout.splitlines()) == 5
+    assert [line.split()[0] for line in out.stdout.splitlines()] == ["REP002", "REP007", "REP101"]
     for retired in (
         "REP004", "REP005", "REP006", "REP102", "REP104",
-        "REP105", "REP203", "REP204", "REP205", "REP206",
+        "REP105", "REP201", "REP202", "REP203", "REP204", "REP205", "REP206",
     ):
         assert retired not in out.stdout

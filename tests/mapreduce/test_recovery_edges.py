@@ -139,7 +139,24 @@ class TestDiskFaultInjection:
         replayed = [(seq, pairs) for seq, pairs, _ in log.replay()]
         assert replayed == [(1, [("a", 1), ("b", 2)])]
         assert plan.short_reads_injected == 1
-        assert counters[C.LOG_REPLICAS_REJECTED] == 1
+        # The framing catches the short read; the re-read of the same
+        # replica is whole, so no replica is rejected.
+        assert counters[C.LOG_REPLICAS_REJECTED] == 0
+
+    def test_a_short_read_on_every_replica_loses_no_entry(self):
+        # One short read per replica, both intact on disk: a short read is
+        # transient, so the entry replays.
+        counters = Counters()
+        replicas = two_replicas()
+        plan = FaultPlan(short_reads={"faultlog/": 2})
+        for _, disk in replicas:
+            disk.fault_injector = plan
+        log = PartitionLog(0, replicas, counters)
+        pairs = [(f"k{i}", i) for i in range(50)]
+        log.append(pairs, nbytes=500)
+
+        assert [(seq, got) for seq, got, _ in log.replay()] == [(1, pairs)]
+        assert plan.short_reads_injected == 2
 
     def test_fault_budget_is_consumed(self):
         plan = FaultPlan(torn_writes={"x/": 1})

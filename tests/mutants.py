@@ -148,6 +148,11 @@ RESTORE_FROM = {
     # two-hash-seed digest (M03, M15), the chaos sweep's commit-before-emit
     # invariant (M07) and ResourceWarning as an error in tier-1 (M20).
     "8de76b5": {"REP005": ("M14", "M23"), "REP006": ("M03", "M15"), "REP204": ("M07",), "REP205": ("M20",)},
+    # Kernel isolation checked at run time (tests/exec/test_module_state.py):
+    # a name registers once (M06), a job leaves module state as it found it
+    # (M16), no module holds a fork-unsafe resource (M22); the processes
+    # executor already pickles every spec (M21).
+    "dde82f2": {"REP201": ("M06", "M16"), "REP202": ("M21", "M22")},
 }
 RETIRED = {checker: mutants for group in RESTORE_FROM.values() for checker, mutants in group.items()}
 

@@ -11,7 +11,6 @@ import pytest
 
 from repro.lint import ALL_RULES
 from repro.lint.sarif import full_catalogue
-from repro.san.matrix import CROSS_VALIDATION
 from repro.san.report import DETECTORS
 from tests.mutants import MISS, MUTANTS, RESTORE_FROM, RETIRED, ROOT, committed_rows, parse, unique_kills
 
@@ -42,8 +41,7 @@ def test_every_checker_has_a_unique_kill(checker):
 
 
 def test_retired_checkers_are_gone():
-    listed = set(CHECKERS) | set(CROSS_VALIDATION) | set(CROSS_VALIDATION.values())
-    listed |= {entry["id"] for entry in full_catalogue()}
+    listed = set(CHECKERS) | {entry["id"] for entry in full_catalogue()}
     assert not listed & set(RETIRED)
 
 
