@@ -20,7 +20,7 @@ import sys
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.aggregates import AggregateState, Aggregator, CollectState
+from repro.core.aggregates import AggregateState, Aggregator, CollectState, SumState
 from repro.io.disk import LocalDisk
 from repro.io.runio import RunWriter
 from repro.io.serialization import estimate_size, estimate_sizes
@@ -141,6 +141,13 @@ class AccountedStateTable:
     ``sum(estimate_size(key) + 104 + state.size_bytes())`` over the table.
     :attr:`states` is the backing dict; only this class mutates it.
 
+    A state that declares ``SIZE_BYTES`` reports zero growth from
+    ``update`` and ``merge``, so only an admission can move
+    :attr:`used_bytes` up, and only an admission checks the budget, the
+    flush and the freeze; a hit skips them.  A :class:`SumState` table
+    (:attr:`sums`) adds each value (a :class:`SpilledState`'s ``total``)
+    to the state's ``total`` itself, without a call per pair.
+
     ``facts`` (the map-side combiner's) is a task's
     :class:`~repro.mapreduce.partition.KeyFacts` memo with overhead
     :data:`SLOT_BYTES`: an admitted ``str`` or ``int`` key is charged
@@ -160,6 +167,7 @@ class AccountedStateTable:
         "frozen_bytes",
         "fixed_bytes",
         "collects",
+        "sums",
         "facts",
     )
 
@@ -181,6 +189,7 @@ class AccountedStateTable:
         probe = aggregator.initial()
         self.fixed_bytes: int = getattr(probe, "SIZE_BYTES", 0)
         self.collects = getattr(type(probe), "update", None) is CollectState.update
+        self.sums = type(probe) is SumState
 
     def __len__(self) -> int:
         return len(self.states)
@@ -192,22 +201,25 @@ class AccountedStateTable:
 
         A resident or admitted key folds its value (a :class:`SpilledState`
         merges); any other pair is a miss.  The budget is checked after
-        every pair, so the freeze, each shed and each flush land on the
-        same pair however a stream is cut; a shed appends ``(key,
+        every pair (for a fixed-size state, every admission: see
+        :meth:`_fold_fixed`), so the freeze, each shed and each flush land
+        on the same pair however a stream is cut; a shed appends ``(key,
         SpilledState(state))`` to the misses.  With ``flush`` (the map-side
         combiner's), the pair that takes :attr:`used_bytes` to the budget
         calls it instead of freezing; it must empty the table with
         :meth:`clear`, and the fold goes on with the rest.  ``probes``
         grows by the pairs folded, once per call.
         """
-        states, budget, frozen = self.states, self.budget, self.frozen
-        make, fixed, collects = self.aggregator.initial, self.fixed_bytes, self.collects
-        facts = self.facts
+        # A frozen fixed-size table folds per pair only while a shed is due.
+        budget = self.budget
+        due = self.frozen and self.shed and self.used_bytes > 2 * budget  # type: ignore[operator]
+        if self.fixed_bytes and not due:
+            return self._fold_fixed(pairs, flush)
+        states, frozen = self.states, self.frozen
+        make, collects, facts = self.aggregator.initial, self.collects, self.facts
         misses: list[tuple[Any, Any]] = []
         used = self.used_bytes
-        # Growth is summed apart from admissions, so a fixed-size state's
-        # zero growth keeps ``grown`` a cached small int.
-        grown = shed = 0
+        shed = 0
         sizes = iter(estimate_sizes(list(map(_VALUE, pairs)))) if collects else None
         for key, value in pairs:
             if collects:
@@ -220,21 +232,19 @@ class AccountedStateTable:
                 state = states[key] = make()
                 t = type(key)
                 if facts is not None and (t is str or t is int):
-                    used += facts[key][1] + (fixed or state.size_bytes())
+                    used += facts[key][1] + state.size_bytes()
                 else:
-                    used += estimate_size(key) + SLOT_BYTES + (fixed or state.size_bytes())
+                    used += estimate_size(key) + SLOT_BYTES + state.size_bytes()
             if isinstance(value, SpilledState):
-                grown += state.merge(value.state)
+                used += state.merge(value.state)
             elif collects:
                 state.values.append(value)
                 state._bytes += size + 8
-                grown += size + 8
+                used += size + 8
             else:
-                grown += state.update(value)
+                used += state.update(value)
             if budget is None:
                 continue
-            used += grown
-            grown = 0
             if not frozen:
                 if used >= budget and flush is not None:
                     self.used_bytes = used
@@ -248,8 +258,61 @@ class AccountedStateTable:
                 self.used_bytes = used
                 shed += self._shed(misses)
                 used = self.used_bytes
-        self.used_bytes = used + grown
+        self.used_bytes = used
         self.probes += len(pairs) - len(misses) + shed
+        return misses
+
+    def _fold_fixed(
+        self, pairs: Sequence[tuple[Any, Any]], flush: Callable[[], None] | None
+    ) -> list[tuple[Any, Any]]:
+        """:meth:`fold` for a fixed-size state, checking the budget only at
+        an admission.  Once frozen, a hit can trip only a shed (``used_bytes
+        > 2 * budget``), so a freeze that makes one due hands the rest of
+        ``pairs`` to the per-pair loop.  The growth the states report (zero)
+        is added at the end."""
+        states, budget, capacity, frozen = self.states, self.budget, self.capacity, self.frozen
+        make, fixed, facts, sums = self.aggregator.initial, self.fixed_bytes, self.facts, self.sums
+        misses: list[tuple[Any, Any]] = []
+        used = self.used_bytes
+        grown = 0
+        unfolded: Sequence[tuple[Any, Any]] = ()
+        rest = iter(pairs)
+        for key, value in rest:
+            state = states.get(key)
+            if state is None:
+                if frozen or len(states) >= capacity:
+                    misses.append((key, value))
+                    continue
+                state = states[key] = make()
+                t = type(key)
+                if facts is not None and (t is str or t is int):
+                    used += facts[key][1] + fixed
+                else:
+                    used += estimate_size(key) + SLOT_BYTES + fixed
+                check = budget is not None
+            else:
+                check = False
+            if sums:
+                state.total += value.state.total if isinstance(value, SpilledState) else value
+            elif isinstance(value, SpilledState):
+                grown += state.merge(value.state)
+            else:
+                grown += state.update(value)
+            if check:
+                if used >= budget and flush is not None:  # type: ignore[operator]
+                    self.used_bytes = used
+                    flush()
+                    used = self.used_bytes
+                elif used > budget:  # type: ignore[operator]
+                    self.frozen = frozen = True
+                    self.frozen_bytes = used
+                    if self.shed and used > 2 * budget:  # type: ignore[operator]
+                        unfolded = list(rest)
+                        break
+        self.used_bytes = used + grown
+        self.probes += len(pairs) - len(unfolded) - len(misses)
+        if unfolded:
+            misses += self.fold(unfolded, flush)
         return misses
 
     def _shed(self, misses: list[tuple[Any, Any]]) -> int:

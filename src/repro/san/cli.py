@@ -65,7 +65,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     baseline_path = (
         Path(args.baseline) if args.baseline else default_baseline_path()
     )
-    if args.write_baseline:
+    # A leg that raised has no digest to write: report it instead.
+    if args.write_baseline and all(r.error is None for r in results):
         write_baseline(
             baseline_path, results, records=args.records, nodes=args.nodes
         )
@@ -73,20 +74,23 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         return 0
 
     failed = 0
-    baseline = load_baseline(baseline_path)
+    baseline = {} if args.write_baseline else load_baseline(baseline_path)
     for r in results:
         problems = []
+        if r.error is not None:
+            problems.append(f"raised {type(r.error).__name__}: {r.error}")
         if not r.report.clean:
             problems.append(f"{len(r.report.violations)} violation(s)")
         if r.digest != r.sanitized_digest:
             problems.append("sanitized output diverges from unsanitized")
         pinned = baseline.get(r.leg)
-        if pinned is not None and pinned != r.digest:
+        if r.error is None and pinned is not None and pinned != r.digest:
             problems.append("output digest drifted from san-baseline.json")
         if problems:
             failed += 1
             print(f"FAIL {r.leg}: {'; '.join(problems)}")
-            sys.stdout.write(r.report.format("terminal"))
+            if r.error is None:
+                sys.stdout.write(r.report.format("terminal"))
         else:
             print(f"ok   {r.leg}")
     if failed:

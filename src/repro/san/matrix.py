@@ -125,10 +125,12 @@ class LegResult:
     digest: str
     sanitized_digest: str
     report: SanReport
+    #: What the leg raised, if it did (its digests are then empty).
+    error: Exception | None = None
 
     @property
     def ok(self) -> bool:
-        return self.report.clean and self.digest == self.sanitized_digest
+        return self.error is None and self.report.clean and self.digest == self.sanitized_digest
 
 
 def matrix_legs(
@@ -189,15 +191,20 @@ def run_matrix(
     executors: tuple[str, ...] = MATRIX_EXECUTORS,
     progress: Callable[[str], None] | None = None,
 ) -> list[LegResult]:
+    """Every leg in order; a leg that raises is a failed leg carrying the
+    exception, and the matrix goes on with the rest."""
     out = []
     for workload, engine, executor in matrix_legs(
         workloads=workloads, engines=engines, executors=executors
     ):
+        leg = f"{workload}/{engine}/{executor}"
         if progress is not None:
-            progress(f"{workload}/{engine}/{executor}")
-        out.append(
-            run_leg(workload, engine, executor, records=records, nodes=nodes)
-        )
+            progress(leg)
+        try:
+            result = run_leg(workload, engine, executor, records=records, nodes=nodes)
+        except Exception as exc:
+            result = LegResult(leg, digest="", sanitized_digest="", report=SanReport(), error=exc)
+        out.append(result)
     return out
 
 

@@ -27,8 +27,10 @@ import sys
 
 import pytest
 
+import repro.core.aggregates
 import repro.io.serialization
 import repro.mapreduce.partition
+from repro.core.aggregates import AvgState, CountState, SumCountState, SumState
 from repro.core.engine import OnePassConfig, OnePassEngine
 from repro.core.incremental import IncrementalHash
 from repro.exec.base import get_kernel
@@ -46,6 +48,7 @@ from repro.workloads.inverted_index import (
 )
 from repro.san import Sanitizer
 from repro.workloads.page_frequency import page_frequency_job, page_frequency_onepass_job
+from repro.workloads.per_user_count import per_user_count_onepass_job
 
 NUM_REDUCERS = 3
 
@@ -145,6 +148,49 @@ def test_budgeted_incremental_job_folds_chunks_in_one_loop(clicks, monkeypatch):
     result = OnePassEngine(cluster).run(page_frequency_onepass_job("in", "out", config=cfg))
     assert result.counters[C.REDUCE_INPUT_RECORDS] > 150
     assert entered.n == 0
+
+
+@pytest.mark.parametrize("job", ["pagefreq-incremental", "peruser-hotset"])
+def test_a_sum_job_never_enters_sum_state_update_or_merge(clicks, monkeypatch, job):
+    # Map-side combine, then incremental hash or a hot set small enough to
+    # spill cold pairs, whose finish replays them through hybrid hash.
+    entered = {name: Calls(getattr(SumState, name)) for name in ("update", "merge")}
+    for name, counter in entered.items():
+        monkeypatch.setattr(SumState, name, lambda *args, c=counter: c(*args))
+    cluster = LocalCluster(num_nodes=3, block_size=48 * 1024)
+    cluster.hdfs.write_records("in", clicks)
+    if job == "pagefreq-incremental":
+        cfg = OnePassConfig(
+            mode="incremental", map_side_combine=True, num_reducers=NUM_REDUCERS,
+            reduce_memory_bytes=1 << 20,
+        )  # fmt: skip
+        result = OnePassEngine(cluster).run(page_frequency_onepass_job("in", "out", config=cfg))
+        assert result.counters[C.COMBINE_OUTPUT_RECORDS] > 150
+    else:
+        cfg = OnePassConfig(
+            mode="hotset", hotset_capacity=16, map_side_combine=True, num_reducers=NUM_REDUCERS
+        )
+        result = OnePassEngine(cluster).run(per_user_count_onepass_job("in", "out", config=cfg))
+        assert result.counters[C.HOT_MISSES] > 0 and result.counters[C.REDUCE_SPILLS] > 0
+    field = 2 if job == "pagefreq-incremental" else 1
+    expected = collections.Counter(click[field] for click in clicks)
+    assert sorted(cluster.hdfs.read_records("out")) == sorted(expected.items())
+    assert {name: c.n for name, c in entered.items()} == {"update": 0, "merge": 0}
+
+
+def test_every_fixed_size_state_reports_zero_growth():
+    # The fixed-size fold never reads the growth such a state returns.
+    fixed = [
+        cls for cls in vars(repro.core.aggregates).values()
+        if isinstance(cls, type) and hasattr(cls, "SIZE_BYTES")
+    ]  # fmt: skip
+    assert {CountState, SumState, SumCountState, AvgState} <= set(fixed)
+    for cls in fixed:
+        state, other = cls(), cls()
+        assert [state.update(v) for v in (1, 2.5, -3)] == [0, 0, 0]
+        other.update(7)
+        assert state.merge(other) == 0 == state.merge(cls())
+        assert state.size_bytes() == cls.SIZE_BYTES
 
 
 def package_calls(fn):

@@ -6,7 +6,8 @@ one bug of a class the contracts name, judged by three gates (all with
 tests that run lint or san themselves and the two that read source text;
 **L**, the rule ids ``repro lint --format json`` finds; **S**, the SAN ids
 ``repro sanitize --matrix`` sees, plus ``digests`` (an output digest
-moved) and ``crash`` (the matrix did not finish).  A lint rule earns its
+moved), ``raised`` (a leg raised) and ``crash`` (the matrix did not
+finish).  A lint rule earns its
 place by a row T misses and it kills; a SAN detector by a row T and every
 lint rule miss (:func:`unique_kills`).
 
@@ -190,6 +191,8 @@ def gates(mutant: str) -> tuple[str, str, str]:
         seen = set(re.findall(r"\bSAN\d{3}\b", out))
         if "diverges" in out or "drifted" in out:
             seen.add("digests")
+        if re.search(r"^FAIL \S+: raised ", san.stdout, re.M):
+            seen.add("raised")
         if san.returncode and "matrix:" not in san.stderr:
             seen.add("crash")
     cell = lambda ids: ", ".join(sorted(ids)) or MISS  # noqa: E731
