@@ -31,7 +31,7 @@ from repro.core.hybrid_hash import HybridHashGrouper
 from repro.core.incremental import EmitPolicy, IncrementalHash
 from repro.core.partitioner import ChunkSink, MapSideHashCombiner, ScanPartitionBuffer
 from repro.io.disk import LocalDisk
-from repro.mapreduce.api import ReduceFn
+from repro.mapreduce.api import MapSliceFn, ReduceFn
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.driver import JobRun, PushShuffleDriver
 from repro.mapreduce.faults import FaultPlan
@@ -108,8 +108,11 @@ class OnePassJob:
     config: OnePassConfig = field(default_factory=OnePassConfig)
     input_path: str = ""
     output_path: str = ""
+    map_slice: MapSliceFn | None = None  # as on ``MapReduceJob``
 
     def __post_init__(self) -> None:
+        if self.map_slice is not None and not callable(self.map_slice):
+            raise TypeError("map_slice must be callable or None")
         if (self.aggregator is None) == (self.reduce_fn is None):
             raise ValueError("set exactly one of aggregator / reduce_fn")
         if self.reduce_fn is not None and self.config.mode != "hybrid":

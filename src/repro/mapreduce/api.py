@@ -10,6 +10,10 @@ baseline, again when reduce-side buffers fill).  A combine function must be
 algebraically safe: commutative and associative over values of the same
 key, emitting ``(key, value)`` pairs of the same value type it consumes.
 
+An optional ``map_slice(records) -> (pairs, ends)`` maps a front-end slice
+in one call: the per-record loop's pairs, in order, as a list, and
+``ends[i]`` the length of ``pairs`` after record ``i``'s output.
+
 The same :class:`MapReduceJob` object runs unmodified on both sort-merge
 engines — the Hadoop baseline and MapReduce Online.  The hash-based
 one-pass engine takes an :class:`~repro.core.engine.OnePassJob`: the same
@@ -23,11 +27,12 @@ paper makes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-__all__ = ["MapFn", "ReduceFn", "CombineFn", "JobConfig", "MapReduceJob"]
+__all__ = ["MapFn", "MapSliceFn", "ReduceFn", "CombineFn", "JobConfig", "MapReduceJob"]
 
 MapFn = Callable[[Any], Iterable[tuple[Any, Any]]]
+MapSliceFn = Callable[[list[Any]], tuple[list[tuple[Any, Any]], Sequence[int]]]
 ReduceFn = Callable[[Any, Iterator[Any]], Iterable[Any]]
 CombineFn = Callable[[Any, Iterator[Any]], Iterable[tuple[Any, Any]]]
 
@@ -89,12 +94,15 @@ class MapReduceJob:
     config: JobConfig = field(default_factory=JobConfig)
     input_path: str = ""
     output_path: str = ""
+    map_slice: MapSliceFn | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.map_fn) or not callable(self.reduce_fn):
             raise TypeError("map_fn and reduce_fn must be callable")
         if self.combine_fn is not None and not callable(self.combine_fn):
             raise TypeError("combine_fn must be callable or None")
+        if self.map_slice is not None and not callable(self.map_slice):
+            raise TypeError("map_slice must be callable or None")
         if not self.name:
             raise ValueError("job must have a name")
 

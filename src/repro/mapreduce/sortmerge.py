@@ -26,7 +26,7 @@ from repro.io.disk import LocalDisk
 from repro.io.runio import Framed, KeyedRun, frame_records, segment_pairs, stream_frames
 from repro.io.runio import stream_pieces, write_run
 from repro.io.serialization import estimate_sizes
-from repro.mapreduce.api import MapFn, MapReduceJob
+from repro.mapreduce.api import MapFn, MapReduceJob, MapSliceFn
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted, pair_pieces
 from repro.mapreduce.partition import KeyFacts
@@ -34,6 +34,7 @@ from repro.obs.tracer import NULL_TRACER, byte_cost
 
 __all__ = [
     "map_slices",
+    "per_record",
     "run_map_task",
     "MapOutputSegment",
     "MapOutput",
@@ -57,15 +58,29 @@ _SpillSegment = tuple[str, int, int, list[Any]]
 Segment = KeyedRun | list[tuple[Any, Any]]
 
 
+def per_record(map_fn: MapFn) -> MapSliceFn:
+    """The per-record loop over ``map_fn``: the slice mapper of a job without one."""
+
+    def map_slice(records: list[Any]) -> tuple[list[tuple[Any, Any]], list[int]]:
+        pairs: list[tuple[Any, Any]] = []
+        ends: list[int] = []
+        for record in records:
+            pairs += map_fn(record)
+            ends.append(len(pairs))
+        return pairs, ends
+
+    return map_slice
+
+
 def map_slices(
-    records: Iterable[Any], map_fn: MapFn, counters: Counters
-) -> Iterator[tuple[list[tuple[Any, Any]], list[int]]]:
+    records: Iterable[Any], map_slice: MapSliceFn, counters: Counters
+) -> Iterator[tuple[list[tuple[Any, Any]], Sequence[int]]]:
     """The map front-end of all three engines: decode → map, slice by slice.
 
     Pulls up to :data:`MAP_SLICE_RECORDS` records from ``records`` (a lazy
-    decode, so the pull *is* the parse), runs ``map_fn`` over them and
-    yields ``(pairs, ends)``: the slice's map output in order and, per
-    input record, the end offset of its output in ``pairs`` (HOP cuts
+    decode, so the pull *is* the parse), runs ``map_slice`` over them once
+    and yields its ``(pairs, ends)``: the slice's map output in order and,
+    per input record, the end offset of its output in ``pairs`` (HOP cuts
     chunks on input-record boundaries).  Parse and map-function time are
     charged once per slice.
     """
@@ -75,11 +90,7 @@ def map_slices(
         t0 = perf()
         chunk = list(islice(it, MAP_SLICE_RECORDS))
         t1 = perf()
-        pairs: list[tuple[Any, Any]] = []
-        ends: list[int] = []
-        for record in chunk:
-            pairs += map_fn(record)
-            ends.append(len(pairs))
+        pairs, ends = map_slice(chunk)
         counters.inc(C.T_PARSE, t1 - t0)
         counters.inc(C.T_MAP_FN, perf() - t1)
         counters.inc(C.MAP_INPUT_RECORDS, len(chunk))
@@ -113,7 +124,7 @@ def run_map_task(
     t_collect = 0.0
     n_in = 0
     with tracer.span("map", "map", node=node, task=f"map:{task_id:05d}") as map_span:
-        for pairs, ends in map_slices(records, job.map_fn, counters):
+        for pairs, ends in map_slices(records, job.map_slice or per_record(job.map_fn), counters):
             n_in += len(ends)
             t0 = perf()
             buffer.add_block(pairs, ends)

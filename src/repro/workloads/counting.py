@@ -12,9 +12,9 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.aggregates import SUM
 from repro.core.engine import OnePassConfig, OnePassJob
-from repro.mapreduce.api import JobConfig, MapReduceJob
+from repro.mapreduce.api import JobConfig, MapReduceJob, MapSliceFn
 
-__all__ = ["count_map_fn", "sum_combine", "sum_reduce", "counting_job", "counting_onepass_job", "reference_counts"]
+__all__ = ["count_map_fn", "count_map_slice", "sum_combine", "sum_reduce", "counting_job", "counting_onepass_job", "reference_counts"]
 
 
 def count_map_fn(key_of: Callable[[Any], Any]) -> Callable[[Any], Iterator[tuple[Any, int]]]:
@@ -24,6 +24,16 @@ def count_map_fn(key_of: Callable[[Any], Any]) -> Callable[[Any], Iterator[tuple
         yield (key_of(record), 1)
 
     return map_fn
+
+
+def count_map_slice(key_of: Callable[[Any], Any]) -> MapSliceFn:
+    """:func:`count_map_fn` over a slice: one ``zip`` builds its pairs."""
+
+    def map_slice(records: list[Any]) -> tuple[list[tuple[Any, int]], range]:
+        n = len(records)
+        return list(zip(map(key_of, records), [1] * n)), range(1, n + 1)
+
+    return map_slice
 
 
 def sum_combine(key: Any, values: Iterator[int]) -> Iterator[tuple[Any, int]]:
@@ -50,6 +60,7 @@ def counting_job(
     return MapReduceJob(
         name=name,
         map_fn=count_map_fn(key_of),
+        map_slice=count_map_slice(key_of),
         reduce_fn=sum_reduce,
         combine_fn=sum_combine if with_combiner else None,
         config=config or JobConfig(),
@@ -71,6 +82,7 @@ def counting_onepass_job(
     return OnePassJob(
         name=name,
         map_fn=count_map_fn(key_of),
+        map_slice=count_map_slice(key_of),
         aggregator=SUM,
         config=config or OnePassConfig(),
         input_path=input_path,

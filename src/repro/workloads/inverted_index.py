@@ -19,6 +19,7 @@ from repro.mapreduce.api import JobConfig, MapReduceJob
 
 __all__ = [
     "index_map",
+    "index_map_slice",
     "index_reduce",
     "inverted_index_job",
     "inverted_index_onepass_job",
@@ -42,6 +43,16 @@ def index_map(doc: tuple[int, str]) -> Iterator[tuple[str, Posting]]:
             yield (word, (doc_id, position))
 
 
+def index_map_slice(docs: list[tuple[int, str]]) -> tuple[list[Any], list[int]]:
+    """:func:`index_map` over a slice of documents: one comprehension each."""
+    pairs: list[tuple[str, Posting]] = []
+    ends: list[int] = []
+    for doc_id, text in docs:
+        pairs += [(w, (doc_id, i)) for i, w in enumerate(text.split()) if w.isidentifier()]
+        ends.append(len(pairs))
+    return pairs, ends
+
+
 def index_reduce(word: str, postings: Iterator[Posting]) -> Iterator[tuple[str, tuple[Posting, ...]]]:
     """Build the sorted posting list for one word."""
     yield (word, tuple(sorted(postings)))
@@ -56,6 +67,7 @@ def inverted_index_job(
     return MapReduceJob(
         name="inverted-index",
         map_fn=index_map,
+        map_slice=index_map_slice,
         reduce_fn=index_reduce,
         combine_fn=None,
         config=config or JobConfig(),
@@ -72,15 +84,12 @@ def inverted_index_onepass_job(
 ) -> OnePassJob:
     """One-pass form: collect postings per word via hash grouping."""
     cfg = config or OnePassConfig(mode="hybrid", map_side_combine=False)
-
-    def finalize(word: str, postings: list[Posting]) -> Iterator[Any]:
-        yield (word, tuple(sorted(postings)))
-
     return OnePassJob(
         name="inverted-index-onepass",
         map_fn=index_map,
+        map_slice=index_map_slice,
         aggregator=COLLECT,
-        finalize=finalize,
+        finalize=index_reduce,  # a word's postings, sorted, as the reduce emits them
         config=cfg,
         input_path=input_path,
         output_path=output_path,

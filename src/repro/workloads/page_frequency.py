@@ -8,6 +8,7 @@ ratio of only 0.4% for this workload.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.engine import OnePassConfig, OnePassJob
@@ -22,9 +23,8 @@ __all__ = [
 ]
 
 
-def url_of_click(click: tuple[float, int, str]) -> str:
-    """Key extractor: the visited URL."""
-    return click[2]
+#: Key extractor: the visited URL (an ``itemgetter``: no Python call per record).
+url_of_click = itemgetter(2)
 
 
 def page_frequency_job(

@@ -9,6 +9,7 @@ this workload in Table II: there is almost no map work to hide behind.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.engine import OnePassConfig, OnePassJob
@@ -23,9 +24,8 @@ __all__ = [
 ]
 
 
-def user_of_click(click: tuple[float, int, str]) -> int:
-    """Key extractor: the clicking user."""
-    return click[1]
+#: Key extractor: the clicking user (an ``itemgetter``: no Python call per record).
+user_of_click = itemgetter(1)
 
 
 def per_user_count_job(

@@ -12,8 +12,9 @@ record per session.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.engine import OnePassConfig, OnePassJob
 from repro.core.aggregates import sessionize, split_sessions
@@ -21,6 +22,7 @@ from repro.mapreduce.api import JobConfig, MapReduceJob
 
 __all__ = [
     "session_map",
+    "session_map_slice",
     "session_reduce",
     "sessionization_job",
     "sessionization_onepass_job",
@@ -42,12 +44,61 @@ def session_map(click: tuple[float, int, str]) -> Iterator[tuple[int, tuple[floa
     yield (user, (timestamp, url))
 
 
+def session_map_slice(clicks: list[tuple[float, int, str]]) -> tuple[list[Any], range]:
+    """:func:`session_map` over a slice of clicks: one comprehension."""
+    return [(user, (ts, url)) for ts, user, url in clicks], range(1, len(clicks) + 1)
+
+
 def session_reduce(
     user: int, clicks: Iterator[tuple[float, str]], *, gap: float = DEFAULT_GAP
 ) -> Iterator[tuple[int, float, tuple[str, ...]]]:
     """Emit one ``(user, session_start, urls)`` record per session."""
-    for session in split_sessions(clicks, gap):
+    return _per_session(user, split_sessions(clicks, gap))
+
+
+def _per_session(user: int, sessions: list[list[tuple[float, str]]]) -> Iterator[Any]:
+    """One user's output records, one per session (the one-pass ``finalize``)."""
+    for session in sessions:
         yield (user, session[0][0], tuple(map(itemgetter(1), session)))
+
+
+def _per_click(user: int, sessions: list[list[tuple[float, str]]]) -> Iterator[Any]:
+    """One user's output records, one per click (the one-pass ``finalize``)."""
+    for session in sessions:
+        start = session[0][0]
+        for timestamp, url in session:
+            yield (user, start, timestamp, url)
+
+
+def _sortmerge_job(
+    name: str, reduce: Callable[..., Iterator[Any]], input_path: str, output_path: str,
+    gap: float, config: JobConfig | None,
+) -> MapReduceJob:  # fmt: skip
+    return MapReduceJob(
+        name=name,
+        map_fn=session_map,
+        map_slice=session_map_slice,
+        reduce_fn=partial(reduce, gap=gap),
+        config=config or JobConfig(),
+        input_path=input_path,
+        output_path=output_path,
+    )
+
+
+def _onepass_job(
+    name: str, finalize: Callable[..., Iterator[Any]], input_path: str, output_path: str,
+    gap: float, config: OnePassConfig | None,
+) -> OnePassJob:  # fmt: skip
+    return OnePassJob(
+        name=name,
+        map_fn=session_map,
+        map_slice=session_map_slice,
+        aggregator=sessionize(gap),
+        finalize=finalize,
+        config=config or OnePassConfig(mode="hybrid", map_side_combine=False),
+        input_path=input_path,
+        output_path=output_path,
+    )
 
 
 def sessionization_job(
@@ -58,19 +109,7 @@ def sessionization_job(
     config: JobConfig | None = None,
 ) -> MapReduceJob:
     """The sort-merge form of the workload (no effective combiner)."""
-
-    def reduce_fn(user: int, clicks: Iterator[tuple[float, str]]) -> Iterable[Any]:
-        return session_reduce(user, clicks, gap=gap)
-
-    return MapReduceJob(
-        name="sessionization",
-        map_fn=session_map,
-        reduce_fn=reduce_fn,
-        combine_fn=None,
-        config=config or JobConfig(),
-        input_path=input_path,
-        output_path=output_path,
-    )
+    return _sortmerge_job("sessionization", session_reduce, input_path, output_path, gap, config)
 
 
 def sessionization_onepass_job(
@@ -87,26 +126,14 @@ def sessionization_onepass_job(
     workload — but the aggregate form also runs under ``hotset`` when hot
     users matter more than cold ones.
     """
-    cfg = config or OnePassConfig(mode="hybrid", map_side_combine=False)
-
-    def finalize(user: int, sessions: list[list[tuple[float, str]]]) -> Iterator[Any]:
-        for session in sessions:
-            yield (user, session[0][0], tuple(map(itemgetter(1), session)))
-
-    return OnePassJob(
-        name="sessionization-onepass",
-        map_fn=session_map,
-        aggregator=sessionize(gap),
-        finalize=finalize,
-        config=cfg,
-        input_path=input_path,
-        output_path=output_path,
+    return _onepass_job(
+        "sessionization-onepass", _per_session, input_path, output_path, gap, config
     )
 
 
-def user_of_session(record: tuple[int, float, tuple[str, ...]]) -> int:
-    """Key extractor for chaining: the user of one session record."""
-    return record[0]
+#: Key extractor for chaining: the user of one session record (an
+#: ``itemgetter``, like the click workloads' extractors).
+user_of_session = itemgetter(0)
 
 
 def session_log_reduce(
@@ -120,10 +147,7 @@ def session_log_reduce(
     same cardinality as the input, which is what makes it the natural
     stage one of a chained pipeline.
     """
-    for session in split_sessions(clicks, gap):
-        start = session[0][0]
-        for timestamp, url in session:
-            yield (user, start, timestamp, url)
+    return _per_click(user, split_sessions(clicks, gap))
 
 
 def session_log_job(
@@ -134,19 +158,7 @@ def session_log_job(
     config: JobConfig | None = None,
 ) -> MapReduceJob:
     """Sort-merge form of the reordered-click-log variant."""
-
-    def reduce_fn(user: int, clicks: Iterator[tuple[float, str]]) -> Iterable[Any]:
-        return session_log_reduce(user, clicks, gap=gap)
-
-    return MapReduceJob(
-        name="session-log",
-        map_fn=session_map,
-        reduce_fn=reduce_fn,
-        combine_fn=None,
-        config=config or JobConfig(),
-        input_path=input_path,
-        output_path=output_path,
-    )
+    return _sortmerge_job("session-log", session_log_reduce, input_path, output_path, gap, config)
 
 
 def session_log_onepass_job(
@@ -157,23 +169,7 @@ def session_log_onepass_job(
     config: OnePassConfig | None = None,
 ) -> OnePassJob:
     """One-pass form of the reordered-click-log variant (hybrid grouping)."""
-    cfg = config or OnePassConfig(mode="hybrid", map_side_combine=False)
-
-    def finalize(user: int, sessions: list[list[tuple[float, str]]]) -> Iterator[Any]:
-        for session in sessions:
-            start = session[0][0]
-            for timestamp, url in session:
-                yield (user, start, timestamp, url)
-
-    return OnePassJob(
-        name="session-log-onepass",
-        map_fn=session_map,
-        aggregator=sessionize(gap),
-        finalize=finalize,
-        config=cfg,
-        input_path=input_path,
-        output_path=output_path,
-    )
+    return _onepass_job("session-log-onepass", _per_click, input_path, output_path, gap, config)
 
 
 def session_count_job(

@@ -55,6 +55,11 @@ class TestOnePassJobValidation:
                 reduce_fn=lambda k, v: [(k, sum(v))],
             )
 
+    def test_map_slice_must_be_callable_or_none(self):
+        with pytest.raises(TypeError, match="map_slice"):
+            OnePassJob("j", count_map, aggregator=COUNT, map_slice="nope")  # type: ignore[arg-type]
+        assert OnePassJob("j", count_map, aggregator=COUNT).map_slice is None
+
     def test_grouping_requires_hybrid_mode(self):
         with pytest.raises(ValueError):
             OnePassJob(

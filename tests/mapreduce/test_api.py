@@ -60,6 +60,11 @@ class TestMapReduceJob:
         with pytest.raises(TypeError):
             MapReduceJob("j", identity_map, sum_reduce, combine_fn=7)  # type: ignore[arg-type]
 
+    def test_map_slice_must_be_callable_or_none(self):
+        with pytest.raises(TypeError, match="map_slice"):
+            MapReduceJob("j", identity_map, sum_reduce, map_slice=[])  # type: ignore[arg-type]
+        assert MapReduceJob("j", identity_map, sum_reduce).map_slice is None
+
     def test_with_config_overrides(self):
         job = MapReduceJob("j", identity_map, sum_reduce, input_path="in", output_path="out")
         job2 = job.with_config(num_reducers=7, merge_factor=3)

@@ -1,6 +1,6 @@
 """Sort-merge map and reduce task behaviour."""
 
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 import pytest
@@ -28,6 +28,18 @@ def sum_reduce(key, values):
 
 def sum_combine(key, values):
     yield (key, sum(values))
+
+
+class _CountingCounters(Counters):
+    """Counters that also count the ``inc`` calls per name."""
+
+    def __init__(self):
+        super().__init__()
+        self.incs = {}
+
+    def inc(self, name, amount=1):
+        self.incs[name] = self.incs.get(name, 0) + 1
+        super().inc(name, amount)
 
 
 def make_job(**cfg):
@@ -255,12 +267,24 @@ class TestCollect:
 
     def test_front_end_charges_parse_and_map_fn_per_slice(self, monkeypatch):
         monkeypatch.setattr(sortmerge, "MAP_SLICE_RECORDS", 4)
-        counters = Counters()
-        slices = list(sortmerge.map_slices(iter(["a b", "", "c"] * 3), word_map, counters))
-        assert [len(ends) for _, ends in slices] == [4, 4, 1]
-        assert slices[0] == ([("a", 1), ("b", 1), ("c", 1), ("a", 1), ("b", 1)], [2, 2, 3, 5])
-        assert counters[C.MAP_INPUT_RECORDS] == 9
-        assert counters[C.T_PARSE] > 0 and counters[C.T_MAP_FN] > 0
+        calls = []
+
+        def word_slice(records):
+            calls.append(len(records))
+            pairs = [(word, 1) for record in records for word in record.split()]
+            return pairs, list(accumulate(len(record.split()) for record in records))
+
+        # The per-record loop a job without a slice mapper gets, and a slice mapper.
+        for map_slice in (sortmerge.per_record(word_map), word_slice):
+            counters = _CountingCounters()
+            slices = list(sortmerge.map_slices(iter(["a b", "", "c"] * 3), map_slice, counters))
+            assert [len(ends) for _, ends in slices] == [4, 4, 1]
+            assert slices[0] == ([("a", 1), ("b", 1), ("c", 1), ("a", 1), ("b", 1)], [2, 2, 3, 5])
+            assert counters[C.MAP_INPUT_RECORDS] == 9
+            assert counters[C.T_PARSE] > 0 and counters[C.T_MAP_FN] > 0
+            # Three slices and the empty pull that ends the input: one charge each.
+            assert counters.incs[C.T_PARSE] == counters.incs[C.T_MAP_FN] == 4
+        assert calls == [4, 4, 1, 0]
 
 
 class TestReduceTask:

@@ -132,6 +132,9 @@ MUTANTS: dict[str, tuple[str, tuple[tuple[str, str, str], ...]]] = {
               "                self.counters.inc(C.LOG_REPLICAS_REJECTED)",
               "            if len(pairs) != entry.records:\n"
               "                self.counters.inc(C.LOG_REPLICA_REJECTED)"),)),
+    "M25": ("`count_map_slice` (a workload slice mapper) appends to a module-level list",
+            (("workloads/counting.py", '"reference_counts"]\n', '"reference_counts"]\n_SLICES: list[int] = []\n'),
+             ("workloads/counting.py", "        n = len(records)\n", "        n = len(records)\n        _SLICES.append(n)\n"))),
 }
 
 
