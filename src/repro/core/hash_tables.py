@@ -142,11 +142,11 @@ class AccountedStateTable:
     :attr:`states` is the backing dict; only this class mutates it.
 
     A state that declares ``SIZE_BYTES`` reports zero growth from
-    ``update`` and ``merge``, so only an admission can move
-    :attr:`used_bytes` up, and only an admission checks the budget, the
-    flush and the freeze; a hit skips them.  A :class:`SumState` table
-    (:attr:`sums`) adds each value (a :class:`SpilledState`'s ``total``)
-    to the state's ``total`` itself, without a call per pair.
+    ``update`` and ``merge``, so in its table only an admission can move
+    :attr:`used_bytes` up: a hit skips the budget check unless a shed is
+    due.  A :class:`SumState` table (:attr:`sums`) adds each value (a
+    :class:`SpilledState`'s ``total``) to the state's ``total`` itself,
+    without a call per pair.
 
     ``facts`` (the map-side combiner's) is a task's
     :class:`~repro.mapreduce.partition.KeyFacts` memo with overhead
@@ -201,104 +201,58 @@ class AccountedStateTable:
 
         A resident or admitted key folds its value (a :class:`SpilledState`
         merges); any other pair is a miss.  The budget is checked after
-        every pair (for a fixed-size state, every admission: see
-        :meth:`_fold_fixed`), so the freeze, each shed and each flush land
-        on the same pair however a stream is cut; a shed appends ``(key,
+        every pair that can have moved :attr:`used_bytes` (an admission,
+        a hit on a state without ``SIZE_BYTES``, any hit while a shed is
+        due), so the freeze, each shed and each flush land on the same pair
+        however a stream is cut; a shed appends ``(key,
         SpilledState(state))`` to the misses.  With ``flush`` (the map-side
         combiner's), the pair that takes :attr:`used_bytes` to the budget
         calls it instead of freezing; it must empty the table with
         :meth:`clear`, and the fold goes on with the rest.  ``probes``
         grows by the pairs folded, once per call.
         """
-        # A frozen fixed-size table folds per pair only while a shed is due.
-        budget = self.budget
-        due = self.frozen and self.shed and self.used_bytes > 2 * budget  # type: ignore[operator]
-        if self.fixed_bytes and not due:
-            return self._fold_fixed(pairs, flush)
-        states, frozen = self.states, self.frozen
-        make, collects, facts = self.aggregator.initial, self.collects, self.facts
+        states, budget, capacity, frozen = self.states, self.budget, self.capacity, self.frozen
+        make, fixed, facts = self.aggregator.initial, self.fixed_bytes, self.facts
+        collects, sums = self.collects, self.sums
         misses: list[tuple[Any, Any]] = []
-        used = self.used_bytes
-        shed = 0
+        used, shed = self.used_bytes, 0
+        # A hit on a fixed-size state moves nothing: it checks only while a shed is due.
+        recheck = budget is not None and (not fixed or (frozen and self.shed and used > 2 * budget))
         sizes = iter(estimate_sizes(list(map(_VALUE, pairs)))) if collects else None
         for key, value in pairs:
-            if collects:
-                size = next(sizes)  # type: ignore[arg-type]
-            state = states.get(key)
-            if state is None:
-                if frozen or len(states) >= self.capacity:
-                    misses.append((key, value))
-                    continue
-                state = states[key] = make()
-                t = type(key)
-                if facts is not None and (t is str or t is int):
-                    used += facts[key][1] + state.size_bytes()
-                else:
-                    used += estimate_size(key) + SLOT_BYTES + state.size_bytes()
-            if isinstance(value, SpilledState):
-                used += state.merge(value.state)
-            elif collects:
-                state.values.append(value)
-                state._bytes += size + 8
-                used += size + 8
-            else:
-                used += state.update(value)
-            if budget is None:
-                continue
-            if not frozen:
-                if used >= budget and flush is not None:
-                    self.used_bytes = used
-                    flush()
-                    used = self.used_bytes
-                elif used > budget:
-                    self.frozen = frozen = True
-                    self.frozen_bytes = used
-            elif self.shed and used > 2 * budget:
-                # Linear states (collect/session) outgrow a frozen key set.
-                self.used_bytes = used
-                shed += self._shed(misses)
-                used = self.used_bytes
-        self.used_bytes = used
-        self.probes += len(pairs) - len(misses) + shed
-        return misses
-
-    def _fold_fixed(
-        self, pairs: Sequence[tuple[Any, Any]], flush: Callable[[], None] | None
-    ) -> list[tuple[Any, Any]]:
-        """:meth:`fold` for a fixed-size state, checking the budget only at
-        an admission.  Once frozen, a hit can trip only a shed (``used_bytes
-        > 2 * budget``), so a freeze that makes one due hands the rest of
-        ``pairs`` to the per-pair loop.  The growth the states report (zero)
-        is added at the end."""
-        states, budget, capacity, frozen = self.states, self.budget, self.capacity, self.frozen
-        make, fixed, facts, sums = self.aggregator.initial, self.fixed_bytes, self.facts, self.sums
-        misses: list[tuple[Any, Any]] = []
-        used = self.used_bytes
-        grown = 0
-        unfolded: Sequence[tuple[Any, Any]] = ()
-        rest = iter(pairs)
-        for key, value in rest:
             state = states.get(key)
             if state is None:
                 if frozen or len(states) >= capacity:
+                    if collects:
+                        next(sizes)  # type: ignore[arg-type]
                     misses.append((key, value))
                     continue
                 state = states[key] = make()
                 t = type(key)
                 if facts is not None and (t is str or t is int):
-                    used += facts[key][1] + fixed
+                    used += facts[key][1] + (fixed or state.size_bytes())
                 else:
-                    used += estimate_size(key) + SLOT_BYTES + fixed
+                    used += estimate_size(key) + SLOT_BYTES + (fixed or state.size_bytes())
                 check = budget is not None
             else:
-                check = False
+                check = recheck
             if sums:
                 state.total += value.state.total if isinstance(value, SpilledState) else value
+            elif collects:
+                size = next(sizes)  # type: ignore[arg-type]
+                if isinstance(value, SpilledState):
+                    used += state.merge(value.state)
+                else:
+                    state.values.append(value)
+                    state._bytes += size + 8
+                    used += size + 8
             elif isinstance(value, SpilledState):
-                grown += state.merge(value.state)
+                used += state.merge(value.state)
             else:
-                grown += state.update(value)
-            if check:
+                used += state.update(value)
+            if not check:
+                continue
+            if not frozen:
                 if used >= budget and flush is not None:  # type: ignore[operator]
                     self.used_bytes = used
                     flush()
@@ -306,13 +260,16 @@ class AccountedStateTable:
                 elif used > budget:  # type: ignore[operator]
                     self.frozen = frozen = True
                     self.frozen_bytes = used
-                    if self.shed and used > 2 * budget:  # type: ignore[operator]
-                        unfolded = list(rest)
-                        break
-        self.used_bytes = used + grown
-        self.probes += len(pairs) - len(unfolded) - len(misses)
-        if unfolded:
-            misses += self.fold(unfolded, flush)
+                    recheck |= self.shed and used > 2 * budget  # type: ignore[operator]
+            elif self.shed and used > 2 * budget:  # type: ignore[operator]
+                # Linear states (collect/session) outgrow a frozen key set;
+                # a shed leaves a fixed-size table under budget for good.
+                self.used_bytes = used
+                shed += self._shed(misses)
+                used = self.used_bytes
+                recheck = not fixed
+        self.used_bytes = used
+        self.probes += len(pairs) - len(misses) + shed
         return misses
 
     def _shed(self, misses: list[tuple[Any, Any]]) -> int:

@@ -10,9 +10,10 @@ baseline, again when reduce-side buffers fill).  A combine function must be
 algebraically safe: commutative and associative over values of the same
 key, emitting ``(key, value)`` pairs of the same value type it consumes.
 
-An optional ``map_slice(records) -> (pairs, ends)`` maps a front-end slice
-in one call: the per-record loop's pairs, in order, as a list, and
-``ends[i]`` the length of ``pairs`` after record ``i``'s output.
+A map function may be a :class:`SliceMapper`, which binds it to a
+``map_slice(records) -> (pairs, ends)`` that maps a front-end slice in one
+call: the per-record loop's pairs, in order, as a list, and ``ends[i]``
+the length of ``pairs`` after record ``i``'s output.
 
 The same :class:`MapReduceJob` object runs unmodified on both sort-merge
 engines — the Hadoop baseline and MapReduce Online.  The hash-based
@@ -29,12 +30,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-__all__ = ["MapFn", "MapSliceFn", "ReduceFn", "CombineFn", "JobConfig", "MapReduceJob"]
+__all__ = [
+    "MapFn", "MapSliceFn", "SliceMapper", "ReduceFn", "CombineFn", "JobConfig", "MapReduceJob"
+]
 
 MapFn = Callable[[Any], Iterable[tuple[Any, Any]]]
 MapSliceFn = Callable[[list[Any]], tuple[list[tuple[Any, Any]], Sequence[int]]]
 ReduceFn = Callable[[Any, Iterator[Any]], Iterable[Any]]
 CombineFn = Callable[[Any, Iterator[Any]], Iterable[tuple[Any, Any]]]
+
+
+class SliceMapper:
+    """A map function bound to its slice form: calling it runs ``map_fn``,
+    and the engines' front end runs ``map_slice`` for a map function whose
+    type is exactly this one.  So a job whose ``map_fn`` is replaced (by a
+    plain function or a ``functools.wraps`` wrapper) runs the replacement."""
+
+    __slots__ = ("map_fn", "map_slice")
+
+    def __init__(self, map_fn: MapFn, map_slice: MapSliceFn) -> None:
+        self.map_fn, self.map_slice = map_fn, map_slice
+
+    def __call__(self, record: Any) -> Iterable[tuple[Any, Any]]:
+        return self.map_fn(record)
 
 
 @dataclass(slots=True)
@@ -54,8 +72,6 @@ class JobConfig:
     reduce_buffer_bytes:
         Shuffle buffer on each reducer; overflow spills sorted runs (or
         hash partitions) to the reducer's local disk.
-    combine_on_spill:
-        Apply the combiner when spilling, as Hadoop does.
     batch:
         Inert; see the comment on the field.
     """
@@ -64,7 +80,6 @@ class JobConfig:
     map_buffer_bytes: int = 8 * 1024 * 1024
     merge_factor: int = 10
     reduce_buffer_bytes: int = 32 * 1024 * 1024
-    combine_on_spill: bool = True
     #: Inert: read by nothing in ``src/``.  Kept, with its default, because
     #: ``benchmarks/e2e`` sets it and ``job_fingerprint`` hashes every field;
     #: the benchmark-only PR that retires the ``*.tuple.wall_s`` names drops it.
@@ -94,15 +109,12 @@ class MapReduceJob:
     config: JobConfig = field(default_factory=JobConfig)
     input_path: str = ""
     output_path: str = ""
-    map_slice: MapSliceFn | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.map_fn) or not callable(self.reduce_fn):
             raise TypeError("map_fn and reduce_fn must be callable")
         if self.combine_fn is not None and not callable(self.combine_fn):
             raise TypeError("combine_fn must be callable or None")
-        if self.map_slice is not None and not callable(self.map_slice):
-            raise TypeError("map_slice must be callable or None")
         if not self.name:
             raise ValueError("job must have a name")
 

@@ -26,7 +26,7 @@ from repro.io.disk import LocalDisk
 from repro.io.runio import Framed, KeyedRun, frame_records, segment_pairs, stream_frames
 from repro.io.runio import stream_pieces, write_run
 from repro.io.serialization import estimate_sizes
-from repro.mapreduce.api import MapFn, MapReduceJob, MapSliceFn
+from repro.mapreduce.api import MapFn, MapReduceJob, MapSliceFn, SliceMapper
 from repro.mapreduce.counters import C, Counters
 from repro.mapreduce.merge import MultiPassMerger, group_sorted, merge_sorted, pair_pieces
 from repro.mapreduce.partition import KeyFacts
@@ -59,7 +59,8 @@ Segment = KeyedRun | list[tuple[Any, Any]]
 
 
 def per_record(map_fn: MapFn) -> MapSliceFn:
-    """The per-record loop over ``map_fn``: the slice mapper of a job without one."""
+    """The per-record loop over ``map_fn``: the slice form of a map function
+    that is not a :class:`~repro.mapreduce.api.SliceMapper`."""
 
     def map_slice(records: list[Any]) -> tuple[list[tuple[Any, Any]], list[int]]:
         pairs: list[tuple[Any, Any]] = []
@@ -120,11 +121,13 @@ def run_map_task(
     """
     counters.inc(C.MAP_TASKS)
     counters.inc(C.MAP_INPUT_BYTES, input_bytes)
+    map_fn = job.map_fn
+    map_slice = map_fn.map_slice if type(map_fn) is SliceMapper else per_record(map_fn)
     perf = time.perf_counter
     t_collect = 0.0
     n_in = 0
     with tracer.span("map", "map", node=node, task=f"map:{task_id:05d}") as map_span:
-        for pairs, ends in map_slices(records, job.map_slice or per_record(job.map_fn), counters):
+        for pairs, ends in map_slices(records, map_slice, counters):
             n_in += len(ends)
             t0 = perf()
             buffer.add_block(pairs, ends)
@@ -190,7 +193,7 @@ class _SortingBuffer:
         self.tracer = tracer
         self._task = f"map:{task_id:05d}"
         self.num_partitions = job.config.num_reducers
-        self._combining = job.has_combiner and job.config.combine_on_spill
+        self._combining = job.has_combiner
         self._buckets: list[list[tuple[Any, Any]]] = [
             [] for _ in range(self.num_partitions)
         ]
@@ -437,7 +440,7 @@ class SortMergeReduceTask:
         self.counters = Counters()
         self.tracer = tracer
         self.namespace = namespace
-        self.combining = combine and job.has_combiner and job.config.combine_on_spill
+        self.combining = combine and job.has_combiner
         self._task = f"reduce:{partition:03d}"
         self._merger = MultiPassMerger(
             disk,

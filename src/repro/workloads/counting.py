@@ -12,7 +12,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.aggregates import SUM
 from repro.core.engine import OnePassConfig, OnePassJob
-from repro.mapreduce.api import JobConfig, MapReduceJob, MapSliceFn
+from repro.mapreduce.api import JobConfig, MapReduceJob, MapSliceFn, SliceMapper
 
 __all__ = ["count_map_fn", "count_map_slice", "sum_combine", "sum_reduce", "counting_job", "counting_onepass_job", "reference_counts"]
 
@@ -59,8 +59,7 @@ def counting_job(
     intermediate/input ratio under 1% for these workloads."""
     return MapReduceJob(
         name=name,
-        map_fn=count_map_fn(key_of),
-        map_slice=count_map_slice(key_of),
+        map_fn=SliceMapper(count_map_fn(key_of), count_map_slice(key_of)),
         reduce_fn=sum_reduce,
         combine_fn=sum_combine if with_combiner else None,
         config=config or JobConfig(),
@@ -81,8 +80,7 @@ def counting_onepass_job(
     sum pushed by the map-side combiner)."""
     return OnePassJob(
         name=name,
-        map_fn=count_map_fn(key_of),
-        map_slice=count_map_slice(key_of),
+        map_fn=SliceMapper(count_map_fn(key_of), count_map_slice(key_of)),
         aggregator=SUM,
         config=config or OnePassConfig(),
         input_path=input_path,

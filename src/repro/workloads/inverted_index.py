@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.core.aggregates import COLLECT
 from repro.core.engine import OnePassConfig, OnePassJob
-from repro.mapreduce.api import JobConfig, MapReduceJob
+from repro.mapreduce.api import JobConfig, MapReduceJob, SliceMapper
 
 __all__ = [
     "index_map",
@@ -66,8 +66,7 @@ def inverted_index_job(
 ) -> MapReduceJob:
     return MapReduceJob(
         name="inverted-index",
-        map_fn=index_map,
-        map_slice=index_map_slice,
+        map_fn=SliceMapper(index_map, index_map_slice),
         reduce_fn=index_reduce,
         combine_fn=None,
         config=config or JobConfig(),
@@ -86,8 +85,7 @@ def inverted_index_onepass_job(
     cfg = config or OnePassConfig(mode="hybrid", map_side_combine=False)
     return OnePassJob(
         name="inverted-index-onepass",
-        map_fn=index_map,
-        map_slice=index_map_slice,
+        map_fn=SliceMapper(index_map, index_map_slice),
         aggregator=COLLECT,
         finalize=index_reduce,  # a word's postings, sorted, as the reduce emits them
         config=cfg,

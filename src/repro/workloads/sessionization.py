@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.engine import OnePassConfig, OnePassJob
 from repro.core.aggregates import sessionize, split_sessions
-from repro.mapreduce.api import JobConfig, MapReduceJob
+from repro.mapreduce.api import JobConfig, MapReduceJob, SliceMapper
 
 __all__ = [
     "session_map",
@@ -76,8 +76,7 @@ def _sortmerge_job(
 ) -> MapReduceJob:  # fmt: skip
     return MapReduceJob(
         name=name,
-        map_fn=session_map,
-        map_slice=session_map_slice,
+        map_fn=SliceMapper(session_map, session_map_slice),
         reduce_fn=partial(reduce, gap=gap),
         config=config or JobConfig(),
         input_path=input_path,
@@ -91,8 +90,7 @@ def _onepass_job(
 ) -> OnePassJob:  # fmt: skip
     return OnePassJob(
         name=name,
-        map_fn=session_map,
-        map_slice=session_map_slice,
+        map_fn=SliceMapper(session_map, session_map_slice),
         aggregator=sessionize(gap),
         finalize=finalize,
         config=config or OnePassConfig(mode="hybrid", map_side_combine=False),

@@ -1,18 +1,20 @@
-"""The fixed-size fold against a per-pair reference.
+"""The one fold against a per-pair reference.
 
-A table of fixed-size states (``SIZE_BYTES``) checks its budget only when
-it admits a key, and a ``SumState`` table adds each value to ``total``
-without calling ``update`` / ``merge``.  :func:`reference` below folds a
-pair at a time through the states' own methods and checks the budget after
-every pair.  Streams mix raw values with spilled states and are cut at
-random points; tables run with and without a budget, a capacity, a shed,
-the map-side combiner's flush and its key-facts memo.
+A table of fixed-size states (``SIZE_BYTES``) checks its budget on a hit
+only while a shed is due, and a ``SumState`` table adds each value to
+``total`` without calling ``update`` / ``merge``; MIN, MAX and top-k
+states grow, so their tables check after every pair.  :func:`reference`
+below folds a pair at a time through the states' own methods and checks
+the budget after every pair.  Streams mix raw values with spilled states
+and are cut at random points; tables run with and without a budget, a
+capacity, a shed, the map-side combiner's flush and its key-facts memo.
+(``test_collect_fold.py`` is the reference for collect tables.)
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregates import COUNT, SUM
+from repro.core.aggregates import COUNT, MAX, MIN, SUM, top_k
 from repro.core.hash_tables import SLOT_BYTES, AccountedStateTable, SpilledState
 from repro.io.serialization import estimate_size
 from repro.mapreduce.partition import KeyFacts
@@ -53,7 +55,16 @@ def reference(table, pairs, flushes):
 
 
 def results(table):
-    return [(key, repr(state.result())) for key, state in table.items()]
+    return [(key, result(state)) for key, state in table.items()]
+
+
+def result(state):
+    """A state's result; ``None`` for a MIN/MAX state that merged only an
+    empty spilled state, which has none."""
+    try:
+        return repr(state.result())
+    except ValueError:
+        return None
 
 
 class Chunk(list):
@@ -71,7 +82,7 @@ class Chunk(list):
 
 def view(table, misses, flushes):
     def shown(value):
-        return ("spilled", repr(value.state.result())) if isinstance(value, SpilledState) else value
+        return ("spilled", result(value.state)) if isinstance(value, SpilledState) else value
 
     return (
         results(table),
@@ -96,7 +107,7 @@ _value = st.one_of(_raw, st.lists(_raw, max_size=3).map(lambda vs: ("spill", vs)
 
 class TestFixedSizeFold:
     @given(
-        st.sampled_from(["sum", "count"]),
+        st.sampled_from(["sum", "count", "min", "max", "top2"]),
         st.lists(st.tuples(_keys, _value), max_size=120),
         st.lists(st.integers(0, 120), max_size=5),
         _budgets,
@@ -105,11 +116,11 @@ class TestFixedSizeFold:
         st.booleans(),
         st.booleans(),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=750, deadline=None)
     def test_the_inline_fold_is_the_per_pair_reference(
         self, which, drawn, cuts, budget, capacity, shed, flushing, with_facts
     ):
-        aggregator = SUM if which == "sum" else COUNT
+        aggregator = {"sum": SUM, "count": COUNT, "min": MIN, "max": MAX, "top2": top_k(2)}[which]
 
         def value(v):
             if not isinstance(v, tuple):

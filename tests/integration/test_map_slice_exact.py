@@ -1,22 +1,30 @@
 """A job's slice mapper is unobservable: the same run, byte for byte.
 
 Every paper workload's job runs on Hadoop, HOP and one-pass twice, once
-with the slice mapper its builder gives it and once with ``map_slice=None``
-(the per-record loop over ``map_fn``), at front-end slices of 1 and 256
-records.  The output blocks' bytes, the counters minus ``time.*``, every
-integer ``DiskStats`` field of every device and HOP's mini-chunk
-boundaries (which the ``ends`` offsets decide) must all be equal.
+with the ``SliceMapper`` its builder gives it and once with the plain
+per-record function under it (which the engines map a record at a
+time), at front-end slices of 1 and 256 records.  The output blocks'
+bytes, the counters minus ``time.*``, every integer ``DiskStats`` field
+of every device and HOP's mini-chunk boundaries (which the ``ends``
+offsets decide) must all be equal.
+
+And a job whose ``map_fn`` is replaced runs the replacement: every job
+builder's job, on each engine that takes its form, with a plain function
+or a ``functools.wraps`` wrapper of the builder's map function.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro.core.engine import OnePassEngine
 from repro.mapreduce import hop, sortmerge
+from repro.mapreduce.api import SliceMapper
 from repro.mapreduce.hop import HOPConfig, HOPEngine
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.workloads import WORKLOADS, paper_jobs
+from tests.workloads.test_map_slice import BUILDS, job_of
 
 #: About 4 000 clicks or 66 documents: several 16 KiB input blocks of
 #: 16-record chunks each.
@@ -43,9 +51,9 @@ def run(records, workload, engine, slice_mapper, monkeypatch):
     """One serial run; returns everything the two mappers must agree on."""
     _, sortmerge_job, onepass_job = paper_jobs(workload)
     job = small_budgets((onepass_job if engine == "onepass" else sortmerge_job)("in", "out"), engine)
-    assert job.map_slice is not None
+    assert type(job.map_fn) is SliceMapper
     if not slice_mapper:
-        job = dataclasses.replace(job, map_slice=None)
+        job = dataclasses.replace(job, map_fn=job.map_fn.map_fn)
     cluster = LocalCluster(num_nodes=3, block_size=16 * 1024)
     cluster.hdfs.write_records("in", records, records_per_chunk=16)
     assert len(cluster.hdfs.input_splits("in")) > 2
@@ -96,3 +104,35 @@ def test_slice_mapper_and_per_record_loop_give_the_same_run(
     per_record = run(records, workload, engine, False, monkeypatch)
     assert with_slices["output"] and with_slices == per_record
     assert bool(with_slices["chunks"]) == (engine == "hop")
+
+
+class Sentinel(Exception):
+    """Raised by a replacement map function: the engine ran it."""
+
+
+def replacement(kind, map_fn):
+    def raising(record):
+        raise Sentinel(record)
+
+    return functools.wraps(map_fn)(raising) if kind == "wraps" else raising
+
+
+#: One input record of each builder's shape (clicks for the rest).
+RECORD = {"session-count": (7, 0.0, ("/a",)), "inverted-index": (1, "a b")}
+ENGINES = {"hadoop": HadoopEngine, "hop": HOPEngine, "onepass": OnePassEngine}
+#: The engines that take each form of a job.
+FORM_ENGINES = {"sortmerge": ("hadoop", "hop"), "onepass": ("onepass",)}
+
+
+@pytest.mark.parametrize("kind", ["plain", "wraps"])
+@pytest.mark.parametrize(
+    ("name", "form", "engine"),
+    [(name, form, engine) for name, form in BUILDS for engine in FORM_ENGINES[form]],
+)
+def test_a_replaced_map_fn_is_the_one_that_runs(name, form, engine, kind):
+    job = job_of(name, form)
+    job = dataclasses.replace(job, map_fn=replacement(kind, job.map_fn))
+    cluster = LocalCluster(num_nodes=3)
+    cluster.hdfs.write_records("in", [RECORD.get(name, (0.0, 7, "/a"))])
+    with pytest.raises(Sentinel):
+        ENGINES[engine](cluster).run(job)

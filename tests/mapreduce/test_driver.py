@@ -416,8 +416,7 @@ class TestCollectorPaused:
     def test_cycles_the_map_fn_leaves_are_collected_at_exit(self, engine):
         cluster = make_cluster()
         job = make_job("per-user-count", engine)
-        # Without the workload's slice mapper the engines run map_fn per record.
-        job = dataclasses.replace(job, map_fn=_Cyclic(job.map_fn), map_slice=None)
+        job = dataclasses.replace(job, map_fn=_Cyclic(job.map_fn))
         gc.collect()
         with collections() as log:
             ENGINES[engine](cluster).run(job)
@@ -444,9 +443,7 @@ class TestCollectorPaused:
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_restored_after_the_map_fn_raises(self, engine):
-        job = dataclasses.replace(
-            make_job("per-user-count", engine), map_fn=_failing_map, map_slice=None
-        )
+        job = dataclasses.replace(make_job("per-user-count", engine), map_fn=_failing_map)
         with pytest.raises(ZeroDivisionError):
             ENGINES[engine](make_cluster()).run(job)
         assert gc.isenabled()

@@ -1,6 +1,7 @@
 """Every workload job's slice mapper against its per-record map function.
 
-A job's ``map_slice(records)`` must return what the per-record loop
+A job's map function is a ``SliceMapper``, and its ``map_slice(records)``
+must return what the per-record loop
 (``sortmerge.per_record(job.map_fn)``) returns for the same records: the
 same pairs in the same order, as a list, and the same end offset per
 record.  Checked for every job builder in :mod:`repro.workloads`, under
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mapreduce.api import SliceMapper
 from repro.mapreduce.sortmerge import per_record
 from repro.workloads.inverted_index import inverted_index_job, inverted_index_onepass_job
 from repro.workloads.page_frequency import page_frequency_job, page_frequency_onepass_job
@@ -68,7 +70,7 @@ def cut(records, sizes):
 
 
 def same_as_per_record(job, records):
-    pairs, ends = job.map_slice(records)
+    pairs, ends = job.map_fn.map_slice(records)
     expected_pairs, expected_ends = per_record(job.map_fn)(records)
     assert type(pairs) is list
     assert pairs == expected_pairs
@@ -79,7 +81,8 @@ def same_as_per_record(job, records):
 @pytest.mark.parametrize(("name", "form"), BUILDS)
 def test_every_workload_job_has_a_slice_mapper(name, form):
     job = job_of(name, form)
-    assert callable(job.map_slice) and job.map_slice is not job.map_fn
+    assert type(job.map_fn) is SliceMapper
+    assert callable(job.map_fn.map_slice) and job.map_fn.map_slice is not job.map_fn.map_fn
 
 
 @pytest.mark.parametrize(("name", "form"), BUILDS)
@@ -98,13 +101,13 @@ def test_slice_mapper_equals_the_per_record_loop(name, form, data):
 
 @pytest.mark.parametrize(("name", "form"), BUILDS)
 def test_an_empty_slice_maps_to_nothing(name, form):
-    pairs, ends = job_of(name, form).map_slice([])
+    pairs, ends = job_of(name, form).map_fn.map_slice([])
     assert pairs == [] and list(ends) == []
 
 
 def test_documents_without_an_indexable_word_still_end_a_record():
     job = inverted_index_job("in", "out")
     docs = [(1, "<p> 12; </p>"), (2, ""), (3, "a <p> b"), (4, "&nbsp;")]
-    pairs, ends = job.map_slice(docs)
+    pairs, ends = job.map_fn.map_slice(docs)
     assert pairs == [("a", (3, 0)), ("b", (3, 2))]
     assert list(ends) == [0, 0, 2, 2]
