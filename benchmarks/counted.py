@@ -24,7 +24,10 @@ them only when the run's Python is the one the file is stamped with.
 
 From the repository root, ``PYTHONPATH=src python -m benchmarks.counted``
 prints the rows; ``--write`` re-records the file, ``--diff`` prints each
-row that moved and ``--check`` also exits 1 on any move.
+row that moved and ``--check`` also exits 1 on any move.  ``--top N``
+prints the rows and, under each, its ``N`` busiest ``repro`` functions by
+the same ``call`` events (module, qualified name and first line; not
+recorded in the file).
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ def frames(cluster: Any, path: str) -> int:
     return sum(frame_count(hdfs.read_block_bytes(b.block_id)) for b in hdfs.namenode.blocks_of(path))
 
 
-def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]:
-    """One serial run of ``engine`` on ``workload``; its pickle row."""
+def count_cell(workload: Any, engine: str, records: list[Any], top: int = 0) -> dict[str, Any]:
+    """One serial run of ``engine`` on ``workload``; its pickle row, plus
+    its ``top`` busiest ``repro`` functions under ``"top"`` when asked."""
     job = workload.onepass_job(True) if engine == "onepass" else workload.mr_job(True)
     cluster = load_cluster(records)
     calls = {"dumps": 0, "loads": 0}
@@ -73,12 +77,12 @@ def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]
 
         return wrapper
 
-    modules: dict[str, int] = {}
+    functions: dict[tuple[str, Any], int] = {}
 
     def profile(frame: Any, event: str, arg: Any) -> None:
         if event == "call":
-            name = frame.f_globals.get("__name__", "")
-            modules[name] = modules.get(name, 0) + 1
+            key = (frame.f_globals.get("__name__", ""), frame.f_code)
+            functions[key] = functions.get(key, 0) + 1
 
     runner = ENGINES[engine](cluster)
     gc.collect()
@@ -92,7 +96,7 @@ def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]
         pickle.dumps, pickle.loads = dumps, loads
     collections = [g["collections"] - n for g, n in zip(gc.get_stats(), gc0)]
     packages: dict[str, int] = {}
-    for name, k in modules.items():
+    for (name, _code), k in functions.items():
         parts = name.split(".")
         if parts[0] == "repro":
             package = ".".join(parts[:2])
@@ -105,6 +109,13 @@ def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]
         "gc_collections": collections,
         "calls": dict(sorted(packages.items())),
     }
+    if top:
+        busiest = sorted(
+            ((k, f"{name}:{code.co_qualname}:{code.co_firstlineno}")
+             for (name, code), k in functions.items() if name.split(".")[0] == "repro"),
+            key=lambda kf: (-kf[0], kf[1]),
+        )  # fmt: skip
+        row["top"] = busiest[:top]
     return row | {
         "dumps_per_record": round(row["dumps"] / max(1, n), 4),
         "loads_per_record": round(row["loads"] / max(1, n), 4),
@@ -112,12 +123,12 @@ def count_cell(workload: Any, engine: str, records: list[Any]) -> dict[str, Any]
     }
 
 
-def count_all() -> dict[str, Any]:
+def count_all(top: int = 0) -> dict[str, Any]:
     rows = {}
     for workload in WORKLOADS:
         records = workload.records(SEED)
         for engine in ENGINES:
-            rows[f"{workload.name}.{engine}"] = count_cell(workload, engine, records)
+            rows[f"{workload.name}.{engine}"] = count_cell(workload, engine, records, top)
     return {"python": f"{sys.version_info[0]}.{sys.version_info[1]}", "seed": SEED, "rows": rows}
 
 
@@ -145,13 +156,17 @@ def main() -> int:
     mode.add_argument("--write", action="store_true", help=f"re-record {COUNTED.name}")
     mode.add_argument("--check", action="store_true", help="exit 1 unless every row is equal")
     mode.add_argument("--diff", action="store_true", help="print each row that moved")
+    mode.add_argument("--top", type=int, default=0, metavar="N",
+                      help="also print each cell's N busiest repro functions by calls")  # fmt: skip
     args = parser.parse_args()
+    if args.top < 0:
+        parser.error("--top must be >= 0")
     if os.environ.get("PYTHONHASHSEED") != "0":
         # Hash randomisation must be off before the interpreter starts.
         sys.stdout.flush()
         env = os.environ | {"PYTHONHASHSEED": "0"}
         os.execve(sys.executable, [sys.executable, "-m", "benchmarks.counted", *sys.argv[1:]], env)
-    result = count_all()
+    result = count_all(args.top)
     if args.write:
         COUNTED.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
         return 0
@@ -162,6 +177,8 @@ def main() -> int:
                   f" gc collections {row['gc_collections']};"
                   f" {sum(row['calls'].values()) / max(1, row['map_output_records']):.2f} calls"
                   f" per record ({row['calls_per_record'].get('repro.core', 0.0):.2f} repro.core)")  # fmt: skip
+            for k, function in row.get("top", []):
+                print(f"  {k:9d} {k / max(1, row['map_output_records']):8.4f}/record  {function}")
         return 0
     committed = json.loads(COUNTED.read_text())
     old, new = committed["rows"], result["rows"]

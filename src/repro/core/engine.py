@@ -257,8 +257,11 @@ class OnePassReduceTask:
         ) as reduce_span:
             if not isinstance(backend, HybridHashGrouper):
                 reduce_span.set(resident_keys=backend.resident_keys)
-            if job.is_aggregate:
-                finalize = job.finalize or _default_finalize
+            if job.is_aggregate and job.finalize is None:
+                output.extend(self._drain())
+                groups = len(output)
+            elif job.is_aggregate:
+                finalize = job.finalize
                 for key, result in self._drain():
                     groups += 1
                     output.extend(finalize(key, result))
@@ -296,10 +299,6 @@ class OnePassReduceTask:
         """Load a checkpoint produced by :meth:`checkpoint_payload`."""
         assert isinstance(self._backend, IncrementalHash)
         self._backend.restore_payload(payload)
-
-
-def _default_finalize(key: Any, result: Any) -> Iterable[Any]:
-    yield (key, result)
 
 
 def onepass_map_buffer(

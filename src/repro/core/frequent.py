@@ -151,17 +151,22 @@ class SpaceSaving:
         return TrackedKey(key=key, count=count, error=self._errors[key])
 
     def entries(self) -> list[TrackedKey]:
-        """All tracked entries, most frequent first."""
-        items = [
-            TrackedKey(key=k, count=c, error=self._errors[k])
-            for k, c in self._counts.items()
-        ]
-        items.sort(key=lambda t: (-t.count, t.error))
-        return items
+        """All tracked entries, most frequent first; among equal counts the
+        smaller error first, then tracking order."""
+        return self.top(len(self._counts))
+
+    def ranked_keys(self) -> list[Any]:
+        """Tracked keys in :meth:`entries` order: two stable C-keyed sorts."""
+        counts, errors = self._counts, self._errors
+        ranked = list(counts)
+        ranked.sort(key=errors.__getitem__)
+        ranked.sort(key=counts.__getitem__, reverse=True)
+        return ranked
 
     def top(self, k: int) -> list[TrackedKey]:
-        """The ``k`` entries with the highest estimated counts."""
-        return self.entries()[:k]
+        """The first ``k`` of :meth:`entries`; only those are built."""
+        counts, errors = self._counts, self._errors
+        return [TrackedKey(key, counts[key], errors[key]) for key in self.ranked_keys()[:k]]
 
     def guaranteed_top(self, k: int) -> list[TrackedKey]:
         """Entries *provably* in the stream's top-``k``.

@@ -17,7 +17,7 @@ bucket hashed with the same function would not split further).
 from __future__ import annotations
 
 import sys
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.aggregates import AggregateState, Aggregator, CollectState, SumState
@@ -31,6 +31,7 @@ __all__ = ["HashFamily", "AccountedStateTable", "SpilledState", "SpillBuckets"]
 _MERSENNE_PRIME = (1 << 61) - 1
 SLOT_BYTES = 104  # dict slot overhead per entry, amortised
 _VALUE = itemgetter(1)
+_RESULT = methodcaller("result")
 
 
 class HashFamily:
@@ -76,7 +77,8 @@ class SpilledState:
     Evicting a resident key writes its accumulated state to the key's disk
     partition; the recursive pass merges it back via ``AggregateState.merge``
     instead of ``update``.  The wrapper disambiguates states from user
-    values that might themselves be state-like objects.
+    values that might themselves be state-like objects.  Every state but
+    SUM's uses it: a SUM partial is its total, which folds like a value.
     """
 
     __slots__ = ("state",)
@@ -116,7 +118,8 @@ class SpillBuckets:
 
 
 class AccountedStateTable:
-    """``key -> AggregateState`` with running byte accounting.
+    """``key -> AggregateState`` (a SUM table: ``key -> total``) with
+    running byte accounting.
 
     :meth:`fold` is the one fold: hybrid hash, incremental hash and the
     hot set each hand it their pairs and route the misses it returns, and
@@ -144,9 +147,11 @@ class AccountedStateTable:
     A state that declares ``SIZE_BYTES`` reports zero growth from
     ``update`` and ``merge``, so in its table only an admission can move
     :attr:`used_bytes` up: a hit skips the budget check unless a shed is
-    due.  A :class:`SumState` table (:attr:`sums`) adds each value (a
-    :class:`SpilledState`'s ``total``) to the state's ``total`` itself,
-    without a call per pair.
+    due.  A SUM table (:attr:`sums`: its aggregator makes
+    :class:`SumState`) holds each key's total as a number, charged
+    ``SumState.SIZE_BYTES``: an admission stores ``0 + value``, a hit
+    ``total + value``.  Its partials (shed, :meth:`pop`, :meth:`items`)
+    are those numbers, which a SUM table folds like map output.
 
     ``facts`` (the map-side combiner's) is a task's
     :class:`~repro.mapreduce.partition.KeyFacts` memo with overhead
@@ -186,10 +191,10 @@ class AccountedStateTable:
         self.used_bytes = self.probes = self.frozen_bytes = 0
         self.capacity, self.budget, self.shed = capacity, budget, shed
         self.frozen = False
-        probe = aggregator.initial()
+        self.sums = getattr(aggregator, "_make", None) is SumState
+        probe = SumState if self.sums else aggregator.initial()
         self.fixed_bytes: int = getattr(probe, "SIZE_BYTES", 0)
         self.collects = getattr(type(probe), "update", None) is CollectState.update
-        self.sums = type(probe) is SumState
 
     def __len__(self) -> int:
         return len(self.states)
@@ -200,12 +205,14 @@ class AccountedStateTable:
         """Fold ``pairs`` in order; return the misses, in order.
 
         A resident or admitted key folds its value (a :class:`SpilledState`
-        merges); any other pair is a miss.  The budget is checked after
-        every pair that can have moved :attr:`used_bytes` (an admission,
-        a hit on a state without ``SIZE_BYTES``, any hit while a shed is
-        due), so the freeze, each shed and each flush land on the same pair
-        however a stream is cut; a shed appends ``(key,
-        SpilledState(state))`` to the misses.  With ``flush`` (the map-side
+        merges; a SUM table adds every value, partials included); any
+        other pair is a miss.  The budget is checked after every pair that
+        can have moved :attr:`used_bytes` (an admission, a hit on a state
+        without ``SIZE_BYTES``, any hit while a shed is due), so the
+        freeze, each shed and each flush land on the same pair however a
+        stream is cut; a shed appends each shed key's partial (``(key,
+        total)`` in a SUM table, else ``(key, SpilledState(state))``) to
+        the misses.  With ``flush`` (the map-side
         combiner's), the pair that takes :attr:`used_bytes` to the budget
         calls it instead of freezing; it must empty the table with
         :meth:`clear`, and the fold goes on with the rest.  ``probes``
@@ -227,7 +234,7 @@ class AccountedStateTable:
                         next(sizes)  # type: ignore[arg-type]
                     misses.append((key, value))
                     continue
-                state = states[key] = make()
+                state = 0 if sums else states.setdefault(key, make())
                 t = type(key)
                 if facts is not None and (t is str or t is int):
                     used += facts[key][1] + (fixed or state.size_bytes())
@@ -237,7 +244,7 @@ class AccountedStateTable:
             else:
                 check = recheck
             if sums:
-                state.total += value.state.total if isinstance(value, SpilledState) else value
+                states[key] = state + value
             elif collects:
                 size = next(sizes)  # type: ignore[arg-type]
                 if isinstance(value, SpilledState):
@@ -273,28 +280,39 @@ class AccountedStateTable:
         return misses
 
     def _shed(self, misses: list[tuple[Any, Any]]) -> int:
-        """Pop the largest states onto ``misses`` until back under budget;
-        returns how many."""
-        by_size = sorted(self.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
-        for popped, (key, _state) in enumerate(by_size):
+        """Pop the largest states onto ``misses``, as partials, until under
+        budget; returns how many (fixed-size ones in insertion order)."""
+        states, fixed, sums = self.states, self.fixed_bytes, self.sums
+        if fixed:
+            by_size = list(states.items())
+        else:
+            by_size = sorted(states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
+        for popped, (key, state) in enumerate(by_size):
             if self.used_bytes <= self.budget:
                 return popped
-            misses.append((key, SpilledState(self.pop(key))))
+            del states[key]
+            self.used_bytes -= estimate_size(key) + (fixed or state.size_bytes()) + SLOT_BYTES
+            misses.append((key, state if sums else SpilledState(state)))
         return len(by_size)
 
-    def pop(self, key: Any) -> AggregateState:
-        """Remove and return ``key``'s state, releasing its budget."""
+    def pop(self, key: Any) -> Any:
+        """Remove and return ``key``'s state (or total), releasing its budget."""
         state = self.states.pop(key)
-        self.used_bytes -= estimate_size(key) + state.size_bytes() + SLOT_BYTES
+        size = self.fixed_bytes or state.size_bytes()
+        self.used_bytes -= estimate_size(key) + size + SLOT_BYTES
         return state
 
-    def items(self) -> Iterator[tuple[Any, AggregateState]]:
+    def items(self) -> Iterator[tuple[Any, Any]]:
+        """``(key, state)`` for every key; a SUM table's are ``(key, total)``."""
         return iter(self.states.items())
 
     def results(self) -> Iterator[tuple[Any, Any]]:
-        """``(key, state.result())`` for every key (unspecified order)."""
-        for key, state in self.states.items():
-            yield key, state.result()
+        """``(key, state.result())`` for every key (unspecified order), as
+        consumed; a SUM table's items are its results."""
+        states = self.states
+        if self.sums:
+            return iter(states.items())
+        return zip(states.keys(), map(_RESULT, states.values()))
 
     def clear(self) -> None:
         self.states.clear()

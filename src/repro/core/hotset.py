@@ -148,16 +148,19 @@ class HotSetIncrementalHash:
     def _refresh(self) -> None:
         """Realign the resident set with the sketch's current top keys.
 
-        Evicted states are spilled *as states*, so an evicted key's history
-        costs one constant-size entry rather than its full raw pair list.
+        Evicted states are spilled *as states* (a SUM table's as their
+        totals), so an evicted key's history costs one constant-size entry
+        rather than its full raw pair list.
         """
         self._since_refresh = 0
-        hot = {t.key for t in self.sketch.top(self.capacity)}
-        resident = {key for key, _ in self._table.items()}
+        table = self._table
+        hot = set(self.sketch.ranked_keys()[: self.capacity])
+        resident = set(table.states)
         # Eviction (and hence spill) order must not depend on the
         # process hash seed; repr-keyed sort handles mixed key types.
         for key in sorted(resident - hot, key=repr):
-            self._spills.write([(key, SpilledState(self._table.pop(key)))])
+            state = table.pop(key)
+            self._spills.write([(key, state if table.sums else SpilledState(state))])
             self.counters.inc(C.HOT_EVICTIONS)
         # Newly hot keys start their state on their next arrival; their
         # prior history already lives in the cold spills.
@@ -171,8 +174,9 @@ class HotSetIncrementalHash:
         key entered the resident set (those are in the cold spills), so the
         value is a lower bound for monotone aggregates like counts.
         """
+        sums, estimate = self._table.sums, self.sketch.estimate
         for key, state in self._table.items():
-            yield ApproximateResult(key, state.result(), self.sketch.estimate(key))
+            yield ApproximateResult(key, state if sums else state.result(), estimate(key))
 
     # -- exact finalisation --------------------------------------------------------
 
@@ -210,8 +214,10 @@ class HotSetIncrementalHash:
             spill_partitions=self.spill_partitions,
             counters=self.counters,
         )
-        grouper.add_batch([(key, SpilledState(state)) for key, state in self._table.items()])
-        self._table.clear()
+        table = self._table
+        sums = table.sums
+        grouper.add_batch([(key, s if sums else SpilledState(s)) for key, s in table.items()])
+        table.clear()
         for path in cold_paths:
             for piece in stream_pieces(self.disk, path):
                 grouper.add_batch(piece)

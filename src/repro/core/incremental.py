@@ -9,9 +9,9 @@ per key and folds every arriving pair immediately — the reduce function is
 effectively "applied to all groups simultaneously".  Two consequences the
 paper calls out, both implemented here:
 
-* **Fully incremental output** — an *emit policy* inspects a key's state
-  after each update and can release the answer as soon as it is
-  determined (the paper's example: emit a group once its count exceeds a
+* **Fully incremental output** — an *emit policy* inspects a key's
+  running result after each update and can release the answer as soon as
+  it is determined (the paper's example: emit a group once its count exceeds a
   threshold).  No merge phase ever blocks it.
 * **In-memory processing whenever states fit** — when they do not, the
   plain technique must shed load; here, cold (non-resident) keys overflow
@@ -25,7 +25,7 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.aggregates import AggregateState, Aggregator
+from repro.core.aggregates import Aggregator
 from repro.core.hash_tables import AccountedStateTable, SpilledState
 from repro.core.hybrid_hash import HybridHashGrouper
 from repro.io.disk import LocalDisk
@@ -33,21 +33,22 @@ from repro.mapreduce.counters import C, Counters
 
 __all__ = ["IncrementalHash", "EmitPolicy", "count_threshold_policy"]
 
-EmitPolicy = Callable[[Any, AggregateState], bool]
+#: ``policy(key, result)``, ``result`` being the key's running answer.
+EmitPolicy = Callable[[Any, Any], bool]
 
 
 def count_threshold_policy(threshold: int) -> EmitPolicy:
-    """Emit a key as soon as its count-like state reaches ``threshold``.
+    """Emit a key as soon as its count-like result reaches ``threshold``.
 
-    Works with any state whose ``result()`` is an integer count — the
+    Works with any aggregate whose result is an integer count — the
     paper's motivating incremental query ("return all the groups where the
     count of items exceeds a threshold").
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
 
-    def policy(_key: Any, state: AggregateState) -> bool:
-        return state.result() >= threshold
+    def policy(_key: Any, result: Any) -> bool:
+        return result >= threshold
 
     return policy
 
@@ -66,7 +67,7 @@ class IncrementalHash:
     disk, namespace:
         Overflow destination; required when ``memory_bytes`` is set.
     emit_policy:
-        Optional predicate over ``(key, state)``; the first time it holds
+        Optional predicate over ``(key, result)``; the first time it holds
         for a key, ``(key, result)`` is appended to :attr:`early_emitted`.
     """
 
@@ -143,7 +144,7 @@ class IncrementalHash:
         on the same pair however the stream is cut.  Once frozen the
         resident key set never changes and the overflow grouper shares
         nothing with it, so a batch's misses reach it in one call.  With an
-        emit policy each pair is its own fold, so the policy sees the state
+        emit policy each pair is its own fold, so the policy sees the result
         every pair leaves and a freeze follows the pair's emission.
         """
         if self._finished:
@@ -153,11 +154,12 @@ class IncrementalHash:
             misses = table.fold(pairs)
         else:
             misses = []
+            emitted = self._emitted
             for pair in pairs:
                 missed = table.fold((pair,))
                 misses += missed
-                if not missed:
-                    self._maybe_emit(pair[0], table.states[pair[0]])
+                if not missed and pair[0] not in emitted:
+                    self._maybe_emit(pair[0])
                 if table.frozen and self._overflow is None:
                     self._freeze()
         if table.frozen and self._overflow is None:
@@ -178,12 +180,13 @@ class IncrementalHash:
             counters=self.counters,
         )
 
-    def _maybe_emit(self, key: Any, state: AggregateState) -> None:
-        if self.emit_policy is None or key in self._emitted:
-            return
-        if self.emit_policy(key, state):
+    def _maybe_emit(self, key: Any) -> None:
+        """Ask the policy about resident ``key``, not yet emitted."""
+        table, state = self._table, self._table.states[key]
+        result = state if table.sums else state.result()
+        if self.emit_policy(key, result):  # type: ignore[misc]
             self._emitted.add(key)
-            self.early_emitted.append((key, state.result()))
+            self.early_emitted.append((key, result))
             self.counters.inc(C.EARLY_EMITS)
 
     # -- checkpointing -----------------------------------------------------------
@@ -217,8 +220,8 @@ class IncrementalHash:
         if self._finished:
             raise RuntimeError("incremental hash already finished")
         states, emitted, early, updates = pickle.loads(payload)
-        self._table = AccountedStateTable(self.aggregator, budget=self.memory_bytes)
-        self._table.fold([(key, SpilledState(state)) for key, state in states])
+        table = self._table = AccountedStateTable(self.aggregator, budget=self.memory_bytes)
+        table.fold(states if table.sums else [(key, SpilledState(s)) for key, s in states])
         self._emitted = set(emitted)
         self.early_emitted = list(early)
         self.updates = updates

@@ -11,7 +11,7 @@ The paper's map module offers two options to replace Hadoop's sort:
    map output fits in memory so Hybrid Hash is simply in-memory hashing");
    when the task's memory budget fills, the table's partial *states* are
    flushed downstream, split by partition, and the table resets.
-   Downstream consumers fold the states via ``AggregateState.merge``.
+   Downstream consumers merge the states (or fold a SUM's totals).
 
 Neither option ever compares keys for order — the CPU the baseline spends
 in Table II's "Sorting" row simply does not exist on this path.
@@ -108,7 +108,7 @@ class MapSideHashCombiner:
     The flush unit is the whole task (all partitions) because the memory
     budget is shared; each flush emits, per partition, ``(key,
     SpilledState)`` pairs that the reducer merges, so the algebra works
-    for any aggregator.
+    for any aggregator (a SUM table emits ``(key, total)``).
     """
 
     def __init__(
@@ -141,17 +141,19 @@ class MapSideHashCombiner:
     add_batch = add_block  # the name the benchmark's probes call
 
     def flush(self) -> None:
-        """Emit the partial states downstream, one chunk per partition in
-        insertion order, and reset.  A chunk's bytes are its keys' share of
-        the table's: key estimate, dict slot and state size."""
+        """Emit the partial states (a SUM table's totals) downstream, one
+        chunk per partition in insertion order, and reset.  A chunk's
+        bytes are its keys' share of the table's: key estimate, dict slot
+        and state size."""
         table, facts = self._table, self._facts
-        fixed = table.fixed_bytes
+        fixed, sums = table.fixed_bytes, table.sums
         chunks: list[list[tuple[Any, Any]]] = [[] for _ in range(self.num_partitions)]
         sizes = [0] * self.num_partitions
-        for key, state in table.states.items():
+        for item in table.states.items():
+            key, state = item
             t = type(key)
             partition, key_bytes = facts[key] if t is str or t is int else facts.of(key)
-            chunks[partition].append((key, SpilledState(state)))
+            chunks[partition].append(item if sums else (key, SpilledState(state)))
             sizes[partition] += key_bytes + (fixed or state.size_bytes())
         table.clear()
         for partition, pairs in enumerate(chunks):

@@ -27,9 +27,9 @@ def stable_hash(key: Any) -> int:
     (:func:`_canonical`): inside a tuple, at any depth, an element that
     equals an ``int`` is that ``int``, and a frozenset is its elements'
     hashes, sorted (its own iteration order follows the process's hash
-    seed).  Known limitation: pickle memoises repeated objects, so a tuple
-    holding one ``str`` object twice pickles unlike one holding two equal
-    copies; ``(s, s)`` and ``(s, t)`` with ``s == t`` can part ways.
+    seed).  Pickle memoises repeated objects, so equal ``str`` and
+    ``bytes`` elements of a tuple, at any depth, are made one object
+    first: ``(s, s)`` and ``(s, t)`` with ``s == t`` hash equal.
     """
     if isinstance(key, str):
         data = key.encode("utf-8")
@@ -47,12 +47,18 @@ def stable_hash(key: Any) -> int:
     return zlib.crc32(data)
 
 
-def _canonical(key: Any) -> Any:
-    """``key`` as :func:`stable_hash` pickles it.  A tuple of ``str``,
-    ``int``, ``bytes``, ``None`` and non-integral floats comes back as an
-    equal tuple of the same objects, so it hashes as its own pickle."""
+def _canonical(key: Any, memo: dict[Any, Any] | None = None) -> Any:
+    """``key`` as :func:`stable_hash` pickles it; ``memo`` (one per
+    top-level tuple) maps a ``str`` / ``bytes`` element to the first equal
+    one.  So a tuple of ``str``, ``int``, ``bytes``, ``None`` and
+    non-integral floats with no equal but distinct elements hashes as its
+    own pickle."""
     if isinstance(key, tuple):
-        return tuple(map(_canonical, key))
+        if memo is None:
+            memo = {}
+        return tuple([_canonical(element, memo) for element in key])
+    if isinstance(key, (str, bytes)):
+        return key if memo is None else memo.setdefault(key, key)
     if isinstance(key, frozenset):
         return sorted(map(stable_hash, key))
     if isinstance(key, int) or isinstance(key, float) and key.is_integer():

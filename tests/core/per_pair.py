@@ -6,9 +6,12 @@ own admission, byte accounting, freeze and shed.  They call nothing of the
 table but its dict, so a test that compares a backend's batched fold with
 them compares two implementations, not the fold with itself.  Misses
 spill a pair at a time (:func:`spill_one`), as before the backends
-bucketed a segment's misses.
+bucketed a segment's misses.  A SUM table's states are plain totals
+(:func:`sums`): a per-pair fold adds to the total, its key is charged a
+``SumState``'s size, and its partials ship as the total.
 """
 
+from repro.core.aggregates import SumState
 from repro.core.hash_tables import SpilledState
 from repro.core.hybrid_hash import HybridHashGrouper
 from repro.io.disk import LocalDisk
@@ -19,9 +22,31 @@ from repro.mapreduce.counters import C
 SLOT_BYTES = 104
 
 
+def sums(table):
+    """Whether ``table`` holds SUM totals: its aggregator makes ``SumState``."""
+    return type(table.aggregator.initial()) is SumState
+
+
+def size(table, state):
+    """What ``table`` charges for ``state`` beside its key and slot."""
+    return SumState.SIZE_BYTES if sums(table) else state.size_bytes()
+
+
+def partial(table, state):
+    """``state`` as ``table`` ships it when shed or evicted."""
+    return state if sums(table) else SpilledState(state)
+
+
 def fold_one(table, key, value):
-    """One probe; a fresh state on first touch; the state's growth charged."""
+    """One probe; a fresh state on first touch; the state's growth charged
+    (a SUM total: ``0``, then the value added)."""
     table.probes += 1
+    if sums(table):
+        if key not in table.states:
+            table.states[key] = 0
+            table.used_bytes += estimate_size(key) + SLOT_BYTES + SumState.SIZE_BYTES
+        table.states[key] += value
+        return table.states[key]
     state = table.states.get(key)
     if state is None:
         state = table.states[key] = table.aggregator.initial()
@@ -35,8 +60,9 @@ def fold_one(table, key, value):
 
 def remeasured(table):
     """A table's bytes measured afresh: key estimate, dict slot and state
-    size over every resident key."""
-    return sum(estimate_size(k) + SLOT_BYTES + state.size_bytes() for k, state in table.items())
+    size over every resident key (a SUM table's totals are charged a
+    ``SumState``'s size)."""
+    return sum(estimate_size(k) + SLOT_BYTES + size(table, state) for k, state in table.items())
 
 
 def table_fold(table, pairs, sheds=None):
@@ -56,13 +82,13 @@ def table_fold(table, pairs, sheds=None):
                 table.frozen, table.frozen_bytes = True, table.used_bytes
         elif table.shed and table.used_bytes > 2 * table.budget:
             before, victims = table.used_bytes, []
-            by_size = sorted(table.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
+            by_size = sorted(table.states.items(), key=lambda kv: size(table, kv[1]), reverse=True)
             for victim, state in by_size:
                 if table.used_bytes <= table.budget:
                     break
                 del table.states[victim]
-                table.used_bytes -= estimate_size(victim) + state.size_bytes() + SLOT_BYTES
-                misses.append((victim, SpilledState(state)))
+                table.used_bytes -= estimate_size(victim) + size(table, state) + SLOT_BYTES
+                misses.append((victim, partial(table, state)))
                 victims.append(victim)
             if sheds is not None:
                 sheds.append((before, victims))
@@ -103,13 +129,13 @@ def shed(g):
     """Spill the biggest resident states until back under budget."""
     table = g._table
     victims = []
-    by_size = sorted(table.states.items(), key=lambda kv: kv[1].size_bytes(), reverse=True)
+    by_size = sorted(table.states.items(), key=lambda kv: size(table, kv[1]), reverse=True)
     for key, state in by_size:
         if table.used_bytes <= g.memory_bytes:
             break
         del table.states[key]
-        table.used_bytes -= estimate_size(key) + state.size_bytes() + SLOT_BYTES
-        spill_one(g._spills, key, SpilledState(state))
+        table.used_bytes -= estimate_size(key) + size(table, state) + SLOT_BYTES
+        spill_one(g._spills, key, partial(table, state))
         victims.append(key)
     return victims
 
@@ -124,9 +150,9 @@ def incremental_update(ih, key, value):
     if ih._overflow is not None and key not in table.states:
         hybrid_add(ih._overflow, key, value)
         return
-    state = fold_one(table, key, value)
-    if ih.emit_policy is not None:
-        ih._maybe_emit(key, state)
+    fold_one(table, key, value)
+    if ih.emit_policy is not None and key not in ih._emitted:
+        ih._maybe_emit(key)
     budget = ih.memory_bytes
     if ih._overflow is None and budget is not None and table.used_bytes > budget:
         table.frozen = True
@@ -148,7 +174,7 @@ def incremental_restore(ih, states):
     table.states.clear()
     table.used_bytes = table.probes = 0
     for key, state in states:
-        fold_one(table, key, SpilledState(state))
+        fold_one(table, key, partial(table, state))
 
 
 def hotset_update(h, key, value):

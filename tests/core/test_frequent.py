@@ -159,3 +159,25 @@ class TestOnSkewedStream:
         true_topk = {key for key, _ in truth.most_common(k)}
         for entry in guaranteed:
             assert entry.key in true_topk
+
+
+class TestEntriesOrder:
+    @given(
+        st.lists(st.one_of(st.integers(0, 20), st.sampled_from(["a", "b", 1.0])), max_size=300),
+        st.integers(1, 8),
+        st.lists(st.tuples(st.integers(0, 20), st.integers(1, 4)), max_size=20),
+    )
+    @settings(max_examples=200)
+    def test_two_stable_sorts_give_the_one_key_sort_order(self, stream, capacity, weighted):
+        # Ties in count and in (count, error) are common in a small sketch.
+        ss = SpaceSaving(capacity)
+        for key in stream:
+            ss.offer(key)
+        for key, count in weighted:
+            ss.offer(key, count=count)
+        tracked = [(k, c, ss._errors[k]) for k, c in ss._counts.items()]
+        by_key = sorted(tracked, key=lambda t: (-t[1], t[2]))
+        assert [(t.key, t.count, t.error) for t in ss.entries()] == by_key
+        assert ss.ranked_keys() == [t[0] for t in by_key]
+        for k in (0, 1, capacity // 2, capacity + 1):
+            assert ss.top(k) == ss.entries()[:k]

@@ -186,7 +186,8 @@ class TestRunningTotal:
                 other = aggregator.initial()
                 for value in arg:
                     other.update(value)
-                table.fold([(key, SpilledState(other))])
+                # A SUM partial is its total, folded like a value.
+                table.fold([(key, other.result() if name == "sum" else SpilledState(other))])
                 probes += 1
             elif op == "pop":
                 # By a key the table holds (as eviction does): ``1`` and

@@ -154,19 +154,20 @@ class TestValidation:
             HotSetIncrementalHash(COUNT, LocalDisk(), "x", capacity=2, spill_partitions=1)
 
 
-def run_hotset(items, cuts, capacity, refresh):
+def run_hotset(items, cuts, capacity, refresh, aggregator):
     """Fold ``items`` per pair (``cuts is None``) or as ``update_batch`` of
-    the cut chunks; everything the fold leaves behind."""
+    the cut chunks; everything the fold leaves behind.  A partial is a
+    SUM's total, or a COUNT's spilled state."""
     disk, counters = KeepingDisk(), Counters()
     h = HotSetIncrementalHash(
-        SUM, disk, "hot", capacity=capacity, refresh_interval=refresh, counters=counters
+        aggregator, disk, "hot", capacity=capacity, refresh_interval=refresh, counters=counters
     )
     pairs = []
     for key, value, as_state in items:
         if as_state:
-            state = SUM.initial()
+            state = aggregator.initial()
             state.update(value)
-            value = SpilledState(state)
+            value = state.result() if aggregator is SUM else SpilledState(state)
         pairs.append((key, value))
     if cuts is None:
         for key, value in pairs:
@@ -202,11 +203,14 @@ class TestBatchFold:
         st.lists(st.integers(0, 200), max_size=6),
         st.sampled_from([1, 2, 5]),
         st.sampled_from([1, 3, 2048]),
+        st.sampled_from([SUM, COUNT]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_same_state_counters_and_spills_as_per_pair(self, items, cuts, capacity, refresh):
-        assert run_hotset(items, cuts, capacity, refresh) == run_hotset(
-            items, None, capacity, refresh
+    def test_same_state_counters_and_spills_as_per_pair(
+        self, items, cuts, capacity, refresh, aggregator
+    ):
+        assert run_hotset(items, cuts, capacity, refresh, aggregator) == run_hotset(
+            items, None, capacity, refresh, aggregator
         )
 
     def test_a_chunk_does_not_enter_the_per_pair_methods(self, monkeypatch):

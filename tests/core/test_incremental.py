@@ -61,7 +61,7 @@ class TestEarlyEmission:
             count_threshold_policy(0)
 
     def test_custom_policy(self):
-        ih = IncrementalHash(SUM, emit_policy=lambda k, s: s.result() >= 100)
+        ih = IncrementalHash(SUM, emit_policy=lambda key, total: total >= 100)
         ih.update("x", 60)
         assert ih.early_emitted == []
         ih.update("x", 60)

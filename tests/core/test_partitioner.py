@@ -111,8 +111,9 @@ class TestMapSideHashCombiner:
             comb.add_block([(f"key-{i}", 1)])
         assert sink.chunks  # flushed before finish
         comb.finish()
-        total = sum(v.state.result() for _, pairs, _ in sink.chunks for _k, v in pairs)
-        assert total == 2000
+        totals = [v for _, pairs, _ in sink.chunks for _k, v in pairs]
+        assert all(type(v) is int for v in totals)  # a SUM partial is its total
+        assert sum(totals) == 2000
 
     def test_partial_sums_recombine_exactly(self):
         sink = Sink()
@@ -126,7 +127,7 @@ class TestMapSideHashCombiner:
         merged: dict[str, int] = {}
         for _, pairs, _ in sink.chunks:
             for k, v in pairs:
-                merged[k] = merged.get(k, 0) + v.state.result()
+                merged[k] = merged.get(k, 0) + v
         assert merged == expected
 
     def test_validation(self):
@@ -199,9 +200,10 @@ def reference_combine(pairs, num_partitions, aggregator, budget):
 
 
 def results(sink):
-    """A combiner sink's chunks with the pushed states unwrapped."""
+    """A combiner sink's chunks with the pushed states unwrapped (a SUM
+    partial is pushed as its total)."""
     return [
-        (p, [(k, v.state.result()) for k, v in chunk], nbytes)
+        (p, [(k, v.state.result() if isinstance(v, SpilledState) else v) for k, v in chunk], nbytes)
         for p, chunk, nbytes in sink.chunks
     ]
 

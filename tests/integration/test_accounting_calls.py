@@ -32,12 +32,14 @@ import repro.io.serialization
 import repro.mapreduce.partition
 from repro.core.aggregates import AvgState, CountState, SumCountState, SumState
 from repro.core.engine import OnePassConfig, OnePassEngine
-from repro.core.incremental import IncrementalHash
+from repro.core.hash_tables import SpilledState
+from repro.core.incremental import IncrementalHash, count_threshold_policy
 from repro.exec.base import get_kernel
 from repro.exec.kernels import OnePassMapSpec
 from repro.io.serialization import BinaryCodec
 from repro.mapreduce.api import JobConfig
 from repro.mapreduce.counters import C
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hop import HOPEngine
 from repro.mapreduce.runtime import HadoopEngine, LocalCluster
 from repro.mapreduce.sortmerge import MAP_SLICE_RECORDS
@@ -150,32 +152,56 @@ def test_budgeted_incremental_job_folds_chunks_in_one_loop(clicks, monkeypatch):
     assert entered.n == 0
 
 
-@pytest.mark.parametrize("job", ["pagefreq-incremental", "peruser-hotset"])
+@pytest.mark.parametrize(
+    "job", ["pagefreq-incremental", "peruser-hotset", "pagefreq-emit", "peruser-checkpoint"]
+)
 def test_a_sum_job_never_enters_sum_state_update_or_merge(clicks, monkeypatch, job):
     # Map-side combine, then incremental hash or a hot set small enough to
-    # spill cold pairs, whose finish replays them through hybrid hash.
-    entered = {name: Calls(getattr(SumState, name)) for name in ("update", "merge")}
-    for name, counter in entered.items():
-        monkeypatch.setattr(SumState, name, lambda *args, c=counter: c(*args))
+    # spill cold pairs, whose finish replays them through hybrid hash; an
+    # emit policy; reducers that die once and restore a checkpoint.  A SUM
+    # table holds totals: it builds no SumState and ships no SpilledState.
+    methods = {
+        "update": (SumState, "update"), "merge": (SumState, "merge"),
+        "SumState": (SumState, "__init__"), "SpilledState": (SpilledState, "__init__"),
+    }  # fmt: skip
+    entered = {name: Calls(getattr(cls, method)) for name, (cls, method) in methods.items()}
+    for name, (cls, method) in methods.items():
+        monkeypatch.setattr(cls, method, lambda *args, c=entered[name]: c(*args))
     cluster = LocalCluster(num_nodes=3, block_size=48 * 1024)
     cluster.hdfs.write_records("in", clicks)
+    incremental = OnePassConfig(
+        mode="incremental", map_side_combine=True, num_reducers=NUM_REDUCERS,
+        reduce_memory_bytes=1 << 20,
+    )  # fmt: skip
     if job == "pagefreq-incremental":
-        cfg = OnePassConfig(
-            mode="incremental", map_side_combine=True, num_reducers=NUM_REDUCERS,
-            reduce_memory_bytes=1 << 20,
-        )  # fmt: skip
-        result = OnePassEngine(cluster).run(page_frequency_onepass_job("in", "out", config=cfg))
+        result = OnePassEngine(cluster).run(
+            page_frequency_onepass_job("in", "out", config=incremental)
+        )
         assert result.counters[C.COMBINE_OUTPUT_RECORDS] > 150
+    elif job == "pagefreq-emit":
+        spec = page_frequency_onepass_job("in", "out", config=incremental)
+        spec.emit_policy = count_threshold_policy(20)
+        result = OnePassEngine(cluster).run(spec)
+        assert result.counters[C.EARLY_EMITS] > 0
+        early = result.extras["early_emitted"]
+        assert all(type(total) is int and total >= 20 for _, total in early)
+    elif job == "peruser-checkpoint":
+        cfg = OnePassConfig(mode="incremental", map_side_combine=True, num_reducers=2)
+        engine = OnePassEngine(
+            cluster, fault_plan=FaultPlan(reduce_failures={0: 1, 1: 1}), checkpoint_interval=3
+        )
+        result = engine.run(per_user_count_onepass_job("in", "out", config=cfg))
+        assert result.counters[C.CHECKPOINT_RESTORES] > 0
     else:
         cfg = OnePassConfig(
             mode="hotset", hotset_capacity=16, map_side_combine=True, num_reducers=NUM_REDUCERS
         )
         result = OnePassEngine(cluster).run(per_user_count_onepass_job("in", "out", config=cfg))
         assert result.counters[C.HOT_MISSES] > 0 and result.counters[C.REDUCE_SPILLS] > 0
-    field = 2 if job == "pagefreq-incremental" else 1
+    field = 2 if job.startswith("pagefreq") else 1
     expected = collections.Counter(click[field] for click in clicks)
     assert sorted(cluster.hdfs.read_records("out")) == sorted(expected.items())
-    assert {name: c.n for name, c in entered.items()} == {"update": 0, "merge": 0}
+    assert {name: c.n for name, c in entered.items()} == dict.fromkeys(entered, 0)
 
 
 def test_every_fixed_size_state_reports_zero_growth():

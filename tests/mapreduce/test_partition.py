@@ -91,6 +91,32 @@ class TestStableHash:
         assert len(set(equal_keys)) == 1
         assert len({stable_hash(k) for k in equal_keys}) == 1
 
+    def test_tuples_without_equal_but_distinct_strings_keep_their_hash(self):
+        # Pinned before equal str/bytes elements were made one object: a
+        # tuple whose equal elements already are one object hashes as before.
+        k = "user-" + str(42)
+        assert stable_hash(("u", 2.5, None, b"x")) == 411238667
+        assert stable_hash(("a", ("b", 2))) == 1162497299
+        assert stable_hash((("x", b"y"), "z", 7)) == 159123289
+        assert stable_hash((k, k)) == 139642758
+        assert stable_hash((k, (k,), 1.0)) == 4084260177
+
+    @given(st.one_of(st.text(min_size=2, max_size=12), st.binary(min_size=2, max_size=12)),
+           st.integers(0, 3))  # fmt: skip
+    @settings(max_examples=100)
+    def test_one_object_twice_hashes_as_two_equal_copies(self, s, depth):
+        # Pickle memoises a repeated object, so (s, s) pickles unlike (s, t).
+        t = (s + s[:1])[:-1]
+        assert t == s and t is not s
+
+        def nest(x):
+            for _ in range(depth):
+                x = (x, 0)
+            return x
+
+        assert stable_hash((s, s)) == stable_hash((s, t))
+        assert stable_hash((s, nest(s))) == stable_hash((s, nest(t))) == stable_hash((t, nest(s)))
+
     @pytest.mark.parametrize("key", [1.5, -0.25, float("inf"), float("-inf"), float("nan")])
     def test_other_floats_keep_the_pickle_path(self, key):
         assert stable_hash(key) == zlib.crc32(pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL))
